@@ -56,31 +56,26 @@ def _snapshot(path, command, values, extra=None):
 _EVAL_STREAMS = ("target", "words", "gaps", "source", "sentence")
 
 
-def _slice_interleaved(rows, stream, path):
-    out = []
-    for i, row in enumerate(rows, 1):
-        if len(row) < 3 or len(row) % 2 == 0:
-            raise LengthMismatch(
-                f"interleaved line must hold 2N+1 entries, got {len(row)}", file=str(path), line=i
-            )
-        if stream == "words":
-            out.append(row[1::2])
-        elif stream == "gaps":
-            out.append(row[0::2])
-        else:
-            out.append(list(row))
-    return out
+def _read_tag_rows(path, stream):
+    """Tag lines of a file; for the target, words and gaps streams every line
+    must be interleaved, and words or gaps keep only that stream's tags."""
+    rows = corpus.read_tag_lines(path)
+    if stream not in ("target", "words", "gaps"):
+        return rows
+    split = [
+        corpus.TargetTags.from_interleaved(row, file=str(path), line=i)
+        for i, row in enumerate(rows, 1)
+    ]
+    if stream == "target":
+        return rows
+    return [t.word_tags if stream == "words" else t.gap_tags for t in split]
 
 
 def _read_pred_rows(path, stream):
     """A prediction file holds either tags (sliced like the gold) or
     per-stream probabilities."""
-    probs = corpus._tags_as_probs(path)
-    if probs is not None:
-        tag_rows = corpus.read_tag_lines(path)
-        if stream in ("words", "gaps", "target"):
-            return "tags", _slice_interleaved(tag_rows, stream, path)
-        return "tags", tag_rows
+    if corpus.is_tag_file(path):
+        return "tags", _read_tag_rows(path, stream)
     return "probs", corpus.read_prob_lines(path)
 
 
@@ -96,9 +91,7 @@ def _cmd_evaluate(args):
         _emit([("pearson", f"{metrics.pearson(gold, pred):.6f}")], args.format)
         return 0
 
-    gold_rows = corpus.read_tag_lines(args.gold)
-    if args.stream in ("target", "words", "gaps"):
-        gold_rows = _slice_interleaved(gold_rows, args.stream, args.gold)
+    gold_rows = _read_tag_rows(args.gold, args.stream)
     kind, pred_rows = _read_pred_rows(args.pred, args.stream)
     if len(pred_rows) != len(gold_rows):
         raise LengthMismatch(
@@ -292,11 +285,9 @@ _ENSEMBLE_WORD_SCHEMA = {
 
 
 def _load_gold_stream(path, stream: Stream, loaded) -> list[list[Tag]]:
-    rows = corpus.read_tag_lines(path)
+    rows = _read_tag_rows(path, stream.value)
     if len(rows) != len(loaded):
         raise LengthMismatch(f"gold has {len(rows)} lines, corpus has {len(loaded)}", file=str(path))
-    if stream in (Stream.WORDS, Stream.GAPS):
-        rows = _slice_interleaved(rows, stream.value, path)
     for i, (row, entry) in enumerate(zip(rows, loaded), 1):
         expected = {
             Stream.WORDS: len(entry.mt),

@@ -36,6 +36,7 @@ __all__ = [
     "load_corpus",
     "load_predictions",
     "read_manifest",
+    "is_tag_file",
     "write_tags",
     "write_probs",
     "write_scores",
@@ -183,6 +184,12 @@ class PredictionSet:
 
     def __len__(self) -> int:
         return len(self.word_probs)
+
+    def stream(self, stream: Stream) -> tuple[tuple[float, ...], ...] | None:
+        """The per-token rows of one stream, or None when the system has none."""
+        if stream is Stream.WORDS:
+            return self.word_probs
+        return self.gap_probs if stream is Stream.GAPS else self.source_probs
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +408,17 @@ def load_corpus(
 # ---------------------------------------------------------------------------
 
 
+def is_tag_file(path) -> bool:
+    """Whether the first line of a prediction file holds only OK/BAD tags."""
+    with open(path, "r", encoding="utf-8") as handle:
+        head = handle.readline().split()
+    return bool(head) and all(t in ("OK", "BAD") for t in head)
+
+
 def _tags_as_probs(path) -> list[list[float]] | None:
     """Tag-only systems enter the ensemble as degenerate probabilities
     (OK -> 0, BAD -> 1). Returns None when the file is not a tag file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.readline().split()
-    if head and all(t in ("OK", "BAD") for t in head):
+    if is_tag_file(path):
         return [[1.0 if t is Tag.BAD else 0.0 for t in row] for row in read_tag_lines(path)]
     return None
 

@@ -11,14 +11,15 @@ that would stall on flat regions.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import PredictionSet, Stream, Tag
-from .errors import MissingStream, SingularSystem, ZeroWeights
-from .metrics import f1_mult, threshold
+from .errors import FoldError, MissingStream, SingularSystem, ZeroWeights
+from .metrics import f1_mult_bool
 
 __all__ = [
     "WeightVector",
@@ -62,30 +63,32 @@ class FoldPlan:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be >= 2")
+            raise FoldError("k must be >= 2")
         counts = [0] * self.k
         previous = 0
         for fold in self.assignment:
             if fold < previous or fold >= self.k:
-                raise ValueError("fold assignment must be contiguous and in range")
+                raise FoldError("fold assignment must be contiguous and in range")
             previous = fold
             counts[fold] += 1
         if min(counts) == 0:
-            raise ValueError("every fold must be non-empty")
+            raise FoldError("every fold must be non-empty")
         if max(counts) - min(counts) > 1:
-            raise ValueError("fold sizes may differ by at most one")
+            raise FoldError("fold sizes may differ by at most one")
 
     @classmethod
     def contiguous(cls, n: int, k: int) -> "FoldPlan":
         if n < k:
-            raise ValueError(f"cannot split {n} sentences into {k} folds")
+            raise FoldError(f"cannot split {n} sentences into {k} folds")
         assignment = []
         for fold in range(k):
             assignment.extend([fold] * ((fold + 1) * n // k - fold * n // k))
         return cls(k=k, assignment=tuple(assignment))
 
-    def indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f == fold]
+    def bounds(self) -> list[tuple[int, int]]:
+        """The ``(lo, hi)`` index range of every fold, in fold order."""
+        edges = [bisect_left(self.assignment, fold) for fold in range(self.k)]
+        return list(zip(edges, edges[1:] + [len(self.assignment)]))
 
 
 @dataclass
@@ -113,15 +116,25 @@ class WordEnsembleFit(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _stream_rows(pred: PredictionSet, stream: Stream):
-    rows = {
-        Stream.WORDS: pred.word_probs,
-        Stream.GAPS: pred.gap_probs,
-        Stream.SOURCE: pred.source_probs,
-    }[stream]
-    if rows is None:
-        raise MissingStream(f"system {pred.system_id!r} provides no {stream.value} stream")
-    return rows
+def _stacked_matrix(preds: Sequence[PredictionSet], stream: Stream) -> np.ndarray:
+    """One row per system, one column per token of the stream."""
+    rows = []
+    for pred in preds:
+        sentences = pred.stream(stream)
+        if sentences is None:
+            raise MissingStream(f"system {pred.system_id!r} provides no {stream.value} stream")
+        rows.append(np.fromiter((p for sentence in sentences for p in sentence), dtype=float))
+    return np.vstack(rows)
+
+
+def _combine(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``(w / sum(w)) @ M``. The fit objective, :func:`combine_word` and the
+    k-fold estimate all combine here, so applying fitted weights reproduces
+    the F1 the fit reported to the last bit."""
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroWeights("ensemble weights sum to zero")
+    return (weights / total) @ matrix
 
 
 def combine_word(
@@ -131,16 +144,12 @@ def combine_word(
     stream = stream or w.stream
     if len(w.weights) != len(preds):
         raise ValueError(f"{len(w.weights)} weights for {len(preds)} systems")
-    total = sum(w.weights)
-    if total <= 0.0:
-        raise ZeroWeights("ensemble weights sum to zero")
-    norm = [weight / total for weight in w.weights]
-    per_system = [_stream_rows(p, stream) for p in preds]
+    flat = _combine(np.array(w.weights, dtype=float), _stacked_matrix(preds, stream)).tolist()
     combined = []
-    for rows in zip(*per_system):
-        combined.append([
-            sum(n * row[i] for n, row in zip(norm, rows)) for i in range(len(rows[0]))
-        ])
+    lo = 0
+    for row in preds[0].stream(stream):
+        combined.append(flat[lo:lo + len(row)])
+        lo += len(row)
     return combined
 
 
@@ -296,41 +305,10 @@ def powell_optimize(
 # ---------------------------------------------------------------------------
 
 
-def _stacked_matrix(preds: Sequence[PredictionSet], stream: Stream) -> np.ndarray:
-    rows = [
-        np.fromiter(
-            (p for sentence in _stream_rows(pred, stream) for p in sentence),
-            dtype=float,
-        )
-        for pred in preds
-    ]
-    return np.vstack(rows)
-
-
 def _flatten_bad(tags: Sequence[Sequence[Tag]]) -> np.ndarray:
     return np.fromiter(
         (tag is Tag.BAD for sentence in tags for tag in sentence), dtype=bool
     )
-
-
-def _f1_mult_bool(gold_bad: np.ndarray, pred_bad: np.ndarray) -> float:
-    """Vectorized twin of :func:`qestack.metrics.f1_mult` over boolean
-    BAD-indicator arrays; same degenerate-class rules."""
-    tp = int(np.count_nonzero(gold_bad & pred_bad))
-    fp = int(np.count_nonzero(~gold_bad & pred_bad))
-    fn = int(np.count_nonzero(gold_bad & ~pred_bad))
-    tn = gold_bad.size - tp - fp - fn
-
-    def class_f1(hits, pred_count, gold_count):
-        if pred_count == 0 and gold_count == 0:
-            return 1.0
-        precision = hits / pred_count if pred_count else 0.0
-        recall = hits / gold_count if gold_count else 0.0
-        if precision + recall == 0.0:
-            return 0.0
-        return 2.0 * precision * recall / (precision + recall)
-
-    return class_f1(tp, tp + fp, tp + fn) * class_f1(tn, tn + fn, tn + fp)
 
 
 def fit_word_ensemble(
@@ -361,27 +339,20 @@ def fit_word_ensemble(
         )
     n = len(dev_preds)
 
-    singles = [_f1_mult_bool(gold, matrix[s] >= threshold) for s in range(n)]
+    singles = [f1_mult_bool(gold, matrix[s] >= threshold) for s in range(n)]
     best_single = max(range(n), key=lambda s: (singles[s], -s))
 
+    def objective(z):
+        try:
+            combined = _combine(z[:n], matrix)
+        except ZeroWeights:
+            return 0.0
+        return -f1_mult_bool(gold, combined >= (z[n] if optimize_threshold else threshold))
+
+    init = np.zeros(n + 1 if optimize_threshold else n)
+    init[best_single] = 1.0
     if optimize_threshold:
-        def objective(z):
-            w, t = z[:n], z[n]
-            total = w.sum()
-            if total <= 0.0:
-                return 0.0
-            return -_f1_mult_bool(gold, (w / total) @ matrix >= t)
-        init = np.zeros(n + 1)
-        init[best_single] = 1.0
         init[n] = threshold
-    else:
-        def objective(z):
-            total = z.sum()
-            if total <= 0.0:
-                return 0.0
-            return -_f1_mult_bool(gold, (z / total) @ matrix >= threshold)
-        init = np.zeros(n)
-        init[best_single] = 1.0
 
     point, value = powell_optimize(
         objective, init, tol=tol, max_cycles=max_cycles, line_samples=line_samples
@@ -399,21 +370,18 @@ def fit_word_ensemble(
     )
 
 
-def _slice_preds(preds: Sequence[PredictionSet], indices) -> list[PredictionSet]:
-    out = []
-    for p in preds:
-        out.append(
-            PredictionSet(
-                system_id=p.system_id,
-                word_probs=tuple(p.word_probs[i] for i in indices),
-                gap_probs=tuple(p.gap_probs[i] for i in indices) if p.gap_probs else None,
-                source_probs=tuple(p.source_probs[i] for i in indices) if p.source_probs else None,
-                sentence_scores=tuple(p.sentence_scores[i] for i in indices)
-                if p.sentence_scores
-                else None,
-            )
+def _slice_preds(preds: Sequence[PredictionSet], pick) -> list[PredictionSet]:
+    """Every stream of every system cut down to the sentences ``pick`` keeps."""
+    return [
+        PredictionSet(
+            p.system_id,
+            *(
+                None if rows is None else pick(rows)
+                for rows in (p.word_probs, p.gap_probs, p.source_probs, p.sentence_scores)
+            ),
         )
-    return out
+        for p in preds
+    ]
 
 
 def kfold_estimate(
@@ -428,22 +396,20 @@ def kfold_estimate(
     all held-out predictions."""
     if len(plan.assignment) != len(dev_gold):
         raise ValueError("fold plan does not cover the dev set")
-    gold_flat: list[Tag] = []
-    pred_flat: list[Tag] = []
-    for fold in range(plan.k):
-        held = plan.indices(fold)
-        rest = [i for i in range(len(dev_gold)) if plan.assignment[i] != fold]
+    gold_bad = []
+    pred_bad = []
+    for lo, hi in plan.bounds():
         fit = fit_word_ensemble(
-            _slice_preds(dev_preds, rest),
-            [dev_gold[i] for i in rest],
+            _slice_preds(dev_preds, lambda rows: rows[:lo] + rows[hi:]),
+            [*dev_gold[:lo], *dev_gold[hi:]],
             stream,
             **fit_kwargs,
         )
-        combined = combine_word(_slice_preds(dev_preds, held), fit.weights, stream)
-        for local, sentence in zip(combined, (dev_gold[i] for i in held)):
-            pred_flat.extend(threshold(local, fit.threshold))
-            gold_flat.extend(sentence)
-    return f1_mult(gold_flat, pred_flat).f1_mult
+        held = _stacked_matrix(_slice_preds(dev_preds, lambda rows: rows[lo:hi]), stream)
+        weights = np.array(fit.weights.weights, dtype=float)
+        pred_bad.append(_combine(weights, held) >= fit.threshold)
+        gold_bad.append(_flatten_bad(dev_gold[lo:hi]))
+    return f1_mult_bool(np.concatenate(gold_bad), np.concatenate(pred_bad))
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +435,13 @@ def sentence_features(preds: Sequence[PredictionSet]) -> tuple[np.ndarray, list[
         if p.sentence_scores is not None:
             columns.append(np.asarray(p.sentence_scores, dtype=float))
             names.append(f"{p.system_id}:score")
-        for label, rows in (
-            ("words", p.word_probs),
-            ("gaps", p.gap_probs),
-            ("source", p.source_probs),
-        ):
+        for stream in Stream:
+            rows = p.stream(stream)
             if rows is not None:
                 columns.append(
                     np.array([sum(row) / len(row) for row in rows], dtype=float)
                 )
-                names.append(f"{p.system_id}:{label}_mean")
+                names.append(f"{p.system_id}:{stream.value}_mean")
     return np.column_stack(columns), names
 
 
@@ -542,15 +505,15 @@ def ridge_cv(
     n = X.shape[0]
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    plan = FoldPlan.contiguous(n, k)
+    bounds = FoldPlan.contiguous(n, k).bounds()
 
     best_lam = None
     best_mse = np.inf
     for lam in sorted(lambda_grid):
         squared = 0.0
-        for fold in range(k):
-            held = [order[i] for i in plan.indices(fold)]
-            rest = [order[i] for i in range(n) if plan.assignment[i] != fold]
+        for lo, hi in bounds:
+            held = order[lo:hi]
+            rest = order[:lo] + order[hi:]
             model = ridge_fit(X[rest], y[rest], lam, intercept=intercept)
             residual = model.predict(X[held]) - y[held]
             squared += float(residual @ residual)

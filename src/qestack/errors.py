@@ -61,6 +61,10 @@ class SingularSystem(QEStackError):
     """The unregularized normal equations are singular."""
 
 
+class FoldError(QEStackError, ValueError):
+    """Items cannot be split into the requested contiguous folds."""
+
+
 class SpanOutOfBounds(QEStackError):
     """An annotation span points outside its sentence."""
 

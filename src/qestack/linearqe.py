@@ -22,6 +22,7 @@ from math import exp
 from typing import Callable, Sequence
 
 from .corpus import PredictionSet, Stream, TaggedCorpus, Tag
+from .ensemble import FoldPlan
 from .errors import QEStackError
 
 __all__ = [
@@ -128,6 +129,16 @@ def feature_strings(
 ) -> list[str]:
     """Human-readable feature names for position ``i`` with ``label`` and the
     previous label ``prev`` (None means sequence start)."""
+    feats = _unigram_strings(inst, i, label, config)
+    if config.use_bigram:
+        feats.append(_bigram_string(prev, label))
+    return feats
+
+
+def _unigram_strings(
+    inst: SequenceInstance, i: int, label: Tag, config: FeatureConfig
+) -> list[str]:
+    """The templates conjoined with the current label alone."""
     y = label.value
     feats = []
     if config.use_bias:
@@ -151,8 +162,6 @@ def feature_strings(
     if config.use_stacked:
         for system_id, probs in inst.stacked:
             feats.append(f"s:{system_id}:b{_prob_bin(probs[i], config.bins)}∧{y}")
-    if config.use_bigram:
-        feats.append(_bigram_string(prev, label))
     return feats
 
 
@@ -177,35 +186,14 @@ class _Compiled:
     __slots__ = ("ukeys", "n")
 
     def __init__(self, inst: SequenceInstance, config: FeatureConfig):
-        no_bigram = config if not config.use_bigram else _without_bigram(config)
         self.n = len(inst)
         self.ukeys = [
             tuple(
-                tuple(fnv1a64(s) for s in feature_strings(inst, i, label, None, no_bigram))
+                tuple(fnv1a64(s) for s in _unigram_strings(inst, i, label, config))
                 for label in _LABELS
             )
             for i in range(self.n)
         ]
-
-
-_NO_BIGRAM_CACHE: dict[FeatureConfig, FeatureConfig] = {}
-
-
-def _without_bigram(config: FeatureConfig) -> FeatureConfig:
-    cached = _NO_BIGRAM_CACHE.get(config)
-    if cached is None:
-        cached = FeatureConfig(
-            bins=config.bins,
-            use_bias=config.use_bias,
-            use_word=config.use_word,
-            use_context=config.use_context,
-            use_aligned=config.use_aligned,
-            use_extra=config.use_extra,
-            use_stacked=config.use_stacked,
-            use_bigram=False,
-        )
-        _NO_BIGRAM_CACHE[config] = cached
-    return cached
 
 
 def _bigram_keys(config: FeatureConfig):
@@ -447,15 +435,6 @@ def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0
     return probs
 
 
-def fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous fold boundaries with sizes differing by at most one."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < k:
-        raise ValueError(f"cannot split {n} items into {k} folds")
-    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
-
-
 def _predict_fold(model, instances, gamma):
     tags = []
     probs = []
@@ -485,7 +464,7 @@ def jackknife(
     """Out-of-fold predictions for every instance: fold i is predicted by a
     model trained on the other k-1 contiguous folds. The concatenation covers
     each instance exactly once, in corpus order."""
-    bounds = fold_bounds(len(instances), k)
+    bounds = FoldPlan.contiguous(len(instances), k).bounds()
     work = [(list(instances), list(golds), lo, hi, train_fn, gamma) for lo, hi in bounds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -553,6 +532,11 @@ def build_instances(
     per-position strings. Stacked probabilities are taken from the matching
     stream of each prediction set that provides it.
     """
+    stacked_rows = [
+        (pred.system_id, pred.stream(stream))
+        for pred in predictions
+        if pred.stream(stream) is not None
+    ]
     instances = []
     for idx, entry in enumerate(corpus):
         if stream is Stream.WORDS:
@@ -581,23 +565,13 @@ def build_instances(
         else:
             raise ValueError(f"unknown stream {stream!r}")
 
-        stacked = []
-        for pred in predictions:
-            rows = {
-                Stream.WORDS: pred.word_probs,
-                Stream.GAPS: pred.gap_probs,
-                Stream.SOURCE: pred.source_probs,
-            }[stream]
-            if rows is not None:
-                stacked.append((pred.system_id, tuple(rows[idx])))
-
         extra = tuple(tuple(column[idx]) for column in extra_columns)
         instances.append(
             SequenceInstance(
                 tokens=tuple(tokens),
                 aligned=aligned,
                 extra=extra,
-                stacked=tuple(stacked),
+                stacked=tuple((system_id, tuple(rows[idx])) for system_id, rows in stacked_rows),
             )
         )
     return instances

@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .corpus import Tag
 from .errors import DegenerateInput, EmptyInput
 
-__all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "mcc", "pearson"]
+__all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "f1_mult_bool", "mcc", "pearson"]
 
 
 @dataclass(frozen=True)
@@ -28,34 +30,39 @@ class ContingencyTable:
     fn: int
 
     @classmethod
-    def from_tags(cls, gold: Sequence[Tag], pred: Sequence[Tag]) -> "ContingencyTable":
-        if len(gold) != len(pred):
-            raise EmptyInput(f"gold has {len(gold)} tags, prediction has {len(pred)}")
-        if not gold:
+    def from_bool(cls, gold_bad: np.ndarray, pred_bad: np.ndarray) -> "ContingencyTable":
+        """Counts over boolean BAD-indicator arrays; every metric counts here."""
+        if gold_bad.shape != pred_bad.shape:
+            raise EmptyInput(f"gold has {gold_bad.size} tags, prediction has {pred_bad.size}")
+        if not gold_bad.size:
             raise EmptyInput("cannot score zero tags")
-        tp = fp = tn = fn = 0
-        for g, p in zip(gold, pred):
-            if p is Tag.BAD:
-                if g is Tag.BAD:
-                    tp += 1
-                else:
-                    fp += 1
-            else:
-                if g is Tag.BAD:
-                    fn += 1
-                else:
-                    tn += 1
-        return cls(tp=tp, fp=fp, tn=tn, fn=fn)
+        tp = int(np.count_nonzero(gold_bad & pred_bad))
+        fp = int(np.count_nonzero(pred_bad)) - tp
+        fn = int(np.count_nonzero(gold_bad)) - tp
+        return cls(tp=tp, fp=fp, tn=gold_bad.size - tp - fp - fn, fn=fn)
+
+    @classmethod
+    def from_tags(cls, gold: Sequence[Tag], pred: Sequence[Tag]) -> "ContingencyTable":
+        return cls.from_bool(_bad(gold), _bad(pred))
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+    def f1_scores(self) -> "F1Mult":
+        f1_bad = _class_f1(self.tp, self.tp + self.fp, self.tp + self.fn)
+        f1_ok = _class_f1(self.tn, self.tn + self.fn, self.tn + self.fp)
+        return F1Mult(f1_ok=f1_ok, f1_bad=f1_bad, f1_mult=f1_ok * f1_bad)
 
 
 class F1Mult(NamedTuple):
     f1_ok: float
     f1_bad: float
     f1_mult: float
+
+
+def _bad(tags: Sequence[Tag]) -> np.ndarray:
+    return np.fromiter((t is Tag.BAD for t in tags), dtype=bool, count=len(tags))
 
 
 def threshold(probs: Sequence[float], t: float) -> list[Tag]:
@@ -77,10 +84,13 @@ def _class_f1(tp: int, pred_count: int, gold_count: int) -> float:
 
 def f1_mult(gold: Sequence[Tag], pred: Sequence[Tag]) -> F1Mult:
     """F1 of each class plus their product, the word-level task metric."""
-    table = ContingencyTable.from_tags(gold, pred)
-    f1_bad = _class_f1(table.tp, table.tp + table.fp, table.tp + table.fn)
-    f1_ok = _class_f1(table.tn, table.tn + table.fn, table.tn + table.fp)
-    return F1Mult(f1_ok=f1_ok, f1_bad=f1_bad, f1_mult=f1_ok * f1_bad)
+    return ContingencyTable.from_tags(gold, pred).f1_scores()
+
+
+def f1_mult_bool(gold_bad: np.ndarray, pred_bad: np.ndarray) -> float:
+    """F1-MULT over boolean BAD-indicator arrays, the form the ensemble
+    objective and the k-fold estimate score."""
+    return ContingencyTable.from_bool(gold_bad, pred_bad).f1_scores().f1_mult
 
 
 def mcc(gold: Sequence[Tag], pred: Sequence[Tag]) -> float:

@@ -1,0 +1,37 @@
+"""The benchmark's span hooks (``qebench/spans.py``) wrap library functions by
+module and name; a rename under ``src/`` must fail here, not silently drop a
+layer from ``--trace 1``."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "qebench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("qebench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_function_exists():
+    spans = load_spans()
+    for module_name, fn_name, *_ in spans.SPECS:
+        module = importlib.import_module(f"qestack.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"qestack.{module_name}.{fn_name}"
+
+
+def test_instrument_installs_and_restores_the_wrappers():
+    spans = load_spans()
+    modules = {m: importlib.import_module(f"qestack.{m}") for m in spans.LAYERS}
+    originals = {(m, f): getattr(modules[m], f) for m, f, *_ in spans.SPECS}
+    with spans.instrument(spans.Tracer()):
+        for (m, f), original in originals.items():
+            wrapped = getattr(modules[m], f)
+            assert wrapped is not original and wrapped.__wrapped__ is original, f"{m}.{f}"
+        assert "open" in vars(modules["corpus"])
+    for (m, f), original in originals.items():
+        assert getattr(modules[m], f) is original, f"{m}.{f}"
+    assert "open" not in vars(modules["corpus"])

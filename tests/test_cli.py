@@ -195,6 +195,16 @@ def test_linear_train_predict_jackknife(tmp_path, capsys, rng):
     assert [len(row) for row in read_prob_lines(f"{jk}.probs")] == mt_lengths
 
 
+def test_jackknife_with_more_folds_than_sentences_is_one_error_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=2)
+    code, _, err = run(
+        capsys, "linear", "jackknife",
+        "--mt", paths["mt"], "--tags", paths["tags"], "--out-prefix", tmp_path / "jk", "--k", "5",
+    )
+    assert code == 1
+    assert err == "error: cannot split 2 sentences into 5 folds\n"
+
+
 def test_linear_gap_and_source_streams(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=16)
     gap_model = tmp_path / "gaps.model"
@@ -311,6 +321,17 @@ def test_ensemble_word_fit_apply_kfold(tmp_path, capsys, rng):
     )
     assert code == 0
     assert "kfold_f1_mult=" in out
+
+
+def test_kfold_with_more_folds_than_sentences_is_one_error_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=2)
+    manifest = prediction_files(tmp_path, rng, paths["mt"])
+    code, _, err = run(
+        capsys, "ensemble-word", "kfold",
+        "--manifest", manifest, "--mt", paths["mt"], "--gold", paths["tags"], "--k", "5",
+    )
+    assert code == 1
+    assert err == "error: cannot split 2 sentences into 5 folds\n"
 
 
 def test_ensemble_sent_fit_apply(tmp_path, capsys, rng):

@@ -7,7 +7,6 @@ from qestack.corpus import PredictionSet, Stream, Tag
 from qestack.ensemble import (
     FoldPlan,
     WeightVector,
-    _f1_mult_bool,
     combine_word,
     fit_word_ensemble,
     kfold_estimate,
@@ -22,6 +21,7 @@ from qestack.ensemble import (
 )
 from qestack.errors import MissingStream, SingularSystem, ZeroWeights
 from qestack.metrics import f1_mult, threshold
+from qestack.metrics import f1_mult_bool as _f1_mult_bool
 
 from conftest import complementary_systems, fold_specialist_systems
 
@@ -254,6 +254,31 @@ def test_threshold_can_join_the_search():
     assert 0.0 <= fit.threshold <= 1.0
     baseline = fit_word_ensemble(preds, gold, Stream.WORDS)
     assert fit.f1 >= baseline.f1 - 1e-12
+
+
+def grid_valued_case(rng):
+    """Systems whose probabilities lie on the 0.1 grid, where combinations
+    often land exactly on the threshold."""
+    grid = [i / 10 for i in range(11)]
+    n_systems = rng.randint(2, 3)
+    lengths = [rng.randint(3, 12) for _ in range(rng.randint(4, 12))]
+    gold = [[BAD if rng.random() < 0.4 else OK for _ in range(n)] for n in lengths]
+    preds = [
+        system(f"s{s}", [[rng.choice(grid) for _ in range(n)] for n in lengths])
+        for s in range(n_systems)
+    ]
+    return preds, gold, rng.random() < 0.5
+
+
+def test_applying_fitted_weights_reproduces_the_fitted_f1():
+    # seed 1 holds cases (the 28th is one) where combining in another order
+    # than the objective flips tags that sit on the threshold
+    rng = random.Random(1)
+    for _ in range(100):
+        preds, gold, optimize = grid_valued_case(rng)
+        fit = fit_word_ensemble(preds, gold, Stream.WORDS, optimize_threshold=optimize)
+        applied = [t for row in combine_word(preds, fit.weights) for t in threshold(row, fit.threshold)]
+        assert fit.f1 == f1_mult([t for row in gold for t in row], applied).f1_mult
 
 
 # --- k-fold protocol ----------------------------------------------------------
