@@ -9,7 +9,7 @@ file-producing run writes an effective-config snapshot next to its outputs.
 from __future__ import annotations
 
 import argparse
-import functools
+import dataclasses
 import os
 import sys
 
@@ -56,27 +56,21 @@ def _snapshot(path, command, values, extra=None):
 _EVAL_STREAMS = ("target", "words", "gaps", "source", "sentence")
 
 
-def _read_tag_rows(path, stream):
+def _read_tag_rows(path, stream, lengths=()):
     """Tag lines of a file; for the target, words and gaps streams every line
-    must be interleaved, and words or gaps keep only that stream's tags."""
+    must be interleaved, and words or gaps keep only that stream's tags. A
+    words or gaps line whose length is already ``lengths[i]``, the stream's
+    length on that line, is taken as it is."""
     rows = corpus.read_tag_lines(path)
     if stream not in ("target", "words", "gaps"):
         return rows
-    split = [
-        corpus.TargetTags.from_interleaved(row, file=str(path), line=i)
-        for i, row in enumerate(rows, 1)
-    ]
-    if stream == "target":
-        return rows
-    return [t.word_tags if stream == "words" else t.gap_tags for t in split]
-
-
-def _read_pred_rows(path, stream):
-    """A prediction file holds either tags (sliced like the gold) or
-    per-stream probabilities."""
-    if corpus.is_tag_file(path):
-        return "tags", _read_tag_rows(path, stream)
-    return "probs", corpus.read_prob_lines(path)
+    out = []
+    for i, row in enumerate(rows, 1):
+        if stream == "target" or i > len(lengths) or len(row) != lengths[i - 1]:
+            split = corpus.TargetTags.from_interleaved(row, file=str(path), line=i)
+            row = row if stream == "target" else split.word_tags if stream == "words" else split.gap_tags
+        out.append(row)
+    return out
 
 
 def _cmd_evaluate(args):
@@ -92,7 +86,12 @@ def _cmd_evaluate(args):
         return 0
 
     gold_rows = _read_tag_rows(args.gold, args.stream)
-    kind, pred_rows = _read_pred_rows(args.pred, args.stream)
+    # a prediction file holds either tags (the stream's own, or interleaved
+    # and sliced like the gold) or per-stream probabilities
+    if corpus.is_tag_file(args.pred):
+        pred_rows = _read_tag_rows(args.pred, args.stream, [len(row) for row in gold_rows])
+    else:
+        pred_rows = [metrics.threshold(row, values["threshold"]) for row in corpus.read_prob_lines(args.pred)]
     if len(pred_rows) != len(gold_rows):
         raise LengthMismatch(
             f"gold has {len(gold_rows)} lines, prediction has {len(pred_rows)}", file=args.pred
@@ -105,10 +104,7 @@ def _cmd_evaluate(args):
                 f"expected {len(gold_row)} entries, got {len(pred_row)}", file=str(args.pred), line=i
             )
         gold_flat.extend(gold_row)
-        if kind == "probs":
-            pred_flat.extend(metrics.threshold(pred_row, values["threshold"]))
-        else:
-            pred_flat.extend(pred_row)
+        pred_flat.extend(pred_row)
     scores = metrics.f1_mult(gold_flat, pred_flat)
     pairs = [
         ("f1_ok", f"{scores.f1_ok:.6f}"),
@@ -160,12 +156,8 @@ _LINEAR_SCHEMA = {
 
 
 def _linear_values(args):
-    overrides = {
-        "epochs": args.epochs,
-        "C": args.C,
-        "k": getattr(args, "k", None),
-        "gamma": getattr(args, "gamma", None),
-    }
+    # --k and --gamma exist only on the subcommands that use them
+    overrides = {key: getattr(args, key, None) for key in ("epochs", "C", "k", "gamma")}
     values = resolve_config(_LINEAR_SCHEMA, _load_file_config(args), overrides)
     if values["seed"] is None:
         values["seed"] = args.seed
@@ -173,100 +165,76 @@ def _linear_values(args):
 
 
 def _feature_config(values) -> linearqe.FeatureConfig:
-    return linearqe.FeatureConfig(
-        bins=values["bins"],
-        use_bias=values["use_bias"],
-        use_word=values["use_word"],
-        use_context=values["use_context"],
-        use_aligned=values["use_aligned"],
-        use_extra=values["use_extra"],
-        use_stacked=values["use_stacked"],
-        use_bigram=values["use_bigram"],
-    )
+    return linearqe.FeatureConfig(**{f.name: values[f.name] for f in dataclasses.fields(linearqe.FeatureConfig)})
 
 
-def _linear_corpus(args, need_gold):
+def _training_options(values):
+    """The keyword arguments ``mira_train`` and ``jackknife`` share."""
+    options = {key: values[key] for key in ("epochs", "C", "seed", "average")}
+    return {**options, "config": _feature_config(values)}
+
+
+def _check_stream_rows(rows, loaded, stream: Stream, path, what):
+    """Every line of a per-position file holds one entry per position of its
+    sentence in ``stream`` (the source stream is not checked without source)."""
+    if len(rows) != len(loaded):
+        raise LengthMismatch(f"{what} has {len(rows)} lines, corpus has {len(loaded)}", file=str(path))
+    for i, (row, entry) in enumerate(zip(rows, loaded), 1):
+        if stream is Stream.SOURCE:
+            expected = len(entry.src) if entry.src else len(row)
+        else:
+            expected = len(entry.mt) + (stream is Stream.GAPS)
+        if len(row) != expected:
+            raise LengthMismatch(f"expected {expected} entries, got {len(row)}", file=str(path), line=i)
+
+
+def _linear_corpus(args):
+    """Instances of the chosen stream, with gold labelings unless predicting."""
+    need_gold = args.subcommand != "predict"
     stream = Stream(args.stream)
     kwargs = {"mt": args.mt, "src": args.src, "align": args.align}
+    if stream is Stream.SOURCE and args.src is None:
+        raise QEStackError("the source stream needs --src")
     if need_gold:
-        if stream is Stream.SOURCE:
-            if args.source_tags is None or args.src is None:
-                raise QEStackError("source stream training needs --src and --source-tags")
-            kwargs["source_tags"] = args.source_tags
-        else:
-            if args.tags is None:
-                raise QEStackError("training needs --tags (interleaved gold tags)")
-            kwargs["tags"] = args.tags
+        key = "source_tags" if stream is Stream.SOURCE else "tags"
+        if getattr(args, key) is None:
+            raise QEStackError(f"training needs --{key.replace('_', '-')} (gold tags)")
+        kwargs[key] = getattr(args, key)
     loaded = corpus.load_corpus(**kwargs)
     predictions = corpus.read_manifest(args.stacked, loaded) if args.stacked else ()
     extra = []
     for path in args.extra or ():
-        extra.append([line.split() for line in corpus._read_lines(path)])
-        if len(extra[-1]) != len(loaded):
-            raise LengthMismatch(
-                f"extra column has {len(extra[-1])} lines, corpus has {len(loaded)}", file=str(path)
-            )
+        extra.append([sentence.tokens for sentence in corpus.read_sentences(path)])
+        _check_stream_rows(extra[-1], loaded, stream, path, "extra column")
     instances = linearqe.build_instances(loaded, stream, predictions=predictions, extra_columns=extra)
     golds = linearqe.gold_tags(loaded, stream) if need_gold else None
-    return stream, loaded, instances, golds
-
-
-def _train_model(instances, golds, values):
-    return linearqe.mira_train(
-        instances,
-        golds,
-        epochs=values["epochs"],
-        C=values["C"],
-        seed=values["seed"],
-        config=_feature_config(values),
-        average=values["average"],
-    )
-
-
-def _write_stream_predictions(prefix, tags_rows, probs_rows):
-    corpus.write_tags(tags_rows, f"{prefix}.tags", interleaved=False)
-    corpus.write_probs(probs_rows, f"{prefix}.probs")
+    return instances, golds
 
 
 def _cmd_linear_train(args):
     values = _linear_values(args)
-    _, _, instances, golds = _linear_corpus(args, need_gold=True)
-    model = _train_model(instances, golds, values)
+    instances, golds = _linear_corpus(args)
+    model = linearqe.mira_train(instances, golds, **_training_options(values))
     linearqe.save_model(model, args.model)
     _snapshot(f"{args.model}.run.cfg", "linear train", values, {"stream": args.stream})
     return 0
 
 
-def _cmd_linear_predict(args):
+def _cmd_linear_decode(args):
+    """``linear predict`` decodes with a saved model, ``linear jackknife`` with
+    models trained on the other folds; both write word-only tags and P(BAD)."""
     values = _linear_values(args)
-    _, _, instances, _ = _linear_corpus(args, need_gold=False)
-    model = linearqe.load_model(args.model, config=_feature_config(values))
-    tags_rows = []
-    probs_rows = []
-    for inst in instances:
-        tags_rows.append(linearqe.viterbi(inst, model)[0])
-        probs_rows.append(linearqe.predict_probs(inst, model, gamma=values["gamma"]))
-    _write_stream_predictions(args.out_prefix, tags_rows, probs_rows)
-    _snapshot(f"{args.out_prefix}.run.cfg", "linear predict", values, {"stream": args.stream})
-    return 0
-
-
-def _cmd_linear_jackknife(args):
-    values = _linear_values(args)
-    _, _, instances, golds = _linear_corpus(args, need_gold=True)
-    train_fn = functools.partial(
-        linearqe.mira_train,
-        epochs=values["epochs"],
-        C=values["C"],
-        seed=values["seed"],
-        config=_feature_config(values),
-        average=values["average"],
-    )
-    tags_rows, probs_rows = linearqe.jackknife(
-        instances, golds, values["k"], train_fn, gamma=values["gamma"], jobs=args.jobs
-    )
-    _write_stream_predictions(args.out_prefix, tags_rows, probs_rows)
-    _snapshot(f"{args.out_prefix}.run.cfg", "linear jackknife", values, {"stream": args.stream})
+    instances, golds = _linear_corpus(args)
+    if args.subcommand == "predict":
+        model = linearqe.load_model(args.model, config=_feature_config(values))
+        tags_rows, probs_rows = linearqe.predict(instances, model, values["gamma"])
+    else:
+        tags_rows, probs_rows = linearqe.jackknife(
+            instances, golds, values["k"], **_training_options(values), gamma=values["gamma"], jobs=args.jobs
+        )
+    corpus.write_tags(tags_rows, f"{args.out_prefix}.tags", interleaved=False)
+    corpus.write_probs(probs_rows, f"{args.out_prefix}.probs")
+    _snapshot(f"{args.out_prefix}.run.cfg", f"linear {args.subcommand}", values, {"stream": args.stream})
     return 0
 
 
@@ -286,16 +254,7 @@ _ENSEMBLE_WORD_SCHEMA = {
 
 def _load_gold_stream(path, stream: Stream, loaded) -> list[list[Tag]]:
     rows = _read_tag_rows(path, stream.value)
-    if len(rows) != len(loaded):
-        raise LengthMismatch(f"gold has {len(rows)} lines, corpus has {len(loaded)}", file=str(path))
-    for i, (row, entry) in enumerate(zip(rows, loaded), 1):
-        expected = {
-            Stream.WORDS: len(entry.mt),
-            Stream.GAPS: len(entry.mt) + 1,
-            Stream.SOURCE: len(entry.src) if entry.src else None,
-        }[stream]
-        if expected is not None and len(row) != expected:
-            raise LengthMismatch(f"expected {expected} tags, got {len(row)}", file=str(path), line=i)
+    _check_stream_rows(rows, loaded, stream, path, "gold")
     return rows
 
 
@@ -625,10 +584,10 @@ def build_parser() -> _Parser:
     linear = _leaf(sub, "linear", help="linear sequential QE model").add_subparsers(
         dest="subcommand", required=True
     )
-    for name, handler, needs in (
-        ("train", _cmd_linear_train, "train"),
-        ("predict", _cmd_linear_predict, "predict"),
-        ("jackknife", _cmd_linear_jackknife, "jackknife"),
+    for name, handler in (
+        ("train", _cmd_linear_train),
+        ("predict", _cmd_linear_decode),
+        ("jackknife", _cmd_linear_decode),
     ):
         p = _leaf(linear, name)
         p.add_argument("--mt", required=True)
@@ -641,14 +600,11 @@ def build_parser() -> _Parser:
         p.add_argument("--extra", action="append", help="extra annotation column file (repeatable)")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--C", type=float, default=None)
-        if needs == "train":
-            p.add_argument("--model", required=True)
-        elif needs == "predict":
-            p.add_argument("--model", required=True)
-            p.add_argument("--out-prefix", required=True)
-            p.add_argument("--gamma", type=float, default=None)
-        else:
+        if name == "jackknife":
             p.add_argument("--k", type=int, default=None)
+        else:
+            p.add_argument("--model", required=True)
+        if name != "train":
             p.add_argument("--out-prefix", required=True)
             p.add_argument("--gamma", type=float, default=None)
         p.set_defaults(handler=handler)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import PredictionSet, Stream, Tag
-from .errors import FoldError, MissingStream, SingularSystem, ZeroWeights
+from .errors import FoldError, MissingStream, ParseError, RangeError, SingularSystem, ZeroWeights
 from .metrics import f1_mult_bool
 
 __all__ = [
@@ -50,8 +50,12 @@ class WeightVector:
 
     def __post_init__(self):
         for w in self.weights:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"weight {w} outside [0, 1]")
+            _check_weight(w)
+
+
+def _check_weight(w, *, file=None, line=None):
+    if not 0.0 <= w <= 1.0:
+        raise RangeError(f"weight {w} outside [0, 1]", file=file, line=line)
 
 
 @dataclass(frozen=True)
@@ -542,11 +546,14 @@ def load_weights(path, stream: Stream) -> tuple[list[str], WeightVector]:
     weights = []
     with open(path, "r", encoding="utf-8") as handle:
         for i, line in enumerate(handle, 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{i}: malformed weights line")
-            ids.append(fields[0])
-            weights.append(float(fields[1]))
+            try:
+                system_id, text = line.rstrip("\n").split("\t")
+                weight = float(text)
+            except ValueError:
+                raise ParseError("malformed weights line", file=str(path), line=i) from None
+            _check_weight(weight, file=str(path), line=i)
+            ids.append(system_id)
+            weights.append(weight)
     return ids, WeightVector(weights=tuple(weights), stream=stream)
 
 

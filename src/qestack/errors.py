@@ -28,7 +28,7 @@ class LengthMismatch(QEStackError):
         super().__init__(_located(message, file, line))
 
 
-class RangeError(QEStackError):
+class RangeError(QEStackError, ValueError):
     """A numeric value lies outside its allowed interval."""
 
     def __init__(self, message, *, file=None, line=None):

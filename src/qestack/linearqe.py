@@ -15,6 +15,8 @@ sequence models over their own position sequences.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from typing import Callable, Sequence
 
 from .corpus import PredictionSet, Stream, TaggedCorpus, Tag
 from .ensemble import FoldPlan
-from .errors import QEStackError
+from .errors import ParseError, RangeError
 
 __all__ = [
     "FeatureConfig",
@@ -34,6 +36,7 @@ __all__ = [
     "viterbi",
     "score_sequence",
     "mira_train",
+    "predict",
     "predict_probs",
     "jackknife",
     "save_model",
@@ -76,7 +79,7 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.bins < 1:
-            raise ValueError("bins must be >= 1")
+            raise RangeError("bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -231,11 +234,11 @@ def _transition_scores(bigram_keys, weights):
     )
 
 
-def _viterbi_compiled(compiled, bigram_keys, weights, cost_gold=None):
-    u = _unigram_scores(compiled, weights, cost_gold)
-    t = _transition_scores(bigram_keys, weights)
-    n = compiled.n
-
+def _forward(u, t):
+    """The max-product forward pass and its backtrace: ``delta[i][l]`` is the
+    best score of a prefix ending in label ``l`` at position ``i``. Returns
+    ``delta``, the Viterbi path and its score; ties break toward OK."""
+    n = len(u)
     delta = [[0.0, 0.0] for _ in range(n)]
     back = [[0, 0] for _ in range(n)]
     for l_idx in range(2):
@@ -252,12 +255,42 @@ def _viterbi_compiled(compiled, bigram_keys, weights, cost_gold=None):
             back[i][l_idx] = best_prev
 
     last = 0 if delta[n - 1][0] >= delta[n - 1][1] else 1
-    score = delta[n - 1][last]
     path = [0] * n
     path[n - 1] = last
     for i in range(n - 1, 0, -1):
         path[i - 1] = back[i][path[i]]
-    return [_LABELS[l] for l in path], score
+    return delta, [_LABELS[l] for l in path], delta[n - 1][last]
+
+
+def _viterbi_compiled(compiled, bigram_keys, weights, cost_gold=None):
+    u = _unigram_scores(compiled, weights, cost_gold)
+    return _forward(u, _transition_scores(bigram_keys, weights))[1:]
+
+
+def _decode(compiled, bigram_keys, weights, gamma):
+    """Viterbi tags and max-marginal P(BAD) of every compiled instance, from
+    one forward and one backward pass each."""
+    t = _transition_scores(bigram_keys, weights)
+    tags_rows: list[list[Tag]] = []
+    probs_rows: list[list[float]] = []
+    for comp in compiled:
+        u = _unigram_scores(comp, weights)
+        delta, tags, _ = _forward(u, t)
+        n = comp.n
+        bwd = [[0.0, 0.0] for _ in range(n)]
+        for i in range(n - 2, -1, -1):
+            for l_idx in range(2):
+                bwd[i][l_idx] = max(
+                    t[l_idx + 1][0] + u[i + 1][0] + bwd[i + 1][0],
+                    t[l_idx + 1][1] + u[i + 1][1] + bwd[i + 1][1],
+                )
+        probs = []
+        for i in range(n):
+            margin = (delta[i][1] + bwd[i][1]) - (delta[i][0] + bwd[i][0])
+            probs.append(1.0 / (1.0 + exp(-gamma * margin)))
+        tags_rows.append(tags)
+        probs_rows.append(probs)
+    return tags_rows, probs_rows
 
 
 def _score_sequence_compiled(compiled, bigram_keys, weights, labels):
@@ -316,25 +349,37 @@ def mira_train(
     (disable with ``average=False``); data order is reshuffled every epoch
     from ``seed``.
     """
+    config, compiled = _compile_training(instances, golds, epochs, C, config)
+    weights = _mira(
+        compiled, golds, _bigram_keys(config),
+        epochs=epochs, C=C, seed=seed, average=average, on_update=on_update,
+    )
+    return LinearModel(weights=weights, config=config)
+
+
+def _compile_training(instances, golds, epochs, C, config):
+    """Checks the training arguments and compiles every instance once."""
     if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+        raise RangeError("epochs must be >= 1")
     if C <= 0:
-        raise ValueError("C must be positive")
+        raise RangeError("C must be positive")
     if len(instances) != len(golds):
         raise ValueError("instances and gold labelings differ in count")
     for inst, gold in zip(instances, golds):
         if len(inst) != len(gold):
             raise ValueError("gold labeling length must match its instance")
-
     config = config or FeatureConfig()
-    compiled = [_Compiled(inst, config) for inst in instances]
-    bigram_keys = _bigram_keys(config)
+    return config, [_Compiled(inst, config) for inst in instances]
 
+
+def _mira(compiled, golds, bigram_keys, *, epochs, C, seed, average, on_update=None) -> dict[int, float]:
+    """The MIRA loop of ``mira_train`` over compiled instances; returns the
+    final (or averaged) nonzero weights."""
     weights: dict[int, float] = {}
     acc: dict[int, float] = {}
     last: dict[int, int] = {}
     rng = random.Random(seed)
-    order = list(range(len(instances)))
+    order = list(range(len(compiled)))
     step = 0
 
     for _ in range(epochs):
@@ -384,8 +429,7 @@ def mira_train(
                 weights[key] = weights.get(key, 0.0) + tau * count
 
     if not average:
-        final = {k: w for k, w in weights.items() if w != 0.0}
-        return LinearModel(weights=final, config=config)
+        return {k: w for k, w in weights.items() if w != 0.0}
 
     averaged: dict[int, float] = {}
     for key, w in weights.items():
@@ -393,7 +437,7 @@ def mira_train(
         value = total / step if step else 0.0
         if value != 0.0:
             averaged[key] = value
-    return LinearModel(weights=averaged, config=config)
+    return averaged
 
 
 # ---------------------------------------------------------------------------
@@ -401,82 +445,70 @@ def mira_train(
 # ---------------------------------------------------------------------------
 
 
+def predict(
+    instances: Sequence[SequenceInstance], model: LinearModel, gamma: float = 1.0
+) -> tuple[list[list[Tag]], list[list[float]]]:
+    """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
+    ``predict_probs`` give them), each instance compiled once."""
+    compiled = (_Compiled(inst, model.config) for inst in instances)
+    return _decode(compiled, _bigram_keys(model.config), model.weights, gamma)
+
+
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
     """P(BAD) per position from max-marginal margins through a logistic link:
     ``p_i = logistic(gamma * (maxscore(y_i=BAD) - maxscore(y_i=OK)))``."""
-    compiled = _Compiled(inst, model.config)
-    bigram_keys = _bigram_keys(model.config)
-    weights = model.weights
-    u = _unigram_scores(compiled, weights)
-    t = _transition_scores(bigram_keys, weights)
-    n = compiled.n
-
-    fwd = [[0.0, 0.0] for _ in range(n)]
-    for l_idx in range(2):
-        fwd[0][l_idx] = u[0][l_idx] + t[0][l_idx]
-    for i in range(1, n):
-        for l_idx in range(2):
-            fwd[i][l_idx] = u[i][l_idx] + max(
-                fwd[i - 1][0] + t[1][l_idx], fwd[i - 1][1] + t[2][l_idx]
-            )
-
-    bwd = [[0.0, 0.0] for _ in range(n)]
-    for i in range(n - 2, -1, -1):
-        for l_idx in range(2):
-            bwd[i][l_idx] = max(
-                t[l_idx + 1][0] + u[i + 1][0] + bwd[i + 1][0],
-                t[l_idx + 1][1] + u[i + 1][1] + bwd[i + 1][1],
-            )
-
-    probs = []
-    for i in range(n):
-        margin = (fwd[i][1] + bwd[i][1]) - (fwd[i][0] + bwd[i][0])
-        probs.append(1.0 / (1.0 + exp(-gamma * margin)))
-    return probs
+    return predict([inst], model, gamma)[1][0]
 
 
-def _predict_fold(model, instances, gamma):
-    tags = []
-    probs = []
-    for inst in instances:
-        tags.append(viterbi(inst, model)[0])
-        probs.append(predict_probs(inst, model, gamma=gamma))
-    return tags, probs
+def _jackknife_fold(compiled, golds, bigram_keys, gamma, lo, hi, **options):
+    weights = _mira(compiled[:lo] + compiled[hi:], golds[:lo] + golds[hi:], bigram_keys, **options)
+    return _decode(compiled[lo:hi], bigram_keys, weights, gamma)
 
 
-def _jackknife_fold(args):
-    instances, golds, lo, hi, train_fn, gamma = args
-    train_insts = list(instances[:lo]) + list(instances[hi:])
-    train_golds = list(golds[:lo]) + list(golds[hi:])
-    model = train_fn(train_insts, train_golds)
-    return _predict_fold(model, instances[lo:hi], gamma)
+_WORKER_FOLD = None  # a worker process's fold function, set once by the pool initializer
+
+
+def _init_worker(fold):
+    global _WORKER_FOLD
+    _WORKER_FOLD = fold
+
+
+def _worker_fold(bounds):
+    return _WORKER_FOLD(*bounds)
 
 
 def jackknife(
     instances: Sequence[SequenceInstance],
     golds: Sequence[Sequence[Tag]],
     k: int,
-    train_fn: Callable[[list[SequenceInstance], list[Tag]], LinearModel],
     *,
+    epochs: int = 5,
+    C: float = 1.0,
+    seed: int = 1,
+    config: FeatureConfig | None = None,
+    average: bool = True,
     gamma: float = 1.0,
     jobs: int = 1,
 ) -> tuple[list[list[Tag]], list[list[float]]]:
-    """Out-of-fold predictions for every instance: fold i is predicted by a
-    model trained on the other k-1 contiguous folds. The concatenation covers
-    each instance exactly once, in corpus order."""
+    """Out-of-fold predictions for every instance: fold i is predicted, as by
+    ``predict``, with the model ``mira_train`` fits with the same options on
+    the other k-1 contiguous folds. The corpus is compiled once and each fold
+    trains on index ranges of it; with ``jobs > 1`` every worker process
+    receives it once. The concatenation covers each instance exactly once, in
+    corpus order."""
     bounds = FoldPlan.contiguous(len(instances), k).bounds()
-    work = [(list(instances), list(golds), lo, hi, train_fn, gamma) for lo, hi in bounds]
+    config, compiled = _compile_training(instances, golds, epochs, C, config)
+    fold = functools.partial(
+        _jackknife_fold, compiled, list(golds), _bigram_keys(config), gamma,
+        epochs=epochs, C=C, seed=seed, average=average,
+    )
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_jackknife_fold, work))
+        spawn = multiprocessing.get_context("spawn")  # fork is unsafe in a process with threads
+        with ProcessPoolExecutor(jobs, mp_context=spawn, initializer=_init_worker, initargs=(fold,)) as pool:
+            results = list(pool.map(_worker_fold, bounds))
     else:
-        results = [_jackknife_fold(item) for item in work]
-    all_tags: list[list[Tag]] = []
-    all_probs: list[list[float]] = []
-    for tags, probs in results:
-        all_tags.extend(tags)
-        all_probs.extend(probs)
-    return all_tags, all_probs
+        results = [fold(lo, hi) for lo, hi in bounds]
+    return [row for tags, _ in results for row in tags], [row for _, probs in results for row in probs]
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +528,11 @@ def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
     with open(path, "r", encoding="utf-8") as handle:
         for i, line in enumerate(handle, 1):
             fields = line.split()
-            if len(fields) != 2:
-                raise QEStackError(f"{path}:{i}: malformed model line")
-            weights[int(fields[0])] = float(fields[1])
+            try:
+                key, value = fields
+                weights[int(key)] = float(value)
+            except ValueError:
+                raise ParseError("malformed model line", file=str(path), line=i) from None
     return LinearModel(weights=weights, config=config or FeatureConfig())
 
 

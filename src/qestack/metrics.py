@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Tag
-from .errors import DegenerateInput, EmptyInput
+from .errors import DegenerateInput, EmptyInput, RangeError
 
 __all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "f1_mult_bool", "mcc", "pearson"]
 
@@ -68,7 +68,7 @@ def _bad(tags: Sequence[Tag]) -> np.ndarray:
 def threshold(probs: Sequence[float], t: float) -> list[Tag]:
     """Map P(BAD) values to tags; the boundary is BAD (tag = BAD iff p >= t)."""
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold {t} outside [0, 1]")
+        raise RangeError(f"threshold {t} outside [0, 1]")
     return [Tag.BAD if p >= t else Tag.OK for p in probs]
 
 

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from qestack.cli import main
 from qestack.corpus import Tag, load_corpus, read_prob_lines, read_score_lines
 from qestack.labeler import label_corpus
@@ -205,6 +207,97 @@ def test_jackknife_with_more_folds_than_sentences_is_one_error_line(tmp_path, ca
     assert err == "error: cannot split 2 sentences into 5 folds\n"
 
 
+def assert_one_error_line(code, err, *fragments):
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def test_jackknife_with_two_jobs_writes_the_files_of_one_job(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=12)
+    outputs = []
+    for jobs in ("1", "2"):
+        prefix = tmp_path / f"jk{jobs}"
+        code, _, _ = run(
+            capsys, "--jobs", jobs, "linear", "jackknife",
+            "--mt", paths["mt"], "--src", paths["src"], "--align", paths["align"],
+            "--tags", paths["tags"], "--out-prefix", prefix, "--epochs", "2", "--k", "3",
+        )
+        assert code == 0
+        outputs.append([(tmp_path / f"jk{jobs}{suffix}").read_bytes() for suffix in (".tags", ".probs", ".run.cfg")])
+    assert outputs[0] == outputs[1]
+
+
+def test_evaluate_scores_the_word_and_gap_tags_linear_predict_writes(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=12)
+    for stream in ("words", "gaps"):
+        model = tmp_path / f"{stream}.model"
+        out = tmp_path / f"{stream}.pred"
+        common = ["--mt", paths["mt"], "--src", paths["src"], "--align", paths["align"], "--stream", stream]
+        assert run(capsys, "linear", "train", *common, "--tags", paths["tags"], "--model", model, "--epochs", "1")[0] == 0
+        assert run(capsys, "linear", "predict", *common, "--model", model, "--out-prefix", out)[0] == 0
+        rows = [line.split() for line in (tmp_path / f"{stream}.pred.tags").read_text().splitlines()]
+        # the same predictions interleaved with constant tags for the other stream
+        if stream == "words":
+            interleaved = [["OK"] + [t for tag in row for t in (tag, "OK")] for row in rows]
+        else:
+            interleaved = [[row[0]] + [t for tag in row[1:] for t in ("OK", tag)] for row in rows]
+        full = write(tmp_path / f"{stream}.full.tags", "".join(" ".join(r) + "\n" for r in interleaved))
+        code, own, err = run(capsys, "evaluate", "--gold", paths["tags"], "--pred", f"{out}.tags", "--stream", stream)
+        assert code == 0, err
+        assert run(capsys, "evaluate", "--gold", paths["tags"], "--pred", full, "--stream", stream)[1] == own
+
+
+def test_extra_column_with_a_wrong_token_count_names_file_and_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=6)
+    lines = [" ".join("X" for _ in line.split()) for line in (tmp_path / "c.mt").read_text().splitlines()]
+    good = write(tmp_path / "good.extra", "".join(line + "\n" for line in lines))
+    lines[2] += " X"
+    bad = write(tmp_path / "bad.extra", "".join(line + "\n" for line in lines))
+    common = ["linear", "train", "--mt", paths["mt"], "--tags", paths["tags"], "--epochs", "1"]
+    assert run(capsys, *common, "--extra", good, "--model", tmp_path / "m1")[0] == 0
+    code, _, err = run(capsys, *common, "--extra", bad, "--model", tmp_path / "m2")
+    assert_one_error_line(code, err, f"{bad}:3:")
+
+
+def test_zero_epochs_is_one_error_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    code, _, err = run(
+        capsys, "linear", "train", "--mt", paths["mt"], "--tags", paths["tags"],
+        "--model", tmp_path / "m", "--epochs", "0",
+    )
+    assert_one_error_line(code, err, "epochs")
+
+
+def test_threshold_outside_the_unit_interval_is_one_error_line(tmp_path, capsys):
+    gold = write(tmp_path / "g.tags", "OK BAD OK\n")
+    pred = write(tmp_path / "p.probs", "0.1 0.9 0.2\n")
+    code, _, err = run(capsys, "evaluate", "--gold", gold, "--pred", pred, "--threshold", "2")
+    assert_one_error_line(code, err, "threshold 2.0")
+
+
+def test_malformed_linear_model_line_names_file_and_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    model = write(tmp_path / "m.model", "12\t0.5\nabc\t1.0\n")
+    code, _, err = run(
+        capsys, "linear", "predict", "--mt", paths["mt"], "--model", model, "--out-prefix", tmp_path / "p",
+    )
+    assert_one_error_line(code, err, f"{model}:2:")
+
+
+def test_linear_predict_on_the_source_stream_without_source_is_one_error_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    model = write(tmp_path / "m.model", "12\t0.5\n")
+    code, _, err = run(
+        capsys, "linear", "predict", "--mt", paths["mt"], "--stream", "source",
+        "--model", model, "--out-prefix", tmp_path / "p",
+    )
+    assert_one_error_line(code, err, "--src")
+
+
 def test_linear_gap_and_source_streams(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=16)
     gap_model = tmp_path / "gaps.model"
@@ -321,6 +414,21 @@ def test_ensemble_word_fit_apply_kfold(tmp_path, capsys, rng):
     )
     assert code == 0
     assert "kfold_f1_mult=" in out
+
+
+@pytest.mark.parametrize(
+    "line, fragment",
+    [("sys0\t1.5", "weight 1.5 outside [0, 1]"), ("sys0\tabc", "malformed"), ("sys0", "malformed")],
+)
+def test_bad_weights_line_names_file_and_line(tmp_path, capsys, rng, line, fragment):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    manifest = prediction_files(tmp_path, rng, paths["mt"], n_systems=2)
+    weights = write(tmp_path / "w.tsv", "sys1\t0.5\n" + line + "\n")
+    code, _, err = run(
+        capsys, "ensemble-word", "apply", "--manifest", manifest, "--mt", paths["mt"],
+        "--weights", weights, "--out", tmp_path / "out.probs",
+    )
+    assert_one_error_line(code, err, f"{weights}:2:", fragment)
 
 
 def test_kfold_with_more_folds_than_sentences_is_one_error_line(tmp_path, capsys, rng):

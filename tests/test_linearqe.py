@@ -13,6 +13,7 @@ from qestack.corpus import (
     TargetTags,
     Entry,
 )
+from qestack.ensemble import FoldPlan
 from qestack.linearqe import (
     FeatureConfig,
     LinearModel,
@@ -25,6 +26,7 @@ from qestack.linearqe import (
     jackknife,
     load_model,
     mira_train,
+    predict,
     predict_probs,
     save_model,
     score_sequence,
@@ -306,10 +308,7 @@ def test_jackknife_covers_every_sentence_exactly_once():
     rng = random.Random(12)
     instances, golds = separable_data(rng, 23, ["m"], ["n"])
 
-    def trainer(train_insts, train_golds):
-        return mira_train(train_insts, train_golds, epochs=2, C=1.0, seed=1)
-
-    tags, probs = jackknife(instances, golds, 5, trainer)
+    tags, probs = jackknife(instances, golds, 5, epochs=2, C=1.0, seed=1)
     assert len(tags) == len(instances)
     assert len(probs) == len(instances)
     for inst, tag_row, prob_row in zip(instances, tags, probs):
@@ -321,36 +320,77 @@ def test_leave_one_out_is_allowed():
     rng = random.Random(13)
     instances, golds = separable_data(rng, 6, ["m"], ["n"])
 
-    def trainer(train_insts, train_golds):
-        return mira_train(train_insts, train_golds, epochs=1, C=1.0, seed=1)
-
-    tags, _ = jackknife(instances, golds, len(instances), trainer)
+    tags, _ = jackknife(instances, golds, len(instances), epochs=1, C=1.0, seed=1)
     assert len(tags) == len(instances)
 
 
-def test_constant_trainer_yields_constant_predictions():
-    instances = [make_instance(["a", "b"]), make_instance(["c"])]
-    golds = [[OK, OK], [BAD]]
-    constant = LinearModel(weights={fnv1a64("b∧BAD"): 1.0}, config=FeatureConfig())
+def noisy_data(rng, n_sentences):
+    """Instances with context, alignments and stacked features whose labels
+    are only partly predictable, so MIRA keeps updating."""
+    instances, golds = [], []
+    for _ in range(n_sentences):
+        n = rng.randint(1, 7)
+        tokens = [random_token(rng, "abcd") for _ in range(n)]
+        labels = [BAD if tok[0] == "a" or rng.random() < 0.2 else OK for tok in tokens]
+        instances.append(make_instance(
+            tokens,
+            aligned=tuple(tuple(random_token(rng, "xyz") for _ in range(rng.randint(0, 2))) for _ in tokens),
+            stacked=(("s", tuple(rng.random() for _ in tokens)),),
+        ))
+        golds.append(labels)
+    return instances, golds
 
-    tags, probs = jackknife(instances, golds, 2, lambda *_: constant)
-    assert all(t is BAD for row in tags for t in row)
-    assert len({round(p, 12) for row in probs for p in row}) == 1
+
+@pytest.mark.parametrize("average", [True, False])
+def test_jackknife_folds_equal_predict_with_mira_train_on_the_rest(average):
+    rng = random.Random(16)
+    instances, golds = noisy_data(rng, 20)
+    options = {"epochs": 3, "C": 0.5, "seed": 7, "config": FeatureConfig(bins=4), "average": average}
+    tags, probs = jackknife(instances, golds, 3, gamma=0.7, **options)
+    bounds = FoldPlan.contiguous(len(instances), 3).bounds()
+    for lo, hi in bounds:
+        model = mira_train(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
+        fold_tags, fold_probs = predict(instances[lo:hi], model, gamma=0.7)
+        assert tags[lo:hi] == fold_tags
+        assert probs[lo:hi] == fold_probs
+        for inst, row_tags, row_probs in zip(instances[lo:hi], fold_tags, fold_probs):
+            assert viterbi(inst, model)[0] == row_tags
+            assert predict_probs(inst, model, gamma=0.7) == row_probs
+    assert bounds[-1][1] == len(instances)
+
+
+def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
+    import qestack.linearqe as linearqe
+
+    builds = []
+
+    class CountingCompiled(linearqe._Compiled):
+        __slots__ = ()
+
+        def __init__(self, inst, config):
+            builds.append(inst)
+            super().__init__(inst, config)
+
+    monkeypatch.setattr(linearqe, "_Compiled", CountingCompiled)
+    instances, golds = noisy_data(random.Random(17), 12)
+    jackknife(instances, golds, 4, epochs=2)
+    assert len(builds) == len(instances)
+    model = mira_train(instances, golds, epochs=1)
+    builds.clear()
+    predict(instances, model)
+    assert len(builds) == len(instances)
 
 
 def test_jackknife_rejects_too_few_sentences():
     with pytest.raises(ValueError):
-        jackknife([make_instance(["a"])], [[OK]], 2, lambda *_: LinearModel(weights={}))
+        jackknife([make_instance(["a"])], [[OK]], 2)
 
 
 def test_parallel_jackknife_matches_sequential_output():
-    import functools
-
     rng = random.Random(15)
     instances, golds = separable_data(rng, 18, ["a", "b"], ["c", "d"])
-    train_fn = functools.partial(mira_train, epochs=2, C=1.0, seed=3)
-    sequential = jackknife(instances, golds, 3, train_fn, jobs=1)
-    parallel = jackknife(instances, golds, 3, train_fn, jobs=2)
+    sequential = jackknife(instances, golds, 3, epochs=2, C=1.0, seed=3, jobs=1)
+    parallel = jackknife(instances, golds, 3, epochs=2, C=1.0, seed=3, jobs=2)
     assert parallel == sequential
 
 
