@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Stream, Tag
+from .corpus import PredictionSet, Stream, Tag, _parse_float
 from .errors import FoldError, MissingStream, ParseError, RangeError, SingularSystem, ZeroWeights
 from .metrics import f1_mult_bool
 
@@ -573,18 +573,19 @@ def load_ridge_model(path) -> RidgeModel:
         for i, line in enumerate(handle, 1):
             key, sep, value = line.rstrip("\n").partition("\t")
             if not sep:
-                raise ValueError(f"{path}:{i}: malformed model line")
+                raise ParseError("malformed model line", file=str(path), line=i)
+            number = _parse_float(value, file=str(path), line=i)
             if key == "intercept":
-                intercept = float(value)
+                intercept = number
             elif key == "lambda":
-                lam = float(value)
+                lam = number
             elif key.startswith("coef:"):
                 names.append(key[len("coef:"):])
-                coefs.append(float(value))
+                coefs.append(number)
             else:
-                raise ValueError(f"{path}:{i}: unknown model field {key!r}")
+                raise ParseError(f"unknown model field {key!r}", file=str(path), line=i)
     if intercept is None or lam is None:
-        raise ValueError(f"{path}: missing intercept or lambda")
+        raise ParseError("missing intercept or lambda", file=str(path))
     return RidgeModel(
         coefficients=np.array(coefs, dtype=float),
         intercept=intercept,

@@ -8,9 +8,12 @@ bigram indicator over the label pair. Decoding is exact dynamic programming
 over the two labels; weights are learned with max-loss MIRA and averaged over
 all post-update vectors.
 
-Feature keys are hashed to 64 bits (FNV-1a); collisions are tolerated, they
-merely share a weight. Gap and source streams are trained as independent
-sequence models over their own position sequences.
+Feature strings are hashed to 64-bit keys (FNV-1a); collisions are tolerated,
+they merely share a weight. Each ``mira_train`` or ``jackknife`` call interns
+the keys of its corpus into dense ids, so colliding strings share one id, and
+trains on weight lists indexed by id; models and their files keep the keys.
+Gap and source streams are trained as independent sequence models over their
+own position sequences.
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ class SequenceInstance:
 
 @dataclass
 class LinearModel:
-    """Hashed feature weights plus the template configuration that produced
-    them. Serialization keeps only the weights; supply the same config when
-    loading."""
+    """Feature weights by 64-bit key (training maps its dense ids back to the
+    keys) plus the template configuration that produced them. Serialization
+    keeps only the weights; supply the same config when loading."""
 
     weights: dict[int, float]
     config: FeatureConfig = field(default_factory=FeatureConfig)
@@ -181,131 +184,144 @@ def extract_features(
 
 # ---------------------------------------------------------------------------
 # Compiled form: unigram keys are position/label-local and never change while
-# the weights do, so they are hashed once per instance.
+# the weights do, so they are hashed once per instance. Scores read
+# ``w[slot]``: training interns each key into a dense id and ``w`` is a list,
+# prediction keeps the keys and ``w`` is the model's ``_Weights``. Every score
+# is a left-to-right sum in slot order; an unseen slot adds 0.0, a no-op.
 # ---------------------------------------------------------------------------
 
 
 class _Compiled:
-    __slots__ = ("ukeys", "n")
+    """``slots[i]`` holds position ``i``'s (OK, BAD) unigram slots. With an
+    ``index`` a slot is the key's dense id (a new key takes the next one);
+    without, it is the 64-bit key itself."""
 
-    def __init__(self, inst: SequenceInstance, config: FeatureConfig):
+    __slots__ = ("slots", "n")
+
+    def __init__(self, inst: SequenceInstance, config: FeatureConfig, index: dict[int, int] | None = None):
         self.n = len(inst)
-        self.ukeys = [
-            tuple(
-                tuple(fnv1a64(s) for s in _unigram_strings(inst, i, label, config))
-                for label in _LABELS
-            )
+        self.slots = [
+            tuple(_slots(_unigram_strings(inst, i, label, config), index) for label in _LABELS)
             for i in range(self.n)
         ]
 
 
-def _bigram_keys(config: FeatureConfig):
-    """Transition keys indexed [prev][cur]; prev 0 is the start sentinel."""
+def _slots(strings, index):
+    keys = tuple(fnv1a64(s) for s in strings)
+    return keys if index is None else tuple(index.setdefault(key, len(index)) for key in keys)
+
+
+def _bigram_slots(config: FeatureConfig, index=None):
+    """Transition slots indexed [prev][cur]; prev 0 is the start sentinel."""
     if not config.use_bigram:
         return None
     prevs = (None, Tag.OK, Tag.BAD)
-    return tuple(
-        tuple(fnv1a64(_bigram_string(p, label)) for label in _LABELS) for p in prevs
-    )
+    return tuple(_slots([_bigram_string(p, label) for label in _LABELS], index) for p in prevs)
 
 
-def _unigram_scores(compiled: _Compiled, weights, cost_gold=None):
+class _Weights(dict):
+    """A model's weights by 64-bit key, as decoding reads them: an unseen key
+    weighs 0.0."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0.0
+
+
+def _model_weights(model: LinearModel) -> _Weights:
+    """``mira_train`` and ``load_model`` build ``_Weights``; any other dict is
+    copied into one."""
+    return model.weights if isinstance(model.weights, _Weights) else _Weights(model.weights)
+
+
+def _path(tags) -> list[int]:
+    return [0 if tag is Tag.OK else 1 for tag in tags]
+
+
+def _unigram_scores(compiled: _Compiled, w, cost=None):
+    """Per-position (OK, BAD) scores; with a ``cost`` path the label that
+    differs from it gains 1.0 (Hamming-augmented)."""
     scores = []
-    for i in range(compiled.n):
-        pair = []
-        for l_idx, label in enumerate(_LABELS):
-            s = 0.0
-            for key in compiled.ukeys[i][l_idx]:
-                w = weights.get(key)
-                if w is not None:
-                    s += w
-            if cost_gold is not None and label is not cost_gold[i]:
-                s += 1.0
-            pair.append(s)
-        scores.append(pair)
+    for i, (ok, bad) in enumerate(compiled.slots):
+        s0 = 0.0
+        for j in ok:
+            s0 += w[j]
+        s1 = 0.0
+        for j in bad:
+            s1 += w[j]
+        if cost is not None:
+            s0, s1 = (s0 + 1.0, s1) if cost[i] else (s0, s1 + 1.0)
+        scores.append((s0, s1))
     return scores
 
 
-def _transition_scores(bigram_keys, weights):
-    if bigram_keys is None:
+def _transition_scores(bigram_slots, w):
+    if bigram_slots is None:
         return ((0.0, 0.0),) * 3
-    return tuple(
-        tuple(weights.get(key, 0.0) for key in row) for row in bigram_keys
-    )
+    return tuple(tuple(w[j] for j in row) for row in bigram_slots)
 
 
 def _forward(u, t):
     """The max-product forward pass and its backtrace: ``delta[i][l]`` is the
     best score of a prefix ending in label ``l`` at position ``i``. Returns
-    ``delta``, the Viterbi path and its score; ties break toward OK."""
-    n = len(u)
-    delta = [[0.0, 0.0] for _ in range(n)]
-    back = [[0, 0] for _ in range(n)]
-    for l_idx in range(2):
-        delta[0][l_idx] = u[0][l_idx] + t[0][l_idx]
-    for i in range(1, n):
-        for l_idx in range(2):
-            best = delta[i - 1][0] + t[1][l_idx]
-            best_prev = 0
-            other = delta[i - 1][1] + t[2][l_idx]
-            if other > best:
-                best = other
-                best_prev = 1
-            delta[i][l_idx] = u[i][l_idx] + best
-            back[i][l_idx] = best_prev
+    ``delta``, the Viterbi path (0 OK, 1 BAD) and its score; ties break
+    toward OK."""
+    (t00, t01), (t10, t11), (t20, t21) = t
+    d0, d1 = u[0][0] + t00, u[0][1] + t01
+    delta, back = [(d0, d1)], [(0, 0)]
+    for u0, u1 in u[1:]:
+        ok0, bad0, ok1, bad1 = d0 + t10, d1 + t20, d0 + t11, d1 + t21
+        b0, b1 = (1 if bad0 > ok0 else 0), (1 if bad1 > ok1 else 0)
+        d0, d1 = u0 + (bad0 if b0 else ok0), u1 + (bad1 if b1 else ok1)
+        delta.append((d0, d1))
+        back.append((b0, b1))
 
-    last = 0 if delta[n - 1][0] >= delta[n - 1][1] else 1
-    path = [0] * n
-    path[n - 1] = last
-    for i in range(n - 1, 0, -1):
+    last = 0 if d0 >= d1 else 1
+    path = [last] * len(u)
+    for i in range(len(u) - 1, 0, -1):
         path[i - 1] = back[i][path[i]]
-    return delta, [_LABELS[l] for l in path], delta[n - 1][last]
+    return delta, path, delta[-1][last]
 
 
-def _viterbi_compiled(compiled, bigram_keys, weights, cost_gold=None):
-    u = _unigram_scores(compiled, weights, cost_gold)
-    return _forward(u, _transition_scores(bigram_keys, weights))[1:]
+def _path_score(compiled: _Compiled, t, w, path) -> float:
+    total = 0.0
+    prev = 0
+    for slots, label in zip(compiled.slots, path):
+        for j in slots[label]:
+            total += w[j]
+        total += t[prev][label]
+        prev = label + 1
+    return total
 
 
-def _decode(compiled, bigram_keys, weights, gamma):
+def _decode(compiled, bigram_slots, w, gamma):
     """Viterbi tags and max-marginal P(BAD) of every compiled instance, from
     one forward and one backward pass each."""
-    t = _transition_scores(bigram_keys, weights)
+    t = _transition_scores(bigram_slots, w)
     tags_rows: list[list[Tag]] = []
     probs_rows: list[list[float]] = []
     for comp in compiled:
-        u = _unigram_scores(comp, weights)
-        delta, tags, _ = _forward(u, t)
+        u = _unigram_scores(comp, w)
+        delta, path, _ = _forward(u, t)
         n = comp.n
-        bwd = [[0.0, 0.0] for _ in range(n)]
+        bwd = [(0.0, 0.0)] * n
         for i in range(n - 2, -1, -1):
-            for l_idx in range(2):
-                bwd[i][l_idx] = max(
-                    t[l_idx + 1][0] + u[i + 1][0] + bwd[i + 1][0],
-                    t[l_idx + 1][1] + u[i + 1][1] + bwd[i + 1][1],
-                )
+            (a0, a1), (b0, b1) = u[i + 1], bwd[i + 1]
+            bwd[i] = (
+                max(t[1][0] + a0 + b0, t[1][1] + a1 + b1),
+                max(t[2][0] + a0 + b0, t[2][1] + a1 + b1),
+            )
         probs = []
-        for i in range(n):
-            margin = (delta[i][1] + bwd[i][1]) - (delta[i][0] + bwd[i][0])
-            probs.append(1.0 / (1.0 + exp(-gamma * margin)))
-        tags_rows.append(tags)
+        for (d0, d1), (b0, b1) in zip(delta, bwd):
+            margin = (d1 + b1) - (d0 + b0)
+            try:
+                probs.append(1.0 / (1.0 + exp(-gamma * margin)))
+            except OverflowError:  # 1 + exp(-gamma * margin) rounds to exp(-gamma * margin)
+                probs.append(exp(gamma * margin))
+        tags_rows.append([_LABELS[l] for l in path])
         probs_rows.append(probs)
     return tags_rows, probs_rows
-
-
-def _score_sequence_compiled(compiled, bigram_keys, weights, labels):
-    t = _transition_scores(bigram_keys, weights)
-    total = 0.0
-    prev_idx = 0
-    for i, label in enumerate(labels):
-        l_idx = 0 if label is Tag.OK else 1
-        for key in compiled.ukeys[i][l_idx]:
-            w = weights.get(key)
-            if w is not None:
-                total += w
-        total += t[prev_idx][l_idx]
-        prev_idx = l_idx + 1
-    return total
 
 
 def viterbi(
@@ -313,14 +329,18 @@ def viterbi(
 ) -> tuple[list[Tag], float]:
     """Exact argmax tag sequence and its score. With ``cost_gold`` the score
     is Hamming-augmented (loss-augmented decoding). Ties break toward OK."""
-    compiled = _Compiled(inst, model.config)
-    return _viterbi_compiled(compiled, _bigram_keys(model.config), model.weights, cost_gold)
+    w = _model_weights(model)
+    cost = None if cost_gold is None else _path(cost_gold)
+    u = _unigram_scores(_Compiled(inst, model.config), w, cost)
+    _, path, score = _forward(u, _transition_scores(_bigram_slots(model.config), w))
+    return [_LABELS[l] for l in path], score
 
 
 def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[Tag]) -> float:
     """Model score of one labeling (no loss augmentation)."""
-    compiled = _Compiled(inst, model.config)
-    return _score_sequence_compiled(compiled, _bigram_keys(model.config), model.weights, labels)
+    w = _model_weights(model)
+    t = _transition_scores(_bigram_slots(model.config), w)
+    return _path_score(_Compiled(inst, model.config), t, w, _path(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +369,18 @@ def mira_train(
     (disable with ``average=False``); data order is reshuffled every epoch
     from ``seed``.
     """
-    config, compiled = _compile_training(instances, golds, epochs, C, config)
-    weights = _mira(
-        compiled, golds, _bigram_keys(config),
+    config, index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C, config)
+    w = _mira(
+        compiled, paths, bigram_slots, len(index),
         epochs=epochs, C=C, seed=seed, average=average, on_update=on_update,
     )
-    return LinearModel(weights=weights, config=config)
+    return LinearModel(weights=_Weights((key, w[j]) for key, j in index.items() if w[j] != 0.0), config=config)
 
 
 def _compile_training(instances, golds, epochs, C, config):
-    """Checks the training arguments and compiles every instance once."""
+    """Checks the training arguments and compiles every instance once,
+    interning its keys into one new dense index; returns the config, the
+    index, the compiled instances, the transition slots and the gold paths."""
     if epochs < 1:
         raise RangeError("epochs must be >= 1")
     if C <= 0:
@@ -369,15 +391,17 @@ def _compile_training(instances, golds, epochs, C, config):
         if len(inst) != len(gold):
             raise ValueError("gold labeling length must match its instance")
     config = config or FeatureConfig()
-    return config, [_Compiled(inst, config) for inst in instances]
+    index: dict[int, int] = {}
+    compiled = [_Compiled(inst, config, index) for inst in instances]
+    return config, index, compiled, _bigram_slots(config, index), [_path(gold) for gold in golds]
 
 
-def _mira(compiled, golds, bigram_keys, *, epochs, C, seed, average, on_update=None) -> dict[int, float]:
-    """The MIRA loop of ``mira_train`` over compiled instances; returns the
-    final (or averaged) nonzero weights."""
-    weights: dict[int, float] = {}
-    acc: dict[int, float] = {}
-    last: dict[int, int] = {}
+def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_update=None) -> list[float]:
+    """The MIRA loop of ``mira_train`` over compiled instances and their gold
+    paths; returns the final (or averaged) weight of every dense id."""
+    w = [0.0] * size
+    acc = [0.0] * size
+    last = [0] * size
     rng = random.Random(seed)
     order = list(range(len(compiled)))
     step = 0
@@ -387,57 +411,50 @@ def _mira(compiled, golds, bigram_keys, *, epochs, C, seed, average, on_update=N
         for idx in order:
             step += 1
             comp = compiled[idx]
-            gold = golds[idx]
-            pred, augmented = _viterbi_compiled(comp, bigram_keys, weights, cost_gold=gold)
-            if pred == list(gold):
+            gold = paths[idx]
+            t = _transition_scores(bigram_slots, w)
+            _, pred, augmented = _forward(_unigram_scores(comp, w, gold), t)
+            if pred == gold:
                 continue
-            gold_score = _score_sequence_compiled(comp, bigram_keys, weights, gold)
-            violation = augmented - gold_score
+            violation = augmented - _path_score(comp, t, w, gold)
             if violation <= 0.0:
                 continue
 
+            # phi(gold) - phi(pred): unigrams differ only where the labels
+            # do, transitions only there and one position after
             delta: dict[int, int] = {}
-            prev_g = prev_p = 0
-            for i in range(comp.n):
-                g_idx = 0 if gold[i] is Tag.OK else 1
-                p_idx = 0 if pred[i] is Tag.OK else 1
-                if g_idx != p_idx:
-                    for key in comp.ukeys[i][g_idx]:
-                        delta[key] = delta.get(key, 0) + 1
-                    for key in comp.ukeys[i][p_idx]:
-                        delta[key] = delta.get(key, 0) - 1
-                if bigram_keys is not None:
-                    key_g = bigram_keys[prev_g][g_idx]
-                    key_p = bigram_keys[prev_p][p_idx]
-                    if key_g != key_p:
-                        delta[key_g] = delta.get(key_g, 0) + 1
-                        delta[key_p] = delta.get(key_p, 0) - 1
-                prev_g, prev_p = g_idx + 1, p_idx + 1
+            moved = [i for i, g in enumerate(gold) if g != pred[i]]
+            for i in moved:
+                slots = comp.slots[i]
+                for j in slots[gold[i]]:
+                    delta[j] = delta.get(j, 0) + 1
+                for j in slots[pred[i]]:
+                    delta[j] = delta.get(j, 0) - 1
+            if bigram_slots is not None:
+                for i in {i for m in moved for i in (m, m + 1) if i < comp.n}:
+                    j_g = bigram_slots[gold[i - 1] + 1 if i else 0][gold[i]]
+                    j_p = bigram_slots[pred[i - 1] + 1 if i else 0][pred[i]]
+                    if j_g != j_p:
+                        delta[j_g] = delta.get(j_g, 0) + 1
+                        delta[j_p] = delta.get(j_p, 0) - 1
 
-            sq_norm = sum(c * c for c in delta.values())
+            sq_norm = sum(count * count for count in delta.values())
             if sq_norm == 0:
                 continue  # degenerate update (feature collision), skip
             tau = min(C, violation / sq_norm)
             if on_update is not None:
                 on_update(tau)
-            for key, count in delta.items():
+            for j, count in delta.items():
                 if count == 0:
                     continue
                 if average:
-                    acc[key] = acc.get(key, 0.0) + weights.get(key, 0.0) * (step - 1 - last.get(key, 0))
-                    last[key] = step - 1
-                weights[key] = weights.get(key, 0.0) + tau * count
+                    acc[j] += w[j] * (step - 1 - last[j])
+                    last[j] = step - 1
+                w[j] += tau * count
 
-    if not average:
-        return {k: w for k, w in weights.items() if w != 0.0}
-
-    averaged: dict[int, float] = {}
-    for key, w in weights.items():
-        total = acc.get(key, 0.0) + w * (step - last.get(key, 0))
-        value = total / step if step else 0.0
-        if value != 0.0:
-            averaged[key] = value
-    return averaged
+    if not average or not step:
+        return w
+    return [(a + v * (step - l)) / step for a, v, l in zip(acc, w, last)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +468,7 @@ def predict(
     """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
     ``predict_probs`` give them), each instance compiled once."""
     compiled = (_Compiled(inst, model.config) for inst in instances)
-    return _decode(compiled, _bigram_keys(model.config), model.weights, gamma)
+    return _decode(compiled, _bigram_slots(model.config), _model_weights(model), gamma)
 
 
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
@@ -460,9 +477,9 @@ def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0
     return predict([inst], model, gamma)[1][0]
 
 
-def _jackknife_fold(compiled, golds, bigram_keys, gamma, lo, hi, **options):
-    weights = _mira(compiled[:lo] + compiled[hi:], golds[:lo] + golds[hi:], bigram_keys, **options)
-    return _decode(compiled[lo:hi], bigram_keys, weights, gamma)
+def _jackknife_fold(compiled, paths, bigram_slots, size, gamma, lo, hi, **options):
+    w = _mira(compiled[:lo] + compiled[hi:], paths[:lo] + paths[hi:], bigram_slots, size, **options)
+    return _decode(compiled[lo:hi], bigram_slots, w, gamma)
 
 
 _WORKER_FOLD = None  # a worker process's fold function, set once by the pool initializer
@@ -497,9 +514,9 @@ def jackknife(
     receives it once. The concatenation covers each instance exactly once, in
     corpus order."""
     bounds = FoldPlan.contiguous(len(instances), k).bounds()
-    config, compiled = _compile_training(instances, golds, epochs, C, config)
+    config, index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C, config)
     fold = functools.partial(
-        _jackknife_fold, compiled, list(golds), _bigram_keys(config), gamma,
+        _jackknife_fold, compiled, paths, bigram_slots, len(index), gamma,
         epochs=epochs, C=C, seed=seed, average=average,
     )
     if jobs > 1:
@@ -524,7 +541,7 @@ def save_model(model: LinearModel, path):
 
 
 def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
-    weights: dict[int, float] = {}
+    weights = _Weights()
     with open(path, "r", encoding="utf-8") as handle:
         for i, line in enumerate(handle, 1):
             fields = line.split()

@@ -288,6 +288,20 @@ def test_malformed_linear_model_line_names_file_and_line(tmp_path, capsys, rng):
     assert_one_error_line(code, err, f"{model}:2:")
 
 
+def test_linear_predict_with_a_large_gamma_keeps_probabilities_in_the_unit_interval(tmp_path, capsys):
+    mt = write(tmp_path / "c.mt", "a b c d\nb c e\na d e f\n")
+    pe = write(tmp_path / "c.pe", "a x c d\nb c e\ny d e f\n")
+    assert run(capsys, "make-labels", "--mt", mt, "--pe", pe, "--out-prefix", tmp_path / "gold")[0] == 0
+    model = tmp_path / "m.model"
+    tags = tmp_path / "gold.tags"
+    assert run(capsys, "linear", "train", "--mt", mt, "--tags", tags, "--model", model, "--epochs", "3")[0] == 0
+    # OK margins reach far below -709 / 5000, where exp(-gamma * margin) overflows
+    code, _, err = run(capsys, "linear", "predict", "--mt", mt, "--model", model, "--gamma", "5000", "--out-prefix", tmp_path / "p")
+    assert code == 0, err
+    probs = [p for row in read_prob_lines(tmp_path / "p.probs") for p in row]
+    assert probs and all(0.0 <= p <= 1.0 for p in probs)
+
+
 def test_linear_predict_on_the_source_stream_without_source_is_one_error_line(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=4)
     model = write(tmp_path / "m.model", "12\t0.5\n")
@@ -463,6 +477,20 @@ def test_ensemble_sent_fit_apply(tmp_path, capsys, rng):
     values = read_score_lines(scores)
     assert len(values) == 20
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize("command", ["ensemble-sent", "doc"])
+def test_ridge_model_with_an_unparsable_lambda_is_one_error_line(tmp_path, capsys, rng, command):
+    model = write(tmp_path / "r.model", "intercept\t0.5\nlambda\tx\ncoef:f0\t0.1\n")
+    if command == "ensemble-sent":
+        paths = label_files(tmp_path, capsys, rng, n=4)
+        manifest = prediction_files(tmp_path, rng, paths["mt"])
+        argv = ["ensemble-sent", "apply", "--manifest", manifest, "--mt", paths["mt"]]
+    else:
+        features = write(tmp_path / "f.tsv", "doc0\t0.1\t0.2\t0.3\t0.4\n")
+        argv = ["doc", "apply", "--features", features]
+    code, _, err = run(capsys, *argv, "--model", model, "--out", tmp_path / "out")
+    assert_one_error_line(code, err, f"{model}:2:")
 
 
 # --- doc pipeline ---------------------------------------------------------------------

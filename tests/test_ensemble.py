@@ -19,7 +19,7 @@ from qestack.ensemble import (
     save_weights,
     sentence_features,
 )
-from qestack.errors import MissingStream, SingularSystem, ZeroWeights
+from qestack.errors import MissingStream, ParseError, SingularSystem, ZeroWeights
 from qestack.metrics import f1_mult, threshold
 from qestack.metrics import f1_mult_bool as _f1_mult_bool
 
@@ -437,6 +437,20 @@ def test_weight_file_round_trip(tmp_path):
     ids, loaded = load_weights(path, Stream.WORDS)
     assert ids == ["a", "b", "c"]
     assert loaded == w
+
+
+@pytest.mark.parametrize("text, line", [
+    ("intercept 0.5\nlambda\t1.0\n", 1),  # no tab
+    ("intercept\t0.5\nslope\t1.0\n", 2),  # unknown field
+    ("intercept\t0.5\nlambda\tx\n", 2),  # unparsable float
+    ("intercept\t0.5\n", None),  # no lambda: names the file only
+])
+def test_malformed_ridge_model_is_a_parse_error_naming_file_and_line(tmp_path, text, line):
+    path = tmp_path / "model.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_ridge_model(path)
+    assert (caught.value.file, caught.value.line) == (str(path), line)
 
 
 def test_ridge_model_round_trip(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -367,9 +369,9 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
     class CountingCompiled(linearqe._Compiled):
         __slots__ = ()
 
-        def __init__(self, inst, config):
+        def __init__(self, inst, *args):
             builds.append(inst)
-            super().__init__(inst, config)
+            super().__init__(inst, *args)
 
     monkeypatch.setattr(linearqe, "_Compiled", CountingCompiled)
     instances, golds = noisy_data(random.Random(17), 12)
@@ -379,6 +381,113 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
     builds.clear()
     predict(instances, model)
     assert len(builds) == len(instances)
+
+
+def reference_mira(instances, golds, config, *, epochs, C, seed):
+    """Averaged max-loss MIRA on a dict keyed by the hashed keys of
+    ``extract_features``, adding weights in the order ``mira_train`` does."""
+    w, acc, last = {}, {}, {}
+    rng = random.Random(seed)
+    order = list(range(len(instances)))
+    step = 0
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            step += 1
+            inst, gold = instances[idx], golds[idx]
+            pred, augmented = reference_viterbi(inst, w, config, cost_gold=gold)
+            if pred == gold:
+                continue
+            gold_score, prev = 0.0, None
+            for i, label in enumerate(gold):
+                for key in extract_features(inst, i, label, prev, config):
+                    gold_score += w.get(key, 0.0)
+                prev = label
+            violation = augmented - gold_score
+            if violation <= 0.0:
+                continue
+            delta = Counter()
+            prev_g = prev_p = None
+            for i in range(len(inst)):
+                delta.update(extract_features(inst, i, gold[i], prev_g, config))
+                delta.subtract(extract_features(inst, i, pred[i], prev_p, config))
+                prev_g, prev_p = gold[i], pred[i]
+            sq_norm = sum(c * c for c in delta.values())
+            if sq_norm == 0:
+                continue
+            tau = min(C, violation / sq_norm)
+            for key, count in delta.items():
+                if count:
+                    acc[key] = acc.get(key, 0.0) + w.get(key, 0.0) * (step - 1 - last.get(key, 0))
+                    last[key] = step - 1
+                    w[key] = w.get(key, 0.0) + tau * count
+    averaged = {key: (acc.get(key, 0.0) + value * (step - last.get(key, 0))) / step for key, value in w.items()}
+    return {key: value for key, value in averaged.items() if value != 0.0}
+
+
+def reference_viterbi(inst, w, config, cost_gold=None):
+    """First-order Viterbi over dict weights; the bigram key is the last of
+    ``extract_features``. Ties break toward OK."""
+    labels = (OK, BAD)
+
+    def unigram(i, label):
+        keys = extract_features(inst, i, label, None, config)
+        s = 0.0
+        for key in keys[:-1] if config.use_bigram else keys:
+            s += w.get(key, 0.0)
+        return s + 1.0 if cost_gold is not None and label is not cost_gold[i] else s
+
+    def transition(prev, label):
+        return w.get(extract_features(inst, 0, label, prev, config)[-1], 0.0) if config.use_bigram else 0.0
+
+    delta = [[unigram(0, label) + transition(None, label) for label in labels]]
+    back = []
+    for i in range(1, len(inst)):
+        row, pointers = [], []
+        for label in labels:
+            ok, bad = (delta[-1][p] + transition(prev, label) for p, prev in enumerate(labels))
+            pointers.append(1 if bad > ok else 0)
+            row.append(unigram(i, label) + (bad if bad > ok else ok))
+        delta.append(row)
+        back.append(pointers)
+    best = 0 if delta[-1][0] >= delta[-1][1] else 1
+    path = [best]
+    for pointers in reversed(back):
+        path.append(pointers[path[-1]])
+    return [labels[l] for l in reversed(path)], delta[-1][best]
+
+
+def test_colliding_feature_strings_share_one_weight(monkeypatch):
+    import qestack.linearqe as linearqe
+
+    full_hash = linearqe.fnv1a64
+    monkeypatch.setattr(linearqe, "fnv1a64", lambda text: full_hash(text) % 8)
+    instances, golds = noisy_data(random.Random(19), 12)
+    config = FeatureConfig(bins=3)
+    options = {"epochs": 3, "C": 0.5, "seed": 5, "config": config}
+    model = mira_train(instances, golds, **options)
+    assert model.weights == reference_mira(instances, golds, **options)
+    assert predict(instances, model)[0] == [reference_viterbi(inst, model.weights, config)[0] for inst in instances]
+
+    tags, probs = jackknife(instances, golds, 3, **options)
+    lo, hi = FoldPlan.contiguous(len(instances), 3).bounds()[1]
+    rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
+    assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest, config))
+
+
+def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path):
+    instances, golds = noisy_data(random.Random(18), 30)
+    options = {"epochs": 3, "C": 0.5, "seed": 7, "config": FeatureConfig(bins=4)}
+    path = tmp_path / "m.model"
+    save_model(mira_train(instances, golds, **options), path)
+    _, probs = jackknife(instances, golds, 3, gamma=0.7, **options)
+    # sha256 of the bytes written by commit 84d017e (dict-keyed MIRA)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "41b056f7df44a462f3897c7da611bdf3dac904144f8dc8742c712e91fa8844b2"
+    )
+    assert hashlib.sha256(repr(probs).encode()).hexdigest() == (
+        "b3f8c5e184c32cb22bcae3f12b3145b02152a9a2bc2fe338105cc2575a1fc17a"
+    )
 
 
 def test_jackknife_rejects_too_few_sentences():
