@@ -16,7 +16,7 @@ import sys
 from . import __version__, corpus, doclevel, ensemble, labeler, linearqe, metrics
 from .config import load_config_file, resolve_config, write_snapshot
 from .corpus import Stream, Tag
-from .errors import LengthMismatch, QEStackError
+from .errors import QEStackError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +80,7 @@ def _cmd_evaluate(args):
     if args.stream == "sentence":
         gold = corpus.read_score_lines(args.gold)
         pred = corpus.read_score_lines(args.pred)
-        if len(gold) != len(pred):
-            raise LengthMismatch(f"gold has {len(gold)} lines, prediction has {len(pred)}", file=args.pred)
+        corpus.check_lengths(pred, [None] * len(gold), args.pred, "prediction")
         _emit([("pearson", f"{metrics.pearson(gold, pred):.6f}")], args.format)
         return 0
 
@@ -92,19 +91,9 @@ def _cmd_evaluate(args):
         pred_rows = _read_tag_rows(args.pred, args.stream, [len(row) for row in gold_rows])
     else:
         pred_rows = [metrics.threshold(row, values["threshold"]) for row in corpus.read_prob_lines(args.pred)]
-    if len(pred_rows) != len(gold_rows):
-        raise LengthMismatch(
-            f"gold has {len(gold_rows)} lines, prediction has {len(pred_rows)}", file=args.pred
-        )
-    gold_flat: list[Tag] = []
-    pred_flat: list[Tag] = []
-    for i, (gold_row, pred_row) in enumerate(zip(gold_rows, pred_rows), 1):
-        if len(pred_row) != len(gold_row):
-            raise LengthMismatch(
-                f"expected {len(gold_row)} entries, got {len(pred_row)}", file=str(args.pred), line=i
-            )
-        gold_flat.extend(gold_row)
-        pred_flat.extend(pred_row)
+    corpus.check_lengths(pred_rows, [len(row) for row in gold_rows], args.pred, "prediction")
+    gold_flat = [tag for row in gold_rows for tag in row]
+    pred_flat = [tag for row in pred_rows for tag in row]
     scores = metrics.f1_mult(gold_flat, pred_flat)
     pairs = [
         ("f1_ok", f"{scores.f1_ok:.6f}"),
@@ -140,7 +129,6 @@ def _cmd_make_labels(args):
 _LINEAR_SCHEMA = {
     "epochs": ("int", 5),
     "C": ("float", 1.0),
-    "seed": ("int", None),
     "bins": ("int", 10),
     "average": ("bool", True),
     "gamma": ("float", 1.0),
@@ -158,10 +146,7 @@ _LINEAR_SCHEMA = {
 def _linear_values(args):
     # --k and --gamma exist only on the subcommands that use them
     overrides = {key: getattr(args, key, None) for key in ("epochs", "C", "k", "gamma")}
-    values = resolve_config(_LINEAR_SCHEMA, _load_file_config(args), overrides)
-    if values["seed"] is None:
-        values["seed"] = args.seed
-    return values
+    return {**resolve_config(_LINEAR_SCHEMA, _load_file_config(args), overrides), "seed": args.seed}
 
 
 def _feature_config(values) -> linearqe.FeatureConfig:
@@ -172,20 +157,6 @@ def _training_options(values):
     """The keyword arguments ``mira_train`` and ``jackknife`` share."""
     options = {key: values[key] for key in ("epochs", "C", "seed", "average")}
     return {**options, "config": _feature_config(values)}
-
-
-def _check_stream_rows(rows, loaded, stream: Stream, path, what):
-    """Every line of a per-position file holds one entry per position of its
-    sentence in ``stream`` (the source stream is not checked without source)."""
-    if len(rows) != len(loaded):
-        raise LengthMismatch(f"{what} has {len(rows)} lines, corpus has {len(loaded)}", file=str(path))
-    for i, (row, entry) in enumerate(zip(rows, loaded), 1):
-        if stream is Stream.SOURCE:
-            expected = len(entry.src) if entry.src else len(row)
-        else:
-            expected = len(entry.mt) + (stream is Stream.GAPS)
-        if len(row) != expected:
-            raise LengthMismatch(f"expected {expected} entries, got {len(row)}", file=str(path), line=i)
 
 
 def _linear_corpus(args):
@@ -205,7 +176,7 @@ def _linear_corpus(args):
     extra = []
     for path in args.extra or ():
         extra.append([sentence.tokens for sentence in corpus.read_sentences(path)])
-        _check_stream_rows(extra[-1], loaded, stream, path, "extra column")
+        corpus.check_lengths(extra[-1], corpus.stream_lengths(loaded, stream), path, "extra column")
     instances = linearqe.build_instances(loaded, stream, predictions=predictions, extra_columns=extra)
     golds = linearqe.gold_tags(loaded, stream) if need_gold else None
     return instances, golds
@@ -254,7 +225,7 @@ _ENSEMBLE_WORD_SCHEMA = {
 
 def _load_gold_stream(path, stream: Stream, loaded) -> list[list[Tag]]:
     rows = _read_tag_rows(path, stream.value)
-    _check_stream_rows(rows, loaded, stream, path, "gold")
+    corpus.check_lengths(rows, corpus.stream_lengths(loaded, stream), path, "gold")
     return rows
 
 
@@ -331,14 +302,11 @@ def _cmd_ensemble_word_kfold(args):
 _ENSEMBLE_SENT_SCHEMA = {
     "lambda_grid": ("floats", (0.01, 0.1, 1.0, 10.0, 100.0)),
     "cv_k": ("int", 5),
-    "seed": ("int", None),
 }
 
 
 def _cmd_ensemble_sent_fit(args):
-    values = resolve_config(_ENSEMBLE_SENT_SCHEMA, _load_file_config(args), {})
-    if values["seed"] is None:
-        values["seed"] = args.seed
+    values = {**resolve_config(_ENSEMBLE_SENT_SCHEMA, _load_file_config(args), {}), "seed": args.seed}
     loaded = corpus.load_corpus(mt=args.mt, src=args.src, hter=args.gold_scores)
     preds = corpus.read_manifest(args.manifest, loaded)
     X, names = ensemble.sentence_features(preds)
@@ -394,15 +362,9 @@ def _severity_weights(values):
 def _read_doc_tags(tags_dir, doc_id, doc):
     path = os.path.join(tags_dir, f"{doc_id}.tags")
     rows = corpus.read_tag_lines(path)
-    if len(rows) != len(doc):
-        raise LengthMismatch(f"document {doc_id} has {len(doc)} sentences, got {len(rows)} tag lines", file=path)
-    tags = []
-    for i, (row, offsets) in enumerate(zip(rows, doc.token_offsets), 1):
-        expected = 2 * len(offsets) + 1
-        if len(row) != expected:
-            raise LengthMismatch(f"expected {expected} interleaved tags, got {len(row)}", file=path, line=i)
-        tags.append(corpus.TargetTags.from_interleaved(row, file=path, line=i))
-    return tags
+    lengths = [2 * len(offsets) + 1 for offsets in doc.token_offsets]
+    corpus.check_lengths(rows, lengths, path, f"document {doc_id} tags")
+    return [corpus.TargetTags.from_interleaved(row, file=path, line=i) for i, row in enumerate(rows, 1)]
 
 
 def _cmd_doc_tags(args):
@@ -435,13 +397,11 @@ def _cmd_doc_mqm(args):
     docs = doclevel.read_document_manifest(args.docs)
     annotations = doclevel.read_annotations(args.annotations)
     weights = _severity_weights(values)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for doc_id, doc in docs.items():
-            counts = {s: 0 for s in doclevel.Severity}
-            for ann in annotations.get(doc_id, []):
-                counts[ann.severity] += 1
-            score = doclevel.mqm_closed_form(counts, doc.n_words(), weights, floor=values["floor"])
-            handle.write(f"{doc_id}\t{score!r}\n")
+    table = {}
+    for doc_id, doc in docs.items():
+        counts = doclevel.annotation_stats(annotations.get(doc_id, [])).severity_counts
+        table[doc_id] = [doclevel.mqm_closed_form(counts, doc.n_words(), weights, floor=values["floor"])]
+    doclevel.write_doc_table(table, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc mqm", values)
     return 0
 
@@ -449,35 +409,22 @@ def _cmd_doc_mqm(args):
 def _cmd_doc_features(args):
     values = _doc_values(args)
     docs = doclevel.read_document_manifest(args.docs)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for doc_id, doc in docs.items():
-            tags = _read_doc_tags(args.tags_dir, doc_id, doc)
-            mqms = corpus.read_score_lines(os.path.join(args.sent_mqm_dir, f"{doc_id}.mqm"))
-            if len(mqms) != len(doc):
-                raise LengthMismatch(
-                    f"document {doc_id} has {len(doc)} sentences but {len(mqms)} sentence MQMs"
-                )
-            row = doclevel.doc_mqm_features(tags, mqms)
-            handle.write(doc_id + "\t" + "\t".join(repr(v) for v in row) + "\n")
+    table = {}
+    for doc_id, doc in docs.items():
+        tags = _read_doc_tags(args.tags_dir, doc_id, doc)
+        mqm_path = os.path.join(args.sent_mqm_dir, f"{doc_id}.mqm")
+        mqms = corpus.read_score_lines(mqm_path)
+        corpus.check_lengths(mqms, [None] * len(doc), mqm_path, f"document {doc_id} sentence MQMs")
+        table[doc_id] = doclevel.doc_mqm_features(tags, mqms)
+    doclevel.write_doc_table(table, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc features", values)
     return 0
 
 
-def _read_doc_table(path, n_columns=None):
-    table = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) < 2 or (n_columns is not None and len(fields) != n_columns + 1):
-                raise QEStackError(f"{path}:{i}: malformed row")
-            table[fields[0]] = [float(v) for v in fields[1:]]
-    return table
-
-
 def _cmd_doc_fit(args):
     values = _doc_values(args)
-    features = _read_doc_table(args.features, n_columns=4)
-    gold = _read_doc_table(args.gold, n_columns=1)
+    features = doclevel.read_doc_table(args.features, n_columns=4)
+    gold = doclevel.read_doc_table(args.gold, n_columns=1)
     missing = set(features) ^ set(gold)
     if missing:
         raise QEStackError(f"documents missing from features or gold: {', '.join(sorted(missing))}")
@@ -491,11 +438,10 @@ def _cmd_doc_fit(args):
 
 
 def _cmd_doc_apply(args):
-    features = _read_doc_table(args.features, n_columns=4)
+    features = doclevel.read_doc_table(args.features, n_columns=4)
     model = ensemble.load_ridge_model(args.model)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for doc_id, row in features.items():
-            handle.write(f"{doc_id}\t{doclevel.predict_doc_mqm(model, row)!r}\n")
+    predictions = {doc_id: [doclevel.predict_doc_mqm(model, row)] for doc_id, row in features.items()}
+    doclevel.write_doc_table(predictions, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc apply", {}, {"model": args.model})
     return 0
 
@@ -514,8 +460,8 @@ def _cmd_doc_eval(args):
         )
         pairs.append(("f1_ann", f"{score:.6f}"))
     if args.gold_mqm and args.pred_mqm:
-        gold = _read_doc_table(args.gold_mqm, n_columns=1)
-        pred = _read_doc_table(args.pred_mqm, n_columns=1)
+        gold = doclevel.read_doc_table(args.gold_mqm, n_columns=1)
+        pred = doclevel.read_doc_table(args.pred_mqm, n_columns=1)
         if set(gold) != set(pred):
             raise QEStackError("gold and predicted MQM tables list different documents")
         doc_ids = sorted(gold)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import QEStackError
+from .errors import ParseError, QEStackError
 
 
 def _parse_bool(text: str) -> bool:
@@ -54,10 +54,10 @@ def load_config_file(path) -> dict[str, str]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise QEStackError(f"{path}:{i}: expected key=value, got {raw.strip()!r}")
+                raise ParseError(f"expected key=value, got {raw.strip()!r}", file=path, line=i)
             key = key.strip()
             if key in values:
-                raise QEStackError(f"{path}:{i}: duplicate key {key!r}")
+                raise ParseError(f"duplicate key {key!r}", file=path, line=i)
             values[key] = value.strip()
     return values
 

@@ -37,6 +37,8 @@ __all__ = [
     "load_predictions",
     "read_manifest",
     "is_tag_file",
+    "stream_lengths",
+    "check_lengths",
     "write_tags",
     "write_probs",
     "write_scores",
@@ -193,8 +195,10 @@ class PredictionSet:
 
 
 # ---------------------------------------------------------------------------
-# Low-level line readers. Empty lines are invalid everywhere: degenerate
-# segments must be filtered upstream, so we fail fast instead of guessing.
+# Low-level line readers. Every artifact of the toolkit is read through
+# _read_lines and written through _write_lines, and its numbers are parsed by
+# _parse_float. Empty lines are invalid everywhere: degenerate segments must
+# be filtered upstream, so we fail fast instead of guessing.
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +232,7 @@ def _parse_float(text, *, file, line) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f"invalid float {text!r}", file=file, line=line) from None
+        raise ParseError(f"malformed number {text!r}", file=file, line=line) from None
 
 
 def read_score_lines(path) -> list[float]:
@@ -280,6 +284,26 @@ def _check_counts(counts: dict[str, int]):
         raise LengthMismatch(f"files disagree on segment count: {detail}")
 
 
+def check_lengths(rows, lengths, path, what: str):
+    """The length rule of every per-line file: ``rows`` (one per line of
+    ``path``) are as many as ``lengths``, and row i holds ``lengths[i]``
+    entries (any number where that is None)."""
+    if len(rows) != len(lengths):
+        raise LengthMismatch(f"{what} has {len(rows)} lines, expected {len(lengths)}", file=str(path))
+    for i, (row, n) in enumerate(zip(rows, lengths), 1):
+        if n is not None and len(row) != n:
+            raise LengthMismatch(f"{what}: expected {n} entries, got {len(row)}", file=str(path), line=i)
+
+
+def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> list[int | None]:
+    """Entries per line of a ``stream`` file: N for the words of an N-token
+    MT sentence, N+1 for its gaps, one per source token for the source (None
+    for an entry without a source sentence)."""
+    if stream is Stream.SOURCE:
+        return [len(e.src) if e.src is not None else None for e in corpus]
+    return [len(e.mt) + (stream is Stream.GAPS) for e in corpus]
+
+
 def load_corpus(
     *,
     mt,
@@ -298,109 +322,51 @@ def load_corpus(
     line (or N with ``word_tags_only``), source-tag/source length agreement,
     HTER in [0, 1] and alignment indices in range.
     """
-    mt_sents = read_sentences(mt)
-    counts = {str(mt): len(mt_sents)}
+    # one column per Entry field, in reading order
+    columns = {"mt": (mt, read_sentences)}
+    for name, path, reader in (
+        ("src", src, read_sentences),
+        ("pe", pe, read_sentences),
+        ("target_tags", tags, read_tag_lines),
+        ("source_tags", source_tags, read_tag_lines),
+        ("hter", hter, read_score_lines),
+        ("alignments", align, read_alignment_lines),
+    ):
+        if path is not None:
+            columns[name] = (path, reader)
+    rows = {name: reader(path) for name, (path, reader) in columns.items()}
+    _check_counts({str(columns[name][0]): len(values) for name, values in rows.items()})
+    mt_sents = rows["mt"]
+    src_sents = rows.get("src")
+    if src_sents is None and (source_tags is not None or align is not None):
+        what = "source tags" if source_tags is not None else "alignments"
+        raise ParseError(f"{what} supplied without a source file")
 
-    src_sents = None
-    if src is not None:
-        src_sents = read_sentences(src)
-        counts[str(src)] = len(src_sents)
-    pe_sents = None
-    if pe is not None:
-        pe_sents = read_sentences(pe)
-        counts[str(pe)] = len(pe_sents)
-
-    tag_lines = None
     if tags is not None:
-        tag_lines = read_tag_lines(tags)
-        counts[str(tags)] = len(tag_lines)
-    source_tag_lines = None
+        n_tags = [len(s) if word_tags_only else 2 * len(s) + 1 for s in mt_sents]
+        check_lengths(rows["target_tags"], n_tags, tags, "target tags")
+        rows["target_tags"] = [
+            TargetTags.words_only(row)
+            if word_tags_only
+            else TargetTags.from_interleaved(row, file=str(tags), line=i)
+            for i, row in enumerate(rows["target_tags"], 1)
+        ]
     if source_tags is not None:
-        source_tag_lines = read_tag_lines(source_tags)
-        counts[str(source_tags)] = len(source_tag_lines)
-
-    hter_values = None
-    if hter is not None:
-        hter_values = read_score_lines(hter)
-        counts[str(hter)] = len(hter_values)
-    alignment_sets = None
-    if align is not None:
-        alignment_sets = read_alignment_lines(align)
-        counts[str(align)] = len(alignment_sets)
-
-    _check_counts(counts)
-
-    entries = []
-    for i in range(len(mt_sents)):
-        line = i + 1
-        mt_sent = mt_sents[i]
-        n = len(mt_sent)
-
-        target = None
-        if tag_lines is not None:
-            row = tag_lines[i]
-            if word_tags_only:
-                if len(row) != n:
-                    raise LengthMismatch(
-                        f"expected {n} word tags for {n} MT tokens, got {len(row)}",
-                        file=str(tags),
-                        line=line,
-                    )
-                target = TargetTags.words_only(row)
-            else:
-                if len(row) != 2 * n + 1:
-                    raise LengthMismatch(
-                        f"expected {2 * n + 1} interleaved tags for {n} MT tokens, got {len(row)}",
-                        file=str(tags),
-                        line=line,
-                    )
-                target = TargetTags.from_interleaved(row, file=str(tags), line=line)
-
-        source_tags_value = None
-        if source_tag_lines is not None:
-            if src_sents is None:
-                raise ParseError("source tags supplied without a source file")
-            row = source_tag_lines[i]
-            if len(row) != len(src_sents[i]):
-                raise LengthMismatch(
-                    f"expected {len(src_sents[i])} source tags, got {len(row)}",
-                    file=str(source_tags),
-                    line=line,
+        check_lengths(rows["source_tags"], [len(s) for s in src_sents], source_tags, "source tags")
+        rows["source_tags"] = [SourceTags(tuple(row)) for row in rows["source_tags"]]
+    for i, value in enumerate(rows.get("hter", ()), 1):
+        if not 0.0 <= value <= 1.0:
+            raise RangeError(f"HTER {value} outside [0, 1]", file=str(hter), line=i)
+    for i, pairs in enumerate(rows.get("alignments", ()), 1):
+        for s_idx, m_idx in pairs:
+            if s_idx >= len(src_sents[i - 1]) or m_idx >= len(mt_sents[i - 1]):
+                raise ParseError(
+                    f"alignment {s_idx}-{m_idx} out of range for lengths "
+                    f"{len(src_sents[i - 1])}/{len(mt_sents[i - 1])}",
+                    file=str(align),
+                    line=i,
                 )
-            source_tags_value = SourceTags(tuple(row))
-
-        hter_value = None
-        if hter_values is not None:
-            hter_value = hter_values[i]
-            if not 0.0 <= hter_value <= 1.0:
-                raise ParseError(f"HTER {hter_value} outside [0, 1]", file=str(hter), line=line)
-
-        alignment = None
-        if alignment_sets is not None:
-            if src_sents is None:
-                raise ParseError("alignments supplied without a source file")
-            alignment = alignment_sets[i]
-            for s_idx, m_idx in alignment:
-                if s_idx >= len(src_sents[i]) or m_idx >= n:
-                    raise ParseError(
-                        f"alignment {s_idx}-{m_idx} out of range for lengths "
-                        f"{len(src_sents[i])}/{n}",
-                        file=str(align),
-                        line=line,
-                    )
-
-        entries.append(
-            Entry(
-                mt=mt_sent,
-                src=src_sents[i] if src_sents is not None else None,
-                pe=pe_sents[i] if pe_sents is not None else None,
-                target_tags=target,
-                source_tags=source_tags_value,
-                hter=hter_value,
-                alignments=alignment,
-            )
-        )
-    return TaggedCorpus(tuple(entries))
+    return TaggedCorpus(tuple(Entry(**{name: rows[name][i] for name in rows}) for i in range(len(mt_sents))))
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +389,11 @@ def _tags_as_probs(path) -> list[list[float]] | None:
     return None
 
 
-def _load_stream(path, expected_lengths, name) -> tuple[tuple[float, ...], ...]:
+def _load_stream(path, lengths, name) -> tuple[tuple[float, ...], ...]:
     rows = _tags_as_probs(path)
     if rows is None:
         rows = read_prob_lines(path)
-    if len(rows) != len(expected_lengths):
-        raise LengthMismatch(
-            f"{name} stream has {len(rows)} lines, corpus has {len(expected_lengths)}",
-            file=str(path),
-        )
-    for i, (row, expected) in enumerate(zip(rows, expected_lengths), 1):
-        if len(row) != expected:
-            raise LengthMismatch(
-                f"{name} stream: expected {expected} values, got {len(row)}",
-                file=str(path),
-                line=i,
-            )
+    check_lengths(rows, lengths, path, f"{name} stream")
     return tuple(tuple(row) for row in rows)
 
 
@@ -454,30 +409,24 @@ def load_predictions(
     """Load one system's predictions, validating every stream against the
     corpus. ``words`` is required; tag files are accepted anywhere a
     probability file is and map OK/BAD to 0/1."""
-    n_mt = corpus.mt_lengths()
-    word_probs = _load_stream(words, n_mt, "word")
+    word_probs = _load_stream(words, stream_lengths(corpus, Stream.WORDS), "word")
 
     gap_probs = None
     if gaps is not None:
-        gap_probs = _load_stream(gaps, [n + 1 for n in n_mt], "gap")
+        gap_probs = _load_stream(gaps, stream_lengths(corpus, Stream.GAPS), "gap")
 
     source_probs = None
     if source is not None:
-        src_lengths = []
-        for i, entry in enumerate(corpus, 1):
-            if entry.src is None:
-                raise LengthMismatch(f"corpus entry {i} has no source sentence", file=str(source))
-            src_lengths.append(len(entry.src))
+        src_lengths = stream_lengths(corpus, Stream.SOURCE)
+        if None in src_lengths:
+            i = src_lengths.index(None) + 1
+            raise LengthMismatch(f"corpus entry {i} has no source sentence", file=str(source))
         source_probs = _load_stream(source, src_lengths, "source")
 
     sentence_scores = None
     if sentences is not None:
         values = read_score_lines(sentences)
-        if len(values) != len(corpus):
-            raise LengthMismatch(
-                f"sentence stream has {len(values)} lines, corpus has {len(corpus)}",
-                file=str(sentences),
-            )
+        check_lengths(values, [None] * len(corpus), sentences, "sentence stream")
         sentence_scores = tuple(values)
 
     return PredictionSet(

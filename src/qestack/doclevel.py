@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import Tag, TargetTags
+from .corpus import Tag, TargetTags, _parse_float, _read_lines, _write_lines
 from .errors import ParseError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 
@@ -38,6 +38,8 @@ __all__ = [
     "read_annotations",
     "write_annotations",
     "read_document_manifest",
+    "read_doc_table",
+    "write_doc_table",
     "DEFAULT_SEVERITY_WEIGHTS",
 ]
 
@@ -362,35 +364,29 @@ def _format_annotation(doc_id: str, ann: Annotation) -> str:
 
 def write_annotations(by_doc: Mapping[str, Sequence[Annotation]], path):
     """One annotation per line: ``doc_id<TAB>severity<TAB>sent:start-end[,...]``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc_id, annotations in by_doc.items():
-            for ann in annotations:
-                handle.write(_format_annotation(doc_id, ann) + "\n")
+    _write_lines(path, (_format_annotation(doc_id, ann) for doc_id, anns in by_doc.items() for ann in anns))
 
 
 def read_annotations(path) -> dict[str, list[Annotation]]:
     by_doc: dict[str, list[Annotation]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                raise ParseError("empty line", file=str(path), line=i)
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError("expected doc_id<TAB>severity<TAB>spans", file=str(path), line=i)
-            doc_id, severity_text, span_text = fields
-            severity = Severity.parse(severity_text, file=str(path), line=i)
-            spans = []
-            for part in span_text.split(","):
-                try:
-                    sent, _, rest = part.partition(":")
-                    start, _, end = rest.partition("-")
-                    spans.append(Span(int(sent), int(start), int(end)))
-                except (ValueError, SpanOutOfBounds):
-                    raise ParseError(f"malformed span {part!r}", file=str(path), line=i) from None
-            by_doc.setdefault(doc_id, []).append(
-                Annotation(severity=severity, spans=tuple(spans))
-            )
+    for i, line in enumerate(_read_lines(path), 1):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError("expected doc_id<TAB>severity<TAB>spans", file=str(path), line=i)
+        doc_id, severity_text, span_text = fields
+        severity = Severity.parse(severity_text, file=str(path), line=i)
+        spans = []
+        for part in span_text.split(","):
+            try:
+                sent, _, rest = part.partition(":")
+                start, _, end = rest.partition("-")
+                spans.append(Span(int(sent), int(start), int(end)))
+            except (ValueError, SpanOutOfBounds):
+                raise ParseError(f"malformed span {part!r}", file=str(path), line=i) from None
+        try:
+            by_doc.setdefault(doc_id, []).append(Annotation(severity=severity, spans=tuple(spans)))
+        except ValueError as exc:
+            raise ParseError(str(exc), file=str(path), line=i) from None
     return by_doc
 
 
@@ -399,17 +395,31 @@ def read_document_manifest(path) -> dict[str, Document]:
     holds one raw sentence per line."""
     base = os.path.dirname(os.path.abspath(path))
     docs: dict[str, Document] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                raise ParseError("empty line", file=str(path), line=i)
-            doc_id, sep, rel = line.partition("\t")
-            if not sep or not doc_id or not rel:
-                raise ParseError("expected doc_id<TAB>path", file=str(path), line=i)
-            if doc_id in docs:
-                raise ParseError(f"duplicate document id {doc_id!r}", file=str(path), line=i)
-            with open(os.path.join(base, rel), "r", encoding="utf-8") as doc_handle:
-                sentences = doc_handle.read().splitlines()
-            docs[doc_id] = Document.from_sentences(sentences)
+    for i, line in enumerate(_read_lines(path), 1):
+        doc_id, sep, rel = line.partition("\t")
+        if not sep or not doc_id or not rel:
+            raise ParseError("expected doc_id<TAB>path", file=str(path), line=i)
+        if doc_id in docs:
+            raise ParseError(f"duplicate document id {doc_id!r}", file=str(path), line=i)
+        doc_path = os.path.join(base, rel)
+        sentences = _read_lines(doc_path)
+        if not sentences:
+            raise ParseError("document holds no sentences", file=doc_path)
+        docs[doc_id] = Document.from_sentences(sentences)
     return docs
+
+
+def read_doc_table(path, n_columns: int) -> dict[str, list[float]]:
+    """A document feature or MQM table: ``doc_id<TAB>value...`` per line with
+    ``n_columns`` values."""
+    table = {}
+    for i, line in enumerate(_read_lines(path), 1):
+        doc_id, *values = line.split("\t")
+        if len(values) != n_columns:
+            raise ParseError(f"expected doc_id and {n_columns} values", file=str(path), line=i)
+        table[doc_id] = [_parse_float(v, file=str(path), line=i) for v in values]
+    return table
+
+
+def write_doc_table(table: Mapping[str, Sequence[float]], path):
+    _write_lines(path, (doc_id + "".join(f"\t{float(v)!r}" for v in row) for doc_id, row in table.items()))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Stream, Tag, _parse_float
+from .corpus import PredictionSet, Stream, Tag, _parse_float, _read_lines, _write_lines
 from .errors import FoldError, MissingStream, ParseError, RangeError, SingularSystem, ZeroWeights
 from .metrics import f1_mult_bool
 
@@ -536,54 +536,47 @@ def ridge_cv(
 def save_weights(system_ids: Sequence[str], w: WeightVector, path):
     if len(system_ids) != len(w.weights):
         raise ValueError("one system id per weight required")
-    with open(path, "w", encoding="utf-8") as handle:
-        for system_id, weight in zip(system_ids, w.weights):
-            handle.write(f"{system_id}\t{weight!r}\n")
+    _write_lines(path, (f"{system_id}\t{weight!r}" for system_id, weight in zip(system_ids, w.weights)))
 
 
 def load_weights(path, stream: Stream) -> tuple[list[str], WeightVector]:
     ids = []
     weights = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, 1):
-            try:
-                system_id, text = line.rstrip("\n").split("\t")
-                weight = float(text)
-            except ValueError:
-                raise ParseError("malformed weights line", file=str(path), line=i) from None
-            _check_weight(weight, file=str(path), line=i)
-            ids.append(system_id)
-            weights.append(weight)
+    for i, line in enumerate(_read_lines(path), 1):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError("malformed weights line", file=str(path), line=i)
+        weight = _parse_float(fields[1], file=str(path), line=i)
+        _check_weight(weight, file=str(path), line=i)
+        ids.append(fields[0])
+        weights.append(weight)
     return ids, WeightVector(weights=tuple(weights), stream=stream)
 
 
 def save_ridge_model(model: RidgeModel, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"intercept\t{model.intercept!r}\n")
-        handle.write(f"lambda\t{model.lam!r}\n")
-        for name, coef in zip(model.feature_names, model.coefficients):
-            handle.write(f"coef:{name}\t{float(coef)!r}\n")
+    lines = [f"intercept\t{model.intercept!r}", f"lambda\t{model.lam!r}"]
+    lines += [f"coef:{name}\t{float(coef)!r}" for name, coef in zip(model.feature_names, model.coefficients)]
+    _write_lines(path, lines)
 
 
 def load_ridge_model(path) -> RidgeModel:
     intercept = lam = None
     names: list[str] = []
     coefs: list[float] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, 1):
-            key, sep, value = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise ParseError("malformed model line", file=str(path), line=i)
-            number = _parse_float(value, file=str(path), line=i)
-            if key == "intercept":
-                intercept = number
-            elif key == "lambda":
-                lam = number
-            elif key.startswith("coef:"):
-                names.append(key[len("coef:"):])
-                coefs.append(number)
-            else:
-                raise ParseError(f"unknown model field {key!r}", file=str(path), line=i)
+    for i, line in enumerate(_read_lines(path), 1):
+        key, sep, value = line.partition("\t")
+        if not sep:
+            raise ParseError("malformed model line", file=str(path), line=i)
+        number = _parse_float(value, file=str(path), line=i)
+        if key == "intercept":
+            intercept = number
+        elif key == "lambda":
+            lam = number
+        elif key.startswith("coef:"):
+            names.append(key[len("coef:"):])
+            coefs.append(number)
+        else:
+            raise ParseError(f"unknown model field {key!r}", file=str(path), line=i)
     if intercept is None or lam is None:
         raise ParseError("missing intercept or lambda", file=str(path))
     return RidgeModel(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import exp
 from typing import Callable, Sequence
 
-from .corpus import PredictionSet, Stream, TaggedCorpus, Tag
+from .corpus import PredictionSet, Stream, TaggedCorpus, Tag, _parse_float, _read_lines, _write_lines
 from .ensemble import FoldPlan
 from .errors import ParseError, RangeError
 
@@ -535,21 +535,16 @@ def jackknife(
 
 def save_model(model: LinearModel, path):
     """Plain-text model: one ``featurekey<TAB>weight`` line, sorted by key."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for key in sorted(model.weights):
-            handle.write(f"{key}\t{model.weights[key]!r}\n")
+    _write_lines(path, (f"{key}\t{model.weights[key]!r}" for key in sorted(model.weights)))
 
 
 def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
     weights = _Weights()
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, 1):
-            fields = line.split()
-            try:
-                key, value = fields
-                weights[int(key)] = float(value)
-            except ValueError:
-                raise ParseError("malformed model line", file=str(path), line=i) from None
+    for i, line in enumerate(_read_lines(path), 1):
+        key, sep, value = line.partition("\t")
+        if not sep or not key.isdecimal():
+            raise ParseError("malformed model line", file=str(path), line=i)
+        weights[int(key)] = _parse_float(value, file=str(path), line=i)
     return LinearModel(weights=weights, config=config or FeatureConfig())
 
 

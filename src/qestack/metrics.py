@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Tag
-from .errors import DegenerateInput, EmptyInput, RangeError
+from .errors import DegenerateInput, EmptyInput, LengthMismatch, RangeError
 
 __all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "f1_mult_bool", "mcc", "pearson"]
 
@@ -33,7 +33,7 @@ class ContingencyTable:
     def from_bool(cls, gold_bad: np.ndarray, pred_bad: np.ndarray) -> "ContingencyTable":
         """Counts over boolean BAD-indicator arrays; every metric counts here."""
         if gold_bad.shape != pred_bad.shape:
-            raise EmptyInput(f"gold has {gold_bad.size} tags, prediction has {pred_bad.size}")
+            raise LengthMismatch(f"gold has {gold_bad.size} tags, prediction has {pred_bad.size}")
         if not gold_bad.size:
             raise EmptyInput("cannot score zero tags")
         tp = int(np.count_nonzero(gold_bad & pred_bad))

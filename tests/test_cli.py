@@ -493,6 +493,36 @@ def test_ridge_model_with_an_unparsable_lambda_is_one_error_line(tmp_path, capsy
     assert_one_error_line(code, err, f"{model}:2:")
 
 
+@pytest.mark.parametrize("command", ["apply", "eval"])
+def test_unparsable_doc_table_value_is_one_error_line(tmp_path, capsys, command):
+    if command == "apply":
+        table = write(tmp_path / "f.tsv", "doc0\t0.1\tx\t0.3\t0.4\n")
+        model = write(
+            tmp_path / "r.model",
+            "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4)),
+        )
+        argv = ["doc", "apply", "--features", table, "--model", model, "--out", tmp_path / "out"]
+    else:
+        table = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\tabc\n")
+        pred = write(tmp_path / "pred.mqm", "doc0\t40.0\ndoc1\t60.0\n")
+        argv = ["doc", "eval", "--gold-mqm", table, "--pred-mqm", pred]
+    code, _, err = run(capsys, *argv)
+    assert_one_error_line(code, err, f"{table}:{1 if command == 'apply' else 2}:")
+
+
+@pytest.mark.parametrize("command", [["linear", "train"], ["ensemble-sent", "fit"]], ids="-".join)
+def test_seed_in_a_config_file_is_an_unknown_key(tmp_path, capsys, rng, command):
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    config = write(tmp_path / "run.cfg", "seed=5\n")
+    if command[0] == "linear":
+        argv = ["--mt", paths["mt"], "--tags", paths["tags"], "--model", tmp_path / "m"]
+    else:
+        manifest = prediction_files(tmp_path, rng, paths["mt"])
+        argv = ["--manifest", manifest, "--mt", paths["mt"], "--gold-scores", paths["hter"], "--out", tmp_path / "m"]
+    code, _, err = run(capsys, "--config", config, *command, *argv)
+    assert_one_error_line(code, err, "unknown config keys: seed")
+
+
 # --- doc pipeline ---------------------------------------------------------------------
 
 

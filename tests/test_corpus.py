@@ -6,6 +6,7 @@ from qestack.corpus import (
     PredictionSet,
     Sentence,
     SourceTags,
+    Stream,
     Tag,
     TargetTags,
     load_corpus,
@@ -19,7 +20,10 @@ from qestack.corpus import (
     write_sentences,
     write_tags,
 )
+from qestack.doclevel import read_annotations, read_doc_table, read_document_manifest
+from qestack.ensemble import load_ridge_model, load_weights
 from qestack.errors import LengthMismatch, ParseError, RangeError
+from qestack.linearqe import load_model
 
 from conftest import random_corpus
 
@@ -80,7 +84,7 @@ def test_malformed_tag_raises(tmp_path):
 def test_hter_outside_unit_interval_raises(tmp_path):
     mt = write(tmp_path / "x.mt", "a\n")
     hter = write(tmp_path / "x.hter", "1.5\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(RangeError):
         load_corpus(mt=mt, hter=hter)
 
 
@@ -225,3 +229,46 @@ def test_prediction_set_requires_consistent_construction():
         TargetTags(word_tags=(OK,), gap_tags=(OK,))
     ps = PredictionSet(system_id="s", word_probs=((0.5,),))
     assert len(ps) == 1
+
+
+# --- every artifact loader -------------------------------------------------------
+
+
+def _plain(loader, name):
+    def make(tmp_path, text):
+        path = write(tmp_path / name, text)
+        return path, lambda: loader(path)
+
+    return make
+
+
+def _document_manifest(tmp_path, text):
+    write(tmp_path / "d0.txt", "a b\n")
+    return _plain(read_document_manifest, "docs.tsv")(tmp_path, text)
+
+
+def _document_file(tmp_path, text):
+    manifest = write(tmp_path / "docs.tsv", "d0\td0.txt\n")
+    return write(tmp_path / "d0.txt", text), lambda: read_document_manifest(manifest)
+
+
+# kind -> (writes the faulty file and returns it with its loader, valid line, garbled line)
+LOADERS = {
+    "linear model": (_plain(load_model, "m.model"), "12\t0.5", "12 0.5"),
+    "weights": (_plain(lambda p: load_weights(p, Stream.WORDS), "w.tsv"), "sys0\t0.5", "sys1\t0.5\t0.5"),
+    "ridge model": (_plain(load_ridge_model, "r.model"), "intercept\t0.5", "lambda 0.1"),
+    "annotations": (_plain(read_annotations, "a.tsv"), "d0\tmajor\t0:0-1", "d0\tmajor\t0:1"),
+    "document manifest": (_document_manifest, "d0\td0.txt", "d1"),
+    "document file": (_document_file, "a b", "   "),
+    "doc table": (_plain(lambda p: read_doc_table(p, 1), "t.tsv"), "d0\t1.5", "d1\tx"),
+}
+
+
+@pytest.mark.parametrize("garbled", [False, True], ids=["empty", "garbled"])
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_every_loader_names_file_and_line_of_an_empty_or_garbled_line(tmp_path, kind, garbled):
+    make, valid, bad = LOADERS[kind]
+    path, load = make(tmp_path, valid + "\n" + (bad if garbled else "") + "\n")
+    with pytest.raises(ParseError) as caught:
+        load()
+    assert (caught.value.file, caught.value.line) == (path, 2)

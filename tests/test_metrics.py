@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qestack.corpus import Tag
-from qestack.errors import DegenerateInput, EmptyInput
+from qestack.errors import DegenerateInput, EmptyInput, LengthMismatch
 from qestack.metrics import ContingencyTable, f1_mult, mcc, pearson, threshold
 
 OK, BAD = Tag.OK, Tag.BAD
@@ -111,7 +111,7 @@ def test_pearson_examples():
 def test_degenerate_inputs_raise():
     with pytest.raises(EmptyInput):
         f1_mult([], [])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(LengthMismatch):
         mcc([OK], [OK, BAD])
     with pytest.raises(DegenerateInput):
         pearson([1.0], [2.0])
