@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Tag, TargetTags, _parse_float, _read_lines, _write_lines
-from .errors import ParseError, SpanOutOfBounds
+from .errors import ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 
 __all__ = [
@@ -195,12 +195,12 @@ def tags_to_annotations(
     with no merge attempted. All annotations get ``default_severity``.
     """
     if len(tags) != len(doc.sentences):
-        raise ValueError("one TargetTags per sentence required")
+        raise RangeError("one TargetTags per sentence required")
     annotations = []
     for sent_idx, (sentence_tags, offsets) in enumerate(zip(tags, doc.token_offsets)):
         n = len(offsets)
         if len(sentence_tags.word_tags) != n:
-            raise ValueError(f"sentence {sent_idx}: {len(sentence_tags.word_tags)} word tags for {n} tokens")
+            raise RangeError(f"sentence {sent_idx}: {len(sentence_tags.word_tags)} word tags for {n} tokens")
         spans: list[Span] = []
         run_start = None
         for t in range(n + 1):
@@ -228,15 +228,15 @@ def mqm_closed_form(
     """MQM on the 0-100 scale from severity counts and the document word
     count; negative scores are allowed unless a ``floor`` is given."""
     if n_words < 1:
-        raise ValueError("n_words must be >= 1")
+        raise RangeError("n_words must be >= 1")
     weights = DEFAULT_SEVERITY_WEIGHTS if weights is None else weights
     penalty = 0.0
     for severity, count in counts.items():
         if count < 0:
-            raise ValueError("severity counts must be nonnegative")
+            raise RangeError("severity counts must be nonnegative")
         weight = weights[severity]
         if weight < 0:
-            raise ValueError("severity weights must be nonnegative")
+            raise RangeError("severity weights must be nonnegative")
         penalty += weight * count
     score = 100.0 * (1.0 - penalty / n_words)
     if floor is not None:
@@ -250,7 +250,7 @@ def doc_mqm_features(
     """The 4 regression features: unweighted mean sentence MQM and the BAD
     fractions among token tags, gap tags and all tags."""
     if not tags or len(tags) != len(sentence_mqms):
-        raise ValueError("need one predicted MQM per sentence")
+        raise RangeError("need one predicted MQM per sentence")
     bad_words = sum(1 for t in tags for tag in t.word_tags if tag is Tag.BAD)
     bad_gaps = sum(1 for t in tags for tag in t.gap_tags if tag is Tag.BAD)
     n_words = sum(len(t.word_tags) for t in tags)
@@ -267,7 +267,7 @@ def fit_doc_mqm(features, gold_mqms, lam: float = 0.0) -> RidgeModel:
     """Least squares by default; a lambda grid is available upstream."""
     features = [list(row) for row in features]
     if len(features) < 5:
-        raise ValueError("need at least 5 documents to fit")
+        raise RangeError("need at least 5 documents to fit")
     return ridge_fit(
         features,
         list(gold_mqms),

@@ -3,7 +3,8 @@
 The alignment is plain Levenshtein under unit costs (no block shifts): the
 labeling convention only needs a deterministic minimum-cost script, and ties
 are broken during backtrace by preferring MATCH > SUB > DEL_FROM_MT >
-INS_INTO_MT_GAP.
+INS_INTO_MT_GAP. The DP fills each cell by compare-and-assign, without a
+builtin call per cell.
 """
 
 from __future__ import annotations
@@ -50,18 +51,24 @@ def align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
     pe_tokens = list(pe)
     n, m = len(mt_tokens), len(pe_tokens)
 
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        mt_tok = mt_tokens[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0 if mt_tok == pe_tokens[j - 1] else 1)
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+    # Each cell is min(diag, up + 1, left + 1), written as min(diag,
+    # min(up, left) + 1) by compare-and-assign: the same ints as min(),
+    # without a builtin call per cell. ``left`` ends as the cell itself.
+    dist = [list(range(m + 1))]
+    for i, mt_tok in enumerate(mt_tokens, 1):
+        prev = dist[-1]
+        row = [i]
+        left = i
+        for pe_tok, diag, up in zip(pe_tokens, prev, prev[1:]):
+            if mt_tok != pe_tok:
+                diag += 1
+            if up < left:
+                left = up
+            left += 1
+            if diag < left:
+                left = diag
+            row.append(left)
+        dist.append(row)
 
     steps: list[EditStep] = []
     i, j = n, m

@@ -9,9 +9,12 @@ over the two labels; weights are learned with max-loss MIRA and averaged over
 all post-update vectors.
 
 Feature strings are hashed to 64-bit keys (FNV-1a); collisions are tolerated,
-they merely share a weight. Each ``mira_train`` or ``jackknife`` call interns
-the keys of its corpus into dense ids, so colliding strings share one id, and
-trains on weight lists indexed by id; models and their files keep the keys.
+they merely share a weight. Each call of ``predict``, ``mira_train`` or
+``jackknife`` hashes every distinct label-free template once, as its OK and
+BAD keys, through a memo that lives for that call. Training interns the keys
+of its corpus into dense ids, so colliding strings share one id, and trains
+on weight lists indexed by id; models and their files keep the keys.
+Prediction skips the keys the model lacks, which would only add 0.0.
 Gap and source streams are trained as independent sequence models over their
 own position sequences.
 """
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 _LABELS = (Tag.OK, Tag.BAD)
+_CONJUNCTS = tuple(f"∧{label.value}" for label in _LABELS)
 _START = "<start>"
 _LEFT_SENTINEL = "<s>"
 _RIGHT_SENTINEL = "</s>"
@@ -134,41 +138,41 @@ def feature_strings(
     inst: SequenceInstance, i: int, label: Tag, prev: Tag | None, config: FeatureConfig
 ) -> list[str]:
     """Human-readable feature names for position ``i`` with ``label`` and the
-    previous label ``prev`` (None means sequence start)."""
-    feats = _unigram_strings(inst, i, label, config)
+    previous label ``prev`` (None means sequence start): each label-free
+    template conjoined with the label, then the bigram."""
+    feats = [f"{role}{value}∧{label.value}" for role, value in _templates(inst, i, config)]
     if config.use_bigram:
         feats.append(_bigram_string(prev, label))
     return feats
 
 
-def _unigram_strings(
-    inst: SequenceInstance, i: int, label: Tag, config: FeatureConfig
-) -> list[str]:
-    """The templates conjoined with the current label alone."""
-    y = label.value
-    feats = []
+def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tuple[str, object]]:
+    """Position ``i``'s label-free unigram templates as ``(role, value)``
+    pairs, in slot order; the template is ``f"{role}{value}"``. A value is a
+    string the instance holds, a sentinel or a bin number, so a memo keyed by
+    role and value holds no strings of its own."""
+    tokens = inst.tokens
+    templates = []
     if config.use_bias:
-        feats.append(f"b∧{y}")
+        templates.append(("b", ""))
     if config.use_word:
-        feats.append(f"w0={inst.tokens[i]}∧{y}")
+        templates.append(("w0=", tokens[i]))
     if config.use_context:
-        left = inst.tokens[i - 1] if i > 0 else _LEFT_SENTINEL
-        right = inst.tokens[i + 1] if i + 1 < len(inst.tokens) else _RIGHT_SENTINEL
-        feats.append(f"w-1={left}∧{y}")
-        feats.append(f"w+1={right}∧{y}")
+        templates.append(("w-1=", tokens[i - 1] if i > 0 else _LEFT_SENTINEL))
+        templates.append(("w+1=", tokens[i + 1] if i + 1 < len(tokens) else _RIGHT_SENTINEL))
     if config.use_aligned:
         words = inst.aligned[i] if inst.aligned else ()
         if words:
-            feats.extend(f"a={word}∧{y}" for word in words)
+            templates.extend(("a=", word) for word in words)
         else:
-            feats.append(f"a={_NO_ALIGNMENT}∧{y}")
+            templates.append(("a=", _NO_ALIGNMENT))
     if config.use_extra:
         for c, column in enumerate(inst.extra):
-            feats.append(f"x{c}={column[i]}∧{y}")
+            templates.append((f"x{c}=", column[i]))
     if config.use_stacked:
         for system_id, probs in inst.stacked:
-            feats.append(f"s:{system_id}:b{_prob_bin(probs[i], config.bins)}∧{y}")
-    return feats
+            templates.append((f"s:{system_id}:b", _prob_bin(probs[i], config.bins)))
+    return templates
 
 
 def _bigram_string(prev: Tag | None, label: Tag) -> str:
@@ -184,39 +188,78 @@ def extract_features(
 
 # ---------------------------------------------------------------------------
 # Compiled form: unigram keys are position/label-local and never change while
-# the weights do, so they are hashed once per instance. Scores read
+# the weights do, so each instance is compiled once, and a memo that lives
+# for one ``predict``, ``mira_train`` or ``jackknife`` call hashes each
+# distinct label-free template once (as its OK and BAD keys). Scores read
 # ``w[slot]``: training interns each key into a dense id and ``w`` is a list,
-# prediction keeps the keys and ``w`` is the model's ``_Weights``. Every score
-# is a left-to-right sum in slot order; an unseen slot adds 0.0, a no-op.
+# prediction keeps the keys the model holds and ``w`` is the model's
+# ``_Weights``. Every score is a left-to-right sum in slot order from +0.0;
+# such a sum is never -0.0, so the 0.0 that a dropped key would add is a
+# no-op and prediction is bit-identical to summing every key.
 # ---------------------------------------------------------------------------
 
 
+class _Memo(dict):
+    """One call's templates, by role and then by value, mapped to their
+    (OK slots, BAD slots); ``slot`` turns a 64-bit key into a tuple of its
+    slots (none when the key is dropped)."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: Callable[[int], tuple]):
+        super().__init__()
+        self.slot = slot
+
+    @classmethod
+    def interning(cls, index: dict[int, int]) -> "_Memo":
+        """A key's slot is its dense id in ``index``; a new key takes the
+        next one, and colliding strings share one."""
+        return cls(lambda key: (index.setdefault(key, len(index)),))
+
+    @classmethod
+    def reading(cls, w: "_Weights") -> "_Memo":
+        """A key's slot is the key itself; a key the model lacks is dropped."""
+        return cls(lambda key: (key,) if key in w else ())
+
+    def __missing__(self, role):
+        table = self[role] = {}
+        return table
+
+    def resolve(self, role: str, value) -> tuple[tuple, tuple]:
+        template = f"{role}{value}"
+        return tuple(self.slot(fnv1a64(template + conjunct)) for conjunct in _CONJUNCTS)
+
+
 class _Compiled:
-    """``slots[i]`` holds position ``i``'s (OK, BAD) unigram slots. With an
-    ``index`` a slot is the key's dense id (a new key takes the next one);
-    without, it is the 64-bit key itself."""
+    """``slots[i]`` holds position ``i``'s (OK, BAD) unigram slots, as the
+    call's ``memo`` resolves them."""
 
     __slots__ = ("slots", "n")
 
-    def __init__(self, inst: SequenceInstance, config: FeatureConfig, index: dict[int, int] | None = None):
+    def __init__(self, inst: SequenceInstance, config: FeatureConfig, memo: _Memo):
         self.n = len(inst)
-        self.slots = [
-            tuple(_slots(_unigram_strings(inst, i, label, config), index) for label in _LABELS)
-            for i in range(self.n)
-        ]
-
-
-def _slots(strings, index):
-    keys = tuple(fnv1a64(s) for s in strings)
-    return keys if index is None else tuple(index.setdefault(key, len(index)) for key in keys)
+        self.slots = []
+        for i in range(self.n):
+            ok, bad = [], []
+            for role, value in _templates(inst, i, config):
+                table = memo[role]
+                entry = table.get(value)
+                if entry is None:
+                    entry = table[value] = memo.resolve(role, value)
+                ok += entry[0]
+                bad += entry[1]
+            self.slots.append((tuple(ok), tuple(bad)))
 
 
 def _bigram_slots(config: FeatureConfig, index=None):
-    """Transition slots indexed [prev][cur]; prev 0 is the start sentinel."""
+    """Transition slots indexed [prev][cur]; prev 0 is the start sentinel.
+    With an ``index`` a slot is the key's dense id, without it is the key."""
     if not config.use_bigram:
         return None
-    prevs = (None, Tag.OK, Tag.BAD)
-    return tuple(_slots([_bigram_string(p, label) for label in _LABELS], index) for p in prevs)
+    keys = [[fnv1a64(_bigram_string(p, label)) for label in _LABELS] for p in (None, Tag.OK, Tag.BAD)]
+    if index is None:
+        return tuple(tuple(row) for row in keys)
+    return tuple(tuple(index.setdefault(key, len(index)) for key in row) for row in keys)
 
 
 class _Weights(dict):
@@ -331,7 +374,7 @@ def viterbi(
     is Hamming-augmented (loss-augmented decoding). Ties break toward OK."""
     w = _model_weights(model)
     cost = None if cost_gold is None else _path(cost_gold)
-    u = _unigram_scores(_Compiled(inst, model.config), w, cost)
+    u = _unigram_scores(_Compiled(inst, model.config, _Memo.reading(w)), w, cost)
     _, path, score = _forward(u, _transition_scores(_bigram_slots(model.config), w))
     return [_LABELS[l] for l in path], score
 
@@ -340,7 +383,7 @@ def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[
     """Model score of one labeling (no loss augmentation)."""
     w = _model_weights(model)
     t = _transition_scores(_bigram_slots(model.config), w)
-    return _path_score(_Compiled(inst, model.config), t, w, _path(labels))
+    return _path_score(_Compiled(inst, model.config, _Memo.reading(w)), t, w, _path(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +435,8 @@ def _compile_training(instances, golds, epochs, C, config):
             raise ValueError("gold labeling length must match its instance")
     config = config or FeatureConfig()
     index: dict[int, int] = {}
-    compiled = [_Compiled(inst, config, index) for inst in instances]
+    memo = _Memo.interning(index)
+    compiled = [_Compiled(inst, config, memo) for inst in instances]
     return config, index, compiled, _bigram_slots(config, index), [_path(gold) for gold in golds]
 
 
@@ -467,8 +511,10 @@ def predict(
 ) -> tuple[list[list[Tag]], list[list[float]]]:
     """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
     ``predict_probs`` give them), each instance compiled once."""
-    compiled = (_Compiled(inst, model.config) for inst in instances)
-    return _decode(compiled, _bigram_slots(model.config), _model_weights(model), gamma)
+    w = _model_weights(model)
+    memo = _Memo.reading(w)
+    compiled = (_Compiled(inst, model.config, memo) for inst in instances)
+    return _decode(compiled, _bigram_slots(model.config), w, gamma)
 
 
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:

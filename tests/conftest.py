@@ -1,9 +1,17 @@
+import os
 import random
 import string
 
 import pytest
+from hypothesis import settings
 
 from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, Tag, TargetTags
+
+# CI (which GitHub Actions sets) runs the property tests on a fixed example
+# sequence and without per-example deadlines on slow runners.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_token(rng: random.Random, alphabet=string.ascii_lowercase) -> str:

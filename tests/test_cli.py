@@ -523,6 +523,13 @@ def test_seed_in_a_config_file_is_an_unknown_key(tmp_path, capsys, rng, command)
     assert_one_error_line(code, err, "unknown config keys: seed")
 
 
+def test_doc_fit_on_fewer_than_five_documents_is_one_error_line(tmp_path, capsys):
+    features = write(tmp_path / "f.tsv", "doc0\t50.0\t0.1\t0.2\t0.15\ndoc1\t60.0\t0.2\t0.1\t0.15\n")
+    gold = write(tmp_path / "gold.mqm", "doc0\t55.0\ndoc1\t65.0\n")
+    code, _, err = run(capsys, "doc", "fit", "--features", features, "--gold", gold, "--out", tmp_path / "doc.model")
+    assert_one_error_line(code, err, "need at least 5 documents to fit")
+
+
 # --- doc pipeline ---------------------------------------------------------------------
 
 

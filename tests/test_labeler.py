@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qestack.corpus import Sentence, Tag, TargetTags
 from qestack.errors import InconsistentScript
@@ -72,6 +74,72 @@ def test_alignment_cost_equals_levenshtein_oracle():
         # projected index sequences must be 0..N-1 / 0..M-1 in order
         assert [s.mt_index for s in script if s.mt_index is not None] == list(range(len(mt)))
         assert [s.pe_index for s in script if s.pe_index is not None] == list(range(len(pe)))
+
+
+_PREFERENCE = (EditKind.MATCH, EditKind.SUB, EditKind.DEL_FROM_MT, EditKind.INS_INTO_MT_GAP)
+
+
+def min_align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
+    """The min()-based DP and backtrace that ``align_edit`` replaced, kept
+    verbatim as its oracle."""
+    mt_tokens = list(mt)
+    pe_tokens = list(pe)
+    n, m = len(mt_tokens), len(pe_tokens)
+
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = i
+    for j in range(1, m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        row = dist[i]
+        prev = dist[i - 1]
+        mt_tok = mt_tokens[i - 1]
+        for j in range(1, m + 1):
+            diag = prev[j - 1] + (0 if mt_tok == pe_tokens[j - 1] else 1)
+            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+
+    steps: list[EditStep] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        for kind in _PREFERENCE:
+            if kind is EditKind.MATCH:
+                if i > 0 and j > 0 and mt_tokens[i - 1] == pe_tokens[j - 1] and here == dist[i - 1][j - 1]:
+                    steps.append(EditStep(EditKind.MATCH, mt_index=i - 1, pe_index=j - 1))
+                    i, j = i - 1, j - 1
+                    break
+            elif kind is EditKind.SUB:
+                if i > 0 and j > 0 and mt_tokens[i - 1] != pe_tokens[j - 1] and here == dist[i - 1][j - 1] + 1:
+                    steps.append(EditStep(EditKind.SUB, mt_index=i - 1, pe_index=j - 1))
+                    i, j = i - 1, j - 1
+                    break
+            elif kind is EditKind.DEL_FROM_MT:
+                if i > 0 and here == dist[i - 1][j] + 1:
+                    steps.append(EditStep(EditKind.DEL_FROM_MT, mt_index=i - 1))
+                    i -= 1
+                    break
+            else:
+                if j > 0 and here == dist[i][j - 1] + 1:
+                    steps.append(EditStep(EditKind.INS_INTO_MT_GAP, pe_index=j - 1))
+                    j -= 1
+                    break
+    steps.reverse()
+    return steps
+
+
+@st.composite
+def sentence_pairs(draw):
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    tokens = st.lists(st.sampled_from(alphabet), min_size=1, max_size=30)
+    return Sentence(tuple(draw(tokens))), Sentence(tuple(draw(tokens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence_pairs())
+def test_alignment_script_equals_the_min_based_oracle(pair):
+    mt, pe = pair
+    assert align_edit(mt, pe) == min_align_edit(mt, pe)
 
 
 # --- tags from edits --------------------------------------------------------

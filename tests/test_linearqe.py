@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -106,6 +107,24 @@ def test_feature_extraction_is_deterministic():
     second = extract_features(inst, 1, BAD, OK, FeatureConfig())
     assert first == second
     assert all(isinstance(k, int) and 0 <= k < 2**64 for k in first)
+
+
+def test_feature_strings_of_every_template_in_slot_order():
+    # the order is the summation order of a score, so it is part of the bits
+    inst = make_instance(
+        ["a", "b"],
+        aligned=(("u", "v"), ()),
+        extra=(("P", "Q"), ("R", "S")),
+        stacked=(("s0", (0.1, 0.9)), ("s1", (0.5, 0.2))),
+    )
+    assert feature_strings(inst, 0, BAD, None, FeatureConfig(bins=4)) == [
+        "b∧BAD", "w0=a∧BAD", "w-1=<s>∧BAD", "w+1=b∧BAD", "a=u∧BAD", "a=v∧BAD",
+        "x0=P∧BAD", "x1=R∧BAD", "s:s0:b0∧BAD", "s:s1:b2∧BAD", "g=<start>∧BAD",
+    ]
+    assert feature_strings(inst, 1, OK, BAD, FeatureConfig(bins=4)) == [
+        "b∧OK", "w0=b∧OK", "w-1=a∧OK", "w+1=</s>∧OK", "a=<none>∧OK",
+        "x0=Q∧OK", "x1=S∧OK", "s:s0:b3∧OK", "s:s1:b0∧OK", "g=BAD∧OK",
+    ]
 
 
 def test_template_toggles_change_the_feature_set():
@@ -425,36 +444,83 @@ def reference_mira(instances, golds, config, *, epochs, C, seed):
     return {key: value for key, value in averaged.items() if value != 0.0}
 
 
-def reference_viterbi(inst, w, config, cost_gold=None):
-    """First-order Viterbi over dict weights; the bigram key is the last of
-    ``extract_features``. Ties break toward OK."""
+def reference_unigram(inst, w, config, i, label, cost_gold=None):
+    """Position ``i``'s unigram score over dict weights, summing every key of
+    ``extract_features`` (a missing key adds 0.0); the bigram key is the last
+    of them."""
+    keys = extract_features(inst, i, label, None, config)
+    s = 0.0
+    for key in keys[:-1] if config.use_bigram else keys:
+        s += w.get(key, 0.0)
+    return s + 1.0 if cost_gold is not None and label is not cost_gold[i] else s
+
+
+def reference_transition(inst, w, config, prev, label):
+    return w.get(extract_features(inst, 0, label, prev, config)[-1], 0.0) if config.use_bigram else 0.0
+
+
+def reference_forward(inst, w, config, cost_gold=None):
+    """The max-product forward pass over dict weights: ``delta[i][l]`` and
+    the back pointers of positions 1..n-1. Ties break toward OK."""
     labels = (OK, BAD)
-
-    def unigram(i, label):
-        keys = extract_features(inst, i, label, None, config)
-        s = 0.0
-        for key in keys[:-1] if config.use_bigram else keys:
-            s += w.get(key, 0.0)
-        return s + 1.0 if cost_gold is not None and label is not cost_gold[i] else s
-
-    def transition(prev, label):
-        return w.get(extract_features(inst, 0, label, prev, config)[-1], 0.0) if config.use_bigram else 0.0
-
-    delta = [[unigram(0, label) + transition(None, label) for label in labels]]
+    delta = [[
+        reference_unigram(inst, w, config, 0, label, cost_gold) + reference_transition(inst, w, config, None, label)
+        for label in labels
+    ]]
     back = []
     for i in range(1, len(inst)):
         row, pointers = [], []
         for label in labels:
-            ok, bad = (delta[-1][p] + transition(prev, label) for p, prev in enumerate(labels))
+            ok, bad = (delta[-1][p] + reference_transition(inst, w, config, prev, label) for p, prev in enumerate(labels))
             pointers.append(1 if bad > ok else 0)
-            row.append(unigram(i, label) + (bad if bad > ok else ok))
+            row.append(reference_unigram(inst, w, config, i, label, cost_gold) + (bad if bad > ok else ok))
         delta.append(row)
         back.append(pointers)
+    return delta, back
+
+
+def reference_viterbi(inst, w, config, cost_gold=None):
+    """First-order Viterbi over dict weights. Ties break toward OK."""
+    labels = (OK, BAD)
+    delta, back = reference_forward(inst, w, config, cost_gold)
     best = 0 if delta[-1][0] >= delta[-1][1] else 1
     path = [best]
     for pointers in reversed(back):
         path.append(pointers[path[-1]])
     return [labels[l] for l in reversed(path)], delta[-1][best]
+
+
+def reference_path_score(inst, w, config, labels):
+    """One labeling's score over dict weights, added key by key in position
+    order, each position's transition after its unigram keys."""
+    total, prev = 0.0, None
+    for i, label in enumerate(labels):
+        keys = extract_features(inst, i, label, prev, config)
+        for key in keys[:-1] if config.use_bigram else keys:
+            total += w.get(key, 0.0)
+        total += reference_transition(inst, w, config, prev, label)
+        prev = label
+    return total
+
+
+def reference_probs(inst, w, config, gamma):
+    """Max-marginal P(BAD) per position over dict weights: the logistic of
+    ``gamma`` times the best BAD score minus the best OK score, from the
+    forward pass and a backward max pass."""
+    labels = (OK, BAD)
+    delta, _ = reference_forward(inst, w, config)
+    n = len(inst)
+    bwd = [[0.0, 0.0] for _ in range(n)]
+    for i in range(n - 2, -1, -1):
+        for p, prev in enumerate(labels):
+            ok, bad = (
+                reference_transition(inst, w, config, prev, label)
+                + reference_unigram(inst, w, config, i + 1, label)
+                + bwd[i + 1][l]
+                for l, label in enumerate(labels)
+            )
+            bwd[i][p] = max(ok, bad)
+    return [1.0 / (1.0 + math.exp(-gamma * ((d1 + b1) - (d0 + b0)))) for (d0, d1), (b0, b1) in zip(delta, bwd)]
 
 
 def test_colliding_feature_strings_share_one_weight(monkeypatch):
@@ -488,6 +554,90 @@ def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path):
     assert hashlib.sha256(repr(probs).encode()).hexdigest() == (
         "b3f8c5e184c32cb22bcae3f12b3145b02152a9a2bc2fe338105cc2575a1fc17a"
     )
+
+
+def rich_data(rng, n_sentences):
+    """Instances with aligned words (some positions unaligned), two extra
+    columns and two stacked systems over a small vocabulary."""
+    instances = []
+    for _ in range(n_sentences):
+        tokens = [random_token(rng, "abc") for _ in range(rng.randint(1, 5))]
+        instances.append(make_instance(
+            tokens,
+            aligned=tuple(tuple(random_token(rng, "xy") for _ in range(rng.randint(0, 2))) for _ in tokens),
+            extra=tuple(tuple(rng.choice("PQR") for _ in tokens) for _ in range(2)),
+            stacked=tuple((system_id, tuple(rng.random() for _ in tokens)) for system_id in ("s0", "s1")),
+        ))
+    return instances
+
+
+def partial_model(rng, instances, config):
+    """Random weights on about half of the keys the instances produce, one
+    of them -0.0; the model lacks the other keys."""
+    keys = sorted({
+        key
+        for inst in instances
+        for i in range(len(inst))
+        for label in (OK, BAD)
+        for prev in (None, OK, BAD)
+        for key in extract_features(inst, i, label, prev, config)
+    })
+    weights = {key: rng.gauss(0.0, 1.0) for key in keys if rng.random() < 0.5}
+    if keys:
+        weights[rng.choice(keys)] = -0.0
+    return LinearModel(weights=weights, config=config)
+
+
+TOGGLES = ("use_bias", "use_word", "use_context", "use_aligned", "use_extra", "use_stacked", "use_bigram")
+
+
+def test_predict_equals_the_reference_bit_for_bit_under_every_toggle():
+    # predict drops the keys a model lacks; the reference adds 0.0 for each
+    rng = random.Random(21)
+    instances = rich_data(rng, 4)
+    for flags in itertools.product((True, False), repeat=len(TOGGLES)):
+        config = FeatureConfig(bins=3, **dict(zip(TOGGLES, flags)))
+        model = partial_model(rng, instances, config)
+        tags, probs = predict(instances, model, gamma=0.7)
+        for inst, row_tags, row_probs in zip(instances, tags, probs):
+            ref_tags, ref_score = reference_viterbi(inst, model.weights, config)
+            assert row_tags == ref_tags
+            assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, config, 0.7)]
+            decoded, score = viterbi(inst, model)
+            assert (decoded, score.hex()) == (ref_tags, ref_score.hex())
+            assert score_sequence(inst, model, ref_tags).hex() == reference_path_score(inst, model.weights, config, ref_tags).hex()
+
+
+def test_each_distinct_template_is_hashed_once_per_call(monkeypatch):
+    import qestack.linearqe as linearqe
+
+    hashed = []
+    full_hash = linearqe.fnv1a64
+
+    def counting_hash(text):
+        hashed.append(text)
+        return full_hash(text)
+
+    monkeypatch.setattr(linearqe, "fnv1a64", counting_hash)
+    instances, golds = noisy_data(random.Random(22), 40)
+    config = FeatureConfig(bins=3)
+    # each distinct label-free template gives one feature string per label
+    strings = {
+        text
+        for inst in instances
+        for i in range(len(inst))
+        for label in (OK, BAD)
+        for prev in (None, OK, BAD)
+        for text in feature_strings(inst, i, label, prev, config)
+    }
+    per_position = sum(len(feature_strings(inst, i, OK, None, config)) for inst in instances for i in range(len(inst)))
+
+    model = mira_train(instances, golds, epochs=2, config=config)
+    assert sorted(hashed) == sorted(strings)
+    for call in (lambda: predict(instances, model), lambda: jackknife(instances, golds, 4, epochs=2, config=config)):
+        hashed.clear()
+        call()
+        assert len(hashed) == len(set(hashed)) <= len(strings) < 2 * per_position
 
 
 def test_jackknife_rejects_too_few_sentences():
