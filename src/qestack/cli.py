@@ -237,21 +237,17 @@ def _ensemble_inputs(args, need_gold):
     return stream, loaded, preds, golds
 
 
+def _word_fit_options(values):
+    """The keyword arguments ``fit_word_ensemble`` and ``kfold_estimate`` share."""
+    return {key: values[key] for key in ("threshold", "optimize_threshold", "tol", "max_cycles", "line_samples")}
+
+
 def _cmd_ensemble_word_fit(args):
     values = resolve_config(
         _ENSEMBLE_WORD_SCHEMA, _load_file_config(args), {"threshold": args.threshold}
     )
     stream, _, preds, golds = _ensemble_inputs(args, need_gold=True)
-    fit = ensemble.fit_word_ensemble(
-        preds,
-        golds,
-        stream,
-        threshold=values["threshold"],
-        optimize_threshold=values["optimize_threshold"],
-        tol=values["tol"],
-        max_cycles=values["max_cycles"],
-        line_samples=values["line_samples"],
-    )
+    fit = ensemble.fit_word_ensemble(preds, golds, stream, **_word_fit_options(values))
     ensemble.save_weights([p.system_id for p in preds], fit.weights, args.out)
     _snapshot(
         f"{args.out}.run.cfg",
@@ -279,18 +275,7 @@ def _cmd_ensemble_word_kfold(args):
         _ENSEMBLE_WORD_SCHEMA, _load_file_config(args), {"threshold": args.threshold, "k": args.k}
     )
     stream, _, preds, golds = _ensemble_inputs(args, need_gold=True)
-    plan = ensemble.FoldPlan.contiguous(len(golds), values["k"])
-    estimate = ensemble.kfold_estimate(
-        preds,
-        golds,
-        plan,
-        stream,
-        threshold=values["threshold"],
-        optimize_threshold=values["optimize_threshold"],
-        tol=values["tol"],
-        max_cycles=values["max_cycles"],
-        line_samples=values["line_samples"],
-    )
+    estimate = ensemble.kfold_estimate(preds, golds, values["k"], stream, **_word_fit_options(values))
     _emit([("kfold_f1_mult", f"{estimate:.6f}"), ("k", values["k"])], args.format)
     return 0
 

@@ -11,19 +11,28 @@ that would stall on flat regions.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import PredictionSet, Stream, Tag, _parse_float, _read_lines, _write_lines
-from .errors import FoldError, MissingStream, ParseError, RangeError, SingularSystem, ZeroWeights
-from .metrics import f1_mult_bool
+from .errors import (
+    DegenerateInput,
+    FoldError,
+    LengthMismatch,
+    MissingStream,
+    ParseError,
+    RangeError,
+    SingularSystem,
+    ZeroWeights,
+)
+from .metrics import _check_threshold, f1_mult_bool
 
 __all__ = [
     "WeightVector",
-    "FoldPlan",
+    "fold_bounds",
     "RidgeModel",
     "WordEnsembleFit",
     "combine_word",
@@ -58,41 +67,14 @@ def _check_weight(w, *, file=None, line=None):
         raise RangeError(f"weight {w} outside [0, 1]", file=file, line=line)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Contiguous fold assignment with fold sizes differing by at most one."""
-
-    k: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise FoldError("k must be >= 2")
-        counts = [0] * self.k
-        previous = 0
-        for fold in self.assignment:
-            if fold < previous or fold >= self.k:
-                raise FoldError("fold assignment must be contiguous and in range")
-            previous = fold
-            counts[fold] += 1
-        if min(counts) == 0:
-            raise FoldError("every fold must be non-empty")
-        if max(counts) - min(counts) > 1:
-            raise FoldError("fold sizes may differ by at most one")
-
-    @classmethod
-    def contiguous(cls, n: int, k: int) -> "FoldPlan":
-        if n < k:
-            raise FoldError(f"cannot split {n} sentences into {k} folds")
-        assignment = []
-        for fold in range(k):
-            assignment.extend([fold] * ((fold + 1) * n // k - fold * n // k))
-        return cls(k=k, assignment=tuple(assignment))
-
-    def bounds(self) -> list[tuple[int, int]]:
-        """The ``(lo, hi)`` index range of every fold, in fold order."""
-        edges = [bisect_left(self.assignment, fold) for fold in range(self.k)]
-        return list(zip(edges, edges[1:] + [len(self.assignment)]))
+def fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` index range of each of ``k`` contiguous folds over
+    ``n`` items, in fold order; fold sizes differ by at most one."""
+    if n < k:
+        raise FoldError(f"cannot split {n} sentences into {k} folds")
+    if k < 2:
+        raise FoldError("k must be >= 2")
+    return [(f * n // k, (f + 1) * n // k) for f in range(k)]
 
 
 @dataclass
@@ -122,6 +104,8 @@ class WordEnsembleFit(NamedTuple):
 
 def _stacked_matrix(preds: Sequence[PredictionSet], stream: Stream) -> np.ndarray:
     """One row per system, one column per token of the stream."""
+    if not preds:
+        raise MissingStream("no systems to ensemble")
     rows = []
     for pred in preds:
         sentences = pred.stream(stream)
@@ -129,6 +113,11 @@ def _stacked_matrix(preds: Sequence[PredictionSet], stream: Stream) -> np.ndarra
             raise MissingStream(f"system {pred.system_id!r} provides no {stream.value} stream")
         rows.append(np.fromiter((p for sentence in sentences for p in sentence), dtype=float))
     return np.vstack(rows)
+
+
+def _offsets(rows) -> list[int]:
+    """The column where each row starts in a stacked matrix, then the total."""
+    return list(accumulate(map(len, rows), initial=0))
 
 
 def _combine(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -147,14 +136,10 @@ def combine_word(
     """Normalized convex combination of per-token probabilities."""
     stream = stream or w.stream
     if len(w.weights) != len(preds):
-        raise ValueError(f"{len(w.weights)} weights for {len(preds)} systems")
+        raise LengthMismatch(f"{len(w.weights)} weights for {len(preds)} systems")
     flat = _combine(np.array(w.weights, dtype=float), _stacked_matrix(preds, stream)).tolist()
-    combined = []
-    lo = 0
-    for row in preds[0].stream(stream):
-        combined.append(flat[lo:lo + len(row)])
-        lo += len(row)
-    return combined
+    offsets = _offsets(preds[0].stream(stream))
+    return [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +242,9 @@ def powell_optimize(
     x = np.clip(np.asarray(init, dtype=float), 0.0, 1.0)
     n = x.size
     if n < 1:
-        raise ValueError("need at least one coordinate")
+        raise DegenerateInput("need at least one coordinate")
     if line_samples < 3:
-        raise ValueError("line_samples must be >= 3")
+        raise RangeError(f"line_samples {line_samples} must be >= 3")
     func = _Recorder(objective)
     fx = func(x)
     basis = [np.eye(n)[i] for i in range(n)]
@@ -315,6 +300,52 @@ def _flatten_bad(tags: Sequence[Sequence[Tag]]) -> np.ndarray:
     )
 
 
+def _fit(
+    matrix: np.ndarray,
+    gold_bad: np.ndarray,
+    *,
+    threshold: float = 0.5,
+    optimize_threshold: bool = False,
+    tol: float = 1e-6,
+    max_cycles: int = 20,
+    line_samples: int = 51,
+) -> tuple[np.ndarray, float, float]:
+    """:func:`fit_word_ensemble` on a stacked matrix and its flat gold:
+    returns the weights, the threshold and the dev F1-MULT."""
+    _check_threshold(threshold)
+    if gold_bad.size != matrix.shape[1]:
+        raise LengthMismatch(
+            f"gold holds {gold_bad.size} tags but predictions hold {matrix.shape[1]}"
+        )
+    n = matrix.shape[0]
+
+    singles = [f1_mult_bool(gold_bad, matrix[s] >= threshold) for s in range(n)]
+    best_single = max(range(n), key=lambda s: (singles[s], -s))
+
+    def objective(z):
+        try:
+            combined = _combine(z[:n], matrix)
+        except ZeroWeights:
+            return 0.0
+        return -f1_mult_bool(gold_bad, combined >= (z[n] if optimize_threshold else threshold))
+
+    init = np.zeros(n + 1 if optimize_threshold else n)
+    init[best_single] = 1.0
+    if optimize_threshold:
+        init[n] = threshold
+
+    point, value = powell_optimize(
+        objective, init, tol=tol, max_cycles=max_cycles, line_samples=line_samples
+    )
+    if optimize_threshold:
+        weights, fitted_threshold = point[:n], float(point[n])
+    else:
+        weights, fitted_threshold = point, threshold
+    if weights.sum() <= 0.0:
+        weights = init[:n]
+    return weights, fitted_threshold, -value
+
+
 def fit_word_ensemble(
     dev_preds: Sequence[PredictionSet],
     dev_gold: Sequence[Sequence[Tag]],
@@ -333,87 +364,50 @@ def fit_word_ensemble(
     ``optimize_threshold`` the decision threshold joins the search as an
     extra coordinate; otherwise it stays fixed.
     """
-    if not dev_preds:
-        raise MissingStream("no systems to ensemble")
-    matrix = _stacked_matrix(dev_preds, stream)
-    gold = _flatten_bad(dev_gold)
-    if gold.size != matrix.shape[1]:
-        raise ValueError(
-            f"gold holds {gold.size} tags but predictions hold {matrix.shape[1]}"
-        )
-    n = len(dev_preds)
-
-    singles = [f1_mult_bool(gold, matrix[s] >= threshold) for s in range(n)]
-    best_single = max(range(n), key=lambda s: (singles[s], -s))
-
-    def objective(z):
-        try:
-            combined = _combine(z[:n], matrix)
-        except ZeroWeights:
-            return 0.0
-        return -f1_mult_bool(gold, combined >= (z[n] if optimize_threshold else threshold))
-
-    init = np.zeros(n + 1 if optimize_threshold else n)
-    init[best_single] = 1.0
-    if optimize_threshold:
-        init[n] = threshold
-
-    point, value = powell_optimize(
-        objective, init, tol=tol, max_cycles=max_cycles, line_samples=line_samples
+    weights, fitted_threshold, f1 = _fit(
+        _stacked_matrix(dev_preds, stream),
+        _flatten_bad(dev_gold),
+        threshold=threshold,
+        optimize_threshold=optimize_threshold,
+        tol=tol,
+        max_cycles=max_cycles,
+        line_samples=line_samples,
     )
-    if optimize_threshold:
-        weights, fitted_threshold = point[:n], float(point[n])
-    else:
-        weights, fitted_threshold = point, threshold
-    if weights.sum() <= 0.0:
-        weights = init[:n]
     return WordEnsembleFit(
         weights=WeightVector(weights=tuple(float(w) for w in weights), stream=stream),
         threshold=fitted_threshold,
-        f1=-value,
+        f1=f1,
     )
-
-
-def _slice_preds(preds: Sequence[PredictionSet], pick) -> list[PredictionSet]:
-    """Every stream of every system cut down to the sentences ``pick`` keeps."""
-    return [
-        PredictionSet(
-            p.system_id,
-            *(
-                None if rows is None else pick(rows)
-                for rows in (p.word_probs, p.gap_probs, p.source_probs, p.sentence_scores)
-            ),
-        )
-        for p in preds
-    ]
 
 
 def kfold_estimate(
     dev_preds: Sequence[PredictionSet],
     dev_gold: Sequence[Sequence[Tag]],
-    plan: FoldPlan,
+    k: int,
     stream: Stream,
     **fit_kwargs,
 ) -> float:
-    """Approximately unbiased dev-set estimate: fit weights with one fold
-    held out, predict that fold, and score F1-MULT over the concatenation of
-    all held-out predictions."""
-    if len(plan.assignment) != len(dev_gold):
-        raise ValueError("fold plan does not cover the dev set")
-    gold_bad = []
+    """Approximately unbiased dev-set estimate over ``k`` contiguous folds:
+    fit weights with one fold held out, predict that fold, and score F1-MULT
+    over the concatenation of all held-out predictions. The systems are
+    stacked once; each fold fits on the columns of the other folds."""
+    bounds = fold_bounds(len(dev_gold), k)
+    matrix = _stacked_matrix(dev_preds, stream)
+    offsets = _offsets(dev_gold)
+    for pred in dev_preds:
+        if _offsets(pred.stream(stream)) != offsets:
+            raise LengthMismatch(f"system {pred.system_id!r} and the gold differ in sentence lengths")
+    gold = _flatten_bad(dev_gold)
     pred_bad = []
-    for lo, hi in plan.bounds():
-        fit = fit_word_ensemble(
-            _slice_preds(dev_preds, lambda rows: rows[:lo] + rows[hi:]),
-            [*dev_gold[:lo], *dev_gold[hi:]],
-            stream,
+    for lo, hi in bounds:
+        a, b = offsets[lo], offsets[hi]
+        weights, threshold, _ = _fit(
+            np.concatenate((matrix[:, :a], matrix[:, b:]), axis=1),
+            np.concatenate((gold[:a], gold[b:])),
             **fit_kwargs,
         )
-        held = _stacked_matrix(_slice_preds(dev_preds, lambda rows: rows[lo:hi]), stream)
-        weights = np.array(fit.weights.weights, dtype=float)
-        pred_bad.append(_combine(weights, held) >= fit.threshold)
-        gold_bad.append(_flatten_bad(dev_gold[lo:hi]))
-    return f1_mult_bool(np.concatenate(gold_bad), np.concatenate(pred_bad))
+        pred_bad.append(_combine(weights, matrix[:, a:b]) >= threshold)
+    return f1_mult_bool(gold, np.concatenate(pred_bad))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +425,7 @@ def sentence_features(preds: Sequence[PredictionSet]) -> tuple[np.ndarray, list[
     n = len(preds[0])
     for p in preds:
         if len(p) != n:
-            raise ValueError("prediction sets disagree on sentence count")
+            raise LengthMismatch(f"system {p.system_id!r} holds {len(p)} sentences, expected {n}")
 
     columns: list[np.ndarray] = []
     names: list[str] = []
@@ -461,11 +455,11 @@ def ridge_fit(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X rows must match y")
+        raise LengthMismatch("X rows must match y")
     if X.shape[0] < 2:
-        raise ValueError("need at least two rows")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+        raise DegenerateInput("need at least two rows")
+    if not lam >= 0.0:
+        raise RangeError(f"lambda {lam} must be nonnegative")
 
     n_features = X.shape[1]
     if intercept:
@@ -484,7 +478,7 @@ def ridge_fit(
 
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(n_features)]
     if len(names) != n_features:
-        raise ValueError("feature_names length must match X columns")
+        raise LengthMismatch("feature_names length must match X columns")
     if intercept:
         return RidgeModel(coefficients=beta[:-1], intercept=float(beta[-1]), lam=lam, feature_names=names)
     return RidgeModel(coefficients=beta, intercept=0.0, lam=lam, feature_names=names)
@@ -503,13 +497,13 @@ def ridge_cv(
     """Pick the lambda with the smallest mean held-out squared error (ties
     go to the larger lambda) and refit on every row."""
     if not lambda_grid:
-        raise ValueError("lambda grid is empty")
+        raise DegenerateInput("lambda grid is empty")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    bounds = FoldPlan.contiguous(n, k).bounds()
+    bounds = fold_bounds(n, k)
 
     best_lam = None
     best_mse = np.inf
@@ -535,7 +529,7 @@ def ridge_cv(
 
 def save_weights(system_ids: Sequence[str], w: WeightVector, path):
     if len(system_ids) != len(w.weights):
-        raise ValueError("one system id per weight required")
+        raise LengthMismatch("one system id per weight required")
     _write_lines(path, (f"{system_id}\t{weight!r}" for system_id, weight in zip(system_ids, w.weights)))
 
 

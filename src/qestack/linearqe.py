@@ -30,7 +30,7 @@ from math import exp
 from typing import Callable, Sequence
 
 from .corpus import PredictionSet, Stream, TaggedCorpus, Tag, _parse_float, _read_lines, _write_lines
-from .ensemble import FoldPlan
+from .ensemble import fold_bounds
 from .errors import ParseError, RangeError
 
 __all__ = [
@@ -559,7 +559,7 @@ def jackknife(
     trains on index ranges of it; with ``jobs > 1`` every worker process
     receives it once. The concatenation covers each instance exactly once, in
     corpus order."""
-    bounds = FoldPlan.contiguous(len(instances), k).bounds()
+    bounds = fold_bounds(len(instances), k)
     config, index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C, config)
     fold = functools.partial(
         _jackknife_fold, compiled, paths, bigram_slots, len(index), gamma,

@@ -67,9 +67,13 @@ def _bad(tags: Sequence[Tag]) -> np.ndarray:
 
 def threshold(probs: Sequence[float], t: float) -> list[Tag]:
     """Map P(BAD) values to tags; the boundary is BAD (tag = BAD iff p >= t)."""
+    _check_threshold(t)
+    return [Tag.BAD if p >= t else Tag.OK for p in probs]
+
+
+def _check_threshold(t: float):
     if not 0.0 <= t <= 1.0:
         raise RangeError(f"threshold {t} outside [0, 1]")
-    return [Tag.BAD if p >= t else Tag.OK for p in probs]
 
 
 def _class_f1(tp: int, pred_count: int, gold_count: int) -> float:

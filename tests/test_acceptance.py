@@ -29,7 +29,6 @@ from qestack.doclevel import (
     tags_to_annotations,
 )
 from qestack.ensemble import (
-    FoldPlan,
     fit_word_ensemble,
     kfold_estimate,
     ridge_cv,
@@ -192,8 +191,7 @@ def test_criterion_06_kfold_protocol(criterion):
             PredictionSet(system_id=f"c{i}", word_probs=clones_src[0].word_probs)
             for i in range(4)
         ]
-        plan = FoldPlan.contiguous(len(gold), 10)
-        estimate = kfold_estimate(clones, gold, plan, Stream.WORDS)
+        estimate = kfold_estimate(clones, gold, 10, Stream.WORDS)
         gold_flat = [t for row in gold for t in row]
         single_tags = [t for row in clones_src[0].word_probs for t in threshold(row, 0.5)]
         assert estimate == f1_mult(gold_flat, single_tags).f1_mult
@@ -202,8 +200,7 @@ def test_criterion_06_kfold_protocol(criterion):
         for seed in range(50):
             rng = random.Random(6000 + seed)
             preds, gold = fold_specialist_systems(rng, n_sentences=60, k=10)
-            plan = FoldPlan.contiguous(len(gold), 10)
-            est = kfold_estimate(preds, gold, plan, Stream.WORDS, max_cycles=6)
+            est = kfold_estimate(preds, gold, 10, Stream.WORDS, max_cycles=6)
             refit = fit_word_ensemble(preds, gold, Stream.WORDS, max_cycles=6).f1
             gaps.append(refit - est)
         mean_gap = sum(gaps) / len(gaps)

@@ -456,6 +456,27 @@ def test_kfold_with_more_folds_than_sentences_is_one_error_line(tmp_path, capsys
     assert err == "error: cannot split 2 sentences into 5 folds\n"
 
 
+@pytest.mark.parametrize(
+    "command, config, fragment",
+    [
+        ("ensemble-word fit --gold {tags} --out {out} --threshold 2", None, "threshold 2.0 outside [0, 1]"),
+        ("ensemble-word kfold --gold {tags} --k 2 --threshold 2", None, "threshold 2.0 outside [0, 1]"),
+        ("ensemble-word fit --gold {tags} --out {out}", "threshold=1.5", "threshold 1.5 outside [0, 1]"),
+        ("ensemble-word kfold --gold {tags} --k 2", "line_samples=2", "line_samples 2 must be >= 3"),
+        ("ensemble-sent fit --gold-scores {hter} --out {out}", "lambda_grid=-1,0.1", "lambda -1.0"),
+    ],
+    ids=["fit-threshold", "kfold-threshold", "fit-config-threshold", "kfold-line-samples", "sent-lambda-grid"],
+)
+def test_out_of_range_ensemble_option_is_one_error_line(tmp_path, capsys, rng, command, config, fragment):
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    manifest = prediction_files(tmp_path, rng, paths["mt"])
+    argv = [token.format(**paths, out=tmp_path / "out") for token in command.split()]
+    if config is not None:
+        argv = ["--config", write(tmp_path / "run.cfg", config + "\n"), *argv]
+    code, _, err = run(capsys, *argv, "--manifest", manifest, "--mt", paths["mt"])
+    assert_one_error_line(code, err, fragment)
+
+
 def test_ensemble_sent_fit_apply(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=20)
     manifest = prediction_files(tmp_path, rng, paths["mt"])
@@ -531,6 +552,16 @@ def test_doc_fit_on_fewer_than_five_documents_is_one_error_line(tmp_path, capsys
 
 
 # --- doc pipeline ---------------------------------------------------------------------
+
+
+def test_negative_doc_lambda_is_one_error_line(tmp_path, capsys):
+    features = write(tmp_path / "f.tsv", "".join(f"doc{d}\t{50 + d}.0\t0.{d}\t0.2\t0.15\n" for d in range(6)))
+    gold = write(tmp_path / "gold.mqm", "".join(f"doc{d}\t{55 + 2 * d}.0\n" for d in range(6)))
+    config = write(tmp_path / "run.cfg", "lambda=-1\n")
+    code, _, err = run(
+        capsys, "--config", config, "doc", "fit", "--features", features, "--gold", gold, "--out", tmp_path / "m"
+    )
+    assert_one_error_line(code, err, "lambda -1.0 must be nonnegative")
 
 
 def doc_fixture(tmp_path, rng, n_docs=6, with_annotations=True):

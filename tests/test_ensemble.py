@@ -1,12 +1,18 @@
+import os
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
+from qestack import ensemble
 from qestack.corpus import PredictionSet, Stream, Tag
 from qestack.ensemble import (
-    FoldPlan,
     WeightVector,
+    _combine,
+    _flatten_bad,
+    _stacked_matrix,
+    fold_bounds,
     combine_word,
     fit_word_ensemble,
     kfold_estimate,
@@ -19,7 +25,16 @@ from qestack.ensemble import (
     save_weights,
     sentence_features,
 )
-from qestack.errors import MissingStream, ParseError, SingularSystem, ZeroWeights
+from qestack.errors import (
+    DegenerateInput,
+    FoldError,
+    LengthMismatch,
+    MissingStream,
+    ParseError,
+    RangeError,
+    SingularSystem,
+    ZeroWeights,
+)
 from qestack.metrics import f1_mult, threshold
 from qestack.metrics import f1_mult_bool as _f1_mult_bool
 
@@ -290,8 +305,7 @@ def test_identical_systems_make_the_estimate_exactly_the_single_system_score():
     clones = [
         PredictionSet(system_id=f"c{i}", word_probs=preds[0].word_probs) for i in range(3)
     ]
-    plan = FoldPlan.contiguous(len(gold), 10)
-    estimate = kfold_estimate(clones, gold, plan, Stream.WORDS)
+    estimate = kfold_estimate(clones, gold, 10, Stream.WORDS)
     single = f1_mult(
         [t for row in gold for t in row],
         [t for row in threshold_rows(preds[0].word_probs) for t in row],
@@ -302,9 +316,8 @@ def test_identical_systems_make_the_estimate_exactly_the_single_system_score():
 def test_kfold_estimate_is_deterministic():
     rng = random.Random(29)
     preds, gold = complementary_systems(rng, n_sentences=24)
-    plan = FoldPlan.contiguous(len(gold), 2)
-    first = kfold_estimate(preds, gold, plan, Stream.WORDS)
-    second = kfold_estimate(preds, gold, plan, Stream.WORDS)
+    first = kfold_estimate(preds, gold, 2, Stream.WORDS)
+    second = kfold_estimate(preds, gold, 2, Stream.WORDS)
     assert first == second
 
 
@@ -313,22 +326,168 @@ def test_kfold_estimate_stays_below_the_refit_score_on_specialist_systems():
     for seed in range(6):
         rng = random.Random(1000 + seed)
         preds, gold = fold_specialist_systems(rng, n_sentences=40, k=5)
-        plan = FoldPlan.contiguous(len(gold), 5)
-        estimate = kfold_estimate(preds, gold, plan, Stream.WORDS, max_cycles=6)
+        estimate = kfold_estimate(preds, gold, 5, Stream.WORDS, max_cycles=6)
         refit = fit_word_ensemble(preds, gold, Stream.WORDS, max_cycles=6).f1
         gaps.append(refit - estimate)
     assert sum(gaps) / len(gaps) > 0
 
 
 def test_fold_plan_validation():
-    plan = FoldPlan.contiguous(10, 3)
-    assert plan.assignment == (0, 0, 0, 1, 1, 1, 2, 2, 2, 2)
-    with pytest.raises(ValueError):
-        FoldPlan(k=2, assignment=(0, 1, 0))
-    with pytest.raises(ValueError):
-        FoldPlan(k=2, assignment=(0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        FoldPlan.contiguous(3, 4)
+    assert fold_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
+    with pytest.raises(FoldError, match="k must be >= 2"):
+        fold_bounds(10, 1)
+    with pytest.raises(FoldError, match="cannot split 3 sentences into 4 folds"):
+        fold_bounds(3, 4)
+
+
+class ReferencePlan:
+    """The contiguous fold plan the stacked k-fold replaced: one fold number
+    per sentence, with the fold edges found by bisection."""
+
+    def __init__(self, n, k):
+        self.k = k
+        self.assignment = tuple(
+            fold for fold in range(k) for _ in range((fold + 1) * n // k - fold * n // k)
+        )
+
+    def bounds(self):
+        edges = [bisect_left(self.assignment, fold) for fold in range(self.k)]
+        return list(zip(edges, edges[1:] + [len(self.assignment)]))
+
+
+def _slice_preds(preds, pick):
+    """Every stream of every system cut down to the sentences ``pick`` keeps."""
+    return [
+        PredictionSet(
+            p.system_id,
+            *(
+                None if rows is None else pick(rows)
+                for rows in (p.word_probs, p.gap_probs, p.source_probs, p.sentence_scores)
+            ),
+        )
+        for p in preds
+    ]
+
+
+def reference_kfold_estimate(
+    dev_preds,
+    dev_gold,
+    plan,
+    stream,
+    **fit_kwargs,
+):
+    """Approximately unbiased dev-set estimate: fit weights with one fold
+    held out, predict that fold, and score F1-MULT over the concatenation of
+    all held-out predictions."""
+    if len(plan.assignment) != len(dev_gold):
+        raise ValueError("fold plan does not cover the dev set")
+    gold_bad = []
+    pred_bad = []
+    for lo, hi in plan.bounds():
+        fit = fit_word_ensemble(
+            _slice_preds(dev_preds, lambda rows: rows[:lo] + rows[hi:]),
+            [*dev_gold[:lo], *dev_gold[hi:]],
+            stream,
+            **fit_kwargs,
+        )
+        held = _stacked_matrix(_slice_preds(dev_preds, lambda rows: rows[lo:hi]), stream)
+        weights = np.array(fit.weights.weights, dtype=float)
+        pred_bad.append(_combine(weights, held) >= fit.threshold)
+        gold_bad.append(_flatten_bad(dev_gold[lo:hi]))
+    return _f1_mult_bool(np.concatenate(gold_bad), np.concatenate(pred_bad))
+
+
+def gap_stream_systems(rng, n_sentences):
+    """Systems that carry an N-token word stream and an N+1-entry gap stream,
+    with gold tags for the gaps."""
+    preds, gold = complementary_systems(rng, n_sentences=n_sentences)
+    return [
+        PredictionSet(p.system_id, tuple(row[:-1] for row in p.word_probs), gap_probs=p.word_probs)
+        for p in preds
+    ], gold
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("optimize_threshold", [False, True])
+@pytest.mark.parametrize("make", [complementary_systems, fold_specialist_systems, gap_stream_systems])
+def test_stacked_kfold_equals_the_per_fold_rebuild(make, optimize_threshold, k):
+    rng = random.Random(32)
+    stream = Stream.GAPS if make is gap_stream_systems else Stream.WORDS
+    for n_sentences in (k, 23, 40):
+        preds, gold = make(rng, n_sentences=n_sentences)
+        options = {"optimize_threshold": optimize_threshold, "max_cycles": 4}
+        expected = reference_kfold_estimate(preds, gold, ReferencePlan(len(gold), k), stream, **options)
+        assert kfold_estimate(preds, gold, k, stream, **options) == expected
+
+
+def test_fold_bounds_equal_the_bisected_fold_plan():
+    for n in range(2, 40):
+        for k in range(2, n + 1):
+            assert fold_bounds(n, k) == ReferencePlan(n, k).bounds()
+
+
+def test_each_ensemble_command_stacks_the_systems_once(monkeypatch):
+    calls = []
+    stack = ensemble._stacked_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return stack(*args)
+
+    monkeypatch.setattr(ensemble, "_stacked_matrix", counted)
+    preds, gold = complementary_systems(random.Random(33), n_sentences=20)
+    for run in (
+        lambda: kfold_estimate(preds, gold, 10, Stream.WORDS, max_cycles=2),
+        lambda: fit_word_ensemble(preds, gold, Stream.WORDS, max_cycles=2),
+        lambda: combine_word(preds, WeightVector((0.2, 0.3, 0.5), Stream.WORDS)),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_kfold_rejects_a_gold_row_of_another_length():
+    preds, gold = complementary_systems(random.Random(34), n_sentences=12)
+    # same token total, but one token moved from sentence 3 to sentence 4
+    gold = [row[:] for row in gold]
+    gold[4].append(gold[3].pop())
+    with pytest.raises(LengthMismatch, match="sys0"):
+        kfold_estimate(preds, gold, 3, Stream.WORDS)
+    with pytest.raises(LengthMismatch):
+        kfold_estimate(preds, gold[:-1], 3, Stream.WORDS)
+
+
+# --- misuse -------------------------------------------------------------------
+
+
+def _misuse_cases():
+    preds, gold = complementary_systems(random.Random(35), n_sentences=6)
+    X = [[0.1, 0.2], [0.3, 0.1], [0.5, 0.7], [0.2, 0.9]]
+    y = [0.1, 0.4, 0.6, 0.3]
+    w = WeightVector((0.5, 0.5), Stream.WORDS)
+    return {
+        "combine_word weights per system": (LengthMismatch, lambda: combine_word(preds, w)),
+        "fit gold tokens": (LengthMismatch, lambda: fit_word_ensemble(preds, gold[1:], Stream.WORDS)),
+        "fit threshold": (RangeError, lambda: fit_word_ensemble(preds, gold, Stream.WORDS, threshold=1.5)),
+        "kfold threshold": (RangeError, lambda: kfold_estimate(preds, gold, 2, Stream.WORDS, threshold=-0.1)),
+        "sentence counts": (LengthMismatch, lambda: sentence_features([preds[0], system("x", [[0.5]])])),
+        "ridge_fit rows": (LengthMismatch, lambda: ridge_fit(X, y[1:], 0.1)),
+        "ridge_fit feature_names": (LengthMismatch, lambda: ridge_fit(X, y, 0.1, feature_names=["a"])),
+        "ridge_fit one row": (DegenerateInput, lambda: ridge_fit(X[:1], y[:1], 0.1)),
+        "ridge_fit lambda": (RangeError, lambda: ridge_fit(X, y, -1.0)),
+        "ridge_cv empty grid": (DegenerateInput, lambda: ridge_cv(X, y, [], 2)),
+        "ridge_cv lambda": (RangeError, lambda: ridge_cv(X, y, [0.1, -1.0], 2)),
+        "save_weights ids": (LengthMismatch, lambda: save_weights(["a"], w, os.devnull)),
+        "powell no coordinates": (DegenerateInput, lambda: powell_optimize(lambda z: 0.0, [])),
+        "powell line_samples": (RangeError, lambda: powell_optimize(lambda z: 0.0, [0.5], line_samples=2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_misuse_cases()))
+def test_ensemble_misuse_raises_a_toolkit_error(case):
+    error, call = _misuse_cases()[case]
+    with pytest.raises(error):
+        call()
 
 
 # --- sentence features --------------------------------------------------------

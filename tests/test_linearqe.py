@@ -16,7 +16,7 @@ from qestack.corpus import (
     TargetTags,
     Entry,
 )
-from qestack.ensemble import FoldPlan
+from qestack.ensemble import fold_bounds
 from qestack.linearqe import (
     FeatureConfig,
     LinearModel,
@@ -368,7 +368,7 @@ def test_jackknife_folds_equal_predict_with_mira_train_on_the_rest(average):
     instances, golds = noisy_data(rng, 20)
     options = {"epochs": 3, "C": 0.5, "seed": 7, "config": FeatureConfig(bins=4), "average": average}
     tags, probs = jackknife(instances, golds, 3, gamma=0.7, **options)
-    bounds = FoldPlan.contiguous(len(instances), 3).bounds()
+    bounds = fold_bounds(len(instances), 3)
     for lo, hi in bounds:
         model = mira_train(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
         fold_tags, fold_probs = predict(instances[lo:hi], model, gamma=0.7)
@@ -536,7 +536,7 @@ def test_colliding_feature_strings_share_one_weight(monkeypatch):
     assert predict(instances, model)[0] == [reference_viterbi(inst, model.weights, config)[0] for inst in instances]
 
     tags, probs = jackknife(instances, golds, 3, **options)
-    lo, hi = FoldPlan.contiguous(len(instances), 3).bounds()[1]
+    lo, hi = fold_bounds(len(instances), 3)[1]
     rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
     assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest, config))
 
