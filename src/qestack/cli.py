@@ -218,7 +218,6 @@ _ENSEMBLE_WORD_SCHEMA = {
     "optimize_threshold": ("bool", False),
     "tol": ("float", 1e-6),
     "max_cycles": ("int", 20),
-    "line_samples": ("int", 51),
     "k": ("int", 10),
 }
 
@@ -239,7 +238,7 @@ def _ensemble_inputs(args, need_gold):
 
 def _word_fit_options(values):
     """The keyword arguments ``fit_word_ensemble`` and ``kfold_estimate`` share."""
-    return {key: values[key] for key in ("threshold", "optimize_threshold", "tol", "max_cycles", "line_samples")}
+    return {key: values[key] for key in ("threshold", "optimize_threshold", "tol", "max_cycles")}
 
 
 def _cmd_ensemble_word_fit(args):

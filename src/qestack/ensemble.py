@@ -3,9 +3,11 @@ search directly on F1-MULT, the k-fold unbiased estimation protocol, and
 sentence-level ridge stacking.
 
 The word-level objective (F1-MULT of thresholded tags) is piecewise constant
-in the weights, so the line search is a bounded grid scan followed by one
-refinement pass at 10x resolution instead of a derivative-based bracketing
-that would stall on flat regions.
+in the weights, so a derivative-based line search would stall on its flat
+regions. Along a Powell line each token's tag changes only where it crosses
+the threshold, so the line search is exact instead, after Och's minimum error
+rate training (ACL 2003): it sorts the crossings inside the box segment and
+scores every interval between them from cumulative counts.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     SingularSystem,
     ZeroWeights,
 )
-from .metrics import _check_threshold, f1_mult_bool
+from .metrics import _check_threshold, _f1_mult_counts, f1_mult_bool
 
 __all__ = [
     "WeightVector",
@@ -163,31 +165,9 @@ class _Recorder:
         return value
 
 
-def _plateau_middle(alphas, values):
-    """Index of the middle of the longest run of consecutive minimal samples.
-
-    Thresholded-F1 objectives are piecewise constant; stopping in the middle
-    of the widest optimal plateau (rather than at its edge) keeps later
-    directions from starting on a cliff. Smooth objectives have a unique
-    minimal sample, where this reduces to the plain argmin.
-    """
-    vmin = min(values)
-    best_start = best_len = 0
-    start = None
-    for j, value in enumerate(values + [None]):
-        if value == vmin:
-            if start is None:
-                start = j
-        elif start is not None:
-            if j - start > best_len:
-                best_start, best_len = start, j - start
-            start = None
-    return best_start + (best_len - 1) // 2
-
-
-def _line_search(func, x, fx, direction, line_samples):
-    """Bounded grid scan along ``direction`` inside [0,1]^n, then one
-    refinement pass at 10x resolution around the best coarse sample."""
+def _box_bounds(x, direction):
+    """The step range ``(lo, hi)`` that keeps ``x + alpha * direction`` inside
+    [0,1]^n, widened to hold 0; None when the direction leaves no room."""
     lo, hi = -np.inf, np.inf
     for xi, di in zip(x, direction):
         if di > 1e-12:
@@ -197,44 +177,40 @@ def _line_search(func, x, fx, direction, line_samples):
             lo = max(lo, (1.0 - xi) / di)
             hi = min(hi, -xi / di)
     if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= 0.0:
+        return None
+    return min(lo, 0.0), max(hi, 0.0)
+
+
+def _line_step(func, x, fx, direction, line):
+    """One line search: ``line`` picks a step inside the box, the objective
+    is evaluated once there, and the point replaces ``x`` only if it is
+    strictly better."""
+    bounds = _box_bounds(x, direction)
+    if bounds is None:
         return x, fx
-    lo, hi = min(lo, 0.0), max(hi, 0.0)
-
-    step = (hi - lo) / (line_samples - 1)
-    alphas = [lo + j * step for j in range(line_samples)]
-    values = [func(np.clip(x + a * direction, 0.0, 1.0)) for a in alphas]
-    pick = _plateau_middle(alphas, values)
-    best_alpha, best_f = alphas[pick], values[pick]
-
-    fine = step / 10.0
-    fine_lo = max(lo, best_alpha - step)
-    fine_hi = min(hi, best_alpha + step)
-    count = int(round((fine_hi - fine_lo) / fine)) + 1
-    alphas = [min(fine_lo + j * fine, fine_hi) for j in range(count)]
-    values = [func(np.clip(x + a * direction, 0.0, 1.0)) for a in alphas]
-    pick = _plateau_middle(alphas, values)
-    if values[pick] < best_f:
-        best_alpha, best_f = alphas[pick], values[pick]
-
-    if best_f >= fx:
-        return x, fx
-    return np.clip(x + best_alpha * direction, 0.0, 1.0), best_f
+    point = np.clip(x + line(x, direction, *bounds) * direction, 0.0, 1.0)
+    value = func(point)
+    if value < fx:
+        return point, value
+    return x, fx
 
 
 def powell_optimize(
     objective: Callable[[np.ndarray], float],
     init: Sequence[float],
+    line: Callable[[np.ndarray, np.ndarray, float, float], float],
     *,
     tol: float = 1e-6,
     max_cycles: int = 20,
-    line_samples: int = 51,
 ) -> tuple[np.ndarray, float]:
     """Minimize a total function on [0,1]^n without derivatives.
 
-    The direction set starts as the coordinate basis; each cycle runs the
-    grid-then-refine line search along every direction, then applies the
-    classic replacement heuristic: when the acceptance test on the
-    extrapolated point passes, the direction of largest single-search
+    ``line(x, d, lo, hi)`` returns the step ``alpha`` in ``[lo, hi]`` to take
+    along ``d`` from ``x``; the objective is evaluated once at the clipped
+    point, which is kept only if it improves. The direction set starts as
+    the coordinate basis; each cycle searches along every direction, then
+    applies the classic replacement heuristic: when the acceptance test on
+    the extrapolated point passes, the direction of largest single-search
     decrease is swapped for the net cycle displacement. Terminates when a
     cycle improves by less than ``tol`` or after ``max_cycles``. Always
     returns the best visited point.
@@ -243,8 +219,6 @@ def powell_optimize(
     n = x.size
     if n < 1:
         raise DegenerateInput("need at least one coordinate")
-    if line_samples < 3:
-        raise RangeError(f"line_samples {line_samples} must be >= 3")
     func = _Recorder(objective)
     fx = func(x)
     basis = [np.eye(n)[i] for i in range(n)]
@@ -258,7 +232,7 @@ def powell_optimize(
         big_idx = 0
         for idx, direction in enumerate(directions):
             f_before = fx
-            x, fx = _line_search(func, x, fx, direction, line_samples)
+            x, fx = _line_step(func, x, fx, direction, line)
             if f_before - fx > biggest_drop:
                 biggest_drop = f_before - fx
                 big_idx = idx
@@ -281,7 +255,7 @@ def powell_optimize(
                     t = 2.0 * (f_start + f_ext - 2.0 * fx) * (f_start - fx - biggest_drop) ** 2
                     t -= biggest_drop * (f_start - f_ext) ** 2
                     if t < 0.0:
-                        x, fx = _line_search(func, x, fx, displacement, line_samples)
+                        x, fx = _line_step(func, x, fx, displacement, line)
                         directions[big_idx] = directions[-1]
                         directions[-1] = displacement
                         mutated = True
@@ -300,6 +274,105 @@ def _flatten_bad(tags: Sequence[Sequence[Tag]]) -> np.ndarray:
     )
 
 
+# Intervals narrower than this share of the segment lie within rounding of
+# their crossings (a sweep toward zero weights puts a sliver of spurious
+# ones at the segment's end), so the line search never stops in one.
+_MIN_WIDTH = 1e-9
+
+
+def _line_sweep(matrix, gold_bad, x, d, lo, hi, threshold=None):
+    """Exact F1-MULT line search along ``x + alpha * d`` for ``alpha`` in
+    ``[lo, hi]``, after Och's minimum error rate line optimisation (ACL
+    2003). Returns the middle of the widest interval with the best F1-MULT,
+    that F1-MULT and the interval's width.
+
+    With weights ``w + alpha * dw`` summing to ``S + alpha * D > 0`` and the
+    threshold ``tau + alpha * dtau`` (the last coordinate when ``threshold``
+    is None, else fixed), token ``t`` is BAD iff
+    ``a_t + b_t * alpha + q * alpha**2 >= 0`` where ``a = w @ M - tau * S``,
+    ``b = dw @ M - tau * D - dtau * S`` and ``q = -dtau * D``. Its tag only
+    changes at a root of that polynomial, so one sort of the roots inside
+    the segment and cumulative counts give the confusion counts, and so the
+    F1-MULT, of every interval between them. Where all weights are zero the
+    score is 0, as in the objective.
+    """
+    n = matrix.shape[0]
+    w, dw = x[:n], d[:n]
+    S, D = w.sum(), dw.sum()
+    tau, dtau = (x[n], d[n]) if threshold is None else (threshold, 0.0)
+    a = w @ matrix
+    a -= tau * S
+    b = dw @ matrix
+    b -= tau * D + dtau * S
+    q = -dtau * D
+
+    # tags in the middle of the segment hold for tokens without a root inside
+    mid = 0.5 * (lo + hi)
+    bad = b * mid
+    bad += a
+    if q:
+        bad += q * mid * mid
+    bad = bad >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not q:
+            roots = np.divide(a, b, out=a)
+            np.negative(roots, out=roots)
+            tokens = np.flatnonzero((roots > lo) & (roots < hi))
+            rising = b[tokens] > 0.0
+            roots = roots[tokens]
+            # a token with one root is BAD below it iff b < 0 (falling)
+            bad[tokens] = ~rising
+        else:
+            # stable roots t / q and a / t with t = -(b + sign(b) sqrt(disc)) / 2;
+            # NaN where the discriminant is negative
+            first = b * b
+            first -= (4.0 * q) * a
+            np.sqrt(first, out=first)
+            np.copysign(first, b, out=first)
+            first += b
+            first *= -0.5
+            second = np.divide(a, first, out=a)
+            np.divide(first, q, out=first)
+            swap = first > second
+            first[swap], second[swap] = second[swap], first[swap]
+            low = np.flatnonzero((first > lo) & (first < hi))
+            high = np.flatnonzero((second > lo) & (second < hi))
+            # BAD outside the roots iff q > 0; the tag just above lo is the
+            # one on the near side of the first root inside
+            bad[high] = q < 0.0
+            bad[low] = q > 0.0
+            roots = np.concatenate((first[low], second[high]))
+            tokens = np.concatenate((low, high))
+            rising = np.concatenate((np.full(low.size, q < 0.0), np.full(high.size, q > 0.0)))
+    del a, b
+
+    order = np.argsort(roots)
+    edges = np.empty(roots.size + 2)
+    edges[0], edges[-1] = lo, hi
+    np.take(roots, order, out=edges[1:-1])
+    # each root moves the BAD count by +1 or -1, and the true positives too
+    # when its token is gold BAD
+    pred = np.empty(roots.size + 1, dtype=np.int64)
+    pred[0] = np.count_nonzero(bad)
+    pred[1:] = rising[order]
+    pred[1:] *= 2
+    pred[1:] -= 1
+    tp = np.empty_like(pred)
+    tp[0] = np.count_nonzero(bad & gold_bad)
+    np.multiply(pred[1:], gold_bad[tokens[order]], out=tp[1:])
+    np.cumsum(pred, out=pred)
+    np.cumsum(tp, out=tp)
+
+    f1 = _f1_mult_counts(tp, pred, int(np.count_nonzero(gold_bad)), gold_bad.size)
+    widths = np.diff(edges)
+    if min(S + lo * D, S + hi * D) <= 0.0:
+        f1[S + 0.5 * (edges[:-1] + edges[1:]) * D <= 0.0] = 0.0
+    f1[widths <= _MIN_WIDTH * (hi - lo)] = -1.0
+    best = np.flatnonzero(f1 == f1.max())
+    pick = best[np.argmax(widths[best])]
+    return 0.5 * (edges[pick] + edges[pick + 1]), float(f1[pick]), float(widths[pick])
+
+
 def _fit(
     matrix: np.ndarray,
     gold_bad: np.ndarray,
@@ -308,7 +381,6 @@ def _fit(
     optimize_threshold: bool = False,
     tol: float = 1e-6,
     max_cycles: int = 20,
-    line_samples: int = 51,
 ) -> tuple[np.ndarray, float, float]:
     """:func:`fit_word_ensemble` on a stacked matrix and its flat gold:
     returns the weights, the threshold and the dev F1-MULT."""
@@ -329,14 +401,17 @@ def _fit(
             return 0.0
         return -f1_mult_bool(gold_bad, combined >= (z[n] if optimize_threshold else threshold))
 
+    fixed = None if optimize_threshold else threshold
+
+    def line(x, d, lo, hi):
+        return _line_sweep(matrix, gold_bad, x, d, lo, hi, fixed)[0]
+
     init = np.zeros(n + 1 if optimize_threshold else n)
     init[best_single] = 1.0
     if optimize_threshold:
         init[n] = threshold
 
-    point, value = powell_optimize(
-        objective, init, tol=tol, max_cycles=max_cycles, line_samples=line_samples
-    )
+    point, value = powell_optimize(objective, init, line, tol=tol, max_cycles=max_cycles)
     if optimize_threshold:
         weights, fitted_threshold = point[:n], float(point[n])
     else:
@@ -355,14 +430,14 @@ def fit_word_ensemble(
     optimize_threshold: bool = False,
     tol: float = 1e-6,
     max_cycles: int = 20,
-    line_samples: int = 51,
 ) -> WordEnsembleFit:
     """Maximize dev F1-MULT of the thresholded convex combination.
 
     Powell starts from a one-hot vector on the best single system, so the
     fitted ensemble never scores below it on the dev set. With
     ``optimize_threshold`` the decision threshold joins the search as an
-    extra coordinate; otherwise it stays fixed.
+    extra coordinate; otherwise it stays fixed. Each line search is exact
+    (:func:`_line_sweep`).
     """
     weights, fitted_threshold, f1 = _fit(
         _stacked_matrix(dev_preds, stream),
@@ -371,7 +446,6 @@ def fit_word_ensemble(
         optimize_threshold=optimize_threshold,
         tol=tol,
         max_cycles=max_cycles,
-        line_samples=line_samples,
     )
     return WordEnsembleFit(
         weights=WeightVector(weights=tuple(float(w) for w in weights), stream=stream),

@@ -86,6 +86,32 @@ def _class_f1(tp: int, pred_count: int, gold_count: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _class_f1_array(tp: np.ndarray, pred_count: np.ndarray, gold_count: int) -> np.ndarray:
+    """:func:`_class_f1` over arrays of counts, in the same arithmetic."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 = tp / pred_count
+        f1[pred_count == 0] = 0.0
+        recall = tp / gold_count if gold_count else np.zeros(tp.shape)
+        total = f1 + recall
+        f1 *= 2.0
+        f1 *= recall
+        f1 /= total
+    f1[total == 0.0] = 0.0
+    if not gold_count:
+        f1[pred_count == 0] = 1.0
+    return f1
+
+
+def _f1_mult_counts(tp: np.ndarray, pred_bad: np.ndarray, gold_bad: int, total: int) -> np.ndarray:
+    """F1-MULT of many predictions against one gold of ``gold_bad`` BAD tags
+    among ``total``, from each prediction's true positives and BAD count.
+    The arithmetic is :meth:`ContingencyTable.f1_scores`', so each value
+    equals :func:`f1_mult_bool` of that prediction bit for bit."""
+    f1_bad = _class_f1_array(tp, pred_bad, gold_bad)
+    f1_ok = _class_f1_array(tp - pred_bad + (total - gold_bad), total - pred_bad, total - gold_bad)
+    return f1_ok * f1_bad
+
+
 def f1_mult(gold: Sequence[Tag], pred: Sequence[Tag]) -> F1Mult:
     """F1 of each class plus their product, the word-level task metric."""
     return ContingencyTable.from_tags(gold, pred).f1_scores()

@@ -462,7 +462,8 @@ def test_kfold_with_more_folds_than_sentences_is_one_error_line(tmp_path, capsys
         ("ensemble-word fit --gold {tags} --out {out} --threshold 2", None, "threshold 2.0 outside [0, 1]"),
         ("ensemble-word kfold --gold {tags} --k 2 --threshold 2", None, "threshold 2.0 outside [0, 1]"),
         ("ensemble-word fit --gold {tags} --out {out}", "threshold=1.5", "threshold 1.5 outside [0, 1]"),
-        ("ensemble-word kfold --gold {tags} --k 2", "line_samples=2", "line_samples 2 must be >= 3"),
+        # the line search is exact, so it has no grid size to configure
+        ("ensemble-word kfold --gold {tags} --k 2", "line_samples=51", "error: unknown config keys: line_samples"),
         ("ensemble-sent fit --gold-scores {hter} --out {out}", "lambda_grid=-1,0.1", "lambda -1.0"),
     ],
     ids=["fit-threshold", "kfold-threshold", "fit-config-threshold", "kfold-line-samples", "sent-lambda-grid"],

@@ -4,6 +4,8 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qestack import ensemble
 from qestack.corpus import PredictionSet, Stream, Tag
@@ -137,6 +139,34 @@ def test_missing_stream_and_zero_weights_raise():
 # --- Powell -----------------------------------------------------------------
 
 
+def plateau_middle(values):
+    """Index of the middle of the longest run of consecutive minimal values."""
+    vmin = min(values)
+    best_start = best_len = 0
+    start = None
+    for j, value in enumerate(values + [None]):
+        if value == vmin:
+            if start is None:
+                start = j
+        elif start is not None:
+            if j - start > best_len:
+                best_start, best_len = start, j - start
+            start = None
+    return best_start + (best_len - 1) // 2
+
+
+def grid_line(objective, samples=2001):
+    """A dense-grid line search for generic objectives: the middle of the
+    widest run of minimal samples over the segment."""
+
+    def line(x, d, lo, hi):
+        alphas = np.linspace(lo, hi, samples)
+        values = [objective(np.clip(x + a * d, 0.0, 1.0)) for a in alphas]
+        return alphas[plateau_middle(values)]
+
+    return line
+
+
 def test_powell_finds_a_separable_quadratic_optimum():
     calls = []
 
@@ -144,7 +174,7 @@ def test_powell_finds_a_separable_quadratic_optimum():
         calls.append(1)
         return (z[0] - 0.25) ** 2 + (z[1] - 0.75) ** 2
 
-    point, value = powell_optimize(objective, [0.5, 0.5], max_cycles=5)
+    point, value = powell_optimize(objective, [0.5, 0.5], grid_line(objective), max_cycles=5)
     assert abs(point[0] - 0.25) <= 1e-3
     assert abs(point[1] - 0.75) <= 1e-3
     assert value <= objective(np.array([0.5, 0.5]))
@@ -163,7 +193,7 @@ def test_powell_lands_inside_a_plateau():
     scan = min((stepwise(np.array([x / 1000])), x / 1000) for x in range(1001))
     assert 0.3 <= scan[1] <= 0.4
 
-    point, value = powell_optimize(stepwise, [0.9])
+    point, value = powell_optimize(stepwise, [0.9], grid_line(stepwise))
     assert value == 0.0
     assert 0.3 <= point[0] <= 0.4
 
@@ -184,7 +214,7 @@ def test_powell_never_returns_worse_than_init():
             )
 
         init = np.array([rng.random(), rng.random()])
-        _, value = powell_optimize(bumpy, init, max_cycles=3)
+        _, value = powell_optimize(bumpy, init, grid_line(bumpy), max_cycles=3)
         assert value <= bumpy(init) + 1e-12
 
 
@@ -193,7 +223,7 @@ def test_powell_rotates_the_direction_set_on_diagonal_valleys():
     def valley(z):
         return (z[0] - z[1]) ** 2 * 50 + (z[0] + z[1] - 1.0) ** 2
 
-    point, value = powell_optimize(valley, [0.9, 0.1], max_cycles=10)
+    point, value = powell_optimize(valley, [0.9, 0.1], grid_line(valley), max_cycles=10)
     assert value < 1e-4
     assert abs(point[0] - point[1]) < 0.05
 
@@ -294,6 +324,127 @@ def test_applying_fitted_weights_reproduces_the_fitted_f1():
         fit = fit_word_ensemble(preds, gold, Stream.WORDS, optimize_threshold=optimize)
         applied = [t for row in combine_word(preds, fit.weights) for t in threshold(row, fit.threshold)]
         assert fit.f1 == f1_mult([t for row in gold for t in row], applied).f1_mult
+
+
+# --- exact line search --------------------------------------------------------
+
+
+def fit_objective(matrix, gold_bad, fixed):
+    """The objective ``_fit`` minimizes: minus the F1-MULT of the thresholded
+    combination, 0 where the weights sum to zero; the threshold is the last
+    coordinate when ``fixed`` is None."""
+    n = matrix.shape[0]
+
+    def objective(z):
+        try:
+            combined = _combine(z[:n], matrix)
+        except ZeroWeights:
+            return 0.0
+        return -_f1_mult_bool(gold_bad, combined >= (z[n] if fixed is None else fixed))
+
+    return objective
+
+
+@st.composite
+def lines(draw):
+    """A random stacked matrix and gold, and a point and direction whose box
+    segment is not empty. ``to_zero`` directions scale the weights by a power
+    of two, so all weights reach 0 exactly and together, at one end of the
+    segment unless the threshold's bound is nearer."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, size = draw(st.integers(1, 4)), draw(st.integers(1, 120))
+    matrix = rng.random((n, size))
+    gold_bad = rng.random(size) < draw(st.sampled_from([0.0, 0.3, 0.6]))
+    fixed = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    dim = n + (fixed is None)
+    x = rng.random(dim)
+    x[:n] *= rng.random(n) < draw(st.sampled_from([0.5, 1.0]))
+    kind = draw(st.sampled_from(["random", "coordinate", "to_zero"]))
+    if kind == "random":
+        d = rng.normal(size=dim)
+    elif kind == "coordinate":
+        d = np.eye(dim)[draw(st.integers(0, dim - 1))]
+    else:
+        d = rng.normal(size=dim)
+        d[:n] = x[:n] * 2.0 ** draw(st.integers(-2, 2)) * draw(st.sampled_from([-1.0, 1.0]))
+    bounds = ensemble._box_bounds(x, d)
+    assume(bounds is not None)
+    return matrix, gold_bad, fixed, x, d, bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines())
+def test_exact_line_search_is_never_worse_than_a_dense_grid(case):
+    matrix, gold_bad, fixed, x, d, (lo, hi) = case
+    objective = fit_objective(matrix, gold_bad, fixed)
+    alpha, f1, width = ensemble._line_sweep(matrix, gold_bad, x, d, lo, hi, fixed)
+    assert lo <= alpha <= hi
+    value = objective(np.clip(x + alpha * d, 0.0, 1.0))
+    grid = min(objective(np.clip(x + a * d, 0.0, 1.0)) for a in np.linspace(lo, hi, 2001))
+    assert value <= grid
+    if width > 1e-9:
+        assert value == -f1
+
+
+def test_exact_line_search_covers_the_quadratic_and_zero_weight_cases():
+    # threshold search with moving weights: q = -dtau * D is nonzero
+    matrix = np.array([[0.2, 0.9, 0.6, 0.4], [0.7, 0.1, 0.5, 0.8]])
+    gold_bad = np.array([True, False, True, True])
+    x, d = np.array([0.5, 0.5, 0.5]), np.array([1.0, -0.5, 0.4])
+    lo, hi = ensemble._box_bounds(x, d)
+    objective = fit_objective(matrix, gold_bad, None)
+    alpha, f1, _ = ensemble._line_sweep(matrix, gold_bad, x, d, lo, hi)
+    grid = min(objective(np.clip(x + a * d, 0.0, 1.0)) for a in np.linspace(lo, hi, 2001))
+    assert objective(np.clip(x + alpha * d, 0.0, 1.0)) == -f1 <= grid
+
+    # every weight reaches 0 at lo = -1; the combination is the same elsewhere
+    x, d = np.array([0.25, 0.5]), np.array([0.25, 0.5])
+    assert ensemble._box_bounds(x, d) == (-1.0, 1.0)
+    alpha, f1, _ = ensemble._line_sweep(matrix, gold_bad, x, d, -1.0, 1.0, 0.5)
+    assert f1 == -fit_objective(matrix, gold_bad, 0.5)(x) and -1.0 < alpha
+
+    # weights that are zero along the whole line score 0, as in the objective,
+    # though every token would count as BAD and so score 1 with this gold
+    x, d = np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, 1.0])
+    assert ensemble._line_sweep(matrix, np.ones(4, dtype=bool), x, d, -0.5, 0.5)[1] == 0.0
+
+
+def test_exact_line_search_stops_in_the_widest_best_interval():
+    # along the threshold alone, F1-MULT is 1/3 for thresholds in (0, 0.3]
+    # and in (0.31, 0.89], less elsewhere; the second interval is wider
+    matrix = np.array([[0.0, 0.3, 0.31, 0.89, 0.97]])
+    gold_bad = np.array([False, True, False, True, False])
+    x, d = np.array([1.0, 0.5]), np.array([0.0, 1.0])
+    alpha, f1, width = ensemble._line_sweep(matrix, gold_bad, x, d, *ensemble._box_bounds(x, d))
+    assert f1 == pytest.approx(1 / 3)
+    assert 0.5 + alpha == pytest.approx(0.6) and width == pytest.approx(0.58)
+
+
+def test_each_line_search_evaluates_the_objective_once(monkeypatch):
+    steps = []
+    line_step = ensemble._line_step
+
+    def counted_step(func, x, fx, direction, line):
+        evaluations, searches = [], []
+
+        def counted_func(z):
+            evaluations.append(z)
+            return func(z)
+
+        def counted_line(*args):
+            searches.append(args)
+            return line(*args)
+
+        result = line_step(counted_func, x, fx, direction, counted_line)
+        steps.append((len(searches), len(evaluations)))
+        return result
+
+    monkeypatch.setattr(ensemble, "_line_step", counted_step)
+    preds, gold = complementary_systems(random.Random(28), n_sentences=40)
+    for optimize in (False, True):
+        fit_word_ensemble(preds, gold, Stream.WORDS, optimize_threshold=optimize)
+    assert sum(searches for searches, _ in steps) > 10
+    assert all(evaluations == searches <= 1 for searches, evaluations in steps)
 
 
 # --- k-fold protocol ----------------------------------------------------------
@@ -478,8 +629,7 @@ def _misuse_cases():
         "ridge_cv empty grid": (DegenerateInput, lambda: ridge_cv(X, y, [], 2)),
         "ridge_cv lambda": (RangeError, lambda: ridge_cv(X, y, [0.1, -1.0], 2)),
         "save_weights ids": (LengthMismatch, lambda: save_weights(["a"], w, os.devnull)),
-        "powell no coordinates": (DegenerateInput, lambda: powell_optimize(lambda z: 0.0, [])),
-        "powell line_samples": (RangeError, lambda: powell_optimize(lambda z: 0.0, [0.5], line_samples=2)),
+        "powell no coordinates": (DegenerateInput, lambda: powell_optimize(lambda z: 0.0, [], None)),
     }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qestack.corpus import Tag
 from qestack.errors import DegenerateInput, EmptyInput, LengthMismatch
-from qestack.metrics import ContingencyTable, f1_mult, mcc, pearson, threshold
+from qestack.metrics import ContingencyTable, _f1_mult_counts, f1_mult, f1_mult_bool, mcc, pearson, threshold
 
 OK, BAD = Tag.OK, Tag.BAD
 
@@ -144,6 +144,18 @@ def test_metrics_match_oracles_on_random_inputs():
         assert abs(result.f1_bad - bad) < 1e-12
         assert abs(result.f1_mult - mult) < 1e-12
         assert abs(mcc(gold, pred) - oracle_mcc(gold, pred)) < 1e-12
+
+
+def test_f1_mult_from_counts_equals_the_boolean_metric_bit_for_bit():
+    rng = np.random.default_rng(138)
+    for p_gold in (0.0, 0.3, 1.0):
+        for size in (1, 2, 7, 40):
+            gold = rng.random(size) < p_gold
+            preds = [rng.random(size) < p for p in (0.0, 0.2, 0.5, 0.9, 1.0) for _ in range(4)]
+            tp = np.array([np.count_nonzero(gold & pred) for pred in preds])
+            bad = np.array([np.count_nonzero(pred) for pred in preds])
+            expected = [f1_mult_bool(gold, pred) for pred in preds]
+            assert _f1_mult_counts(tp, bad, int(np.count_nonzero(gold)), size).tolist() == expected
 
 
 def test_pearson_matches_numpy_oracle():
