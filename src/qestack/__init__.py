@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
     PredictionSet,
+    Ragged,
     Sentence,
     SourceTags,
     Stream,

@@ -85,15 +85,17 @@ def _cmd_evaluate(args):
         return 0
 
     gold_rows = _read_tag_rows(args.gold, args.stream)
+    gold_lengths = [len(row) for row in gold_rows]
     # a prediction file holds either tags (the stream's own, or interleaved
     # and sliced like the gold) or per-stream probabilities
     if corpus.is_tag_file(args.pred):
-        pred_rows = _read_tag_rows(args.pred, args.stream, [len(row) for row in gold_rows])
+        pred_rows = _read_tag_rows(args.pred, args.stream, gold_lengths)
+        pred_flat = [tag for row in pred_rows for tag in row]
     else:
-        pred_rows = [metrics.threshold(row, values["threshold"]) for row in corpus.read_prob_lines(args.pred)]
-    corpus.check_lengths(pred_rows, [len(row) for row in gold_rows], args.pred, "prediction")
+        pred_rows = corpus.read_prob_lines(args.pred)
+        pred_flat = metrics.threshold(pred_rows.values.tolist(), values["threshold"])
+    corpus.check_lengths(pred_rows, gold_lengths, args.pred, "prediction")
     gold_flat = [tag for row in gold_rows for tag in row]
-    pred_flat = [tag for row in pred_rows for tag in row]
     scores = metrics.f1_mult(gold_flat, pred_flat)
     pairs = [
         ("f1_ok", f"{scores.f1_ok:.6f}"),

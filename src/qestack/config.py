@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .corpus import _utf8_error
 from .errors import ParseError, QEStackError
 
 
@@ -47,18 +48,22 @@ _PARSERS = {
 
 def load_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError(f"expected key=value, got {raw.strip()!r}", file=path, line=i)
-            key = key.strip()
-            if key in values:
-                raise ParseError(f"duplicate key {key!r}", file=path, line=i)
-            values[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raws = handle.readlines()
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+    for i, raw in enumerate(raws, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"expected key=value, got {raw.strip()!r}", file=path, line=i)
+        key = key.strip()
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", file=path, line=i)
+        values[key] = value.strip()
     return values
 
 

@@ -9,7 +9,8 @@ lines anywhere):
   is supported behind a flag.
 * ``*.source_tags`` -- one tag per source token.
 * ``*.hter`` -- one float in [0, 1] per line.
-* ``*.probs`` -- one float in [0, 1] per token per line.
+* ``*.probs`` -- one float in [0, 1] per token per line, read into a
+  :class:`Ragged` (flat float64 values plus per-line offsets).
 * ``*.align`` -- space-separated ``i-j`` pairs, 0-based, ``i`` indexing the
   source sentence and ``j`` the MT sentence.
 
@@ -21,6 +22,9 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import LengthMismatch, ParseError, RangeError
 
@@ -32,6 +36,7 @@ __all__ = [
     "SourceTags",
     "Entry",
     "TaggedCorpus",
+    "Ragged",
     "PredictionSet",
     "load_corpus",
     "load_predictions",
@@ -173,21 +178,80 @@ class TaggedCorpus:
         return [len(e.mt) for e in self.entries]
 
 
+@dataclass(frozen=True, eq=False)
+class Ragged:
+    """Rows of floats of varying length, stored flat: row ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]``. It reads as a sequence of rows
+    (lists of Python floats) and equals any sequence with the same rows."""
+
+    values: np.ndarray  # float64, every row's entries in order
+    offsets: np.ndarray  # int64, len(rows) + 1 entries, offsets[0] == 0
+
+    def __post_init__(self):
+        for name in ("values", "offsets"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Ragged":
+        rows = list(rows)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
+        values = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=int(offsets[-1]))
+        return cls(values, offsets)
+
+    def rows(self) -> list[list[float]]:
+        """The row view: one list of Python floats per row, bit for bit."""
+        flat = self.values.tolist()
+        bounds = self.offsets.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield self.values[lo:hi].tolist()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.rows()[index]
+        index = range(len(self))[index]
+        return self.values[self.offsets[index]:self.offsets[index + 1]].tolist()
+
+    def __eq__(self, other):
+        if not isinstance(other, Ragged):
+            try:
+                other = Ragged.from_rows(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.values, other.values)
+
+
 @dataclass(frozen=True)
 class PredictionSet:
     """Per-system predictions: P(BAD) per MT word, optionally per gap and per
-    source token, and optionally one score per sentence."""
+    source token, and optionally one score per sentence. The token streams
+    are :class:`Ragged`; rows given in any other form are converted once."""
 
     system_id: str
-    word_probs: tuple[tuple[float, ...], ...]
-    gap_probs: tuple[tuple[float, ...], ...] | None = None
-    source_probs: tuple[tuple[float, ...], ...] | None = None
+    word_probs: Ragged
+    gap_probs: Ragged | None = None
+    source_probs: Ragged | None = None
     sentence_scores: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("word_probs", "gap_probs", "source_probs"):
+            rows = getattr(self, name)
+            if rows is not None and not isinstance(rows, Ragged):
+                object.__setattr__(self, name, Ragged.from_rows(rows))
 
     def __len__(self) -> int:
         return len(self.word_probs)
 
-    def stream(self, stream: Stream) -> tuple[tuple[float, ...], ...] | None:
+    def stream(self, stream: Stream) -> Ragged | None:
         """The per-token rows of one stream, or None when the system has none."""
         if stream is Stream.WORDS:
             return self.word_probs
@@ -202,9 +266,27 @@ class PredictionSet:
 # ---------------------------------------------------------------------------
 
 
+def _utf8_error(path) -> ParseError:
+    """The error for a file that does not decode as UTF-8, naming the line
+    (as ``splitlines`` counts them) of its first invalid byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        return ParseError(
+            f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})", file=str(path), line=line
+        )
+    return ParseError("not UTF-8", file=str(path))  # the file changed since the failed read
+
+
 def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     for i, line in enumerate(lines, 1):
         if not line.strip():
             raise ParseError("empty line", file=str(path), line=i)
@@ -246,17 +328,34 @@ def read_score_lines(path) -> list[float]:
     return out
 
 
-def read_prob_lines(path) -> list[list[float]]:
-    out = []
-    for i, line in enumerate(_read_lines(path), 1):
-        row = []
+def read_prob_lines(path) -> Ragged:
+    """Every line's probabilities, parsed by ``float()`` and range-checked
+    in one pass over the whole file."""
+    lines = _read_lines(path)
+    fields = []
+    offsets = [0]
+    for line in lines:
+        fields += line.split()
+        offsets.append(len(fields))
+    try:
+        values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+    except ValueError:
+        _raise_first_prob_error(lines, path)
+    # NaN fails both comparisons
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        _raise_first_prob_error(lines, path)
+    return Ragged(values, np.array(offsets, dtype=np.int64))
+
+
+def _raise_first_prob_error(lines, path):
+    """Raise the error of the first field, in file order, that is not a
+    number or lies outside [0, 1]."""
+    for i, line in enumerate(lines, 1):
         for f in line.split():
             value = _parse_float(f, file=str(path), line=i)
             if not 0.0 <= value <= 1.0:
                 raise RangeError(f"probability {value} outside [0, 1]", file=str(path), line=i)
-            row.append(value)
-        out.append(row)
-    return out
+    raise AssertionError(f"{path} holds no invalid probability")
 
 
 def read_alignment_lines(path) -> list[frozenset[tuple[int, int]]]:
@@ -290,6 +389,12 @@ def check_lengths(rows, lengths, path, what: str):
     entries (any number where that is None)."""
     if len(rows) != len(lengths):
         raise LengthMismatch(f"{what} has {len(rows)} lines, expected {len(lengths)}", file=str(path))
+    if (
+        isinstance(rows, Ragged)
+        and None not in lengths
+        and np.array_equal(np.diff(rows.offsets), lengths)
+    ):
+        return
     for i, (row, n) in enumerate(zip(rows, lengths), 1):
         if n is not None and len(row) != n:
             raise LengthMismatch(f"{what}: expected {n} entries, got {len(row)}", file=str(path), line=i)
@@ -376,25 +481,28 @@ def load_corpus(
 
 def is_tag_file(path) -> bool:
     """Whether the first line of a prediction file holds only OK/BAD tags."""
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.readline().split()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            head = handle.readline().split()
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     return bool(head) and all(t in ("OK", "BAD") for t in head)
 
 
-def _tags_as_probs(path) -> list[list[float]] | None:
+def _tags_as_probs(path) -> Ragged | None:
     """Tag-only systems enter the ensemble as degenerate probabilities
     (OK -> 0, BAD -> 1). Returns None when the file is not a tag file."""
     if is_tag_file(path):
-        return [[1.0 if t is Tag.BAD else 0.0 for t in row] for row in read_tag_lines(path)]
+        return Ragged.from_rows([1.0 if t is Tag.BAD else 0.0 for t in row] for row in read_tag_lines(path))
     return None
 
 
-def _load_stream(path, lengths, name) -> tuple[tuple[float, ...], ...]:
+def _load_stream(path, lengths, name) -> Ragged:
     rows = _tags_as_probs(path)
     if rows is None:
         rows = read_prob_lines(path)
     check_lengths(rows, lengths, path, f"{name} stream")
-    return tuple(tuple(row) for row in rows)
+    return rows
 
 
 def load_predictions(

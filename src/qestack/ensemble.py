@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Stream, Tag, _parse_float, _read_lines, _write_lines
+from .corpus import PredictionSet, Ragged, Stream, Tag, _parse_float, _read_lines, _write_lines
 from .errors import (
     DegenerateInput,
     FoldError,
@@ -108,18 +108,10 @@ def _stacked_matrix(preds: Sequence[PredictionSet], stream: Stream) -> np.ndarra
     """One row per system, one column per token of the stream."""
     if not preds:
         raise MissingStream("no systems to ensemble")
-    rows = []
     for pred in preds:
-        sentences = pred.stream(stream)
-        if sentences is None:
+        if pred.stream(stream) is None:
             raise MissingStream(f"system {pred.system_id!r} provides no {stream.value} stream")
-        rows.append(np.fromiter((p for sentence in sentences for p in sentence), dtype=float))
-    return np.vstack(rows)
-
-
-def _offsets(rows) -> list[int]:
-    """The column where each row starts in a stacked matrix, then the total."""
-    return list(accumulate(map(len, rows), initial=0))
+    return np.vstack([pred.stream(stream).values for pred in preds])
 
 
 def _combine(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -134,14 +126,14 @@ def _combine(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def combine_word(
     preds: Sequence[PredictionSet], w: WeightVector, stream: Stream | None = None
-) -> list[list[float]]:
-    """Normalized convex combination of per-token probabilities."""
+) -> Ragged:
+    """Normalized convex combination of per-token probabilities, one row per
+    sentence."""
     stream = stream or w.stream
     if len(w.weights) != len(preds):
         raise LengthMismatch(f"{len(w.weights)} weights for {len(preds)} systems")
-    flat = _combine(np.array(w.weights, dtype=float), _stacked_matrix(preds, stream)).tolist()
-    offsets = _offsets(preds[0].stream(stream))
-    return [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    flat = _combine(np.array(w.weights, dtype=float), _stacked_matrix(preds, stream))
+    return Ragged(flat, preds[0].stream(stream).offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +459,9 @@ def kfold_estimate(
     stacked once; each fold fits on the columns of the other folds."""
     bounds = fold_bounds(len(dev_gold), k)
     matrix = _stacked_matrix(dev_preds, stream)
-    offsets = _offsets(dev_gold)
+    offsets = np.fromiter(accumulate(map(len, dev_gold), initial=0), dtype=np.int64)
     for pred in dev_preds:
-        if _offsets(pred.stream(stream)) != offsets:
+        if not np.array_equal(pred.stream(stream).offsets, offsets):
             raise LengthMismatch(f"system {pred.system_id!r} and the gold differ in sentence lengths")
     gold = _flatten_bad(dev_gold)
     pred_bad = []
@@ -510,8 +502,9 @@ def sentence_features(preds: Sequence[PredictionSet]) -> tuple[np.ndarray, list[
         for stream in Stream:
             rows = p.stream(stream)
             if rows is not None:
+                # left-to-right Python sums: np.add.reduceat rounds differently
                 columns.append(
-                    np.array([sum(row) / len(row) for row in rows], dtype=float)
+                    np.array([sum(row) / len(row) for row in rows.rows()], dtype=float)
                 )
                 names.append(f"{p.system_id}:{stream.value}_mean")
     return np.column_stack(columns), names

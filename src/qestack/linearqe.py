@@ -625,7 +625,7 @@ def build_instances(
     stream of each prediction set that provides it.
     """
     stacked_rows = [
-        (pred.system_id, pred.stream(stream))
+        (pred.system_id, pred.stream(stream).rows())
         for pred in predictions
         if pred.stream(stream) is not None
     ]

@@ -1,5 +1,9 @@
+import hashlib
+import random
 import subprocess
 import sys
+
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,11 @@ OK, BAD = Tag.OK, Tag.BAD
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def text_lines(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read().splitlines()
 
 
 def run(capsys, *argv):
@@ -90,6 +99,25 @@ def test_version_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip().startswith("qe-stack")
+
+
+def test_evaluate_on_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    gold = write(tmp_path / "g.tags", "OK BAD OK\nOK OK OK\n")
+    pred = tmp_path / "p.tags"
+    pred.write_bytes(b"OK BAD OK\nOK B\xffD OK\n")
+    code, _, err = run(capsys, "evaluate", "--gold", gold, "--pred", pred)
+    assert_one_error_line(code, err, f"{pred}:2:", "not UTF-8")
+    code, _, err = run(capsys, "evaluate", "--gold", pred, "--pred", gold)
+    assert_one_error_line(code, err, f"{pred}:2:", "not UTF-8")
+
+
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    gold = write(tmp_path / "g.tags", "OK BAD OK\n")
+    pred = write(tmp_path / "p.probs", "0.1 0.9 0.2\n")
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"threshold=0.5\n# \xe9t\xe9\n")
+    code, _, err = run(capsys, "--config", config, "evaluate", "--gold", gold, "--pred", pred)
+    assert_one_error_line(code, err, f"{config}:2:", "not UTF-8")
 
 
 # --- make-labels -----------------------------------------------------------------
@@ -183,7 +211,7 @@ def test_linear_train_predict_jackknife(tmp_path, capsys, rng):
         "--model", model, "--out-prefix", out,
     )
     assert code == 0
-    mt_lengths = [len(line.split()) for line in open(paths["mt"])]
+    mt_lengths = [len(line.split()) for line in text_lines(paths["mt"])]
     probs = read_prob_lines(f"{out}.probs")
     assert [len(row) for row in probs] == mt_lengths
 
@@ -337,8 +365,30 @@ def test_linear_gap_and_source_streams(tmp_path, capsys, rng):
         "--mt", paths["mt"], "--model", gap_model, "--stream", "gaps", "--out-prefix", out,
     )
     assert code == 0
-    mt_lengths = [len(line.split()) for line in open(paths["mt"])]
+    mt_lengths = [len(line.split()) for line in text_lines(paths["mt"])]
     assert [len(row) for row in read_prob_lines(f"{out}.probs")] == [n + 1 for n in mt_lengths]
+
+
+def test_linear_train_and_predict_with_stacked_systems_keep_their_bytes(tmp_path, capsys):
+    rng = random.Random(31)
+    paths = label_files(tmp_path, capsys, rng, n=16)
+    manifest = prediction_files(tmp_path, rng, paths["mt"], n_systems=2)
+    common = ["--mt", paths["mt"], "--src", paths["src"], "--align", paths["align"]]
+    train = ["linear", "train", *common, "--tags", paths["tags"], "--epochs", "3"]
+    model = tmp_path / "stacked.model"
+    assert run(capsys, *train, "--stacked", manifest, "--model", model)[0] == 0
+    out = tmp_path / "stacked"
+    assert run(capsys, "linear", "predict", *common, "--stacked", manifest, "--model", model, "--out-prefix", out)[0] == 0
+    # the stacked probabilities are features: without them the model differs
+    assert run(capsys, *train, "--model", tmp_path / "plain.model")[0] == 0
+    assert (tmp_path / "plain.model").read_bytes() != model.read_bytes()
+    # sha256 of the bytes written while the streams were tuples of tuples
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+        "3f1ccc70ba9fb50e695780f16c1b72e86bf205e4778b6a2c232b3e14920942df"
+    )
+    assert hashlib.sha256(Path(f"{out}.probs").read_bytes()).hexdigest() == (
+        "e58eaa6f58997fc4c0cd2265a4be97e633220a895fd8289e93786a6ff5020bff"
+    )
 
 
 def test_linear_train_is_deterministic(tmp_path, capsys, rng):
@@ -385,7 +435,7 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys, rng):
 
 
 def prediction_files(tmp_path, rng, mt_path, n_systems=3):
-    lengths = [len(line.split()) for line in open(mt_path)]
+    lengths = [len(line.split()) for line in text_lines(mt_path)]
     lines = []
     for s in range(n_systems):
         rows = [[round(rng.random(), 4) for _ in range(n)] for n in lengths]
@@ -418,7 +468,7 @@ def test_ensemble_word_fit_apply_kfold(tmp_path, capsys, rng):
         "--stream", "words", "--out", combined,
     )
     assert code == 0
-    mt_lengths = [len(line.split()) for line in open(paths["mt"])]
+    mt_lengths = [len(line.split()) for line in text_lines(paths["mt"])]
     assert [len(r) for r in read_prob_lines(combined)] == mt_lengths
 
     code, out, _ = run(
@@ -443,6 +493,20 @@ def test_bad_weights_line_names_file_and_line(tmp_path, capsys, rng, line, fragm
         "--weights", weights, "--out", tmp_path / "out.probs",
     )
     assert_one_error_line(code, err, f"{weights}:2:", fragment)
+
+
+def test_ensemble_word_fit_on_a_probability_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    manifest = prediction_files(tmp_path, rng, paths["mt"], n_systems=2)
+    probs = tmp_path / "sys1.probs"
+    lines = probs.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    probs.write_bytes(b"".join(lines))
+    code, _, err = run(
+        capsys, "ensemble-word", "fit", "--manifest", manifest, "--mt", paths["mt"],
+        "--gold", paths["tags"], "--out", tmp_path / "w.tsv",
+    )
+    assert_one_error_line(code, err, f"{probs}:3:", "not UTF-8")
 
 
 def test_kfold_with_more_folds_than_sentences_is_one_error_line(tmp_path, capsys, rng):
@@ -617,9 +681,9 @@ def test_doc_mqm_features_fit_apply_eval(tmp_path, capsys, rng):
 
     mqm_dir = tmp_path / "sentmqm"
     mqm_dir.mkdir()
-    for line in open(manifest):
+    for line in text_lines(manifest):
         doc_id, rel = line.strip().split("\t")
-        n_sentences = len(open(tmp_path / rel).read().splitlines())
+        n_sentences = len(text_lines(tmp_path / rel))
         write(mqm_dir / f"{doc_id}.mqm", "".join(f"{rng.uniform(0, 100)!r}\n" for _ in range(n_sentences)))
 
     gold_mqm = tmp_path / "gold.mqm"

@@ -1,19 +1,31 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qestack.config import load_config_file
 from qestack.corpus import (
     PredictionSet,
+    Ragged,
     Sentence,
     SourceTags,
     Stream,
     Tag,
     TargetTags,
+    _parse_float,
+    _read_lines,
+    check_lengths,
+    is_tag_file,
     load_corpus,
     load_predictions,
     read_alignment_lines,
     read_manifest,
+    read_prob_lines,
     read_score_lines,
+    read_sentences,
+    read_tag_lines,
     write_alignments,
     write_probs,
     write_scores,
@@ -272,3 +284,185 @@ def test_every_loader_names_file_and_line_of_an_empty_or_garbled_line(tmp_path, 
     with pytest.raises(ParseError) as caught:
         load()
     assert (caught.value.file, caught.value.line) == (path, 2)
+
+
+# --- prediction streams as flat arrays ---------------------------------------------
+
+
+def test_ragged_holds_rows_as_flat_values_and_offsets():
+    ragged = Ragged.from_rows([(0.1, 0.2), [0.3], (1.0, 0.0, 0.5)])
+    assert ragged.values.dtype == np.float64 and ragged.offsets.dtype == np.int64
+    assert ragged.values.tolist() == [0.1, 0.2, 0.3, 1.0, 0.0, 0.5]
+    assert ragged.offsets.tolist() == [0, 2, 3, 6]
+    assert len(ragged) == 3
+    assert ragged.rows() == [[0.1, 0.2], [0.3], [1.0, 0.0, 0.5]]
+    assert list(ragged) == ragged.rows()
+    assert ragged[1] == [0.3] and ragged[-1] == [1.0, 0.0, 0.5]
+    assert ragged[:2] + ragged[2:] == ragged.rows()
+    with pytest.raises(IndexError):
+        ragged[3]
+    empty = Ragged.from_rows([])
+    assert len(empty) == 0 and empty.rows() == [] and empty.offsets.tolist() == [0]
+
+
+def test_ragged_equals_the_same_rows_in_any_form():
+    ragged = Ragged.from_rows([[0.1, 0.2], [0.3]])
+    assert ragged == ((0.1, 0.2), (0.3,))
+    assert ragged == [[0.1, 0.2], [0.3]]
+    assert ragged == Ragged.from_rows(((0.1, 0.2), (0.3,)))
+    # same values, other row boundaries
+    assert ragged != [[0.1], [0.2, 0.3]]
+    assert ragged != [[0.1, 0.2], [0.4]]
+    assert ragged != [[OK, BAD], [OK]]
+    assert ragged != None  # noqa: E711
+
+
+def test_prediction_set_turns_rows_into_ragged_streams_once():
+    words = Ragged.from_rows([[0.5, 0.25]])
+    ps = PredictionSet("s", words, gap_probs=((0.0, 0.5, 1.0),), sentence_scores=(0.5,))
+    assert ps.word_probs is words
+    assert isinstance(ps.gap_probs, Ragged) and ps.gap_probs == ((0.0, 0.5, 1.0),)
+    assert ps.source_probs is None and ps.sentence_scores == (0.5,)
+    assert ps.stream(Stream.GAPS) is ps.gap_probs
+    assert ps == PredictionSet("s", ((0.5, 0.25),), gap_probs=[[0.0, 0.5, 1.0]], sentence_scores=(0.5,))
+
+
+def test_check_lengths_on_a_ragged_stream_reports_the_first_wrong_line(tmp_path):
+    rows = [[0.1, 0.2], [0.3], [0.4]]
+    check_lengths(Ragged.from_rows(rows), [2, 1, 1], "p.probs", "word stream")
+    for lengths in ([2, 2, 1], [1, 2, 1], [2, 1, 2], [1, 1, 1]):
+        with pytest.raises(LengthMismatch) as want:
+            check_lengths(rows, lengths, "p.probs", "word stream")
+        with pytest.raises(LengthMismatch) as got:
+            check_lengths(Ragged.from_rows(rows), lengths, "p.probs", "word stream")
+        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+    with pytest.raises(LengthMismatch, match="has 3 lines, expected 2"):
+        check_lengths(Ragged.from_rows(rows), [2, 1], "p.probs", "word stream")
+
+
+def reference_read_prob_lines(path) -> list[list[float]]:
+    """``read_prob_lines`` as it was before it returned a :class:`Ragged`:
+    one ``_parse_float`` call and one range check per field."""
+    out = []
+    for i, line in enumerate(_read_lines(path), 1):
+        row = []
+        for f in line.split():
+            value = _parse_float(f, file=str(path), line=i)
+            if not 0.0 <= value <= 1.0:
+                raise RangeError(f"probability {value} outside [0, 1]", file=str(path), line=i)
+            row.append(value)
+        out.append(row)
+    return out
+
+
+def _outcome(read, path):
+    """Float bits and row lengths of a read, or the class and message of its error."""
+    try:
+        rows = read(path)
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc)
+    return [[value.hex() for value in row] for row in rows]
+
+
+# spellings float() reads as a value in [0, 1]
+_IN_RANGE_TOKENS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(0.0, 1.0).map(lambda x: f"{x:e}"),
+    st.floats(0.0, 1.0).map(lambda x: f"{x:+.3E}"),
+    st.sampled_from([
+        "0", "1", "0.0", "1.0", "-0.0", "+0.0", "-0", ".5", "+.5", "5e-1", "5.E-1", "1e-400",
+        "-1e-400", "0.9999999999999999", "0_5e-1", "0.2_5", "١", "٠.٥", "０.５", "۰.۲",
+    ]),
+)
+# spellings float() rejects or reads as a value outside [0, 1], and any number
+_OTHER_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.from_regex(r"[+-]?(\d{1,3}(\.\d{0,4})?|\.\d{1,4})([eE][+-]?\d{1,3})?", fullmatch=True),
+    st.sampled_from([
+        "1.0000000000000002", "1e300", "2", "-0.1", "1_0", "١.٥",
+        "inf", "-inf", "+inf", "INF", "Infinity", "-Infinity", "iNfInItY", "infinity",
+        "nan", "NaN", "-nan", "+nan", "NAN",
+        "_1", "1_", "1__0", "0._5", "0x1p-2", "0x0.8p0", "0x1", "0b1",
+        "abc", "1.2.3", "--1", "e5", ".", "+", "1e", "1e+", "0,5", "½", "None", "OK",
+    ]),
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", "\u2003"])
+
+
+@st.composite
+def _prob_files(draw):
+    """Lines of in-range numbers in which up to three fields are replaced by
+    other tokens, and sometimes an empty line."""
+    rows = [
+        draw(st.lists(_IN_RANGE_TOKENS, min_size=1, max_size=6)) for _ in range(draw(st.integers(1, 5)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_OTHER_TOKENS)
+    lines = []
+    for row in rows:
+        text = row[0]
+        for token in row[1:]:
+            text += draw(_SEPARATORS) + token
+        lines.append(text)
+    if draw(st.integers(0, 9)) == 5:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_prob_files())
+def test_read_prob_lines_equals_the_per_field_reader(tmp_path, text):
+    path = tmp_path / "fuzz.probs"
+    path.write_bytes(text.encode("utf-8"))
+    want = _outcome(reference_read_prob_lines, path)
+    got = _outcome(read_prob_lines, path)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("0.5 0.1\n0.2 x 1.5\n", ParseError, "p.probs:2: malformed number 'x'"),
+        ("0.5 0.1\n0.2 1.5 x\n", RangeError, "p.probs:2: probability 1.5 outside [0, 1]"),
+        ("0.5 nan\n0.2 x\n", RangeError, "p.probs:1: probability nan outside [0, 1]"),
+        ("0.5 -1e-400\n0.2 -0.5\n", RangeError, "p.probs:2: probability -0.5 outside [0, 1]"),
+        ("0.5 inf\n", RangeError, "p.probs:1: probability inf outside [0, 1]"),
+    ],
+)
+def test_read_prob_lines_reports_the_first_bad_field_in_file_order(tmp_path, text, error, message):
+    path = write(tmp_path / "p.probs", text)
+    with pytest.raises(error) as caught:
+        read_prob_lines(path)
+    assert str(caught.value) == f"{tmp_path}/{message}"
+
+
+# --- files that are not UTF-8 --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "read",
+    [read_prob_lines, read_score_lines, read_tag_lines, read_sentences, is_tag_file, load_config_file],
+    ids=lambda read: read.__name__,
+)
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"\xff 0.5\n0.5\n", 1), (b"OK\n0.5 \xe9t\xc3\n", 2), (b"OK\r\nab\rc\xc3\xa9\n\xc3(\n", 4)],
+)
+def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_its_line(tmp_path, read, data, line):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as caught:
+        read(str(path))
+    assert (caught.value.file, caught.value.line) == (str(path), line)
+    assert "not UTF-8" in str(caught.value)
+
+
+def test_ragged_arrays_are_read_only():
+    values = np.array([0.1, 0.2])
+    ragged = Ragged(values, np.array([0, 2], dtype=np.int64))
+    with pytest.raises(ValueError):
+        ragged.values[0] = 0.5
+    with pytest.raises(ValueError):
+        ragged.offsets[1] = 1
+    assert values.flags.writeable  # only the stream's own view is frozen
