@@ -15,7 +15,7 @@ import sys
 
 from . import __version__, corpus, doclevel, ensemble, labeler, linearqe, metrics
 from .config import load_config_file, resolve_config, write_snapshot
-from .corpus import Stream, Tag
+from .corpus import Stream
 from .errors import QEStackError
 
 
@@ -49,28 +49,7 @@ def _snapshot(path, command, values, extra=None):
     write_snapshot(path, command, merged, __version__)
 
 
-# ---------------------------------------------------------------------------
-# Stream slicing of tag/probability files
-# ---------------------------------------------------------------------------
-
 _EVAL_STREAMS = ("target", "words", "gaps", "source", "sentence")
-
-
-def _read_tag_rows(path, stream, lengths=()):
-    """Tag lines of a file; for the target, words and gaps streams every line
-    must be interleaved, and words or gaps keep only that stream's tags. A
-    words or gaps line whose length is already ``lengths[i]``, the stream's
-    length on that line, is taken as it is."""
-    rows = corpus.read_tag_lines(path)
-    if stream not in ("target", "words", "gaps"):
-        return rows
-    out = []
-    for i, row in enumerate(rows, 1):
-        if stream == "target" or i > len(lengths) or len(row) != lengths[i - 1]:
-            split = corpus.TargetTags.from_interleaved(row, file=str(path), line=i)
-            row = row if stream == "target" else split.word_tags if stream == "words" else split.gap_tags
-        out.append(row)
-    return out
 
 
 def _cmd_evaluate(args):
@@ -84,24 +63,23 @@ def _cmd_evaluate(args):
         _emit([("pearson", f"{metrics.pearson(gold, pred):.6f}")], args.format)
         return 0
 
-    gold_rows = _read_tag_rows(args.gold, args.stream)
-    gold_lengths = [len(row) for row in gold_rows]
+    gold = corpus.read_tag_stream(args.gold, args.stream)
+    gold_lengths = [len(row) for row in gold]
     # a prediction file holds either tags (the stream's own, or interleaved
     # and sliced like the gold) or per-stream probabilities
     if corpus.is_tag_file(args.pred):
-        pred_rows = _read_tag_rows(args.pred, args.stream, gold_lengths)
-        pred_flat = [tag for row in pred_rows for tag in row]
+        pred = corpus.read_tag_stream(args.pred, args.stream, gold_lengths)
+        pred_bad = pred.values
     else:
-        pred_rows = corpus.read_prob_lines(args.pred)
-        pred_flat = metrics.threshold(pred_rows.values.tolist(), values["threshold"])
-    corpus.check_lengths(pred_rows, gold_lengths, args.pred, "prediction")
-    gold_flat = [tag for row in gold_rows for tag in row]
-    scores = metrics.f1_mult(gold_flat, pred_flat)
+        pred = corpus.read_prob_lines(args.pred)
+        pred_bad = metrics.threshold(pred.values, values["threshold"])
+    corpus.check_lengths(pred, gold_lengths, args.pred, "prediction")
+    scores = metrics.f1_mult(gold.values, pred_bad)
     pairs = [
         ("f1_ok", f"{scores.f1_ok:.6f}"),
         ("f1_bad", f"{scores.f1_bad:.6f}"),
         ("f1_mult", f"{scores.f1_mult:.6f}"),
-        ("mcc", f"{metrics.mcc(gold_flat, pred_flat):.6f}"),
+        ("mcc", f"{metrics.mcc(gold.values, pred_bad):.6f}"),
     ]
     _emit(pairs, args.format)
     return 0
@@ -224,17 +202,14 @@ _ENSEMBLE_WORD_SCHEMA = {
 }
 
 
-def _load_gold_stream(path, stream: Stream, loaded) -> list[list[Tag]]:
-    rows = _read_tag_rows(path, stream.value)
-    corpus.check_lengths(rows, corpus.stream_lengths(loaded, stream), path, "gold")
-    return rows
-
-
 def _ensemble_inputs(args, need_gold):
     stream = Stream(args.stream)
     loaded = corpus.load_corpus(mt=args.mt, src=args.src)
     preds = corpus.read_manifest(args.manifest, loaded)
-    golds = _load_gold_stream(args.gold, stream, loaded) if need_gold else None
+    golds = None
+    if need_gold:
+        golds = corpus.read_tag_stream(args.gold, stream.value)
+        corpus.check_lengths(golds, corpus.stream_lengths(loaded, stream), args.gold, "gold")
     return stream, loaded, preds, golds
 
 

@@ -5,8 +5,8 @@ lines anywhere):
 
 * ``*.src`` / ``*.mt`` / ``*.pe`` -- whitespace-tokenized sentences.
 * ``*.tags`` -- interleaved gap/word tags, ``g0 w1 g1 ... wN gN`` (2N+1
-  entries for an N-token MT sentence). A word-only variant with N entries
-  is supported behind a flag.
+  entries for an N-token MT sentence), or N word tags behind a flag; scored
+  as a :class:`Ragged` of bool BAD indicators (:func:`read_tag_stream`).
 * ``*.source_tags`` -- one tag per source token.
 * ``*.hter`` -- one float in [0, 1] per line.
 * ``*.probs`` -- one float in [0, 1] per token per line, read into a
@@ -41,6 +41,7 @@ __all__ = [
     "load_corpus",
     "load_predictions",
     "read_manifest",
+    "read_tag_stream",
     "is_tag_file",
     "stream_lengths",
     "check_lengths",
@@ -56,16 +57,12 @@ class Tag(enum.Enum):
     OK = "OK"
     BAD = "BAD"
 
-    @classmethod
-    def parse(cls, text: str, *, file=None, line=None) -> "Tag":
-        if text == "OK":
-            return cls.OK
-        if text == "BAD":
-            return cls.BAD
-        raise ParseError(f"invalid tag {text!r} (expected OK or BAD)", file=file, line=line)
-
     def __str__(self) -> str:
         return self.value
+
+    def __bool__(self) -> bool:
+        """The tag's BAD indicator: BAD is true."""
+        return self is Tag.BAD
 
 
 class Stream(enum.Enum):
@@ -125,18 +122,18 @@ class TargetTags:
     @classmethod
     def from_interleaved(cls, tags, *, file=None, line=None) -> "TargetTags":
         tags = tuple(tags)
-        if len(tags) < 3 or len(tags) % 2 == 0:
-            raise LengthMismatch(
-                f"interleaved tag line must hold 2N+1 entries, got {len(tags)}",
-                file=file,
-                line=line,
-            )
+        _check_interleaved(len(tags), file=file, line=line)
         return cls(word_tags=tags[1::2], gap_tags=tags[0::2])
 
     @classmethod
     def words_only(cls, word_tags) -> "TargetTags":
         word_tags = tuple(word_tags)
         return cls(word_tags=word_tags, gap_tags=(Tag.OK,) * (len(word_tags) + 1))
+
+
+def _check_interleaved(n: int, *, file=None, line=None):
+    if n < 3 or n % 2 == 0:
+        raise LengthMismatch(f"interleaved tag line must hold 2N+1 entries, got {n}", file=file, line=line)
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,11 @@ class TaggedCorpus:
 
 @dataclass(frozen=True, eq=False)
 class Ragged:
-    """Rows of floats of varying length, stored flat: row ``i`` is
-    ``values[offsets[i]:offsets[i + 1]]``. It reads as a sequence of rows
-    (lists of Python floats) and equals any sequence with the same rows."""
+    """Rows of float64 probabilities or bool BAD indicators, stored flat: row
+    ``i`` is ``values[offsets[i]:offsets[i + 1]]``. It reads as a sequence of
+    rows (lists of Python values) and equals any sequence with the same rows."""
 
-    values: np.ndarray  # float64, every row's entries in order
+    values: np.ndarray  # float64 or bool, every row's entries in order
     offsets: np.ndarray  # int64, len(rows) + 1 entries, offsets[0] == 0
 
     def __post_init__(self):
@@ -194,15 +191,18 @@ class Ragged:
             object.__setattr__(self, name, view)
 
     @classmethod
-    def from_rows(cls, rows) -> "Ragged":
+    def from_rows(cls, rows, dtype=np.float64) -> "Ragged":
+        """Any rows; a Ragged is kept, or cast to ``dtype``. ``dtype=bool`` reads ``Tag`` rows as BAD."""
+        if isinstance(rows, Ragged):
+            return rows if rows.values.dtype == dtype else cls(rows.values.astype(dtype), rows.offsets)
         rows = list(rows)
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
-        values = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=int(offsets[-1]))
+        values = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1]))
         return cls(values, offsets)
 
     def rows(self) -> list[list[float]]:
-        """The row view: one list of Python floats per row, bit for bit."""
+        """The row view: one list of Python values per row, bit for bit."""
         flat = self.values.tolist()
         bounds = self.offsets.tolist()
         return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -211,9 +211,7 @@ class Ragged:
         return self.offsets.size - 1
 
     def __iter__(self):
-        bounds = self.offsets.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield self.values[lo:hi].tolist()
+        return iter(self.rows())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -245,7 +243,7 @@ class PredictionSet:
     def __post_init__(self):
         for name in ("word_probs", "gap_probs", "source_probs"):
             rows = getattr(self, name)
-            if rows is not None and not isinstance(rows, Ragged):
+            if rows is not None:
                 object.__setattr__(self, name, Ragged.from_rows(rows))
 
     def __len__(self) -> int:
@@ -303,11 +301,46 @@ def read_sentences(path) -> list[Sentence]:
     return out
 
 
+def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
+    """A file's lines, their fields in one flat list, and each line's int64 offset into it."""
+    lines = _read_lines(path)
+    fields = []
+    offsets = [0]
+    for line in lines:
+        fields += line.split()
+        offsets.append(len(fields))
+    return lines, fields, np.array(offsets, dtype=np.int64)
+
+
 def read_tag_lines(path) -> list[list[Tag]]:
-    return [
-        [Tag.parse(t, file=str(path), line=i) for t in line.split()]
-        for i, line in enumerate(_read_lines(path), 1)
-    ]
+    as_tag = (Tag.OK, Tag.BAD).__getitem__
+    return [list(map(as_tag, row)) for row in read_tag_stream(path, "source")]
+
+
+def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
+    """One stream of a tag file as bool BAD indicators on per-line offsets.
+    ``target`` and ``source`` lines are taken as read; a ``target`` line must
+    be interleaved (2N+1). A ``words`` or ``gaps`` line is taken as read when
+    its length is already ``lengths[i]``, else it must be interleaved and
+    keeps only that stream's tags. The first field that is not OK or BAD,
+    in file order, is a ParseError."""
+    values, offsets = [], [0]
+    for line in _read_lines(path):
+        try:
+            values += map({"OK": False, "BAD": True}.__getitem__, line.split())
+        except KeyError as exc:
+            message = f"invalid tag {exc.args[0]!r} (expected OK or BAD)"
+            raise ParseError(message, file=str(path), line=len(offsets)) from None
+        offsets.append(len(values))
+    tags = Ragged(np.array(values, dtype=bool), np.array(offsets, dtype=np.int64))
+    if stream not in ("target", "words", "gaps"):
+        return tags
+    rows = tags.rows()
+    for i, row in enumerate(rows):
+        if stream == "target" or i >= len(lengths) or len(row) != lengths[i]:
+            _check_interleaved(len(row), file=str(path), line=i + 1)
+            rows[i] = row[stream == "words" :: 2]
+    return tags if stream == "target" else Ragged.from_rows(rows, dtype=bool)
 
 
 def _parse_float(text, *, file, line) -> float:
@@ -318,9 +351,16 @@ def _parse_float(text, *, file, line) -> float:
 
 
 def read_score_lines(path) -> list[float]:
-    """One float per line; no range restriction (scores may be arbitrary)."""
+    """One float per line, of any value; only a file one ``map(float, ...)`` fails on is walked."""
+    lines, fields, _ = _read_fields(path)
+    # no line is blank, so as many fields as lines means one on each
+    if len(fields) == len(lines):
+        try:
+            return list(map(float, fields))
+        except ValueError:
+            pass
     out = []
-    for i, line in enumerate(_read_lines(path), 1):
+    for i, line in enumerate(lines, 1):
         fields = line.split()
         if len(fields) != 1:
             raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
@@ -331,12 +371,7 @@ def read_score_lines(path) -> list[float]:
 def read_prob_lines(path) -> Ragged:
     """Every line's probabilities, parsed by ``float()`` and range-checked
     in one pass over the whole file."""
-    lines = _read_lines(path)
-    fields = []
-    offsets = [0]
-    for line in lines:
-        fields += line.split()
-        offsets.append(len(fields))
+    lines, fields, offsets = _read_fields(path)
     try:
         values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
     except ValueError:
@@ -344,7 +379,7 @@ def read_prob_lines(path) -> Ragged:
     # NaN fails both comparisons
     if not ((values >= 0.0) & (values <= 1.0)).all():
         _raise_first_prob_error(lines, path)
-    return Ragged(values, np.array(offsets, dtype=np.int64))
+    return Ragged(values, offsets)
 
 
 def _raise_first_prob_error(lines, path):
@@ -493,7 +528,7 @@ def _tags_as_probs(path) -> Ragged | None:
     """Tag-only systems enter the ensemble as degenerate probabilities
     (OK -> 0, BAD -> 1). Returns None when the file is not a tag file."""
     if is_tag_file(path):
-        return Ragged.from_rows([1.0 if t is Tag.BAD else 0.0 for t in row] for row in read_tag_lines(path))
+        return Ragged.from_rows(read_tag_stream(path, "source"))
     return None
 
 

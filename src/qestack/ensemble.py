@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -260,12 +259,6 @@ def powell_optimize(
 # ---------------------------------------------------------------------------
 
 
-def _flatten_bad(tags: Sequence[Sequence[Tag]]) -> np.ndarray:
-    return np.fromiter(
-        (tag is Tag.BAD for sentence in tags for tag in sentence), dtype=bool
-    )
-
-
 # Intervals narrower than this share of the segment lie within rounding of
 # their crossings (a sweep toward zero weights puts a sliver of spurious
 # ones at the segment's end), so the line search never stops in one.
@@ -415,7 +408,7 @@ def _fit(
 
 def fit_word_ensemble(
     dev_preds: Sequence[PredictionSet],
-    dev_gold: Sequence[Sequence[Tag]],
+    dev_gold: Ragged | Sequence[Sequence[Tag]],
     stream: Stream,
     *,
     threshold: float = 0.5,
@@ -425,6 +418,7 @@ def fit_word_ensemble(
 ) -> WordEnsembleFit:
     """Maximize dev F1-MULT of the thresholded convex combination.
 
+    ``dev_gold`` holds bool BAD indicators per sentence, or ``Tag`` rows.
     Powell starts from a one-hot vector on the best single system, so the
     fitted ensemble never scores below it on the dev set. With
     ``optimize_threshold`` the decision threshold joins the search as an
@@ -433,7 +427,7 @@ def fit_word_ensemble(
     """
     weights, fitted_threshold, f1 = _fit(
         _stacked_matrix(dev_preds, stream),
-        _flatten_bad(dev_gold),
+        Ragged.from_rows(dev_gold, dtype=bool).values,
         threshold=threshold,
         optimize_threshold=optimize_threshold,
         tol=tol,
@@ -448,7 +442,7 @@ def fit_word_ensemble(
 
 def kfold_estimate(
     dev_preds: Sequence[PredictionSet],
-    dev_gold: Sequence[Sequence[Tag]],
+    dev_gold: Ragged | Sequence[Sequence[Tag]],
     k: int,
     stream: Stream,
     **fit_kwargs,
@@ -459,14 +453,14 @@ def kfold_estimate(
     stacked once; each fold fits on the columns of the other folds."""
     bounds = fold_bounds(len(dev_gold), k)
     matrix = _stacked_matrix(dev_preds, stream)
-    offsets = np.fromiter(accumulate(map(len, dev_gold), initial=0), dtype=np.int64)
+    dev_gold = Ragged.from_rows(dev_gold, dtype=bool)
     for pred in dev_preds:
-        if not np.array_equal(pred.stream(stream).offsets, offsets):
+        if not np.array_equal(pred.stream(stream).offsets, dev_gold.offsets):
             raise LengthMismatch(f"system {pred.system_id!r} and the gold differ in sentence lengths")
-    gold = _flatten_bad(dev_gold)
+    gold = dev_gold.values
     pred_bad = []
     for lo, hi in bounds:
-        a, b = offsets[lo], offsets[hi]
+        a, b = dev_gold.offsets[lo], dev_gold.offsets[hi]
         weights, threshold, _ = _fit(
             np.concatenate((matrix[:, :a], matrix[:, b:]), axis=1),
             np.concatenate((gold[:a], gold[b:])),

@@ -38,7 +38,7 @@ class RangeError(QEStackError, ValueError):
 
 
 class EmptyInput(QEStackError):
-    """A metric was asked to score zero tags."""
+    """A metric was asked to score zero tags, or a tagger to tag zero tokens."""
 
 
 class DegenerateInput(QEStackError):
@@ -50,7 +50,7 @@ class InconsistentScript(QEStackError):
 
 
 class MissingStream(QEStackError):
-    """A system listed for ensembling does not provide the requested stream."""
+    """An input lacks a stream a step needs (system stream, source, gold tags, post-edit)."""
 
 
 class ZeroWeights(QEStackError):

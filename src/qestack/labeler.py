@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .corpus import Entry, Sentence, SourceTags, TaggedCorpus, Tag, TargetTags
-from .errors import InconsistentScript
+from .errors import InconsistentScript, MissingStream, RangeError
 
 __all__ = [
     "EditKind",
@@ -131,7 +131,7 @@ def hter(script: Sequence[EditStep], pe_len: int, cap: bool = True) -> float:
     """Edit count divided by post-edit length, clamped to [0, 1] unless
     ``cap`` is disabled."""
     if pe_len < 1:
-        raise ValueError("post-edit length must be >= 1")
+        raise RangeError("post-edit length must be >= 1")
     value = edit_cost(script) / pe_len
     if cap:
         value = min(1.0, max(0.0, value))
@@ -178,7 +178,7 @@ def source_tags_from_target(
 
 def label_entry(entry: Entry, cap: bool = True) -> Entry:
     if entry.pe is None:
-        raise ValueError("cannot label an entry without a post-edit")
+        raise MissingStream("cannot label an entry without a post-edit")
     script = align_edit(entry.mt, entry.pe)
     target = tags_from_edits(script, len(entry.mt))
     score = hter(script, len(entry.pe), cap=cap)

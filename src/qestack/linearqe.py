@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .corpus import PredictionSet, Stream, TaggedCorpus, Tag, _parse_float, _read_lines, _write_lines
 from .ensemble import fold_bounds
-from .errors import ParseError, RangeError
+from .errors import EmptyInput, LengthMismatch, MissingStream, ParseError, RangeError
 
 __all__ = [
     "FeatureConfig",
@@ -106,15 +106,15 @@ class SequenceInstance:
     def __post_init__(self):
         n = len(self.tokens)
         if n == 0:
-            raise ValueError("instance needs at least one token")
+            raise EmptyInput("instance needs at least one token")
         if self.aligned and len(self.aligned) != n:
-            raise ValueError("aligned words must cover every position")
+            raise LengthMismatch("aligned words must cover every position")
         for column in self.extra:
             if len(column) != n:
-                raise ValueError("extra column length must match the token count")
+                raise LengthMismatch("extra column length must match the token count")
         for _, probs in self.stacked:
             if len(probs) != n:
-                raise ValueError("stacked probabilities must cover every position")
+                raise LengthMismatch("stacked probabilities must cover every position")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -429,10 +429,10 @@ def _compile_training(instances, golds, epochs, C, config):
     if C <= 0:
         raise RangeError("C must be positive")
     if len(instances) != len(golds):
-        raise ValueError("instances and gold labelings differ in count")
+        raise LengthMismatch("instances and gold labelings differ in count")
     for inst, gold in zip(instances, golds):
         if len(inst) != len(gold):
-            raise ValueError("gold labeling length must match its instance")
+            raise LengthMismatch("gold labeling length must match its instance")
     config = config or FeatureConfig()
     index: dict[int, int] = {}
     memo = _Memo.interning(index)
@@ -647,7 +647,7 @@ def build_instances(
             aligned = ()
         elif stream is Stream.SOURCE:
             if entry.src is None:
-                raise ValueError("source stream needs source sentences")
+                raise MissingStream("source stream needs source sentences")
             tokens = entry.src.tokens
             aligned = (
                 tuple(_aligned_words(entry.mt.tokens, entry.alignments, 0, 1, len(tokens)))
@@ -655,7 +655,7 @@ def build_instances(
                 else ()
             )
         else:
-            raise ValueError(f"unknown stream {stream!r}")
+            raise MissingStream(f"unknown stream {stream!r}")
 
         extra = tuple(tuple(column[idx]) for column in extra_columns)
         instances.append(
@@ -675,11 +675,11 @@ def gold_tags(corpus: TaggedCorpus, stream: Stream) -> list[list[Tag]]:
     for i, entry in enumerate(corpus, 1):
         if stream is Stream.SOURCE:
             if entry.source_tags is None:
-                raise ValueError(f"entry {i} has no source tags")
+                raise MissingStream(f"entry {i} has no source tags")
             out.append(list(entry.source_tags.tags))
         else:
             if entry.target_tags is None:
-                raise ValueError(f"entry {i} has no target tags")
+                raise MissingStream(f"entry {i} has no target tags")
             tags = entry.target_tags
             out.append(list(tags.word_tags if stream is Stream.WORDS else tags.gap_tags))
     return out

@@ -14,7 +14,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Tag
 from .errors import DegenerateInput, EmptyInput, LengthMismatch, RangeError
 
 __all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "f1_mult_bool", "mcc", "pearson"]
@@ -30,8 +29,11 @@ class ContingencyTable:
     fn: int
 
     @classmethod
-    def from_bool(cls, gold_bad: np.ndarray, pred_bad: np.ndarray) -> "ContingencyTable":
-        """Counts over boolean BAD-indicator arrays; every metric counts here."""
+    def from_bool(cls, gold_bad, pred_bad) -> "ContingencyTable":
+        """Counts over BAD indicators, anything ``np.asarray(x, dtype=bool)``
+        reads (``Tag`` lists too); every metric counts here."""
+        gold_bad = np.asarray(gold_bad, dtype=bool)
+        pred_bad = np.asarray(pred_bad, dtype=bool)
         if gold_bad.shape != pred_bad.shape:
             raise LengthMismatch(f"gold has {gold_bad.size} tags, prediction has {pred_bad.size}")
         if not gold_bad.size:
@@ -40,10 +42,6 @@ class ContingencyTable:
         fp = int(np.count_nonzero(pred_bad)) - tp
         fn = int(np.count_nonzero(gold_bad)) - tp
         return cls(tp=tp, fp=fp, tn=gold_bad.size - tp - fp - fn, fn=fn)
-
-    @classmethod
-    def from_tags(cls, gold: Sequence[Tag], pred: Sequence[Tag]) -> "ContingencyTable":
-        return cls.from_bool(_bad(gold), _bad(pred))
 
     @property
     def total(self) -> int:
@@ -61,14 +59,10 @@ class F1Mult(NamedTuple):
     f1_mult: float
 
 
-def _bad(tags: Sequence[Tag]) -> np.ndarray:
-    return np.fromiter((t is Tag.BAD for t in tags), dtype=bool, count=len(tags))
-
-
-def threshold(probs: Sequence[float], t: float) -> list[Tag]:
-    """Map P(BAD) values to tags; the boundary is BAD (tag = BAD iff p >= t)."""
+def threshold(probs: Sequence[float], t: float) -> np.ndarray:
+    """BAD indicators of P(BAD) values, ``probs >= t`` as a bool array."""
     _check_threshold(t)
-    return [Tag.BAD if p >= t else Tag.OK for p in probs]
+    return np.asarray(probs, dtype=np.float64) >= t
 
 
 def _check_threshold(t: float):
@@ -112,9 +106,9 @@ def _f1_mult_counts(tp: np.ndarray, pred_bad: np.ndarray, gold_bad: int, total: 
     return f1_ok * f1_bad
 
 
-def f1_mult(gold: Sequence[Tag], pred: Sequence[Tag]) -> F1Mult:
+def f1_mult(gold, pred) -> F1Mult:
     """F1 of each class plus their product, the word-level task metric."""
-    return ContingencyTable.from_tags(gold, pred).f1_scores()
+    return ContingencyTable.from_bool(gold, pred).f1_scores()
 
 
 def f1_mult_bool(gold_bad: np.ndarray, pred_bad: np.ndarray) -> float:
@@ -123,10 +117,10 @@ def f1_mult_bool(gold_bad: np.ndarray, pred_bad: np.ndarray) -> float:
     return ContingencyTable.from_bool(gold_bad, pred_bad).f1_scores().f1_mult
 
 
-def mcc(gold: Sequence[Tag], pred: Sequence[Tag]) -> float:
-    """Matthews correlation over the tag confusion matrix; 0 whenever any
-    marginal is empty."""
-    t = ContingencyTable.from_tags(gold, pred)
+def mcc(gold, pred) -> float:
+    """Matthews correlation over the confusion matrix of BAD indicators; 0
+    whenever any marginal is empty."""
+    t = ContingencyTable.from_bool(gold, pred)
     denom_sq = (t.tp + t.fp) * (t.tp + t.fn) * (t.tn + t.fp) * (t.tn + t.fn)
     if denom_sq == 0:
         return 0.0

@@ -2,16 +2,63 @@ import os
 import random
 import string
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, Tag, TargetTags
+from qestack import corpus
+from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, Tag, TargetTags, _read_lines
+from qestack.errors import ParseError
 
 # CI (which GitHub Actions sets) runs the property tests on a fixed example
 # sequence and without per-example deadlines on slow runners.
 settings.register_profile("ci", derandomize=True, deadline=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+# --- the Tag-object readers that bool BAD indicators replaced, kept as references ---
+
+
+def reference_parse_tag(text, *, file=None, line=None):
+    """``Tag.parse`` as it was."""
+    if text == "OK":
+        return Tag.OK
+    if text == "BAD":
+        return Tag.BAD
+    raise ParseError(f"invalid tag {text!r} (expected OK or BAD)", file=file, line=line)
+
+
+def reference_read_tag_lines(path):
+    """``corpus.read_tag_lines`` as it was: one ``Tag.parse`` per field."""
+    return [
+        [reference_parse_tag(t, file=str(path), line=i) for t in line.split()]
+        for i, line in enumerate(_read_lines(path), 1)
+    ]
+
+
+def reference_read_tag_rows(path, stream, lengths=()):
+    """Tag lines of a file; for the target, words and gaps streams every line
+    must be interleaved, and words or gaps keep only that stream's tags. A
+    words or gaps line whose length is already ``lengths[i]``, the stream's
+    length on that line, is taken as it is."""
+    rows = reference_read_tag_lines(path)
+    if stream not in ("target", "words", "gaps"):
+        return rows
+    out = []
+    for i, row in enumerate(rows, 1):
+        if stream == "target" or i > len(lengths) or len(row) != lengths[i - 1]:
+            split = corpus.TargetTags.from_interleaved(row, file=str(path), line=i)
+            row = row if stream == "target" else split.word_tags if stream == "words" else split.gap_tags
+        out.append(row)
+    return out
+
+
+def reference_flatten_bad(tags):
+    """``ensemble._flatten_bad`` as it was."""
+    return np.fromiter(
+        (tag is Tag.BAD for sentence in tags for tag in sentence), dtype=bool
+    )
 
 
 def random_token(rng: random.Random, alphabet=string.ascii_lowercase) -> str:

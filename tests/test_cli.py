@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qestack.cli import main
 from qestack.corpus import Tag, load_corpus, read_prob_lines, read_score_lines
@@ -707,3 +709,113 @@ def test_doc_mqm_features_fit_apply_eval(tmp_path, capsys, rng):
     )
     assert code == 0
     assert out.startswith("mqm_pearson=")
+
+
+# --- fuzzed tag inputs ---------------------------------------------------------------
+
+# tokens a fuzzed tag line may gain: tags, near-tags and numbers
+_FUZZ_TOKENS = st.sampled_from(["OK", "BAD", "ok", "BAD,", "0.5", "1", "x", "ＯＫ"])
+_EDITS = ("replace", "drop", "add", "drop line", "repeat line", "swap", "empty line")
+
+
+@st.composite
+def _fuzzed(draw, text):
+    """``text`` after up to three edits (a token replaced, dropped or added,
+    a line dropped, repeated, swapped with another or emptied), and
+    sometimes cut short."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        row = lines[i]
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "replace" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_FUZZ_TOKENS)
+        elif edit == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "add":
+            row.insert(draw(st.integers(0, len(row))), draw(_FUZZ_TOKENS))
+        elif edit == "drop line":
+            del lines[i]
+        elif edit == "repeat line":
+            lines.insert(i, list(row))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "empty line":
+            lines[i] = []
+    out = "".join(" ".join(row) + "\n" for row in lines)
+    if draw(st.integers(0, 9)) == 0:
+        out = out[: draw(st.integers(0, len(out)))]
+    return out
+
+
+def tag_fuzz_files(tmp_path):
+    """Six sentences with gold tags, tag and probability predictions of every
+    stream, and a two-system manifest."""
+    rng = random.Random(41)
+    mt = [rng.randint(1, 4) for _ in range(6)]
+    src = [rng.randint(1, 4) for _ in range(6)]
+
+    def tags(lengths):
+        return "".join(" ".join(rng.choice(["OK", "BAD"]) for _ in range(n)) + "\n" for n in lengths)
+
+    def probs(lengths):
+        return "".join(" ".join(repr(round(rng.random(), 3)) for _ in range(n)) + "\n" for n in lengths)
+
+    stream_lengths = {
+        "target": [2 * n + 1 for n in mt], "words": mt, "gaps": [n + 1 for n in mt], "source": src,
+    }
+    files = {
+        "mt": write(tmp_path / "f.mt", "".join(" ".join(["w"] * n) + "\n" for n in mt)),
+        "src": write(tmp_path / "f.src", "".join(" ".join(["s"] * n) + "\n" for n in src)),
+        "gold target": write(tmp_path / "gold.tags", tags(stream_lengths["target"])),
+        "gold source": write(tmp_path / "gold.source_tags", tags(src)),
+        "interleaved": write(tmp_path / "pred.tags", tags(stream_lengths["target"])),
+    }
+    for stream, lengths in stream_lengths.items():
+        files[f"own {stream}"] = write(tmp_path / f"pred.{stream}.tags", tags(lengths))
+        files[f"probs {stream}"] = write(tmp_path / f"pred.{stream}.probs", probs(lengths))
+    manifest = []
+    for s in range(2):
+        fields = [f"sys{s}"]
+        for stream in ("words", "gaps", "source"):
+            fields.append(f"{stream}={write(tmp_path / f'sys{s}.{stream}', probs(stream_lengths[stream]))}")
+        manifest.append("\t".join(fields) + "\n")
+    files["manifest"] = write(tmp_path / "systems.tsv", "".join(manifest))
+    return files
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["evaluate", "fit", "kfold"]))
+def test_fuzzed_tag_inputs_end_in_an_exit_code_and_at_most_one_error_line(tmp_path, capsys, data, command):
+    files = tag_fuzz_files(tmp_path)
+
+    def fuzzed(name):
+        path = tmp_path / f"fuzzed.{name.replace(' ', '.')}"
+        with open(files[name], encoding="utf-8") as handle:
+            path.write_text(data.draw(_fuzzed(handle.read()), label=name), encoding="utf-8")
+        return path
+
+    if command == "evaluate":
+        stream = data.draw(st.sampled_from(["target", "words", "gaps", "source"]), label="stream")
+        pred = data.draw(st.sampled_from(["interleaved", f"own {stream}", f"probs {stream}"]), label="pred")
+        gold = fuzzed("gold source" if stream == "source" else "gold target")
+        argv = ["evaluate", "--gold", gold, "--pred", fuzzed(pred), "--stream", stream]
+    else:
+        stream = data.draw(st.sampled_from(["words", "gaps", "source"]), label="stream")
+        gold = fuzzed("gold source" if stream == "source" else "gold target")
+        argv = [
+            "ensemble-word", command, "--manifest", files["manifest"], "--mt", files["mt"],
+            "--src", files["src"], "--gold", gold, "--stream", stream,
+            *(["--out", tmp_path / "w.tsv"] if command == "fit" else ["--k", "3"]),
+        ]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], err
+    else:
+        assert err == ""

@@ -26,6 +26,7 @@ from qestack.corpus import (
     read_score_lines,
     read_sentences,
     read_tag_lines,
+    read_tag_stream,
     write_alignments,
     write_probs,
     write_scores,
@@ -37,7 +38,7 @@ from qestack.ensemble import load_ridge_model, load_weights
 from qestack.errors import LengthMismatch, ParseError, RangeError
 from qestack.linearqe import load_model
 
-from conftest import random_corpus
+from conftest import random_corpus, reference_read_tag_rows
 
 OK, BAD = Tag.OK, Tag.BAD
 
@@ -154,6 +155,7 @@ def test_tag_file_maps_to_degenerate_probabilities(tmp_path):
     tags = write(tmp_path / "x.wtags", "OK BAD\n")
     preds = load_predictions(corpus, "sys", words=tags)
     assert preds.word_probs == ((0.0, 1.0),)
+    assert preds.word_probs.values.dtype == np.float64
 
 
 def test_write_tags_examples(tmp_path):
@@ -355,13 +357,32 @@ def reference_read_prob_lines(path) -> list[list[float]]:
     return out
 
 
+def reference_read_score_lines(path) -> list[float]:
+    """``read_score_lines`` as it was before it converted the file in one
+    pass: one ``split()`` and one ``_parse_float`` call per line."""
+    out = []
+    for i, line in enumerate(_read_lines(path), 1):
+        fields = line.split()
+        if len(fields) != 1:
+            raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
+        out.append(_parse_float(fields[0], file=str(path), line=i))
+    return out
+
+
+def _bits(value):
+    """A Python float's bits, or a row's; anything else is kept as it is."""
+    if type(value) is float:
+        return value.hex()
+    return [_bits(v) for v in value] if isinstance(value, list) else value
+
+
 def _outcome(read, path):
     """Float bits and row lengths of a read, or the class and message of its error."""
     try:
         rows = read(path)
     except Exception as exc:  # noqa: BLE001 -- the error is the outcome
         return type(exc), str(exc)
-    return [[value.hex() for value in row] for row in rows]
+    return [_bits(row) for row in rows]
 
 
 # spellings float() reads as a value in [0, 1]
@@ -390,15 +411,18 @@ _SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", "\u2003"])
 
 
 @st.composite
-def _prob_files(draw):
-    """Lines of in-range numbers in which up to three fields are replaced by
-    other tokens, and sometimes an empty line."""
+def _number_files(draw, max_fields):
+    """Lines of up to ``max_fields`` in-range numbers in which up to three
+    fields are replaced by other tokens, sometimes a line with one field
+    more, and sometimes an empty line."""
     rows = [
-        draw(st.lists(_IN_RANGE_TOKENS, min_size=1, max_size=6)) for _ in range(draw(st.integers(1, 5)))
+        draw(st.lists(_IN_RANGE_TOKENS, min_size=1, max_size=max_fields)) for _ in range(draw(st.integers(1, 5)))
     ]
     for _ in range(draw(st.integers(0, 3))):
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(0, len(row) - 1))] = draw(_OTHER_TOKENS)
+    if draw(st.integers(0, 4)) == 2:
+        draw(st.sampled_from(rows)).append(draw(_IN_RANGE_TOKENS))
     lines = []
     for row in rows:
         text = row[0]
@@ -410,13 +434,75 @@ def _prob_files(draw):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize(
+    "read, reference, max_fields",
+    [(read_prob_lines, reference_read_prob_lines, 6), (read_score_lines, reference_read_score_lines, 1)],
+    ids=["probs", "scores"],
+)
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_prob_files())
-def test_read_prob_lines_equals_the_per_field_reader(tmp_path, text):
-    path = tmp_path / "fuzz.probs"
+@given(data=st.data())
+def test_one_pass_number_readers_equal_the_per_field_readers(tmp_path, read, reference, max_fields, data):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data.draw(_number_files(max_fields)).encode("utf-8"))
+    want = _outcome(reference, path)
+    got = _outcome(read, path)
+    assert got == want
+
+
+# tokens that are not tags, some of them close to one
+_OTHER_TAGS = st.sampled_from(["ok", "Bad", "OKBAD", "BAD.", "OK,", "0", "1.0", "ＯＫ", "B", "-", "None"])
+
+
+@st.composite
+def _tag_files(draw):
+    """Lines of 1 to 9 OK/BAD tags, often an interleaved 2N+1, in which up to
+    two are replaced by other tokens, sometimes an empty line; returns the
+    text and each line's number of tags."""
+    sizes = st.one_of(st.sampled_from([3, 5, 7, 9]), st.integers(1, 9))
+    rows = [
+        draw(st.lists(st.sampled_from(["OK", "BAD"]), min_size=n, max_size=n))
+        for n in draw(st.lists(sizes, min_size=1, max_size=6))
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_OTHER_TAGS)
+    lines = []
+    for row in rows:
+        text = row[0]
+        for token in row[1:]:
+            text += draw(_SEPARATORS) + token
+        lines.append(text)
+    if draw(st.integers(0, 19)) == 7:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + "\n", [len(row) for row in rows]
+
+
+def _tag_outcome(read, path, stream, lengths):
+    """BAD indicators per row of a read, or the class, message and place of its error."""
+    try:
+        rows = read(path, stream, lengths)
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc), getattr(exc, "file", None), getattr(exc, "line", None)
+    if isinstance(rows, Ragged):
+        assert rows.values.dtype == bool
+        return rows.rows()
+    return [[tag is BAD for tag in row] for row in rows]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), stream=st.sampled_from(["target", "words", "gaps", "source"]))
+def test_read_tag_stream_equals_the_tag_object_reader(tmp_path, data, stream):
+    text, counts = data.draw(_tag_files())
+    lengths = ()
+    if data.draw(st.booleans()):
+        # per line: its own count (taken as read), the words or gaps count of
+        # an interleaved line, or another; then cut short or run long
+        lengths = [data.draw(st.sampled_from([n, n, n // 2, n // 2 + 1, n + 1])) for n in counts]
+        lengths = lengths[: data.draw(st.integers(0, len(lengths)))] + data.draw(st.lists(st.integers(1, 9), max_size=2))
+    path = tmp_path / "fuzz.tags"
     path.write_bytes(text.encode("utf-8"))
-    want = _outcome(reference_read_prob_lines, path)
-    got = _outcome(read_prob_lines, path)
+    want = _tag_outcome(reference_read_tag_rows, path, stream, lengths)
+    got = _tag_outcome(read_tag_stream, path, stream, lengths)
     assert got == want
 
 

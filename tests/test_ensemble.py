@@ -8,11 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qestack import ensemble
-from qestack.corpus import PredictionSet, Stream, Tag
+from qestack.corpus import PredictionSet, Ragged, Stream, Tag
 from qestack.ensemble import (
     WeightVector,
     _combine,
-    _flatten_bad,
     _stacked_matrix,
     fold_bounds,
     combine_word,
@@ -40,7 +39,7 @@ from qestack.errors import (
 from qestack.metrics import f1_mult, threshold
 from qestack.metrics import f1_mult_bool as _f1_mult_bool
 
-from conftest import complementary_systems, fold_specialist_systems
+from conftest import complementary_systems, fold_specialist_systems, reference_flatten_bad
 
 OK, BAD = Tag.OK, Tag.BAD
 
@@ -544,7 +543,7 @@ def reference_kfold_estimate(
         held = _stacked_matrix(_slice_preds(dev_preds, lambda rows: rows[lo:hi]), stream)
         weights = np.array(fit.weights.weights, dtype=float)
         pred_bad.append(_combine(weights, held) >= fit.threshold)
-        gold_bad.append(_flatten_bad(dev_gold[lo:hi]))
+        gold_bad.append(reference_flatten_bad(dev_gold[lo:hi]))
     return _f1_mult_bool(np.concatenate(gold_bad), np.concatenate(pred_bad))
 
 
@@ -595,6 +594,23 @@ def test_each_ensemble_command_stacks_the_systems_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(4, 30), optimize=st.booleans())
+def test_fitters_score_tag_rows_and_their_bool_ragged_alike(seed, n_sentences, optimize):
+    preds, gold = complementary_systems(random.Random(seed), n_sentences=n_sentences)
+    bad = Ragged.from_rows(gold, dtype=bool)
+    assert bad.values.dtype == bool
+    assert bad.values.tolist() == reference_flatten_bad(gold).tolist()
+    assert bad.offsets.tolist() == preds[0].word_probs.offsets.tolist()
+    options = {"optimize_threshold": optimize, "max_cycles": 4}
+    fits = [fit_word_ensemble(preds, g, Stream.WORDS, **options) for g in (gold, bad)]
+    assert [float(x).hex() for x in (*fits[0].weights.weights, fits[0].threshold, fits[0].f1)] == [
+        float(x).hex() for x in (*fits[1].weights.weights, fits[1].threshold, fits[1].f1)
+    ]
+    estimates = [kfold_estimate(preds, g, 4, Stream.WORDS, **options).hex() for g in (gold, bad)]
+    assert estimates[0] == estimates[1]
 
 
 def test_kfold_rejects_a_gold_row_of_another_length():

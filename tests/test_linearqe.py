@@ -17,6 +17,8 @@ from qestack.corpus import (
     Entry,
 )
 from qestack.ensemble import fold_bounds
+from qestack.errors import EmptyInput, LengthMismatch, MissingStream, QEStackError, RangeError
+from qestack.labeler import hter, label_entry
 from qestack.linearqe import (
     FeatureConfig,
     LinearModel,
@@ -719,3 +721,35 @@ def test_stacked_probs_follow_the_requested_stream():
     # systems without the stream are skipped rather than imputed
     source_inst = build_instances(corpus, Stream.SOURCE, predictions=[preds])[0]
     assert source_inst.stacked == ()
+
+
+# --- misuse ---------------------------------------------------------------------
+
+
+def _misuse_cases():
+    bare = TaggedCorpus((Entry(mt=Sentence(("a", "b"))),))
+    two = make_instance(["a", "b"])
+    return {
+        "instance without tokens": (EmptyInput, lambda: make_instance([])),
+        "aligned words per position": (LengthMismatch, lambda: make_instance(["a", "b"], aligned=(("x",),))),
+        "extra column per position": (LengthMismatch, lambda: make_instance(["a", "b"], extra=(("x",),))),
+        "stacked probabilities per position": (
+            LengthMismatch, lambda: make_instance(["a", "b"], stacked=(("s", (0.5,)),)),
+        ),
+        "gold labelings per instance": (LengthMismatch, lambda: mira_train([two, two], [[OK, BAD]])),
+        "gold labeling length": (LengthMismatch, lambda: mira_train([two], [[OK]])),
+        "source stream without source": (MissingStream, lambda: build_instances(bare, Stream.SOURCE)),
+        "unknown stream": (MissingStream, lambda: build_instances(bare, "words")),
+        "gold without source tags": (MissingStream, lambda: gold_tags(bare, Stream.SOURCE)),
+        "gold without target tags": (MissingStream, lambda: gold_tags(bare, Stream.WORDS)),
+        "hter of an empty post-edit": (RangeError, lambda: hter([], 0)),
+        "label without a post-edit": (MissingStream, lambda: label_entry(bare[0])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_misuse_cases()))
+def test_misuse_raises_a_toolkit_error_of_its_own_class(case):
+    error, call = _misuse_cases()[case]
+    with pytest.raises(QEStackError) as caught:
+        call()
+    assert type(caught.value) is error

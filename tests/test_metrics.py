@@ -63,7 +63,9 @@ def oracle_pearson(x, y):
     ],
 )
 def test_threshold_boundary_is_bad(probs, t, expected):
-    assert threshold(probs, t) == expected
+    got = threshold(probs, t)
+    assert got.dtype == bool
+    assert got.tolist() == [tag is BAD for tag in expected]
 
 
 def test_threshold_rejects_out_of_range():
@@ -120,7 +122,7 @@ def test_degenerate_inputs_raise():
 
 
 def test_contingency_table_totals():
-    t = ContingencyTable.from_tags([OK, BAD, OK, OK], [OK, BAD, BAD, OK])
+    t = ContingencyTable.from_bool([OK, BAD, OK, OK], [OK, BAD, BAD, OK])
     assert (t.tp, t.tn, t.fp, t.fn) == (1, 2, 1, 0)
     assert t.total == 4
 
@@ -144,6 +146,10 @@ def test_metrics_match_oracles_on_random_inputs():
         assert abs(result.f1_bad - bad) < 1e-12
         assert abs(result.f1_mult - mult) < 1e-12
         assert abs(mcc(gold, pred) - oracle_mcc(gold, pred)) < 1e-12
+        # Tag lists and bool arrays are the same BAD indicators
+        gold_bad, pred_bad = np.array([t is BAD for t in gold]), np.array([t is BAD for t in pred])
+        assert f1_mult(gold_bad, pred_bad) == result
+        assert mcc(gold_bad, pred_bad) == mcc(gold, pred)
 
 
 def test_f1_mult_from_counts_equals_the_boolean_metric_bit_for_bit():
