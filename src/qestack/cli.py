@@ -320,12 +320,11 @@ def _severity_weights(values):
     }
 
 
-def _read_doc_tags(tags_dir, doc_id, doc):
+def _doc_tag_rows(tags_dir, doc_id, doc):
     path = os.path.join(tags_dir, f"{doc_id}.tags")
-    rows = corpus.read_tag_lines(path)
-    lengths = [2 * len(offsets) + 1 for offsets in doc.token_offsets]
-    corpus.check_lengths(rows, lengths, path, f"document {doc_id} tags")
-    return [corpus.TargetTags.from_interleaved(row, file=path, line=i) for i, row in enumerate(rows, 1)]
+    tags = corpus.read_tag_stream(path, "target")
+    corpus.check_lengths(tags, doc.tag_lengths(), path, f"document {doc_id} tags")
+    return corpus.TagRows(tags)
 
 
 def _cmd_doc_tags(args):
@@ -346,7 +345,7 @@ def _cmd_doc_spans(args):
     severity = doclevel.Severity.parse(values["severity"])
     by_doc = {}
     for doc_id, doc in docs.items():
-        tags = _read_doc_tags(args.tags_dir, doc_id, doc)
+        tags = _doc_tag_rows(args.tags_dir, doc_id, doc)
         by_doc[doc_id] = doclevel.tags_to_annotations(doc, tags, default_severity=severity)
     doclevel.write_annotations(by_doc, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc spans", values)
@@ -372,7 +371,7 @@ def _cmd_doc_features(args):
     docs = doclevel.read_document_manifest(args.docs)
     table = {}
     for doc_id, doc in docs.items():
-        tags = _read_doc_tags(args.tags_dir, doc_id, doc)
+        tags = _doc_tag_rows(args.tags_dir, doc_id, doc)
         mqm_path = os.path.join(args.sent_mqm_dir, f"{doc_id}.mqm")
         mqms = corpus.read_score_lines(mqm_path)
         corpus.check_lengths(mqms, [None] * len(doc), mqm_path, f"document {doc_id} sentence MQMs")

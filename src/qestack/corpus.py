@@ -6,7 +6,8 @@ lines anywhere):
 * ``*.src`` / ``*.mt`` / ``*.pe`` -- whitespace-tokenized sentences.
 * ``*.tags`` -- interleaved gap/word tags, ``g0 w1 g1 ... wN gN`` (2N+1
   entries for an N-token MT sentence), or N word tags behind a flag; scored
-  as a :class:`Ragged` of bool BAD indicators (:func:`read_tag_stream`).
+  as a :class:`Ragged` of bool BAD indicators (:func:`read_tag_stream`),
+  which :class:`TagRows` reads as TargetTags.
 * ``*.source_tags`` -- one tag per source token.
 * ``*.hter`` -- one float in [0, 1] per line.
 * ``*.probs`` -- one float in [0, 1] per token per line, read into a
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .errors import LengthMismatch, ParseError, RangeError
+from .errors import InvalidInput, LengthMismatch, ParseError, RangeError
 
 __all__ = [
     "Tag",
@@ -37,6 +40,7 @@ __all__ = [
     "Entry",
     "TaggedCorpus",
     "Ragged",
+    "TagRows",
     "PredictionSet",
     "load_corpus",
     "load_predictions",
@@ -175,6 +179,17 @@ class TaggedCorpus:
         return [len(e.mt) for e in self.entries]
 
 
+def _freeze_arrays(obj):
+    """Give each array field of a frozen dataclass a read-only view of its
+    own, so that nothing derived from the arrays can go stale."""
+    for field_ in fields(obj):
+        value = getattr(obj, field_.name)
+        if isinstance(value, np.ndarray):
+            view = value.view()
+            view.flags.writeable = False
+            object.__setattr__(obj, field_.name, view)
+
+
 @dataclass(frozen=True, eq=False)
 class Ragged:
     """Rows of float64 probabilities or bool BAD indicators, stored flat: row
@@ -185,10 +200,7 @@ class Ragged:
     offsets: np.ndarray  # int64, len(rows) + 1 entries, offsets[0] == 0
 
     def __post_init__(self):
-        for name in ("values", "offsets"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        _freeze_arrays(self)
 
     @classmethod
     def from_rows(cls, rows, dtype=np.float64) -> "Ragged":
@@ -226,6 +238,33 @@ class Ragged:
             except (TypeError, ValueError):
                 return NotImplemented
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.values, other.values)
+
+
+@dataclass(frozen=True, eq=False)
+class TagRows(Sequence):
+    """Target tags of many sentences as one :class:`Ragged` of interleaved
+    BAD indicators (2N+1 per sentence, gap 0 first). It reads as, and
+    equals, the list of :class:`TargetTags` it holds."""
+
+    bad: Ragged
+
+    def __len__(self) -> int:
+        return len(self.bad)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    @cached_property
+    def _rows(self) -> list[TargetTags]:
+        tags = list(map((Tag.OK, Tag.BAD).__getitem__, self.bad.values.tolist()))
+        bounds = self.bad.offsets.tolist()
+        return [
+            TargetTags(word_tags=tuple(tags[lo + 1 : hi : 2]), gap_tags=tuple(tags[lo:hi:2]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
 
 
 @dataclass(frozen=True)
@@ -624,7 +663,13 @@ def _write_lines(path, lines):
 def write_tags(tags, path, *, interleaved: bool = True):
     """Write target or source tags. TargetTags serialize interleaved (2N+1)
     by default or word-only when ``interleaved`` is false; SourceTags always
-    serialize as plain per-token lines."""
+    serialize as plain per-token lines. TagRows are written from their BAD
+    indicators."""
+    if isinstance(tags, TagRows) and interleaved:
+        names = np.array(["OK", "BAD"], dtype=object)[tags.bad.values.view(np.uint8)].tolist()
+        bounds = tags.bad.offsets.tolist()
+        _write_lines(path, [" ".join(names[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        return
     lines = []
     for row in tags:
         if isinstance(row, TargetTags):
@@ -640,7 +685,7 @@ def write_tags(tags, path, *, interleaved: bool = True):
 def write_probs(rows, path):
     for row in rows:
         if not row:
-            raise ValueError("cannot serialize an empty probability row")
+            raise InvalidInput("cannot serialize an empty probability row")
     _write_lines(path, [" ".join(repr(float(p)) for p in row) for row in rows])
 
 
@@ -652,7 +697,7 @@ def write_alignments(alignment_sets, path):
     lines = []
     for pairs in alignment_sets:
         if not pairs:
-            raise ValueError("cannot serialize an empty alignment set (empty lines are invalid)")
+            raise InvalidInput("cannot serialize an empty alignment set (empty lines are invalid)")
         lines.append(" ".join(f"{i}-{j}" for i, j in sorted(pairs)))
     _write_lines(path, lines)
 

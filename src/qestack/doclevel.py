@@ -13,11 +13,17 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import re
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from typing import Mapping
 
-from .corpus import Tag, TargetTags, _parse_float, _read_lines, _write_lines
-from .errors import ParseError, RangeError, SpanOutOfBounds
+import numpy as np
+
+from .corpus import Ragged, TagRows, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines
+from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 
 __all__ = [
@@ -25,6 +31,7 @@ __all__ = [
     "Span",
     "Annotation",
     "Document",
+    "AnnotationTable",
     "AnnotationStats",
     "tokenize_with_offsets",
     "annotations_to_tags",
@@ -57,6 +64,9 @@ class Severity(enum.Enum):
             raise ParseError(f"unknown severity {text!r}", file=file, line=line) from None
 
 
+_SEVERITIES = tuple(Severity)  # an AnnotationTable's severity codes index this
+_CODES = {s.value: code for code, s in enumerate(_SEVERITIES)}
+
 DEFAULT_SEVERITY_WEIGHTS: dict[Severity, float] = {
     Severity.MINOR: 1.0,
     Severity.MAJOR: 5.0,
@@ -85,13 +95,13 @@ class Annotation:
 
     def __post_init__(self):
         if not self.spans:
-            raise ValueError("annotation needs at least one span")
+            raise InvalidInput("annotation needs at least one span")
         ordered = sorted(self.spans)
         if list(ordered) != list(self.spans):
             object.__setattr__(self, "spans", tuple(ordered))
         for left, right in zip(self.spans, self.spans[1:]):
             if left.sent_idx == right.sent_idx and right.start < left.end:
-                raise ValueError("spans within one annotation may not overlap")
+                raise InvalidInput("spans within one annotation may not overlap")
 
     @property
     def multi_span(self) -> bool:
@@ -104,52 +114,138 @@ class Annotation:
 
 def tokenize_with_offsets(sentence: str) -> list[tuple[int, int]]:
     """Offsets of the maximal non-whitespace runs of a raw sentence."""
-    offsets = []
-    start = None
-    for i, ch in enumerate(sentence):
-        if ch.isspace():
-            if start is not None:
-                offsets.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        offsets.append((start, len(sentence)))
-    return offsets
+    return list(Document.from_sentences([sentence]).token_offsets[0])
+
+
+def _space_mask(text: str) -> np.ndarray:
+    """``str.isspace`` of every character: ASCII by its code, any other
+    character by asking Python once per distinct character."""
+    codes = np.array(text).reshape(1).view(np.uint32)[: len(text)]  # the UCS-4 code points
+    space = (codes - np.uint32(9) <= 4) | (codes - np.uint32(28) <= 4)  # \t..\r and \x1c..space
+    if not text.isascii():
+        for char in set(text):
+            if ord(char) > 127 and char.isspace():
+                space |= codes == ord(char)
+    return space
 
 
 @dataclass(frozen=True)
 class Document:
-    """Raw sentences plus their token offsets."""
+    """Raw sentences plus their token borders in one int array. The sentences
+    are laid end to end with one separator position after each, so every
+    offset is document-global. Sentence ``i`` owns
+    ``borders[offsets[i]:offsets[i + 1]]``: its start, each token's start
+    and end, and its end; the 2N+1 intervals between consecutive borders
+    are its gaps and tokens in tag-file order."""
 
     sentences: tuple[str, ...]
-    token_offsets: tuple[tuple[tuple[int, int], ...], ...]
+    borders: np.ndarray = field(compare=False, repr=False)  # int64, nondecreasing
+    offsets: np.ndarray = field(compare=False, repr=False)  # int64, len(sentences) + 1
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
     @classmethod
     def from_sentences(cls, sentences: Sequence[str]) -> "Document":
-        return cls(
-            sentences=tuple(sentences),
-            token_offsets=tuple(tuple(tokenize_with_offsets(s)) for s in sentences),
-        )
+        sentences = tuple(sentences)
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        starts = np.concatenate(([0], np.cumsum(lengths + 1)))
+        word = np.zeros(starts[-1] + 1, bool)  # False around the separator-joined text
+        word[1:-1] = ~_space_mask("\n".join(sentences))
+        edges = np.flatnonzero(word[1:] != word[:-1])  # token starts and ends, alternating
+        offsets = 2 * np.searchsorted(edges[0::2], starts) + 2 * np.arange(len(sentences) + 1)
+        return cls(sentences, np.sort(np.concatenate((edges, starts[:-1], starts[:-1] + lengths))), offsets)
 
     def __len__(self) -> int:
         return len(self.sentences)
 
     def n_words(self) -> int:
-        return sum(len(offsets) for offsets in self.token_offsets)
+        return self.borders.size // 2 - len(self.sentences)
 
+    def tag_lengths(self) -> list[int]:
+        """2N+1 per sentence: the entries of its interleaved tag line."""
+        return (np.diff(self.offsets) - 1).tolist()
 
-def _check_span(doc: Document, span: Span):
-    if span.sent_idx >= len(doc.sentences):
-        raise SpanOutOfBounds(f"span sentence {span.sent_idx} outside document")
-    if span.end > len(doc.sentences[span.sent_idx]):
-        raise SpanOutOfBounds(
-            f"span {span.start}-{span.end} outside sentence of length "
-            f"{len(doc.sentences[span.sent_idx])}"
+    @cached_property
+    def token_offsets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each sentence's ``(start, end)`` token offsets within the sentence."""
+        local = (self.borders - np.repeat(self.borders[self.offsets[:-1]], np.diff(self.offsets))).tolist()
+        bounds = self.offsets.tolist()
+        # a sentence's borders are its start, token starts and ends alternating, and its end
+        return tuple(
+            tuple(zip(local[lo + 1 : hi - 1 : 2], local[lo + 2 : hi - 1 : 2]))
+            for lo, hi in zip(bounds, bounds[1:])
         )
 
 
-def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> list[TargetTags]:
+@dataclass(frozen=True, eq=False)
+class AnnotationTable(Sequence):
+    """One document's annotations as flat int arrays. It reads as, and
+    equals, the list of :class:`Annotation` it holds."""
+
+    severity: np.ndarray  # int8 index into Severity, one per annotation
+    offsets: np.ndarray  # int64: annotation a holds spans[offsets[a]:offsets[a + 1]]
+    spans: np.ndarray  # int64 rows (sentence, start, end), sorted within each annotation
+
+    def __post_init__(self):
+        _freeze_arrays(self)
+
+    @classmethod
+    def of(cls, annotations) -> "AnnotationTable":
+        """A table as it is; Annotation objects converted once."""
+        if isinstance(annotations, AnnotationTable):
+            return annotations
+        annotations = list(annotations)
+        counts = np.fromiter((len(a.spans) for a in annotations), np.int64, len(annotations))
+        spans = [(s.sent_idx, s.start, s.end) for a in annotations for s in a.spans]
+        return cls(
+            np.fromiter((_SEVERITIES.index(a.severity) for a in annotations), np.int8, len(annotations)),
+            np.concatenate(([0], np.cumsum(counts))),
+            np.array(spans, dtype=np.int64).reshape(-1, 3),
+        )
+
+    def __len__(self) -> int:
+        return self.severity.size
+
+    def __getitem__(self, index):
+        return self._annotations[index]
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    @cached_property
+    def _annotations(self) -> list[Annotation]:
+        spans = [Span(*row) for row in self.spans.tolist()]
+        bounds = self.offsets.tolist()
+        return [
+            Annotation(_SEVERITIES[code], tuple(spans[lo:hi]))
+            for code, lo, hi in zip(self.severity.tolist(), bounds, bounds[1:])
+        ]
+
+
+def _place(doc: Document, table: AnnotationTable) -> tuple[np.ndarray, np.ndarray]:
+    """The document-global start and end of every span; the first span, in
+    table order, that lies outside the document raises."""
+    sent, start, end = table.spans.T
+    first = doc.borders[doc.offsets[:-1]]
+    lengths = np.append(doc.borders[doc.offsets[1:] - 1] - first, -1)  # -1 past the last sentence
+    outside = np.flatnonzero(end > lengths[np.minimum(sent, len(doc.sentences))])
+    if outside.size:
+        s, a, b = table.spans[outside[0]].tolist()
+        if s >= len(doc.sentences):
+            raise SpanOutOfBounds(f"span sentence {s} outside document")
+        raise SpanOutOfBounds(f"span {a}-{b} outside sentence of length {lengths[s]}")
+    return first[sent] + start, first[sent] + end
+
+
+def _tag_bad(tags) -> Ragged:
+    """Interleaved BAD indicators (2N+1 per sentence) of per-sentence TargetTags."""
+    if isinstance(tags, TagRows):
+        return tags.bad
+    return Ragged.from_rows((t.interleaved() for t in tags), dtype=bool)
+
+
+def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> TagRows:
     """Project spans onto token and gap tags, one TargetTags per sentence.
 
     A token is BAD when any of its characters belongs to a span. A gap is BAD
@@ -157,37 +253,29 @@ def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> lis
     token i-1 and the start of token i, with the sentence start and end
     standing in at the first and last gap.
     """
-    spans_by_sentence: dict[int, list[Span]] = {}
-    for ann in annotations:
-        for span in ann.spans:
-            _check_span(doc, span)
-            spans_by_sentence.setdefault(span.sent_idx, []).append(span)
-
-    result = []
-    for sent_idx, offsets in enumerate(doc.token_offsets):
-        spans = spans_by_sentence.get(sent_idx, ())
-        n = len(offsets)
-        word_tags = [Tag.OK] * n
-        gap_tags = [Tag.OK] * (n + 1)
-        borders = [0] + [off for pair in offsets for off in pair] + [len(doc.sentences[sent_idx])]
-        for span in spans:
-            for t, (tok_start, tok_end) in enumerate(offsets):
-                if span.start < tok_end and tok_start < span.end:
-                    word_tags[t] = Tag.BAD
-            for gap in range(n + 1):
-                gap_start = borders[2 * gap]
-                gap_end = borders[2 * gap + 1]
-                if span.start == gap_start and span.end == gap_end:
-                    gap_tags[gap] = Tag.BAD
-        result.append(TargetTags(word_tags=tuple(word_tags), gap_tags=tuple(gap_tags)))
-    return result
+    starts, ends = _place(doc, AnnotationTable.of(annotations))
+    borders = doc.borders
+    bad = np.zeros(max(borders.size - 1, 0), bool)  # per interval between consecutive borders
+    # the odd intervals are the tokens, and the separators between sentences, which no span reaches;
+    # a span covers those from the first that ends after it starts to the last that starts before it ends
+    first = np.searchsorted(borders[2::2], starts, "right")
+    stop = np.searchsorted(borders[1:-1:2], ends, "left")
+    some, n_odd = first < stop, bad.size // 2
+    depth = np.bincount(first[some], minlength=n_odd + 1) - np.bincount(stop[some], minlength=n_odd + 1)
+    bad[1::2] = np.cumsum(depth)[:n_odd] > 0
+    # even intervals are gaps, whose starts increase strictly
+    gap = np.minimum(np.searchsorted(borders[0::2], starts), borders.size // 2 - 1)
+    hit = (borders[0::2][gap] == starts) & (borders[1::2][gap] == ends)
+    bad[2 * gap[hit]] = True
+    tags = Ragged(np.delete(bad, doc.offsets[1:-1] - 1), doc.offsets - np.arange(len(doc.sentences) + 1))
+    return TagRows(tags)
 
 
 def tags_to_annotations(
     doc: Document,
     tags: Sequence[TargetTags],
     default_severity: Severity = Severity.MAJOR,
-) -> list[Annotation]:
+) -> AnnotationTable:
     """Retrieve annotations from predicted tags.
 
     Each maximal run of contiguous BAD tokens becomes one single-span
@@ -196,27 +284,24 @@ def tags_to_annotations(
     """
     if len(tags) != len(doc.sentences):
         raise RangeError("one TargetTags per sentence required")
-    annotations = []
-    for sent_idx, (sentence_tags, offsets) in enumerate(zip(tags, doc.token_offsets)):
-        n = len(offsets)
-        if len(sentence_tags.word_tags) != n:
-            raise RangeError(f"sentence {sent_idx}: {len(sentence_tags.word_tags)} word tags for {n} tokens")
-        spans: list[Span] = []
-        run_start = None
-        for t in range(n + 1):
-            bad = t < n and sentence_tags.word_tags[t] is Tag.BAD
-            if bad and run_start is None:
-                run_start = t
-            elif not bad and run_start is not None:
-                spans.append(Span(sent_idx, offsets[run_start][0], offsets[t - 1][1]))
-                run_start = None
-        borders = [0] + [off for pair in offsets for off in pair] + [len(doc.sentences[sent_idx])]
-        for gap, tag in enumerate(sentence_tags.gap_tags):
-            if tag is Tag.BAD:
-                spans.append(Span(sent_idx, borders[2 * gap], borders[2 * gap + 1]))
-        for span in sorted(spans):
-            annotations.append(Annotation(severity=default_severity, spans=(span,)))
-    return annotations
+    bad = _tag_bad(tags)
+    words, tokens = np.diff(bad.offsets) // 2, np.diff(doc.offsets) // 2 - 1
+    wrong = np.flatnonzero(words != tokens)
+    if wrong.size:
+        raise RangeError(f"sentence {wrong[0]}: {words[wrong[0]]} word tags for {tokens[wrong[0]]} tokens")
+    # entry p of sentence i's tag line is interval p + i of the document's borders
+    marked = np.flatnonzero(bad.values)
+    marked += np.searchsorted(bad.offsets, marked, "right") - 1
+    token, gap = marked[marked % 2 == 1], marked[marked % 2 == 0]
+    first = np.concatenate((token[np.diff(token, prepend=-3) != 2], gap))
+    last = np.concatenate((token[np.diff(token, append=-1) != 2], gap))
+    order = np.lexsort((doc.borders[last + 1], doc.borders[first]))
+    first, last = first[order], last[order]
+    sent = np.searchsorted(doc.offsets, first, "right") - 1
+    base = doc.borders[doc.offsets[sent]]
+    spans = np.stack((sent, doc.borders[first] - base, doc.borders[last + 1] - base), axis=1)
+    severity = np.full(len(spans), _SEVERITIES.index(default_severity), np.int8)
+    return AnnotationTable(severity, np.arange(len(spans) + 1), spans)
 
 
 def mqm_closed_form(
@@ -248,15 +333,20 @@ def doc_mqm_features(
     tags: Sequence[TargetTags], sentence_mqms: Sequence[float]
 ) -> list[float]:
     """The 4 regression features: unweighted mean sentence MQM and the BAD
-    fractions among token tags, gap tags and all tags."""
+    fractions among token tags, gap tags and all tags. The mean adds the
+    MQMs left to right from 0.0, whatever the Python version's ``sum()``
+    does, and the fractions divide integer counts."""
     if not tags or len(tags) != len(sentence_mqms):
         raise RangeError("need one predicted MQM per sentence")
-    bad_words = sum(1 for t in tags for tag in t.word_tags if tag is Tag.BAD)
-    bad_gaps = sum(1 for t in tags for tag in t.gap_tags if tag is Tag.BAD)
-    n_words = sum(len(t.word_tags) for t in tags)
-    n_gaps = sum(len(t.gap_tags) for t in tags)
+    bad = _tag_bad(tags)
+    marked = np.flatnonzero(bad.values)
+    row_starts = bad.offsets[np.searchsorted(bad.offsets, marked, "right") - 1]
+    bad_words = int(np.count_nonzero((marked - row_starts) % 2))  # a tag line starts with a gap
+    bad_gaps = marked.size - bad_words
+    n_words = (int(bad.offsets[-1]) - len(bad)) // 2
+    n_gaps = n_words + len(bad)
     return [
-        sum(sentence_mqms) / len(sentence_mqms),
+        float(np.cumsum([0.0, *sentence_mqms])[-1]) / len(sentence_mqms),
         bad_words / n_words if n_words else 0.0,
         bad_gaps / n_gaps if n_gaps else 0.0,
         (bad_words + bad_gaps) / (n_words + n_gaps) if n_words + n_gaps else 0.0,
@@ -285,17 +375,17 @@ def predict_doc_mqm(model: RidgeModel, features) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _covered_units(doc: Document, annotations: Sequence[Annotation]) -> set[tuple]:
-    """Units covered by spans: one per character, plus one border unit for a
-    zero-width gap span (identified by its offset)."""
-    units: set[tuple] = set()
-    for ann in annotations:
-        for span in ann.spans:
-            _check_span(doc, span)
-            if span.start == span.end:
-                units.add((span.sent_idx, "border", span.start))
-            else:
-                units.update((span.sent_idx, "char", c) for c in range(span.start, span.end))
+def _units(doc: Document, annotations) -> np.ndarray:
+    """One flag per unit that spans can cover: each character of the
+    document, by its document-global offset, then each offset again as the
+    border unit that a zero-width span covers."""
+    starts, ends = _place(doc, AnnotationTable.of(annotations))
+    size = int(doc.borders[-1]) if doc.borders.size else 0
+    wide = ends > starts
+    depth = np.bincount(starts[wide], minlength=size + 1) - np.bincount(ends[wide], minlength=size + 1)
+    units = np.zeros(2 * size + 1, bool)
+    units[:size] = np.cumsum(depth)[:size] > 0
+    units[size + starts[~wide]] = True
     return units
 
 
@@ -307,14 +397,14 @@ def annotation_f1(
     """Micro-averaged character-level F1 of the BAD class over a corpus of
     documents (pass single-element lists for one document)."""
     if not (len(gold) == len(pred) == len(docs)):
-        raise ValueError("gold, pred and docs must be parallel")
+        raise InvalidInput("gold, pred and docs must be parallel")
     tp = fp = fn = 0
     for gold_anns, pred_anns, doc in zip(gold, pred, docs):
-        gold_units = _covered_units(doc, gold_anns)
-        pred_units = _covered_units(doc, pred_anns)
-        tp += len(gold_units & pred_units)
-        fp += len(pred_units - gold_units)
-        fn += len(gold_units - pred_units)
+        gold_units, pred_units = _units(doc, gold_anns), _units(doc, pred_anns)
+        shared = int(np.count_nonzero(gold_units & pred_units))
+        tp += shared
+        fp += int(np.count_nonzero(pred_units)) - shared
+        fn += int(np.count_nonzero(gold_units)) - shared
     if tp == 0:
         return 0.0 if (fp or fn) else 1.0
     precision = tp / (tp + fp)
@@ -336,19 +426,13 @@ class AnnotationStats:
 
 
 def annotation_stats(annotations: Sequence[Annotation]) -> AnnotationStats:
-    severity_counts = {s: 0 for s in Severity}
-    multi = cross = 0
-    for ann in annotations:
-        severity_counts[ann.severity] += 1
-        if ann.multi_span:
-            multi += 1
-        if ann.cross_sentence:
-            cross += 1
+    table = AnnotationTable.of(annotations)
+    first, last = table.offsets[:-1], table.offsets[1:] - 1
     return AnnotationStats(
-        total=len(annotations),
-        multi_span=multi,
-        cross_sentence=cross,
-        severity_counts=severity_counts,
+        total=len(table),
+        multi_span=int(np.count_nonzero(last > first)),
+        cross_sentence=int(np.count_nonzero(table.spans[first, 0] != table.spans[last, 0])),
+        severity_counts=dict(zip(Severity, np.bincount(table.severity, minlength=len(Severity)).tolist())),
     )
 
 
@@ -357,37 +441,91 @@ def annotation_stats(annotations: Sequence[Annotation]) -> AnnotationStats:
 # ---------------------------------------------------------------------------
 
 
-def _format_annotation(doc_id: str, ann: Annotation) -> str:
-    spans = ",".join(f"{s.sent_idx}:{s.start}-{s.end}" for s in ann.spans)
-    return f"{doc_id}\t{ann.severity.value}\t{spans}"
+def _format_table(doc_id: str, table: AnnotationTable) -> list[str]:
+    spans = list(map("{}:{}-{}".format, *table.spans.T.tolist()))
+    bounds = table.offsets.tolist()
+    names = list(_CODES)
+    return [
+        f"{doc_id}\t{names[code]}\t{','.join(spans[lo:hi])}"
+        for code, lo, hi in zip(table.severity.tolist(), bounds, bounds[1:])
+    ]
 
 
 def write_annotations(by_doc: Mapping[str, Sequence[Annotation]], path):
     """One annotation per line: ``doc_id<TAB>severity<TAB>sent:start-end[,...]``."""
-    _write_lines(path, (_format_annotation(doc_id, ann) for doc_id, anns in by_doc.items() for ann in anns))
+    tables = ((doc_id, AnnotationTable.of(anns)) for doc_id, anns in by_doc.items())
+    _write_lines(path, (line for doc_id, table in tables for line in _format_table(doc_id, table)))
 
 
-def read_annotations(path) -> dict[str, list[Annotation]]:
-    by_doc: dict[str, list[Annotation]] = {}
-    for i, line in enumerate(_read_lines(path), 1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError("expected doc_id<TAB>severity<TAB>spans", file=str(path), line=i)
-        doc_id, severity_text, span_text = fields
-        severity = Severity.parse(severity_text, file=str(path), line=i)
-        spans = []
-        for part in span_text.split(","):
-            try:
-                sent, _, rest = part.partition(":")
-                start, _, end = rest.partition("-")
-                spans.append(Span(int(sent), int(start), int(end)))
-            except (ValueError, SpanOutOfBounds):
-                raise ParseError(f"malformed span {part!r}", file=str(path), line=i) from None
+_NUMBER = "[0-9]{1,18}"
+_SPAN = f"{_NUMBER}:{_NUMBER}-{_NUMBER}"
+# a line as write_annotations writes it
+_WRITTEN_LINE = f"^([^\t\n]*)\t(minor|major|critical)\t({_SPAN}(?:,{_SPAN})*)$"
+
+
+def _parse_annotation_line(line: str, path, i: int) -> str:
+    """One line, checked as the line-by-line reader always checked it (numbers
+    as ``int()`` reads them), given back in its written form."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ParseError("expected doc_id<TAB>severity<TAB>spans", file=str(path), line=i)
+    doc_id, severity_text, span_text = fields
+    severity = Severity.parse(severity_text, file=str(path), line=i)
+    spans = []
+    for part in span_text.split(","):
         try:
-            by_doc.setdefault(doc_id, []).append(Annotation(severity=severity, spans=tuple(spans)))
-        except ValueError as exc:
-            raise ParseError(str(exc), file=str(path), line=i) from None
-    return by_doc
+            sent, _, rest = part.partition(":")
+            start, _, end = rest.partition("-")
+            values = (int(sent), int(start), int(end))
+            if max(values) >= 10**18:  # beyond the written form's 18 digits
+                raise ValueError(part)
+            spans.append(Span(*values))
+        except (ValueError, SpanOutOfBounds):
+            raise ParseError(f"malformed span {part!r}", file=str(path), line=i) from None
+    try:
+        annotation = Annotation(severity=severity, spans=tuple(spans))
+        return _format_table(doc_id, AnnotationTable.of([annotation]))[0]
+    except ValueError as exc:
+        raise ParseError(str(exc), file=str(path), line=i) from None
+
+
+def read_annotations(path) -> dict[str, AnnotationTable]:
+    """Each document's annotations, in file order, as a table. Lines in the
+    written form are parsed together and checked in vectorised passes; a
+    file with any other line is parsed line by line. Either way the first
+    bad line raises its first error."""
+    lines = _read_lines(path)
+    rows = re.findall(_WRITTEN_LINE, "\n".join(lines), re.M)
+    if len(rows) != len(lines):
+        written = (_parse_annotation_line(line, path, i) for i, line in enumerate(lines, 1))
+        rows = re.findall(_WRITTEN_LINE, "\n".join(written), re.M)
+    if not rows:
+        return {}
+    doc_ids, severities, span_texts = zip(*rows)
+    numbers = ",".join(span_texts).replace(":", ",").replace("-", ",")
+    spans = np.fromstring(numbers, np.int64, sep=",").reshape(-1, 3)
+    counts = np.fromiter(map(str.count, span_texts, repeat(",")), np.int64, len(rows)) + 1
+    doc_index = {doc_id: k for k, doc_id in enumerate(dict.fromkeys(doc_ids))}
+    doc = np.fromiter(map(doc_index.__getitem__, doc_ids), np.int64, len(rows))
+    owner = np.repeat(np.arange(len(rows)), counts)
+    # spans grouped by document, then by annotation in file order, each annotation's sorted
+    order = np.lexsort((spans[:, 2], spans[:, 1], spans[:, 0], owner, doc[owner]))
+    spans, owner = spans[order], owner[order]
+    overlap = (owner[1:] == owner[:-1]) & (spans[1:, 0] == spans[:-1, 0]) & (spans[1:, 1] < spans[:-1, 2])
+    bad = np.concatenate((owner[spans[:, 2] < spans[:, 1]], owner[1:][overlap]))
+    if bad.size:
+        i = int(bad.min())
+        _parse_annotation_line(lines[i], path, i + 1)
+        raise AssertionError(f"{path}:{i + 1} passes the line-by-line check")
+    by_doc = np.argsort(doc, kind="stable")
+    severity = np.fromiter(map(_CODES.__getitem__, severities), np.int8, len(rows))[by_doc]
+    offsets = np.concatenate(([0], np.cumsum(counts[by_doc])))
+    bounds = np.searchsorted(doc[by_doc], np.arange(len(doc_index) + 1)).tolist()
+    tables = {}
+    for doc_id, lo, hi in zip(doc_index, bounds, bounds[1:]):
+        first, last = offsets[lo], offsets[hi]
+        tables[doc_id] = AnnotationTable(severity[lo:hi], offsets[lo : hi + 1] - first, spans[first:last])
+    return tables
 
 
 def read_document_manifest(path) -> dict[str, Document]:

@@ -65,6 +65,12 @@ class FoldError(QEStackError, ValueError):
     """Items cannot be split into the requested contiguous folds."""
 
 
+class InvalidInput(QEStackError, ValueError):
+    """A value cannot be used as given: an annotation without spans or with
+    overlapping spans, inputs that must be parallel and are not, or an empty
+    row for a file format that forbids empty lines."""
+
+
 class SpanOutOfBounds(QEStackError):
     """An annotation span points outside its sentence."""
 

@@ -155,7 +155,7 @@ def source_tags_from_target(
     by_mt: dict[int, list[int]] = {}
     for s_idx, m_idx in alignments or ():
         if s_idx >= src_len or s_idx < 0 or m_idx >= n_mt or m_idx < 0:
-            raise IndexError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
+            raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
         by_mt.setdefault(m_idx, []).append(s_idx)
 
     tags = [Tag.OK] * src_len

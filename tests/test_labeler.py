@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qestack.corpus import Sentence, Tag, TargetTags
-from qestack.errors import InconsistentScript
+from qestack.errors import InconsistentScript, RangeError
 from qestack.labeler import (
     EditKind,
     EditStep,
@@ -246,7 +246,7 @@ def test_unaligned_source_stays_ok():
 
 def test_out_of_range_alignment_raises():
     tags = TargetTags(word_tags=(OK,), gap_tags=(OK, OK))
-    with pytest.raises(IndexError):
+    with pytest.raises(RangeError):
         source_tags_from_target(tags, {(5, 0)}, 2)
 
 
