@@ -94,7 +94,7 @@ def _cmd_make_labels(args):
     loaded = corpus.load_corpus(mt=args.mt, pe=args.pe, src=args.src, align=args.align)
     labeled = labeler.label_corpus(loaded, cap=values["cap_hter"])
     prefix = args.out_prefix
-    corpus.write_tags([e.target_tags for e in labeled], f"{prefix}.tags", interleaved=True)
+    corpus.write_tags([e.target_tags for e in labeled], f"{prefix}.tags")
     corpus.write_scores([e.hter for e in labeled], f"{prefix}.hter")
     if args.src is not None and args.align is not None:
         corpus.write_tags([e.source_tags for e in labeled], f"{prefix}.source_tags")
@@ -183,7 +183,7 @@ def _cmd_linear_decode(args):
         tags_rows, probs_rows = linearqe.jackknife(
             instances, golds, values["k"], **_training_options(values), gamma=values["gamma"], jobs=args.jobs
         )
-    corpus.write_tags(tags_rows, f"{args.out_prefix}.tags", interleaved=False)
+    corpus.write_tags(tags_rows, f"{args.out_prefix}.tags")
     corpus.write_probs(probs_rows, f"{args.out_prefix}.probs")
     _snapshot(f"{args.out_prefix}.run.cfg", f"linear {args.subcommand}", values, {"stream": args.stream})
     return 0
@@ -324,7 +324,7 @@ def _doc_tag_rows(tags_dir, doc_id, doc):
     path = os.path.join(tags_dir, f"{doc_id}.tags")
     tags = corpus.read_tag_stream(path, "target")
     corpus.check_lengths(tags, doc.tag_lengths(), path, f"document {doc_id} tags")
-    return corpus.TagRows(tags)
+    return tags
 
 
 def _cmd_doc_tags(args):
@@ -334,7 +334,7 @@ def _cmd_doc_tags(args):
     os.makedirs(args.out_dir, exist_ok=True)
     for doc_id, doc in docs.items():
         tags = doclevel.annotations_to_tags(doc, annotations.get(doc_id, []))
-        corpus.write_tags(tags, os.path.join(args.out_dir, f"{doc_id}.tags"), interleaved=True)
+        corpus.write_tags(tags, os.path.join(args.out_dir, f"{doc_id}.tags"))
     _snapshot(os.path.join(args.out_dir, "run.cfg"), "doc tags", values)
     return 0
 

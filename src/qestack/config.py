@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .corpus import _utf8_error
-from .errors import ParseError, QEStackError
+from .errors import InvalidInput, ParseError, QEStackError
 
 
 def _parse_bool(text: str) -> bool:
@@ -20,25 +20,33 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise InvalidInput(f"not a boolean: {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise ValueError("empty float list")
-    return tuple(float(p) for p in parts)
+        raise InvalidInput("empty float list")
+    return tuple(map(_parse_float, parts))
 
 
 def _parse_optional_float(text: str) -> float | None:
     if text.strip().lower() in ("none", ""):
         return None
-    return float(text)
+    return _parse_float(text)
 
 
+# every parser raises a ValueError (InvalidInput for the ones defined here)
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "bool": _parse_bool,
     "floats": _parse_floats,

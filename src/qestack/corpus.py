@@ -5,15 +5,18 @@ lines anywhere):
 
 * ``*.src`` / ``*.mt`` / ``*.pe`` -- whitespace-tokenized sentences.
 * ``*.tags`` -- interleaved gap/word tags, ``g0 w1 g1 ... wN gN`` (2N+1
-  entries for an N-token MT sentence), or N word tags behind a flag; scored
-  as a :class:`Ragged` of bool BAD indicators (:func:`read_tag_stream`),
-  which :class:`TagRows` reads as TargetTags.
+  entries for an N-token MT sentence), or N word tags behind a flag; read
+  as a :class:`Ragged` of bool BAD indicators (:func:`read_tag_stream`).
 * ``*.source_tags`` -- one tag per source token.
 * ``*.hter`` -- one float in [0, 1] per line.
 * ``*.probs`` -- one float in [0, 1] per token per line, read into a
   :class:`Ragged` (flat float64 values plus per-line offsets).
 * ``*.align`` -- space-separated ``i-j`` pairs, 0-based, ``i`` indexing the
   source sentence and ``j`` the MT sentence.
+
+A tag is a ``bool``, BAD being true, from the labeler to the writers.
+:class:`Tag` names the two values in files; ``Tag`` rows are still read as
+BAD indicators, but nothing here makes them.
 
 Loaded structures are immutable and safe to share across threads.
 """
@@ -22,9 +25,7 @@ from __future__ import annotations
 
 import enum
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
     "Entry",
     "TaggedCorpus",
     "Ragged",
-    "TagRows",
     "PredictionSet",
     "load_corpus",
     "load_predictions",
@@ -58,6 +58,9 @@ __all__ = [
 
 
 class Tag(enum.Enum):
+    """The two tag names of the files. The toolkit's tags are bools; a Tag
+    is accepted as input and reads as one."""
+
     OK = "OK"
     BAD = "BAD"
 
@@ -103,11 +106,12 @@ class Sentence:
 
 @dataclass(frozen=True)
 class TargetTags:
-    """Word tags for the N MT tokens plus N+1 gap tags (gap 0 precedes the
-    first token). The 2N+1 interleaving exists only at the file boundary."""
+    """BAD indicators of the N MT tokens plus N+1 gaps (gap 0 precedes the
+    first token). It reads as its 2N+1 tags in file order: gap 0, word 1,
+    gap 1, and so on."""
 
-    word_tags: tuple[Tag, ...]
-    gap_tags: tuple[Tag, ...]
+    word_tags: tuple[bool, ...]
+    gap_tags: tuple[bool, ...]
 
     def __post_init__(self):
         if len(self.gap_tags) != len(self.word_tags) + 1:
@@ -116,12 +120,14 @@ class TargetTags:
                 f"gap tags, got {len(self.gap_tags)}"
             )
 
-    def interleaved(self) -> tuple[Tag, ...]:
-        out = [self.gap_tags[0]]
-        for word, gap in zip(self.word_tags, self.gap_tags[1:]):
-            out.append(word)
-            out.append(gap)
-        return tuple(out)
+    def __len__(self) -> int:
+        return 2 * len(self.word_tags) + 1
+
+    def __iter__(self):
+        tags = [False] * len(self)
+        tags[0::2] = self.gap_tags
+        tags[1::2] = self.word_tags
+        return iter(tags)
 
     @classmethod
     def from_interleaved(cls, tags, *, file=None, line=None) -> "TargetTags":
@@ -132,7 +138,7 @@ class TargetTags:
     @classmethod
     def words_only(cls, word_tags) -> "TargetTags":
         word_tags = tuple(word_tags)
-        return cls(word_tags=word_tags, gap_tags=(Tag.OK,) * (len(word_tags) + 1))
+        return cls(word_tags=word_tags, gap_tags=(False,) * (len(word_tags) + 1))
 
 
 def _check_interleaved(n: int, *, file=None, line=None):
@@ -142,10 +148,15 @@ def _check_interleaved(n: int, *, file=None, line=None):
 
 @dataclass(frozen=True)
 class SourceTags:
-    tags: tuple[Tag, ...]
+    """BAD indicators of the source tokens."""
+
+    tags: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.tags)
+
+    def __iter__(self):
+        return iter(self.tags)
 
 
 @dataclass(frozen=True)
@@ -194,7 +205,8 @@ def _freeze_arrays(obj):
 class Ragged:
     """Rows of float64 probabilities or bool BAD indicators, stored flat: row
     ``i`` is ``values[offsets[i]:offsets[i + 1]]``. It reads as a sequence of
-    rows (lists of Python values) and equals any sequence with the same rows."""
+    rows (lists of Python values) and equals any rows that hold the same
+    values in its dtype."""
 
     values: np.ndarray  # float64 or bool, every row's entries in order
     offsets: np.ndarray  # int64, len(rows) + 1 entries, offsets[0] == 0
@@ -204,7 +216,8 @@ class Ragged:
 
     @classmethod
     def from_rows(cls, rows, dtype=np.float64) -> "Ragged":
-        """Any rows; a Ragged is kept, or cast to ``dtype``. ``dtype=bool`` reads ``Tag`` rows as BAD."""
+        """Any rows (TargetTags and SourceTags are rows of their tags); a Ragged
+        is kept, or cast to ``dtype``. ``dtype=bool`` reads ``Tag`` rows as BAD."""
         if isinstance(rows, Ragged):
             return rows if rows.values.dtype == dtype else cls(rows.values.astype(dtype), rows.offsets)
         rows = list(rows)
@@ -232,39 +245,11 @@ class Ragged:
         return self.values[self.offsets[index]:self.offsets[index + 1]].tolist()
 
     def __eq__(self, other):
-        if not isinstance(other, Ragged):
-            try:
-                other = Ragged.from_rows(other)
-            except (TypeError, ValueError):
-                return NotImplemented
+        try:
+            other = Ragged.from_rows(other, dtype=self.values.dtype)
+        except (TypeError, ValueError):
+            return NotImplemented
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.values, other.values)
-
-
-@dataclass(frozen=True, eq=False)
-class TagRows(Sequence):
-    """Target tags of many sentences as one :class:`Ragged` of interleaved
-    BAD indicators (2N+1 per sentence, gap 0 first). It reads as, and
-    equals, the list of :class:`TargetTags` it holds."""
-
-    bad: Ragged
-
-    def __len__(self) -> int:
-        return len(self.bad)
-
-    def __getitem__(self, index):
-        return self._rows[index]
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    @cached_property
-    def _rows(self) -> list[TargetTags]:
-        tags = list(map((Tag.OK, Tag.BAD).__getitem__, self.bad.values.tolist()))
-        bounds = self.bad.offsets.tolist()
-        return [
-            TargetTags(word_tags=tuple(tags[lo + 1 : hi : 2]), gap_tags=tuple(tags[lo:hi:2]))
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
 
 
 @dataclass(frozen=True)
@@ -351,9 +336,9 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
     return lines, fields, np.array(offsets, dtype=np.int64)
 
 
-def read_tag_lines(path) -> list[list[Tag]]:
-    as_tag = (Tag.OK, Tag.BAD).__getitem__
-    return [list(map(as_tag, row)) for row in read_tag_stream(path, "source")]
+def read_tag_lines(path) -> list[list[bool]]:
+    """Every line's tags as read, BAD being true."""
+    return read_tag_stream(path, "source").rows()
 
 
 def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
@@ -374,12 +359,26 @@ def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
     tags = Ragged(np.array(values, dtype=bool), np.array(offsets, dtype=np.int64))
     if stream not in ("target", "words", "gaps"):
         return tags
-    rows = tags.rows()
-    for i, row in enumerate(rows):
-        if stream == "target" or i >= len(lengths) or len(row) != lengths[i]:
-            _check_interleaved(len(row), file=str(path), line=i + 1)
-            rows[i] = row[stream == "words" :: 2]
-    return tags if stream == "target" else Ragged.from_rows(rows, dtype=bool)
+    counts = np.diff(tags.offsets)
+    # the lines to cut: every line of the target, else those not yet at their length
+    cut = np.ones(counts.size, bool)
+    if stream != "target":
+        known = min(len(lengths), counts.size)
+        cut[:known] = counts[:known] != np.asarray(lengths[:known], dtype=np.int64)
+    wrong = np.flatnonzero(cut & ((counts < 3) | (counts % 2 == 0)))
+    if wrong.size:
+        _check_interleaved(int(counts[wrong[0]]), file=str(path), line=int(wrong[0]) + 1)
+    if stream == "target":
+        return tags
+    # a cut line keeps its odd positions (words) or its even ones (gaps); an
+    # entry's position in its line is odd when its index and its line's
+    # start differ in parity (bool masks: no int array per entry)
+    odd = np.zeros(tags.values.size, bool)
+    odd[1::2] = True
+    odd ^= np.repeat(tags.offsets[:-1] % 2 == 1, counts)
+    keep = ~np.repeat(cut, counts) | (odd == (stream == "words"))
+    kept = np.where(cut, counts // 2 + (stream == "gaps"), counts)
+    return Ragged(tags.values[keep], np.concatenate(([0], np.cumsum(kept))))
 
 
 def _parse_float(text, *, file, line) -> float:
@@ -660,26 +659,13 @@ def _write_lines(path, lines):
             handle.write(line + "\n")
 
 
-def write_tags(tags, path, *, interleaved: bool = True):
-    """Write target or source tags. TargetTags serialize interleaved (2N+1)
-    by default or word-only when ``interleaved`` is false; SourceTags always
-    serialize as plain per-token lines. TagRows are written from their BAD
-    indicators."""
-    if isinstance(tags, TagRows) and interleaved:
-        names = np.array(["OK", "BAD"], dtype=object)[tags.bad.values.view(np.uint8)].tolist()
-        bounds = tags.bad.offsets.tolist()
-        _write_lines(path, [" ".join(names[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-        return
-    lines = []
-    for row in tags:
-        if isinstance(row, TargetTags):
-            seq = row.interleaved() if interleaved else row.word_tags
-        elif isinstance(row, SourceTags):
-            seq = row.tags
-        else:
-            seq = tuple(row)
-        lines.append(" ".join(t.value for t in seq))
-    _write_lines(path, lines)
+def write_tags(rows, path):
+    """Write one line of OK/BAD tags per row of BAD indicators: TargetTags
+    interleaved (2N+1), SourceTags, plain rows or a bool Ragged."""
+    tags = Ragged.from_rows(rows, dtype=bool)
+    bounds = tags.offsets.tolist()
+    name = ("OK", "BAD").__getitem__
+    _write_lines(path, (" ".join(map(name, tags.values[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def write_probs(rows, path):

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Ragged, TagRows, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines
+from .corpus import Ragged, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines
 from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 
@@ -238,15 +238,10 @@ def _place(doc: Document, table: AnnotationTable) -> tuple[np.ndarray, np.ndarra
     return first[sent] + start, first[sent] + end
 
 
-def _tag_bad(tags) -> Ragged:
-    """Interleaved BAD indicators (2N+1 per sentence) of per-sentence TargetTags."""
-    if isinstance(tags, TagRows):
-        return tags.bad
-    return Ragged.from_rows((t.interleaved() for t in tags), dtype=bool)
-
-
-def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> TagRows:
-    """Project spans onto token and gap tags, one TargetTags per sentence.
+def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> Ragged:
+    """Project spans onto token and gap tags: one row of interleaved BAD
+    indicators (2N+1, gap 0 first) per sentence. The result equals the list
+    of :class:`TargetTags` with the same tags.
 
     A token is BAD when any of its characters belongs to a span. A gap is BAD
     only when a span begins and ends exactly on the gap's borders: the end of
@@ -267,8 +262,7 @@ def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> Tag
     gap = np.minimum(np.searchsorted(borders[0::2], starts), borders.size // 2 - 1)
     hit = (borders[0::2][gap] == starts) & (borders[1::2][gap] == ends)
     bad[2 * gap[hit]] = True
-    tags = Ragged(np.delete(bad, doc.offsets[1:-1] - 1), doc.offsets - np.arange(len(doc.sentences) + 1))
-    return TagRows(tags)
+    return Ragged(np.delete(bad, doc.offsets[1:-1] - 1), doc.offsets - np.arange(len(doc.sentences) + 1))
 
 
 def tags_to_annotations(
@@ -276,7 +270,8 @@ def tags_to_annotations(
     tags: Sequence[TargetTags],
     default_severity: Severity = Severity.MAJOR,
 ) -> AnnotationTable:
-    """Retrieve annotations from predicted tags.
+    """Retrieve annotations from predicted tags: per sentence a TargetTags or
+    any row of its 2N+1 interleaved BAD indicators.
 
     Each maximal run of contiguous BAD tokens becomes one single-span
     annotation; each BAD gap becomes its own annotation over the gap borders,
@@ -284,7 +279,7 @@ def tags_to_annotations(
     """
     if len(tags) != len(doc.sentences):
         raise RangeError("one TargetTags per sentence required")
-    bad = _tag_bad(tags)
+    bad = Ragged.from_rows(tags, dtype=bool)
     words, tokens = np.diff(bad.offsets) // 2, np.diff(doc.offsets) // 2 - 1
     wrong = np.flatnonzero(words != tokens)
     if wrong.size:
@@ -333,12 +328,13 @@ def doc_mqm_features(
     tags: Sequence[TargetTags], sentence_mqms: Sequence[float]
 ) -> list[float]:
     """The 4 regression features: unweighted mean sentence MQM and the BAD
-    fractions among token tags, gap tags and all tags. The mean adds the
-    MQMs left to right from 0.0, whatever the Python version's ``sum()``
-    does, and the fractions divide integer counts."""
+    fractions among token tags, gap tags and all tags, from the tags as
+    :func:`tags_to_annotations` takes them. The mean adds the MQMs left to
+    right from 0.0, whatever the Python version's ``sum()`` does, and the
+    fractions divide integer counts."""
     if not tags or len(tags) != len(sentence_mqms):
         raise RangeError("need one predicted MQM per sentence")
-    bad = _tag_bad(tags)
+    bad = Ragged.from_rows(tags, dtype=bool)
     marked = np.flatnonzero(bad.values)
     row_starts = bad.offsets[np.searchsorted(bad.offsets, marked, "right") - 1]
     bad_words = int(np.count_nonzero((marked - row_starts) % 2))  # a tag line starts with a gap

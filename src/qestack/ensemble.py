@@ -18,10 +18,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Ragged, Stream, Tag, _parse_float, _read_lines, _write_lines
+from .corpus import PredictionSet, Ragged, Stream, _parse_float, _read_lines, _write_lines
 from .errors import (
     DegenerateInput,
     FoldError,
+    InvalidInput,
     LengthMismatch,
     MissingStream,
     ParseError,
@@ -408,7 +409,7 @@ def _fit(
 
 def fit_word_ensemble(
     dev_preds: Sequence[PredictionSet],
-    dev_gold: Ragged | Sequence[Sequence[Tag]],
+    dev_gold: Ragged | Sequence[Sequence[bool]],
     stream: Stream,
     *,
     threshold: float = 0.5,
@@ -418,7 +419,7 @@ def fit_word_ensemble(
 ) -> WordEnsembleFit:
     """Maximize dev F1-MULT of the thresholded convex combination.
 
-    ``dev_gold`` holds bool BAD indicators per sentence, or ``Tag`` rows.
+    ``dev_gold`` holds BAD indicators per sentence (``Tag`` rows too).
     Powell starts from a one-hot vector on the best single system, so the
     fitted ensemble never scores below it on the dev set. With
     ``optimize_threshold`` the decision threshold joins the search as an
@@ -442,7 +443,7 @@ def fit_word_ensemble(
 
 def kfold_estimate(
     dev_preds: Sequence[PredictionSet],
-    dev_gold: Ragged | Sequence[Sequence[Tag]],
+    dev_gold: Ragged | Sequence[Sequence[bool]],
     k: int,
     stream: Stream,
     **fit_kwargs,
@@ -496,12 +497,22 @@ def sentence_features(preds: Sequence[PredictionSet]) -> tuple[np.ndarray, list[
         for stream in Stream:
             rows = p.stream(stream)
             if rows is not None:
-                # left-to-right Python sums: np.add.reduceat rounds differently
-                columns.append(
-                    np.array([sum(row) / len(row) for row in rows.rows()], dtype=float)
-                )
+                columns.append(_row_means(rows))
                 names.append(f"{p.system_id}:{stream.value}_mean")
     return np.column_stack(columns), names
+
+
+def _row_means(rows: Ragged) -> np.ndarray:
+    """Each row's mean, its values added left to right from 0.0 whatever
+    the Python version's ``sum()`` does (np.add.reduceat rounds otherwise):
+    the rows zero-padded into a matrix behind a 0.0 column, so that a row of
+    -0.0 adds up to 0.0, and summed by ``np.cumsum``."""
+    lengths = np.diff(rows.offsets)
+    if not lengths.all():
+        raise InvalidInput("cannot average an empty probability row")
+    padded = np.zeros((lengths.size, int(lengths.max(initial=0)) + 1))
+    padded[:, 1:][np.arange(padded.shape[1] - 1) < lengths[:, None]] = rows.values
+    return np.cumsum(padded, axis=1)[:, -1] / lengths
 
 
 def ridge_fit(

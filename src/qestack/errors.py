@@ -9,32 +9,27 @@ class QEStackError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ParseError(QEStackError):
+class LocatedError(QEStackError):
+    """An error that may name the file, and the line in it, it was found in;
+    the message then starts with ``file:line:``."""
+
+    def __init__(self, message, *, file=None, line=None):
+        self.file = file
+        self.line = line
+        super().__init__(_located(message, file, line))
+
+
+class ParseError(LocatedError):
     """A file holds something that cannot be interpreted (bad tag, bad float,
     empty line, malformed alignment pair)."""
 
-    def __init__(self, message, *, file=None, line=None):
-        self.file = file
-        self.line = line
-        super().__init__(_located(message, file, line))
 
-
-class LengthMismatch(QEStackError):
+class LengthMismatch(LocatedError):
     """Per-line or cross-file length invariants are violated."""
 
-    def __init__(self, message, *, file=None, line=None):
-        self.file = file
-        self.line = line
-        super().__init__(_located(message, file, line))
 
-
-class RangeError(QEStackError, ValueError):
+class RangeError(LocatedError, ValueError):
     """A numeric value lies outside its allowed interval."""
-
-    def __init__(self, message, *, file=None, line=None):
-        self.file = file
-        self.line = line
-        super().__init__(_located(message, file, line))
 
 
 class EmptyInput(QEStackError):

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .corpus import Entry, Sentence, SourceTags, TaggedCorpus, Tag, TargetTags
+from .corpus import Entry, Sentence, SourceTags, TaggedCorpus, TargetTags
 from .errors import InconsistentScript, MissingStream, RangeError
 
 __all__ = [
@@ -105,13 +105,14 @@ def edit_cost(script: Sequence[EditStep]) -> int:
 
 def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
     """MT word is BAD when substituted or deleted; gap i is BAD when at least
-    one insertion lands between MT tokens i-1 and i (gap 0 precedes token 0)."""
-    word_tags = [Tag.OK] * n_mt
-    gap_tags = [Tag.OK] * (n_mt + 1)
+    one insertion lands between MT tokens i-1 and i (gap 0 precedes token 0).
+    BAD is true."""
+    word_tags = [False] * n_mt
+    gap_tags = [False] * (n_mt + 1)
     mt_pos = 0
     for step in script:
         if step.kind is EditKind.INS_INTO_MT_GAP:
-            gap_tags[mt_pos] = Tag.BAD
+            gap_tags[mt_pos] = True
             continue
         if step.mt_index != mt_pos:
             raise InconsistentScript(
@@ -120,7 +121,7 @@ def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
         if mt_pos >= n_mt:
             raise InconsistentScript(f"edit script overruns MT length {n_mt}")
         if step.kind is not EditKind.MATCH:
-            word_tags[mt_pos] = Tag.BAD
+            word_tags[mt_pos] = True
         mt_pos += 1
     if mt_pos != n_mt:
         raise InconsistentScript(f"edit script covers {mt_pos} MT tokens, expected {n_mt}")
@@ -158,21 +159,21 @@ def source_tags_from_target(
             raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
         by_mt.setdefault(m_idx, []).append(s_idx)
 
-    tags = [Tag.OK] * src_len
-    for m_idx, tag in enumerate(target_tags.word_tags):
-        if tag is Tag.BAD:
+    tags = [False] * src_len
+    for m_idx, bad in enumerate(target_tags.word_tags):
+        if bad:
             for s_idx in by_mt.get(m_idx, ()):
-                tags[s_idx] = Tag.BAD
+                tags[s_idx] = True
 
-    for gap_idx, tag in enumerate(target_tags.gap_tags):
-        if tag is not Tag.BAD:
+    for gap_idx, bad in enumerate(target_tags.gap_tags):
+        if not bad:
             continue
         left = by_mt.get(gap_idx - 1)
         right = by_mt.get(gap_idx)
         if gap_idx == 0 or gap_idx == n_mt or not left or not right:
             continue
         for s_idx in range(max(left) + 1, min(right)):
-            tags[s_idx] = Tag.BAD
+            tags[s_idx] = True
     return SourceTags(tuple(tags))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from math import exp
 from typing import Callable, Sequence
 
-from .corpus import PredictionSet, Stream, TaggedCorpus, Tag, _parse_float, _read_lines, _write_lines
+from .corpus import PredictionSet, Stream, TaggedCorpus, _parse_float, _read_lines, _write_lines
 from .ensemble import fold_bounds
 from .errors import EmptyInput, LengthMismatch, MissingStream, ParseError, RangeError
 
@@ -51,8 +51,8 @@ __all__ = [
     "gold_tags",
 ]
 
-_LABELS = (Tag.OK, Tag.BAD)
-_CONJUNCTS = tuple(f"∧{label.value}" for label in _LABELS)
+_LABELS = ("OK", "BAD")  # a label's name, indexed by its BAD indicator
+_CONJUNCTS = tuple(f"∧{label}" for label in _LABELS)
 _START = "<start>"
 _LEFT_SENTINEL = "<s>"
 _RIGHT_SENTINEL = "</s>"
@@ -135,12 +135,12 @@ def _prob_bin(p: float, bins: int) -> int:
 
 
 def feature_strings(
-    inst: SequenceInstance, i: int, label: Tag, prev: Tag | None, config: FeatureConfig
+    inst: SequenceInstance, i: int, label: bool, prev: bool | None, config: FeatureConfig
 ) -> list[str]:
     """Human-readable feature names for position ``i`` with ``label`` and the
-    previous label ``prev`` (None means sequence start): each label-free
-    template conjoined with the label, then the bigram."""
-    feats = [f"{role}{value}∧{label.value}" for role, value in _templates(inst, i, config)]
+    previous label ``prev`` (BAD is true; None means sequence start): each
+    label-free template conjoined with the label, then the bigram."""
+    feats = [f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(inst, i, config)]
     if config.use_bigram:
         feats.append(_bigram_string(prev, label))
     return feats
@@ -175,12 +175,12 @@ def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tu
     return templates
 
 
-def _bigram_string(prev: Tag | None, label: Tag) -> str:
-    return f"g={_START if prev is None else prev.value}∧{label.value}"
+def _bigram_string(prev: bool | None, label: bool) -> str:
+    return f"g={_START if prev is None else _LABELS[prev]}∧{_LABELS[label]}"
 
 
 def extract_features(
-    inst: SequenceInstance, i: int, label: Tag, prev: Tag | None, config: FeatureConfig
+    inst: SequenceInstance, i: int, label: bool, prev: bool | None, config: FeatureConfig
 ) -> list[int]:
     """Hashed sparse feature vector (a multiset of 64-bit keys)."""
     return [fnv1a64(s) for s in feature_strings(inst, i, label, prev, config)]
@@ -256,7 +256,7 @@ def _bigram_slots(config: FeatureConfig, index=None):
     With an ``index`` a slot is the key's dense id, without it is the key."""
     if not config.use_bigram:
         return None
-    keys = [[fnv1a64(_bigram_string(p, label)) for label in _LABELS] for p in (None, Tag.OK, Tag.BAD)]
+    keys = [[fnv1a64(_bigram_string(p, label)) for label in (False, True)] for p in (None, False, True)]
     if index is None:
         return tuple(tuple(row) for row in keys)
     return tuple(tuple(index.setdefault(key, len(index)) for key in row) for row in keys)
@@ -278,8 +278,10 @@ def _model_weights(model: LinearModel) -> _Weights:
     return model.weights if isinstance(model.weights, _Weights) else _Weights(model.weights)
 
 
-def _path(tags) -> list[int]:
-    return [0 if tag is Tag.OK else 1 for tag in tags]
+def _int_path(tags) -> list[int]:
+    """BAD indicators as the 0/1 label path that decoding and MIRA index
+    their tables with: indexing by an exact int is faster than by a bool."""
+    return [1 if bad else 0 for bad in tags]
 
 
 def _unigram_scores(compiled: _Compiled, w, cost=None):
@@ -342,7 +344,7 @@ def _decode(compiled, bigram_slots, w, gamma):
     """Viterbi tags and max-marginal P(BAD) of every compiled instance, from
     one forward and one backward pass each."""
     t = _transition_scores(bigram_slots, w)
-    tags_rows: list[list[Tag]] = []
+    tags_rows: list[list[bool]] = []
     probs_rows: list[list[float]] = []
     for comp in compiled:
         u = _unigram_scores(comp, w)
@@ -362,28 +364,28 @@ def _decode(compiled, bigram_slots, w, gamma):
                 probs.append(1.0 / (1.0 + exp(-gamma * margin)))
             except OverflowError:  # 1 + exp(-gamma * margin) rounds to exp(-gamma * margin)
                 probs.append(exp(gamma * margin))
-        tags_rows.append([_LABELS[l] for l in path])
+        tags_rows.append(list(map(bool, path)))
         probs_rows.append(probs)
     return tags_rows, probs_rows
 
 
 def viterbi(
-    inst: SequenceInstance, model: LinearModel, cost_gold: Sequence[Tag] | None = None
-) -> tuple[list[Tag], float]:
-    """Exact argmax tag sequence and its score. With ``cost_gold`` the score
-    is Hamming-augmented (loss-augmented decoding). Ties break toward OK."""
+    inst: SequenceInstance, model: LinearModel, cost_gold: Sequence[bool] | None = None
+) -> tuple[list[bool], float]:
+    """Exact argmax tag sequence (BAD is true) and its score. With
+    ``cost_gold`` the score is Hamming-augmented (loss-augmented decoding).
+    Ties break toward OK."""
     w = _model_weights(model)
-    cost = None if cost_gold is None else _path(cost_gold)
-    u = _unigram_scores(_Compiled(inst, model.config, _Memo.reading(w)), w, cost)
+    u = _unigram_scores(_Compiled(inst, model.config, _Memo.reading(w)), w, cost_gold)
     _, path, score = _forward(u, _transition_scores(_bigram_slots(model.config), w))
-    return [_LABELS[l] for l in path], score
+    return list(map(bool, path)), score
 
 
-def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[Tag]) -> float:
+def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[bool]) -> float:
     """Model score of one labeling (no loss augmentation)."""
     w = _model_weights(model)
     t = _transition_scores(_bigram_slots(model.config), w)
-    return _path_score(_Compiled(inst, model.config, _Memo.reading(w)), t, w, _path(labels))
+    return _path_score(_Compiled(inst, model.config, _Memo.reading(w)), t, w, _int_path(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[
 
 def mira_train(
     instances: Sequence[SequenceInstance],
-    golds: Sequence[Sequence[Tag]],
+    golds: Sequence[Sequence[bool]],
     *,
     epochs: int = 5,
     C: float = 1.0,
@@ -437,7 +439,7 @@ def _compile_training(instances, golds, epochs, C, config):
     index: dict[int, int] = {}
     memo = _Memo.interning(index)
     compiled = [_Compiled(inst, config, memo) for inst in instances]
-    return config, index, compiled, _bigram_slots(config, index), [_path(gold) for gold in golds]
+    return config, index, compiled, _bigram_slots(config, index), [_int_path(gold) for gold in golds]
 
 
 def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_update=None) -> list[float]:
@@ -508,7 +510,7 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_u
 
 def predict(
     instances: Sequence[SequenceInstance], model: LinearModel, gamma: float = 1.0
-) -> tuple[list[list[Tag]], list[list[float]]]:
+) -> tuple[list[list[bool]], list[list[float]]]:
     """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
     ``predict_probs`` give them), each instance compiled once."""
     w = _model_weights(model)
@@ -542,7 +544,7 @@ def _worker_fold(bounds):
 
 def jackknife(
     instances: Sequence[SequenceInstance],
-    golds: Sequence[Sequence[Tag]],
+    golds: Sequence[Sequence[bool]],
     k: int,
     *,
     epochs: int = 5,
@@ -552,7 +554,7 @@ def jackknife(
     average: bool = True,
     gamma: float = 1.0,
     jobs: int = 1,
-) -> tuple[list[list[Tag]], list[list[float]]]:
+) -> tuple[list[list[bool]], list[list[float]]]:
     """Out-of-fold predictions for every instance: fold i is predicted, as by
     ``predict``, with the model ``mira_train`` fits with the same options on
     the other k-1 contiguous folds. The corpus is compiled once and each fold
@@ -669,8 +671,8 @@ def build_instances(
     return instances
 
 
-def gold_tags(corpus: TaggedCorpus, stream: Stream) -> list[list[Tag]]:
-    """Gold labelings for one stream; every entry must carry them."""
+def gold_tags(corpus: TaggedCorpus, stream: Stream) -> list[list[bool]]:
+    """Gold BAD indicators for one stream; every entry must carry them."""
     out = []
     for i, entry in enumerate(corpus, 1):
         if stream is Stream.SOURCE:

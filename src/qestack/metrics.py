@@ -48,8 +48,11 @@ class ContingencyTable:
         return self.tp + self.fp + self.tn + self.fn
 
     def f1_scores(self) -> "F1Mult":
-        f1_bad = _class_f1(self.tp, self.tp + self.fp, self.tp + self.fn)
-        f1_ok = _class_f1(self.tn, self.tn + self.fn, self.tn + self.fp)
+        f1_ok, f1_bad = _class_f1_array(
+            np.array([self.tn, self.tp]),
+            np.array([self.tn + self.fn, self.tp + self.fp]),
+            np.array([self.tn + self.fp, self.tp + self.fn]),
+        ).tolist()
         return F1Mult(f1_ok=f1_ok, f1_bad=f1_bad, f1_mult=f1_ok * f1_bad)
 
 
@@ -70,37 +73,26 @@ def _check_threshold(t: float):
         raise RangeError(f"threshold {t} outside [0, 1]")
 
 
-def _class_f1(tp: int, pred_count: int, gold_count: int) -> float:
-    if pred_count == 0 and gold_count == 0:
-        return 1.0
-    precision = tp / pred_count if pred_count else 0.0
-    recall = tp / gold_count if gold_count else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def _class_f1_array(tp: np.ndarray, pred_count: np.ndarray, gold_count: int) -> np.ndarray:
-    """:func:`_class_f1` over arrays of counts, in the same arithmetic."""
+def _class_f1_array(tp: np.ndarray, pred_count: np.ndarray, gold_count) -> np.ndarray:
+    """A class's F1 for each prediction, from its true positives and its
+    count of predictions of the class against ``gold_count`` (a count, or
+    one per prediction) in the gold: ``2 * precision * recall / (precision +
+    recall)``, 0 without a true positive, and 1 where the class is neither
+    predicted nor in the gold."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        f1 = tp / pred_count
-        f1[pred_count == 0] = 0.0
-        recall = tp / gold_count if gold_count else np.zeros(tp.shape)
-        total = f1 + recall
-        f1 *= 2.0
-        f1 *= recall
-        f1 /= total
-    f1[total == 0.0] = 0.0
-    if not gold_count:
-        f1[pred_count == 0] = 1.0
+        precision = tp / pred_count
+        recall = tp / gold_count
+        f1 = 2.0 * precision * recall / (precision + recall)
+    f1[tp == 0] = 0.0
+    f1[(pred_count == 0) & (gold_count == 0)] = 1.0
     return f1
 
 
 def _f1_mult_counts(tp: np.ndarray, pred_bad: np.ndarray, gold_bad: int, total: int) -> np.ndarray:
     """F1-MULT of many predictions against one gold of ``gold_bad`` BAD tags
     among ``total``, from each prediction's true positives and BAD count.
-    The arithmetic is :meth:`ContingencyTable.f1_scores`', so each value
-    equals :func:`f1_mult_bool` of that prediction bit for bit."""
+    Every F1 is :func:`_class_f1_array`'s, so each value equals
+    :func:`f1_mult_bool` of that prediction bit for bit."""
     f1_bad = _class_f1_array(tp, pred_bad, gold_bad)
     f1_ok = _class_f1_array(tp - pred_bad + (total - gold_bad), total - pred_bad, total - gold_bad)
     return f1_ok * f1_bad

@@ -55,9 +55,9 @@ def reference_read_tag_rows(path, stream, lengths=()):
 
 
 def reference_flatten_bad(tags):
-    """``ensemble._flatten_bad`` as it was."""
+    """``ensemble._flatten_bad`` as it was, reading any tag by ``bool(tag)``."""
     return np.fromiter(
-        (tag is Tag.BAD for sentence in tags for tag in sentence), dtype=bool
+        (bool(tag) for sentence in tags for tag in sentence), dtype=bool
     )
 
 
@@ -69,8 +69,8 @@ def random_sentence(rng: random.Random, min_len=1, max_len=8, alphabet=string.as
     return Sentence(tuple(random_token(rng, alphabet) for _ in range(rng.randint(min_len, max_len))))
 
 
-def random_tags(rng: random.Random, n: int, p_bad=0.3) -> tuple[Tag, ...]:
-    return tuple(Tag.BAD if rng.random() < p_bad else Tag.OK for _ in range(n))
+def random_tags(rng: random.Random, n: int, p_bad=0.3) -> tuple[bool, ...]:
+    return tuple(rng.random() < p_bad for _ in range(n))
 
 
 def random_target_tags(rng: random.Random, n: int) -> TargetTags:
@@ -113,7 +113,7 @@ def complementary_systems(rng: random.Random, n_sentences=60, max_len=8, n_syste
     for _ in range(n_sentences):
         n = rng.randint(2, max_len)
         lengths.append(n)
-        gold.append([Tag.BAD if rng.random() < 0.35 else Tag.OK for _ in range(n)])
+        gold.append([rng.random() < 0.35 for _ in range(n)])
 
     systems = []
     for s in range(n_systems):
@@ -123,10 +123,10 @@ def complementary_systems(rng: random.Random, n_sentences=60, max_len=8, n_syste
             row = []
             for tag in tags:
                 if accurate:
-                    base = 0.85 if tag is Tag.BAD else 0.15
+                    base = 0.85 if tag else 0.15
                     row.append(min(1.0, max(0.0, base + rng.uniform(-0.1, 0.1))))
                 else:
-                    signal = 0.6 if tag is Tag.BAD else 0.4
+                    signal = 0.6 if tag else 0.4
                     row.append(min(1.0, max(0.0, signal + rng.uniform(-0.38, 0.38))))
             rows.append(tuple(row))
         systems.append(PredictionSet(system_id=f"sys{s}", word_probs=tuple(rows)))
@@ -141,7 +141,7 @@ def fold_specialist_systems(rng: random.Random, n_sentences=60, max_len=7, k=10,
     gold = []
     for _ in range(n_sentences):
         n = rng.randint(2, max_len)
-        gold.append([Tag.BAD if rng.random() < 0.35 else Tag.OK for _ in range(n)])
+        gold.append([rng.random() < 0.35 for _ in range(n)])
 
     def block(idx):
         return min(k - 1, idx * k // n_sentences)
@@ -154,7 +154,7 @@ def fold_specialist_systems(rng: random.Random, n_sentences=60, max_len=7, k=10,
             row = []
             for tag in tags:
                 if strong:
-                    base = 0.8 if tag is Tag.BAD else 0.2
+                    base = 0.8 if tag else 0.2
                     row.append(min(1.0, max(0.0, base + rng.uniform(-0.15, 0.15))))
                 else:
                     row.append(min(1.0, max(0.0, rng.uniform(0.1, 0.9))))

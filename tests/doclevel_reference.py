@@ -69,7 +69,7 @@ def reference_tags_to_annotations(doc, tags, default_severity=Severity.MAJOR):
         spans = []
         run_start = None
         for t in range(n + 1):
-            bad = t < n and sentence_tags.word_tags[t] is Tag.BAD
+            bad = t < n and bool(sentence_tags.word_tags[t])
             if bad and run_start is None:
                 run_start = t
             elif not bad and run_start is not None:
@@ -77,7 +77,7 @@ def reference_tags_to_annotations(doc, tags, default_severity=Severity.MAJOR):
                 run_start = None
         borders = [0] + [off for pair in offsets for off in pair] + [len(doc.sentences[sent_idx])]
         for gap, tag in enumerate(sentence_tags.gap_tags):
-            if tag is Tag.BAD:
+            if bool(tag):
                 spans.append(Span(sent_idx, borders[2 * gap], borders[2 * gap + 1]))
         for span in sorted(spans):
             annotations.append(Annotation(severity=default_severity, spans=(span,)))

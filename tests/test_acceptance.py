@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qestack.cli import main
-from qestack.corpus import PredictionSet, Stream, Tag, load_corpus
+from qestack.corpus import PredictionSet, Stream, load_corpus
 from qestack.doclevel import (
     Annotation,
     Document,
@@ -45,7 +45,7 @@ from test_labeler import levenshtein
 from test_linearqe import brute_force, random_instance, random_model, separable_data
 from test_metrics import oracle_f1, oracle_mcc, oracle_pearson, random_tag_pair
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 @pytest.fixture

@@ -10,12 +10,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qestack.cli import main
-from qestack.corpus import Tag, load_corpus, read_prob_lines, read_score_lines
+from qestack.config import _parse_bool, _parse_floats, _parse_optional_float
+from qestack.corpus import load_corpus, read_prob_lines, read_score_lines
+from qestack.errors import InvalidInput
 from qestack.labeler import label_corpus
 
 from conftest import random_corpus, random_sentence
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 def write(path, text):
@@ -609,6 +611,34 @@ def test_seed_in_a_config_file_is_an_unknown_key(tmp_path, capsys, rng, command)
         argv = ["--manifest", manifest, "--mt", paths["mt"], "--gold-scores", paths["hter"], "--out", tmp_path / "m"]
     code, _, err = run(capsys, "--config", config, *command, *argv)
     assert_one_error_line(code, err, "unknown config keys: seed")
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("ensemble-word fit --manifest m --mt x --gold g --out o", "optimize_threshold=maybe",
+         "config key 'optimize_threshold': not a boolean: 'maybe'"),
+        ("ensemble-word fit --manifest m --mt x --gold g --out o", "tol=x",
+         "config key 'tol': could not convert string to float: 'x'"),
+        ("ensemble-sent fit --manifest m --mt x --gold-scores g --out o", "lambda_grid=,",
+         "config key 'lambda_grid': empty float list"),
+        ("ensemble-sent fit --manifest m --mt x --gold-scores g --out o", "lambda_grid=0.1,x",
+         "config key 'lambda_grid': could not convert string to float: 'x'"),
+        ("doc mqm --docs d --annotations a --out o", "floor=low",
+         "config key 'floor': could not convert string to float: 'low'"),
+    ],
+    ids=["bool", "float", "floats-empty", "floats", "optfloat"],
+)
+def test_unparsable_config_value_is_one_error_line(tmp_path, capsys, command, config, message):
+    code, out, err = run(capsys, "--config", write(tmp_path / "run.cfg", config + "\n"), *command.split())
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_config_value_parsers_raise_invalid_input():
+    for parse, text in ((_parse_bool, "maybe"), (_parse_floats, " , "), (_parse_floats, "0.1,x"),
+                        (_parse_optional_float, "low")):
+        with pytest.raises(InvalidInput):
+            parse(text)
 
 
 def test_doc_fit_on_fewer_than_five_documents_is_one_error_line(tmp_path, capsys):

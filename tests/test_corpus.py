@@ -40,7 +40,7 @@ from qestack.linearqe import load_model
 
 from conftest import random_corpus, reference_read_tag_rows
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 def write(path, text):
@@ -165,6 +165,32 @@ def test_write_tags_examples(tmp_path):
     assert path.read_text() == "OK OK OK BAD OK\n"
     write_tags([SourceTags((BAD, OK))], path)
     assert path.read_text() == "BAD OK\n"
+
+
+def test_target_tags_read_as_their_interleaved_line():
+    target = TargetTags(word_tags=(BAD, OK), gap_tags=(OK, BAD, BAD))
+    assert len(target) == 5 and list(target) == [OK, BAD, BAD, OK, BAD]
+    assert TargetTags.from_interleaved(target) == target
+    assert list(TargetTags.words_only(())) == [OK]
+    assert list(SourceTags((BAD, OK))) == [BAD, OK]
+
+
+def test_write_tags_writes_the_same_bytes_from_every_form_of_tags(tmp_path):
+    rows = [[OK, BAD, OK], [BAD, BAD, OK], [OK, OK, BAD, BAD, OK]]
+    forms = {
+        "bool rows": rows,
+        "Tag rows": [[Tag.BAD if bad else Tag.OK for bad in row] for row in rows],
+        "TargetTags": [TargetTags.from_interleaved(row) for row in rows],
+        "SourceTags": [SourceTags(tuple(row)) for row in rows],
+        "Ragged": Ragged.from_rows(rows, dtype=bool),
+    }
+    written = {}
+    for name, form in forms.items():
+        path = tmp_path / "out.tags"
+        write_tags(form, path)
+        written[name] = path.read_bytes()
+    assert set(written.values()) == {b"OK BAD OK\nBAD BAD OK\nOK OK BAD BAD OK\n"}
+    assert read_tag_lines(path) == rows
 
 
 def test_manifest_round_trip(tmp_path):
@@ -486,7 +512,7 @@ def _tag_outcome(read, path, stream, lengths):
     if isinstance(rows, Ragged):
         assert rows.values.dtype == bool
         return rows.rows()
-    return [[tag is BAD for tag in row] for row in rows]
+    return [[bool(tag) for tag in row] for row in rows]
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

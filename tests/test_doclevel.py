@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qestack.corpus import Tag, TargetTags
+from qestack.corpus import TargetTags
 from qestack.doclevel import (
     Annotation,
     AnnotationStats,
@@ -26,7 +26,7 @@ from qestack.errors import ParseError, SpanOutOfBounds
 
 from conftest import random_token
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 MINOR, MAJOR, CRITICAL = Severity.MINOR, Severity.MAJOR, Severity.CRITICAL
 
 
@@ -59,38 +59,38 @@ def test_tokenize_with_offsets(text, expected):
 def test_span_covering_a_token_marks_it_bad():
     doc = Document.from_sentences(["aa bb cc dd"])
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 6, 8))])
-    assert tags[0].word_tags == (OK, OK, BAD, OK)
-    assert set(tags[0].gap_tags) == {OK}
+    assert TargetTags.from_interleaved(tags[0]).word_tags == (OK, OK, BAD, OK)
+    assert set(TargetTags.from_interleaved(tags[0]).gap_tags) == {OK}
 
 
 def test_partial_character_overlap_marks_the_whole_token():
     doc = Document.from_sentences(["aa bb cc"])
     tags = annotations_to_tags(doc, [ann(MINOR, (0, 4, 5))])
-    assert tags[0].word_tags == (OK, BAD, OK)
+    assert TargetTags.from_interleaved(tags[0]).word_tags == (OK, BAD, OK)
 
 
 def test_span_matching_gap_borders_marks_the_gap_only():
     doc = Document.from_sentences(["ab cd"])
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 2, 3))])
-    assert tags[0].word_tags == (OK, OK)
-    assert tags[0].gap_tags == (OK, BAD, OK)
+    assert TargetTags.from_interleaved(tags[0]).word_tags == (OK, OK)
+    assert TargetTags.from_interleaved(tags[0]).gap_tags == (OK, BAD, OK)
 
 
 def test_edge_gaps_use_sentence_borders():
     doc = Document.from_sentences([" ab cd "])
     # sentence start .. first token start
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 0, 1))])
-    assert tags[0].gap_tags == (BAD, OK, OK)
+    assert TargetTags.from_interleaved(tags[0]).gap_tags == (BAD, OK, OK)
     # last token end .. sentence end
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 6, 7))])
-    assert tags[0].gap_tags == (OK, OK, BAD)
+    assert TargetTags.from_interleaved(tags[0]).gap_tags == (OK, OK, BAD)
 
 
 def test_multi_span_annotation_marks_every_span():
     doc = Document.from_sentences(["aa bb cc", "dd ee"])
     tags = annotations_to_tags(doc, [ann(MINOR, (0, 0, 2), (1, 3, 5))])
-    assert tags[0].word_tags == (BAD, OK, OK)
-    assert tags[1].word_tags == (OK, BAD)
+    assert TargetTags.from_interleaved(tags[0]).word_tags == (BAD, OK, OK)
+    assert TargetTags.from_interleaved(tags[1]).word_tags == (OK, BAD)
 
 
 def test_span_outside_sentence_raises():

@@ -3,12 +3,11 @@ character-by-character code it replaced (``doclevel_reference``)."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qestack.corpus import Ragged, Tag, TagRows, TargetTags, write_alignments, write_probs
+from qestack.corpus import Ragged, Tag, TargetTags, write_alignments, write_probs
 from qestack.doclevel import (
     Annotation,
     AnnotationTable,
@@ -105,12 +104,12 @@ def test_tags_to_annotations_matches_reference(data, doc, severity):
     tags = []
     for offsets in doc.token_offsets:
         n = len(offsets)
-        words = data.draw(st.lists(st.sampled_from(Tag), min_size=n, max_size=n))
-        gaps = data.draw(st.lists(st.sampled_from(Tag), min_size=n + 1, max_size=n + 1))
+        words = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        gaps = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
         tags.append(TargetTags(tuple(words), tuple(gaps)))
     expected = reference_tags_to_annotations(doc, tags, severity)
     assert tags_to_annotations(doc, tags, severity) == expected
-    rows = TagRows(Ragged.from_rows([t.interleaved() for t in tags], dtype=bool))
+    rows = Ragged.from_rows(tags, dtype=bool)
     assert rows == tags
     assert list(tags_to_annotations(doc, rows, severity)) == expected
 
@@ -118,9 +117,9 @@ def test_tags_to_annotations_matches_reference(data, doc, severity):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), doc=documents)
 def test_tags_of_the_wrong_shape_raise_as_before(data, doc):
-    tags = [TargetTags.words_only((Tag.BAD,) * len(offsets)) for offsets in doc.token_offsets]
+    tags = [TargetTags.words_only((True,) * len(offsets)) for offsets in doc.token_offsets]
     i = data.draw(st.integers(0, len(tags) - 1))
-    tags[i] = TargetTags.words_only((Tag.OK,) * data.draw(st.integers(0, 4)))
+    tags[i] = TargetTags.words_only((False,) * data.draw(st.integers(0, 4)))
     if data.draw(st.booleans()):
         tags.pop()
     assert outcome(tags_to_annotations, doc, tags) == outcome(reference_tags_to_annotations, doc, tags)
@@ -282,12 +281,15 @@ def test_annotation_table_reads_as_its_list(tmp_path):
     assert read_annotations(path) == {"d": anns}
 
 
-def test_tag_rows_read_as_target_tags():
-    tags = [TargetTags((Tag.BAD,), (Tag.OK, Tag.BAD)), TargetTags((), (Tag.BAD,))]
-    rows = TagRows(Ragged(np.array([False, True, True, True]), np.array([0, 3, 4])))
-    assert len(rows) == 2 and rows == tags and list(rows) == tags and rows[1] == tags[1]
+def test_annotations_to_tags_gives_interleaved_rows_equal_to_their_target_tags():
+    tags = [TargetTags((True,), (False, True)), TargetTags((), (True,))]
     doc = Document.from_sentences(["ab", " "])
-    assert annotations_to_tags(doc, [Annotation(Severity.MAJOR, (Span(0, 0, 1), Span(0, 2, 2), Span(1, 0, 1)))]) == tags
+    rows = annotations_to_tags(doc, [Annotation(Severity.MAJOR, (Span(0, 0, 1), Span(0, 2, 2), Span(1, 0, 1)))])
+    assert rows.values.tolist() == [False, True, True, True] and rows.offsets.tolist() == [0, 3, 4]
+    assert rows == tags and rows.rows() == [list(t) for t in tags] and rows[1] == list(tags[1])
+    # Tag objects are still read as BAD indicators
+    assert rows == [TargetTags((Tag.BAD,), (Tag.OK, Tag.BAD)), TargetTags((), (Tag.BAD,))]
+    assert rows != [TargetTags((False,), (False, True)), TargetTags((), (True,))]
 
 
 # --- document features ---------------------------------------------------------------
@@ -311,7 +313,7 @@ ROUNDING_ROWS = [
 @settings(max_examples=300, deadline=None)
 @given(row=st.one_of(st.sampled_from(ROUNDING_ROWS), st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30)))
 def test_mean_sentence_mqm_adds_left_to_right(row):
-    tags = [TargetTags.words_only((Tag.OK,))] * len(row)
+    tags = [TargetTags.words_only((False,))] * len(row)
     mean = doc_mqm_features(tags, row)[0]
     assert mean == left_to_right_mean(row) and math.copysign(1.0, mean) == math.copysign(1.0, left_to_right_mean(row))
 
@@ -321,13 +323,13 @@ def test_mean_sentence_mqm_adds_left_to_right(row):
 def test_bad_fractions_are_integer_counts(data, sizes):
     tags = [
         TargetTags(
-            tuple(data.draw(st.lists(st.sampled_from(Tag), min_size=n, max_size=n))),
-            tuple(data.draw(st.lists(st.sampled_from(Tag), min_size=n + 1, max_size=n + 1))),
+            tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+            tuple(data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))),
         )
         for n in sizes
     ]
-    bad_words = sum(tag is Tag.BAD for t in tags for tag in t.word_tags)
-    bad_gaps = sum(tag is Tag.BAD for t in tags for tag in t.gap_tags)
+    bad_words = sum(tag for t in tags for tag in t.word_tags)
+    bad_gaps = sum(tag for t in tags for tag in t.gap_tags)
     n_words = sum(sizes)
     n_gaps = n_words + len(sizes)
     expected = [
@@ -335,7 +337,7 @@ def test_bad_fractions_are_integer_counts(data, sizes):
         bad_gaps / n_gaps,
         (bad_words + bad_gaps) / (n_words + n_gaps),
     ]
-    rows = TagRows(Ragged.from_rows([t.interleaved() for t in tags], dtype=bool))
+    rows = Ragged.from_rows(tags, dtype=bool)
     assert doc_mqm_features(tags, [50.0] * len(tags))[1:] == expected
     assert doc_mqm_features(rows, [50.0] * len(tags))[1:] == expected
 

@@ -29,6 +29,7 @@ from qestack.ensemble import (
 from qestack.errors import (
     DegenerateInput,
     FoldError,
+    InvalidInput,
     LengthMismatch,
     MissingStream,
     ParseError,
@@ -41,7 +42,7 @@ from qestack.metrics import f1_mult_bool as _f1_mult_bool
 
 from conftest import complementary_systems, fold_specialist_systems, reference_flatten_bad
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 def system(system_id, rows, **kwargs):
@@ -599,8 +600,10 @@ def test_each_ensemble_command_stacks_the_systems_once(monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(4, 30), optimize=st.booleans())
 def test_fitters_score_tag_rows_and_their_bool_ragged_alike(seed, n_sentences, optimize):
-    preds, gold = complementary_systems(random.Random(seed), n_sentences=n_sentences)
+    preds, bool_rows = complementary_systems(random.Random(seed), n_sentences=n_sentences)
+    gold = [[Tag.BAD if b else Tag.OK for b in row] for row in bool_rows]
     bad = Ragged.from_rows(gold, dtype=bool)
+    assert bad == bool_rows
     assert bad.values.dtype == bool
     assert bad.values.tolist() == reference_flatten_bad(gold).tolist()
     assert bad.offsets.tolist() == preds[0].word_probs.offsets.tolist()
@@ -638,6 +641,7 @@ def _misuse_cases():
         "fit threshold": (RangeError, lambda: fit_word_ensemble(preds, gold, Stream.WORDS, threshold=1.5)),
         "kfold threshold": (RangeError, lambda: kfold_estimate(preds, gold, 2, Stream.WORDS, threshold=-0.1)),
         "sentence counts": (LengthMismatch, lambda: sentence_features([preds[0], system("x", [[0.5]])])),
+        "sentence empty row": (InvalidInput, lambda: sentence_features([system("x", [[0.5], []])])),
         "ridge_fit rows": (LengthMismatch, lambda: ridge_fit(X, y[1:], 0.1)),
         "ridge_fit feature_names": (LengthMismatch, lambda: ridge_fit(X, y, 0.1, feature_names=["a"])),
         "ridge_fit one row": (DegenerateInput, lambda: ridge_fit(X[:1], y[:1], 0.1)),
@@ -680,6 +684,37 @@ def test_sentence_feature_layout():
     assert X[0, 1] == pytest.approx(0.4, abs=1e-12)
     assert X[0, 2] == 0.0
     assert X[1, 2] == 1.0
+
+
+def left_to_right_mean(row):
+    total = 0.0
+    for value in row:
+        total += value
+    return total / len(row)
+
+
+MEAN_ROUNDING_ROWS = [
+    [1e16, 1.0, -1e16],  # a compensated sum keeps the 1.0
+    [0.1] * 10,
+    [1e100, 1.0, -1e100, 1e-3],
+    [-0.0, -0.0],  # a sum that starts from 0.0 is +0.0
+    [-0.0],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.one_of(st.sampled_from(MEAN_ROUNDING_ROWS), st.lists(st.floats(-0.0, 1.0), min_size=1, max_size=30)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_sentence_means_add_left_to_right(rows):
+    X, _ = sentence_features([system("s", rows, gap_probs=rows[::-1])])
+    for column, stream_rows in ((0, rows), (1, rows[::-1])):
+        expected = [left_to_right_mean(row).hex() for row in stream_rows]
+        assert [mean.hex() for mean in X[:, column].tolist()] == expected
 
 
 # --- ridge --------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qestack.corpus import Sentence, Tag, TargetTags
+from qestack.corpus import Sentence, TargetTags
 from qestack.errors import InconsistentScript, RangeError
 from qestack.labeler import (
     EditKind,
@@ -19,7 +19,7 @@ from qestack.labeler import (
 
 from conftest import random_corpus, random_sentence
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 def sent(text) -> Sentence:

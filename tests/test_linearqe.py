@@ -12,7 +12,6 @@ from qestack.corpus import (
     SourceTags,
     Stream,
     TaggedCorpus,
-    Tag,
     TargetTags,
     Entry,
 )
@@ -40,7 +39,7 @@ from qestack.linearqe import (
 
 from conftest import random_token
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 def make_instance(tokens, **kwargs):

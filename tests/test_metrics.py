@@ -11,7 +11,7 @@ from qestack.corpus import Tag
 from qestack.errors import DegenerateInput, EmptyInput, LengthMismatch
 from qestack.metrics import ContingencyTable, _f1_mult_counts, f1_mult, f1_mult_bool, mcc, pearson, threshold
 
-OK, BAD = Tag.OK, Tag.BAD
+OK, BAD = False, True
 
 
 # --- independent oracles ----------------------------------------------------
@@ -146,10 +146,13 @@ def test_metrics_match_oracles_on_random_inputs():
         assert abs(result.f1_bad - bad) < 1e-12
         assert abs(result.f1_mult - mult) < 1e-12
         assert abs(mcc(gold, pred) - oracle_mcc(gold, pred)) < 1e-12
-        # Tag lists and bool arrays are the same BAD indicators
-        gold_bad, pred_bad = np.array([t is BAD for t in gold]), np.array([t is BAD for t in pred])
+        # bool lists, bool arrays and Tag lists are the same BAD indicators
+        gold_bad, pred_bad = np.array(gold), np.array(pred)
         assert f1_mult(gold_bad, pred_bad) == result
         assert mcc(gold_bad, pred_bad) == mcc(gold, pred)
+        gold_tags, pred_tags = [Tag.BAD if t else Tag.OK for t in gold], [Tag.BAD if t else Tag.OK for t in pred]
+        assert f1_mult(gold_tags, pred_tags) == result
+        assert mcc(gold_tags, pred_tags) == mcc(gold, pred)
 
 
 def test_f1_mult_from_counts_equals_the_boolean_metric_bit_for_bit():
