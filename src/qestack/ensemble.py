@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import PredictionSet, Ragged, Stream, _parse_float, _read_lines, _write_lines
 from .errors import (
     DegenerateInput,
+    EmptyInput,
     FoldError,
     InvalidInput,
     LengthMismatch,
@@ -375,9 +376,16 @@ def _fit(
         raise LengthMismatch(
             f"gold holds {gold_bad.size} tags but predictions hold {matrix.shape[1]}"
         )
+    if not gold_bad.size:
+        raise EmptyInput("cannot score zero tags")
     n = matrix.shape[0]
 
-    singles = [f1_mult_bool(gold_bad, matrix[s] >= threshold) for s in range(n)]
+    # every single system scored in one batch from its confusion counts, bit
+    # for bit f1_mult_bool's; one row is thresholded at a time
+    counts = np.array(
+        [[np.count_nonzero(bad & gold_bad), np.count_nonzero(bad)] for bad in (row >= threshold for row in matrix)]
+    )
+    singles = _f1_mult_counts(counts[:, 0], counts[:, 1], int(np.count_nonzero(gold_bad)), gold_bad.size).tolist()
     best_single = max(range(n), key=lambda s: (singles[s], -s))
 
     def objective(z):

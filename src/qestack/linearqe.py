@@ -9,12 +9,15 @@ over the two labels; weights are learned with max-loss MIRA and averaged over
 all post-update vectors.
 
 Feature strings are hashed to 64-bit keys (FNV-1a); collisions are tolerated,
-they merely share a weight. Each call of ``predict``, ``mira_train`` or
-``jackknife`` hashes every distinct label-free template once, as its OK and
-BAD keys, through a memo that lives for that call. Training interns the keys
-of its corpus into dense ids, so colliding strings share one id, and trains
-on weight lists indexed by id; models and their files keep the keys.
-Prediction skips the keys the model lacks, which would only add 0.0.
+they merely share a weight. A call compiles its instances in blocks of 64
+sentences: the block's templates become rows of int ids, one row per slot,
+and the distinct templates of the block are hashed in one numpy pass, as
+their OK and BAD keys; no feature string is built. Prediction gathers the
+weights of those keys and sums them slot row by slot row, a key the model
+lacks adding 0.0. Training interns the keys of its corpus into dense ids, so
+colliding strings share one id, and trains on weight lists indexed by id;
+models and their files keep the keys. ``feature_strings`` builds the strings
+position by position and is the reference the compile is tested against.
 Gap and source streams are trained as independent sequence models over their
 own position sequences.
 """
@@ -26,8 +29,11 @@ import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from math import exp
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus import PredictionSet, Stream, TaggedCorpus, _parse_float, _read_lines, _write_lines
 from .ensemble import fold_bounds
@@ -148,9 +154,9 @@ def feature_strings(
 
 def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tuple[str, object]]:
     """Position ``i``'s label-free unigram templates as ``(role, value)``
-    pairs, in slot order; the template is ``f"{role}{value}"``. A value is a
-    string the instance holds, a sentinel or a bin number, so a memo keyed by
-    role and value holds no strings of its own."""
+    pairs, in slot order; the template is ``f"{role}{value}"``. This is the
+    one-position reference of ``_template_ids``, which builds the same
+    templates for a block of instances at once."""
     tokens = inst.tokens
     templates = []
     if config.use_bias:
@@ -188,67 +194,232 @@ def extract_features(
 
 # ---------------------------------------------------------------------------
 # Compiled form: unigram keys are position/label-local and never change while
-# the weights do, so each instance is compiled once, and a memo that lives
-# for one ``predict``, ``mira_train`` or ``jackknife`` call hashes each
-# distinct label-free template once (as its OK and BAD keys). Scores read
-# ``w[slot]``: training interns each key into a dense id and ``w`` is a list,
-# prediction keeps the keys the model holds and ``w`` is the model's
-# ``_Weights``. Every score is a left-to-right sum in slot order from +0.0;
-# such a sum is never -0.0, so the 0.0 that a dropped key would add is a
-# no-op and prediction is bit-identical to summing every key.
+# the weights do, so each call of ``predict``, ``mira_train``, ``jackknife``,
+# ``viterbi`` or ``score_sequence`` compiles its instances once, in blocks of
+# ``_BLOCK`` sentences. A block's templates are int ids in one row per slot,
+# in slot order, with a column per position; the distinct templates of each
+# row are hashed in one numpy FNV-1a pass per block, as their OK and BAD keys,
+# folded on from each role's state. Prediction gathers the weights
+# of those keys and adds them slot row by slot row; training and the
+# single-instance functions intern the keys into dense ids and keep each
+# position's (OK ids, BAD ids). Every score is a left-to-right sum in slot
+# order from +0.0; such a sum is never -0.0, so the 0.0 that a key the model
+# lacks or a padded slot adds is a no-op and every path is bit-identical to
+# summing each key of ``extract_features``.
 # ---------------------------------------------------------------------------
 
+_BLOCK = 64  # sentences compiled together: larger blocks make fewer numpy calls but raise peak memory
+_PRIME = np.uint64(_FNV_PRIME)
+_CONJUNCT_BYTES = tuple(conjunct.encode() for conjunct in _CONJUNCTS)
 
-class _Memo(dict):
-    """One call's templates, by role and then by value, mapped to their
-    (OK slots, BAD slots); ``slot`` turns a 64-bit key into a tuple of its
-    slots (none when the key is dropped)."""
 
-    __slots__ = ("slot",)
+def _fnv1a64_fold(states: np.ndarray, data: Sequence[bytes]) -> np.ndarray:
+    """FNV-1a continued from each ``uint64`` state over the bytes of the
+    matching item of ``data``, byte column by byte column. The rows are
+    sorted longest first, so the rows that a column continues are a prefix.
+    From ``_FNV_OFFSET`` over ``text.encode()`` it gives ``fnv1a64(text)``."""
+    lengths = np.fromiter(map(len, data), np.int64, len(data))
+    order = np.argsort(-lengths)
+    starts = (np.cumsum(lengths) - lengths)[order]
+    buffer = np.frombuffer(b"".join(data), np.uint8)
+    h = states[order]
+    for column, rows in enumerate((len(data) - np.cumsum(np.bincount(lengths))).tolist()):
+        if not rows:
+            break
+        head = h[:rows]
+        head ^= buffer[starts[:rows] + column]
+        head *= _PRIME
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
-    def __init__(self, slot: Callable[[int], tuple]):
+
+class _Vocabulary(dict):
+    """One call's role and value strings by id, numbered in order of first
+    sight, and their UTF-8 bytes."""
+
+    __slots__ = ("_utf8",)
+
+    def __init__(self):
         super().__init__()
-        self.slot = slot
+        self._utf8: list[bytes] = []
 
-    @classmethod
-    def interning(cls, index: dict[int, int]) -> "_Memo":
-        """A key's slot is its dense id in ``index``; a new key takes the
-        next one, and colliding strings share one."""
-        return cls(lambda key: (index.setdefault(key, len(index)),))
+    def __missing__(self, text: str) -> int:
+        self[text] = new = len(self)
+        return new
 
-    @classmethod
-    def reading(cls, w: "_Weights") -> "_Memo":
-        """A key's slot is the key itself; a key the model lacks is dropped."""
-        return cls(lambda key: (key,) if key in w else ())
-
-    def __missing__(self, role):
-        table = self[role] = {}
-        return table
-
-    def resolve(self, role: str, value) -> tuple[tuple, tuple]:
-        template = f"{role}{value}"
-        return tuple(self.slot(fnv1a64(template + conjunct)) for conjunct in _CONJUNCTS)
+    def utf8(self, ids: np.ndarray) -> list[bytes]:
+        self._utf8 += [text.encode() for text in islice(self, len(self._utf8), None)]
+        return list(map(self._utf8.__getitem__, ids.tolist()))
 
 
-class _Compiled:
-    """``slots[i]`` holds position ``i``'s (OK, BAD) unigram slots, as the
-    call's ``memo`` resolves them."""
+def _template_keys(templates: np.ndarray, vocab: _Vocabulary) -> np.ndarray:
+    """The OK and BAD keys, shape (2, n), of templates given as ids ``role id
+    << 32 | value id`` in ``vocab``: the FNV-1a state of each distinct role
+    is folded on over the bytes of the value, then over each conjunct."""
+    roles, role_of = np.unique(templates >> 32, return_inverse=True)
+    role_states = _fnv1a64_fold(np.full(roles.size, _FNV_OFFSET, np.uint64), vocab.utf8(roles))
+    states = _fnv1a64_fold(role_states[role_of], vocab.utf8(templates & 0xFFFFFFFF))
+    keys = np.empty((len(_CONJUNCT_BYTES), states.size), np.uint64)
+    for h, conjunct in zip(keys, _CONJUNCT_BYTES):
+        h[...] = states
+        for byte in conjunct:
+            h ^= np.uint64(byte)
+            h *= _PRIME
+    return keys
 
-    __slots__ = ("slots", "n")
 
-    def __init__(self, inst: SequenceInstance, config: FeatureConfig, memo: _Memo):
-        self.n = len(inst)
-        self.slots = []
-        for i in range(self.n):
-            ok, bad = [], []
-            for role, value in _templates(inst, i, config):
-                table = memo[role]
-                entry = table.get(value)
-                if entry is None:
-                    entry = table[value] = memo.resolve(role, value)
-                ok += entry[0]
-                bad += entry[1]
-            self.slots.append((tuple(ok), tuple(bad)))
+def _template_ids(block: list[SequenceInstance], config: FeatureConfig, vocab: _Vocabulary) -> list[np.ndarray]:
+    """The templates of a block of instances as ids ``role id << 32 | value
+    id``, with the role and the value numbered by ``vocab`` (which grows): a
+    row per slot in slot order, holding each position of the block. -1 pads
+    the slots a position lacks, the aligned words beyond its own and the
+    extra columns and stacked systems only other instances have."""
+
+    def role(name: str) -> int:
+        return vocab[name] << 32
+
+    def ids(strings) -> np.ndarray:
+        return np.fromiter(map(vocab.__getitem__, strings), np.int64)
+
+    lengths = [len(inst) for inst in block]
+    total = sum(lengths)
+    ends = np.cumsum(lengths)
+
+    def padded(have: list[bool], templates: np.ndarray) -> np.ndarray:
+        row = np.full(total, -1, np.int64)
+        row[np.repeat(have, lengths)] = templates
+        return row
+
+    rows = []
+    if config.use_bias:
+        rows.append(np.full(total, role("b") | vocab[""], np.int64))
+    if config.use_word or config.use_context:
+        tokens = ids(chain.from_iterable(inst.tokens for inst in block))
+        if config.use_word:
+            rows.append(role("w0=") | tokens)
+        if config.use_context:
+            left, right = np.roll(tokens, 1), np.roll(tokens, -1)
+            left[ends - lengths] = vocab[_LEFT_SENTINEL]
+            right[ends - 1] = vocab[_RIGHT_SENTINEL]
+            rows += [role("w-1=") | left, role("w+1=") | right]
+    if config.use_aligned:
+        words = [ws or (_NO_ALIGNMENT,) for inst in block for ws in inst.aligned or ((),) * len(inst)]
+        counts = np.fromiter(map(len, words), np.int64, total)
+        position = np.repeat(np.arange(total), counts)
+        slot = np.arange(position.size) - (np.cumsum(counts) - counts)[position]
+        aligned = role("a=") | ids(chain.from_iterable(words))
+        for k in range(counts.max()):
+            row = np.full(total, -1, np.int64)
+            row[position[slot == k]] = aligned[slot == k]
+            rows.append(row)
+    if config.use_extra:
+        for c in range(max(len(inst.extra) for inst in block)):
+            have = [c < len(inst.extra) for inst in block]
+            values = ids(chain.from_iterable(inst.extra[c] for inst, h in zip(block, have) if h))
+            rows.append(padded(have, role(f"x{c}=") | values))
+    if config.use_stacked:
+        for c in range(max(len(inst.stacked) for inst in block)):
+            have = [c < len(inst.stacked) for inst in block]
+            systems = [inst.stacked[c] for inst, h in zip(block, have) if h]
+            probs = np.fromiter(chain.from_iterable(p for _, p in systems), np.float64)
+            # _prob_bin's min(int(bins * p), bins - 1), where int64 holds it
+            scaled = np.minimum(config.bins * probs, config.bins - 1)
+            if not (np.isfinite(probs) & (scaled >= -(2.0**63))).all():
+                raise RangeError("a stacked probability is not finite or too far below 0 to bin")
+            bins, which = np.unique(scaled.astype(np.int64), return_inverse=True)
+            roles = np.repeat([role(f"s:{system_id}:b") for system_id, _ in systems], [len(p) for _, p in systems])
+            rows.append(padded(have, roles | ids(map(str, bins.tolist()))[which]))
+    return rows
+
+
+def _compile(instances: Iterable[SequenceInstance], config: FeatureConfig):
+    """Yields each block of up to ``_BLOCK`` instances with, for each slot
+    of each of its positions, the index of its template among the block's
+    distinct templates (shaped as ``_template_ids``, -1 for a padded slot),
+    and those templates' OK and BAD keys, shape (2, distinct). The blocks
+    share one vocabulary."""
+    vocab = _Vocabulary()
+    it = iter(instances)
+    while block := list(islice(it, _BLOCK)):
+        yield (block, *_distinct_templates(_template_ids(block, config, vocab), vocab))
+
+
+def _distinct_templates(rows: list[np.ndarray], vocab: _Vocabulary) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each slot's index among the templates of the block (-1 where padded)
+    and those templates' keys. A template is distinct within its slot row;
+    the rows are deduplicated one at a time, which keeps the arrays small."""
+    which, distinct, start = [], [], 0
+    for row in rows:
+        templates, index = np.unique(row, return_inverse=True)
+        index += start
+        if templates[0] < 0:  # the padded slots
+            templates = templates[1:]
+            index -= 1
+            index[row < 0] = -1
+        which.append(index)
+        distinct.append(templates)
+        start += templates.size
+    return which, _template_keys(np.concatenate(distinct) if distinct else np.empty(0, np.int64), vocab)
+
+
+def _bounds(block: list[SequenceInstance]) -> Iterator[tuple[int, int]]:
+    """Each instance's start and end among the positions of its block."""
+    start = 0
+    for inst in block:
+        yield start, start + len(inst)
+        start += len(inst)
+
+
+def _unigram_rows(instances: Iterable[SequenceInstance], config: FeatureConfig, weights) -> Iterator[list]:
+    """Each instance's per-position (OK, BAD) unigram scores under
+    ``weights`` by key; a key the weights lack weighs 0.0. Keys are searched
+    as int64, which numpy searches faster than uint64."""
+    weights = {key: value for key, value in weights.items() if 0 <= key <= _MASK64}  # no other key is a hash
+    keys = np.fromiter(weights, np.uint64, len(weights)).view(np.int64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    values = np.fromiter(weights.values(), np.float64, len(weights))[order]
+    for block, which, block_keys in _compile(instances, config):
+        scores = _block_scores(sum(map(len, block)), which, block_keys.view(np.int64), keys, values)
+        for start, end in _bounds(block):
+            yield list(zip(*scores[:, start:end].tolist()))
+
+
+def _block_scores(positions: int, which, block_keys, keys, values) -> np.ndarray:
+    """The (OK, BAD) unigram scores, shape (2, positions), of a block's
+    slots: the weights of their keys, found in the sorted ``keys``, added
+    slot row by slot row. A function of its own, so that its arrays are
+    freed before the block is decoded."""
+    found = np.zeros((2, block_keys.shape[1] + 1))  # the last column weighs the padded slots
+    if keys.size:
+        at = np.searchsorted(keys, block_keys)
+        at[at == keys.size] = 0
+        np.copyto(found[:, :-1], values[at], where=keys[at] == block_keys)
+    scores = np.zeros((2, positions))
+    for row in which:
+        scores += found[:, row]
+    return scores
+
+
+def _compile_slots(instances: Iterable[SequenceInstance], config: FeatureConfig, index: dict[int, int]) -> list[list]:
+    """Each instance's per-position (OK slots, BAD slots) in slot order: the
+    dense ids of its keys in ``index``, where a new key takes the next id and
+    colliding templates share one."""
+    compiled = []
+    for block, which, keys in _compile(instances, config):
+        # the slots hold the int objects of ``index``, not a copy of each
+        ok_ids, bad_ids = ([index.setdefault(key, len(index)) for key in row] for row in keys.tolist())
+        by_position = np.array(which, np.int64).reshape(len(which), sum(map(len, block))).T
+        real = by_position >= 0
+        templates = by_position[real].tolist()
+        ok, bad = list(map(ok_ids.__getitem__, templates)), list(map(bad_ids.__getitem__, templates))
+        slots, start = [], 0
+        for end in np.cumsum(real.sum(1)).tolist():
+            slots.append((tuple(ok[start:end]), tuple(bad[start:end])))
+            start = end
+        compiled += (slots[start:end] for start, end in _bounds(block))
+    return compiled
 
 
 def _bigram_slots(config: FeatureConfig, index=None):
@@ -284,11 +455,12 @@ def _int_path(tags) -> list[int]:
     return [1 if bad else 0 for bad in tags]
 
 
-def _unigram_scores(compiled: _Compiled, w, cost=None):
-    """Per-position (OK, BAD) scores; with a ``cost`` path the label that
-    differs from it gains 1.0 (Hamming-augmented)."""
+def _unigram_scores(slots, w, cost=None):
+    """Per-position (OK, BAD) scores of one compiled instance; with a
+    ``cost`` path the label that differs from it gains 1.0
+    (Hamming-augmented)."""
     scores = []
-    for i, (ok, bad) in enumerate(compiled.slots):
+    for i, (ok, bad) in enumerate(slots):
         s0 = 0.0
         for j in ok:
             s0 += w[j]
@@ -329,27 +501,25 @@ def _forward(u, t):
     return delta, path, delta[-1][last]
 
 
-def _path_score(compiled: _Compiled, t, w, path) -> float:
+def _path_score(slots, t, w, path) -> float:
     total = 0.0
     prev = 0
-    for slots, label in zip(compiled.slots, path):
-        for j in slots[label]:
+    for position, label in zip(slots, path):
+        for j in position[label]:
             total += w[j]
         total += t[prev][label]
         prev = label + 1
     return total
 
 
-def _decode(compiled, bigram_slots, w, gamma):
-    """Viterbi tags and max-marginal P(BAD) of every compiled instance, from
-    one forward and one backward pass each."""
-    t = _transition_scores(bigram_slots, w)
+def _decode(unigram_rows, t, gamma):
+    """Viterbi tags and max-marginal P(BAD) of every instance, given as its
+    unigram scores, from one forward and one backward pass each."""
     tags_rows: list[list[bool]] = []
     probs_rows: list[list[float]] = []
-    for comp in compiled:
-        u = _unigram_scores(comp, w)
+    for u in unigram_rows:
         delta, path, _ = _forward(u, t)
-        n = comp.n
+        n = len(u)
         bwd = [(0.0, 0.0)] * n
         for i in range(n - 2, -1, -1):
             (a0, a1), (b0, b1) = u[i + 1], bwd[i + 1]
@@ -369,23 +539,30 @@ def _decode(compiled, bigram_slots, w, gamma):
     return tags_rows, probs_rows
 
 
+def _compile_one(inst: SequenceInstance, model: LinearModel):
+    """One instance compiled against a model: its slots, the weight of each
+    slot's key and the transition scores."""
+    w = _model_weights(model)
+    index: dict[int, int] = {}
+    (slots,) = _compile_slots([inst], model.config, index)
+    return slots, [w[key] for key in index], _transition_scores(_bigram_slots(model.config), w)
+
+
 def viterbi(
     inst: SequenceInstance, model: LinearModel, cost_gold: Sequence[bool] | None = None
 ) -> tuple[list[bool], float]:
     """Exact argmax tag sequence (BAD is true) and its score. With
     ``cost_gold`` the score is Hamming-augmented (loss-augmented decoding).
     Ties break toward OK."""
-    w = _model_weights(model)
-    u = _unigram_scores(_Compiled(inst, model.config, _Memo.reading(w)), w, cost_gold)
-    _, path, score = _forward(u, _transition_scores(_bigram_slots(model.config), w))
+    slots, w, t = _compile_one(inst, model)
+    _, path, score = _forward(_unigram_scores(slots, w, cost_gold), t)
     return list(map(bool, path)), score
 
 
 def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[bool]) -> float:
     """Model score of one labeling (no loss augmentation)."""
-    w = _model_weights(model)
-    t = _transition_scores(_bigram_slots(model.config), w)
-    return _path_score(_Compiled(inst, model.config, _Memo.reading(w)), t, w, _int_path(labels))
+    slots, w, t = _compile_one(inst, model)
+    return _path_score(slots, t, w, _int_path(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +614,7 @@ def _compile_training(instances, golds, epochs, C, config):
             raise LengthMismatch("gold labeling length must match its instance")
     config = config or FeatureConfig()
     index: dict[int, int] = {}
-    memo = _Memo.interning(index)
-    compiled = [_Compiled(inst, config, memo) for inst in instances]
+    compiled = _compile_slots(instances, config, index)
     return config, index, compiled, _bigram_slots(config, index), [_int_path(gold) for gold in golds]
 
 
@@ -471,13 +647,13 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_u
             delta: dict[int, int] = {}
             moved = [i for i, g in enumerate(gold) if g != pred[i]]
             for i in moved:
-                slots = comp.slots[i]
+                slots = comp[i]
                 for j in slots[gold[i]]:
                     delta[j] = delta.get(j, 0) + 1
                 for j in slots[pred[i]]:
                     delta[j] = delta.get(j, 0) - 1
             if bigram_slots is not None:
-                for i in {i for m in moved for i in (m, m + 1) if i < comp.n}:
+                for i in {i for m in moved for i in (m, m + 1) if i < len(comp)}:
                     j_g = bigram_slots[gold[i - 1] + 1 if i else 0][gold[i]]
                     j_p = bigram_slots[pred[i - 1] + 1 if i else 0][pred[i]]
                     if j_g != j_p:
@@ -514,9 +690,8 @@ def predict(
     """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
     ``predict_probs`` give them), each instance compiled once."""
     w = _model_weights(model)
-    memo = _Memo.reading(w)
-    compiled = (_Compiled(inst, model.config, memo) for inst in instances)
-    return _decode(compiled, _bigram_slots(model.config), w, gamma)
+    t = _transition_scores(_bigram_slots(model.config), w)
+    return _decode(_unigram_rows(instances, model.config, w), t, gamma)
 
 
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
@@ -527,7 +702,8 @@ def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0
 
 def _jackknife_fold(compiled, paths, bigram_slots, size, gamma, lo, hi, **options):
     w = _mira(compiled[:lo] + compiled[hi:], paths[:lo] + paths[hi:], bigram_slots, size, **options)
-    return _decode(compiled[lo:hi], bigram_slots, w, gamma)
+    t = _transition_scores(bigram_slots, w)
+    return _decode((_unigram_scores(slots, w) for slots in compiled[lo:hi]), t, gamma)
 
 
 _WORKER_FOLD = None  # a worker process's fold function, set once by the pool initializer
@@ -592,6 +768,8 @@ def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
         key, sep, value = line.partition("\t")
         if not sep or not key.isdecimal():
             raise ParseError("malformed model line", file=str(path), line=i)
+        if int(key) > _MASK64:
+            raise ParseError("model key beyond 64 bits", file=str(path), line=i)
         weights[int(key)] = _parse_float(value, file=str(path), line=i)
     return LinearModel(weights=weights, config=config or FeatureConfig())
 

@@ -345,6 +345,33 @@ def fit_objective(matrix, gold_bad, fixed):
     return objective
 
 
+def test_fit_scores_from_counts_equal_f1_mult_bool(monkeypatch):
+    # _fit scores the single systems and the objective from confusion counts
+    seen = []
+    powell = ensemble.powell_optimize
+
+    def recording_powell(objective, init, *args, **kwargs):
+        seen.append((objective, init.copy()))
+        return powell(objective, init, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "powell_optimize", recording_powell)
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n, size = int(rng.integers(1, 5)), int(rng.integers(1, 150))
+        # quarter steps put values on the threshold
+        matrix = rng.integers(0, 5, (n, size)) / 4.0
+        gold_bad = rng.random(size) < rng.choice([0.0, 0.3, 1.0])
+        fixed = 0.5 if trial % 2 else None
+        ensemble._fit(matrix, gold_bad, threshold=0.5, optimize_threshold=fixed is None, max_cycles=1)
+        objective, init = seen.pop()
+        singles = [_f1_mult_bool(gold_bad, matrix[s] >= 0.5) for s in range(n)]
+        assert init[:n].tolist() == np.eye(n)[max(range(n), key=lambda s: (singles[s], -s))].tolist()
+        reference = fit_objective(matrix, gold_bad, fixed)
+        for z in (init, np.zeros_like(init), *rng.integers(0, 5, (20, init.size)) / 4.0):
+            value = objective(z)
+            assert type(value) is float and value.hex() == reference(z).hex()
+
+
 @st.composite
 def lines(draw):
     """A random stacked matrix and gold, and a point and direction whose box

@@ -4,7 +4,10 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qestack.corpus import (
     PredictionSet,
@@ -16,7 +19,7 @@ from qestack.corpus import (
     Entry,
 )
 from qestack.ensemble import fold_bounds
-from qestack.errors import EmptyInput, LengthMismatch, MissingStream, QEStackError, RangeError
+from qestack.errors import EmptyInput, LengthMismatch, MissingStream, ParseError, QEStackError, RangeError
 from qestack.labeler import hter, label_entry
 from qestack.linearqe import (
     FeatureConfig,
@@ -47,14 +50,22 @@ def make_instance(tokens, **kwargs):
 
 
 def brute_force(inst, model, cost_gold=None):
-    """Enumerate all 2^N labelings, scoring each by direct feature summation."""
+    """Enumerate all 2^N labelings, scoring each by direct feature summation:
+    the weight of every key of ``extract_features``, in its order. Each
+    position's keys are hashed once per label pair, not once per labeling."""
+    weights = {
+        (i, label, prev): [model.weights.get(key, 0.0) for key in extract_features(inst, i, label, prev, model.config)]
+        for i in range(len(inst))
+        for label in (OK, BAD)
+        for prev in (None, OK, BAD)
+    }
     best_seq, best_score = None, None
     for combo in itertools.product((OK, BAD), repeat=len(inst)):
         score = 0.0
         prev = None
         for i, label in enumerate(combo):
-            for key in extract_features(inst, i, label, prev, model.config):
-                score += model.weights.get(key, 0.0)
+            for weight in weights[i, label, prev]:
+                score += weight
             if cost_gold is not None and label is not cost_gold[i]:
                 score += 1.0
             prev = label
@@ -385,15 +396,13 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
     import qestack.linearqe as linearqe
 
     builds = []
+    template_ids = linearqe._template_ids
 
-    class CountingCompiled(linearqe._Compiled):
-        __slots__ = ()
+    def counting_template_ids(block, *args):
+        builds.extend(block)
+        return template_ids(block, *args)
 
-        def __init__(self, inst, *args):
-            builds.append(inst)
-            super().__init__(inst, *args)
-
-    monkeypatch.setattr(linearqe, "_Compiled", CountingCompiled)
+    monkeypatch.setattr(linearqe, "_template_ids", counting_template_ids)
     instances, golds = noisy_data(random.Random(17), 12)
     jackknife(instances, golds, 4, epochs=2)
     assert len(builds) == len(instances)
@@ -528,7 +537,9 @@ def test_colliding_feature_strings_share_one_weight(monkeypatch):
     import qestack.linearqe as linearqe
 
     full_hash = linearqe.fnv1a64
+    template_keys = linearqe._template_keys
     monkeypatch.setattr(linearqe, "fnv1a64", lambda text: full_hash(text) % 8)
+    monkeypatch.setattr(linearqe, "_template_keys", lambda *args: template_keys(*args) % np.uint64(8))
     instances, golds = noisy_data(random.Random(19), 12)
     config = FeatureConfig(bins=3)
     options = {"epochs": 3, "C": 0.5, "seed": 5, "config": config}
@@ -609,7 +620,8 @@ def test_predict_equals_the_reference_bit_for_bit_under_every_toggle():
             assert score_sequence(inst, model, ref_tags).hex() == reference_path_score(inst, model.weights, config, ref_tags).hex()
 
 
-def test_each_distinct_template_is_hashed_once_per_call(monkeypatch):
+def test_compiles_hash_no_feature_string_but_the_bigrams(monkeypatch):
+    # unigram templates are hashed in numpy batches, never string by string
     import qestack.linearqe as linearqe
 
     hashed = []
@@ -622,23 +634,113 @@ def test_each_distinct_template_is_hashed_once_per_call(monkeypatch):
     monkeypatch.setattr(linearqe, "fnv1a64", counting_hash)
     instances, golds = noisy_data(random.Random(22), 40)
     config = FeatureConfig(bins=3)
-    # each distinct label-free template gives one feature string per label
-    strings = {
-        text
-        for inst in instances
-        for i in range(len(inst))
-        for label in (OK, BAD)
-        for prev in (None, OK, BAD)
-        for text in feature_strings(inst, i, label, prev, config)
-    }
-    per_position = sum(len(feature_strings(inst, i, OK, None, config)) for inst in instances for i in range(len(inst)))
-
+    bigrams = sorted(
+        feature_strings(instances[0], 0, label, prev, config)[-1] for label in (OK, BAD) for prev in (None, OK, BAD)
+    )
     model = mira_train(instances, golds, epochs=2, config=config)
-    assert sorted(hashed) == sorted(strings)
-    for call in (lambda: predict(instances, model), lambda: jackknife(instances, golds, 4, epochs=2, config=config)):
+    assert sorted(hashed) == bigrams
+    calls = (
+        lambda: predict(instances, model),
+        lambda: jackknife(instances, golds, 4, epochs=2, config=config),
+        lambda: viterbi(instances[0], model),
+        lambda: score_sequence(instances[0], model, golds[0]),
+    )
+    for call in calls:
         hashed.clear()
         call()
-        assert len(hashed) == len(set(hashed)) <= len(strings) < 2 * per_position
+        assert sorted(hashed) == bigrams
+
+
+@given(st.lists(st.text(), max_size=30))
+@example(["", "\x00", "a\x00", "\x00\x00b", "𝔘𝔫𝔦\U0010ffff", "∧OK"])
+def test_batch_fnv1a_equals_fnv1a64(texts):
+    # a trailing NUL is a byte like any other (numpy's fixed-width bytes drop it)
+    import qestack.linearqe as linearqe
+
+    offsets = np.full(len(texts), linearqe._FNV_OFFSET, np.uint64)
+    keys = linearqe._fnv1a64_fold(offsets, [text.encode() for text in texts])
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [fnv1a64(text) for text in texts]
+
+
+ROLES = ("b", "w0=", "w-1=", "w+1=", "a=", "x0=", "x1=", "s:s0:b", "s:𝔰\x00:b")
+
+
+@given(st.lists(st.tuples(st.sampled_from(ROLES), st.text()), max_size=30))
+@example([("b", ""), ("a=", "\x00"), ("w0=", "b"), ("b", "w0=")])
+def test_template_keys_continue_each_role_with_each_conjunct(templates):
+    import qestack.linearqe as linearqe
+
+    vocab = linearqe._Vocabulary()
+    ids = np.array([vocab[role] << 32 | vocab[value] for role, value in templates], np.int64)
+    keys = linearqe._template_keys(ids, vocab)
+    assert keys.shape == (2, len(templates))
+    assert keys.tolist() == [
+        [fnv1a64(f"{role}{value}∧{label}") for role, value in templates] for label in ("OK", "BAD")
+    ]
+
+
+def mixed_data(rng, n_sentences):
+    """Instances of every shape the compile pads: no, empty and multi-word
+    alignments, and a varying number of extra columns and of stacked
+    systems, under varying system ids."""
+    instances = []
+    for _ in range(n_sentences):
+        tokens = [random_token(rng, "ab𝔠") for _ in range(rng.randint(1, 4))]
+        aligned = () if rng.random() < 0.3 else tuple(
+            tuple(random_token(rng, "xy") for _ in range(rng.randint(0, 3))) for _ in tokens
+        )
+        extra = tuple(tuple(rng.choice(("P", "Q", "", "é\x00")) for _ in tokens) for _ in range(rng.randint(0, 2)))
+        stacked = tuple(
+            (rng.choice(("s0", "s1", "𝔰")), tuple(rng.choice((rng.random(), 0.0, 1.0)) for _ in tokens))
+            for _ in range(rng.randint(0, 2))
+        )
+        instances.append(make_instance(tokens, aligned=aligned, extra=extra, stacked=stacked))
+    return instances
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_compiled_slots_hold_the_keys_of_extract_features_in_order(monkeypatch, block):
+    # 70 sentences span several blocks at either size, with sentences on
+    # both sides of every block boundary
+    import qestack.linearqe as linearqe
+
+    monkeypatch.setattr(linearqe, "_BLOCK", block)
+    instances = mixed_data(random.Random(23), 70)
+    unigram_toggles = TOGGLES[:-1]
+    for flags in itertools.product((True, False), repeat=len(unigram_toggles)):
+        config = FeatureConfig(bins=3, use_bigram=False, **dict(zip(unigram_toggles, flags)))
+        index = {}
+        compiled = linearqe._compile_slots(instances, config, index)
+        keys = list(index)
+        assert len(compiled) == len(instances)
+        for inst, slots in zip(instances, compiled):
+            assert len(slots) == len(inst)
+            for i, (ok, bad) in enumerate(slots):
+                assert [keys[j] for j in ok] == extract_features(inst, i, OK, None, config)
+                assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None, config)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_block_compiles_predict_and_train_as_one_instance_at_a_time(monkeypatch, block):
+    # including a config without unigram slots: a block with no slot rows
+    import qestack.linearqe as linearqe
+
+    monkeypatch.setattr(linearqe, "_BLOCK", block)
+    rng = random.Random(24)
+    instances = mixed_data(rng, 70)
+    golds = [[rng.random() < 0.3 for _ in inst.tokens] for inst in instances]
+    unigrams_off = dict.fromkeys(TOGGLES[:-1], False)
+    for config in (FeatureConfig(bins=3), FeatureConfig(**unigrams_off), FeatureConfig(use_aligned=False)):
+        model = partial_model(rng, instances, config)
+        tags, probs = predict(instances, model, gamma=0.7)
+        for inst, row_tags, row_probs in zip(instances, tags, probs):
+            assert row_tags == viterbi(inst, model)[0]
+            assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, config, 0.7)]
+        trained = mira_train(instances, golds, epochs=2, config=config)
+        monkeypatch.setattr(linearqe, "_BLOCK", 1)
+        assert trained.weights == mira_train(instances, golds, epochs=2, config=config).weights
+        monkeypatch.setattr(linearqe, "_BLOCK", block)
 
 
 def test_jackknife_rejects_too_few_sentences():
@@ -667,6 +769,21 @@ def test_model_round_trip(tmp_path):
     assert loaded.weights == model.weights
     keys = [int(line.split("\t")[0]) for line in path.read_text().splitlines()]
     assert keys == sorted(keys)
+
+
+def test_model_keys_beyond_64_bits_are_a_parse_error(tmp_path):
+    # no 64-bit feature hash can equal such a key
+    path = tmp_path / "model.txt"
+    path.write_text(f"{2**64 - 1}\t0.5\n{2**64}\t0.5\n", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_model(path)
+    assert (caught.value.file, caught.value.line) == (str(path), 2)
+    path.write_text(f"{2**64 - 1}\t0.5\n", encoding="utf-8")
+    assert predict([make_instance(["a"])], load_model(path)) == ([[OK]], [[0.5]])
+    # a model built in code may hold them; they weigh nothing
+    bias = fnv1a64("b∧BAD")
+    outside = LinearModel({-1: 2.0, 2**64: 2.0, bias: 1.0})
+    assert predict([make_instance(["a"])], outside) == predict([make_instance(["a"])], LinearModel({bias: 1.0}))
 
 
 # --- corpus to instances ----------------------------------------------------
@@ -741,6 +858,9 @@ def _misuse_cases():
         "unknown stream": (MissingStream, lambda: build_instances(bare, "words")),
         "gold without source tags": (MissingStream, lambda: gold_tags(bare, Stream.SOURCE)),
         "gold without target tags": (MissingStream, lambda: gold_tags(bare, Stream.WORDS)),
+        "stacked probability not finite": (
+            RangeError, lambda: predict([make_instance(["a"], stacked=(("s", (math.nan,)),))], LinearModel({})),
+        ),
         "hter of an empty post-edit": (RangeError, lambda: hter([], 0)),
         "label without a post-edit": (MissingStream, lambda: label_entry(bare[0])),
     }
