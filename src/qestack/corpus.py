@@ -437,7 +437,8 @@ def read_alignment_lines(path) -> list[frozenset[tuple[int, int]]]:
         pairs = set()
         for field_ in line.split():
             left, sep, right = field_.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            # ASCII digits only: str.isdigit also takes '²' and '١'
+            if not sep or not field_.isascii() or not left.isdigit() or not right.isdigit():
                 raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
             pairs.add((int(left), int(right)))
         out.append(frozenset(pairs))

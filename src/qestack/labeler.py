@@ -3,17 +3,31 @@
 The alignment is plain Levenshtein under unit costs (no block shifts): the
 labeling convention only needs a deterministic minimum-cost script, and ties
 are broken during backtrace by preferring MATCH > SUB > DEL_FROM_MT >
-INS_INTO_MT_GAP. The DP fills each cell by compare-and-assign, without a
-builtin call per cell.
+INS_INTO_MT_GAP.
+
+The DP runs over blocks of sentence pairs at once. Row i of a table follows
+from row i-1 as ``row[j] = j + min_{k<=j}(t[k] - k)`` with
+``t[k] = min(diag + cost, up + 1)``: one ``np.minimum`` and one prefix
+minimum (``np.minimum.accumulate``) per row, for every pair of the block.
+The table keeps the prefix minimum itself, ``row[j] - j``. ``label_corpus``
+sorts the pairs by (MT length, PE length) and cuts them into blocks of at
+most ``_CELL_BUDGET`` table cells (a pair larger than that is a block of its
+own), so that little of a block's table is padding and no block allocates
+more than the budget, however long its sentences. The backtrace then walks
+every pair of the block together, one step per iteration. Every value is an
+exact int, so the scripts, tags and HTER are those of the cell-by-cell DP.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import chain, count
 from typing import Sequence
 
-from .corpus import Entry, Sentence, SourceTags, TaggedCorpus, TargetTags
+import numpy as np
+
+from .corpus import Sentence, SourceTags, TaggedCorpus, TargetTags
 from .errors import InconsistentScript, MissingStream, RangeError
 
 __all__ = [
@@ -41,61 +55,173 @@ class EditStep:
     pe_index: int | None = None
 
 
-# Backtrace preference when several predecessors give the optimal cost.
+# Backtrace preference when several predecessors give the optimal cost; the
+# backtrace records a step as its index here.
 _PREFERENCE = (EditKind.MATCH, EditKind.SUB, EditKind.DEL_FROM_MT, EditKind.INS_INTO_MT_GAP)
+
+_SUB, _DEL, _INS, _DONE = 1, 2, 3, 4
+# Step taken for (first predecessor that fits, tokens equal): diagonal,
+# deletion, insertion, none (the pair has reached the origin).
+_STEP_KIND = np.array([[_SUB, 0], [_DEL, _DEL], [_INS, _INS], [_DONE, _DONE]], np.int8)
+
+# Table cells B * (N+1) * (M+1) of one block: 512 KB of int16.
+_CELL_BUDGET = 1 << 18
+
+# A block whose N+1 and M+1 are at most this keeps its table in int16: the
+# values lie in [-M, N], the guards at 16383, and every difference between
+# them fits. Longer sentences take int32.
+_INT16_LENGTH = 1 << 13
+
+
+def _edit_block(mt: np.ndarray, pe: np.ndarray, n: np.ndarray, m: np.ndarray):
+    """Edit DP and backtrace of B pairs at once.
+
+    ``mt`` (B, N+1) holds token ids with MT word i of pair b at ``[b, i]``
+    (column 0 unused), ``pe`` (B, M+1) likewise; ``n`` and ``m`` are the
+    pairs' lengths. Ids past a pair's own length may be anything: cells
+    beyond (n, m) never feed the cells up to it. Returns ``word_bad`` (word
+    i at column i) and ``gap_bad`` (gap i at column i), both (B, N+1) bool,
+    each pair's edit count, and the (T, B) steps of the backtrace from the
+    end of the pairs, as ``_PREFERENCE`` indices (``_DONE`` once a pair has
+    reached the origin).
+    """
+    size, n1 = mt.shape
+    m1 = pe.shape[1]
+    # Cell (i, j) of pair b sits at [i + 1, b, j + 1] and holds d(i, j) - j,
+    # the prefix minimum itself, so a row takes no arange. Its values lie in
+    # [-M, N]; the guard row and column hold ``far``, which no step fits.
+    dtype = np.int16 if max(n1, m1) <= _INT16_LENGTH else np.int32
+    far = np.iinfo(dtype).max // 2
+    table = np.empty((n1 + 1, size, m1 + 1), dtype)
+    table[0] = far
+    table[:, :, 0] = far
+    dist = table[1:, :, 1:]
+    dist[0] = 0
+    for i in range(1, n1):
+        prev, row = dist[i - 1], dist[i]
+        # t - j: min(diag + cost, up + 1) - j
+        np.subtract(prev[:, :-1], mt[:, i, None] == pe[:, 1:], out=row[:, 1:])
+        np.minimum(row[:, 1:], prev[:, 1:] + 1, out=row[:, 1:])
+        row[:, 0] = i
+        np.minimum.accumulate(row, axis=1, out=row)
+
+    # Each pair's position: its table cell, MT word and PE word, all flat.
+    row_stride = size * (m1 + 1)
+    pair = np.arange(size)
+    pos = np.stack([(n + 1) * row_stride + pair * (m1 + 1) + m + 1, pair * n1 + n, pair * m1 + m], axis=1)
+    moves = np.array([[row_stride + 1, 1, 1]] * 2 + [[row_stride, 1, 0], [1, 0, 1], [0, 0, 0]])
+    # the cell, then its diagonal, upper and left predecessors
+    around = np.array([0, -row_stride - 1, -row_stride, -1])
+    cells, mt_ids, pe_ids = table.reshape(-1), mt.reshape(-1), pe.reshape(-1)
+    # A predecessor fits when the cell's distance is its own plus the step's
+    # cost: 0 or 1 on the diagonal, 1 up and left. In table values that is
+    # a rise from the cell to the predecessor of 1 - cost on the diagonal, -1
+    # up and 0 left. ``fits`` ends in a column that always fits, so argmax
+    # picks the first predecessor that does, in _PREFERENCE order.
+    rise = np.array([[0, -1, 0]], dtype).repeat(size, axis=0)
+    fits = np.ones((size, 4), bool)
+    step_fits = fits[:, :3]
+    cell, mt_word, pe_word = pos[:, :1], pos[:, 1], pos[:, 2]
+    steps = []
+    while True:
+        values = cells[cell + around]
+        same = mt_ids[mt_word] == pe_ids[pe_word]
+        rise[:, 0] = same
+        np.equal(values[:, 1:] - values[:, :1], rise, out=step_fits)
+        if not step_fits.any():
+            break
+        kind = _STEP_KIND[fits.argmax(axis=1), same.view(np.int8)]
+        steps.append(kind)
+        pos -= moves[kind]
+    steps = np.array(steps, np.int8).reshape(-1, size)
+
+    # A step at MT position i leaves word i (MATCH, SUB, DEL_FROM_MT) or
+    # inserts into gap i; i falls by one with each word left.
+    leaves = steps <= _DEL
+    at = n - (np.cumsum(leaves, axis=0, dtype=np.int32) - leaves)
+    rows = np.broadcast_to(pair, steps.shape)
+    edited = (steps == _SUB) | (steps == _DEL)
+    inserted = steps == _INS
+    word_bad = np.zeros((size, n1), bool)
+    gap_bad = np.zeros((size, n1), bool)
+    word_bad[rows[edited], at[edited]] = True
+    gap_bad[rows[inserted], at[inserted]] = True
+    return word_bad, gap_bad, (edited | inserted).sum(axis=0), steps
+
+
+def _blocks(order: list[int], lengths: list[tuple[int, int]]):
+    """Cut ``order`` (pairs sorted by their (MT, PE) ``lengths``) into runs
+    whose padded tables hold at most ``_CELL_BUDGET`` cells; a larger pair is
+    a run of its own."""
+    block: list[int] = []
+    rows = cols = 0
+    for k in order:
+        n, m = lengths[k]
+        grown_rows, grown_cols = max(rows, n + 1), max(cols, m + 1)
+        if block and (len(block) + 1) * grown_rows * grown_cols > _CELL_BUDGET:
+            yield block
+            block, grown_rows, grown_cols = [], n + 1, m + 1
+        block.append(k)
+        rows, cols = grown_rows, grown_cols
+    if block:
+        yield block
+
+
+def _interned(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token rows as flat int32 ids (equal tokens, equal ids), row starts
+    and row lengths."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    vocab: dict[str, int] = {}
+    ids = np.fromiter(map(vocab.setdefault, chain.from_iterable(rows), count()), np.int32, int(lengths.sum()))
+    return ids, np.cumsum(lengths) - lengths, lengths
+
+
+def _padded(ids: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """(B, width + 1) rows of ids from ``starts``, behind an unused column 0."""
+    out = np.full((len(starts), width + 1), -1, np.int32)
+    out[:, 1:] = ids[np.minimum(starts[:, None] + np.arange(width), len(ids) - 1)]
+    return out
+
+
+def _align_pairs(mt_rows, pe_rows) -> list[tuple[tuple, tuple, int]]:
+    """(word tags, gap tags, edit count) of each (MT, PE) token row pair, in
+    input order, through length-sorted blocks of ``_edit_block``."""
+    ids, starts, lengths = _interned([*mt_rows, *pe_rows])
+    size = len(mt_rows)
+    n, m, mt_starts, pe_starts = lengths[:size], lengths[size:], starts[:size], starts[size:]
+    pairs = list(zip(n.tolist(), m.tolist()))
+    out: list = [None] * size
+    for block in _blocks(sorted(range(size), key=pairs.__getitem__), pairs):
+        bn, bm = n[block], m[block]
+        word_bad, gap_bad, edits, _ = _edit_block(
+            _padded(ids, mt_starts[block], int(bn.max())), _padded(ids, pe_starts[block], int(bm.max())), bn, bm
+        )
+        for k, length, words, gaps, edit_count in zip(
+            block, bn.tolist(), word_bad.tolist(), gap_bad.tolist(), edits.tolist()
+        ):
+            out[k] = (tuple(words[1:length + 1]), tuple(gaps[:length + 1]), edit_count)
+    return out
 
 
 def align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
     """Minimum-cost edit script turning ``mt`` into ``pe`` (sub=del=ins=1)."""
-    mt_tokens = list(mt)
-    pe_tokens = list(pe)
-    n, m = len(mt_tokens), len(pe_tokens)
-
-    # Each cell is min(diag, up + 1, left + 1), written as min(diag,
-    # min(up, left) + 1) by compare-and-assign: the same ints as min(),
-    # without a builtin call per cell. ``left`` ends as the cell itself.
-    dist = [list(range(m + 1))]
-    for i, mt_tok in enumerate(mt_tokens, 1):
-        prev = dist[-1]
-        row = [i]
-        left = i
-        for pe_tok, diag, up in zip(pe_tokens, prev, prev[1:]):
-            if mt_tok != pe_tok:
-                diag += 1
-            if up < left:
-                left = up
-            left += 1
-            if diag < left:
-                left = diag
-            row.append(left)
-        dist.append(row)
-
+    ids, starts, lengths = _interned([mt.tokens, pe.tokens])
+    *_, backtrace = _edit_block(
+        _padded(ids, starts[:1], len(mt)), _padded(ids, starts[1:], len(pe)), lengths[:1], lengths[1:]
+    )
     steps: list[EditStep] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        here = dist[i][j]
-        for kind in _PREFERENCE:
-            if kind is EditKind.MATCH:
-                if i > 0 and j > 0 and mt_tokens[i - 1] == pe_tokens[j - 1] and here == dist[i - 1][j - 1]:
-                    steps.append(EditStep(EditKind.MATCH, mt_index=i - 1, pe_index=j - 1))
-                    i, j = i - 1, j - 1
-                    break
-            elif kind is EditKind.SUB:
-                if i > 0 and j > 0 and mt_tokens[i - 1] != pe_tokens[j - 1] and here == dist[i - 1][j - 1] + 1:
-                    steps.append(EditStep(EditKind.SUB, mt_index=i - 1, pe_index=j - 1))
-                    i, j = i - 1, j - 1
-                    break
-            elif kind is EditKind.DEL_FROM_MT:
-                if i > 0 and here == dist[i - 1][j] + 1:
-                    steps.append(EditStep(EditKind.DEL_FROM_MT, mt_index=i - 1))
-                    i -= 1
-                    break
-            else:
-                if j > 0 and here == dist[i][j - 1] + 1:
-                    steps.append(EditStep(EditKind.INS_INTO_MT_GAP, pe_index=j - 1))
-                    j -= 1
-                    break
-    steps.reverse()
+    i = j = 0
+    for code in reversed(backtrace[:, 0].tolist()):
+        kind = _PREFERENCE[code]
+        if kind is EditKind.INS_INTO_MT_GAP:
+            steps.append(EditStep(kind, pe_index=j))
+            j += 1
+        elif kind is EditKind.DEL_FROM_MT:
+            steps.append(EditStep(kind, mt_index=i))
+            i += 1
+        else:
+            steps.append(EditStep(kind, mt_index=i, pe_index=j))
+            i, j = i + 1, j + 1
     return steps
 
 
@@ -131,9 +257,13 @@ def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
 def hter(script: Sequence[EditStep], pe_len: int, cap: bool = True) -> float:
     """Edit count divided by post-edit length, clamped to [0, 1] unless
     ``cap`` is disabled."""
+    return _hter(edit_cost(script), pe_len, cap)
+
+
+def _hter(edits: int, pe_len: int, cap: bool) -> float:
     if pe_len < 1:
         raise RangeError("post-edit length must be >= 1")
-    value = edit_cost(script) / pe_len
+    value = edits / pe_len
     if cap:
         value = min(1.0, max(0.0, value))
     return value
@@ -177,18 +307,22 @@ def source_tags_from_target(
     return SourceTags(tuple(tags))
 
 
-def label_entry(entry: Entry, cap: bool = True) -> Entry:
-    if entry.pe is None:
-        raise MissingStream("cannot label an entry without a post-edit")
-    script = align_edit(entry.mt, entry.pe)
-    target = tags_from_edits(script, len(entry.mt))
-    score = hter(script, len(entry.pe), cap=cap)
-    source = None
-    if entry.src is not None and entry.alignments is not None:
-        source = source_tags_from_target(target, entry.alignments, len(entry.src))
-    return replace(entry, target_tags=target, source_tags=source, hter=score)
-
-
 def label_corpus(corpus: TaggedCorpus, cap: bool = True) -> TaggedCorpus:
-    """Label every entry from its post-edit (deterministic sentence order)."""
-    return TaggedCorpus(tuple(label_entry(e, cap=cap) for e in corpus))
+    """Label every entry from its post-edit. Entries are aligned in
+    length-sorted blocks, then labeled in file order, so the first entry
+    that cannot be labeled gives the error."""
+    entries = corpus.entries
+    paired = [e for e in entries if e.pe is not None]
+    labels = iter(_align_pairs([e.mt.tokens for e in paired], [e.pe.tokens for e in paired]))
+    out = []
+    for entry in entries:
+        if entry.pe is None:
+            raise MissingStream("cannot label an entry without a post-edit")
+        word_tags, gap_tags, edits = next(labels)
+        target = TargetTags(word_tags=word_tags, gap_tags=gap_tags)
+        score = _hter(edits, len(entry.pe), cap)
+        source = None
+        if entry.src is not None and entry.alignments is not None:
+            source = source_tags_from_target(target, entry.alignments, len(entry.src))
+        out.append(replace(entry, target_tags=target, source_tags=source, hter=score))
+    return TaggedCorpus(tuple(out))

@@ -165,6 +165,17 @@ def test_make_labels_outputs_match_the_library(tmp_path, capsys, rng):
     assert (tmp_path / "labels.run.cfg").exists()
 
 
+@pytest.mark.parametrize("pair", ["1-\u00b2", "1-\u0661"], ids=["superscript-two", "arabic-indic-one"])
+def test_alignment_index_that_is_not_an_ascii_digit_is_one_error_line(tmp_path, capsys, pair):
+    text = write(tmp_path / "c.mt", "a b\nc d\n")
+    align = write(tmp_path / "c.align", f"0-0\n0-0 {pair}\n")
+    code, out, err = run(
+        capsys, "make-labels", "--mt", text, "--pe", text, "--src", text, "--align", align,
+        "--out-prefix", tmp_path / "labels",
+    )
+    assert (code, out, err) == (1, "", f"error: {align}:2: invalid alignment pair {pair!r}\n")
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys, rng):
     _, paths = corpus_files(tmp_path, rng)
     outputs = {}

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qestack.corpus import Sentence, TargetTags
-from qestack.errors import InconsistentScript, RangeError
+from qestack import labeler
+from qestack.corpus import Entry, Sentence, TaggedCorpus, TargetTags
+from qestack.errors import InconsistentScript, MissingStream, RangeError
 from qestack.labeler import (
     EditKind,
     EditStep,
@@ -80,8 +83,8 @@ _PREFERENCE = (EditKind.MATCH, EditKind.SUB, EditKind.DEL_FROM_MT, EditKind.INS_
 
 
 def min_align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
-    """The min()-based DP and backtrace that ``align_edit`` replaced, kept
-    verbatim as its oracle."""
+    """The cell-by-cell min()-based DP and backtrace that ``align_edit``
+    replaced, kept verbatim as the reference of the block core."""
     mt_tokens = list(mt)
     pe_tokens = list(pe)
     n, m = len(mt_tokens), len(pe_tokens)
@@ -262,3 +265,106 @@ def test_label_corpus_fills_tags_hter_and_source(rng):
         assert len(entry.target_tags.word_tags) == len(entry.mt)
         assert entry.source_tags is not None
         assert len(entry.source_tags.tags) == len(entry.src)
+
+
+def reference_label(entry: Entry, cap: bool) -> Entry:
+    """One entry labeled through the reference DP, cell by cell."""
+    script = min_align_edit(entry.mt, entry.pe)
+    target = tags_from_edits(script, len(entry.mt))
+    source = None
+    if entry.src is not None and entry.alignments is not None:
+        source = source_tags_from_target(target, entry.alignments, len(entry.src))
+    return replace(entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe), cap=cap))
+
+
+def assert_labeled_like_the_reference(corpus: TaggedCorpus, cap: bool):
+    labeled = label_corpus(corpus, cap=cap)
+    assert len(labeled) == len(corpus)
+    for got, entry in zip(labeled, corpus):
+        want = reference_label(entry, cap)
+        assert got.target_tags == want.target_tags
+        assert got.source_tags == want.source_tags
+        assert got.hter.hex() == want.hter.hex()
+        assert got == want
+
+
+@st.composite
+def labelable_entries(draw):
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcdefgh"]))
+    length = st.integers(1, 40)
+
+    def tokens(n):
+        return Sentence(tuple(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))))
+
+    mt, pe = tokens(draw(length)), tokens(draw(length))
+    if not draw(st.booleans()):
+        return Entry(mt=mt, pe=pe)
+    src = tokens(draw(length))
+    links = st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1))
+    return Entry(mt=mt, pe=pe, src=src, alignments=frozenset(draw(st.lists(links, max_size=60))))
+
+
+# (cell budget, longest sentence of an int16 table): the real ones; a budget
+# of a few cells, so every pair is a block of its own and blocks of one
+# length border each other; and the int32 table of very long sentences
+_BLOCKINGS = [
+    (labeler._CELL_BUDGET, labeler._INT16_LENGTH),
+    (7, labeler._INT16_LENGTH),
+    (labeler._CELL_BUDGET, 0),
+]
+
+
+@pytest.mark.parametrize("budget,int16_length", _BLOCKINGS)
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(labelable_entries(), min_size=1, max_size=25), cap=st.booleans())
+def test_block_labeling_equals_the_reference_per_entry(budget, int16_length, entries, cap):
+    with mock.patch.object(labeler, "_CELL_BUDGET", budget), mock.patch.object(
+        labeler, "_INT16_LENGTH", int16_length
+    ):
+        assert_labeled_like_the_reference(TaggedCorpus(tuple(entries)), cap)
+
+
+def test_a_pair_larger_than_the_cell_budget_is_a_block_of_its_own():
+    rng = random.Random(14)
+    corpus = TaggedCorpus(tuple(
+        Entry(mt=random_sentence(rng, n, n, alphabet="abcd"), pe=random_sentence(rng, m, m, alphabet="abcd"))
+        for n, m in ((4, 6), (300, 320), (3, 2), (12, 9))
+    ))
+    with mock.patch.object(labeler, "_CELL_BUDGET", 1 << 16):
+        assert 301 * 321 > labeler._CELL_BUDGET
+        lengths = [(len(e.mt), len(e.pe)) for e in corpus]
+        assert [1] in list(labeler._blocks(sorted(range(4), key=lengths.__getitem__), lengths))
+        assert_labeled_like_the_reference(corpus, cap=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=40),
+    budget=st.sampled_from([7, 500, 5000, labeler._CELL_BUDGET]),
+)
+def test_blocks_cut_the_sorted_pairs_within_the_cell_budget(lengths, budget):
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    with mock.patch.object(labeler, "_CELL_BUDGET", budget):
+        blocks = list(labeler._blocks(order, lengths))
+    assert [k for block in blocks for k in block] == order
+    for block in blocks:
+        n, m = (max(side) for side in zip(*(lengths[k] for k in block)))
+        assert len(block) == 1 or len(block) * (n + 1) * (m + 1) <= budget
+
+
+def _corpus_with(bad_alignment_at: int, no_post_edit_at: int) -> TaggedCorpus:
+    rng = random.Random(15)
+    entries = []
+    for k in range(7):
+        mt, src = random_sentence(rng, 2, 6), random_sentence(rng, 2, 6)
+        links = frozenset({(len(src) + 3, 0)} if k == bad_alignment_at else {(0, 0)})
+        pe = None if k == no_post_edit_at else random_sentence(rng, 2, 6)
+        entries.append(Entry(mt=mt, src=src, pe=pe, alignments=links))
+    return TaggedCorpus(tuple(entries))
+
+
+def test_label_corpus_raises_the_error_of_the_first_entry_in_file_order():
+    with pytest.raises(RangeError, match="out of range"):
+        label_corpus(_corpus_with(bad_alignment_at=2, no_post_edit_at=5))
+    with pytest.raises(MissingStream):
+        label_corpus(_corpus_with(bad_alignment_at=5, no_post_edit_at=2))

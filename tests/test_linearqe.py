@@ -20,7 +20,7 @@ from qestack.corpus import (
 )
 from qestack.ensemble import fold_bounds
 from qestack.errors import EmptyInput, LengthMismatch, MissingStream, ParseError, QEStackError, RangeError
-from qestack.labeler import hter, label_entry
+from qestack.labeler import hter, label_corpus
 from qestack.linearqe import (
     FeatureConfig,
     LinearModel,
@@ -862,7 +862,7 @@ def _misuse_cases():
             RangeError, lambda: predict([make_instance(["a"], stacked=(("s", (math.nan,)),))], LinearModel({})),
         ),
         "hter of an empty post-edit": (RangeError, lambda: hter([], 0)),
-        "label without a post-edit": (MissingStream, lambda: label_entry(bare[0])),
+        "label without a post-edit": (MissingStream, lambda: label_corpus(bare)),
     }
 
 
