@@ -14,7 +14,10 @@ sentences: the block's templates become rows of int ids, one row per slot,
 and the distinct templates of the block are hashed in one numpy pass, as
 their OK and BAD keys; no feature string is built. Prediction gathers the
 weights of those keys and sums them slot row by slot row, a key the model
-lacks adding 0.0. Training interns the keys of its corpus into dense ids, so
+lacks adding 0.0, into one score array over the corpus, which is then
+decoded in one pass: the sentences sorted by length, longest first, each
+position's forward and backward step runs over all the sentences that reach
+it at once. Training interns the keys of its corpus into dense ids, so
 colliding strings share one id, and trains on weight lists indexed by id;
 models and their files keep the keys. ``feature_strings`` builds the strings
 position by position and is the reference the compile is tested against.
@@ -29,7 +32,7 @@ import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from math import exp
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -199,13 +202,14 @@ def extract_features(
 # ``_BLOCK`` sentences. A block's templates are int ids in one row per slot,
 # in slot order, with a column per position; the distinct templates of each
 # row are hashed in one numpy FNV-1a pass per block, as their OK and BAD keys,
-# folded on from each role's state. Prediction gathers the weights
-# of those keys and adds them slot row by slot row; training and the
-# single-instance functions intern the keys into dense ids and keep each
-# position's (OK ids, BAD ids). Every score is a left-to-right sum in slot
-# order from +0.0; such a sum is never -0.0, so the 0.0 that a key the model
-# lacks or a padded slot adds is a no-op and every path is bit-identical to
-# summing each key of ``extract_features``.
+# folded on from each role's state. Prediction gathers the weights of those
+# keys and adds them slot row by slot row into the block's columns of one
+# score array over the corpus; training and the single-instance functions
+# intern the keys into dense ids and keep each position's (OK ids, BAD ids).
+# Every score is a left-to-right sum in slot order from +0.0; such a sum is
+# never -0.0, so the 0.0 that a key the model lacks or a padded slot adds is
+# a no-op and every path is bit-identical to summing each key of
+# ``extract_features``.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # sentences compiled together: larger blocks make fewer numpy calls but raise peak memory
@@ -371,35 +375,36 @@ def _bounds(block: list[SequenceInstance]) -> Iterator[tuple[int, int]]:
         start += len(inst)
 
 
-def _unigram_rows(instances: Iterable[SequenceInstance], config: FeatureConfig, weights) -> Iterator[list]:
-    """Each instance's per-position (OK, BAD) unigram scores under
-    ``weights`` by key; a key the weights lack weighs 0.0. Keys are searched
-    as int64, which numpy searches faster than uint64."""
+def _corpus_scores(instances: Iterable[SequenceInstance], config: FeatureConfig, weights, total: int) -> np.ndarray:
+    """The (OK, BAD) unigram scores, shape (2, total), of every position of
+    ``instances`` in corpus order under ``weights`` by key; a key the weights
+    lack weighs 0.0. Keys are searched as int64, which numpy searches faster
+    than uint64. The compile's arrays are freed when it returns."""
     weights = {key: value for key, value in weights.items() if 0 <= key <= _MASK64}  # no other key is a hash
     keys = np.fromiter(weights, np.uint64, len(weights)).view(np.int64)
     order = np.argsort(keys)
     keys = keys[order]
     values = np.fromiter(weights.values(), np.float64, len(weights))[order]
+    scores = np.zeros((2, total))
+    start = 0
     for block, which, block_keys in _compile(instances, config):
-        scores = _block_scores(sum(map(len, block)), which, block_keys.view(np.int64), keys, values)
-        for start, end in _bounds(block):
-            yield list(zip(*scores[:, start:end].tolist()))
+        end = start + sum(map(len, block))
+        _block_scores(scores[:, start:end], which, block_keys.view(np.int64), keys, values)
+        start = end
+    return scores
 
 
-def _block_scores(positions: int, which, block_keys, keys, values) -> np.ndarray:
-    """The (OK, BAD) unigram scores, shape (2, positions), of a block's
-    slots: the weights of their keys, found in the sorted ``keys``, added
-    slot row by slot row. A function of its own, so that its arrays are
-    freed before the block is decoded."""
+def _block_scores(out: np.ndarray, which, block_keys, keys, values) -> None:
+    """Adds a block's (OK, BAD) unigram scores into ``out``, its zeroed
+    columns of the corpus scores: the weights of the slots' keys, found in
+    the sorted ``keys``, added slot row by slot row."""
     found = np.zeros((2, block_keys.shape[1] + 1))  # the last column weighs the padded slots
     if keys.size:
         at = np.searchsorted(keys, block_keys)
         at[at == keys.size] = 0
         np.copyto(found[:, :-1], values[at], where=keys[at] == block_keys)
-    scores = np.zeros((2, positions))
     for row in which:
-        scores += found[:, row]
-    return scores
+        out += found[:, row]
 
 
 def _compile_slots(instances: Iterable[SequenceInstance], config: FeatureConfig, index: dict[int, int]) -> list[list]:
@@ -512,31 +517,94 @@ def _path_score(slots, t, w, path) -> float:
     return total
 
 
-def _decode(unigram_rows, t, gamma):
-    """Viterbi tags and max-marginal P(BAD) of every instance, given as its
-    unigram scores, from one forward and one backward pass each."""
-    tags_rows: list[list[bool]] = []
-    probs_rows: list[list[float]] = []
-    for u in unigram_rows:
-        delta, path, _ = _forward(u, t)
-        n = len(u)
-        bwd = [(0.0, 0.0)] * n
-        for i in range(n - 2, -1, -1):
-            (a0, a1), (b0, b1) = u[i + 1], bwd[i + 1]
-            bwd[i] = (
-                max(t[1][0] + a0 + b0, t[1][1] + a1 + b1),
-                max(t[2][0] + a0 + b0, t[2][1] + a1 + b1),
-            )
-        probs = []
-        for (d0, d1), (b0, b1) in zip(delta, bwd):
-            margin = (d1 + b1) - (d0 + b0)
-            try:
-                probs.append(1.0 / (1.0 + exp(-gamma * margin)))
-            except OverflowError:  # 1 + exp(-gamma * margin) rounds to exp(-gamma * margin)
-                probs.append(exp(gamma * margin))
-        tags_rows.append(list(map(bool, path)))
-        probs_rows.append(probs)
-    return tags_rows, probs_rows
+# ---------------------------------------------------------------------------
+# Whole-corpus decoding: ``predict`` and ``jackknife`` take every sentence's
+# Viterbi tags and max-marginal P(BAD) from one pass over flat arrays, the
+# (OK, BAD) unigram scores of all positions. The sentences are sorted by
+# length, longest first (a stable sort), and their positions laid out
+# position-major, so the sentences that reach position i are one run of the
+# arrays; each step of the forward pass, and of the backward pass fused with
+# the backtrace, is a few numpy operations over one run. Every sum keeps the
+# operand order of ``_forward`` and of the max-marginal recurrence, and every
+# max is ``np.where(y > x, y, x)``, never ``np.maximum``: like Python's
+# ``max(x, y)`` it keeps the first operand on a tie (so 0.0 against -0.0) and
+# on NaN. The logistic link calls ``math.exp`` per value: numpy's vectorised
+# ``exp`` may differ from libm's in the last bit, which would change the
+# probabilities.
+# ---------------------------------------------------------------------------
+
+
+def _decode(scores: np.ndarray, lengths: np.ndarray, t: np.ndarray, gamma: float):
+    """Viterbi tags and max-marginal P(BAD) rows of every sentence, given
+    the unigram scores of all positions, shape (2, positions), in corpus
+    order, each sentence's length and its transition scores, shape
+    (3, 2, sentences), indexed [prev][cur] as ``_forward``'s ``t``. The
+    decode permutes ``scores`` in place."""
+    tags, x = _max_marginals(scores, lengths, t, gamma)
+    ends = np.cumsum(lengths)
+    bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
+    return [tags[s:e].tolist() for s, e in bounds], [list(map(_logistic, x[s:e].tolist())) for s, e in bounds]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # Python's float arithmetic warns of neither
+def _max_marginals(scores, lengths, t, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """``_decode``'s passes: the Viterbi labels of all positions, and their
+    max-marginal margins (BAD minus OK) times ``-gamma``, in corpus order.
+    A function of its own, so that its arrays are freed before the rows are
+    built."""
+    order = np.argsort(-lengths, kind="stable")
+    (t00, t01), (t10, t11), (t20, t21) = t[:, :, order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    active = (lengths.size - np.cumsum(np.bincount(lengths, minlength=1)))[:-1]  # sentences longer than i
+    # position-major layout: position i of the j-th longest sentence is at
+    # offsets[i] + j, so each position's sentences are one run
+    offsets = np.cumsum([0, *active])
+    runs = list(pairwise(offsets.tolist()))
+    columns = np.concatenate([starts[:a] + i for i, a in enumerate(active.tolist())]) if runs else starts
+    scores[...] = scores[:, columns]
+    u0, u1 = scores
+    total, n = columns.size, lengths.size
+
+    delta0, delta1 = np.empty(total), np.empty(total)
+    back0, back1 = np.zeros(total, bool), np.zeros(total, bool)  # BAD precedes on the best path to OK, to BAD
+    d0, d1 = np.add(u0[:n], t00, out=delta0[:n]), np.add(u1[:n], t01, out=delta1[:n])
+    for lo, hi in runs[1:]:
+        a = hi - lo
+        d0, d1 = d0[:a], d1[:a]
+        ok0, bad0, ok1, bad1 = d0 + t10[:a], d1 + t20[:a], d0 + t11[:a], d1 + t21[:a]
+        b0, b1 = np.greater(bad0, ok0, out=back0[lo:hi]), np.greater(bad1, ok1, out=back1[lo:hi])
+        d0 = np.add(u0[lo:hi], np.where(b0, bad0, ok0), out=delta0[lo:hi])
+        d1 = np.add(u1[lo:hi], np.where(b1, bad1, ok1), out=delta1[lo:hi])
+
+    # descending, the backtrace and the backward pass: ``label`` is each
+    # sentence's label on its best path, and beta the best score of the
+    # suffix after each label, (0.0, 0.0) at the last position; the margin
+    # of a position replaces its ``delta1``
+    last = offsets[lengths[order] - 1] + np.arange(n)
+    label = ~(delta0[last] >= delta1[last])
+    path = np.empty(total, bool)
+    beta0, beta1 = np.zeros(n), np.zeros(n)
+    for (lo, hi), (after, end) in zip(runs[::-1], (runs[1:] + [(total, total)])[::-1]):
+        a, c = hi - lo, end - after  # the sentences at the position, and those that go on past it
+        a0, a1, c0, c1 = u0[after:end], u1[after:end], beta0[:c], beta1[:c]
+        x0, y0 = t10[:c] + a0 + c0, t11[:c] + a1 + c1
+        x1, y1 = t20[:c] + a0 + c0, t21[:c] + a1 + c1
+        beta0[:c], beta1[:c] = np.where(y0 > x0, y0, x0), np.where(y1 > x1, y1, x1)
+        label[:c] = np.where(label[:c], back1[after:end], back0[after:end])
+        path[lo:hi] = label[:a]
+        delta1[lo:hi] = -gamma * ((delta1[lo:hi] + beta1[:a]) - (delta0[lo:hi] + beta0[:a]))
+
+    tags, x = np.empty(total, bool), np.empty(total)
+    tags[columns], x[columns] = path, delta1
+    return tags, x
+
+
+def _logistic(x: float) -> float:
+    """``1 / (1 + exp(x))``, the P(BAD) of a margin times ``-gamma``."""
+    try:
+        return 1.0 / (1.0 + exp(x))
+    except OverflowError:  # 1 + exp(x) rounds to exp(x)
+        return exp(-x)
 
 
 def _compile_one(inst: SequenceInstance, model: LinearModel):
@@ -690,8 +758,10 @@ def predict(
     """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
     ``predict_probs`` give them), each instance compiled once."""
     w = _model_weights(model)
-    t = _transition_scores(_bigram_slots(model.config), w)
-    return _decode(_unigram_rows(instances, model.config, w), t, gamma)
+    lengths = np.fromiter(map(len, instances), np.int64, len(instances))
+    scores = _corpus_scores(instances, model.config, w, int(lengths.sum()))
+    t = np.array(_transition_scores(_bigram_slots(model.config), w))
+    return _decode(scores, lengths, np.repeat(t[:, :, None], lengths.size, axis=2), gamma)
 
 
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
@@ -700,10 +770,13 @@ def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0
     return predict([inst], model, gamma)[1][0]
 
 
-def _jackknife_fold(compiled, paths, bigram_slots, size, gamma, lo, hi, **options):
+def _jackknife_fold(compiled, paths, bigram_slots, size, lo, hi, **options):
+    """Trains on every fold but ``[lo, hi)``; returns the unigram scores of
+    the held-out positions, shape (2, positions), and the transition
+    scores."""
     w = _mira(compiled[:lo] + compiled[hi:], paths[:lo] + paths[hi:], bigram_slots, size, **options)
-    t = _transition_scores(bigram_slots, w)
-    return _decode((_unigram_scores(slots, w) for slots in compiled[lo:hi]), t, gamma)
+    scores = np.array(list(chain.from_iterable(_unigram_scores(slots, w) for slots in compiled[lo:hi])))
+    return scores.T, _transition_scores(bigram_slots, w)
 
 
 _WORKER_FOLD = None  # a worker process's fold function, set once by the pool initializer
@@ -735,12 +808,13 @@ def jackknife(
     ``predict``, with the model ``mira_train`` fits with the same options on
     the other k-1 contiguous folds. The corpus is compiled once and each fold
     trains on index ranges of it; with ``jobs > 1`` every worker process
-    receives it once. The concatenation covers each instance exactly once, in
-    corpus order."""
+    receives it once. The folds return their held-out scores and the corpus
+    is decoded once, each sentence under its fold's transition scores. The
+    result covers each instance exactly once, in corpus order."""
     bounds = fold_bounds(len(instances), k)
     config, index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C, config)
     fold = functools.partial(
-        _jackknife_fold, compiled, paths, bigram_slots, len(index), gamma,
+        _jackknife_fold, compiled, paths, bigram_slots, len(index),
         epochs=epochs, C=C, seed=seed, average=average,
     )
     if jobs > 1:
@@ -749,7 +823,10 @@ def jackknife(
             results = list(pool.map(_worker_fold, bounds))
     else:
         results = [fold(lo, hi) for lo, hi in bounds]
-    return [row for tags, _ in results for row in tags], [row for _, probs in results for row in probs]
+    scores, t = zip(*results)
+    lengths = np.fromiter(map(len, compiled), np.int64, len(compiled))
+    t = np.repeat(np.array(t).transpose(1, 2, 0), [hi - lo for lo, hi in bounds], axis=2)
+    return _decode(np.concatenate(scores, axis=1), lengths, t, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -780,12 +857,14 @@ def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
 
 
 def _aligned_words(other_tokens, pairs, key_index, other_index, n) -> list[tuple[str, ...]]:
-    by_pos: dict[int, list[int]] = {}
-    for pair in pairs or ():
-        by_pos.setdefault(pair[key_index], []).append(pair[other_index])
-    return [
-        tuple(other_tokens[j] for j in sorted(by_pos.get(i, ()))) for i in range(n)
-    ]
+    """Each of the ``n`` positions' aligned other-side words, in the order of
+    their indices, from one sorted pass over the (position, other index)
+    pairs; a pair whose position is out of range is ignored."""
+    words: list[list[str]] = [[] for _ in range(n)]
+    for key, other in sorted((pair[key_index], pair[other_index]) for pair in pairs or ()):
+        if 0 <= key < n:
+            words[key].append(other_tokens[other])
+    return list(map(tuple, words))
 
 
 def build_instances(

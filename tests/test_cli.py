@@ -176,6 +176,23 @@ def test_alignment_index_that_is_not_an_ascii_digit_is_one_error_line(tmp_path, 
     assert (code, out, err) == (1, "", f"error: {align}:2: invalid alignment pair {pair!r}\n")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"a b\n\nc d\n", "empty line"),
+        ("a b\n\u3000\xa0\t\x1f\nc d\n".encode(), "empty line"),  # Unicode whitespace only
+        (b"a b\nc \xff\nc d\n", "not UTF-8: invalid start byte (byte 0xff)"),
+    ],
+    ids=["blank", "whitespace", "not-utf8"],
+)
+def test_a_bad_sentence_line_is_one_error_line_naming_it(tmp_path, capsys, data, message):
+    mt = tmp_path / "c.mt"
+    mt.write_bytes(data)
+    pe = write(tmp_path / "c.pe", "a b\nc d\ne f\n")
+    code, out, err = run(capsys, "make-labels", "--mt", mt, "--pe", pe, "--out-prefix", tmp_path / "labels")
+    assert (code, out, err) == (1, "", f"error: {mt}:2: {message}\n")
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys, rng):
     _, paths = corpus_files(tmp_path, rng)
     outputs = {}

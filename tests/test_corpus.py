@@ -264,6 +264,14 @@ def test_sentence_rejects_whitespace_token():
         Sentence(())
 
 
+def test_read_sentences_splits_on_every_unicode_whitespace(tmp_path):
+    # U+001F is whitespace to str.split() but no line boundary to splitlines()
+    path = write(tmp_path / "s.mt", "a\u3000b\x1fc\xa0 d\n\u2003e\t\n")
+    sentences = read_sentences(path)
+    assert sentences == [Sentence(("a", "b", "c", "d")), Sentence(("e",))]
+    assert [hash(s) for s in sentences] == [hash(Sentence(s.tokens)) for s in sentences]
+
+
 def test_prediction_set_requires_consistent_construction():
     with pytest.raises(LengthMismatch):
         TargetTags(word_tags=(OK,), gap_tags=(OK,))

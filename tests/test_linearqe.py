@@ -296,6 +296,11 @@ def test_stacked_features_of_a_perfect_system_dominate():
 def test_zero_weights_give_half_probabilities():
     inst = make_instance(["a", "b"])
     assert predict_probs(inst, LinearModel(weights={})) == [0.5, 0.5]
+    # every tie goes to OK, in sentences of mixed lengths decoded together
+    instances = [make_instance(["a"] * n) for n in (3, 1, 5, 1, 2)]
+    tags, probs = predict(instances, LinearModel(weights={}))
+    assert tags == [[OK] * len(inst) for inst in instances]
+    assert probs == [[0.5] * len(inst) for inst in instances]
 
 
 def test_raising_bad_bias_never_lowers_probabilities():
@@ -756,6 +761,116 @@ def test_parallel_jackknife_matches_sequential_output():
     assert parallel == sequential
 
 
+# --- whole-corpus decode ----------------------------------------------------
+
+
+def per_sentence_decode(u, t, gamma):
+    """The per-sentence decode the whole-corpus pass replaced: ``_forward``
+    and its backtrace, a backward pass of Python ``max`` and the logistic
+    link, over one sentence's (OK, BAD) unigram scores ``u``."""
+    import qestack.linearqe as linearqe
+
+    delta, path, _ = linearqe._forward(u, t)
+    n = len(u)
+    bwd = [(0.0, 0.0)] * n
+    for i in range(n - 2, -1, -1):
+        (a0, a1), (b0, b1) = u[i + 1], bwd[i + 1]
+        bwd[i] = (
+            max(t[1][0] + a0 + b0, t[1][1] + a1 + b1),
+            max(t[2][0] + a0 + b0, t[2][1] + a1 + b1),
+        )
+    probs = []
+    for (d0, d1), (b0, b1) in zip(delta, bwd):
+        margin = (d1 + b1) - (d0 + b0)
+        try:
+            probs.append(1.0 / (1.0 + math.exp(-gamma * margin)))
+        except OverflowError:
+            probs.append(math.exp(gamma * margin))
+    return list(map(bool, path)), probs
+
+
+def per_sentence_predict(inst, model, gamma):
+    """One instance compiled alone and decoded by ``per_sentence_decode``."""
+    import qestack.linearqe as linearqe
+
+    slots, w, t = linearqe._compile_one(inst, model)
+    return per_sentence_decode(linearqe._unigram_scores(slots, w), t, gamma)
+
+
+def assert_rows_equal_bit_for_bit(got, want):
+    (tags, probs), (want_tags, want_probs) = got, want
+    assert tags == want_tags
+    assert [[p.hex() for p in row] for row in probs] == [[p.hex() for p in row] for row in want_probs]
+
+
+# ties (-0.0 against 0.0, equal candidates), infinities and NaN among the scores
+SCORES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("gamma", [0.7, 1000.0])
+@pytest.mark.parametrize("pool", ["gauss", "ties", "special"])
+def test_whole_corpus_decode_equals_the_per_sentence_decode(gamma, pool):
+    # lengths 1 to 12 in shuffled order, each sentence under its own
+    # transition scores as in a jackknife; gamma 1000 overflows exp
+    import qestack.linearqe as linearqe
+
+    rng = random.Random(26)
+    draw = {
+        "gauss": lambda: rng.gauss(0.0, 3.0),
+        "ties": lambda: rng.choice(SCORES[:6]),
+        "special": lambda: rng.choice(SCORES),
+    }[pool]
+    lengths = [rng.randint(1, 12) for _ in range(60)] + [1, 1, 12]
+    rng.shuffle(lengths)
+    rows = [[(draw(), draw()) for _ in range(n)] for n in lengths]
+    ts = [tuple((draw(), draw()) for _ in range(3)) for _ in lengths]
+    # a NaN that only the backward pass meets at position 0, where max()
+    # keeps the other operand (np.maximum would not); then a margin of -0.72:
+    # at gamma 1000, exp(720) overflows and P(BAD) is exp(-720), a subnormal
+    # that 1 / (1 + inf) would round to 0.0
+    rows += [[(0.0, 0.0), (0.0, math.nan)], [(0.72, 0.0)]]
+    ts += [((0.0, 0.0),) * 3] * 2
+    lengths += [2, 1]
+    scores = np.array([s for row in rows for s in row]).T
+    got = linearqe._decode(scores, np.array(lengths, np.int64), np.array(ts).transpose(1, 2, 0), gamma)
+    want = list(zip(*(per_sentence_decode(u, t, gamma) for u, t in zip(rows, ts))))
+    assert_rows_equal_bit_for_bit(got, (list(want[0]), list(want[1])))
+    if gamma == 1000.0:
+        assert got[1][-1] == [math.exp(-720.0)] and math.exp(-720.0) > 0.0
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_predict_equals_the_per_sentence_decode_at_any_block_size(monkeypatch, block):
+    import qestack.linearqe as linearqe
+
+    monkeypatch.setattr(linearqe, "_BLOCK", block)
+    rng = random.Random(27)
+    instances = mixed_data(rng, 70) + [make_instance(["a"])]
+    config = FeatureConfig(bins=3)
+    model = partial_model(rng, instances, config)
+    bigrams = {fnv1a64(feature_strings(instances[0], 0, OK, prev, config)[-1]) for prev in (None, OK, BAD)}
+    model.weights.update(dict.fromkeys(bigrams, -0.0))  # -0.0 transition scores
+    for gamma in (0.7, 1000.0):
+        want = list(zip(*(per_sentence_predict(inst, model, gamma) for inst in instances)))
+        assert_rows_equal_bit_for_bit(predict(instances, model, gamma), (list(want[0]), list(want[1])))
+
+
+def test_predict_of_no_instances_is_empty():
+    assert predict([], LinearModel(weights={fnv1a64("b∧BAD"): 1.0})) == ([], [])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_jackknife_decodes_each_fold_as_the_per_sentence_decode(jobs):
+    instances, golds = noisy_data(random.Random(28), 14)
+    options = {"epochs": 2, "C": 0.5, "seed": 3, "config": FeatureConfig(bins=4)}
+    tags, probs = jackknife(instances, golds, 3, gamma=0.7, jobs=jobs, **options)
+    assert min(map(len, instances)) == 1
+    for lo, hi in fold_bounds(len(instances), 3):
+        model = mira_train(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
+        want = list(zip(*(per_sentence_predict(inst, model, 0.7) for inst in instances[lo:hi])))
+        assert_rows_equal_bit_for_bit((tags[lo:hi], probs[lo:hi]), (list(want[0]), list(want[1])))
+
+
 # --- serialization ----------------------------------------------------------
 
 
@@ -806,6 +921,28 @@ def test_word_instances_carry_aligned_source_words():
     assert inst.tokens == ("das", "haus")
     assert inst.aligned == (("the",), ("house", "!"))
     assert gold_tags(corpus, Stream.WORDS) == [[OK, BAD]]
+
+
+def reference_aligned_words(other_tokens, pairs, key_index, other_index, n):
+    """Each position's aligned words from a dict of index lists, each list
+    sorted."""
+    by_pos = {}
+    for pair in pairs or ():
+        by_pos.setdefault(pair[key_index], []).append(pair[other_index])
+    return [tuple(other_tokens[j] for j in sorted(by_pos.get(i, ()))) for i in range(n)]
+
+
+@given(
+    st.none() | st.frozensets(st.tuples(st.integers(0, 6), st.integers(0, 6))),
+    st.integers(1, 6),
+    st.sampled_from([(0, 1), (1, 0)]),
+)
+def test_aligned_words_equal_the_dict_of_lists_reference(pairs, n, indices):
+    # positions 0 to 6 against n up to 6: some pairs fall outside the sentence
+    import qestack.linearqe as linearqe
+
+    other = tuple(f"w{j}" for j in range(7))
+    assert linearqe._aligned_words(other, pairs, *indices, n) == reference_aligned_words(other, pairs, *indices, n)
 
 
 def test_gap_instances_use_flanking_words():
