@@ -176,6 +176,51 @@ def test_alignment_index_that_is_not_an_ascii_digit_is_one_error_line(tmp_path, 
     assert (code, out, err) == (1, "", f"error: {align}:2: invalid alignment pair {pair!r}\n")
 
 
+def alignment_argv(tmp_path, command, text, align):
+    """``make-labels`` or ``linear predict`` with ``text`` as every sentence file."""
+    if command == "make-labels":
+        return ["make-labels", "--mt", text, "--pe", text, "--src", text, "--align", align,
+                "--out-prefix", tmp_path / "labels"]
+    model = write(tmp_path / "m.model", "12\t0.5\n")
+    return ["linear", "predict", "--mt", text, "--src", text, "--align", align,
+            "--model", model, "--out-prefix", tmp_path / "p"]
+
+
+_ALIGNMENT_ERRORS = {
+    "out-of-range": ("0-0 2-1", "alignment 2-1 out of range for lengths 2/2"),
+    "two-out-of-range": ("0-0 3-1 2-0", "alignment 3-1 out of range for lengths 2/2"),
+    "colon": ("0:0", "invalid alignment pair '0:0'"),
+    "no-right-index": ("0-0 3-", "invalid alignment pair '3-'"),
+    "no-left-index": ("-3", "invalid alignment pair '-3'"),
+    "arabic-indic-one": ("١-0", "invalid alignment pair '١-0'"),
+    "beyond-int64": ("0-0 99999999999999999999-1", "alignment 99999999999999999999-1 out of range for lengths 2/2"),
+}
+
+
+@pytest.mark.parametrize("command", ["make-labels", "linear predict"])
+@pytest.mark.parametrize("line, message", _ALIGNMENT_ERRORS.values(), ids=_ALIGNMENT_ERRORS.keys())
+def test_a_bad_alignment_line_is_one_error_line_naming_the_first(tmp_path, capsys, command, line, message):
+    text = write(tmp_path / "c.mt", "a b\nc d\ne f\n")
+    # line 3 is out of range too: the first bad line in file order gives the error
+    align = write(tmp_path / "c.align", f"0-0 1-1\n{line}\n0-7\n")
+    code, out, err = run(capsys, *alignment_argv(tmp_path, command, text, align))
+    assert (code, out, err) == (1, "", f"error: {align}:2: {message}\n")
+
+
+def test_duplicate_alignment_pairs_collapse(tmp_path, capsys):
+    mt = write(tmp_path / "c.mt", "a b c\n")
+    pe = write(tmp_path / "c.pe", "a x c\n")
+    src = write(tmp_path / "c.src", "u v w\n")
+    outputs = []
+    for name, line in (("dup", "0-0 1-1 0-0 2-2 1-1"), ("plain", "0-0 1-1 2-2")):
+        align = write(tmp_path / f"{name}.align", line + "\n")
+        prefix = tmp_path / name
+        argv = ["make-labels", "--mt", mt, "--pe", pe, "--src", src, "--align", align, "--out-prefix", prefix]
+        assert run(capsys, *argv)[0] == 0
+        outputs.append((tmp_path / f"{name}.source_tags").read_text())
+    assert outputs == ["OK BAD OK\n"] * 2
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
