@@ -11,8 +11,11 @@ lines anywhere):
 * ``*.hter`` -- one float in [0, 1] per line.
 * ``*.probs`` -- one float in [0, 1] per token per line, read into a
   :class:`Ragged` (flat float64 values plus per-line offsets).
-* ``*.align`` -- space-separated ``i-j`` pairs, 0-based, ``i`` indexing the
-  source sentence and ``j`` the MT sentence.
+* ``*.align`` -- whitespace-separated ``i-j`` pairs of ASCII digits,
+  0-based, ``i`` indexing the source sentence and ``j`` the MT sentence.
+  Each line is read with its pairs deduplicated and sorted, into one int64
+  pair array on per-line offsets (:func:`read_alignment_lines`); an entry
+  holds its line as an :class:`Alignment`, a view of that array.
 
 A tag is a ``bool``, BAD being true, from the labeler to the writers.
 :class:`Tag` names the two values in files; ``Tag`` rows are still read as
@@ -24,6 +27,7 @@ Loaded structures are immutable and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import operator
 import os
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -39,6 +43,7 @@ __all__ = [
     "TargetTags",
     "SourceTags",
     "Entry",
+    "Alignment",
     "TaggedCorpus",
     "Ragged",
     "PredictionSet",
@@ -46,6 +51,10 @@ __all__ = [
     "load_predictions",
     "read_manifest",
     "read_tag_stream",
+    "read_alignment_lines",
+    "alignment_table",
+    "corpus_alignments",
+    "first_out_of_range",
     "is_tag_file",
     "stream_lengths",
     "check_lengths",
@@ -167,10 +176,44 @@ class SourceTags:
         return iter(self.tags)
 
 
+class Alignment:
+    """The word alignment of one segment: its distinct ``(source index, MT
+    index)`` pairs in sorted order, held as a read-only (k, 2) int64 array
+    (for a loaded corpus, a view of the file's one pair array). It iterates
+    as ``(src, mt)`` tuples, and equals and hashes like the frozenset of
+    them."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: np.ndarray):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self):
+        return map(tuple, self.pairs.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Alignment):
+            return np.array_equal(self.pairs, other.pairs)
+        if isinstance(other, (set, frozenset)):
+            return frozenset(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"Alignment({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Entry:
     """One aligned segment: source, MT, optional post-edit, labels, HTER and
-    word alignments."""
+    word alignments. A loaded corpus holds each line's alignments as an
+    :class:`Alignment` (sorted, distinct pairs); an entry built in code may
+    hold any collection of ``(src, mt)`` pairs, a frozenset for instance."""
 
     mt: Sentence
     src: Sentence | None = None
@@ -178,7 +221,7 @@ class Entry:
     target_tags: TargetTags | None = None
     source_tags: SourceTags | None = None
     hter: float | None = None
-    alignments: frozenset[tuple[int, int]] | None = None
+    alignments: Alignment | frozenset[tuple[int, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -436,18 +479,129 @@ def _raise_first_prob_error(lines, path):
     raise AssertionError(f"{path} holds no invalid probability")
 
 
-def read_alignment_lines(path) -> list[frozenset[tuple[int, int]]]:
-    out = []
-    for i, line in enumerate(_read_lines(path), 1):
-        pairs = set()
-        for field_ in line.split():
-            left, sep, right = field_.partition("-")
-            # ASCII digits only: str.isdigit also takes '²' and '١'
-            if not sep or not field_.isascii() or not left.isdigit() or not right.isdigit():
-                raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
-            pairs.add((int(left), int(right)))
-        out.append(frozenset(pairs))
-    return out
+_NO_PAIRS = Alignment(np.empty((0, 2), np.int64))
+
+# An index of at most this many digits fits in int64.
+_INDEX_DIGITS = 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def read_alignment_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """Every line's ``i-j`` pairs as one (pairs, 2) int64 array of (source,
+    MT) indices, each line's pairs sorted and distinct, and the lines' int64
+    offsets into it. A file of ``digits-digits`` fields of at most 18 ASCII
+    digits between spaces and tabs is parsed in one pass over its bytes; any
+    other goes field by field, where the first field that is not two runs of
+    ASCII digits joined by ``-`` is a ParseError, and an index beyond int64
+    reads as int64's maximum (out of range of every sentence)."""
+    lines = _read_lines(path)
+    pairs = _parse_alignment_bytes(lines)
+    if pairs is not None:
+        counts = np.fromiter(map(operator.methodcaller("count", "-"), lines), np.int64, len(lines))
+    else:
+        rows = [_alignment_pairs(line, path, i) for i, line in enumerate(lines, 1)]
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        flat = [min(index, _INT64_MAX) for row in rows for pair in row for index in pair]
+        pairs = np.array(flat, np.int64).reshape(-1, 2)
+    return _sorted_distinct(pairs, counts)
+
+
+def _alignment_pairs(line: str, path, i: int) -> list[tuple[int, int]]:
+    """The pairs of line ``i``, field by field, as exact ints."""
+    pairs = []
+    for field_ in line.split():
+        left, sep, right = field_.partition("-")
+        # ASCII digits only: str.isdigit also takes '²' and '١'
+        if not sep or not field_.isascii() or not left.isdigit() or not right.isdigit():
+            raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
+        pairs.append((int(left), int(right)))
+    return pairs
+
+
+def _parse_alignment_bytes(lines: list[str]) -> np.ndarray | None:
+    """The pairs of ``lines``, in file order, as a (pairs, 2) int64 array,
+    when the lines hold only ``digits-digits`` fields of at most
+    ``_INDEX_DIGITS`` ASCII digits between spaces and tabs; else None."""
+    text = "\n".join(lines) + "\n"
+    data = np.frombuffer(text.encode(), np.uint8)
+    blank = (data == 32) | (data == 9) | (data == 10)
+    hyphens = np.flatnonzero(data == 45)
+    # every byte a digit, a hyphen or a blank (a non-ASCII character's bytes are none of these)
+    if np.count_nonzero(data - np.uint8(48) < 10) + hyphens.size + np.count_nonzero(blank) != data.size:
+        return None
+    # fields run from a byte after a blank to the next blank (the text ends
+    # in one); with as many hyphens as fields, hyphen k falling inside field
+    # k with digits on both sides makes every field digits-digits
+    inside = ~blank
+    starts = np.flatnonzero(inside & np.concatenate(([True], blank[:-1])))
+    ends = np.flatnonzero(blank & np.concatenate(([False], inside[:-1])))
+    if hyphens.size != starts.size:
+        return None
+    left, right = hyphens - starts, ends - hyphens - 1
+    if not ((left - 1 < _INDEX_DIGITS) & (right - 1 < _INDEX_DIGITS) & (left > 0) & (right > 0)).all():
+        return None
+    return np.fromstring(text.replace("-", " "), np.int64, sep=" ").reshape(-1, 2)
+
+
+def _sorted_distinct(pairs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs``, ``counts[i]`` of them on line i in line order, with each
+    line's pairs sorted and distinct (one lexsort), and the lines' offsets."""
+    line = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], line))
+    pairs, line = pairs[order], line[order]
+    # a pair is kept unless it repeats its sorted predecessor on the same line
+    keep = np.ones(line.size, bool)
+    keep[1:] = (line[1:] != line[:-1]) | (pairs[1:] != pairs[:-1]).any(axis=1)
+    offsets = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(np.bincount(line[keep], minlength=counts.size), out=offsets[1:])
+    pairs = pairs[keep]
+    pairs.flags.writeable = False
+    return pairs, offsets
+
+
+def alignment_table(alignments) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``alignments`` (one per line: an :class:`Alignment`, any
+    collection of ``(src, mt)`` pairs, or None for none) as one (pairs, 2)
+    int64 array, each line's pairs sorted and distinct, and the lines' int64
+    offsets into it. A loaded corpus's views are concatenated; anything else
+    is converted in one pass. An index beyond int64 is a RangeError."""
+    alignments = [_NO_PAIRS if a is None else a for a in alignments]
+    counts = np.fromiter(map(len, alignments), np.int64, len(alignments))
+    if all(isinstance(a, Alignment) for a in alignments):
+        offsets = np.zeros(counts.size + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return np.concatenate([_NO_PAIRS.pairs, *(a.pairs for a in alignments)]), offsets
+    # a collection may repeat a pair, and a set holds them in any order
+    try:
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(alignments)), np.int64, 2 * int(counts.sum()))
+    except OverflowError:
+        raise RangeError("alignment index beyond int64") from None
+    return _sorted_distinct(flat.reshape(-1, 2), counts)
+
+
+def first_out_of_range(pairs, offsets, src_lengths, mt_lengths) -> int | None:
+    """The row in ``pairs`` of the first pair that is negative or lies past
+    its line's source or MT length (``src_lengths[i]`` and ``mt_lengths[i]``
+    on line i), or None when every pair is in range."""
+    counts = np.diff(offsets)
+    lengths = np.stack((np.repeat(src_lengths, counts), np.repeat(mt_lengths, counts)), axis=1)
+    bad = ((pairs < 0) | (pairs >= lengths)).any(axis=1)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def corpus_alignments(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`alignment_table` of the entries' alignments, an entry
+    without a source sentence having none. A pair outside its entry's
+    sentences is a RangeError naming the entry."""
+    table = alignment_table(e.alignments if e.src is not None else None for e in entries)
+    src_lengths = [len(e.src) if e.src is not None else 0 for e in entries]
+    row = first_out_of_range(*table, src_lengths, [len(e.mt) for e in entries])
+    if row is not None:
+        i = int(np.searchsorted(table[1], row, side="right")) - 1
+        s_idx, m_idx = table[0][row].tolist()
+        lengths = f"{src_lengths[i]}/{len(entries[i].mt)}"
+        raise RangeError(f"entry {i + 1}: alignment {s_idx}-{m_idx} out of range ({lengths})")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +642,33 @@ def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> list[int | None]:
     return [len(e.mt) + (stream is Stream.GAPS) for e in corpus]
 
 
+def _read_alignments(path) -> list[Alignment]:
+    """One :class:`Alignment` per line, each a view of the file's pairs."""
+    pairs, offsets = read_alignment_lines(path)
+    bounds = offsets.tolist()
+    return [Alignment(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _check_alignment_range(path, alignments, src_sents, mt_sents):
+    """A ParseError naming the first line of ``path`` with a pair outside its
+    sentences, and the first such pair in sorted order. The line is read
+    again field by field, so that an index beyond int64 is named as written."""
+    src_lengths = np.fromiter(map(len, src_sents), np.int64, len(src_sents))
+    mt_lengths = np.fromiter(map(len, mt_sents), np.int64, len(mt_sents))
+    pairs, offsets = alignment_table(alignments)
+    row = first_out_of_range(pairs, offsets, src_lengths, mt_lengths)
+    if row is None:
+        return
+    i = int(np.searchsorted(offsets, row, side="right")) - 1
+    n_src, n_mt = int(src_lengths[i]), int(mt_lengths[i])
+    for s_idx, m_idx in sorted(_alignment_pairs(_read_lines(path)[i], path, i + 1)):
+        if s_idx >= n_src or m_idx >= n_mt:
+            raise ParseError(
+                f"alignment {s_idx}-{m_idx} out of range for lengths {n_src}/{n_mt}", file=str(path), line=i + 1
+            )
+    raise AssertionError(f"{path}:{i + 1} holds no alignment out of range")
+
+
 def load_corpus(
     *,
     mt,
@@ -514,7 +695,7 @@ def load_corpus(
         ("target_tags", tags, read_tag_lines),
         ("source_tags", source_tags, read_tag_lines),
         ("hter", hter, read_score_lines),
-        ("alignments", align, read_alignment_lines),
+        ("alignments", align, _read_alignments),
     ):
         if path is not None:
             columns[name] = (path, reader)
@@ -541,15 +722,8 @@ def load_corpus(
     for i, value in enumerate(rows.get("hter", ()), 1):
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"HTER {value} outside [0, 1]", file=str(hter), line=i)
-    for i, pairs in enumerate(rows.get("alignments", ()), 1):
-        for s_idx, m_idx in pairs:
-            if s_idx >= len(src_sents[i - 1]) or m_idx >= len(mt_sents[i - 1]):
-                raise ParseError(
-                    f"alignment {s_idx}-{m_idx} out of range for lengths "
-                    f"{len(src_sents[i - 1])}/{len(mt_sents[i - 1])}",
-                    file=str(align),
-                    line=i,
-                )
+    if align is not None:
+        _check_alignment_range(align, rows["alignments"], src_sents, mt_sents)
     return TaggedCorpus(tuple(Entry(**{name: rows[name][i] for name in rows}) for i in range(len(mt_sents))))
 
 
@@ -686,12 +860,13 @@ def write_scores(values, path):
 
 
 def write_alignments(alignment_sets, path):
-    lines = []
-    for pairs in alignment_sets:
-        if not pairs:
-            raise InvalidInput("cannot serialize an empty alignment set (empty lines are invalid)")
-        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(pairs)))
-    _write_lines(path, lines)
+    """One line of ``i-j`` pairs per alignment, sorted and distinct."""
+    pairs, offsets = alignment_table(alignment_sets)
+    if (np.diff(offsets) == 0).any():
+        raise InvalidInput("cannot serialize an empty alignment set (empty lines are invalid)")
+    fields = list(map("{}-{}".format, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+    bounds = offsets.tolist()
+    _write_lines(path, (" ".join(fields[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def write_sentences(sentences, path):

@@ -27,7 +27,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Sentence, SourceTags, TaggedCorpus, TargetTags
+from .corpus import (
+    Sentence,
+    SourceTags,
+    TaggedCorpus,
+    TargetTags,
+    alignment_table,
+    corpus_alignments,
+    first_out_of_range,
+)
 from .errors import InconsistentScript, MissingStream, RangeError
 
 __all__ = [
@@ -183,24 +191,30 @@ def _padded(ids: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _align_pairs(mt_rows, pe_rows) -> list[tuple[tuple, tuple, int]]:
-    """(word tags, gap tags, edit count) of each (MT, PE) token row pair, in
-    input order, through length-sorted blocks of ``_edit_block``."""
+def _align_pairs(mt_rows, pe_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The word and gap BAD indicators of the (MT, PE) token row pairs, flat
+    in input order (N words and N+1 gaps for an N-token MT row), and each
+    pair's edit count, through length-sorted blocks of ``_edit_block``."""
     ids, starts, lengths = _interned([*mt_rows, *pe_rows])
     size = len(mt_rows)
     n, m, mt_starts, pe_starts = lengths[:size], lengths[size:], starts[:size], starts[size:]
+    # the MT rows come first, so their starts are those of their flat words
+    word_flat = np.empty(int(n.sum()), bool)
+    gap_flat = np.empty(word_flat.size + size, bool)
+    gap_starts = mt_starts + np.arange(size)
+    edit_counts = np.empty(size, np.int64)
     pairs = list(zip(n.tolist(), m.tolist()))
-    out: list = [None] * size
     for block in _blocks(sorted(range(size), key=pairs.__getitem__), pairs):
         bn, bm = n[block], m[block]
-        word_bad, gap_bad, edits, _ = _edit_block(
+        word_bad, gap_bad, edit_counts[block], _ = _edit_block(
             _padded(ids, mt_starts[block], int(bn.max())), _padded(ids, pe_starts[block], int(bm.max())), bn, bm
         )
-        for k, length, words, gaps, edit_count in zip(
-            block, bn.tolist(), word_bad.tolist(), gap_bad.tolist(), edits.tolist()
-        ):
-            out[k] = (tuple(words[1:length + 1]), tuple(gaps[:length + 1]), edit_count)
-    return out
+        # a pair's gaps are columns 0 to n of its row, its words 1 to n
+        rows, cols = np.nonzero(np.arange(gap_bad.shape[1]) <= bn[:, None])
+        gap_flat[gap_starts[block][rows] + cols] = gap_bad[rows, cols]
+        rows, cols = rows[cols > 0], cols[cols > 0]
+        word_flat[mt_starts[block][rows] + cols - 1] = word_bad[rows, cols]
+    return word_flat, gap_flat, edit_counts
 
 
 def align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
@@ -280,49 +294,73 @@ def source_tags_from_target(
     additionally implicates the source tokens lying strictly between
     max(aligned src of MT token i-1) and min(aligned src of MT token i); when
     either flanking token is missing or unaligned, the gap implicates nothing.
-    Unaligned source tokens stay OK.
+    Unaligned source tokens stay OK. A pair outside the sentences is a
+    RangeError.
     """
     n_mt = len(target_tags.word_tags)
-    by_mt: dict[int, list[int]] = {}
-    for s_idx, m_idx in alignments or ():
-        if s_idx >= src_len or s_idx < 0 or m_idx >= n_mt or m_idx < 0:
-            raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
-        by_mt.setdefault(m_idx, []).append(s_idx)
+    pairs, offsets = alignment_table([alignments])
+    row = first_out_of_range(pairs, offsets, [src_len], [n_mt])
+    if row is not None:
+        s_idx, m_idx = pairs[row].tolist()
+        raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
+    words = np.array(target_tags.word_tags, bool)
+    gaps = np.array(target_tags.gap_tags, bool)
+    return SourceTags(tuple(_project(words, gaps, [n_mt], [src_len], pairs, offsets).tolist()))
 
-    tags = [False] * src_len
-    for m_idx, bad in enumerate(target_tags.word_tags):
-        if bad:
-            for s_idx in by_mt.get(m_idx, ()):
-                tags[s_idx] = True
 
-    for gap_idx, bad in enumerate(target_tags.gap_tags):
-        if not bad:
-            continue
-        left = by_mt.get(gap_idx - 1)
-        right = by_mt.get(gap_idx)
-        if gap_idx == 0 or gap_idx == n_mt or not left or not right:
-            continue
-        for s_idx in range(max(left) + 1, min(right)):
-            tags[s_idx] = True
-    return SourceTags(tuple(tags))
+def _project(word_bad, gap_bad, mt_lengths, src_lengths, pairs, offsets) -> np.ndarray:
+    """:func:`source_tags_from_target` for every entry at once: the source
+    BAD indicators of all entries, flat, from the MT word and gap BAD
+    indicators, flat (N and N+1 per entry of ``mt_lengths[e]`` = N words),
+    and the entries' in-range alignment table."""
+    mt_lengths, src_lengths = np.asarray(mt_lengths, np.int64), np.asarray(src_lengths, np.int64)
+    counts = np.diff(offsets)
+    n_src = int(src_lengths.sum())
+    word = np.repeat(np.cumsum(mt_lengths) - mt_lengths, counts) + pairs[:, 1]
+    src = np.repeat(np.cumsum(src_lengths) - src_lengths, counts) + pairs[:, 0]
+    bad = np.zeros(n_src, bool)
+    bad[src[word_bad[word]]] = True
+    # each MT word's lowest and highest aligned source position (none: n_src and -1)
+    lowest = np.full(word_bad.size, n_src, np.int64)
+    highest = np.full(word_bad.size, -1, np.int64)
+    np.minimum.at(lowest, word, src)
+    np.maximum.at(highest, word, src)
+    # the gap after flat word w of entry e is flat gap w + e + 1; after an
+    # entry's last word it is an edge gap
+    after = gap_bad[np.arange(word_bad.size) + np.repeat(np.arange(mt_lengths.size), mt_lengths) + 1]
+    after[np.cumsum(mt_lengths)[mt_lengths > 0] - 1] = False
+    left = np.flatnonzero(after)
+    start, stop = highest[left] + 1, lowest[left + 1]
+    inner = (start > 0) & (stop < n_src) & (start < stop)
+    # a difference array marks each BAD gap's source run
+    runs = np.bincount(start[inner], minlength=n_src + 1) - np.bincount(stop[inner], minlength=n_src + 1)
+    bad |= np.cumsum(runs[:-1]) > 0
+    return bad
 
 
 def label_corpus(corpus: TaggedCorpus, cap: bool = True) -> TaggedCorpus:
     """Label every entry from its post-edit. Entries are aligned in
-    length-sorted blocks, then labeled in file order, so the first entry
-    that cannot be labeled gives the error."""
+    length-sorted blocks and their source tags projected all at once; the
+    first entry, in file order, that has no post-edit or an alignment out of
+    range gives the error."""
     entries = corpus.entries
-    paired = [e for e in entries if e.pe is not None]
-    labels = iter(_align_pairs([e.mt.tokens for e in paired], [e.pe.tokens for e in paired]))
+    missing = next((i for i, e in enumerate(entries) if e.pe is None), len(entries))
+    pairs, offsets = corpus_alignments(entries[:missing])
+    if missing < len(entries):
+        raise MissingStream("cannot label an entry without a post-edit")
+    word_bad, gap_bad, edit_counts = _align_pairs([e.mt.tokens for e in entries], [e.pe.tokens for e in entries])
+    mt_lengths = [len(e.mt) for e in entries]
+    src_lengths = [len(e.src) if e.src is not None and e.alignments is not None else 0 for e in entries]
+    source_bad = _project(word_bad, gap_bad, mt_lengths, src_lengths, pairs, offsets).tolist()
+    words, gaps = word_bad.tolist(), gap_bad.tolist()
     out = []
-    for entry in entries:
-        if entry.pe is None:
-            raise MissingStream("cannot label an entry without a post-edit")
-        word_tags, gap_tags, edits = next(labels)
-        target = TargetTags(word_tags=word_tags, gap_tags=gap_tags)
-        score = _hter(edits, len(entry.pe), cap)
+    word = src = 0
+    for k, (entry, edits, n_mt, n_src) in enumerate(zip(entries, edit_counts.tolist(), mt_lengths, src_lengths)):
+        gap = word + k
+        target = TargetTags(word_tags=tuple(words[word:word + n_mt]), gap_tags=tuple(gaps[gap:gap + n_mt + 1]))
         source = None
         if entry.src is not None and entry.alignments is not None:
-            source = source_tags_from_target(target, entry.alignments, len(entry.src))
-        out.append(replace(entry, target_tags=target, source_tags=source, hter=score))
+            source = SourceTags(tuple(source_bad[src:src + n_src]))
+        out.append(replace(entry, target_tags=target, source_tags=source, hter=_hter(edits, len(entry.pe), cap)))
+        word, src = word + n_mt, src + n_src
     return TaggedCorpus(tuple(out))

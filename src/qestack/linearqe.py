@@ -38,7 +38,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Stream, TaggedCorpus, _parse_float, _read_lines, _write_lines
+from .corpus import (
+    PredictionSet,
+    Stream,
+    TaggedCorpus,
+    _parse_float,
+    _read_lines,
+    _write_lines,
+    alignment_table,
+    corpus_alignments,
+)
 from .ensemble import fold_bounds
 from .errors import EmptyInput, LengthMismatch, MissingStream, ParseError, RangeError
 
@@ -858,13 +867,52 @@ def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
 
 def _aligned_words(other_tokens, pairs, key_index, other_index, n) -> list[tuple[str, ...]]:
     """Each of the ``n`` positions' aligned other-side words, in the order of
-    their indices, from one sorted pass over the (position, other index)
-    pairs; a pair whose position is out of range is ignored."""
-    words: list[list[str]] = [[] for _ in range(n)]
-    for key, other in sorted((pair[key_index], pair[other_index]) for pair in pairs or ()):
-        if 0 <= key < n:
-            words[key].append(other_tokens[other])
-    return list(map(tuple, words))
+    their indices; a pair whose position is out of range is ignored."""
+    table, _ = alignment_table([pairs])
+    table = table[(table[:, key_index] >= 0) & (table[:, key_index] < n)]
+    return _aligned_word_rows([other_tokens], table, np.array([0, len(table)]), key_index, other_index, [n])
+
+
+def _aligned_word_rows(other_rows, pairs, offsets, key_index, other_index, key_lengths) -> list[tuple[str, ...]]:
+    """:func:`_aligned_words` of every line of an alignment table at once:
+    line i has ``key_lengths[i]`` positions and the other-side tokens
+    ``other_rows[i]``, and its pairs lie within both. Returns the positions'
+    words, flat over the lines, from one lexsort of the (position, other
+    index) pairs."""
+    per_line = np.diff(offsets)
+    key_lengths = np.asarray(key_lengths, np.int64)
+    other_lengths = np.fromiter(map(len, other_rows), np.int64, len(other_rows))
+    key = np.repeat(np.cumsum(key_lengths) - key_lengths, per_line) + pairs[:, key_index]
+    other = np.repeat(np.cumsum(other_lengths) - other_lengths, per_line) + pairs[:, other_index]
+    order = np.lexsort((other, key))
+    tokens = list(chain.from_iterable(other_rows))
+    words = list(map(tokens.__getitem__, other[order].tolist()))
+    counts = np.bincount(key, minlength=int(key_lengths.sum()))
+    ends = np.cumsum(counts)
+    # Each position's tuple is picked from one pool: (), then every word
+    # alone (most positions hold one), then the runs of two words or more.
+    runs = np.flatnonzero(counts > 1)
+    run_slices = map(slice, (ends - counts)[runs].tolist(), ends[runs].tolist())
+    pool = [(), *zip(words), *map(tuple, map(words.__getitem__, run_slices))]
+    pick = np.where(counts == 1, ends, 0)
+    pick[runs] = len(words) + 1 + np.arange(runs.size)
+    return list(map(pool.__getitem__, pick.tolist()))
+
+
+def _entry_aligned_words(entries, stream: Stream) -> list[tuple[tuple[str, ...], ...]]:
+    """Per entry, the aligned words of each position of the WORDS stream
+    (source words per MT token) or the SOURCE stream (MT words per source
+    token); () for an entry without a source sentence or alignments. A pair
+    outside its entry's sentences is a RangeError naming the entry."""
+    pairs, offsets = corpus_alignments(entries)
+    with_pairs = [e.src is not None and e.alignments is not None for e in entries]
+    mt = [e.mt.tokens for e in entries]
+    src = [e.src.tokens if has else () for e, has in zip(entries, with_pairs)]
+    keys, others, key_index = (mt, src, 1) if stream is Stream.WORDS else (src, mt, 0)
+    key_lengths = [len(k) if has else 0 for k, has in zip(keys, with_pairs)]
+    words = _aligned_word_rows(others, pairs, offsets, key_index, 1 - key_index, key_lengths)
+    bounds = np.cumsum([0, *key_lengths]).tolist()
+    return [tuple(words[lo:hi]) if has else () for lo, hi, has in zip(bounds, bounds[1:], with_pairs)]
 
 
 def build_instances(
@@ -881,40 +929,36 @@ def build_instances(
     tags the source tokens with aligned MT words as context. ``extra_columns``
     supplies one annotation column per element, each a per-sentence list of
     per-position strings. Stacked probabilities are taken from the matching
-    stream of each prediction set that provides it.
+    stream of each prediction set that provides it. On the WORDS and SOURCE
+    streams an alignment pair outside its entry's sentences is a RangeError
+    naming the entry.
     """
     stacked_rows = [
         (pred.system_id, pred.stream(stream).rows())
         for pred in predictions
         if pred.stream(stream) is not None
     ]
+    entries = corpus.entries
+    if stream is Stream.SOURCE and any(e.src is None for e in entries):
+        raise MissingStream("source stream needs source sentences")
+    if stream is Stream.GAPS:
+        aligned_rows = [()] * len(entries)
+    elif stream in (Stream.WORDS, Stream.SOURCE):
+        aligned_rows = _entry_aligned_words(entries, stream)
+    else:
+        raise MissingStream(f"unknown stream {stream!r}")
     instances = []
-    for idx, entry in enumerate(corpus):
+    for idx, (entry, aligned) in enumerate(zip(entries, aligned_rows)):
         if stream is Stream.WORDS:
             tokens = entry.mt.tokens
-            aligned = (
-                tuple(_aligned_words(entry.src.tokens, entry.alignments, 1, 0, len(tokens)))
-                if entry.src is not None and entry.alignments is not None
-                else ()
-            )
         elif stream is Stream.GAPS:
             mt = entry.mt.tokens
             tokens = tuple(
                 f"{mt[i - 1] if i > 0 else _LEFT_SENTINEL}|{mt[i] if i < len(mt) else _RIGHT_SENTINEL}"
                 for i in range(len(mt) + 1)
             )
-            aligned = ()
-        elif stream is Stream.SOURCE:
-            if entry.src is None:
-                raise MissingStream("source stream needs source sentences")
-            tokens = entry.src.tokens
-            aligned = (
-                tuple(_aligned_words(entry.mt.tokens, entry.alignments, 0, 1, len(tokens)))
-                if entry.alignments is not None
-                else ()
-            )
         else:
-            raise MissingStream(f"unknown stream {stream!r}")
+            tokens = entry.src.tokens
 
         extra = tuple(tuple(column[idx]) for column in extra_columns)
         instances.append(

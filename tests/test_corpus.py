@@ -540,6 +540,124 @@ def test_read_tag_stream_equals_the_tag_object_reader(tmp_path, data, stream):
     assert got == want
 
 
+# --- alignments as pair arrays -----------------------------------------------
+
+
+def reference_read_alignment_lines(path):
+    """``read_alignment_lines`` as it was: one frozenset of exact int pairs
+    per line, field by field."""
+    out = []
+    for i, line in enumerate(_read_lines(path), 1):
+        pairs = set()
+        for field_ in line.split():
+            left, sep, right = field_.partition("-")
+            if not sep or not field_.isascii() or not left.isdigit() or not right.isdigit():
+                raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
+            pairs.add((int(left), int(right)))
+        out.append(frozenset(pairs))
+    return out
+
+
+def reference_alignment_range_error(path, lines, src_lengths, mt_lengths):
+    """The message of ``load_corpus``'s range check as it was, walking the
+    lines in file order and each line's pairs in sorted order."""
+    for i, pairs in enumerate(lines, 1):
+        for s_idx, m_idx in sorted(pairs):
+            if s_idx >= src_lengths[i - 1] or m_idx >= mt_lengths[i - 1]:
+                return f"{path}:{i}: alignment {s_idx}-{m_idx} out of range for lengths {src_lengths[i - 1]}/{mt_lengths[i - 1]}"
+    return None
+
+
+_INT64_MAX = 2**63 - 1
+
+# indices: small ones, and some of 18 to 20 digits around int64's maximum
+_INDICES = st.one_of(
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from([10**17, 10**18 - 1, 10**18, _INT64_MAX, _INT64_MAX + 1, 10**20]),
+)
+# fields that are not digits-digits, some close to it
+_BAD_PAIRS = st.sampled_from(
+    ["0:0", "3-", "-3", "-", "1--2", "1-2-3", "+1-2", "1-+2", "a-1", "1.0-2", "0x1-2", "\u0661-0", "1-\u00b2", "\uff11-2"]
+)
+
+
+@st.composite
+def _alignment_files(draw):
+    """Lines of 1 to 8 ``i-j`` pairs, some repeated, with leading zeros now
+    and then, between runs of blanks (Unicode ones too); sometimes a field
+    replaced by one that is not a pair and sometimes an empty line."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        pairs = draw(st.lists(st.tuples(_INDICES, _INDICES), min_size=1, max_size=8))
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        fields = [f"{draw(st.sampled_from(['', '', '0', '00']))}{i}-{j}" for i, j in draw(st.permutations(pairs))]
+        if draw(st.integers(0, 5)) == 3:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_BAD_PAIRS)
+        text = draw(st.sampled_from(["", "", " ", "\t"]))
+        for field_ in fields:
+            text += field_ + draw(st.sampled_from([" ", " ", "  ", "\t", " \t ", "\u00a0", "\u2003"]))
+        lines.append(text.rstrip(" ") if draw(st.booleans()) else text)
+    if draw(st.integers(0, 19)) == 7:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + "\n"
+
+
+def _alignment_outcome(read, path):
+    """Each line's pairs as a set, with every index beyond int64 read as its
+    maximum, or the class, message and place of the error."""
+    try:
+        lines = read(path)
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc), getattr(exc, "file", None), getattr(exc, "line", None)
+    if isinstance(lines, tuple):
+        pairs, offsets = lines
+        assert pairs.dtype == np.int64 and pairs.shape == (offsets[-1], 2) and offsets[0] == 0
+        bounds = offsets.tolist()
+        lines = [list(map(tuple, pairs[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])]
+        assert all(line == sorted(set(line)) for line in lines)
+    return [frozenset((min(i, _INT64_MAX), min(j, _INT64_MAX)) for i, j in line) for line in lines]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_alignment_files())
+def test_read_alignment_lines_equals_the_per_field_reader(tmp_path, text):
+    path = tmp_path / "fuzz.align"
+    path.write_bytes(text.encode("utf-8"))
+    assert _alignment_outcome(read_alignment_lines, path) == _alignment_outcome(reference_read_alignment_lines, path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_corpus_names_the_first_alignment_out_of_range(tmp_path, data):
+    lengths = data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=6))
+    index = st.one_of(st.integers(0, 7), st.just(10**20))
+    lines = [data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6)) for _ in lengths]
+    paths = {name: tmp_path / f"c.{name}" for name in ("src", "mt", "align")}
+    for name, side in (("src", 0), ("mt", 1)):
+        paths[name].write_text("".join(" ".join(["w"] * n[side]) + "\n" for n in lengths))
+    paths["align"].write_text("".join(" ".join(f"{i}-{j}" for i, j in line) + "\n" for line in lines))
+    want = reference_alignment_range_error(paths["align"], lines, *zip(*lengths))
+    try:
+        corpus = load_corpus(**paths)
+    except ParseError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert [e.alignments for e in corpus] == [frozenset(line) for line in lines]
+
+
+def test_an_alignment_equals_and_hashes_like_its_frozenset(tmp_path):
+    mt = write(tmp_path / "x.mt", "a b c\nd\n")
+    src = write(tmp_path / "x.src", "u v\nw\n")
+    align = write(tmp_path / "x.align", "1-2 0-0\t 1-2  0-1\n0-0\n")
+    first, second = (e.alignments for e in load_corpus(mt=mt, src=src, align=align))
+    assert list(first) == [(0, 0), (0, 1), (1, 2)] and len(first) == 3
+    assert first == {(1, 2), (0, 0), (0, 1)} and {(0, 0)} == second and first != second
+    assert hash(first) == hash(frozenset(first)) and (0, 1) in first
+    assert not first.pairs.flags.writeable
+
+
 @pytest.mark.parametrize(
     "text, error, message",
     [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qestack import labeler
-from qestack.corpus import Entry, Sentence, TaggedCorpus, TargetTags
+from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, TargetTags
 from qestack.errors import InconsistentScript, MissingStream, RangeError
 from qestack.labeler import (
     EditKind,
@@ -253,6 +253,61 @@ def test_out_of_range_alignment_raises():
         source_tags_from_target(tags, {(5, 0)}, 2)
 
 
+def reference_source_tags(target_tags, alignments, src_len):
+    """``source_tags_from_target`` as it was: a dict of each MT word's
+    aligned source indices, walked word by word and gap by gap."""
+    n_mt = len(target_tags.word_tags)
+    by_mt = {}
+    for s_idx, m_idx in alignments or ():
+        if s_idx >= src_len or s_idx < 0 or m_idx >= n_mt or m_idx < 0:
+            raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
+        by_mt.setdefault(m_idx, []).append(s_idx)
+    tags = [False] * src_len
+    for m_idx, bad in enumerate(target_tags.word_tags):
+        if bad:
+            for s_idx in by_mt.get(m_idx, ()):
+                tags[s_idx] = True
+    for gap_idx, bad in enumerate(target_tags.gap_tags):
+        left, right = by_mt.get(gap_idx - 1), by_mt.get(gap_idx)
+        if not bad or gap_idx == 0 or gap_idx == n_mt or not left or not right:
+            continue
+        for s_idx in range(max(left) + 1, min(right)):
+            tags[s_idx] = True
+    return SourceTags(tuple(tags))
+
+
+@st.composite
+def alignments(draw, src_len, mt_len, spill=0):
+    """No pairs, some pairs, or every MT word aligned; with ``spill``, an
+    index may lie up to that far outside either sentence."""
+    kind = draw(st.sampled_from(["none", "some", "every word"]))
+    if kind == "none" or not mt_len + spill:
+        return frozenset()
+    src, mt = st.integers(-spill, src_len - 1 + spill), st.integers(-spill, mt_len - 1 + spill)
+    pairs = draw(st.lists(st.tuples(src, mt), max_size=3 * (src_len + mt_len)))
+    if kind == "every word":
+        pairs += [(draw(src), m_idx) for m_idx in range(mt_len)]
+    return draw(st.sampled_from([frozenset(pairs), pairs]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_source_projection_equals_the_dict_of_lists_reference(data):
+    src_len, mt_len = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 12))
+    tags = TargetTags(
+        word_tags=tuple(data.draw(st.lists(st.booleans(), min_size=mt_len, max_size=mt_len))),
+        gap_tags=tuple(data.draw(st.lists(st.booleans(), min_size=mt_len + 1, max_size=mt_len + 1))),
+    )
+    pairs = data.draw(alignments(src_len, mt_len, spill=data.draw(st.sampled_from([0, 0, 2]))))
+    try:
+        want = reference_source_tags(tags, pairs, src_len)
+    except RangeError:
+        with pytest.raises(RangeError, match="out of range"):
+            source_tags_from_target(tags, pairs, src_len)
+    else:
+        assert source_tags_from_target(tags, pairs, src_len) == want
+
+
 # --- corpus-level labeling --------------------------------------------------
 
 
@@ -273,7 +328,7 @@ def reference_label(entry: Entry, cap: bool) -> Entry:
     target = tags_from_edits(script, len(entry.mt))
     source = None
     if entry.src is not None and entry.alignments is not None:
-        source = source_tags_from_target(target, entry.alignments, len(entry.src))
+        source = reference_source_tags(target, entry.alignments, len(entry.src))
     return replace(entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe), cap=cap))
 
 
@@ -300,8 +355,9 @@ def labelable_entries(draw):
     if not draw(st.booleans()):
         return Entry(mt=mt, pe=pe)
     src = tokens(draw(length))
-    links = st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1))
-    return Entry(mt=mt, pe=pe, src=src, alignments=frozenset(draw(st.lists(links, max_size=60))))
+    if not draw(st.integers(0, 4)):
+        return Entry(mt=mt, pe=pe, src=src)
+    return Entry(mt=mt, pe=pe, src=src, alignments=draw(alignments(len(src), len(mt))))
 
 
 # (cell budget, longest sentence of an int16 table): the real ones; a budget

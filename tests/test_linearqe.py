@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qestack.corpus import (
@@ -943,6 +943,48 @@ def test_aligned_words_equal_the_dict_of_lists_reference(pairs, n, indices):
 
     other = tuple(f"w{j}" for j in range(7))
     assert linearqe._aligned_words(other, pairs, *indices, n) == reference_aligned_words(other, pairs, *indices, n)
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 2), (0, -1)], ids=["negative-source", "source-past-end", "mt-past-end", "negative-mt"])
+@pytest.mark.parametrize("stream", [Stream.WORDS, Stream.SOURCE])
+def test_an_alignment_outside_a_built_entry_is_a_range_error_naming_it(pair, stream):
+    # once, (-1, 0) aligned MT word 0 to the last source word and (3, 0) raised a bare IndexError
+    good = build_tiny_corpus().entries[0]
+    bad = Entry(mt=good.mt, src=good.src, alignments=frozenset({(0, 0), pair}))
+    with pytest.raises(RangeError, match=rf"entry 2: alignment {pair[0]}-{pair[1]} out of range \(3/2\)"):
+        build_instances(TaggedCorpus((good, bad)), stream)
+    # the gap stream reads no alignments
+    assert len(build_instances(TaggedCorpus((good, bad)), Stream.GAPS)) == 2
+
+
+@st.composite
+def aligned_entries(draw):
+    """Entries with and without a source sentence and alignments; the pairs
+    lie within the sentences, and some positions have none."""
+    mt = Sentence(tuple(f"m{i}" for i in range(draw(st.integers(1, 6)))))
+    if not draw(st.integers(0, 4)):
+        return Entry(mt=mt)
+    src = Sentence(tuple(f"s{i}" for i in range(draw(st.integers(1, 6)))))
+    links = st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=12)
+    alignments = draw(st.none() | links.map(frozenset) | links)
+    return Entry(mt=mt, src=src, alignments=alignments)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(aligned_entries(), min_size=1, max_size=8), stream=st.sampled_from([Stream.WORDS, Stream.SOURCE]))
+def test_corpus_aligned_words_equal_the_per_entry_reference(entries, stream):
+    if stream is Stream.SOURCE:
+        entries = [e for e in entries if e.src is not None] or [Entry(mt=Sentence(("m",)), src=Sentence(("s",)))]
+    got = [inst.aligned for inst in build_instances(TaggedCorpus(tuple(entries)), stream)]
+    key_index = 1 if stream is Stream.WORDS else 0
+    want = []
+    for e in entries:
+        if e.src is None or e.alignments is None:
+            want.append(())
+            continue
+        keys, others = (e.mt, e.src) if stream is Stream.WORDS else (e.src, e.mt)
+        want.append(tuple(reference_aligned_words(others.tokens, set(e.alignments), key_index, 1 - key_index, len(keys))))
+    assert got == want
 
 
 def test_gap_instances_use_flanking_words():
