@@ -191,30 +191,24 @@ def _padded(ids: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _align_pairs(mt_rows, pe_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The word and gap BAD indicators of the (MT, PE) token row pairs, flat
-    in input order (N words and N+1 gaps for an N-token MT row), and each
-    pair's edit count, through length-sorted blocks of ``_edit_block``."""
+def _align_pairs(mt_rows, pe_rows) -> list[tuple[tuple, tuple, int]]:
+    """(word tags, gap tags, edit count) of each (MT, PE) token row pair, in
+    input order, through length-sorted blocks of ``_edit_block``."""
     ids, starts, lengths = _interned([*mt_rows, *pe_rows])
     size = len(mt_rows)
     n, m, mt_starts, pe_starts = lengths[:size], lengths[size:], starts[:size], starts[size:]
-    # the MT rows come first, so their starts are those of their flat words
-    word_flat = np.empty(int(n.sum()), bool)
-    gap_flat = np.empty(word_flat.size + size, bool)
-    gap_starts = mt_starts + np.arange(size)
-    edit_counts = np.empty(size, np.int64)
     pairs = list(zip(n.tolist(), m.tolist()))
+    out: list = [None] * size
     for block in _blocks(sorted(range(size), key=pairs.__getitem__), pairs):
         bn, bm = n[block], m[block]
-        word_bad, gap_bad, edit_counts[block], _ = _edit_block(
+        word_bad, gap_bad, edits, _ = _edit_block(
             _padded(ids, mt_starts[block], int(bn.max())), _padded(ids, pe_starts[block], int(bm.max())), bn, bm
         )
-        # a pair's gaps are columns 0 to n of its row, its words 1 to n
-        rows, cols = np.nonzero(np.arange(gap_bad.shape[1]) <= bn[:, None])
-        gap_flat[gap_starts[block][rows] + cols] = gap_bad[rows, cols]
-        rows, cols = rows[cols > 0], cols[cols > 0]
-        word_flat[mt_starts[block][rows] + cols - 1] = word_bad[rows, cols]
-    return word_flat, gap_flat, edit_counts
+        for k, length, words, gaps, edit_count in zip(
+            block, bn.tolist(), word_bad.tolist(), gap_bad.tolist(), edits.tolist()
+        ):
+            out[k] = (tuple(words[1:length + 1]), tuple(gaps[:length + 1]), edit_count)
+    return out
 
 
 def align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
@@ -348,19 +342,21 @@ def label_corpus(corpus: TaggedCorpus, cap: bool = True) -> TaggedCorpus:
     pairs, offsets = corpus_alignments(entries[:missing])
     if missing < len(entries):
         raise MissingStream("cannot label an entry without a post-edit")
-    word_bad, gap_bad, edit_counts = _align_pairs([e.mt.tokens for e in entries], [e.pe.tokens for e in entries])
-    mt_lengths = [len(e.mt) for e in entries]
+    labels = _align_pairs([e.mt.tokens for e in entries], [e.pe.tokens for e in entries])
     src_lengths = [len(e.src) if e.src is not None and e.alignments is not None else 0 for e in entries]
-    source_bad = _project(word_bad, gap_bad, mt_lengths, src_lengths, pairs, offsets).tolist()
-    words, gaps = word_bad.tolist(), gap_bad.tolist()
+    source_bad = []
+    if any(src_lengths):
+        mt_lengths = [len(words) for words, _, _ in labels]
+        words = np.fromiter(chain.from_iterable(words for words, _, _ in labels), bool, sum(mt_lengths))
+        gaps = np.fromiter(chain.from_iterable(gaps for _, gaps, _ in labels), bool, words.size + len(labels))
+        source_bad = _project(words, gaps, mt_lengths, src_lengths, pairs, offsets).tolist()
     out = []
-    word = src = 0
-    for k, (entry, edits, n_mt, n_src) in enumerate(zip(entries, edit_counts.tolist(), mt_lengths, src_lengths)):
-        gap = word + k
-        target = TargetTags(word_tags=tuple(words[word:word + n_mt]), gap_tags=tuple(gaps[gap:gap + n_mt + 1]))
+    start = 0
+    for entry, (word_tags, gap_tags, edits), n_src in zip(entries, labels, src_lengths):
         source = None
         if entry.src is not None and entry.alignments is not None:
-            source = SourceTags(tuple(source_bad[src:src + n_src]))
+            source = SourceTags(tuple(source_bad[start:start + n_src]))
+            start += n_src
+        target = TargetTags(word_tags=word_tags, gap_tags=gap_tags)
         out.append(replace(entry, target_tags=target, source_tags=source, hter=_hter(edits, len(entry.pe), cap)))
-        word, src = word + n_mt, src + n_src
     return TaggedCorpus(tuple(out))
