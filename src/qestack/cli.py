@@ -94,10 +94,10 @@ def _cmd_make_labels(args):
     loaded = corpus.load_corpus(mt=args.mt, pe=args.pe, src=args.src, align=args.align)
     labeled = labeler.label_corpus(loaded, cap=values["cap_hter"])
     prefix = args.out_prefix
-    corpus.write_tags([e.target_tags for e in labeled], f"{prefix}.tags")
-    corpus.write_scores([e.hter for e in labeled], f"{prefix}.hter")
-    if args.src is not None and args.align is not None:
-        corpus.write_tags([e.source_tags for e in labeled], f"{prefix}.source_tags")
+    corpus.write_tags(labeled.tags, f"{prefix}.tags")
+    corpus.write_scores(labeled.hter.tolist(), f"{prefix}.hter")
+    if labeled.source_tags is not None:
+        corpus.write_tags(labeled.source_tags, f"{prefix}.source_tags")
     _snapshot(f"{prefix}.run.cfg", "make-labels", values, {"seed": args.seed})
     return 0
 
@@ -209,7 +209,8 @@ def _ensemble_inputs(args, need_gold):
     golds = None
     if need_gold:
         golds = corpus.read_tag_stream(args.gold, stream.value)
-        corpus.check_lengths(golds, corpus.stream_lengths(loaded, stream), args.gold, "gold")
+        lengths = corpus.stream_lengths(loaded, stream)
+        corpus.check_lengths(golds, [None] * len(loaded) if lengths is None else lengths, args.gold, "gold")
     return stream, loaded, preds, golds
 
 
@@ -271,9 +272,8 @@ def _cmd_ensemble_sent_fit(args):
     loaded = corpus.load_corpus(mt=args.mt, src=args.src, hter=args.gold_scores)
     preds = corpus.read_manifest(args.manifest, loaded)
     X, names = ensemble.sentence_features(preds)
-    y = [e.hter for e in loaded]
     lam, model = ensemble.ridge_cv(
-        X, y, values["lambda_grid"], values["cv_k"], values["seed"], feature_names=names
+        X, loaded.hter, values["lambda_grid"], values["cv_k"], values["seed"], feature_names=names
     )
     ensemble.save_ridge_model(model, args.out)
     _snapshot(f"{args.out}.run.cfg", "ensemble-sent fit", values, {"chosen_lambda": lam})

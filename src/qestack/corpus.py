@@ -5,8 +5,8 @@ lines anywhere):
 
 * ``*.src`` / ``*.mt`` / ``*.pe`` -- whitespace-tokenized sentences.
 * ``*.tags`` -- interleaved gap/word tags, ``g0 w1 g1 ... wN gN`` (2N+1
-  entries for an N-token MT sentence), or N word tags behind a flag; read
-  as a :class:`Ragged` of bool BAD indicators (:func:`read_tag_stream`).
+  entries for an N-token MT sentence); read as a :class:`Ragged` of bool
+  BAD indicators (:func:`read_tag_stream`).
 * ``*.source_tags`` -- one tag per source token.
 * ``*.hter`` -- one float in [0, 1] per line.
 * ``*.probs`` -- one float in [0, 1] per token per line, read into a
@@ -14,8 +14,13 @@ lines anywhere):
 * ``*.align`` -- whitespace-separated ``i-j`` pairs of ASCII digits,
   0-based, ``i`` indexing the source sentence and ``j`` the MT sentence.
   Each line is read with its pairs deduplicated and sorted, into one int64
-  pair array on per-line offsets (:func:`read_alignment_lines`); an entry
-  holds its line as an :class:`Alignment`, a view of that array.
+  pair array on per-line offsets (:func:`read_alignment_lines`).
+
+A :class:`TaggedCorpus` holds these files as columns on one segment count:
+``corpus.mt`` and ``corpus.src`` are tuples of sentences, ``corpus.tags``
+and ``corpus.source_tags`` bool :class:`Ragged` rows, ``corpus.hter`` a
+float64 array and ``corpus.alignments`` the file's pair array and offsets.
+``corpus[i]`` reads segment i as an :class:`Entry`, a row view.
 
 A tag is a ``bool``, BAD being true, from the labeler to the writers.
 :class:`Tag` names the two values in files; ``Tag`` rows are still read as
@@ -27,6 +32,7 @@ Loaded structures are immutable and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -43,7 +49,6 @@ __all__ = [
     "TargetTags",
     "SourceTags",
     "Entry",
-    "Alignment",
     "TaggedCorpus",
     "Ragged",
     "PredictionSet",
@@ -53,7 +58,6 @@ __all__ = [
     "read_tag_stream",
     "read_alignment_lines",
     "alignment_table",
-    "corpus_alignments",
     "first_out_of_range",
     "is_tag_file",
     "stream_lengths",
@@ -146,22 +150,6 @@ class TargetTags:
         tags[1::2] = self.word_tags
         return iter(tags)
 
-    @classmethod
-    def from_interleaved(cls, tags, *, file=None, line=None) -> "TargetTags":
-        tags = tuple(tags)
-        _check_interleaved(len(tags), file=file, line=line)
-        return cls(word_tags=tags[1::2], gap_tags=tags[0::2])
-
-    @classmethod
-    def words_only(cls, word_tags) -> "TargetTags":
-        word_tags = tuple(word_tags)
-        return cls(word_tags=word_tags, gap_tags=(False,) * (len(word_tags) + 1))
-
-
-def _check_interleaved(n: int, *, file=None, line=None):
-    if n < 3 or n % 2 == 0:
-        raise LengthMismatch(f"interleaved tag line must hold 2N+1 entries, got {n}", file=file, line=line)
-
 
 @dataclass(frozen=True)
 class SourceTags:
@@ -176,44 +164,13 @@ class SourceTags:
         return iter(self.tags)
 
 
-class Alignment:
-    """The word alignment of one segment: its distinct ``(source index, MT
-    index)`` pairs in sorted order, held as a read-only (k, 2) int64 array
-    (for a loaded corpus, a view of the file's one pair array). It iterates
-    as ``(src, mt)`` tuples, and equals and hashes like the frozenset of
-    them."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: np.ndarray):
-        self.pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return map(tuple, self.pairs.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, Alignment):
-            return np.array_equal(self.pairs, other.pairs)
-        if isinstance(other, (set, frozenset)):
-            return frozenset(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self))
-
-    def __repr__(self) -> str:
-        return f"Alignment({list(self)!r})"
-
-
 @dataclass(frozen=True)
 class Entry:
-    """One aligned segment: source, MT, optional post-edit, labels, HTER and
-    word alignments. A loaded corpus holds each line's alignments as an
-    :class:`Alignment` (sorted, distinct pairs); an entry built in code may
-    hold any collection of ``(src, mt)`` pairs, a frozenset for instance."""
+    """One segment: source, MT, optional post-edit, labels, HTER and word
+    alignments. ``corpus[i]`` reads a segment of a :class:`TaggedCorpus` as
+    one, its alignments a frozenset of ``(src, mt)`` pairs; an entry built in
+    code may hold any collection of pairs, and
+    :meth:`TaggedCorpus.from_entries` makes a corpus of such entries."""
 
     mt: Sentence
     src: Sentence | None = None
@@ -221,24 +178,7 @@ class Entry:
     target_tags: TargetTags | None = None
     source_tags: SourceTags | None = None
     hter: float | None = None
-    alignments: Alignment | frozenset[tuple[int, int]] | None = None
-
-
-@dataclass(frozen=True)
-class TaggedCorpus:
-    entries: tuple[Entry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def mt_lengths(self) -> list[int]:
-        return [len(e.mt) for e in self.entries]
+    alignments: frozenset[tuple[int, int]] | None = None
 
 
 def _freeze_arrays(obj):
@@ -273,7 +213,7 @@ class Ragged:
             return rows if rows.values.dtype == dtype else cls(rows.values.astype(dtype), rows.offsets)
         rows = list(rows)
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
+        np.cumsum(_lengths(rows), out=offsets[1:])
         values = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1]))
         return cls(values, offsets)
 
@@ -301,6 +241,109 @@ class Ragged:
         except (TypeError, ValueError):
             return NotImplemented
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.values, other.values)
+
+
+@dataclass(frozen=True, eq=False)
+class TaggedCorpus:
+    """Aligned segments as columns on one segment count. ``mt`` is required;
+    every other column is held for every segment or is None.
+
+    * ``mt``, ``src``, ``pe``: tuples of :class:`Sentence`;
+    * ``tags``: the interleaved target tags, 2N+1 per N-token MT sentence,
+      as a bool :class:`Ragged`;
+    * ``source_tags``: one tag per source token, a bool :class:`Ragged`;
+    * ``hter``: a float64 array;
+    * ``alignments``: the ``(pairs, offsets)`` of
+      :func:`read_alignment_lines`, each line's pairs sorted, distinct and
+      within its sentences.
+
+    ``corpus[i]`` and iteration read the segments as :class:`Entry` rows, and
+    two corpora are equal when their rows are."""
+
+    mt: tuple[Sentence, ...]
+    src: tuple[Sentence, ...] | None = None
+    pe: tuple[Sentence, ...] | None = None
+    tags: Ragged | None = None
+    source_tags: Ragged | None = None
+    hter: np.ndarray | None = None
+    alignments: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        _freeze_arrays(self)
+        columns = (self.src, self.pe, self.tags, self.source_tags, self.hter)
+        sizes = {len(column) for column in columns if column is not None}
+        if self.alignments is not None:
+            sizes.add(len(self.alignments[1]) - 1)
+        other = sorted(sizes - {len(self.mt)})
+        if other:
+            raise LengthMismatch(f"columns of {other} segments beside {len(self.mt)} MT sentences")
+
+    @classmethod
+    def from_entries(cls, entries) -> "TaggedCorpus":
+        """The corpus of entries built in code. A field that some entries
+        hold and others lack is an InvalidInput naming the first entry
+        without it. Each entry's alignments (any collection of pairs) are
+        sorted and a repeated pair kept once; alignments need source
+        sentences, and a pair outside its entry's sentences is a RangeError
+        naming the entry."""
+        entries = tuple(entries)
+        rows = {}
+        for field_ in fields(Entry):
+            values = [getattr(e, field_.name) for e in entries]
+            held = [value is not None for value in values]
+            if all(held):
+                rows[field_.name] = values
+            elif any(held):
+                raise InvalidInput(f"entry {held.index(False) + 1} has no {field_.name}, which other entries have")
+        alignments = rows.get("alignments")
+        if alignments is not None:
+            if "src" not in rows:
+                raise InvalidInput("alignments need source sentences")
+            pairs, offsets = alignment_table(alignments)
+            src_lengths, mt_lengths = _lengths(rows["src"]), _lengths(rows["mt"])
+            bad = first_out_of_range(pairs, offsets, src_lengths, mt_lengths)
+            if bad is not None:
+                i, s_idx, m_idx = bad
+                lengths = f"{src_lengths[i]}/{mt_lengths[i]}"
+                raise RangeError(f"entry {i + 1}: alignment {s_idx}-{m_idx} out of range ({lengths})")
+            alignments = (pairs, offsets)
+        as_tags = functools.partial(Ragged.from_rows, dtype=bool)
+        as_floats = functools.partial(np.array, dtype=np.float64)
+        convert = {"src": tuple, "pe": tuple, "tags": as_tags, "source_tags": as_tags, "hter": as_floats}
+        rows["tags"] = rows.pop("target_tags", None)
+        columns = {name: convert[name](rows[name]) for name in convert if rows.get(name) is not None}
+        return cls(mt=tuple(rows["mt"]), alignments=alignments, **columns)
+
+    def __len__(self) -> int:
+        return len(self.mt)
+
+    def __getitem__(self, i: int) -> Entry:
+        i = range(len(self))[i]
+        row = {name: getattr(self, name)[i] for name in ("src", "pe") if getattr(self, name) is not None}
+        if self.tags is not None:
+            tags = self.tags[i]
+            row["target_tags"] = TargetTags(word_tags=tuple(tags[1::2]), gap_tags=tuple(tags[0::2]))
+        if self.source_tags is not None:
+            row["source_tags"] = SourceTags(tuple(self.source_tags[i]))
+        if self.hter is not None:
+            row["hter"] = float(self.hter[i])
+        if self.alignments is not None:
+            pairs, offsets = self.alignments
+            row["alignments"] = frozenset(map(tuple, pairs[offsets[i]:offsets[i + 1]].tolist()))
+        return Entry(mt=self.mt[i], **row)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, TaggedCorpus):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _lengths(rows) -> np.ndarray:
+    """The length of each row, as int64."""
+    return np.fromiter(map(len, rows), np.int64, len(rows))
 
 
 @dataclass(frozen=True)
@@ -384,9 +427,9 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
     return lines, fields, np.array(offsets, dtype=np.int64)
 
 
-def read_tag_lines(path) -> list[list[bool]]:
+def read_tag_lines(path) -> Ragged:
     """Every line's tags as read, BAD being true."""
-    return read_tag_stream(path, "source").rows()
+    return read_tag_stream(path, "source")
 
 
 def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
@@ -415,11 +458,19 @@ def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
         cut[:known] = counts[:known] != np.asarray(lengths[:known], dtype=np.int64)
     wrong = np.flatnonzero(cut & ((counts < 3) | (counts % 2 == 0)))
     if wrong.size:
-        _check_interleaved(int(counts[wrong[0]]), file=str(path), line=int(wrong[0]) + 1)
-    if stream == "target":
-        return tags
-    # a cut line keeps its odd positions (words) or its even ones (gaps); an
-    # entry's position in its line is odd when its index and its line's
+        message = f"interleaved tag line must hold 2N+1 entries, got {counts[wrong[0]]}"
+        raise LengthMismatch(message, file=str(path), line=int(wrong[0]) + 1)
+    return tags if stream == "target" else _cut_interleaved(tags, stream, cut)
+
+
+def _cut_interleaved(tags: Ragged, stream: str, cut=None) -> Ragged:
+    """The ``words`` (odd positions) or ``gaps`` (even positions) of
+    interleaved 2N+1 rows of tags; a row where ``cut`` is false is kept
+    whole."""
+    counts = np.diff(tags.offsets)
+    if cut is None:
+        cut = np.ones(counts.size, bool)
+    # an entry's position in its row is odd when its index and its row's
     # start differ in parity (bool masks: no int array per entry)
     odd = np.zeros(tags.values.size, bool)
     odd[1::2] = True
@@ -479,8 +530,6 @@ def _raise_first_prob_error(lines, path):
     raise AssertionError(f"{path} holds no invalid probability")
 
 
-_NO_PAIRS = Alignment(np.empty((0, 2), np.int64))
-
 # An index of at most this many digits fits in int64.
 _INDEX_DIGITS = 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -500,7 +549,7 @@ def read_alignment_lines(path) -> tuple[np.ndarray, np.ndarray]:
         counts = np.fromiter(map(operator.methodcaller("count", "-"), lines), np.int64, len(lines))
     else:
         rows = [_alignment_pairs(line, path, i) for i, line in enumerate(lines, 1)]
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        counts = _lengths(rows)
         flat = [min(index, _INT64_MAX) for row in rows for pair in row for index in pair]
         pairs = np.array(flat, np.int64).reshape(-1, 2)
     return _sorted_distinct(pairs, counts)
@@ -560,17 +609,12 @@ def _sorted_distinct(pairs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
 
 
 def alignment_table(alignments) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of ``alignments`` (one per line: an :class:`Alignment`, any
-    collection of ``(src, mt)`` pairs, or None for none) as one (pairs, 2)
-    int64 array, each line's pairs sorted and distinct, and the lines' int64
-    offsets into it. A loaded corpus's views are concatenated; anything else
-    is converted in one pass. An index beyond int64 is a RangeError."""
-    alignments = [_NO_PAIRS if a is None else a for a in alignments]
-    counts = np.fromiter(map(len, alignments), np.int64, len(alignments))
-    if all(isinstance(a, Alignment) for a in alignments):
-        offsets = np.zeros(counts.size + 1, np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return np.concatenate([_NO_PAIRS.pairs, *(a.pairs for a in alignments)]), offsets
+    """The pairs of ``alignments`` (one per line: any collection of ``(src,
+    mt)`` pairs, or None for none) as one (pairs, 2) int64 array, each line's
+    pairs sorted and distinct, and the lines' int64 offsets into it. An index
+    beyond int64 is a RangeError."""
+    alignments = [() if a is None else a for a in alignments]
+    counts = _lengths(alignments)
     # a collection may repeat a pair, and a set holds them in any order
     try:
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(alignments)), np.int64, 2 * int(counts.sum()))
@@ -579,29 +623,18 @@ def alignment_table(alignments) -> tuple[np.ndarray, np.ndarray]:
     return _sorted_distinct(flat.reshape(-1, 2), counts)
 
 
-def first_out_of_range(pairs, offsets, src_lengths, mt_lengths) -> int | None:
-    """The row in ``pairs`` of the first pair that is negative or lies past
-    its line's source or MT length (``src_lengths[i]`` and ``mt_lengths[i]``
-    on line i), or None when every pair is in range."""
+def first_out_of_range(pairs, offsets, src_lengths, mt_lengths) -> tuple[int, int, int] | None:
+    """The line, source index and MT index of the first pair in ``pairs``
+    that is negative or lies past its line's source or MT length
+    (``src_lengths[i]`` and ``mt_lengths[i]`` on line i), or None when every
+    pair is in range."""
     counts = np.diff(offsets)
     lengths = np.stack((np.repeat(src_lengths, counts), np.repeat(mt_lengths, counts)), axis=1)
     bad = ((pairs < 0) | (pairs >= lengths)).any(axis=1)
-    return int(bad.argmax()) if bad.any() else None
-
-
-def corpus_alignments(entries) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`alignment_table` of the entries' alignments, an entry
-    without a source sentence having none. A pair outside its entry's
-    sentences is a RangeError naming the entry."""
-    table = alignment_table(e.alignments if e.src is not None else None for e in entries)
-    src_lengths = [len(e.src) if e.src is not None else 0 for e in entries]
-    row = first_out_of_range(*table, src_lengths, [len(e.mt) for e in entries])
-    if row is not None:
-        i = int(np.searchsorted(table[1], row, side="right")) - 1
-        s_idx, m_idx = table[0][row].tolist()
-        lengths = f"{src_lengths[i]}/{len(entries[i].mt)}"
-        raise RangeError(f"entry {i + 1}: alignment {s_idx}-{m_idx} out of range ({lengths})")
-    return table
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return int(np.searchsorted(offsets, row, side="right")) - 1, *pairs[row].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -633,33 +666,23 @@ def check_lengths(rows, lengths, path, what: str):
             raise LengthMismatch(f"{what}: expected {n} entries, got {len(row)}", file=str(path), line=i)
 
 
-def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> list[int | None]:
-    """Entries per line of a ``stream`` file: N for the words of an N-token
-    MT sentence, N+1 for its gaps, one per source token for the source (None
-    for an entry without a source sentence)."""
+def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> np.ndarray | None:
+    """Entries per line of a ``stream`` file, as one int64 array: N for the
+    words of an N-token MT sentence, N+1 for its gaps, one per source token
+    for the source (None for a corpus without source sentences)."""
     if stream is Stream.SOURCE:
-        return [len(e.src) if e.src is not None else None for e in corpus]
-    return [len(e.mt) + (stream is Stream.GAPS) for e in corpus]
+        return None if corpus.src is None else _lengths(corpus.src)
+    return _lengths(corpus.mt) + (stream is Stream.GAPS)
 
 
-def _read_alignments(path) -> list[Alignment]:
-    """One :class:`Alignment` per line, each a view of the file's pairs."""
-    pairs, offsets = read_alignment_lines(path)
-    bounds = offsets.tolist()
-    return [Alignment(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _check_alignment_range(path, alignments, src_sents, mt_sents):
+def _check_alignment_range(path, pairs, offsets, src_lengths, mt_lengths):
     """A ParseError naming the first line of ``path`` with a pair outside its
     sentences, and the first such pair in sorted order. The line is read
     again field by field, so that an index beyond int64 is named as written."""
-    src_lengths = np.fromiter(map(len, src_sents), np.int64, len(src_sents))
-    mt_lengths = np.fromiter(map(len, mt_sents), np.int64, len(mt_sents))
-    pairs, offsets = alignment_table(alignments)
-    row = first_out_of_range(pairs, offsets, src_lengths, mt_lengths)
-    if row is None:
+    bad = first_out_of_range(pairs, offsets, src_lengths, mt_lengths)
+    if bad is None:
         return
-    i = int(np.searchsorted(offsets, row, side="right")) - 1
+    i = bad[0]
     n_src, n_mt = int(src_lengths[i]), int(mt_lengths[i])
     for s_idx, m_idx in sorted(_alignment_pairs(_read_lines(path)[i], path, i + 1)):
         if s_idx >= n_src or m_idx >= n_mt:
@@ -669,62 +692,49 @@ def _check_alignment_range(path, alignments, src_sents, mt_sents):
     raise AssertionError(f"{path}:{i + 1} holds no alignment out of range")
 
 
-def load_corpus(
-    *,
-    mt,
-    src=None,
-    pe=None,
-    tags=None,
-    source_tags=None,
-    hter=None,
-    align=None,
-    word_tags_only: bool = False,
-) -> TaggedCorpus:
+def load_corpus(*, mt, src=None, pe=None, tags=None, source_tags=None, hter=None, align=None) -> TaggedCorpus:
     """Load a corpus from parallel one-segment-per-line files.
 
     ``mt`` is required; every other column is optional. All cross-file length
     invariants are validated: equal line counts, 2N+1 entries per target-tag
-    line (or N with ``word_tags_only``), source-tag/source length agreement,
-    HTER in [0, 1] and alignment indices in range.
+    line, source-tag/source length agreement, HTER in [0, 1] and alignment
+    indices in range.
     """
-    # one column per Entry field, in reading order
+    # one column per TaggedCorpus field, in reading order
     columns = {"mt": (mt, read_sentences)}
     for name, path, reader in (
         ("src", src, read_sentences),
         ("pe", pe, read_sentences),
-        ("target_tags", tags, read_tag_lines),
+        ("tags", tags, read_tag_lines),
         ("source_tags", source_tags, read_tag_lines),
         ("hter", hter, read_score_lines),
-        ("alignments", align, _read_alignments),
+        ("alignments", align, read_alignment_lines),
     ):
         if path is not None:
             columns[name] = (path, reader)
     rows = {name: reader(path) for name, (path, reader) in columns.items()}
-    _check_counts({str(columns[name][0]): len(values) for name, values in rows.items()})
-    mt_sents = rows["mt"]
-    src_sents = rows.get("src")
-    if src_sents is None and (source_tags is not None or align is not None):
+    # the alignments are a (pairs, offsets) table: one offset per line, and one more
+    sizes = {name: len(values[1]) - 1 if name == "alignments" else len(values) for name, values in rows.items()}
+    _check_counts({str(columns[name][0]): n for name, n in sizes.items()})
+    mt_lengths = _lengths(rows["mt"])
+    src_lengths = _lengths(rows["src"]) if src is not None else None
+    if src is None and (source_tags is not None or align is not None):
         what = "source tags" if source_tags is not None else "alignments"
         raise ParseError(f"{what} supplied without a source file")
 
     if tags is not None:
-        n_tags = [len(s) if word_tags_only else 2 * len(s) + 1 for s in mt_sents]
-        check_lengths(rows["target_tags"], n_tags, tags, "target tags")
-        rows["target_tags"] = [
-            TargetTags.words_only(row)
-            if word_tags_only
-            else TargetTags.from_interleaved(row, file=str(tags), line=i)
-            for i, row in enumerate(rows["target_tags"], 1)
-        ]
+        check_lengths(rows["tags"], 2 * mt_lengths + 1, tags, "target tags")
     if source_tags is not None:
-        check_lengths(rows["source_tags"], [len(s) for s in src_sents], source_tags, "source tags")
-        rows["source_tags"] = [SourceTags(tuple(row)) for row in rows["source_tags"]]
+        check_lengths(rows["source_tags"], src_lengths, source_tags, "source tags")
     for i, value in enumerate(rows.get("hter", ()), 1):
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"HTER {value} outside [0, 1]", file=str(hter), line=i)
     if align is not None:
-        _check_alignment_range(align, rows["alignments"], src_sents, mt_sents)
-    return TaggedCorpus(tuple(Entry(**{name: rows[name][i] for name in rows}) for i in range(len(mt_sents))))
+        _check_alignment_range(align, *rows["alignments"], src_lengths, mt_lengths)
+    for name, convert in (("mt", tuple), ("src", tuple), ("pe", tuple), ("hter", np.array)):
+        if name in rows:
+            rows[name] = convert(rows[name])
+    return TaggedCorpus(**rows)
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +788,9 @@ def load_predictions(
 
     source_probs = None
     if source is not None:
-        src_lengths = stream_lengths(corpus, Stream.SOURCE)
-        if None in src_lengths:
-            i = src_lengths.index(None) + 1
-            raise LengthMismatch(f"corpus entry {i} has no source sentence", file=str(source))
-        source_probs = _load_stream(source, src_lengths, "source")
+        if corpus.src is None:
+            raise LengthMismatch("corpus entry 1 has no source sentence", file=str(source))
+        source_probs = _load_stream(source, stream_lengths(corpus, Stream.SOURCE), "source")
 
     sentence_scores = None
     if sentences is not None:

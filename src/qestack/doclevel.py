@@ -551,6 +551,8 @@ def read_doc_table(path, n_columns: int) -> dict[str, list[float]]:
         doc_id, *values = line.split("\t")
         if len(values) != n_columns:
             raise ParseError(f"expected doc_id and {n_columns} values", file=str(path), line=i)
+        if doc_id in table:
+            raise ParseError(f"duplicate document id {doc_id!r}", file=str(path), line=i)
         table[doc_id] = [_parse_float(v, file=str(path), line=i) for v in values]
     return table
 

@@ -28,12 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
+    Ragged,
     Sentence,
     SourceTags,
     TaggedCorpus,
     TargetTags,
+    _cut_interleaved,
+    _lengths,
     alignment_table,
-    corpus_alignments,
     first_out_of_range,
 )
 from .errors import InconsistentScript, MissingStream, RangeError
@@ -178,7 +180,7 @@ def _blocks(order: list[int], lengths: list[tuple[int, int]]):
 def _interned(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Token rows as flat int32 ids (equal tokens, equal ids), row starts
     and row lengths."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    lengths = _lengths(rows)
     vocab: dict[str, int] = {}
     ids = np.fromiter(map(vocab.setdefault, chain.from_iterable(rows), count()), np.int32, int(lengths.sum()))
     return ids, np.cumsum(lengths) - lengths, lengths
@@ -191,24 +193,34 @@ def _padded(ids: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _align_pairs(mt_rows, pe_rows) -> list[tuple[tuple, tuple, int]]:
-    """(word tags, gap tags, edit count) of each (MT, PE) token row pair, in
-    input order, through length-sorted blocks of ``_edit_block``."""
+def _align_pairs(mt_rows, pe_rows) -> tuple[Ragged, np.ndarray]:
+    """The interleaved tags (2N+1 per N-token MT row) and the edit count of
+    each (MT, PE) token row pair, in input order, through length-sorted
+    blocks of ``_edit_block``."""
     ids, starts, lengths = _interned([*mt_rows, *pe_rows])
     size = len(mt_rows)
     n, m, mt_starts, pe_starts = lengths[:size], lengths[size:], starts[:size], starts[size:]
     pairs = list(zip(n.tolist(), m.tolist()))
-    out: list = [None] * size
-    for block in _blocks(sorted(range(size), key=pairs.__getitem__), pairs):
+    order = sorted(range(size), key=pairs.__getitem__)
+    edits = np.empty(size, np.int64)
+    chunks = []
+    for block in _blocks(order, pairs):
         bn, bm = n[block], m[block]
-        word_bad, gap_bad, edits, _ = _edit_block(
+        word_bad, gap_bad, edits[block], _ = _edit_block(
             _padded(ids, mt_starts[block], int(bn.max())), _padded(ids, pe_starts[block], int(bm.max())), bn, bm
         )
-        for k, length, words, gaps, edit_count in zip(
-            block, bn.tolist(), word_bad.tolist(), gap_bad.tolist(), edits.tolist()
-        ):
-            out[k] = (tuple(words[1:length + 1]), tuple(gaps[:length + 1]), edit_count)
-    return out
+        # gap 0, word 1, gap 1, ..., word N, gap N; each pair keeps its 2N+1
+        interleaved = np.empty((len(block), 2 * gap_bad.shape[1] - 1), bool)
+        interleaved[:, 0::2] = gap_bad
+        interleaved[:, 1::2] = word_bad[:, 1:]
+        chunks.append(interleaved[np.arange(interleaved.shape[1]) <= 2 * bn[:, None]])
+    # the rows lie in sorted order; gather them back into input order
+    counts = 2 * n + 1
+    sorted_starts = np.empty(size, np.int64)
+    sorted_starts[order] = np.cumsum(counts[order]) - counts[order]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    values = np.concatenate([np.empty(0, bool), *chunks])
+    return Ragged(values[np.repeat(sorted_starts - offsets[:-1], counts) + np.arange(offsets[-1])], offsets), edits
 
 
 def align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
@@ -265,13 +277,9 @@ def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
 def hter(script: Sequence[EditStep], pe_len: int, cap: bool = True) -> float:
     """Edit count divided by post-edit length, clamped to [0, 1] unless
     ``cap`` is disabled."""
-    return _hter(edit_cost(script), pe_len, cap)
-
-
-def _hter(edits: int, pe_len: int, cap: bool) -> float:
     if pe_len < 1:
         raise RangeError("post-edit length must be >= 1")
-    value = edits / pe_len
+    value = edit_cost(script) / pe_len
     if cap:
         value = min(1.0, max(0.0, value))
     return value
@@ -293,21 +301,21 @@ def source_tags_from_target(
     """
     n_mt = len(target_tags.word_tags)
     pairs, offsets = alignment_table([alignments])
-    row = first_out_of_range(pairs, offsets, [src_len], [n_mt])
-    if row is not None:
-        s_idx, m_idx = pairs[row].tolist()
+    bad = first_out_of_range(pairs, offsets, [src_len], [n_mt])
+    if bad is not None:
+        _, s_idx, m_idx = bad
         raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
-    words = np.array(target_tags.word_tags, bool)
-    gaps = np.array(target_tags.gap_tags, bool)
-    return SourceTags(tuple(_project(words, gaps, [n_mt], [src_len], pairs, offsets).tolist()))
+    tags = Ragged.from_rows([target_tags], dtype=bool)
+    return SourceTags(tuple(_project(tags, [src_len], pairs, offsets).tolist()))
 
 
-def _project(word_bad, gap_bad, mt_lengths, src_lengths, pairs, offsets) -> np.ndarray:
+def _project(tags: Ragged, src_lengths, pairs, offsets) -> np.ndarray:
     """:func:`source_tags_from_target` for every entry at once: the source
-    BAD indicators of all entries, flat, from the MT word and gap BAD
-    indicators, flat (N and N+1 per entry of ``mt_lengths[e]`` = N words),
-    and the entries' in-range alignment table."""
-    mt_lengths, src_lengths = np.asarray(mt_lengths, np.int64), np.asarray(src_lengths, np.int64)
+    BAD indicators of all entries, flat, from their interleaved target tags
+    and their in-range alignment table."""
+    words = _cut_interleaved(tags, "words")
+    word_bad, gap_bad = words.values, _cut_interleaved(tags, "gaps").values
+    mt_lengths, src_lengths = np.diff(words.offsets), np.asarray(src_lengths, np.int64)
     counts = np.diff(offsets)
     n_src = int(src_lengths.sum())
     word = np.repeat(np.cumsum(mt_lengths) - mt_lengths, counts) + pairs[:, 1]
@@ -333,30 +341,19 @@ def _project(word_bad, gap_bad, mt_lengths, src_lengths, pairs, offsets) -> np.n
 
 
 def label_corpus(corpus: TaggedCorpus, cap: bool = True) -> TaggedCorpus:
-    """Label every entry from its post-edit. Entries are aligned in
-    length-sorted blocks and their source tags projected all at once; the
-    first entry, in file order, that has no post-edit or an alignment out of
-    range gives the error."""
-    entries = corpus.entries
-    missing = next((i for i, e in enumerate(entries) if e.pe is None), len(entries))
-    pairs, offsets = corpus_alignments(entries[:missing])
-    if missing < len(entries):
+    """The corpus with its target tags and HTER computed from its post-edits,
+    and its source tags projected through its alignments (None without
+    them). Entries are aligned in length-sorted blocks and their source tags
+    projected all at once."""
+    if corpus.pe is None:
         raise MissingStream("cannot label an entry without a post-edit")
-    labels = _align_pairs([e.mt.tokens for e in entries], [e.pe.tokens for e in entries])
-    src_lengths = [len(e.src) if e.src is not None and e.alignments is not None else 0 for e in entries]
-    source_bad = []
-    if any(src_lengths):
-        mt_lengths = [len(words) for words, _, _ in labels]
-        words = np.fromiter(chain.from_iterable(words for words, _, _ in labels), bool, sum(mt_lengths))
-        gaps = np.fromiter(chain.from_iterable(gaps for _, gaps, _ in labels), bool, words.size + len(labels))
-        source_bad = _project(words, gaps, mt_lengths, src_lengths, pairs, offsets).tolist()
-    out = []
-    start = 0
-    for entry, (word_tags, gap_tags, edits), n_src in zip(entries, labels, src_lengths):
-        source = None
-        if entry.src is not None and entry.alignments is not None:
-            source = SourceTags(tuple(source_bad[start:start + n_src]))
-            start += n_src
-        target = TargetTags(word_tags=word_tags, gap_tags=gap_tags)
-        out.append(replace(entry, target_tags=target, source_tags=source, hter=_hter(edits, len(entry.pe), cap)))
-    return TaggedCorpus(tuple(out))
+    tags, edits = _align_pairs([s.tokens for s in corpus.mt], [s.tokens for s in corpus.pe])
+    hter = edits / _lengths(corpus.pe)
+    if cap:
+        np.clip(hter, 0.0, 1.0, out=hter)
+    source_tags = None
+    if corpus.src is not None and corpus.alignments is not None:
+        src_lengths = _lengths(corpus.src)
+        offsets = np.concatenate(([0], np.cumsum(src_lengths)))
+        source_tags = Ragged(_project(tags, src_lengths, *corpus.alignments), offsets)
+    return replace(corpus, tags=tags, source_tags=source_tags, hter=hter)

@@ -40,13 +40,14 @@ import numpy as np
 
 from .corpus import (
     PredictionSet,
+    Ragged,
     Stream,
     TaggedCorpus,
+    _cut_interleaved,
+    _lengths,
     _parse_float,
     _read_lines,
     _write_lines,
-    alignment_table,
-    corpus_alignments,
 )
 from .ensemble import fold_bounds
 from .errors import EmptyInput, LengthMismatch, MissingStream, ParseError, RangeError
@@ -865,23 +866,14 @@ def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_words(other_tokens, pairs, key_index, other_index, n) -> list[tuple[str, ...]]:
-    """Each of the ``n`` positions' aligned other-side words, in the order of
-    their indices; a pair whose position is out of range is ignored."""
-    table, _ = alignment_table([pairs])
-    table = table[(table[:, key_index] >= 0) & (table[:, key_index] < n)]
-    return _aligned_word_rows([other_tokens], table, np.array([0, len(table)]), key_index, other_index, [n])
-
-
 def _aligned_word_rows(other_rows, pairs, offsets, key_index, other_index, key_lengths) -> list[tuple[str, ...]]:
-    """:func:`_aligned_words` of every line of an alignment table at once:
-    line i has ``key_lengths[i]`` positions and the other-side tokens
-    ``other_rows[i]``, and its pairs lie within both. Returns the positions'
-    words, flat over the lines, from one lexsort of the (position, other
-    index) pairs."""
+    """Each position's aligned other-side words, in the order of their
+    indices, for every line of an alignment table at once: line i has
+    ``key_lengths[i]`` positions and the other-side tokens ``other_rows[i]``,
+    and its pairs lie within both. Returns the positions' words, flat over
+    the lines, from one lexsort of the (position, other index) pairs."""
     per_line = np.diff(offsets)
-    key_lengths = np.asarray(key_lengths, np.int64)
-    other_lengths = np.fromiter(map(len, other_rows), np.int64, len(other_rows))
+    other_lengths = _lengths(other_rows)
     key = np.repeat(np.cumsum(key_lengths) - key_lengths, per_line) + pairs[:, key_index]
     other = np.repeat(np.cumsum(other_lengths) - other_lengths, per_line) + pairs[:, other_index]
     order = np.lexsort((other, key))
@@ -899,20 +891,19 @@ def _aligned_word_rows(other_rows, pairs, offsets, key_index, other_index, key_l
     return list(map(pool.__getitem__, pick.tolist()))
 
 
-def _entry_aligned_words(entries, stream: Stream) -> list[tuple[tuple[str, ...], ...]]:
+def _entry_aligned_words(corpus: TaggedCorpus, stream: Stream) -> list[tuple[tuple[str, ...], ...]]:
     """Per entry, the aligned words of each position of the WORDS stream
     (source words per MT token) or the SOURCE stream (MT words per source
-    token); () for an entry without a source sentence or alignments. A pair
-    outside its entry's sentences is a RangeError naming the entry."""
-    pairs, offsets = corpus_alignments(entries)
-    with_pairs = [e.src is not None and e.alignments is not None for e in entries]
-    mt = [e.mt.tokens for e in entries]
-    src = [e.src.tokens if has else () for e, has in zip(entries, with_pairs)]
+    token); () for every entry of a corpus without alignments."""
+    if corpus.alignments is None:
+        return [()] * len(corpus)
+    mt = [sentence.tokens for sentence in corpus.mt]
+    src = [sentence.tokens for sentence in corpus.src]
     keys, others, key_index = (mt, src, 1) if stream is Stream.WORDS else (src, mt, 0)
-    key_lengths = [len(k) if has else 0 for k, has in zip(keys, with_pairs)]
-    words = _aligned_word_rows(others, pairs, offsets, key_index, 1 - key_index, key_lengths)
-    bounds = np.cumsum([0, *key_lengths]).tolist()
-    return [tuple(words[lo:hi]) if has else () for lo, hi, has in zip(bounds, bounds[1:], with_pairs)]
+    key_lengths = _lengths(keys)
+    words = _aligned_word_rows(others, *corpus.alignments, key_index, 1 - key_index, key_lengths)
+    bounds = [0, *np.cumsum(key_lengths).tolist()]
+    return [tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def build_instances(
@@ -929,60 +920,48 @@ def build_instances(
     tags the source tokens with aligned MT words as context. ``extra_columns``
     supplies one annotation column per element, each a per-sentence list of
     per-position strings. Stacked probabilities are taken from the matching
-    stream of each prediction set that provides it. On the WORDS and SOURCE
-    streams an alignment pair outside its entry's sentences is a RangeError
-    naming the entry.
+    stream of each prediction set that provides it.
     """
     stacked_rows = [
         (pred.system_id, pred.stream(stream).rows())
         for pred in predictions
         if pred.stream(stream) is not None
     ]
-    entries = corpus.entries
-    if stream is Stream.SOURCE and any(e.src is None for e in entries):
+    if stream is Stream.SOURCE and corpus.src is None:
         raise MissingStream("source stream needs source sentences")
-    if stream is Stream.GAPS:
-        aligned_rows = [()] * len(entries)
-    elif stream in (Stream.WORDS, Stream.SOURCE):
-        aligned_rows = _entry_aligned_words(entries, stream)
-    else:
-        raise MissingStream(f"unknown stream {stream!r}")
-    instances = []
-    for idx, (entry, aligned) in enumerate(zip(entries, aligned_rows)):
-        if stream is Stream.WORDS:
-            tokens = entry.mt.tokens
-        elif stream is Stream.GAPS:
-            mt = entry.mt.tokens
-            tokens = tuple(
+    if stream is Stream.WORDS:
+        token_rows = [sentence.tokens for sentence in corpus.mt]
+    elif stream is Stream.GAPS:
+        token_rows = [
+            tuple(
                 f"{mt[i - 1] if i > 0 else _LEFT_SENTINEL}|{mt[i] if i < len(mt) else _RIGHT_SENTINEL}"
                 for i in range(len(mt) + 1)
             )
-        else:
-            tokens = entry.src.tokens
-
-        extra = tuple(tuple(column[idx]) for column in extra_columns)
-        instances.append(
-            SequenceInstance(
-                tokens=tuple(tokens),
-                aligned=aligned,
-                extra=extra,
-                stacked=tuple((system_id, tuple(rows[idx])) for system_id, rows in stacked_rows),
-            )
+            for mt in (sentence.tokens for sentence in corpus.mt)
+        ]
+    elif stream is Stream.SOURCE:
+        token_rows = [sentence.tokens for sentence in corpus.src]
+    else:
+        raise MissingStream(f"unknown stream {stream!r}")
+    aligned_rows = [()] * len(corpus) if stream is Stream.GAPS else _entry_aligned_words(corpus, stream)
+    return [
+        SequenceInstance(
+            tokens=tokens,
+            aligned=aligned,
+            extra=tuple(tuple(column[idx]) for column in extra_columns),
+            stacked=tuple((system_id, tuple(rows[idx])) for system_id, rows in stacked_rows),
         )
-    return instances
+        for idx, (tokens, aligned) in enumerate(zip(token_rows, aligned_rows))
+    ]
 
 
-def gold_tags(corpus: TaggedCorpus, stream: Stream) -> list[list[bool]]:
-    """Gold BAD indicators for one stream; every entry must carry them."""
-    out = []
-    for i, entry in enumerate(corpus, 1):
-        if stream is Stream.SOURCE:
-            if entry.source_tags is None:
-                raise MissingStream(f"entry {i} has no source tags")
-            out.append(list(entry.source_tags.tags))
-        else:
-            if entry.target_tags is None:
-                raise MissingStream(f"entry {i} has no target tags")
-            tags = entry.target_tags
-            out.append(list(tags.word_tags if stream is Stream.WORDS else tags.gap_tags))
-    return out
+def gold_tags(corpus: TaggedCorpus, stream: Stream) -> Ragged:
+    """Gold BAD indicators for one stream, one bool row per entry; the corpus
+    must carry them."""
+    if stream is Stream.SOURCE:
+        if corpus.source_tags is None:
+            raise MissingStream("entry 1 has no source tags")
+        return corpus.source_tags
+    if corpus.tags is None:
+        raise MissingStream("entry 1 has no target tags")
+    return _cut_interleaved(corpus.tags, "words" if stream is Stream.WORDS else "gaps")

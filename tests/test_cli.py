@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qestack import corpus as corpus_module
 from qestack.cli import main
 from qestack.config import _parse_bool, _parse_floats, _parse_optional_float
 from qestack.corpus import load_corpus, read_prob_lines, read_score_lines
@@ -663,6 +664,51 @@ def test_unparsable_doc_table_value_is_one_error_line(tmp_path, capsys, command)
         argv = ["doc", "eval", "--gold-mqm", table, "--pred-mqm", pred]
     code, _, err = run(capsys, *argv)
     assert_one_error_line(code, err, f"{table}:{1 if command == 'apply' else 2}:")
+
+
+@pytest.mark.parametrize("command", ["fit", "apply", "eval"])
+def test_a_duplicate_document_id_in_a_doc_table_is_one_error_line(tmp_path, capsys, command):
+    # once, the second line's values silently replaced the first's
+    rows = "".join(f"doc{i}\t0.{i}\t0.2\t0.3\t0.4\n" for i in (0, 1, 2, 1, 3, 4, 5))
+    table = write(tmp_path / "f.tsv", rows)
+    if command == "fit":
+        mqm = write(tmp_path / "gold.mqm", "".join(f"doc{i}\t{10.0 * i}\n" for i in range(6)))
+        argv = ["doc", "fit", "--features", table, "--gold", mqm, "--out", tmp_path / "r.model"]
+    elif command == "apply":
+        model = write(
+            tmp_path / "r.model",
+            "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4)),
+        )
+        argv = ["doc", "apply", "--features", table, "--model", model, "--out", tmp_path / "out"]
+    else:
+        table = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\t60.0\ndoc0\t70.0\n")
+        pred = write(tmp_path / "pred.mqm", "doc0\t40.0\ndoc1\t60.0\n")
+        argv = ["doc", "eval", "--gold-mqm", table, "--pred-mqm", pred]
+    code, _, err = run(capsys, *argv)
+    line = 3 if command == "eval" else 4
+    doc_id = "doc0" if command == "eval" else "doc1"
+    assert_one_error_line(code, err, f"{table}:{line}: duplicate document id '{doc_id}'")
+
+
+def test_no_command_builds_a_per_row_object(tmp_path, capsys, rng, monkeypatch):
+    _, paths = corpus_files(tmp_path, rng, n=20)
+
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for row_type in (corpus_module.Entry, corpus_module.TargetTags, corpus_module.SourceTags):
+        monkeypatch.setattr(row_type, "__init__", built)
+    with pytest.raises(AssertionError, match="a TargetTags was built"):
+        corpus_module.TargetTags((), (False,))
+    aligned = ["--mt", paths["mt"], "--src", paths["src"], "--align", paths["align"]]
+    gold = tmp_path / "gold"
+    assert run(capsys, "make-labels", *aligned, "--pe", paths["pe"], "--out-prefix", gold)[0] == 0
+    model = tmp_path / "model.txt"
+    assert run(capsys, "linear", "train", *aligned, "--tags", f"{gold}.tags", "--model", model, "--epochs", "1")[0] == 0
+    assert run(capsys, "linear", "predict", *aligned, "--model", model, "--out-prefix", tmp_path / "pred")[0] == 0
+    manifest = prediction_files(tmp_path, rng, paths["mt"])
+    argv = ["--manifest", manifest, "--mt", paths["mt"], "--gold-scores", f"{gold}.hter", "--out", tmp_path / "m"]
+    assert run(capsys, "ensemble-sent", "fit", *argv)[0] == 0
 
 
 @pytest.mark.parametrize("command", [["linear", "train"], ["ensemble-sent", "fit"]], ids="-".join)

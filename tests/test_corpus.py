@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from qestack.config import load_config_file
 from qestack.corpus import (
+    Entry,
     PredictionSet,
     Ragged,
     Sentence,
     SourceTags,
     Stream,
     Tag,
+    TaggedCorpus,
     TargetTags,
     _parse_float,
     _read_lines,
@@ -35,7 +38,7 @@ from qestack.corpus import (
 )
 from qestack.doclevel import read_annotations, read_doc_table, read_document_manifest
 from qestack.ensemble import load_ridge_model, load_weights
-from qestack.errors import LengthMismatch, ParseError, RangeError
+from qestack.errors import InvalidInput, LengthMismatch, ParseError, RangeError
 from qestack.linearqe import load_model
 
 from conftest import random_corpus, reference_read_tag_rows
@@ -63,14 +66,6 @@ def test_tag_line_with_wrong_entry_count_raises(tmp_path):
         load_corpus(mt=mt, tags=tags)
     assert err.value.line == 1
     assert "x.tags" in str(err.value)
-
-
-def test_word_only_tag_mode(tmp_path):
-    mt = write(tmp_path / "x.mt", "ein Haus\n")
-    tags = write(tmp_path / "x.tags", "OK BAD\n")
-    corpus = load_corpus(mt=mt, tags=tags, word_tags_only=True)
-    assert corpus[0].target_tags.word_tags == (OK, BAD)
-    assert corpus[0].target_tags.gap_tags == (OK, OK, OK)
 
 
 def test_line_count_disagreement_raises(tmp_path):
@@ -170,8 +165,6 @@ def test_write_tags_examples(tmp_path):
 def test_target_tags_read_as_their_interleaved_line():
     target = TargetTags(word_tags=(BAD, OK), gap_tags=(OK, BAD, BAD))
     assert len(target) == 5 and list(target) == [OK, BAD, BAD, OK, BAD]
-    assert TargetTags.from_interleaved(target) == target
-    assert list(TargetTags.words_only(())) == [OK]
     assert list(SourceTags((BAD, OK))) == [BAD, OK]
 
 
@@ -180,7 +173,7 @@ def test_write_tags_writes_the_same_bytes_from_every_form_of_tags(tmp_path):
     forms = {
         "bool rows": rows,
         "Tag rows": [[Tag.BAD if bad else Tag.OK for bad in row] for row in rows],
-        "TargetTags": [TargetTags.from_interleaved(row) for row in rows],
+        "TargetTags": [TargetTags(word_tags=tuple(row[1::2]), gap_tags=tuple(row[0::2])) for row in rows],
         "SourceTags": [SourceTags(tuple(row)) for row in rows],
         "Ragged": Ragged.from_rows(rows, dtype=bool),
     }
@@ -647,15 +640,119 @@ def test_load_corpus_names_the_first_alignment_out_of_range(tmp_path, data):
         assert [e.alignments for e in corpus] == [frozenset(line) for line in lines]
 
 
-def test_an_alignment_equals_and_hashes_like_its_frozenset(tmp_path):
+def test_a_loaded_corpus_holds_its_alignments_as_one_read_only_pair_table(tmp_path):
     mt = write(tmp_path / "x.mt", "a b c\nd\n")
     src = write(tmp_path / "x.src", "u v\nw\n")
     align = write(tmp_path / "x.align", "1-2 0-0\t 1-2  0-1\n0-0\n")
-    first, second = (e.alignments for e in load_corpus(mt=mt, src=src, align=align))
-    assert list(first) == [(0, 0), (0, 1), (1, 2)] and len(first) == 3
-    assert first == {(1, 2), (0, 0), (0, 1)} and {(0, 0)} == second and first != second
-    assert hash(first) == hash(frozenset(first)) and (0, 1) in first
-    assert not first.pairs.flags.writeable
+    corpus = load_corpus(mt=mt, src=src, align=align)
+    pairs, offsets = corpus.alignments
+    assert pairs.tolist() == [[0, 0], [0, 1], [1, 2], [0, 0]] and offsets.tolist() == [0, 3, 4]
+    assert not pairs.flags.writeable
+    first, second = (e.alignments for e in corpus)
+    assert first == frozenset({(1, 2), (0, 0), (0, 1)}) and second == frozenset({(0, 0)})
+
+
+# --- a corpus of entries built in code --------------------------------------------
+
+
+_OPTIONAL_FIELDS = [f.name for f in fields(Entry) if f.name != "mt"]
+
+
+@st.composite
+def _corpus_entries(draw):
+    """The 0 to 6 entries of one corpus, each holding the same optional
+    fields; alignments (which need a source sentence) are sets or lists,
+    some repeating a pair."""
+    held = draw(st.sets(st.sampled_from(_OPTIONAL_FIELDS)))
+    if "alignments" in held:
+        held.add("src")
+
+    def sentence(prefix):
+        return Sentence(tuple(f"{prefix}{i}" for i in range(draw(st.integers(1, 5)))))
+
+    def bools(n):
+        return tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        mt, src = sentence("m"), sentence("s")
+        row = {
+            "src": src,
+            "pe": sentence("p"),
+            "target_tags": TargetTags(word_tags=bools(len(mt)), gap_tags=bools(len(mt) + 1)),
+            "source_tags": SourceTags(bools(len(src))),
+            "hter": draw(st.floats(0.0, 1.0)),
+        }
+        pairs = draw(st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=8))
+        row["alignments"] = draw(st.sampled_from([frozenset(pairs), pairs, pairs + pairs[:3]]))
+        entries.append(Entry(mt=mt, **{name: row[name] for name in held}))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_corpus_entries())
+def test_a_corpus_from_entries_gives_its_entries_back(entries):
+    corpus = TaggedCorpus.from_entries(entries)
+    want = [e if e.alignments is None else replace(e, alignments=frozenset(e.alignments)) for e in entries]
+    assert list(corpus) == want and len(corpus) == len(entries)
+    assert [corpus[i] for i in range(-len(entries), 0)] == want
+    assert corpus == TaggedCorpus.from_entries(want)
+    for name in _OPTIONAL_FIELDS if entries else ():
+        column = "tags" if name == "target_tags" else name
+        assert (getattr(corpus, column) is None) == (getattr(entries[0], name) is None)
+    if corpus.alignments is not None:
+        # a repeated pair is held once, in sorted order
+        pairs, offsets = corpus.alignments
+        assert offsets[-1] == sum(len(set(e.alignments)) for e in entries)
+        assert [pairs[lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])] == [
+            sorted(map(list, set(e.alignments))) for e in entries
+        ]
+    if corpus.hter is not None:
+        assert corpus.hter.dtype == np.float64 and not corpus.hter.flags.writeable
+
+
+def test_the_columns_of_a_corpus_hold_one_segment_count():
+    mt = (Sentence(("a", "b")), Sentence(("c",)))
+    no_pairs = np.empty((0, 2), np.int64)
+    assert len(TaggedCorpus(mt=mt, hter=np.array([0.1, 0.2]), alignments=(no_pairs, np.zeros(3)))) == 2
+    with pytest.raises(LengthMismatch, match=r"^columns of \[1, 3\] segments beside 2 MT sentences$"):
+        TaggedCorpus(mt=mt, src=mt[:1], hter=np.array([0.1, 0.2]), alignments=(no_pairs, np.zeros(4)))
+
+
+@pytest.mark.parametrize("name", _OPTIONAL_FIELDS)
+def test_a_field_some_entries_lack_is_an_error_naming_the_first_of_them(name):
+    full = Entry(
+        mt=Sentence(("a", "b")),
+        src=Sentence(("x", "y", "z")),
+        pe=Sentence(("a",)),
+        target_tags=TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, BAD)),
+        source_tags=SourceTags((OK, BAD, OK)),
+        hter=0.5,
+        alignments={(0, 0), (2, 1)},
+    )
+    lacking = replace(full, **{name: None})
+    with pytest.raises(InvalidInput, match=f"^entry 2 has no {name}, which other entries have$"):
+        TaggedCorpus.from_entries([full, lacking, full, lacking])
+    if name != "src":
+        assert TaggedCorpus.from_entries([lacking, lacking])[1] == lacking
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((3, 0), "entry 2: alignment 3-0 out of range (3/2)"),
+        ((0, 2), "entry 2: alignment 0-2 out of range (3/2)"),
+        ((-1, 0), "entry 2: alignment -1-0 out of range (3/2)"),
+        ((0, 2**63), "alignment index beyond int64"),
+    ],
+)
+def test_a_pair_outside_its_entry_is_a_range_error_naming_it(pair, message):
+    good = Entry(mt=Sentence(("a", "b")), src=Sentence(("x", "y", "z")), alignments={(0, 0)})
+    with pytest.raises(RangeError) as caught:
+        TaggedCorpus.from_entries([good, *(replace(good, alignments=[(1, 1), pair, pair]),) * 2])
+    assert str(caught.value) == message
+    with pytest.raises(InvalidInput, match="^alignments need source sentences$"):
+        TaggedCorpus.from_entries([replace(good, src=None)])
 
 
 @pytest.mark.parametrize(

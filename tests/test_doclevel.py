@@ -59,38 +59,38 @@ def test_tokenize_with_offsets(text, expected):
 def test_span_covering_a_token_marks_it_bad():
     doc = Document.from_sentences(["aa bb cc dd"])
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 6, 8))])
-    assert TargetTags.from_interleaved(tags[0]).word_tags == (OK, OK, BAD, OK)
-    assert set(TargetTags.from_interleaved(tags[0]).gap_tags) == {OK}
+    assert tuple(tags[0][1::2]) == (OK, OK, BAD, OK)
+    assert set(tags[0][0::2]) == {OK}
 
 
 def test_partial_character_overlap_marks_the_whole_token():
     doc = Document.from_sentences(["aa bb cc"])
     tags = annotations_to_tags(doc, [ann(MINOR, (0, 4, 5))])
-    assert TargetTags.from_interleaved(tags[0]).word_tags == (OK, BAD, OK)
+    assert tuple(tags[0][1::2]) == (OK, BAD, OK)
 
 
 def test_span_matching_gap_borders_marks_the_gap_only():
     doc = Document.from_sentences(["ab cd"])
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 2, 3))])
-    assert TargetTags.from_interleaved(tags[0]).word_tags == (OK, OK)
-    assert TargetTags.from_interleaved(tags[0]).gap_tags == (OK, BAD, OK)
+    assert tuple(tags[0][1::2]) == (OK, OK)
+    assert tuple(tags[0][0::2]) == (OK, BAD, OK)
 
 
 def test_edge_gaps_use_sentence_borders():
     doc = Document.from_sentences([" ab cd "])
     # sentence start .. first token start
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 0, 1))])
-    assert TargetTags.from_interleaved(tags[0]).gap_tags == (BAD, OK, OK)
+    assert tuple(tags[0][0::2]) == (BAD, OK, OK)
     # last token end .. sentence end
     tags = annotations_to_tags(doc, [ann(MAJOR, (0, 6, 7))])
-    assert TargetTags.from_interleaved(tags[0]).gap_tags == (OK, OK, BAD)
+    assert tuple(tags[0][0::2]) == (OK, OK, BAD)
 
 
 def test_multi_span_annotation_marks_every_span():
     doc = Document.from_sentences(["aa bb cc", "dd ee"])
     tags = annotations_to_tags(doc, [ann(MINOR, (0, 0, 2), (1, 3, 5))])
-    assert TargetTags.from_interleaved(tags[0]).word_tags == (BAD, OK, OK)
-    assert TargetTags.from_interleaved(tags[1]).word_tags == (OK, BAD)
+    assert tuple(tags[0][1::2]) == (BAD, OK, OK)
+    assert tuple(tags[1][1::2]) == (OK, BAD)
 
 
 def test_span_outside_sentence_raises():

@@ -117,9 +117,13 @@ def test_tags_to_annotations_matches_reference(data, doc, severity):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), doc=documents)
 def test_tags_of_the_wrong_shape_raise_as_before(data, doc):
-    tags = [TargetTags.words_only((True,) * len(offsets)) for offsets in doc.token_offsets]
+    tags = [
+        TargetTags(word_tags=(True,) * len(offsets), gap_tags=(False,) * (len(offsets) + 1))
+        for offsets in doc.token_offsets
+    ]
     i = data.draw(st.integers(0, len(tags) - 1))
-    tags[i] = TargetTags.words_only((False,) * data.draw(st.integers(0, 4)))
+    n = data.draw(st.integers(0, 4))
+    tags[i] = TargetTags(word_tags=(False,) * n, gap_tags=(False,) * (n + 1))
     if data.draw(st.booleans()):
         tags.pop()
     assert outcome(tags_to_annotations, doc, tags) == outcome(reference_tags_to_annotations, doc, tags)
@@ -313,7 +317,7 @@ ROUNDING_ROWS = [
 @settings(max_examples=300, deadline=None)
 @given(row=st.one_of(st.sampled_from(ROUNDING_ROWS), st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30)))
 def test_mean_sentence_mqm_adds_left_to_right(row):
-    tags = [TargetTags.words_only((False,))] * len(row)
+    tags = [TargetTags(word_tags=(False,), gap_tags=(False, False))] * len(row)
     mean = doc_mqm_features(tags, row)[0]
     assert mean == left_to_right_mean(row) and math.copysign(1.0, mean) == math.copysign(1.0, left_to_right_mean(row))
 

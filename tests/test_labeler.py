@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qestack import labeler
 from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, TargetTags
-from qestack.errors import InconsistentScript, MissingStream, RangeError
+from qestack.errors import InconsistentScript, InvalidInput, MissingStream, RangeError
 from qestack.labeler import (
     EditKind,
     EditStep,
@@ -326,10 +326,13 @@ def reference_label(entry: Entry, cap: bool) -> Entry:
     """One entry labeled through the reference DP, cell by cell."""
     script = min_align_edit(entry.mt, entry.pe)
     target = tags_from_edits(script, len(entry.mt))
-    source = None
+    source = alignments = None
     if entry.src is not None and entry.alignments is not None:
         source = reference_source_tags(target, entry.alignments, len(entry.src))
-    return replace(entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe), cap=cap))
+        alignments = frozenset(entry.alignments)
+    return replace(
+        entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe), cap=cap), alignments=alignments
+    )
 
 
 def assert_labeled_like_the_reference(corpus: TaggedCorpus, cap: bool):
@@ -345,19 +348,26 @@ def assert_labeled_like_the_reference(corpus: TaggedCorpus, cap: bool):
 
 @st.composite
 def labelable_entries(draw):
+    """The 1 to 25 entries of one corpus: every one with a source sentence
+    and alignments, every one with a source sentence only, or none with
+    either."""
     alphabet = draw(st.sampled_from(["ab", "abc", "abcdefgh"]))
     length = st.integers(1, 40)
+    kind = draw(st.sampled_from(["no source", "no source", "source only", "aligned", "aligned", "aligned"]))
 
     def tokens(n):
         return Sentence(tuple(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))))
 
-    mt, pe = tokens(draw(length)), tokens(draw(length))
-    if not draw(st.booleans()):
-        return Entry(mt=mt, pe=pe)
-    src = tokens(draw(length))
-    if not draw(st.integers(0, 4)):
-        return Entry(mt=mt, pe=pe, src=src)
-    return Entry(mt=mt, pe=pe, src=src, alignments=draw(alignments(len(src), len(mt))))
+    entries = []
+    for _ in range(draw(st.integers(1, 25))):
+        mt, pe = tokens(draw(length)), tokens(draw(length))
+        if kind == "no source":
+            entries.append(Entry(mt=mt, pe=pe))
+            continue
+        src = tokens(draw(length))
+        links = draw(alignments(len(src), len(mt))) if kind == "aligned" else None
+        entries.append(Entry(mt=mt, pe=pe, src=src, alignments=links))
+    return entries
 
 
 # (cell budget, longest sentence of an int16 table): the real ones; a budget
@@ -372,20 +382,20 @@ _BLOCKINGS = [
 
 @pytest.mark.parametrize("budget,int16_length", _BLOCKINGS)
 @settings(max_examples=60, deadline=None)
-@given(entries=st.lists(labelable_entries(), min_size=1, max_size=25), cap=st.booleans())
+@given(entries=labelable_entries(), cap=st.booleans())
 def test_block_labeling_equals_the_reference_per_entry(budget, int16_length, entries, cap):
     with mock.patch.object(labeler, "_CELL_BUDGET", budget), mock.patch.object(
         labeler, "_INT16_LENGTH", int16_length
     ):
-        assert_labeled_like_the_reference(TaggedCorpus(tuple(entries)), cap)
+        assert_labeled_like_the_reference(TaggedCorpus.from_entries(entries), cap)
 
 
 def test_a_pair_larger_than_the_cell_budget_is_a_block_of_its_own():
     rng = random.Random(14)
-    corpus = TaggedCorpus(tuple(
+    corpus = TaggedCorpus.from_entries(
         Entry(mt=random_sentence(rng, n, n, alphabet="abcd"), pe=random_sentence(rng, m, m, alphabet="abcd"))
         for n, m in ((4, 6), (300, 320), (3, 2), (12, 9))
-    ))
+    )
     with mock.patch.object(labeler, "_CELL_BUDGET", 1 << 16):
         assert 301 * 321 > labeler._CELL_BUDGET
         lengths = [(len(e.mt), len(e.pe)) for e in corpus]
@@ -408,19 +418,23 @@ def test_blocks_cut_the_sorted_pairs_within_the_cell_budget(lengths, budget):
         assert len(block) == 1 or len(block) * (n + 1) * (m + 1) <= budget
 
 
-def _corpus_with(bad_alignment_at: int, no_post_edit_at: int) -> TaggedCorpus:
+def _corpus_with(bad_alignment_at: int | None = None, no_post_edit_at=()) -> TaggedCorpus:
     rng = random.Random(15)
     entries = []
     for k in range(7):
         mt, src = random_sentence(rng, 2, 6), random_sentence(rng, 2, 6)
         links = frozenset({(len(src) + 3, 0)} if k == bad_alignment_at else {(0, 0)})
-        pe = None if k == no_post_edit_at else random_sentence(rng, 2, 6)
+        pe = None if k in no_post_edit_at else random_sentence(rng, 2, 6)
         entries.append(Entry(mt=mt, src=src, pe=pe, alignments=links))
-    return TaggedCorpus(tuple(entries))
+    return TaggedCorpus.from_entries(entries)
 
 
 def test_label_corpus_raises_the_error_of_the_first_entry_in_file_order():
-    with pytest.raises(RangeError, match="out of range"):
-        label_corpus(_corpus_with(bad_alignment_at=2, no_post_edit_at=5))
+    # a corpus is checked when it is built: post-edits for some entries only,
+    # then alignments out of range, each named by its first entry
+    with pytest.raises(InvalidInput, match="^entry 6 has no pe, which other entries have$"):
+        _corpus_with(bad_alignment_at=2, no_post_edit_at=(5,))
+    with pytest.raises(RangeError, match=r"^entry 3: alignment \d+-0 out of range"):
+        _corpus_with(bad_alignment_at=2)
     with pytest.raises(MissingStream):
-        label_corpus(_corpus_with(bad_alignment_at=5, no_post_edit_at=2))
+        label_corpus(_corpus_with(no_post_edit_at=range(7)))

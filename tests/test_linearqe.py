@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -912,7 +913,7 @@ def build_tiny_corpus():
         source_tags=SourceTags((OK, BAD, OK)),
         alignments=frozenset({(0, 0), (1, 1), (2, 1)}),
     )
-    return TaggedCorpus((entry,))
+    return TaggedCorpus.from_entries((entry,))
 
 
 def test_word_instances_carry_aligned_source_words():
@@ -938,44 +939,57 @@ def reference_aligned_words(other_tokens, pairs, key_index, other_index, n):
     st.sampled_from([(0, 1), (1, 0)]),
 )
 def test_aligned_words_equal_the_dict_of_lists_reference(pairs, n, indices):
-    # positions 0 to 6 against n up to 6: some pairs fall outside the sentence
-    import qestack.linearqe as linearqe
-
+    # one entry: n positions (source words, or MT words) against 7 words on
+    # the other side, and the pairs whose position lies within the n
+    key_index, other_index = indices
     other = tuple(f"w{j}" for j in range(7))
-    assert linearqe._aligned_words(other, pairs, *indices, n) == reference_aligned_words(other, pairs, *indices, n)
+    keys = tuple(f"k{i}" for i in range(n))
+    if pairs is not None:
+        pairs = frozenset(pair for pair in pairs if pair[key_index] < n)
+    src, mt = (keys, other) if key_index == 0 else (other, keys)
+    corpus = TaggedCorpus.from_entries([Entry(mt=Sentence(mt), src=Sentence(src), alignments=pairs)])
+    aligned = build_instances(corpus, Stream.SOURCE if key_index == 0 else Stream.WORDS)[0].aligned
+    want = [] if pairs is None else reference_aligned_words(other, pairs, key_index, other_index, n)
+    assert list(aligned) == want
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 2), (0, -1)], ids=["negative-source", "source-past-end", "mt-past-end", "negative-mt"])
 @pytest.mark.parametrize("stream", [Stream.WORDS, Stream.SOURCE])
 def test_an_alignment_outside_a_built_entry_is_a_range_error_naming_it(pair, stream):
     # once, (-1, 0) aligned MT word 0 to the last source word and (3, 0) raised a bare IndexError
-    good = build_tiny_corpus().entries[0]
-    bad = Entry(mt=good.mt, src=good.src, alignments=frozenset({(0, 0), pair}))
-    with pytest.raises(RangeError, match=rf"entry 2: alignment {pair[0]}-{pair[1]} out of range \(3/2\)"):
-        build_instances(TaggedCorpus((good, bad)), stream)
-    # the gap stream reads no alignments
-    assert len(build_instances(TaggedCorpus((good, bad)), Stream.GAPS)) == 2
+    # the corpus is range-checked once, when it is built
+    good = build_tiny_corpus()[0]
+    bad = replace(good, alignments=frozenset({(0, 0), pair}))
+    with pytest.raises(RangeError, match=rf"^entry 2: alignment {pair[0]}-{pair[1]} out of range \(3/2\)$"):
+        build_instances(TaggedCorpus.from_entries((good, bad, bad)), stream)
 
 
 @st.composite
-def aligned_entries(draw):
-    """Entries with and without a source sentence and alignments; the pairs
-    lie within the sentences, and some positions have none."""
-    mt = Sentence(tuple(f"m{i}" for i in range(draw(st.integers(1, 6)))))
-    if not draw(st.integers(0, 4)):
-        return Entry(mt=mt)
-    src = Sentence(tuple(f"s{i}" for i in range(draw(st.integers(1, 6)))))
-    links = st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=12)
-    alignments = draw(st.none() | links.map(frozenset) | links)
-    return Entry(mt=mt, src=src, alignments=alignments)
+def aligned_entries(draw, stream):
+    """The 1 to 8 entries of one corpus: every one with a source sentence
+    and alignments, every one with a source sentence only, or (on the words
+    stream) none with either; the pairs lie within the sentences, and some
+    positions have none."""
+    kinds = ["aligned", "aligned", "aligned", "source only"] + (["no source"] if stream is Stream.WORDS else [])
+    kind = draw(st.sampled_from(kinds))
+    entries = []
+    for _ in range(draw(st.integers(1, 8))):
+        mt = Sentence(tuple(f"m{i}" for i in range(draw(st.integers(1, 6)))))
+        if kind == "no source":
+            entries.append(Entry(mt=mt))
+            continue
+        src = Sentence(tuple(f"s{i}" for i in range(draw(st.integers(1, 6)))))
+        links = st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=12)
+        alignments = draw(links.map(frozenset) | links) if kind == "aligned" else None
+        entries.append(Entry(mt=mt, src=src, alignments=alignments))
+    return entries
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=st.lists(aligned_entries(), min_size=1, max_size=8), stream=st.sampled_from([Stream.WORDS, Stream.SOURCE]))
-def test_corpus_aligned_words_equal_the_per_entry_reference(entries, stream):
-    if stream is Stream.SOURCE:
-        entries = [e for e in entries if e.src is not None] or [Entry(mt=Sentence(("m",)), src=Sentence(("s",)))]
-    got = [inst.aligned for inst in build_instances(TaggedCorpus(tuple(entries)), stream)]
+@given(data=st.data(), stream=st.sampled_from([Stream.WORDS, Stream.SOURCE]))
+def test_corpus_aligned_words_equal_the_per_entry_reference(data, stream):
+    entries = data.draw(aligned_entries(stream))
+    got = [inst.aligned for inst in build_instances(TaggedCorpus.from_entries(entries), stream)]
     key_index = 1 if stream is Stream.WORDS else 0
     want = []
     for e in entries:
@@ -1022,7 +1036,7 @@ def test_stacked_probs_follow_the_requested_stream():
 
 
 def _misuse_cases():
-    bare = TaggedCorpus((Entry(mt=Sentence(("a", "b"))),))
+    bare = TaggedCorpus(mt=(Sentence(("a", "b")),))
     two = make_instance(["a", "b"])
     return {
         "instance without tokens": (EmptyInput, lambda: make_instance([])),
