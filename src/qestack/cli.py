@@ -438,179 +438,116 @@ def _cmd_doc_eval(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_global_flags(parser, *, suppress=False):
-    # registered on the root parser and on every subparser so the flags are
-    # accepted on either side of the subcommand; the subparser copies use
-    # SUPPRESS defaults so they never overwrite a value parsed at the root
-    kwargs = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument(
-        "--jobs", type=int, help="worker processes for fold-parallel steps",
-        **(kwargs if suppress else {"default": 1}),
-    )
-    parser.add_argument(
-        "--seed", type=int, help="root seed for all randomized steps",
-        **(kwargs if suppress else {"default": 1}),
-    )
-    parser.add_argument("--config", help="key=value config file", **kwargs)
-    parser.add_argument(
-        "--format", choices=("text", "kv"), help="output format",
-        **(kwargs if suppress else {"default": "text"}),
-    )
+# registered on the root parser and on every subcommand's parser, so the flags
+# are accepted on either side of the subcommand; the subcommand's copies have
+# SUPPRESS defaults so they never overwrite a value parsed at the root
+_GLOBAL_FLAGS = (
+    ("--jobs", {"type": int, "default": 1, "help": "worker processes for fold-parallel steps"}),
+    ("--seed", {"type": int, "default": 1, "help": "root seed for all randomized steps"}),
+    ("--config", {"help": "key=value config file"}),
+    ("--format", {"choices": ("text", "kv"), "default": "text", "help": "output format"}),
+)
+
+_REQUIRED = {"required": True}
+_FLOAT = {"type": float}
+_INT = {"type": int}
+_STREAM = {"choices": ("words", "gaps", "source"), "default": "words"}
+_SYSTEMS = (("--manifest", _REQUIRED), ("--mt", _REQUIRED), ("--src", {}))
+_LINEAR = (
+    ("--mt", _REQUIRED), ("--src", {}), ("--align", {}), ("--tags", {}), ("--source-tags", {}),
+    ("--stream", _STREAM),
+    ("--stacked", {"help": "manifest of stacked prediction features"}),
+    ("--extra", {"action": "append", "help": "extra annotation column file (repeatable)"}),
+    ("--epochs", _INT), ("--C", _FLOAT),
+)
+_DECODE = (("--out-prefix", _REQUIRED), ("--gamma", _FLOAT))
 
 
-def _leaf(group, name, **kwargs):
-    sub = group.add_parser(name, **kwargs)
-    _add_global_flags(sub, suppress=True)
-    return sub
+def _required(*flags):
+    return tuple((flag, _REQUIRED) for flag in flags)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qe-stack", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"qe-stack {__version__}")
-    _add_global_flags(parser)
-    parser.set_defaults(config=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command path -> (help, handler, options in usage order); a group has no
+# handler and comes before its leaves
+_COMMANDS = {
+    ("evaluate",): ("score predictions against gold tags or scores", _cmd_evaluate, (
+        *_required("--gold", "--pred"), ("--threshold", _FLOAT),
+        ("--stream", {"choices": _EVAL_STREAMS, "default": "target"}),
+    )),
+    ("make-labels",): ("derive tags, source tags and HTER from post-edits", _cmd_make_labels, (
+        *_required("--mt", "--pe"), ("--src", {}), ("--align", {}), *_required("--out-prefix"),
+        ("--no-cap", {"action": "store_true", "help": "do not clamp HTER to [0, 1]"}),
+    )),
+    ("linear",): ("linear sequential QE model", None, ()),
+    ("linear", "train"): (None, _cmd_linear_train, (*_LINEAR, *_required("--model"))),
+    ("linear", "predict"): (None, _cmd_linear_decode, (*_LINEAR, *_required("--model"), *_DECODE)),
+    ("linear", "jackknife"): (None, _cmd_linear_decode, (*_LINEAR, ("--k", _INT), *_DECODE)),
+    ("ensemble-word",): ("convex-combination word-level ensembling", None, ()),
+    ("ensemble-word", "fit"): (None, _cmd_ensemble_word_fit, (
+        *_SYSTEMS, *_required("--gold"), ("--stream", _STREAM), ("--threshold", _FLOAT), *_required("--out"),
+    )),
+    ("ensemble-word", "apply"): (None, _cmd_ensemble_word_apply, (
+        *_SYSTEMS, *_required("--weights"), ("--stream", _STREAM), *_required("--out"),
+    )),
+    ("ensemble-word", "kfold"): (None, _cmd_ensemble_word_kfold, (
+        *_SYSTEMS, *_required("--gold"), ("--stream", _STREAM), ("--threshold", _FLOAT), ("--k", _INT),
+    )),
+    ("ensemble-sent",): ("sentence-level ridge stacking", None, ()),
+    ("ensemble-sent", "fit"): (None, _cmd_ensemble_sent_fit, (*_SYSTEMS, *_required("--gold-scores", "--out"))),
+    ("ensemble-sent", "apply"): (None, _cmd_ensemble_sent_apply, (*_SYSTEMS, *_required("--model", "--out"))),
+    ("doc",): ("document-level pipeline", None, ()),
+    ("doc", "tags"): (None, _cmd_doc_tags, _required("--docs", "--annotations", "--out-dir")),
+    ("doc", "spans"): (None, _cmd_doc_spans, _required("--docs", "--tags-dir", "--out")),
+    ("doc", "mqm"): (None, _cmd_doc_mqm, _required("--docs", "--annotations", "--out")),
+    ("doc", "features"): (None, _cmd_doc_features, _required("--docs", "--tags-dir", "--sent-mqm-dir", "--out")),
+    ("doc", "fit"): (None, _cmd_doc_fit, _required("--features", "--gold", "--out")),
+    ("doc", "apply"): (None, _cmd_doc_apply, _required("--features", "--model", "--out")),
+    ("doc", "eval"): (None, _cmd_doc_eval, tuple(
+        (flag, {}) for flag in ("--docs", "--gold-annotations", "--pred-annotations", "--gold-mqm", "--pred-mqm")
+    )),
+}
 
-    p = _leaf(sub, "evaluate", help="score predictions against gold tags or scores")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--stream", choices=_EVAL_STREAMS, default="target")
-    p.set_defaults(handler=_cmd_evaluate)
 
-    p = _leaf(sub, "make-labels", help="derive tags, source tags and HTER from post-edits")
-    p.add_argument("--mt", required=True)
-    p.add_argument("--pe", required=True)
-    p.add_argument("--src")
-    p.add_argument("--align")
-    p.add_argument("--out-prefix", required=True)
-    p.add_argument("--no-cap", action="store_true", help="do not clamp HTER to [0, 1]")
-    p.set_defaults(handler=_cmd_make_labels)
+class _Commands(argparse._SubParsersAction):
+    """One level of ``_COMMANDS``. Every name at the level is a choice, so
+    help, usage and "invalid choice" errors list them all, but only the
+    command argparse selects gets a parser, made and filled just before it
+    parses: a run builds one path through the table, not the whole tree."""
 
-    linear = _leaf(sub, "linear", help="linear sequential QE model").add_subparsers(
-        dest="subcommand", required=True
-    )
-    for name, handler in (
-        ("train", _cmd_linear_train),
-        ("predict", _cmd_linear_decode),
-        ("jackknife", _cmd_linear_decode),
-    ):
-        p = _leaf(linear, name)
-        p.add_argument("--mt", required=True)
-        p.add_argument("--src")
-        p.add_argument("--align")
-        p.add_argument("--tags")
-        p.add_argument("--source-tags")
-        p.add_argument("--stream", choices=("words", "gaps", "source"), default="words")
-        p.add_argument("--stacked", help="manifest of stacked prediction features")
-        p.add_argument("--extra", action="append", help="extra annotation column file (repeatable)")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--C", type=float, default=None)
-        if name == "jackknife":
-            p.add_argument("--k", type=int, default=None)
+    def __init__(self, option_strings, *, path=(), **kwargs):
+        super().__init__(option_strings, **kwargs)
+        self._path = path
+        for key, (help_text, _, _) in _COMMANDS.items():
+            if key[:-1] == path:
+                # what add_parser registers, without the parser
+                self._name_parser_map[key[-1]] = None
+                if help_text:
+                    self._choices_actions.append(self._ChoicesPseudoAction(key[-1], (), help_text))
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        path = (*self._path, name)
+        _, handler, options = _COMMANDS[path]
+        chosen = self._name_parser_map[name] = self._parser_class(prog=f"{self._prog_prefix} {name}")
+        for flag, kwargs in _GLOBAL_FLAGS:
+            chosen.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
+        for flag, kwargs in options:
+            chosen.add_argument(flag, **kwargs)
+        if handler is None:
+            chosen.add_subparsers(dest="subcommand", required=True, action=_Commands, path=path)
         else:
-            p.add_argument("--model", required=True)
-        if name != "train":
-            p.add_argument("--out-prefix", required=True)
-            p.add_argument("--gamma", type=float, default=None)
-        p.set_defaults(handler=handler)
-
-    word = _leaf(sub, "ensemble-word", help="convex-combination word-level ensembling").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = _leaf(word, "fit")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--mt", required=True)
-    p.add_argument("--src")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--stream", choices=("words", "gaps", "source"), default="words")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_ensemble_word_fit)
-    p = _leaf(word, "apply")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--mt", required=True)
-    p.add_argument("--src")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--stream", choices=("words", "gaps", "source"), default="words")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_ensemble_word_apply)
-    p = _leaf(word, "kfold")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--mt", required=True)
-    p.add_argument("--src")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--stream", choices=("words", "gaps", "source"), default="words")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(handler=_cmd_ensemble_word_kfold)
-
-    sent = _leaf(sub, "ensemble-sent", help="sentence-level ridge stacking").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = _leaf(sent, "fit")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--mt", required=True)
-    p.add_argument("--src")
-    p.add_argument("--gold-scores", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_ensemble_sent_fit)
-    p = _leaf(sent, "apply")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--mt", required=True)
-    p.add_argument("--src")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_ensemble_sent_apply)
-
-    doc = _leaf(sub, "doc", help="document-level pipeline").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = _leaf(doc, "tags")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(handler=_cmd_doc_tags)
-    p = _leaf(doc, "spans")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--tags-dir", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_doc_spans)
-    p = _leaf(doc, "mqm")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_doc_mqm)
-    p = _leaf(doc, "features")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--tags-dir", required=True)
-    p.add_argument("--sent-mqm-dir", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_doc_features)
-    p = _leaf(doc, "fit")
-    p.add_argument("--features", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_doc_fit)
-    p = _leaf(doc, "apply")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_doc_apply)
-    p = _leaf(doc, "eval")
-    p.add_argument("--docs")
-    p.add_argument("--gold-annotations")
-    p.add_argument("--pred-annotations")
-    p.add_argument("--gold-mqm")
-    p.add_argument("--pred-mqm")
-    p.set_defaults(handler=_cmd_doc_eval)
-
-    return parser
+            chosen.set_defaults(handler=handler)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = _Parser(prog="qe-stack", description=__doc__)
+        parser.add_argument("--version", action="version", version=f"qe-stack {__version__}")
+        for flag, kwargs in _GLOBAL_FLAGS:
+            parser.add_argument(flag, **kwargs)
+        parser.add_subparsers(dest="command", required=True, action=_Commands)
+        args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:
         code = exc.code
