@@ -282,10 +282,12 @@ class TaggedCorpus:
     def from_entries(cls, entries) -> "TaggedCorpus":
         """The corpus of entries built in code. A field that some entries
         hold and others lack is an InvalidInput naming the first entry
-        without it. Each entry's alignments (any collection of pairs) are
-        sorted and a repeated pair kept once; alignments need source
-        sentences, and a pair outside its entry's sentences is a RangeError
-        naming the entry."""
+        without it. Target tags must be 2N+1 on an N-token MT sentence and
+        source tags one per source token, or a LengthMismatch names the first
+        entry that breaks the rule. Each entry's alignments (any collection
+        of pairs) are sorted and a repeated pair kept once; alignments need
+        source sentences, and a pair outside its entry's sentences is a
+        RangeError naming the entry."""
         entries = tuple(entries)
         rows = {}
         for field_ in fields(Entry):
@@ -312,6 +314,10 @@ class TaggedCorpus:
         convert = {"src": tuple, "pe": tuple, "tags": as_tags, "source_tags": as_tags, "hter": as_floats}
         rows["tags"] = rows.pop("target_tags", None)
         columns = {name: convert[name](rows[name]) for name in convert if rows.get(name) is not None}
+        if "tags" in columns:
+            _check_tag_rows(columns["tags"], 2 * _lengths(rows["mt"]) + 1, "target")
+        if "source_tags" in columns and "src" in rows:
+            _check_tag_rows(columns["source_tags"], _lengths(rows["src"]), "source")
         return cls(mt=tuple(rows["mt"]), alignments=alignments, **columns)
 
     def __len__(self) -> int:
@@ -344,6 +350,16 @@ class TaggedCorpus:
 def _lengths(rows) -> np.ndarray:
     """The length of each row, as int64."""
     return np.fromiter(map(len, rows), np.int64, len(rows))
+
+
+def _check_tag_rows(tags: Ragged, want: np.ndarray, side: str):
+    """Row i of ``tags`` holds ``want[i]`` tags, or a LengthMismatch names the
+    first entry whose row does not."""
+    got = np.diff(tags.offsets)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = int(bad[0])
+        raise LengthMismatch(f"entry {i + 1}: {got[i]} {side} tags, expected {want[i]}")
 
 
 @dataclass(frozen=True)
@@ -592,11 +608,27 @@ def _parse_alignment_bytes(lines: list[str]) -> np.ndarray | None:
     return np.fromstring(text.replace("-", " "), np.int64, sep=" ").reshape(-1, 2)
 
 
+def _packed_key(pairs: np.ndarray, line: np.ndarray, n_lines: int) -> np.ndarray | None:
+    """One int64 per pair, ``(line * src_span + src) * mt_span + mt`` with the
+    indices taken from their minimum, which sorts as (line, source, MT)
+    does; None when ``n_lines * src_span * mt_span`` passes int64."""
+    if not pairs.size:
+        return line
+    low, high = pairs.min(axis=0).tolist(), pairs.max(axis=0).tolist()
+    src_span, mt_span = high[0] - low[0] + 1, high[1] - low[1] + 1
+    if n_lines * src_span * mt_span > _INT64_MAX:
+        return None
+    return (line * src_span + (pairs[:, 0] - low[0])) * mt_span + (pairs[:, 1] - low[1])
+
+
 def _sorted_distinct(pairs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``pairs``, ``counts[i]`` of them on line i in line order, with each
-    line's pairs sorted and distinct (one lexsort), and the lines' offsets."""
+    line's pairs sorted and distinct, and the lines' offsets. The pairs are
+    sorted on one packed key, or with a three-key lexsort where that key
+    would pass int64."""
     line = np.repeat(np.arange(counts.size), counts)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0], line))
+    key = _packed_key(pairs, line, counts.size)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0], line)) if key is None else np.argsort(key, kind="stable")
     pairs, line = pairs[order], line[order]
     # a pair is kept unless it repeats its sorted predecessor on the same line
     keep = np.ones(line.size, bool)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qestack import corpus as corpus_module
 from qestack.config import load_config_file
 from qestack.corpus import (
     Entry,
@@ -640,6 +641,35 @@ def test_load_corpus_names_the_first_alignment_out_of_range(tmp_path, data):
         assert [e.alignments for e in corpus] == [frozenset(line) for line in lines]
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_packed_key_and_the_lexsort_sort_pairs_alike(data):
+    # 18-digit indices make the packed key pass int64, so those inputs take the lexsort
+    index = st.one_of(st.integers(0, 9), st.integers(0, 9), st.sampled_from([10**17, 10**18 - 1, _INT64_MAX]))
+    lines = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        line = data.draw(st.lists(st.tuples(index, index), max_size=6))
+        lines.append(line + data.draw(st.lists(st.sampled_from(line), max_size=3)) if line else line)
+    counts = np.array([len(line) for line in lines], np.int64)
+    pairs = np.array([pair for line in lines for pair in line], np.int64).reshape(-1, 2)
+    packed = corpus_module._sorted_distinct(pairs, counts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_packed_key", lambda *args: None)
+        lexsorted = corpus_module._sorted_distinct(pairs, counts)
+    assert packed[0].tolist() == lexsorted[0].tolist() and packed[1].tolist() == lexsorted[1].tolist()
+    bounds = packed[1].tolist()
+    got = [list(map(tuple, packed[0][lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])]
+    assert got == [sorted(set(line)) for line in lines]
+
+
+def test_the_packed_key_falls_back_only_past_int64():
+    line = np.zeros(2, np.int64)
+    assert corpus_module._packed_key(np.array([[0, 3], [5, 0]], np.int64), line, 1).tolist() == [3, 20]
+    assert corpus_module._packed_key(np.array([[10**17, 0], [0, 9]], np.int64), line, 1) is not None
+    assert corpus_module._packed_key(np.array([[10**17, 0], [0, 10**17]], np.int64), line, 1) is None
+    assert corpus_module._packed_key(np.array([[10**18 - 1, 0], [0, 9]], np.int64), line, 1) is None
+
+
 def test_a_loaded_corpus_holds_its_alignments_as_one_read_only_pair_table(tmp_path):
     mt = write(tmp_path / "x.mt", "a b c\nd\n")
     src = write(tmp_path / "x.src", "u v\nw\n")
@@ -735,6 +765,28 @@ def test_a_field_some_entries_lack_is_an_error_naming_the_first_of_them(name):
         TaggedCorpus.from_entries([full, lacking, full, lacking])
     if name != "src":
         assert TaggedCorpus.from_entries([lacking, lacking])[1] == lacking
+
+
+@pytest.mark.parametrize(
+    "field_, value, message",
+    [
+        ("target_tags", TargetTags(word_tags=(OK, BAD, OK), gap_tags=(OK,) * 4), "entry 2: 7 target tags, expected 5"),
+        ("target_tags", TargetTags(word_tags=(OK,), gap_tags=(OK, BAD)), "entry 2: 3 target tags, expected 5"),
+        ("source_tags", SourceTags((OK, BAD)), "entry 2: 2 source tags, expected 3"),
+        ("source_tags", SourceTags((OK,) * 4), "entry 2: 4 source tags, expected 3"),
+    ],
+)
+def test_tags_of_another_length_than_their_sentence_are_an_error_naming_the_entry(field_, value, message):
+    good = Entry(
+        mt=Sentence(("a", "b")),
+        src=Sentence(("x", "y", "z")),
+        target_tags=TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, BAD)),
+        source_tags=SourceTags((OK, BAD, OK)),
+    )
+    bad = replace(good, **{field_: value})
+    with pytest.raises(LengthMismatch) as caught:
+        TaggedCorpus.from_entries([good, bad, good, bad])
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
