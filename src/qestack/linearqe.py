@@ -34,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice, pairwise
 from math import exp
+from operator import methodcaller
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -850,15 +851,26 @@ def save_model(model: LinearModel, path):
 
 
 def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
-    weights = _Weights()
-    for i, line in enumerate(_read_lines(path), 1):
+    """The weights ``save_model`` writes, read a column at a time; only a
+    file that fails that read is walked line by line, to name its first bad
+    line."""
+    lines = _read_lines(path)
+    keys, seps, values = zip(*map(methodcaller("partition", "\t"), lines)) if lines else ((), (), ())
+    if all(seps) and all(map(str.isdecimal, keys)):
+        ints = list(map(int, keys))
+        if max(ints, default=0) <= _MASK64:
+            try:
+                return LinearModel(weights=_Weights(zip(ints, map(float, values))), config=config or FeatureConfig())
+            except ValueError:
+                pass
+    for i, line in enumerate(lines, 1):
         key, sep, value = line.partition("\t")
         if not sep or not key.isdecimal():
             raise ParseError("malformed model line", file=str(path), line=i)
         if int(key) > _MASK64:
             raise ParseError("model key beyond 64 bits", file=str(path), line=i)
-        weights[int(key)] = _parse_float(value, file=str(path), line=i)
-    return LinearModel(weights=weights, config=config or FeatureConfig())
+        _parse_float(value, file=str(path), line=i)
+    raise AssertionError(f"{path} holds no malformed line")
 
 
 # ---------------------------------------------------------------------------

@@ -902,6 +902,32 @@ def test_model_keys_beyond_64_bits_are_a_parse_error(tmp_path):
     assert predict([make_instance(["a"])], outside) == predict([make_instance(["a"])], LinearModel({bias: 1.0}))
 
 
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        (["1\t0.5", "2\tx", "3 0.5", f"{2**64}\t0.5"], 2, "malformed number 'x'"),
+        (["1\t0.5", "2\t0.5", "3 0.5", "4\tx"], 3, "malformed model line"),
+        (["1\t0.5", f"{2**64}\t0.5", "3\tx"], 2, "model key beyond 64 bits"),
+        (["1\t0.5", "-2\t0.5"], 2, "malformed model line"),
+        (["1\t0.5\t0.5"], 1, "malformed number '0.5\\t0.5'"),
+    ],
+)
+def test_a_bad_model_file_names_its_first_bad_line(tmp_path, lines, line, message):
+    path = tmp_path / "model.txt"
+    path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}:{line}: {message}"
+
+
+def test_a_later_line_of_a_model_key_overrides_an_earlier_one(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("7\t0.5\n3\t-1e-3\n7\t2.0\n", encoding="utf-8")
+    assert load_model(path).weights == {7: 2.0, 3: -1e-3}
+    path.write_text("", encoding="utf-8")
+    assert load_model(path).weights == {}
+
+
 # --- corpus to instances ----------------------------------------------------
 
 
