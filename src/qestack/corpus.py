@@ -614,11 +614,12 @@ def _packed_key(pairs: np.ndarray, line: np.ndarray, n_lines: int) -> np.ndarray
     does; None when ``n_lines * src_span * mt_span`` passes int64."""
     if not pairs.size:
         return line
-    low, high = pairs.min(axis=0).tolist(), pairs.max(axis=0).tolist()
-    src_span, mt_span = high[0] - low[0] + 1, high[1] - low[1] + 1
+    src, mt = pairs[:, 0], pairs[:, 1]
+    src_low, mt_low = int(src.min()), int(mt.min())
+    src_span, mt_span = int(src.max()) - src_low + 1, int(mt.max()) - mt_low + 1
     if n_lines * src_span * mt_span > _INT64_MAX:
         return None
-    return (line * src_span + (pairs[:, 0] - low[0])) * mt_span + (pairs[:, 1] - low[1])
+    return (line * src_span + (src - src_low)) * mt_span + (mt - mt_low)
 
 
 def _sorted_distinct(pairs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,13 +630,15 @@ def _sorted_distinct(pairs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     line = np.repeat(np.arange(counts.size), counts)
     key = _packed_key(pairs, line, counts.size)
     order = np.lexsort((pairs[:, 1], pairs[:, 0], line)) if key is None else np.argsort(key, kind="stable")
-    pairs, line = pairs[order], line[order]
+    # take and compress, and the columns compared one at a time: fancy
+    # indexing and reductions over the rows of a (pairs, 2) array are slower
+    pairs, line = pairs.take(order, axis=0), line[order]
     # a pair is kept unless it repeats its sorted predecessor on the same line
     keep = np.ones(line.size, bool)
-    keep[1:] = (line[1:] != line[:-1]) | (pairs[1:] != pairs[:-1]).any(axis=1)
+    keep[1:] = (line[1:] != line[:-1]) | (pairs[1:, 0] != pairs[:-1, 0]) | (pairs[1:, 1] != pairs[:-1, 1])
     offsets = np.zeros(counts.size + 1, np.int64)
     np.cumsum(np.bincount(line[keep], minlength=counts.size), out=offsets[1:])
-    pairs = pairs[keep]
+    pairs = pairs.compress(keep, axis=0)
     pairs.flags.writeable = False
     return pairs, offsets
 
