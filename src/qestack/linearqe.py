@@ -850,19 +850,30 @@ def save_model(model: LinearModel, path):
     _write_lines(path, (f"{key}\t{model.weights[key]!r}" for key in sorted(model.weights)))
 
 
+# load_model reads this many lines a column at a time; one block's strings
+# are all the read holds at once besides the lines and the weights
+_MODEL_BLOCK = 1024
+
+
 def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
-    """The weights ``save_model`` writes, read a column at a time; only a
-    file that fails that read is walked line by line, to name its first bad
-    line."""
+    """The weights ``save_model`` writes, read a block of lines at a time and
+    a column at a time; only a file that fails that read is walked line by
+    line, to name its first bad line."""
     lines = _read_lines(path)
-    keys, seps, values = zip(*map(methodcaller("partition", "\t"), lines)) if lines else ((), (), ())
-    if all(seps) and all(map(str.isdecimal, keys)):
+    weights = _Weights()
+    for start in range(0, len(lines), _MODEL_BLOCK):
+        keys, seps, values = zip(*map(methodcaller("partition", "\t"), lines[start:start + _MODEL_BLOCK]))
+        if not all(seps) or not all(map(str.isdecimal, keys)):
+            break
         ints = list(map(int, keys))
-        if max(ints, default=0) <= _MASK64:
-            try:
-                return LinearModel(weights=_Weights(zip(ints, map(float, values))), config=config or FeatureConfig())
-            except ValueError:
-                pass
+        if max(ints) > _MASK64:
+            break
+        try:
+            weights.update(zip(ints, map(float, values)))
+        except ValueError:
+            break
+    else:
+        return LinearModel(weights=weights, config=config or FeatureConfig())
     for i, line in enumerate(lines, 1):
         key, sep, value = line.partition("\t")
         if not sep or not key.isdecimal():

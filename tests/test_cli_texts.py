@@ -144,6 +144,19 @@ def test_namespace(table, columns, monkeypatch, index):
     assert parse_namespace(expected["argv"], monkeypatch.setattr) == expected
 
 
+def test_a_run_builds_only_the_parsers_on_its_command_path(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+    parse_namespace(["doc", "fit", "--features", "f", "--gold", "g", "--out", "o"], monkeypatch.setattr)
+    assert built == ["qe-stack", "qe-stack doc", "qe-stack doc fit"]
+
+
 def _regenerate():
     os.environ["COLUMNS"] = "80"
     namespaces = []

@@ -926,6 +926,14 @@ def test_a_later_line_of_a_model_key_overrides_an_earlier_one(tmp_path):
     assert load_model(path).weights == {7: 2.0, 3: -1e-3}
     path.write_text("", encoding="utf-8")
     assert load_model(path).weights == {}
+    # a file of several blocks of lines, overriding a key of the first in the last
+    lines = [f"{key}\t{key / 7!r}" for key in range(2500)] + ["5\t9.5"]
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    assert load_model(path).weights == {**{key: key / 7 for key in range(2500)}, 5: 9.5}
+    lines[1700] = "1700\tx"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ParseError, match="model.txt:1701: malformed number 'x'"):
+        load_model(path)
 
 
 # --- corpus to instances ----------------------------------------------------
