@@ -9,7 +9,6 @@ file-producing run writes an effective-config snapshot next to its outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -113,13 +112,6 @@ _LINEAR_SCHEMA = {
     "average": ("bool", True),
     "gamma": ("float", 1.0),
     "k": ("int", 10),
-    "use_bias": ("bool", True),
-    "use_word": ("bool", True),
-    "use_context": ("bool", True),
-    "use_aligned": ("bool", True),
-    "use_extra": ("bool", True),
-    "use_stacked": ("bool", True),
-    "use_bigram": ("bool", True),
 }
 
 
@@ -129,14 +121,10 @@ def _linear_values(args):
     return {**resolve_config(_LINEAR_SCHEMA, _load_file_config(args), overrides), "seed": args.seed}
 
 
-def _feature_config(values) -> linearqe.FeatureConfig:
-    return linearqe.FeatureConfig(**{f.name: values[f.name] for f in dataclasses.fields(linearqe.FeatureConfig)})
-
-
 def _training_options(values):
     """The keyword arguments ``mira_train`` and ``jackknife`` share."""
     options = {key: values[key] for key in ("epochs", "C", "seed", "average")}
-    return {**options, "config": _feature_config(values)}
+    return {**options, "config": linearqe.FeatureConfig(bins=values["bins"])}
 
 
 def _linear_corpus(args):
@@ -177,7 +165,7 @@ def _cmd_linear_decode(args):
     values = _linear_values(args)
     instances, golds = _linear_corpus(args)
     if args.subcommand == "predict":
-        model = linearqe.load_model(args.model, config=_feature_config(values))
+        model = linearqe.load_model(args.model, config=linearqe.FeatureConfig(bins=values["bins"]))
         tags_rows, probs_rows = linearqe.predict(instances, model, values["gamma"])
     else:
         tags_rows, probs_rows = linearqe.jackknife(

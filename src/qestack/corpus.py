@@ -664,8 +664,9 @@ def first_out_of_range(pairs, offsets, src_lengths, mt_lengths) -> tuple[int, in
     (``src_lengths[i]`` and ``mt_lengths[i]`` on line i), or None when every
     pair is in range."""
     counts = np.diff(offsets)
-    lengths = np.stack((np.repeat(src_lengths, counts), np.repeat(mt_lengths, counts)), axis=1)
-    bad = ((pairs < 0) | (pairs >= lengths)).any(axis=1)
+    # a column at a time: a reduction over the rows of (pairs, 2) is several times slower
+    src, mt = pairs.T
+    bad = (src < 0) | (src >= np.repeat(src_lengths, counts)) | (mt < 0) | (mt >= np.repeat(mt_lengths, counts))
     if not bad.any():
         return None
     row = int(bad.argmax())
@@ -831,6 +832,10 @@ def load_predictions(
     if sentences is not None:
         values = read_score_lines(sentences)
         check_lengths(values, [None] * len(corpus), sentences, "sentence stream")
+        finite = np.isfinite(values)
+        if not finite.all():
+            line = int(finite.argmin()) + 1
+            raise RangeError(f"sentence score {values[line - 1]!r} is not finite", file=str(sentences), line=line)
         sentence_scores = tuple(values)
 
     return PredictionSet(

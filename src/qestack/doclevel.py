@@ -25,6 +25,7 @@ import numpy as np
 from .corpus import Ragged, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines
 from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
+from .metrics import _class_f1_array
 
 __all__ = [
     "Severity",
@@ -394,18 +395,13 @@ def annotation_f1(
     documents (pass single-element lists for one document)."""
     if not (len(gold) == len(pred) == len(docs)):
         raise InvalidInput("gold, pred and docs must be parallel")
-    tp = fp = fn = 0
+    tp = predicted = present = 0
     for gold_anns, pred_anns, doc in zip(gold, pred, docs):
         gold_units, pred_units = _units(doc, gold_anns), _units(doc, pred_anns)
-        shared = int(np.count_nonzero(gold_units & pred_units))
-        tp += shared
-        fp += int(np.count_nonzero(pred_units)) - shared
-        fn += int(np.count_nonzero(gold_units)) - shared
-    if tp == 0:
-        return 0.0 if (fp or fn) else 1.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+        tp += int(np.count_nonzero(gold_units & pred_units))
+        predicted += int(np.count_nonzero(pred_units))
+        present += int(np.count_nonzero(gold_units))
+    return float(_class_f1_array(np.array([tp]), np.array([predicted]), present)[0])
 
 
 @dataclass(frozen=True)

@@ -599,6 +599,8 @@ def ridge_cv(
         if mse <= best_mse:
             best_mse = mse
             best_lam = lam
+    if not np.isfinite(best_mse):  # every error is NaN or +inf
+        raise DegenerateInput("no lambda gives a finite cross-validation error")
     return best_lam, ridge_fit(X, y, best_lam, intercept=intercept, feature_names=feature_names)
 
 

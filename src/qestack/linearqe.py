@@ -4,9 +4,11 @@ The tagger scores a label sequence y over an instance as
 ``sum_i w . phi(x, i, y_i, y_{i-1})`` with unigram templates (current/left/
 right token, aligned other-side words, extra annotation columns, binned
 stacked probabilities, bias) conjoined with the current label, plus a single
-bigram indicator over the label pair. Decoding is exact dynamic programming
-over the two labels; weights are learned with max-loss MIRA and averaged over
-all post-update vectors.
+bigram indicator over the label pair. The template set is fixed: an instance
+without extra columns or stacked systems has none of their templates, and a
+position without aligned words has ``a=<none>``. Decoding is exact dynamic
+programming over the two labels; weights are learned with max-loss MIRA and
+averaged over all post-update vectors.
 
 Feature strings are hashed to 64-bit keys (FNV-1a); collisions are tolerated,
 they merely share a weight. A call compiles its instances in blocks of 64
@@ -93,16 +95,9 @@ def fnv1a64(text: str) -> int:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Template toggles and the bin count for stacked probabilities."""
+    """The bin count for stacked probabilities; the templates are fixed."""
 
     bins: int = 10
-    use_bias: bool = True
-    use_word: bool = True
-    use_context: bool = True
-    use_aligned: bool = True
-    use_extra: bool = True
-    use_stacked: bool = True
-    use_bigram: bool = True
 
     def __post_init__(self):
         if self.bins < 1:
@@ -143,8 +138,8 @@ class SequenceInstance:
 @dataclass
 class LinearModel:
     """Feature weights by 64-bit key (training maps its dense ids back to the
-    keys) plus the template configuration that produced them. Serialization
-    keeps only the weights; supply the same config when loading."""
+    keys) plus the feature config that produced them. Serialization keeps
+    only the weights; supply the same ``bins`` when loading."""
 
     weights: dict[int, float]
     config: FeatureConfig = field(default_factory=FeatureConfig)
@@ -160,10 +155,10 @@ def feature_strings(
     """Human-readable feature names for position ``i`` with ``label`` and the
     previous label ``prev`` (BAD is true; None means sequence start): each
     label-free template conjoined with the label, then the bigram."""
-    feats = [f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(inst, i, config)]
-    if config.use_bigram:
-        feats.append(_bigram_string(prev, label))
-    return feats
+    return [
+        *(f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(inst, i, config)),
+        _bigram_string(prev, label),
+    ]
 
 
 def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tuple[str, object]]:
@@ -172,27 +167,16 @@ def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tu
     one-position reference of ``_template_ids``, which builds the same
     templates for a block of instances at once."""
     tokens = inst.tokens
-    templates = []
-    if config.use_bias:
-        templates.append(("b", ""))
-    if config.use_word:
-        templates.append(("w0=", tokens[i]))
-    if config.use_context:
-        templates.append(("w-1=", tokens[i - 1] if i > 0 else _LEFT_SENTINEL))
-        templates.append(("w+1=", tokens[i + 1] if i + 1 < len(tokens) else _RIGHT_SENTINEL))
-    if config.use_aligned:
-        words = inst.aligned[i] if inst.aligned else ()
-        if words:
-            templates.extend(("a=", word) for word in words)
-        else:
-            templates.append(("a=", _NO_ALIGNMENT))
-    if config.use_extra:
-        for c, column in enumerate(inst.extra):
-            templates.append((f"x{c}=", column[i]))
-    if config.use_stacked:
-        for system_id, probs in inst.stacked:
-            templates.append((f"s:{system_id}:b", _prob_bin(probs[i], config.bins)))
-    return templates
+    words = (inst.aligned[i] if inst.aligned else ()) or (_NO_ALIGNMENT,)
+    return [
+        ("b", ""),
+        ("w0=", tokens[i]),
+        ("w-1=", tokens[i - 1] if i > 0 else _LEFT_SENTINEL),
+        ("w+1=", tokens[i + 1] if i + 1 < len(tokens) else _RIGHT_SENTINEL),
+        *(("a=", word) for word in words),
+        *((f"x{c}=", column[i]) for c, column in enumerate(inst.extra)),
+        *((f"s:{system_id}:b", _prob_bin(probs[i], config.bins)) for system_id, probs in inst.stacked),
+    ]
 
 
 def _bigram_string(prev: bool | None, label: bool) -> str:
@@ -306,45 +290,37 @@ def _template_ids(block: list[SequenceInstance], config: FeatureConfig, vocab: _
         row[np.repeat(have, lengths)] = templates
         return row
 
-    rows = []
-    if config.use_bias:
-        rows.append(np.full(total, role("b") | vocab[""], np.int64))
-    if config.use_word or config.use_context:
-        tokens = ids(chain.from_iterable(inst.tokens for inst in block))
-        if config.use_word:
-            rows.append(role("w0=") | tokens)
-        if config.use_context:
-            left, right = np.roll(tokens, 1), np.roll(tokens, -1)
-            left[ends - lengths] = vocab[_LEFT_SENTINEL]
-            right[ends - 1] = vocab[_RIGHT_SENTINEL]
-            rows += [role("w-1=") | left, role("w+1=") | right]
-    if config.use_aligned:
-        words = [ws or (_NO_ALIGNMENT,) for inst in block for ws in inst.aligned or ((),) * len(inst)]
-        counts = np.fromiter(map(len, words), np.int64, total)
-        position = np.repeat(np.arange(total), counts)
-        slot = np.arange(position.size) - (np.cumsum(counts) - counts)[position]
-        aligned = role("a=") | ids(chain.from_iterable(words))
-        for k in range(counts.max()):
-            row = np.full(total, -1, np.int64)
-            row[position[slot == k]] = aligned[slot == k]
-            rows.append(row)
-    if config.use_extra:
-        for c in range(max(len(inst.extra) for inst in block)):
-            have = [c < len(inst.extra) for inst in block]
-            values = ids(chain.from_iterable(inst.extra[c] for inst, h in zip(block, have) if h))
-            rows.append(padded(have, role(f"x{c}=") | values))
-    if config.use_stacked:
-        for c in range(max(len(inst.stacked) for inst in block)):
-            have = [c < len(inst.stacked) for inst in block]
-            systems = [inst.stacked[c] for inst, h in zip(block, have) if h]
-            probs = np.fromiter(chain.from_iterable(p for _, p in systems), np.float64)
-            # _prob_bin's min(int(bins * p), bins - 1), where int64 holds it
-            scaled = np.minimum(config.bins * probs, config.bins - 1)
-            if not (np.isfinite(probs) & (scaled >= -(2.0**63))).all():
-                raise RangeError("a stacked probability is not finite or too far below 0 to bin")
-            bins, which = np.unique(scaled.astype(np.int64), return_inverse=True)
-            roles = np.repeat([role(f"s:{system_id}:b") for system_id, _ in systems], [len(p) for _, p in systems])
-            rows.append(padded(have, roles | ids(map(str, bins.tolist()))[which]))
+    rows = [np.full(total, role("b") | vocab[""], np.int64)]
+    tokens = ids(chain.from_iterable(inst.tokens for inst in block))
+    rows.append(role("w0=") | tokens)
+    left, right = np.roll(tokens, 1), np.roll(tokens, -1)
+    left[ends - lengths] = vocab[_LEFT_SENTINEL]
+    right[ends - 1] = vocab[_RIGHT_SENTINEL]
+    rows += [role("w-1=") | left, role("w+1=") | right]
+    words = [ws or (_NO_ALIGNMENT,) for inst in block for ws in inst.aligned or ((),) * len(inst)]
+    counts = np.fromiter(map(len, words), np.int64, total)
+    position = np.repeat(np.arange(total), counts)
+    slot = np.arange(position.size) - (np.cumsum(counts) - counts)[position]
+    aligned = role("a=") | ids(chain.from_iterable(words))
+    for k in range(counts.max()):
+        row = np.full(total, -1, np.int64)
+        row[position[slot == k]] = aligned[slot == k]
+        rows.append(row)
+    for c in range(max(len(inst.extra) for inst in block)):
+        have = [c < len(inst.extra) for inst in block]
+        values = ids(chain.from_iterable(inst.extra[c] for inst, h in zip(block, have) if h))
+        rows.append(padded(have, role(f"x{c}=") | values))
+    for c in range(max(len(inst.stacked) for inst in block)):
+        have = [c < len(inst.stacked) for inst in block]
+        systems = [inst.stacked[c] for inst, h in zip(block, have) if h]
+        probs = np.fromiter(chain.from_iterable(p for _, p in systems), np.float64)
+        # _prob_bin's min(int(bins * p), bins - 1), where int64 holds it
+        scaled = np.minimum(config.bins * probs, config.bins - 1)
+        if not (np.isfinite(probs) & (scaled >= -(2.0**63))).all():
+            raise RangeError("a stacked probability is not finite or too far below 0 to bin")
+        bins, which = np.unique(scaled.astype(np.int64), return_inverse=True)
+        roles = np.repeat([role(f"s:{system_id}:b") for system_id, _ in systems], [len(p) for _, p in systems])
+        rows.append(padded(have, roles | ids(map(str, bins.tolist()))[which]))
     return rows
 
 
@@ -375,7 +351,7 @@ def _distinct_templates(rows: list[np.ndarray], vocab: _Vocabulary) -> tuple[lis
         which.append(index)
         distinct.append(templates)
         start += templates.size
-    return which, _template_keys(np.concatenate(distinct) if distinct else np.empty(0, np.int64), vocab)
+    return which, _template_keys(np.concatenate(distinct), vocab)
 
 
 def _bounds(block: list[SequenceInstance]) -> Iterator[tuple[int, int]]:
@@ -438,11 +414,9 @@ def _compile_slots(instances: Iterable[SequenceInstance], config: FeatureConfig,
     return compiled
 
 
-def _bigram_slots(config: FeatureConfig, index=None):
+def _bigram_slots(index=None):
     """Transition slots indexed [prev][cur]; prev 0 is the start sentinel.
     With an ``index`` a slot is the key's dense id, without it is the key."""
-    if not config.use_bigram:
-        return None
     keys = [[fnv1a64(_bigram_string(p, label)) for label in (False, True)] for p in (None, False, True)]
     if index is None:
         return tuple(tuple(row) for row in keys)
@@ -490,8 +464,6 @@ def _unigram_scores(slots, w, cost=None):
 
 
 def _transition_scores(bigram_slots, w):
-    if bigram_slots is None:
-        return ((0.0, 0.0),) * 3
     return tuple(tuple(w[j] for j in row) for row in bigram_slots)
 
 
@@ -624,7 +596,7 @@ def _compile_one(inst: SequenceInstance, model: LinearModel):
     w = _model_weights(model)
     index: dict[int, int] = {}
     (slots,) = _compile_slots([inst], model.config, index)
-    return slots, [w[key] for key in index], _transition_scores(_bigram_slots(model.config), w)
+    return slots, [w[key] for key in index], _transition_scores(_bigram_slots(), w)
 
 
 def viterbi(
@@ -694,7 +666,7 @@ def _compile_training(instances, golds, epochs, C, config):
     config = config or FeatureConfig()
     index: dict[int, int] = {}
     compiled = _compile_slots(instances, config, index)
-    return config, index, compiled, _bigram_slots(config, index), [_int_path(gold) for gold in golds]
+    return config, index, compiled, _bigram_slots(index), [_int_path(gold) for gold in golds]
 
 
 def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_update=None) -> list[float]:
@@ -731,13 +703,12 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_u
                     delta[j] = delta.get(j, 0) + 1
                 for j in slots[pred[i]]:
                     delta[j] = delta.get(j, 0) - 1
-            if bigram_slots is not None:
-                for i in {i for m in moved for i in (m, m + 1) if i < len(comp)}:
-                    j_g = bigram_slots[gold[i - 1] + 1 if i else 0][gold[i]]
-                    j_p = bigram_slots[pred[i - 1] + 1 if i else 0][pred[i]]
-                    if j_g != j_p:
-                        delta[j_g] = delta.get(j_g, 0) + 1
-                        delta[j_p] = delta.get(j_p, 0) - 1
+            for i in {i for m in moved for i in (m, m + 1) if i < len(comp)}:
+                j_g = bigram_slots[gold[i - 1] + 1 if i else 0][gold[i]]
+                j_p = bigram_slots[pred[i - 1] + 1 if i else 0][pred[i]]
+                if j_g != j_p:
+                    delta[j_g] = delta.get(j_g, 0) + 1
+                    delta[j_p] = delta.get(j_p, 0) - 1
 
             sq_norm = sum(count * count for count in delta.values())
             if sq_norm == 0:
@@ -771,7 +742,7 @@ def predict(
     w = _model_weights(model)
     lengths = np.fromiter(map(len, instances), np.int64, len(instances))
     scores = _corpus_scores(instances, model.config, w, int(lengths.sum()))
-    t = np.array(_transition_scores(_bigram_slots(model.config), w))
+    t = np.array(_transition_scores(_bigram_slots(), w))
     return _decode(scores, lengths, np.repeat(t[:, :, None], lengths.size, axis=2), gamma)
 
 

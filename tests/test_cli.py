@@ -488,6 +488,7 @@ def test_config_file_sets_training_options(tmp_path, capsys, rng):
     assert "epochs=1" in snapshot
     assert "C=0.5" in snapshot
     assert "bins=5" in snapshot
+    assert not [line for line in snapshot.splitlines() if line.startswith("use_")]
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys, rng):
@@ -499,6 +500,19 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys, rng):
     )
     assert code == 1
     assert "epoochs" in err
+
+
+def test_a_template_toggle_in_a_config_file_is_an_unknown_key(tmp_path, capsys, rng):
+    # the linear tagger has one fixed template set; a model file holds only
+    # hashed keys, so a toggle set differently at predict time gave wrong probabilities
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    config = write(tmp_path / "run.cfg", "use_context=false\n")
+    code, _, err = run(
+        capsys, "--config", config, "linear", "train",
+        "--mt", paths["mt"], "--tags", paths["tags"], "--model", tmp_path / "m",
+    )
+    assert code == 1
+    assert err == "error: unknown config keys: use_context\n"
 
 
 # --- ensembles ---------------------------------------------------------------------
@@ -633,6 +647,23 @@ def test_ensemble_sent_fit_apply(tmp_path, capsys, rng):
     values = read_score_lines(scores)
     assert len(values) == 20
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_sentence_score_that_is_not_finite_is_one_error_line(tmp_path, capsys, rng, value):
+    # once, every cross-validation error came out NaN and ridge_cv passed lambda None on
+    paths = label_files(tmp_path, capsys, rng, n=12)
+    manifest = prediction_files(tmp_path, rng, paths["mt"])
+    scores = tmp_path / "sys1.scores"
+    lines = text_lines(scores)
+    lines[2] = value
+    write(scores, "".join(f"{line}\n" for line in lines))
+    code, _, err = run(
+        capsys, "ensemble-sent", "fit",
+        "--manifest", manifest, "--mt", paths["mt"], "--gold-scores", paths["hter"],
+        "--out", tmp_path / "sent.model",
+    )
+    assert_one_error_line(code, err, f"{scores}:3: ", "not finite")
 
 
 @pytest.mark.parametrize("command", ["ensemble-sent", "doc"])

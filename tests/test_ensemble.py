@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from bisect import bisect_left
@@ -812,6 +813,15 @@ def test_cv_breaks_ties_toward_more_regularization():
     y = [1.0, 1.0, 1.0, 1.0]
     lam, _ = ridge_cv(X, y, [0.1, 10.0, 1.0], k=2)
     assert lam == 10.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cv_without_a_finite_error_is_degenerate_input(bad):
+    # a non-finite target reaches every fold's fit; once, lambda None went on to ridge_fit
+    X = [[0.1], [0.3], [0.5], [0.2]]
+    y = [0.1, bad, 0.6, 0.3]
+    with pytest.raises(DegenerateInput, match="no lambda gives a finite cross-validation error"):
+        ridge_cv(X, y, [0.1, 1.0], k=2)
 
 
 # --- serialization ------------------------------------------------------------

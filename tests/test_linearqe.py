@@ -87,6 +87,15 @@ def random_model(rng, inst, config=None):
     return LinearModel(weights=weights, config=config)
 
 
+BIGRAM_KEYS = frozenset(fnv1a64(f"g={prev}∧{label}") for prev in ("<start>", "OK", "BAD") for label in ("OK", "BAD"))
+
+
+def without_bigrams(model):
+    """``model`` without its bigram keys: every transition scores 0.0."""
+    assert BIGRAM_KEYS <= model.weights.keys()
+    return LinearModel({key: w for key, w in model.weights.items() if key not in BIGRAM_KEYS}, model.config)
+
+
 def random_instance(rng, max_len=8, alphabet="abcdef"):
     n = rng.randint(1, max_len)
     return make_instance([random_token(rng, alphabet) for _ in range(n)])
@@ -140,14 +149,6 @@ def test_feature_strings_of_every_template_in_slot_order():
     ]
 
 
-def test_template_toggles_change_the_feature_set():
-    inst = make_instance(["a", "b"])
-    full = set(feature_strings(inst, 0, OK, None, FeatureConfig()))
-    no_ctx = set(feature_strings(inst, 0, OK, None, FeatureConfig(use_context=False)))
-    assert no_ctx < full
-    assert not any(name.startswith("w-1=") for name in no_ctx)
-
-
 def test_hash_is_stable():
     # pinned so serialized models stay valid across runs and machines
     assert fnv1a64("") == 0xCBF29CE484222325
@@ -166,16 +167,15 @@ def test_zero_weights_decode_to_all_ok():
 
 def test_without_bigram_viterbi_is_positionwise_argmax():
     rng = random.Random(1)
-    config = FeatureConfig(use_bigram=False)
     for _ in range(30):
         inst = random_instance(rng)
-        model = random_model(rng, inst, config)
+        model = without_bigrams(random_model(rng, inst))
         tags, _ = viterbi(inst, model)
         for i, tag in enumerate(tags):
             scores = {}
             for label in (OK, BAD):
                 scores[label] = sum(
-                    model.weights.get(k, 0.0) for k in extract_features(inst, i, label, None, config)
+                    model.weights.get(k, 0.0) for k in extract_features(inst, i, label, None, model.config)
                 )
             assert scores[tag] >= scores[OK if tag is BAD else BAD]
 
@@ -318,10 +318,9 @@ def test_raising_bad_bias_never_lowers_probabilities():
 
 def test_thresholded_probabilities_match_viterbi_without_bigram():
     rng = random.Random(10)
-    config = FeatureConfig(use_bigram=False)
     for _ in range(40):
         inst = random_instance(rng)
-        model = random_model(rng, inst, config)
+        model = without_bigrams(random_model(rng, inst))
         probs = predict_probs(inst, model)
         tags, _ = viterbi(inst, model)
         assert [BAD if p >= 0.5 else OK for p in probs] == tags
@@ -464,15 +463,14 @@ def reference_unigram(inst, w, config, i, label, cost_gold=None):
     """Position ``i``'s unigram score over dict weights, summing every key of
     ``extract_features`` (a missing key adds 0.0); the bigram key is the last
     of them."""
-    keys = extract_features(inst, i, label, None, config)
     s = 0.0
-    for key in keys[:-1] if config.use_bigram else keys:
+    for key in extract_features(inst, i, label, None, config)[:-1]:
         s += w.get(key, 0.0)
     return s + 1.0 if cost_gold is not None and label is not cost_gold[i] else s
 
 
 def reference_transition(inst, w, config, prev, label):
-    return w.get(extract_features(inst, 0, label, prev, config)[-1], 0.0) if config.use_bigram else 0.0
+    return w.get(extract_features(inst, 0, label, prev, config)[-1], 0.0)
 
 
 def reference_forward(inst, w, config, cost_gold=None):
@@ -511,8 +509,7 @@ def reference_path_score(inst, w, config, labels):
     order, each position's transition after its unigram keys."""
     total, prev = 0.0, None
     for i, label in enumerate(labels):
-        keys = extract_features(inst, i, label, prev, config)
-        for key in keys[:-1] if config.use_bigram else keys:
+        for key in extract_features(inst, i, label, prev, config)[:-1]:
             total += w.get(key, 0.0)
         total += reference_transition(inst, w, config, prev, label)
         prev = label
@@ -606,15 +603,12 @@ def partial_model(rng, instances, config):
     return LinearModel(weights=weights, config=config)
 
 
-TOGGLES = ("use_bias", "use_word", "use_context", "use_aligned", "use_extra", "use_stacked", "use_bigram")
-
-
-def test_predict_equals_the_reference_bit_for_bit_under_every_toggle():
+def test_predict_equals_the_reference_bit_for_bit():
     # predict drops the keys a model lacks; the reference adds 0.0 for each
     rng = random.Random(21)
     instances = rich_data(rng, 4)
-    for flags in itertools.product((True, False), repeat=len(TOGGLES)):
-        config = FeatureConfig(bins=3, **dict(zip(TOGGLES, flags)))
+    config = FeatureConfig(bins=3)
+    for _ in range(32):
         model = partial_model(rng, instances, config)
         tags, probs = predict(instances, model, gamma=0.7)
         for inst, row_tags, row_probs in zip(instances, tags, probs):
@@ -713,40 +707,36 @@ def test_compiled_slots_hold_the_keys_of_extract_features_in_order(monkeypatch, 
 
     monkeypatch.setattr(linearqe, "_BLOCK", block)
     instances = mixed_data(random.Random(23), 70)
-    unigram_toggles = TOGGLES[:-1]
-    for flags in itertools.product((True, False), repeat=len(unigram_toggles)):
-        config = FeatureConfig(bins=3, use_bigram=False, **dict(zip(unigram_toggles, flags)))
-        index = {}
-        compiled = linearqe._compile_slots(instances, config, index)
-        keys = list(index)
-        assert len(compiled) == len(instances)
-        for inst, slots in zip(instances, compiled):
-            assert len(slots) == len(inst)
-            for i, (ok, bad) in enumerate(slots):
-                assert [keys[j] for j in ok] == extract_features(inst, i, OK, None, config)
-                assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None, config)
+    config = FeatureConfig(bins=3)
+    index = {}
+    compiled = linearqe._compile_slots(instances, config, index)
+    keys = list(index)
+    assert len(compiled) == len(instances)
+    for inst, slots in zip(instances, compiled):
+        assert len(slots) == len(inst)
+        for i, (ok, bad) in enumerate(slots):
+            # every key but the last, the bigram
+            assert [keys[j] for j in ok] == extract_features(inst, i, OK, None, config)[:-1]
+            assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None, config)[:-1]
 
 
 @pytest.mark.parametrize("block", [3, 64])
 def test_block_compiles_predict_and_train_as_one_instance_at_a_time(monkeypatch, block):
-    # including a config without unigram slots: a block with no slot rows
     import qestack.linearqe as linearqe
 
     monkeypatch.setattr(linearqe, "_BLOCK", block)
     rng = random.Random(24)
     instances = mixed_data(rng, 70)
     golds = [[rng.random() < 0.3 for _ in inst.tokens] for inst in instances]
-    unigrams_off = dict.fromkeys(TOGGLES[:-1], False)
-    for config in (FeatureConfig(bins=3), FeatureConfig(**unigrams_off), FeatureConfig(use_aligned=False)):
-        model = partial_model(rng, instances, config)
-        tags, probs = predict(instances, model, gamma=0.7)
-        for inst, row_tags, row_probs in zip(instances, tags, probs):
-            assert row_tags == viterbi(inst, model)[0]
-            assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, config, 0.7)]
-        trained = mira_train(instances, golds, epochs=2, config=config)
-        monkeypatch.setattr(linearqe, "_BLOCK", 1)
-        assert trained.weights == mira_train(instances, golds, epochs=2, config=config).weights
-        monkeypatch.setattr(linearqe, "_BLOCK", block)
+    config = FeatureConfig(bins=3)
+    model = partial_model(rng, instances, config)
+    tags, probs = predict(instances, model, gamma=0.7)
+    for inst, row_tags, row_probs in zip(instances, tags, probs):
+        assert row_tags == viterbi(inst, model)[0]
+        assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, config, 0.7)]
+    trained = mira_train(instances, golds, epochs=2, config=config)
+    monkeypatch.setattr(linearqe, "_BLOCK", 1)
+    assert trained.weights == mira_train(instances, golds, epochs=2, config=config).weights
 
 
 def test_jackknife_rejects_too_few_sentences():
