@@ -85,13 +85,9 @@ def _cmd_evaluate(args):
 
 
 def _cmd_make_labels(args):
-    values = resolve_config(
-        {"cap_hter": ("bool", True)},
-        _load_file_config(args),
-        {"cap_hter": False if args.no_cap else None},
-    )
+    values = resolve_config({}, _load_file_config(args))
     loaded = corpus.load_corpus(mt=args.mt, pe=args.pe, src=args.src, align=args.align)
-    labeled = labeler.label_corpus(loaded, cap=values["cap_hter"])
+    labeled = labeler.label_corpus(loaded)
     prefix = args.out_prefix
     corpus.write_tags(labeled.tags, f"{prefix}.tags")
     corpus.write_scores(labeled.hter.tolist(), f"{prefix}.hter")
@@ -108,8 +104,6 @@ def _cmd_make_labels(args):
 _LINEAR_SCHEMA = {
     "epochs": ("int", 5),
     "C": ("float", 1.0),
-    "bins": ("int", 10),
-    "average": ("bool", True),
     "gamma": ("float", 1.0),
     "k": ("int", 10),
 }
@@ -123,8 +117,7 @@ def _linear_values(args):
 
 def _training_options(values):
     """The keyword arguments ``mira_train`` and ``jackknife`` share."""
-    options = {key: values[key] for key in ("epochs", "C", "seed", "average")}
-    return {**options, "config": linearqe.FeatureConfig(bins=values["bins"])}
+    return {key: values[key] for key in ("epochs", "C", "seed")}
 
 
 def _linear_corpus(args):
@@ -165,7 +158,7 @@ def _cmd_linear_decode(args):
     values = _linear_values(args)
     instances, golds = _linear_corpus(args)
     if args.subcommand == "predict":
-        model = linearqe.load_model(args.model, config=linearqe.FeatureConfig(bins=values["bins"]))
+        model = linearqe.load_model(args.model)
         tags_rows, probs_rows = linearqe.predict(instances, model, values["gamma"])
     else:
         tags_rows, probs_rows = linearqe.jackknife(
@@ -464,7 +457,6 @@ _COMMANDS = {
     )),
     ("make-labels",): ("derive tags, source tags and HTER from post-edits", _cmd_make_labels, (
         *_required("--mt", "--pe"), ("--src", {}), ("--align", {}), *_required("--out-prefix"),
-        ("--no-cap", {"action": "store_true", "help": "do not clamp HTER to [0, 1]"}),
     )),
     ("linear",): ("linear sequential QE model", None, ()),
     ("linear", "train"): (None, _cmd_linear_train, (*_LINEAR, *_required("--model"))),

@@ -528,7 +528,6 @@ def ridge_fit(
     y,
     lam: float,
     *,
-    intercept: bool = True,
     feature_names: Sequence[str] | None = None,
 ) -> RidgeModel:
     """Solve the penalized normal equations with an unpenalized intercept."""
@@ -542,13 +541,9 @@ def ridge_fit(
         raise RangeError(f"lambda {lam} must be nonnegative")
 
     n_features = X.shape[1]
-    if intercept:
-        design = np.hstack([X, np.ones((X.shape[0], 1))])
-    else:
-        design = X
+    design = np.hstack([X, np.ones((X.shape[0], 1))])
     penalty = lam * np.eye(design.shape[1])
-    if intercept:
-        penalty[-1, -1] = 0.0
+    penalty[-1, -1] = 0.0
     try:
         beta = np.linalg.solve(design.T @ design + penalty, design.T @ y)
     except np.linalg.LinAlgError:
@@ -559,9 +554,7 @@ def ridge_fit(
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(n_features)]
     if len(names) != n_features:
         raise LengthMismatch("feature_names length must match X columns")
-    if intercept:
-        return RidgeModel(coefficients=beta[:-1], intercept=float(beta[-1]), lam=lam, feature_names=names)
-    return RidgeModel(coefficients=beta, intercept=0.0, lam=lam, feature_names=names)
+    return RidgeModel(coefficients=beta[:-1], intercept=float(beta[-1]), lam=lam, feature_names=names)
 
 
 def ridge_cv(
@@ -571,7 +564,6 @@ def ridge_cv(
     k: int,
     seed: int = 1,
     *,
-    intercept: bool = True,
     feature_names: Sequence[str] | None = None,
 ) -> tuple[float, RidgeModel]:
     """Pick the lambda with the smallest mean held-out squared error (ties
@@ -592,7 +584,7 @@ def ridge_cv(
         for lo, hi in bounds:
             held = order[lo:hi]
             rest = order[:lo] + order[hi:]
-            model = ridge_fit(X[rest], y[rest], lam, intercept=intercept)
+            model = ridge_fit(X[rest], y[rest], lam)
             residual = model.predict(X[held]) - y[held]
             squared += float(residual @ residual)
         mse = squared / n
@@ -601,7 +593,7 @@ def ridge_cv(
             best_lam = lam
     if not np.isfinite(best_mse):  # every error is NaN or +inf
         raise DegenerateInput("no lambda gives a finite cross-validation error")
-    return best_lam, ridge_fit(X, y, best_lam, intercept=intercept, feature_names=feature_names)
+    return best_lam, ridge_fit(X, y, best_lam, feature_names=feature_names)
 
 
 # ---------------------------------------------------------------------------

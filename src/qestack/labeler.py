@@ -274,15 +274,11 @@ def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
     return TargetTags(word_tags=tuple(word_tags), gap_tags=tuple(gap_tags))
 
 
-def hter(script: Sequence[EditStep], pe_len: int, cap: bool = True) -> float:
-    """Edit count divided by post-edit length, clamped to [0, 1] unless
-    ``cap`` is disabled."""
+def hter(script: Sequence[EditStep], pe_len: int) -> float:
+    """Edit count divided by post-edit length, clamped to [0, 1]."""
     if pe_len < 1:
         raise RangeError("post-edit length must be >= 1")
-    value = edit_cost(script) / pe_len
-    if cap:
-        value = min(1.0, max(0.0, value))
-    return value
+    return min(1.0, max(0.0, edit_cost(script) / pe_len))
 
 
 def source_tags_from_target(
@@ -340,17 +336,15 @@ def _project(tags: Ragged, src_lengths, pairs, offsets) -> np.ndarray:
     return bad
 
 
-def label_corpus(corpus: TaggedCorpus, cap: bool = True) -> TaggedCorpus:
-    """The corpus with its target tags and HTER computed from its post-edits,
-    and its source tags projected through its alignments (None without
+def label_corpus(corpus: TaggedCorpus) -> TaggedCorpus:
+    """The corpus with its target tags and HTER, clamped to [0, 1], computed
+    from its post-edits, and its source tags projected through its alignments (None without
     them). Entries are aligned in length-sorted blocks and their source tags
     projected all at once."""
     if corpus.pe is None:
         raise MissingStream("cannot label an entry without a post-edit")
     tags, edits = _align_pairs([s.tokens for s in corpus.mt], [s.tokens for s in corpus.pe])
-    hter = edits / _lengths(corpus.pe)
-    if cap:
-        np.clip(hter, 0.0, 1.0, out=hter)
+    hter = np.clip(edits / _lengths(corpus.pe), 0.0, 1.0)
     source_tags = None
     if corpus.src is not None and corpus.alignments is not None:
         src_lengths = _lengths(corpus.src)

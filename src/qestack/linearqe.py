@@ -33,7 +33,7 @@ import functools
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, pairwise
 from math import exp
 from operator import methodcaller
@@ -56,7 +56,6 @@ from .ensemble import fold_bounds
 from .errors import EmptyInput, LengthMismatch, MissingStream, ParseError, RangeError
 
 __all__ = [
-    "FeatureConfig",
     "SequenceInstance",
     "LinearModel",
     "extract_features",
@@ -79,6 +78,7 @@ _START = "<start>"
 _LEFT_SENTINEL = "<s>"
 _RIGHT_SENTINEL = "</s>"
 _NO_ALIGNMENT = "<none>"
+_BINS = 10  # equal-width bins of a stacked probability
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -91,17 +91,6 @@ def fnv1a64(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """The bin count for stacked probabilities; the templates are fixed."""
-
-    bins: int = 10
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise RangeError("bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,30 +127,26 @@ class SequenceInstance:
 @dataclass
 class LinearModel:
     """Feature weights by 64-bit key (training maps its dense ids back to the
-    keys) plus the feature config that produced them. Serialization keeps
-    only the weights; supply the same ``bins`` when loading."""
+    keys)."""
 
     weights: dict[int, float]
-    config: FeatureConfig = field(default_factory=FeatureConfig)
 
 
-def _prob_bin(p: float, bins: int) -> int:
-    return min(int(bins * p), bins - 1)
+def _prob_bin(p: float) -> int:
+    return min(int(_BINS * p), _BINS - 1)
 
 
-def feature_strings(
-    inst: SequenceInstance, i: int, label: bool, prev: bool | None, config: FeatureConfig
-) -> list[str]:
+def feature_strings(inst: SequenceInstance, i: int, label: bool, prev: bool | None) -> list[str]:
     """Human-readable feature names for position ``i`` with ``label`` and the
     previous label ``prev`` (BAD is true; None means sequence start): each
     label-free template conjoined with the label, then the bigram."""
     return [
-        *(f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(inst, i, config)),
+        *(f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(inst, i)),
         _bigram_string(prev, label),
     ]
 
 
-def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tuple[str, object]]:
+def _templates(inst: SequenceInstance, i: int) -> list[tuple[str, object]]:
     """Position ``i``'s label-free unigram templates as ``(role, value)``
     pairs, in slot order; the template is ``f"{role}{value}"``. This is the
     one-position reference of ``_template_ids``, which builds the same
@@ -175,7 +160,7 @@ def _templates(inst: SequenceInstance, i: int, config: FeatureConfig) -> list[tu
         ("w+1=", tokens[i + 1] if i + 1 < len(tokens) else _RIGHT_SENTINEL),
         *(("a=", word) for word in words),
         *((f"x{c}=", column[i]) for c, column in enumerate(inst.extra)),
-        *((f"s:{system_id}:b", _prob_bin(probs[i], config.bins)) for system_id, probs in inst.stacked),
+        *((f"s:{system_id}:b", _prob_bin(probs[i])) for system_id, probs in inst.stacked),
     ]
 
 
@@ -183,11 +168,9 @@ def _bigram_string(prev: bool | None, label: bool) -> str:
     return f"g={_START if prev is None else _LABELS[prev]}∧{_LABELS[label]}"
 
 
-def extract_features(
-    inst: SequenceInstance, i: int, label: bool, prev: bool | None, config: FeatureConfig
-) -> list[int]:
+def extract_features(inst: SequenceInstance, i: int, label: bool, prev: bool | None) -> list[int]:
     """Hashed sparse feature vector (a multiset of 64-bit keys)."""
-    return [fnv1a64(s) for s in feature_strings(inst, i, label, prev, config)]
+    return [fnv1a64(s) for s in feature_strings(inst, i, label, prev)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +251,7 @@ def _template_keys(templates: np.ndarray, vocab: _Vocabulary) -> np.ndarray:
     return keys
 
 
-def _template_ids(block: list[SequenceInstance], config: FeatureConfig, vocab: _Vocabulary) -> list[np.ndarray]:
+def _template_ids(block: list[SequenceInstance], vocab: _Vocabulary) -> list[np.ndarray]:
     """The templates of a block of instances as ids ``role id << 32 | value
     id``, with the role and the value numbered by ``vocab`` (which grows): a
     row per slot in slot order, holding each position of the block. -1 pads
@@ -314,8 +297,8 @@ def _template_ids(block: list[SequenceInstance], config: FeatureConfig, vocab: _
         have = [c < len(inst.stacked) for inst in block]
         systems = [inst.stacked[c] for inst, h in zip(block, have) if h]
         probs = np.fromiter(chain.from_iterable(p for _, p in systems), np.float64)
-        # _prob_bin's min(int(bins * p), bins - 1), where int64 holds it
-        scaled = np.minimum(config.bins * probs, config.bins - 1)
+        # _prob_bin's min(int(_BINS * p), _BINS - 1), where int64 holds it
+        scaled = np.minimum(_BINS * probs, _BINS - 1)
         if not (np.isfinite(probs) & (scaled >= -(2.0**63))).all():
             raise RangeError("a stacked probability is not finite or too far below 0 to bin")
         bins, which = np.unique(scaled.astype(np.int64), return_inverse=True)
@@ -324,7 +307,7 @@ def _template_ids(block: list[SequenceInstance], config: FeatureConfig, vocab: _
     return rows
 
 
-def _compile(instances: Iterable[SequenceInstance], config: FeatureConfig):
+def _compile(instances: Iterable[SequenceInstance]):
     """Yields each block of up to ``_BLOCK`` instances with, for each slot
     of each of its positions, the index of its template among the block's
     distinct templates (shaped as ``_template_ids``, -1 for a padded slot),
@@ -333,7 +316,7 @@ def _compile(instances: Iterable[SequenceInstance], config: FeatureConfig):
     vocab = _Vocabulary()
     it = iter(instances)
     while block := list(islice(it, _BLOCK)):
-        yield (block, *_distinct_templates(_template_ids(block, config, vocab), vocab))
+        yield (block, *_distinct_templates(_template_ids(block, vocab), vocab))
 
 
 def _distinct_templates(rows: list[np.ndarray], vocab: _Vocabulary) -> tuple[list[np.ndarray], np.ndarray]:
@@ -362,7 +345,7 @@ def _bounds(block: list[SequenceInstance]) -> Iterator[tuple[int, int]]:
         start += len(inst)
 
 
-def _corpus_scores(instances: Iterable[SequenceInstance], config: FeatureConfig, weights, total: int) -> np.ndarray:
+def _corpus_scores(instances: Iterable[SequenceInstance], weights, total: int) -> np.ndarray:
     """The (OK, BAD) unigram scores, shape (2, total), of every position of
     ``instances`` in corpus order under ``weights`` by key; a key the weights
     lack weighs 0.0. Keys are searched as int64, which numpy searches faster
@@ -374,7 +357,7 @@ def _corpus_scores(instances: Iterable[SequenceInstance], config: FeatureConfig,
     values = np.fromiter(weights.values(), np.float64, len(weights))[order]
     scores = np.zeros((2, total))
     start = 0
-    for block, which, block_keys in _compile(instances, config):
+    for block, which, block_keys in _compile(instances):
         end = start + sum(map(len, block))
         _block_scores(scores[:, start:end], which, block_keys.view(np.int64), keys, values)
         start = end
@@ -394,12 +377,12 @@ def _block_scores(out: np.ndarray, which, block_keys, keys, values) -> None:
         out += found[:, row]
 
 
-def _compile_slots(instances: Iterable[SequenceInstance], config: FeatureConfig, index: dict[int, int]) -> list[list]:
+def _compile_slots(instances: Iterable[SequenceInstance], index: dict[int, int]) -> list[list]:
     """Each instance's per-position (OK slots, BAD slots) in slot order: the
     dense ids of its keys in ``index``, where a new key takes the next id and
     colliding templates share one."""
     compiled = []
-    for block, which, keys in _compile(instances, config):
+    for block, which, keys in _compile(instances):
         # the slots hold the int objects of ``index``, not a copy of each
         ok_ids, bad_ids = ([index.setdefault(key, len(index)) for key in row] for row in keys.tolist())
         by_position = np.array(which, np.int64).reshape(len(which), sum(map(len, block))).T
@@ -595,7 +578,7 @@ def _compile_one(inst: SequenceInstance, model: LinearModel):
     slot's key and the transition scores."""
     w = _model_weights(model)
     index: dict[int, int] = {}
-    (slots,) = _compile_slots([inst], model.config, index)
+    (slots,) = _compile_slots([inst], index)
     return slots, [w[key] for key in index], _transition_scores(_bigram_slots(), w)
 
 
@@ -628,8 +611,6 @@ def mira_train(
     epochs: int = 5,
     C: float = 1.0,
     seed: int = 1,
-    config: FeatureConfig | None = None,
-    average: bool = True,
     on_update: Callable[[float], None] | None = None,
 ) -> LinearModel:
     """Train with max-loss MIRA.
@@ -638,22 +619,18 @@ def mira_train(
     ``score(yhat) + hamming(yhat, gold) > score(gold)`` the weights move by
     ``tau * (phi(gold) - phi(yhat))`` with ``tau = min(C, violation /
     ||delta phi||^2)``. Updates with ``||delta phi||^2 = 0`` are degenerate
-    and skipped. The returned model averages all post-update weight vectors
-    (disable with ``average=False``); data order is reshuffled every epoch
-    from ``seed``.
+    and skipped. The returned model averages all post-update weight
+    vectors; data order is reshuffled every epoch from ``seed``.
     """
-    config, index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C, config)
-    w = _mira(
-        compiled, paths, bigram_slots, len(index),
-        epochs=epochs, C=C, seed=seed, average=average, on_update=on_update,
-    )
-    return LinearModel(weights=_Weights((key, w[j]) for key, j in index.items() if w[j] != 0.0), config=config)
+    index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C)
+    w = _mira(compiled, paths, bigram_slots, len(index), epochs=epochs, C=C, seed=seed, on_update=on_update)
+    return LinearModel(weights=_Weights((key, w[j]) for key, j in index.items() if w[j] != 0.0))
 
 
-def _compile_training(instances, golds, epochs, C, config):
+def _compile_training(instances, golds, epochs, C):
     """Checks the training arguments and compiles every instance once,
-    interning its keys into one new dense index; returns the config, the
-    index, the compiled instances, the transition slots and the gold paths."""
+    interning its keys into one new dense index; returns the index, the
+    compiled instances, the transition slots and the gold paths."""
     if epochs < 1:
         raise RangeError("epochs must be >= 1")
     if C <= 0:
@@ -663,15 +640,14 @@ def _compile_training(instances, golds, epochs, C, config):
     for inst, gold in zip(instances, golds):
         if len(inst) != len(gold):
             raise LengthMismatch("gold labeling length must match its instance")
-    config = config or FeatureConfig()
     index: dict[int, int] = {}
-    compiled = _compile_slots(instances, config, index)
-    return config, index, compiled, _bigram_slots(index), [_int_path(gold) for gold in golds]
+    compiled = _compile_slots(instances, index)
+    return index, compiled, _bigram_slots(index), [_int_path(gold) for gold in golds]
 
 
-def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_update=None) -> list[float]:
+def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, on_update=None) -> list[float]:
     """The MIRA loop of ``mira_train`` over compiled instances and their gold
-    paths; returns the final (or averaged) weight of every dense id."""
+    paths; returns the averaged weight of every dense id."""
     w = [0.0] * size
     acc = [0.0] * size
     last = [0] * size
@@ -719,12 +695,11 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, average, on_u
             for j, count in delta.items():
                 if count == 0:
                     continue
-                if average:
-                    acc[j] += w[j] * (step - 1 - last[j])
-                    last[j] = step - 1
+                acc[j] += w[j] * (step - 1 - last[j])
+                last[j] = step - 1
                 w[j] += tau * count
 
-    if not average or not step:
+    if not step:
         return w
     return [(a + v * (step - l)) / step for a, v, l in zip(acc, w, last)]
 
@@ -741,7 +716,7 @@ def predict(
     ``predict_probs`` give them), each instance compiled once."""
     w = _model_weights(model)
     lengths = np.fromiter(map(len, instances), np.int64, len(instances))
-    scores = _corpus_scores(instances, model.config, w, int(lengths.sum()))
+    scores = _corpus_scores(instances, w, int(lengths.sum()))
     t = np.array(_transition_scores(_bigram_slots(), w))
     return _decode(scores, lengths, np.repeat(t[:, :, None], lengths.size, axis=2), gamma)
 
@@ -781,8 +756,6 @@ def jackknife(
     epochs: int = 5,
     C: float = 1.0,
     seed: int = 1,
-    config: FeatureConfig | None = None,
-    average: bool = True,
     gamma: float = 1.0,
     jobs: int = 1,
 ) -> tuple[list[list[bool]], list[list[float]]]:
@@ -794,11 +767,8 @@ def jackknife(
     is decoded once, each sentence under its fold's transition scores. The
     result covers each instance exactly once, in corpus order."""
     bounds = fold_bounds(len(instances), k)
-    config, index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C, config)
-    fold = functools.partial(
-        _jackknife_fold, compiled, paths, bigram_slots, len(index),
-        epochs=epochs, C=C, seed=seed, average=average,
-    )
+    index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C)
+    fold = functools.partial(_jackknife_fold, compiled, paths, bigram_slots, len(index), epochs=epochs, C=C, seed=seed)
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe in a process with threads
         with ProcessPoolExecutor(jobs, mp_context=spawn, initializer=_init_worker, initargs=(fold,)) as pool:
@@ -826,7 +796,7 @@ def save_model(model: LinearModel, path):
 _MODEL_BLOCK = 1024
 
 
-def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
+def load_model(path) -> LinearModel:
     """The weights ``save_model`` writes, read a block of lines at a time and
     a column at a time; only a file that fails that read is walked line by
     line, to name its first bad line."""
@@ -844,7 +814,7 @@ def load_model(path, config: FeatureConfig | None = None) -> LinearModel:
         except ValueError:
             break
     else:
-        return LinearModel(weights=weights, config=config or FeatureConfig())
+        return LinearModel(weights=weights)
     for i, line in enumerate(lines, 1):
         key, sep, value = line.partition("\t")
         if not sep or not key.isdecimal():

@@ -477,7 +477,7 @@ def test_linear_train_is_deterministic(tmp_path, capsys, rng):
 
 def test_config_file_sets_training_options(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=10)
-    config = write(tmp_path / "run.cfg", "epochs=1\nC=0.5\nbins=5\n# comment\n")
+    config = write(tmp_path / "run.cfg", "epochs=1\nC=0.5\ngamma=2.0\n# comment\n")
     model = tmp_path / "m.model"
     code, _, _ = run(
         capsys, "--config", config, "linear", "train",
@@ -487,8 +487,8 @@ def test_config_file_sets_training_options(tmp_path, capsys, rng):
     snapshot = (tmp_path / "m.model.run.cfg").read_text()
     assert "epochs=1" in snapshot
     assert "C=0.5" in snapshot
-    assert "bins=5" in snapshot
-    assert not [line for line in snapshot.splitlines() if line.startswith("use_")]
+    assert "gamma=2.0" in snapshot
+    assert not [line for line in snapshot.splitlines() if line.startswith(("use_", "bins", "average"))]
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys, rng):
@@ -513,6 +513,35 @@ def test_a_template_toggle_in_a_config_file_is_an_unknown_key(tmp_path, capsys, 
     )
     assert code == 1
     assert err == "error: unknown config keys: use_context\n"
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [("linear", "bins=5"), ("linear", "average=false"), ("make-labels", "cap_hter=false")],
+)
+def test_a_retired_setting_in_a_config_file_is_an_unknown_key(tmp_path, capsys, rng, command, setting):
+    # stacked probabilities always fall into 10 bins, MIRA always averages and
+    # HTER is always clamped to [0, 1]; a model file does not record the bins,
+    # and an unclamped HTER file was rejected by the toolkit's own readers
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    config = write(tmp_path / "run.cfg", setting + "\n")
+    if command == "linear":
+        argv = ["linear", "train", "--mt", paths["mt"], "--tags", paths["tags"], "--model", tmp_path / "m"]
+    else:
+        argv = ["make-labels", "--mt", paths["mt"], "--pe", paths["pe"], "--out-prefix", tmp_path / "l"]
+    code, _, err = run(capsys, "--config", config, *argv)
+    assert code == 1
+    assert err == f"error: unknown config keys: {setting.split('=')[0]}\n"
+
+
+def test_make_labels_has_no_no_cap_flag(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    code, _, err = run(
+        capsys, "make-labels", "--mt", paths["mt"], "--pe", paths["pe"], "--out-prefix", tmp_path / "l", "--no-cap",
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --no-cap"
+    assert not (tmp_path / "l.hter").exists()
 
 
 # --- ensembles ---------------------------------------------------------------------

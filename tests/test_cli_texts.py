@@ -54,7 +54,7 @@ NAMESPACE_CASES = [
     ["evaluate", "--gold", "g", "--pred", "p"],
     ["--format", "kv", "evaluate", "--gold", "g", "--pred", "p", "--threshold", "0.25", "--stream", "sentence", "--seed", "4"],
     ["make-labels", "--mt", "m", "--pe", "e", "--out-prefix", "o"],
-    ["--jobs", "2", "make-labels", "--mt", "m", "--pe", "e", "--src", "s", "--align", "a", "--out-prefix", "o", "--no-cap"],
+    ["--jobs", "2", "make-labels", "--mt", "m", "--pe", "e", "--src", "s", "--align", "a", "--out-prefix", "o"],
     ["linear", "train", "--mt", "m", "--tags", "t", "--model", "x", "--extra", "e1", "--extra", "e2", "--C", "0.5"],
     ["linear", "predict", "--mt", "m", "--src", "s", "--stream", "source", "--model", "x", "--out-prefix", "o", "--gamma", "2"],
     ["--seed", "9", "linear", "jackknife", "--mt", "m", "--tags", "t", "--k", "3", "--epochs", "2", "--out-prefix", "o", "--jobs", "2"],

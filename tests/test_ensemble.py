@@ -73,10 +73,10 @@ def gauss_solve(A, b):
     return x
 
 
-def ridge_oracle(X, y, lam, intercept=True):
+def ridge_oracle(X, y, lam):
     """Build the penalized normal equations with explicit loops and solve by
     elimination; the intercept row is unpenalized."""
-    rows = [list(map(float, r)) + ([1.0] if intercept else []) for r in X]
+    rows = [list(map(float, r)) + [1.0] for r in X]
     d = len(rows[0])
     A = [[0.0] * d for _ in range(d)]
     b = [0.0] * d
@@ -86,7 +86,7 @@ def ridge_oracle(X, y, lam, intercept=True):
             for j in range(d):
                 A[i][j] += row[i] * row[j]
     for i in range(d):
-        if not (intercept and i == d - 1):
+        if i != d - 1:
             A[i][i] += lam
     return gauss_solve(A, b)
 
@@ -748,14 +748,16 @@ def test_sentence_means_add_left_to_right(rows):
 # --- ridge --------------------------------------------------------------------
 
 
-def test_identity_design_without_intercept():
-    model = ridge_fit(np.eye(2), [2.0, 3.0], 0.0, intercept=False)
+def test_exact_design_recovers_its_coefficients_and_intercept():
+    model = ridge_fit([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 3.0, 4.0], 0.0)
     assert model.coefficients == pytest.approx([2.0, 3.0], abs=1e-12)
+    assert model.intercept == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ones_column_recovers_the_mean():
-    model = ridge_fit([[1.0], [1.0]], [1.0, 3.0], 0.0, intercept=False)
-    assert model.coefficients[0] == pytest.approx(2.0, abs=1e-12)
+def test_intercept_recovers_the_mean_of_a_zero_column():
+    model = ridge_fit([[0.0], [0.0]], [1.0, 3.0], 1.0)
+    assert model.coefficients[0] == 0.0
+    assert model.intercept == pytest.approx(2.0, abs=1e-12)
 
 
 def test_huge_lambda_kills_slopes_but_not_the_intercept():
@@ -784,7 +786,7 @@ def test_ridge_matches_the_elimination_oracle():
 def test_singular_unregularized_system_raises():
     X = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
     with pytest.raises(SingularSystem):
-        ridge_fit(X, [1.0, 2.0, 3.0], 0.0, intercept=False)
+        ridge_fit(X, [1.0, 2.0, 3.0], 0.0)
 
 
 def test_cv_with_one_value_returns_it():

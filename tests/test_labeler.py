@@ -212,10 +212,10 @@ def test_hter_worked_examples():
     assert hter(align_edit(sent("a b"), sent("x y z")), 3) == 1.0
 
 
-def test_hter_cap_flag():
-    script = align_edit(sent("a b c d"), sent("x"))  # 3 subs+dels / 1
+def test_hter_is_clamped_to_one():
+    script = align_edit(sent("a b c d"), sent("x"))  # 4 edits for 1 post-edit word
+    assert edit_cost(script) == 4
     assert hter(script, 1) == 1.0
-    assert hter(script, 1, cap=False) == 4.0
 
 
 # --- source projection ------------------------------------------------------
@@ -322,7 +322,7 @@ def test_label_corpus_fills_tags_hter_and_source(rng):
         assert len(entry.source_tags.tags) == len(entry.src)
 
 
-def reference_label(entry: Entry, cap: bool) -> Entry:
+def reference_label(entry: Entry) -> Entry:
     """One entry labeled through the reference DP, cell by cell."""
     script = min_align_edit(entry.mt, entry.pe)
     target = tags_from_edits(script, len(entry.mt))
@@ -331,15 +331,15 @@ def reference_label(entry: Entry, cap: bool) -> Entry:
         source = reference_source_tags(target, entry.alignments, len(entry.src))
         alignments = frozenset(entry.alignments)
     return replace(
-        entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe), cap=cap), alignments=alignments
+        entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe)), alignments=alignments
     )
 
 
-def assert_labeled_like_the_reference(corpus: TaggedCorpus, cap: bool):
-    labeled = label_corpus(corpus, cap=cap)
+def assert_labeled_like_the_reference(corpus: TaggedCorpus):
+    labeled = label_corpus(corpus)
     assert len(labeled) == len(corpus)
     for got, entry in zip(labeled, corpus):
-        want = reference_label(entry, cap)
+        want = reference_label(entry)
         assert got.target_tags == want.target_tags
         assert got.source_tags == want.source_tags
         assert got.hter.hex() == want.hter.hex()
@@ -382,12 +382,12 @@ _BLOCKINGS = [
 
 @pytest.mark.parametrize("budget,int16_length", _BLOCKINGS)
 @settings(max_examples=60, deadline=None)
-@given(entries=labelable_entries(), cap=st.booleans())
-def test_block_labeling_equals_the_reference_per_entry(budget, int16_length, entries, cap):
+@given(entries=labelable_entries())
+def test_block_labeling_equals_the_reference_per_entry(budget, int16_length, entries):
     with mock.patch.object(labeler, "_CELL_BUDGET", budget), mock.patch.object(
         labeler, "_INT16_LENGTH", int16_length
     ):
-        assert_labeled_like_the_reference(TaggedCorpus.from_entries(entries), cap)
+        assert_labeled_like_the_reference(TaggedCorpus.from_entries(entries))
 
 
 def test_a_pair_larger_than_the_cell_budget_is_a_block_of_its_own():
@@ -400,7 +400,7 @@ def test_a_pair_larger_than_the_cell_budget_is_a_block_of_its_own():
         assert 301 * 321 > labeler._CELL_BUDGET
         lengths = [(len(e.mt), len(e.pe)) for e in corpus]
         assert [1] in list(labeler._blocks(sorted(range(4), key=lengths.__getitem__), lengths))
-        assert_labeled_like_the_reference(corpus, cap=True)
+        assert_labeled_like_the_reference(corpus)
 
 
 @settings(max_examples=100, deadline=None)

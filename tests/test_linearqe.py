@@ -23,7 +23,6 @@ from qestack.ensemble import fold_bounds
 from qestack.errors import EmptyInput, LengthMismatch, MissingStream, ParseError, QEStackError, RangeError
 from qestack.labeler import hter, label_corpus
 from qestack.linearqe import (
-    FeatureConfig,
     LinearModel,
     SequenceInstance,
     build_instances,
@@ -55,7 +54,7 @@ def brute_force(inst, model, cost_gold=None):
     the weight of every key of ``extract_features``, in its order. Each
     position's keys are hashed once per label pair, not once per labeling."""
     weights = {
-        (i, label, prev): [model.weights.get(key, 0.0) for key in extract_features(inst, i, label, prev, model.config)]
+        (i, label, prev): [model.weights.get(key, 0.0) for key in extract_features(inst, i, label, prev)]
         for i in range(len(inst))
         for label in (OK, BAD)
         for prev in (None, OK, BAD)
@@ -75,16 +74,15 @@ def brute_force(inst, model, cost_gold=None):
     return best_seq, best_score
 
 
-def random_model(rng, inst, config=None):
-    config = config or FeatureConfig()
+def random_model(rng, inst):
     weights = {}
     for i in range(len(inst)):
         for label in (OK, BAD):
             for prev in (None, OK, BAD):
-                for key in extract_features(inst, i, label, prev, config):
+                for key in extract_features(inst, i, label, prev):
                     if key not in weights:
                         weights[key] = rng.gauss(0.0, 1.0)
-    return LinearModel(weights=weights, config=config)
+    return LinearModel(weights=weights)
 
 
 BIGRAM_KEYS = frozenset(fnv1a64(f"g={prev}∧{label}") for prev in ("<start>", "OK", "BAD") for label in ("OK", "BAD"))
@@ -93,7 +91,7 @@ BIGRAM_KEYS = frozenset(fnv1a64(f"g={prev}∧{label}") for prev in ("<start>", "
 def without_bigrams(model):
     """``model`` without its bigram keys: every transition scores 0.0."""
     assert BIGRAM_KEYS <= model.weights.keys()
-    return LinearModel({key: w for key, w in model.weights.items() if key not in BIGRAM_KEYS}, model.config)
+    return LinearModel({key: w for key, w in model.weights.items() if key not in BIGRAM_KEYS})
 
 
 def random_instance(rng, max_len=8, alphabet="abcdef"):
@@ -106,27 +104,27 @@ def random_instance(rng, max_len=8, alphabet="abcdef"):
 
 def test_first_position_uses_left_sentinel():
     inst = make_instance(["ein", "haus"])
-    names = feature_strings(inst, 0, OK, None, FeatureConfig())
+    names = feature_strings(inst, 0, OK, None)
     assert "w-1=<s>∧OK" in names
     assert "w+1=haus∧OK" in names
-    last = feature_strings(inst, 1, BAD, OK, FeatureConfig())
+    last = feature_strings(inst, 1, BAD, OK)
     assert "w+1=</s>∧BAD" in last
     assert "g=OK∧BAD" in last
 
 
 def test_stacked_probability_binning():
     inst = make_instance(["x"], stacked=(("sys1", (0.73,)),))
-    names = feature_strings(inst, 0, BAD, None, FeatureConfig(bins=10))
+    names = feature_strings(inst, 0, BAD, None)
     assert "s:sys1:b7∧BAD" in names
     # p = 1.0 falls into the top bin, not a bin of its own
     top = make_instance(["x"], stacked=(("sys1", (1.0,)),))
-    assert "s:sys1:b9∧BAD" in feature_strings(top, 0, BAD, None, FeatureConfig(bins=10))
+    assert "s:sys1:b9∧BAD" in feature_strings(top, 0, BAD, None)
 
 
 def test_feature_extraction_is_deterministic():
     inst = make_instance(["a", "b", "c"], aligned=(("u",), (), ("v", "w")))
-    first = extract_features(inst, 1, BAD, OK, FeatureConfig())
-    second = extract_features(inst, 1, BAD, OK, FeatureConfig())
+    first = extract_features(inst, 1, BAD, OK)
+    second = extract_features(inst, 1, BAD, OK)
     assert first == second
     assert all(isinstance(k, int) and 0 <= k < 2**64 for k in first)
 
@@ -139,13 +137,13 @@ def test_feature_strings_of_every_template_in_slot_order():
         extra=(("P", "Q"), ("R", "S")),
         stacked=(("s0", (0.1, 0.9)), ("s1", (0.5, 0.2))),
     )
-    assert feature_strings(inst, 0, BAD, None, FeatureConfig(bins=4)) == [
+    assert feature_strings(inst, 0, BAD, None) == [
         "b∧BAD", "w0=a∧BAD", "w-1=<s>∧BAD", "w+1=b∧BAD", "a=u∧BAD", "a=v∧BAD",
-        "x0=P∧BAD", "x1=R∧BAD", "s:s0:b0∧BAD", "s:s1:b2∧BAD", "g=<start>∧BAD",
+        "x0=P∧BAD", "x1=R∧BAD", "s:s0:b1∧BAD", "s:s1:b5∧BAD", "g=<start>∧BAD",
     ]
-    assert feature_strings(inst, 1, OK, BAD, FeatureConfig(bins=4)) == [
+    assert feature_strings(inst, 1, OK, BAD) == [
         "b∧OK", "w0=b∧OK", "w-1=a∧OK", "w+1=</s>∧OK", "a=<none>∧OK",
-        "x0=Q∧OK", "x1=S∧OK", "s:s0:b3∧OK", "s:s1:b0∧OK", "g=BAD∧OK",
+        "x0=Q∧OK", "x1=S∧OK", "s:s0:b9∧OK", "s:s1:b2∧OK", "g=BAD∧OK",
     ]
 
 
@@ -175,7 +173,7 @@ def test_without_bigram_viterbi_is_positionwise_argmax():
             scores = {}
             for label in (OK, BAD):
                 scores[label] = sum(
-                    model.weights.get(k, 0.0) for k in extract_features(inst, i, label, None, model.config)
+                    model.weights.get(k, 0.0) for k in extract_features(inst, i, label, None)
                 )
             assert scores[tag] >= scores[OK if tag is BAD else BAD]
 
@@ -312,7 +310,7 @@ def test_raising_bad_bias_never_lowers_probabilities():
     bias_key = fnv1a64("b∧BAD")
     boosted = dict(model.weights)
     boosted[bias_key] = boosted.get(bias_key, 0.0) + 2.5
-    higher = predict_probs(inst, LinearModel(weights=boosted, config=model.config))
+    higher = predict_probs(inst, LinearModel(weights=boosted))
     assert all(h >= b - 1e-12 for h, b in zip(higher, base))
 
 
@@ -379,11 +377,10 @@ def noisy_data(rng, n_sentences):
     return instances, golds
 
 
-@pytest.mark.parametrize("average", [True, False])
-def test_jackknife_folds_equal_predict_with_mira_train_on_the_rest(average):
+def test_jackknife_folds_equal_predict_with_mira_train_on_the_rest():
     rng = random.Random(16)
     instances, golds = noisy_data(rng, 20)
-    options = {"epochs": 3, "C": 0.5, "seed": 7, "config": FeatureConfig(bins=4), "average": average}
+    options = {"epochs": 3, "C": 0.5, "seed": 7}
     tags, probs = jackknife(instances, golds, 3, gamma=0.7, **options)
     bounds = fold_bounds(len(instances), 3)
     for lo, hi in bounds:
@@ -417,7 +414,7 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
     assert len(builds) == len(instances)
 
 
-def reference_mira(instances, golds, config, *, epochs, C, seed):
+def reference_mira(instances, golds, *, epochs, C, seed):
     """Averaged max-loss MIRA on a dict keyed by the hashed keys of
     ``extract_features``, adding weights in the order ``mira_train`` does."""
     w, acc, last = {}, {}, {}
@@ -429,12 +426,12 @@ def reference_mira(instances, golds, config, *, epochs, C, seed):
         for idx in order:
             step += 1
             inst, gold = instances[idx], golds[idx]
-            pred, augmented = reference_viterbi(inst, w, config, cost_gold=gold)
+            pred, augmented = reference_viterbi(inst, w, cost_gold=gold)
             if pred == gold:
                 continue
             gold_score, prev = 0.0, None
             for i, label in enumerate(gold):
-                for key in extract_features(inst, i, label, prev, config):
+                for key in extract_features(inst, i, label, prev):
                     gold_score += w.get(key, 0.0)
                 prev = label
             violation = augmented - gold_score
@@ -443,8 +440,8 @@ def reference_mira(instances, golds, config, *, epochs, C, seed):
             delta = Counter()
             prev_g = prev_p = None
             for i in range(len(inst)):
-                delta.update(extract_features(inst, i, gold[i], prev_g, config))
-                delta.subtract(extract_features(inst, i, pred[i], prev_p, config))
+                delta.update(extract_features(inst, i, gold[i], prev_g))
+                delta.subtract(extract_features(inst, i, pred[i], prev_p))
                 prev_g, prev_p = gold[i], pred[i]
             sq_norm = sum(c * c for c in delta.values())
             if sq_norm == 0:
@@ -459,44 +456,44 @@ def reference_mira(instances, golds, config, *, epochs, C, seed):
     return {key: value for key, value in averaged.items() if value != 0.0}
 
 
-def reference_unigram(inst, w, config, i, label, cost_gold=None):
+def reference_unigram(inst, w, i, label, cost_gold=None):
     """Position ``i``'s unigram score over dict weights, summing every key of
     ``extract_features`` (a missing key adds 0.0); the bigram key is the last
     of them."""
     s = 0.0
-    for key in extract_features(inst, i, label, None, config)[:-1]:
+    for key in extract_features(inst, i, label, None)[:-1]:
         s += w.get(key, 0.0)
     return s + 1.0 if cost_gold is not None and label is not cost_gold[i] else s
 
 
-def reference_transition(inst, w, config, prev, label):
-    return w.get(extract_features(inst, 0, label, prev, config)[-1], 0.0)
+def reference_transition(inst, w, prev, label):
+    return w.get(extract_features(inst, 0, label, prev)[-1], 0.0)
 
 
-def reference_forward(inst, w, config, cost_gold=None):
+def reference_forward(inst, w, cost_gold=None):
     """The max-product forward pass over dict weights: ``delta[i][l]`` and
     the back pointers of positions 1..n-1. Ties break toward OK."""
     labels = (OK, BAD)
     delta = [[
-        reference_unigram(inst, w, config, 0, label, cost_gold) + reference_transition(inst, w, config, None, label)
+        reference_unigram(inst, w, 0, label, cost_gold) + reference_transition(inst, w, None, label)
         for label in labels
     ]]
     back = []
     for i in range(1, len(inst)):
         row, pointers = [], []
         for label in labels:
-            ok, bad = (delta[-1][p] + reference_transition(inst, w, config, prev, label) for p, prev in enumerate(labels))
+            ok, bad = (delta[-1][p] + reference_transition(inst, w, prev, label) for p, prev in enumerate(labels))
             pointers.append(1 if bad > ok else 0)
-            row.append(reference_unigram(inst, w, config, i, label, cost_gold) + (bad if bad > ok else ok))
+            row.append(reference_unigram(inst, w, i, label, cost_gold) + (bad if bad > ok else ok))
         delta.append(row)
         back.append(pointers)
     return delta, back
 
 
-def reference_viterbi(inst, w, config, cost_gold=None):
+def reference_viterbi(inst, w, cost_gold=None):
     """First-order Viterbi over dict weights. Ties break toward OK."""
     labels = (OK, BAD)
-    delta, back = reference_forward(inst, w, config, cost_gold)
+    delta, back = reference_forward(inst, w, cost_gold)
     best = 0 if delta[-1][0] >= delta[-1][1] else 1
     path = [best]
     for pointers in reversed(back):
@@ -504,31 +501,31 @@ def reference_viterbi(inst, w, config, cost_gold=None):
     return [labels[l] for l in reversed(path)], delta[-1][best]
 
 
-def reference_path_score(inst, w, config, labels):
+def reference_path_score(inst, w, labels):
     """One labeling's score over dict weights, added key by key in position
     order, each position's transition after its unigram keys."""
     total, prev = 0.0, None
     for i, label in enumerate(labels):
-        for key in extract_features(inst, i, label, prev, config)[:-1]:
+        for key in extract_features(inst, i, label, prev)[:-1]:
             total += w.get(key, 0.0)
-        total += reference_transition(inst, w, config, prev, label)
+        total += reference_transition(inst, w, prev, label)
         prev = label
     return total
 
 
-def reference_probs(inst, w, config, gamma):
+def reference_probs(inst, w, gamma):
     """Max-marginal P(BAD) per position over dict weights: the logistic of
     ``gamma`` times the best BAD score minus the best OK score, from the
     forward pass and a backward max pass."""
     labels = (OK, BAD)
-    delta, _ = reference_forward(inst, w, config)
+    delta, _ = reference_forward(inst, w)
     n = len(inst)
     bwd = [[0.0, 0.0] for _ in range(n)]
     for i in range(n - 2, -1, -1):
         for p, prev in enumerate(labels):
             ok, bad = (
-                reference_transition(inst, w, config, prev, label)
-                + reference_unigram(inst, w, config, i + 1, label)
+                reference_transition(inst, w, prev, label)
+                + reference_unigram(inst, w, i + 1, label)
                 + bwd[i + 1][l]
                 for l, label in enumerate(labels)
             )
@@ -544,21 +541,24 @@ def test_colliding_feature_strings_share_one_weight(monkeypatch):
     monkeypatch.setattr(linearqe, "fnv1a64", lambda text: full_hash(text) % 8)
     monkeypatch.setattr(linearqe, "_template_keys", lambda *args: template_keys(*args) % np.uint64(8))
     instances, golds = noisy_data(random.Random(19), 12)
-    config = FeatureConfig(bins=3)
-    options = {"epochs": 3, "C": 0.5, "seed": 5, "config": config}
+    options = {"epochs": 3, "C": 0.5, "seed": 5}
     model = mira_train(instances, golds, **options)
     assert model.weights == reference_mira(instances, golds, **options)
-    assert predict(instances, model)[0] == [reference_viterbi(inst, model.weights, config)[0] for inst in instances]
+    assert predict(instances, model)[0] == [reference_viterbi(inst, model.weights)[0] for inst in instances]
 
     tags, probs = jackknife(instances, golds, 3, **options)
     lo, hi = fold_bounds(len(instances), 3)[1]
     rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
-    assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest, config))
+    assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest))
 
 
-def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path):
+def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path, monkeypatch):
+    import qestack.linearqe as linearqe
+
+    # the pins were written when the bin count was an option, here 4
+    monkeypatch.setattr(linearqe, "_BINS", 4)
     instances, golds = noisy_data(random.Random(18), 30)
-    options = {"epochs": 3, "C": 0.5, "seed": 7, "config": FeatureConfig(bins=4)}
+    options = {"epochs": 3, "C": 0.5, "seed": 7}
     path = tmp_path / "m.model"
     save_model(mira_train(instances, golds, **options), path)
     _, probs = jackknife(instances, golds, 3, gamma=0.7, **options)
@@ -586,7 +586,7 @@ def rich_data(rng, n_sentences):
     return instances
 
 
-def partial_model(rng, instances, config):
+def partial_model(rng, instances):
     """Random weights on about half of the keys the instances produce, one
     of them -0.0; the model lacks the other keys."""
     keys = sorted({
@@ -595,29 +595,28 @@ def partial_model(rng, instances, config):
         for i in range(len(inst))
         for label in (OK, BAD)
         for prev in (None, OK, BAD)
-        for key in extract_features(inst, i, label, prev, config)
+        for key in extract_features(inst, i, label, prev)
     })
     weights = {key: rng.gauss(0.0, 1.0) for key in keys if rng.random() < 0.5}
     if keys:
         weights[rng.choice(keys)] = -0.0
-    return LinearModel(weights=weights, config=config)
+    return LinearModel(weights=weights)
 
 
 def test_predict_equals_the_reference_bit_for_bit():
     # predict drops the keys a model lacks; the reference adds 0.0 for each
     rng = random.Random(21)
     instances = rich_data(rng, 4)
-    config = FeatureConfig(bins=3)
     for _ in range(32):
-        model = partial_model(rng, instances, config)
+        model = partial_model(rng, instances)
         tags, probs = predict(instances, model, gamma=0.7)
         for inst, row_tags, row_probs in zip(instances, tags, probs):
-            ref_tags, ref_score = reference_viterbi(inst, model.weights, config)
+            ref_tags, ref_score = reference_viterbi(inst, model.weights)
             assert row_tags == ref_tags
-            assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, config, 0.7)]
+            assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, 0.7)]
             decoded, score = viterbi(inst, model)
             assert (decoded, score.hex()) == (ref_tags, ref_score.hex())
-            assert score_sequence(inst, model, ref_tags).hex() == reference_path_score(inst, model.weights, config, ref_tags).hex()
+            assert score_sequence(inst, model, ref_tags).hex() == reference_path_score(inst, model.weights, ref_tags).hex()
 
 
 def test_compiles_hash_no_feature_string_but_the_bigrams(monkeypatch):
@@ -633,15 +632,14 @@ def test_compiles_hash_no_feature_string_but_the_bigrams(monkeypatch):
 
     monkeypatch.setattr(linearqe, "fnv1a64", counting_hash)
     instances, golds = noisy_data(random.Random(22), 40)
-    config = FeatureConfig(bins=3)
     bigrams = sorted(
-        feature_strings(instances[0], 0, label, prev, config)[-1] for label in (OK, BAD) for prev in (None, OK, BAD)
+        feature_strings(instances[0], 0, label, prev)[-1] for label in (OK, BAD) for prev in (None, OK, BAD)
     )
-    model = mira_train(instances, golds, epochs=2, config=config)
+    model = mira_train(instances, golds, epochs=2)
     assert sorted(hashed) == bigrams
     calls = (
         lambda: predict(instances, model),
-        lambda: jackknife(instances, golds, 4, epochs=2, config=config),
+        lambda: jackknife(instances, golds, 4, epochs=2),
         lambda: viterbi(instances[0], model),
         lambda: score_sequence(instances[0], model, golds[0]),
     )
@@ -707,17 +705,16 @@ def test_compiled_slots_hold_the_keys_of_extract_features_in_order(monkeypatch, 
 
     monkeypatch.setattr(linearqe, "_BLOCK", block)
     instances = mixed_data(random.Random(23), 70)
-    config = FeatureConfig(bins=3)
     index = {}
-    compiled = linearqe._compile_slots(instances, config, index)
+    compiled = linearqe._compile_slots(instances, index)
     keys = list(index)
     assert len(compiled) == len(instances)
     for inst, slots in zip(instances, compiled):
         assert len(slots) == len(inst)
         for i, (ok, bad) in enumerate(slots):
             # every key but the last, the bigram
-            assert [keys[j] for j in ok] == extract_features(inst, i, OK, None, config)[:-1]
-            assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None, config)[:-1]
+            assert [keys[j] for j in ok] == extract_features(inst, i, OK, None)[:-1]
+            assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None)[:-1]
 
 
 @pytest.mark.parametrize("block", [3, 64])
@@ -728,15 +725,14 @@ def test_block_compiles_predict_and_train_as_one_instance_at_a_time(monkeypatch,
     rng = random.Random(24)
     instances = mixed_data(rng, 70)
     golds = [[rng.random() < 0.3 for _ in inst.tokens] for inst in instances]
-    config = FeatureConfig(bins=3)
-    model = partial_model(rng, instances, config)
+    model = partial_model(rng, instances)
     tags, probs = predict(instances, model, gamma=0.7)
     for inst, row_tags, row_probs in zip(instances, tags, probs):
         assert row_tags == viterbi(inst, model)[0]
-        assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, config, 0.7)]
-    trained = mira_train(instances, golds, epochs=2, config=config)
+        assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, 0.7)]
+    trained = mira_train(instances, golds, epochs=2)
     monkeypatch.setattr(linearqe, "_BLOCK", 1)
-    assert trained.weights == mira_train(instances, golds, epochs=2, config=config).weights
+    assert trained.weights == mira_train(instances, golds, epochs=2).weights
 
 
 def test_jackknife_rejects_too_few_sentences():
@@ -837,9 +833,8 @@ def test_predict_equals_the_per_sentence_decode_at_any_block_size(monkeypatch, b
     monkeypatch.setattr(linearqe, "_BLOCK", block)
     rng = random.Random(27)
     instances = mixed_data(rng, 70) + [make_instance(["a"])]
-    config = FeatureConfig(bins=3)
-    model = partial_model(rng, instances, config)
-    bigrams = {fnv1a64(feature_strings(instances[0], 0, OK, prev, config)[-1]) for prev in (None, OK, BAD)}
+    model = partial_model(rng, instances)
+    bigrams = {fnv1a64(feature_strings(instances[0], 0, OK, prev)[-1]) for prev in (None, OK, BAD)}
     model.weights.update(dict.fromkeys(bigrams, -0.0))  # -0.0 transition scores
     for gamma in (0.7, 1000.0):
         want = list(zip(*(per_sentence_predict(inst, model, gamma) for inst in instances)))
@@ -853,7 +848,7 @@ def test_predict_of_no_instances_is_empty():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_jackknife_decodes_each_fold_as_the_per_sentence_decode(jobs):
     instances, golds = noisy_data(random.Random(28), 14)
-    options = {"epochs": 2, "C": 0.5, "seed": 3, "config": FeatureConfig(bins=4)}
+    options = {"epochs": 2, "C": 0.5, "seed": 3}
     tags, probs = jackknife(instances, golds, 3, gamma=0.7, jobs=jobs, **options)
     assert min(map(len, instances)) == 1
     for lo, hi in fold_bounds(len(instances), 3):
@@ -871,7 +866,7 @@ def test_model_round_trip(tmp_path):
     model = random_model(rng, inst)
     path = tmp_path / "model.txt"
     save_model(model, path)
-    loaded = load_model(path, config=model.config)
+    loaded = load_model(path)
     assert loaded.weights == model.weights
     keys = [int(line.split("\t")[0]) for line in path.read_text().splitlines()]
     assert keys == sorted(keys)
