@@ -62,6 +62,7 @@ __all__ = [
     "is_tag_file",
     "stream_lengths",
     "check_lengths",
+    "check_finite",
     "write_tags",
     "write_probs",
     "write_scores",
@@ -503,21 +504,37 @@ def _parse_float(text, *, file, line) -> float:
         raise ParseError(f"malformed number {text!r}", file=file, line=line) from None
 
 
+def check_finite(values, what: str, *, file, line: int | None = None):
+    """A RangeError naming the first of ``values`` that is not finite, and
+    its line: ``line``, or with ``line`` None the value's own line, one value
+    to a line."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(finite.argmin())
+        raise RangeError(
+            f"{what} {float(values[first])!r} is not finite", file=str(file), line=first + 1 if line is None else line
+        )
+
+
 def read_score_lines(path) -> list[float]:
-    """One float per line, of any value; only a file one ``map(float, ...)`` fails on is walked."""
+    """One finite float per line; only a file one ``map(float, ...)`` fails on is walked."""
     lines, fields, _ = _read_fields(path)
     # no line is blank, so as many fields as lines means one on each
     if len(fields) == len(lines):
         try:
-            return list(map(float, fields))
+            values = list(map(float, fields))
         except ValueError:
             pass
+        else:
+            check_finite(values, "score", file=path)
+            return values
     out = []
     for i, line in enumerate(lines, 1):
         fields = line.split()
         if len(fields) != 1:
             raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
         out.append(_parse_float(fields[0], file=str(path), line=i))
+        check_finite(out[-1:], "score", file=path, line=i)
     return out
 
 
@@ -639,7 +656,7 @@ def _sorted_distinct(pairs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     offsets = np.zeros(counts.size + 1, np.int64)
     np.cumsum(np.bincount(line[keep], minlength=counts.size), out=offsets[1:])
     pairs = pairs.compress(keep, axis=0)
-    pairs.flags.writeable = False
+    pairs.flags.writeable = offsets.flags.writeable = False
     return pairs, offsets
 
 
@@ -832,10 +849,6 @@ def load_predictions(
     if sentences is not None:
         values = read_score_lines(sentences)
         check_lengths(values, [None] * len(corpus), sentences, "sentence stream")
-        finite = np.isfinite(values)
-        if not finite.all():
-            line = int(finite.argmin()) + 1
-            raise RangeError(f"sentence score {values[line - 1]!r} is not finite", file=str(sentences), line=line)
         sentence_scores = tuple(values)
 
     return PredictionSet(

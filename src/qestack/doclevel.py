@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Ragged, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines
+from .corpus import Ragged, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines, check_finite
 from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 from .metrics import _class_f1_array
@@ -541,7 +541,7 @@ def read_document_manifest(path) -> dict[str, Document]:
 
 def read_doc_table(path, n_columns: int) -> dict[str, list[float]]:
     """A document feature or MQM table: ``doc_id<TAB>value...`` per line with
-    ``n_columns`` values."""
+    ``n_columns`` finite values."""
     table = {}
     for i, line in enumerate(_read_lines(path), 1):
         doc_id, *values = line.split("\t")
@@ -550,6 +550,7 @@ def read_doc_table(path, n_columns: int) -> dict[str, list[float]]:
         if doc_id in table:
             raise ParseError(f"duplicate document id {doc_id!r}", file=str(path), line=i)
         table[doc_id] = [_parse_float(v, file=str(path), line=i) for v in values]
+        check_finite(table[doc_id], "value", file=path, line=i)
     return table
 
 

@@ -695,6 +695,51 @@ def test_a_sentence_score_that_is_not_finite_is_one_error_line(tmp_path, capsys,
     assert_one_error_line(code, err, f"{scores}:3: ", "not finite")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("reader", ["evaluate gold", "evaluate pred", "doc features", "doc fit", "doc apply", "doc eval"])
+def test_a_score_or_doc_table_value_that_is_not_finite_is_one_error_line(tmp_path, capsys, rng, reader, value):
+    # once, evaluate --stream sentence printed "pearson  nan" with exit 0
+    # and the doc commands read such values as numbers
+    scores = "0.25\n0.5\n{}\n0.75\n"
+    table = "doc0\t0.1\t0.2\t0.3\t0.4\ndoc1\t0.5\t{}\t0.7\t0.8\n"
+    model = write(
+        tmp_path / "r.model", "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4))
+    )
+    if reader.startswith("evaluate"):
+        bad, good = tmp_path / "bad.hter", write(tmp_path / "good.hter", scores.format("1.0"))
+        write(bad, scores.format(value))
+        gold, pred = (bad, good) if reader == "evaluate gold" else (good, bad)
+        argv = ["evaluate", "--stream", "sentence", "--gold", gold, "--pred", pred]
+        line = 3
+    elif reader == "doc features":
+        manifest, annotations = doc_fixture(tmp_path, rng, n_docs=2)
+        tags_dir, mqm_dir = tmp_path / "tags", tmp_path / "sentmqm"
+        assert run(capsys, "doc", "tags", "--docs", manifest, "--annotations", annotations, "--out-dir", tags_dir)[0] == 0
+        mqm_dir.mkdir()
+        write(mqm_dir / "doc0.mqm", "".join("50.0\n" for _ in text_lines(tmp_path / "doc0.txt")))
+        bad = mqm_dir / "doc1.mqm"
+        write(bad, "".join(f"{value}\n" for _ in text_lines(tmp_path / "doc1.txt")))
+        argv = ["doc", "features", "--docs", manifest, "--tags-dir", tags_dir, "--sent-mqm-dir", mqm_dir,
+                "--out", tmp_path / "f.tsv"]
+        line = 1
+    elif reader == "doc eval":
+        bad = write(tmp_path / "pred.mqm", f"doc0\t40.0\ndoc1\t{value}\n")
+        gold = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\t60.0\n")
+        argv = ["doc", "eval", "--gold-mqm", gold, "--pred-mqm", bad]
+        line = 2
+    else:
+        bad = write(tmp_path / "f.tsv", table.format(value))
+        if reader == "doc fit":
+            gold = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\t60.0\n")
+            argv = ["doc", "fit", "--features", bad, "--gold", gold, "--out", tmp_path / "doc.model"]
+        else:
+            argv = ["doc", "apply", "--features", bad, "--model", model, "--out", tmp_path / "pred.mqm"]
+        line = 2
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_error_line(code, err, f"{bad}:{line}: ", f"{value} is not finite")
+
+
 @pytest.mark.parametrize("command", ["ensemble-sent", "doc"])
 def test_ridge_model_with_an_unparsable_lambda_is_one_error_line(tmp_path, capsys, rng, command):
     model = write(tmp_path / "r.model", "intercept\t0.5\nlambda\tx\ncoef:f0\t0.1\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import fields, replace
 
@@ -387,13 +388,16 @@ def reference_read_prob_lines(path) -> list[list[float]]:
 
 def reference_read_score_lines(path) -> list[float]:
     """``read_score_lines`` as it was before it converted the file in one
-    pass: one ``split()`` and one ``_parse_float`` call per line."""
+    pass: one ``split()`` and one ``_parse_float`` call per line, and a
+    value that is not finite a RangeError."""
     out = []
     for i, line in enumerate(_read_lines(path), 1):
         fields = line.split()
         if len(fields) != 1:
             raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
         out.append(_parse_float(fields[0], file=str(path), line=i))
+        if not math.isfinite(out[-1]):
+            raise RangeError(f"score {out[-1]!r} is not finite", file=str(path), line=i)
     return out
 
 
@@ -680,6 +684,21 @@ def test_a_loaded_corpus_holds_its_alignments_as_one_read_only_pair_table(tmp_pa
     assert not pairs.flags.writeable
     first, second = (e.alignments for e in corpus)
     assert first == frozenset({(1, 2), (0, 0), (0, 1)}) and second == frozenset({(0, 0)})
+
+
+
+def test_alignment_offsets_are_read_only_however_the_table_is_built(tmp_path):
+    # once, only the pairs were frozen: writing to a loaded corpus's offsets
+    # silently moved the alignments of every row view built afterwards
+    mt = write(tmp_path / "x.mt", "a b c\nd\n")
+    src = write(tmp_path / "x.src", "u v\nw\n")
+    align = write(tmp_path / "x.align", "1-2 0-0\n0-0\n")
+    corpus = load_corpus(mt=mt, src=src, align=align)
+    built = TaggedCorpus.from_entries([Entry(mt=Sentence(("a",)), src=Sentence(("u",)), alignments={(0, 0)})])
+    for pairs, offsets in (read_alignment_lines(align), corpus.alignments, built.alignments):
+        assert not pairs.flags.writeable and not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[1] = 0
 
 
 # --- a corpus of entries built in code --------------------------------------------
