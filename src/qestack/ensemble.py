@@ -31,7 +31,7 @@ from .errors import (
     SingularSystem,
     ZeroWeights,
 )
-from .metrics import _check_threshold, _f1_mult_counts, f1_mult_bool
+from .metrics import _check_threshold, _f1_mult_counts, f1_mult
 
 __all__ = [
     "WeightVector",
@@ -381,7 +381,7 @@ def _fit(
     n = matrix.shape[0]
 
     # every single system scored in one batch from its confusion counts, bit
-    # for bit f1_mult_bool's; one row is thresholded at a time
+    # for bit f1_mult's; one row is thresholded at a time
     counts = np.array(
         [[np.count_nonzero(bad & gold_bad), np.count_nonzero(bad)] for bad in (row >= threshold for row in matrix)]
     )
@@ -393,7 +393,7 @@ def _fit(
             combined = _combine(z[:n], matrix)
         except ZeroWeights:
             return 0.0
-        return -f1_mult_bool(gold_bad, combined >= (z[n] if optimize_threshold else threshold))
+        return -f1_mult(gold_bad, combined >= (z[n] if optimize_threshold else threshold)).f1_mult
 
     fixed = None if optimize_threshold else threshold
 
@@ -476,7 +476,7 @@ def kfold_estimate(
             **fit_kwargs,
         )
         pred_bad.append(_combine(weights, matrix[:, a:b]) >= threshold)
-    return f1_mult_bool(gold, np.concatenate(pred_bad))
+    return f1_mult(gold, np.concatenate(pred_bad)).f1_mult
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInput, EmptyInput, LengthMismatch, RangeError
 
-__all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "f1_mult_bool", "mcc", "pearson"]
+__all__ = ["ContingencyTable", "F1Mult", "threshold", "f1_mult", "mcc", "pearson"]
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def _class_f1_array(tp: np.ndarray, pred_count: np.ndarray, gold_count) -> np.nd
 def _f1_mult_counts(tp: np.ndarray, pred_bad: np.ndarray, gold_bad: int, total: int) -> np.ndarray:
     """F1-MULT of many predictions against one gold of ``gold_bad`` BAD tags
     among ``total``, from each prediction's true positives and BAD count.
-    Every F1 is :func:`_class_f1_array`'s, so each value equals
-    :func:`f1_mult_bool` of that prediction bit for bit."""
+    Every F1 is :func:`_class_f1_array`'s, so each value equals the
+    ``f1_mult`` of :func:`f1_mult` of that prediction bit for bit."""
     f1_bad = _class_f1_array(tp, pred_bad, gold_bad)
     f1_ok = _class_f1_array(tp - pred_bad + (total - gold_bad), total - pred_bad, total - gold_bad)
     return f1_ok * f1_bad
@@ -101,12 +101,6 @@ def _f1_mult_counts(tp: np.ndarray, pred_bad: np.ndarray, gold_bad: int, total: 
 def f1_mult(gold, pred) -> F1Mult:
     """F1 of each class plus their product, the word-level task metric."""
     return ContingencyTable.from_bool(gold, pred).f1_scores()
-
-
-def f1_mult_bool(gold_bad: np.ndarray, pred_bad: np.ndarray) -> float:
-    """F1-MULT over boolean BAD-indicator arrays, the form the ensemble
-    objective and the k-fold estimate score."""
-    return ContingencyTable.from_bool(gold_bad, pred_bad).f1_scores().f1_mult
 
 
 def mcc(gold, pred) -> float:

@@ -39,7 +39,6 @@ from qestack.errors import (
     ZeroWeights,
 )
 from qestack.metrics import f1_mult, threshold
-from qestack.metrics import f1_mult_bool as _f1_mult_bool
 
 from conftest import complementary_systems, fold_specialist_systems, reference_flatten_bad
 
@@ -232,19 +231,6 @@ def test_powell_rotates_the_direction_set_on_diagonal_valleys():
 # --- direct F1 optimization -------------------------------------------------
 
 
-def test_fast_f1_matches_public_metric():
-    rng = random.Random(22)
-    for _ in range(300):
-        n = rng.randint(1, 120)
-        gold = [rng.random() < 0.4 for _ in range(n)]
-        pred = [rng.random() < 0.4 for _ in range(n)]
-        fast = _f1_mult_bool(np.array(gold), np.array(pred))
-        slow = f1_mult(
-            [BAD if g else OK for g in gold], [BAD if p else OK for p in pred]
-        ).f1_mult
-        assert fast == pytest.approx(slow, abs=1e-14)
-
-
 def test_single_system_fit_returns_unit_weight():
     rng = random.Random(23)
     preds, gold = complementary_systems(rng, n_sentences=20, n_systems=1)
@@ -341,12 +327,12 @@ def fit_objective(matrix, gold_bad, fixed):
             combined = _combine(z[:n], matrix)
         except ZeroWeights:
             return 0.0
-        return -_f1_mult_bool(gold_bad, combined >= (z[n] if fixed is None else fixed))
+        return -f1_mult(gold_bad, combined >= (z[n] if fixed is None else fixed)).f1_mult
 
     return objective
 
 
-def test_fit_scores_from_counts_equal_f1_mult_bool(monkeypatch):
+def test_fit_scores_from_counts_equal_f1_mult(monkeypatch):
     # _fit scores the single systems and the objective from confusion counts
     seen = []
     powell = ensemble.powell_optimize
@@ -365,7 +351,7 @@ def test_fit_scores_from_counts_equal_f1_mult_bool(monkeypatch):
         fixed = 0.5 if trial % 2 else None
         ensemble._fit(matrix, gold_bad, threshold=0.5, optimize_threshold=fixed is None, max_cycles=1)
         objective, init = seen.pop()
-        singles = [_f1_mult_bool(gold_bad, matrix[s] >= 0.5) for s in range(n)]
+        singles = [f1_mult(gold_bad, matrix[s] >= 0.5).f1_mult for s in range(n)]
         assert init[:n].tolist() == np.eye(n)[max(range(n), key=lambda s: (singles[s], -s))].tolist()
         reference = fit_objective(matrix, gold_bad, fixed)
         for z in (init, np.zeros_like(init), *rng.integers(0, 5, (20, init.size)) / 4.0):
@@ -573,7 +559,7 @@ def reference_kfold_estimate(
         weights = np.array(fit.weights.weights, dtype=float)
         pred_bad.append(_combine(weights, held) >= fit.threshold)
         gold_bad.append(reference_flatten_bad(dev_gold[lo:hi]))
-    return _f1_mult_bool(np.concatenate(gold_bad), np.concatenate(pred_bad))
+    return f1_mult(np.concatenate(gold_bad), np.concatenate(pred_bad)).f1_mult
 
 
 def gap_stream_systems(rng, n_sentences):

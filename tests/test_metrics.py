@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qestack.corpus import Tag
 from qestack.errors import DegenerateInput, EmptyInput, LengthMismatch
-from qestack.metrics import ContingencyTable, _f1_mult_counts, f1_mult, f1_mult_bool, mcc, pearson, threshold
+from qestack.metrics import ContingencyTable, _f1_mult_counts, f1_mult, mcc, pearson, threshold
 
 OK, BAD = False, True
 
@@ -163,7 +163,7 @@ def test_f1_mult_from_counts_equals_the_boolean_metric_bit_for_bit():
             preds = [rng.random(size) < p for p in (0.0, 0.2, 0.5, 0.9, 1.0) for _ in range(4)]
             tp = np.array([np.count_nonzero(gold & pred) for pred in preds])
             bad = np.array([np.count_nonzero(pred) for pred in preds])
-            expected = [f1_mult_bool(gold, pred) for pred in preds]
+            expected = [f1_mult(gold, pred).f1_mult for pred in preds]
             assert _f1_mult_counts(tp, bad, int(np.count_nonzero(gold)), size).tolist() == expected
 
 
