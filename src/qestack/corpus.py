@@ -37,6 +37,7 @@ import operator
 import os
 from dataclasses import dataclass, fields
 from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -508,11 +509,10 @@ def check_finite(values, what: str, *, file, line: int | None = None):
     """A RangeError naming the first of ``values`` that is not finite, and
     its line: ``line``, or with ``line`` None the value's own line, one value
     to a line."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = int(finite.argmin())
+    if not all(map(isfinite, values)):
+        first = next(i for i, value in enumerate(values) if not isfinite(value))
         raise RangeError(
-            f"{what} {float(values[first])!r} is not finite", file=str(file), line=first + 1 if line is None else line
+            f"{what} {values[first]!r} is not finite", file=str(file), line=first + 1 if line is None else line
         )
 
 

@@ -338,9 +338,9 @@ def _project(tags: Ragged, src_lengths, pairs, offsets) -> np.ndarray:
 
 def label_corpus(corpus: TaggedCorpus) -> TaggedCorpus:
     """The corpus with its target tags and HTER, clamped to [0, 1], computed
-    from its post-edits, and its source tags projected through its alignments (None without
-    them). Entries are aligned in length-sorted blocks and their source tags
-    projected all at once."""
+    from its post-edits, and its source tags projected through its
+    alignments (None without them). Entries are aligned in length-sorted
+    blocks and their source tags projected all at once."""
     if corpus.pe is None:
         raise MissingStream("cannot label an entry without a post-edit")
     tags, edits = _align_pairs([s.tokens for s in corpus.mt], [s.tokens for s in corpus.pe])
