@@ -702,9 +702,6 @@ def test_a_score_or_doc_table_value_that_is_not_finite_is_one_error_line(tmp_pat
     # and the doc commands read such values as numbers
     scores = "0.25\n0.5\n{}\n0.75\n"
     table = "doc0\t0.1\t0.2\t0.3\t0.4\ndoc1\t0.5\t{}\t0.7\t0.8\n"
-    model = write(
-        tmp_path / "r.model", "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4))
-    )
     if reader.startswith("evaluate"):
         bad, good = tmp_path / "bad.hter", write(tmp_path / "good.hter", scores.format("1.0"))
         write(bad, scores.format(value))
@@ -733,6 +730,9 @@ def test_a_score_or_doc_table_value_that_is_not_finite_is_one_error_line(tmp_pat
             gold = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\t60.0\n")
             argv = ["doc", "fit", "--features", bad, "--gold", gold, "--out", tmp_path / "doc.model"]
         else:
+            model = write(
+                tmp_path / "r.model", "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4))
+            )
             argv = ["doc", "apply", "--features", bad, "--model", model, "--out", tmp_path / "pred.mqm"]
         line = 2
     code, out, err = run(capsys, *argv)

@@ -34,6 +34,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -195,8 +196,6 @@ def test_close_comparison_tells_rounding_from_a_change():
 
 
 def write_table():
-    import tempfile
-
     lines = []
     for workload in workload_names():
         with tempfile.TemporaryDirectory() as directory:
