@@ -12,10 +12,8 @@ from .corpus import (  # noqa: F401
     PredictionSet,
     Ragged,
     Sentence,
-    SourceTags,
     Stream,
     Tag,
     TaggedCorpus,
-    TargetTags,
 )
 from .errors import QEStackError  # noqa: F401

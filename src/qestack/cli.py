@@ -423,7 +423,7 @@ def _cmd_doc_eval(args):
 # are accepted on either side of the subcommand; the subcommand's copies have
 # SUPPRESS defaults so they never overwrite a value parsed at the root
 _GLOBAL_FLAGS = (
-    ("--jobs", {"type": int, "default": 1, "help": "worker processes for fold-parallel steps"}),
+    ("--jobs", {"type": int, "default": 1, "help": "worker processes for the folds of linear jackknife"}),
     ("--seed", {"type": int, "default": 1, "help": "root seed for all randomized steps"}),
     ("--config", {"help": "key=value config file"}),
     ("--format", {"choices": ("text", "kv"), "default": "text", "help": "output format"}),

@@ -20,7 +20,7 @@ A :class:`TaggedCorpus` holds these files as columns on one segment count:
 ``corpus.mt`` and ``corpus.src`` are tuples of sentences, ``corpus.tags``
 and ``corpus.source_tags`` bool :class:`Ragged` rows, ``corpus.hter`` a
 float64 array and ``corpus.alignments`` the file's pair array and offsets.
-``corpus[i]`` reads segment i as an :class:`Entry`, a row view.
+Code builds one from rows per column with :meth:`TaggedCorpus.from_rows`.
 
 A tag is a ``bool``, BAD being true, from the labeler to the writers.
 :class:`Tag` names the two values in files; ``Tag`` rows are still read as
@@ -32,7 +32,6 @@ Loaded structures are immutable and safe to share across threads.
 from __future__ import annotations
 
 import enum
-import functools
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -47,9 +46,6 @@ __all__ = [
     "Tag",
     "Stream",
     "Sentence",
-    "TargetTags",
-    "SourceTags",
-    "Entry",
     "TaggedCorpus",
     "Ragged",
     "PredictionSet",
@@ -127,62 +123,6 @@ class Sentence:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
-class TargetTags:
-    """BAD indicators of the N MT tokens plus N+1 gaps (gap 0 precedes the
-    first token). It reads as its 2N+1 tags in file order: gap 0, word 1,
-    gap 1, and so on."""
-
-    word_tags: tuple[bool, ...]
-    gap_tags: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.gap_tags) != len(self.word_tags) + 1:
-            raise LengthMismatch(
-                f"{len(self.word_tags)} word tags need {len(self.word_tags) + 1} "
-                f"gap tags, got {len(self.gap_tags)}"
-            )
-
-    def __len__(self) -> int:
-        return 2 * len(self.word_tags) + 1
-
-    def __iter__(self):
-        tags = [False] * len(self)
-        tags[0::2] = self.gap_tags
-        tags[1::2] = self.word_tags
-        return iter(tags)
-
-
-@dataclass(frozen=True)
-class SourceTags:
-    """BAD indicators of the source tokens."""
-
-    tags: tuple[bool, ...]
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    def __iter__(self):
-        return iter(self.tags)
-
-
-@dataclass(frozen=True)
-class Entry:
-    """One segment: source, MT, optional post-edit, labels, HTER and word
-    alignments. ``corpus[i]`` reads a segment of a :class:`TaggedCorpus` as
-    one, its alignments a frozenset of ``(src, mt)`` pairs; an entry built in
-    code may hold any collection of pairs, and
-    :meth:`TaggedCorpus.from_entries` makes a corpus of such entries."""
-
-    mt: Sentence
-    src: Sentence | None = None
-    pe: Sentence | None = None
-    target_tags: TargetTags | None = None
-    source_tags: SourceTags | None = None
-    hter: float | None = None
-    alignments: frozenset[tuple[int, int]] | None = None
-
-
 def _freeze_arrays(obj):
     """Give each array field of a frozen dataclass a read-only view of its
     own, so that nothing derived from the arrays can go stale."""
@@ -209,8 +149,8 @@ class Ragged:
 
     @classmethod
     def from_rows(cls, rows, dtype=np.float64) -> "Ragged":
-        """Any rows (TargetTags and SourceTags are rows of their tags); a Ragged
-        is kept, or cast to ``dtype``. ``dtype=bool`` reads ``Tag`` rows as BAD."""
+        """Any rows; a Ragged is kept, or cast to ``dtype``. ``dtype=bool``
+        reads ``Tag`` rows as BAD."""
         if isinstance(rows, Ragged):
             return rows if rows.values.dtype == dtype else cls(rows.values.astype(dtype), rows.offsets)
         rows = list(rows)
@@ -259,8 +199,7 @@ class TaggedCorpus:
       :func:`read_alignment_lines`, each line's pairs sorted, distinct and
       within its sentences.
 
-    ``corpus[i]`` and iteration read the segments as :class:`Entry` rows, and
-    two corpora are equal when their rows are."""
+    :meth:`from_rows` builds a corpus in code."""
 
     mt: tuple[Sentence, ...]
     src: tuple[Sentence, ...] | None = None
@@ -281,72 +220,52 @@ class TaggedCorpus:
             raise LengthMismatch(f"columns of {other} segments beside {len(self.mt)} MT sentences")
 
     @classmethod
-    def from_entries(cls, entries) -> "TaggedCorpus":
-        """The corpus of entries built in code. A field that some entries
-        hold and others lack is an InvalidInput naming the first entry
-        without it. Target tags must be 2N+1 on an N-token MT sentence and
-        source tags one per source token, or a LengthMismatch names the first
-        entry that breaks the rule. Each entry's alignments (any collection
-        of pairs) are sorted and a repeated pair kept once; alignments need
-        source sentences, and a pair outside its entry's sentences is a
-        RangeError naming the entry."""
-        entries = tuple(entries)
-        rows = {}
-        for field_ in fields(Entry):
-            values = [getattr(e, field_.name) for e in entries]
-            held = [value is not None for value in values]
-            if all(held):
-                rows[field_.name] = values
-            elif any(held):
-                raise InvalidInput(f"entry {held.index(False) + 1} has no {field_.name}, which other entries have")
-        alignments = rows.get("alignments")
+    def from_rows(cls, mt, *, src=None, pe=None, tags=None, source_tags=None, hter=None, alignments=None):
+        """The corpus of columns built in code, one row per segment in each
+        column given: sentences, rows of BAD indicators, HTER values and
+        alignments (any collection of ``(src, mt)`` pairs, or None for none).
+        A None row (other than an alignment's) is an InvalidInput naming its
+        entry. Target tags must be 2N+1 (interleaved) on an N-token MT
+        sentence and source tags one per source token, or a LengthMismatch
+        names the first entry that breaks the rule. Each entry's pairs are
+        sorted and a repeated pair kept once; alignments need source
+        sentences, a pair outside its entry's sentences is a RangeError
+        naming the entry, and so is an index beyond int64."""
+        given = {"mt": mt, "src": src, "pe": pe, "tags": tags, "source_tags": source_tags, "hter": hter}
+        columns = {}
+        for name, rows in given.items():
+            if rows is None:
+                continue
+            rows = columns[name] = rows if isinstance(rows, (Ragged, np.ndarray)) else tuple(rows)
+            missing = [row is None for row in rows]
+            if any(missing):
+                raise InvalidInput(f"entry {missing.index(True) + 1} has no {name}")
         if alignments is not None:
-            if "src" not in rows:
+            if src is None:
                 raise InvalidInput("alignments need source sentences")
-            pairs, offsets = alignment_table(alignments)
-            src_lengths, mt_lengths = _lengths(rows["src"]), _lengths(rows["mt"])
-            bad = first_out_of_range(pairs, offsets, src_lengths, mt_lengths)
+            alignments = columns["alignments"] = alignment_table(alignments)
+        for name in ("tags", "source_tags"):
+            if name in columns:
+                columns[name] = Ragged.from_rows(columns[name], dtype=bool)
+        if hter is not None:
+            columns["hter"] = np.array(columns["hter"], np.float64)
+        corpus = cls(**columns)
+        mt_lengths = _lengths(corpus.mt)
+        src_lengths = None if src is None else _lengths(corpus.src)
+        if alignments is not None:
+            bad = first_out_of_range(*alignments, src_lengths, mt_lengths)
             if bad is not None:
                 i, s_idx, m_idx = bad
                 lengths = f"{src_lengths[i]}/{mt_lengths[i]}"
                 raise RangeError(f"entry {i + 1}: alignment {s_idx}-{m_idx} out of range ({lengths})")
-            alignments = (pairs, offsets)
-        as_tags = functools.partial(Ragged.from_rows, dtype=bool)
-        as_floats = functools.partial(np.array, dtype=np.float64)
-        convert = {"src": tuple, "pe": tuple, "tags": as_tags, "source_tags": as_tags, "hter": as_floats}
-        rows["tags"] = rows.pop("target_tags", None)
-        columns = {name: convert[name](rows[name]) for name in convert if rows.get(name) is not None}
-        if "tags" in columns:
-            _check_tag_rows(columns["tags"], 2 * _lengths(rows["mt"]) + 1, "target")
-        if "source_tags" in columns and "src" in rows:
-            _check_tag_rows(columns["source_tags"], _lengths(rows["src"]), "source")
-        return cls(mt=tuple(rows["mt"]), alignments=alignments, **columns)
+        if tags is not None:
+            _check_tag_rows(corpus.tags, 2 * mt_lengths + 1, "target")
+        if source_tags is not None and src is not None:
+            _check_tag_rows(corpus.source_tags, src_lengths, "source")
+        return corpus
 
     def __len__(self) -> int:
         return len(self.mt)
-
-    def __getitem__(self, i: int) -> Entry:
-        i = range(len(self))[i]
-        row = {name: getattr(self, name)[i] for name in ("src", "pe") if getattr(self, name) is not None}
-        if self.tags is not None:
-            tags = self.tags[i]
-            row["target_tags"] = TargetTags(word_tags=tuple(tags[1::2]), gap_tags=tuple(tags[0::2]))
-        if self.source_tags is not None:
-            row["source_tags"] = SourceTags(tuple(self.source_tags[i]))
-        if self.hter is not None:
-            row["hter"] = float(self.hter[i])
-        if self.alignments is not None:
-            pairs, offsets = self.alignments
-            row["alignments"] = frozenset(map(tuple, pairs[offsets[i]:offsets[i + 1]].tolist()))
-        return Entry(mt=self.mt[i], **row)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, TaggedCorpus):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _lengths(rows) -> np.ndarray:
@@ -901,9 +820,11 @@ def _write_lines(path, lines):
 
 
 def write_tags(rows, path):
-    """Write one line of OK/BAD tags per row of BAD indicators: TargetTags
-    interleaved (2N+1), SourceTags, plain rows or a bool Ragged."""
+    """Write one line of OK/BAD tags per row of BAD indicators: bool rows
+    (target tags interleaved, 2N+1) or a bool Ragged."""
     tags = Ragged.from_rows(rows, dtype=bool)
+    if (np.diff(tags.offsets) == 0).any():
+        raise InvalidInput("cannot serialize an empty tag row (empty lines are invalid)")
     bounds = tags.offsets.tolist()
     name = ("OK", "BAD").__getitem__
     _write_lines(path, (" ".join(map(name, tags.values[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])))
@@ -917,7 +838,11 @@ def write_probs(rows, path):
 
 
 def write_scores(values, path):
-    _write_lines(path, [repr(float(v)) for v in values])
+    """One finite float per line; the first value that is not finite is a
+    RangeError naming the line it would take."""
+    values = list(map(float, values))
+    check_finite(values, "score", file=path)
+    _write_lines(path, map(repr, values))
 
 
 def write_alignments(alignment_sets, path):

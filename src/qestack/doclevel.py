@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Ragged, TargetTags, _freeze_arrays, _parse_float, _read_lines, _write_lines, check_finite
+from .corpus import Ragged, _freeze_arrays, _parse_float, _read_lines, _write_lines, check_finite
 from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 from .metrics import _class_f1_array
@@ -241,8 +241,7 @@ def _place(doc: Document, table: AnnotationTable) -> tuple[np.ndarray, np.ndarra
 
 def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> Ragged:
     """Project spans onto token and gap tags: one row of interleaved BAD
-    indicators (2N+1, gap 0 first) per sentence. The result equals the list
-    of :class:`TargetTags` with the same tags.
+    indicators (2N+1, gap 0 first) per sentence.
 
     A token is BAD when any of its characters belongs to a span. A gap is BAD
     only when a span begins and ends exactly on the gap's borders: the end of
@@ -268,18 +267,18 @@ def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> Rag
 
 def tags_to_annotations(
     doc: Document,
-    tags: Sequence[TargetTags],
+    tags: Sequence[Sequence[bool]],
     default_severity: Severity = Severity.MAJOR,
 ) -> AnnotationTable:
-    """Retrieve annotations from predicted tags: per sentence a TargetTags or
-    any row of its 2N+1 interleaved BAD indicators.
+    """Retrieve annotations from predicted tags: per sentence one row of its
+    2N+1 interleaved BAD indicators.
 
     Each maximal run of contiguous BAD tokens becomes one single-span
     annotation; each BAD gap becomes its own annotation over the gap borders,
     with no merge attempted. All annotations get ``default_severity``.
     """
     if len(tags) != len(doc.sentences):
-        raise RangeError("one TargetTags per sentence required")
+        raise RangeError("one tag row per sentence required")
     bad = Ragged.from_rows(tags, dtype=bool)
     words, tokens = np.diff(bad.offsets) // 2, np.diff(doc.offsets) // 2 - 1
     wrong = np.flatnonzero(words != tokens)
@@ -325,9 +324,7 @@ def mqm_closed_form(
     return score
 
 
-def doc_mqm_features(
-    tags: Sequence[TargetTags], sentence_mqms: Sequence[float]
-) -> list[float]:
+def doc_mqm_features(tags: Sequence[Sequence[bool]], sentence_mqms: Sequence[float]) -> list[float]:
     """The 4 regression features: unweighted mean sentence MQM and the BAD
     fractions among token tags, gap tags and all tags, from the tags as
     :func:`tags_to_annotations` takes them. The mean adds the MQMs left to

@@ -30,15 +30,13 @@ import numpy as np
 from .corpus import (
     Ragged,
     Sentence,
-    SourceTags,
     TaggedCorpus,
-    TargetTags,
     _cut_interleaved,
     _lengths,
     alignment_table,
     first_out_of_range,
 )
-from .errors import InconsistentScript, MissingStream, RangeError
+from .errors import InconsistentScript, LengthMismatch, MissingStream, RangeError
 
 __all__ = [
     "EditKind",
@@ -249,16 +247,16 @@ def edit_cost(script: Sequence[EditStep]) -> int:
     return sum(1 for step in script if step.kind is not EditKind.MATCH)
 
 
-def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
-    """MT word is BAD when substituted or deleted; gap i is BAD when at least
+def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> tuple[bool, ...]:
+    """The 2N+1 interleaved tags of an N-token MT sentence, gap 0 first: an
+    MT word is BAD when substituted or deleted; gap i is BAD when at least
     one insertion lands between MT tokens i-1 and i (gap 0 precedes token 0).
     BAD is true."""
-    word_tags = [False] * n_mt
-    gap_tags = [False] * (n_mt + 1)
+    tags = [False] * (2 * n_mt + 1)
     mt_pos = 0
     for step in script:
         if step.kind is EditKind.INS_INTO_MT_GAP:
-            gap_tags[mt_pos] = True
+            tags[2 * mt_pos] = True
             continue
         if step.mt_index != mt_pos:
             raise InconsistentScript(
@@ -267,11 +265,11 @@ def tags_from_edits(script: Sequence[EditStep], n_mt: int) -> TargetTags:
         if mt_pos >= n_mt:
             raise InconsistentScript(f"edit script overruns MT length {n_mt}")
         if step.kind is not EditKind.MATCH:
-            word_tags[mt_pos] = True
+            tags[2 * mt_pos + 1] = True
         mt_pos += 1
     if mt_pos != n_mt:
         raise InconsistentScript(f"edit script covers {mt_pos} MT tokens, expected {n_mt}")
-    return TargetTags(word_tags=tuple(word_tags), gap_tags=tuple(gap_tags))
+    return tuple(tags)
 
 
 def hter(script: Sequence[EditStep], pe_len: int) -> float:
@@ -281,12 +279,9 @@ def hter(script: Sequence[EditStep], pe_len: int) -> float:
     return min(1.0, max(0.0, edit_cost(script) / pe_len))
 
 
-def source_tags_from_target(
-    target_tags: TargetTags,
-    alignments,
-    src_len: int,
-) -> SourceTags:
-    """Project target tags onto the source.
+def source_tags_from_target(target_tags: Sequence[bool], alignments, src_len: int) -> tuple[bool, ...]:
+    """Project one row of 2N+1 interleaved target tags onto the source; a row
+    of even length is a LengthMismatch.
 
     A source token is BAD when aligned to a BAD MT word. A BAD gap i
     additionally implicates the source tokens lying strictly between
@@ -295,14 +290,16 @@ def source_tags_from_target(
     Unaligned source tokens stay OK. A pair outside the sentences is a
     RangeError.
     """
-    n_mt = len(target_tags.word_tags)
+    if len(target_tags) % 2 == 0:
+        raise LengthMismatch(f"interleaved target tags must be 2N+1, got {len(target_tags)}")
+    n_mt = len(target_tags) // 2
     pairs, offsets = alignment_table([alignments])
     bad = first_out_of_range(pairs, offsets, [src_len], [n_mt])
     if bad is not None:
         _, s_idx, m_idx = bad
         raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
     tags = Ragged.from_rows([target_tags], dtype=bool)
-    return SourceTags(tuple(_project(tags, [src_len], pairs, offsets).tolist()))
+    return tuple(_project(tags, [src_len], pairs, offsets).tolist())
 
 
 def _project(tags: Ragged, src_lengths, pairs, offsets) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, Tag, TargetTags, _read_lines
+from qestack.corpus import Sentence, TaggedCorpus, Tag, _read_lines
 from qestack.errors import LengthMismatch, ParseError
 
 # CI (which GitHub Actions sets) runs the property tests on a fixed example
@@ -74,8 +74,19 @@ def random_tags(rng: random.Random, n: int, p_bad=0.3) -> tuple[bool, ...]:
     return tuple(rng.random() < p_bad for _ in range(n))
 
 
-def random_target_tags(rng: random.Random, n: int) -> TargetTags:
-    return TargetTags(word_tags=random_tags(rng, n), gap_tags=random_tags(rng, n + 1))
+def interleave(words, gaps) -> tuple:
+    """The interleaved tag row of N word tags and N+1 gap tags: gap 0, word
+    1, gap 1, ..., word N, gap N."""
+    row = [None] * (len(words) + len(gaps))
+    row[0::2] = gaps
+    row[1::2] = words
+    return tuple(row)
+
+
+def random_target_tags(rng: random.Random, n: int) -> tuple[bool, ...]:
+    """2N+1 interleaved tags, the N word tags drawn before the N+1 gap tags."""
+    words = random_tags(rng, n)
+    return interleave(words, random_tags(rng, n + 1))
 
 
 def random_alignments(rng: random.Random, src_len: int, mt_len: int) -> frozenset:
@@ -86,22 +97,52 @@ def random_alignments(rng: random.Random, src_len: int, mt_len: int) -> frozense
     return frozenset(pairs)
 
 
-def random_entry(rng: random.Random) -> Entry:
+CORPUS_COLUMNS = ("mt", "src", "pe", "tags", "source_tags", "hter", "alignments")
+
+
+def random_row(rng: random.Random) -> dict:
+    """One segment's value in every column, drawn in ``CORPUS_COLUMNS`` order."""
     mt = random_sentence(rng)
     src = random_sentence(rng)
-    return Entry(
-        mt=mt,
-        src=src,
-        pe=random_sentence(rng),
-        target_tags=random_target_tags(rng, len(mt)),
-        source_tags=SourceTags(random_tags(rng, len(src))),
-        hter=round(rng.random(), 6),
-        alignments=random_alignments(rng, len(src), len(mt)),
-    )
+    return {
+        "mt": mt,
+        "src": src,
+        "pe": random_sentence(rng),
+        "tags": random_target_tags(rng, len(mt)),
+        "source_tags": random_tags(rng, len(src)),
+        "hter": round(rng.random(), 6),
+        "alignments": random_alignments(rng, len(src), len(mt)),
+    }
 
 
 def random_corpus(rng: random.Random, n_sentences: int) -> TaggedCorpus:
-    return TaggedCorpus.from_entries(random_entry(rng) for _ in range(n_sentences))
+    rows = [random_row(rng) for _ in range(n_sentences)]
+    return TaggedCorpus.from_rows(**{name: [row[name] for row in rows] for name in CORPUS_COLUMNS})
+
+
+def alignment_sets(table) -> list[frozenset]:
+    """Each line of an alignment table ``(pairs, offsets)`` as a frozenset of
+    ``(src, mt)`` pairs."""
+    pairs, offsets = table
+    bounds = offsets.tolist()
+    return [frozenset(map(tuple, pairs[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _comparable(corpus: TaggedCorpus, name: str):
+    column = getattr(corpus, name)
+    if column is None or name in ("mt", "src", "pe"):
+        return column
+    if name == "alignments":
+        return [part.tolist() for part in column]
+    return column.rows() if name in ("tags", "source_tags") else column.tolist()
+
+
+def assert_same_corpus(got: TaggedCorpus, want: TaggedCorpus):
+    """The two corpora hold the same columns: equal sentences, tag rows, HTER
+    values and alignment tables, and None in the same places."""
+    assert len(got) == len(want)
+    for name in CORPUS_COLUMNS:
+        assert _comparable(got, name) == _comparable(want, name), name
 
 
 def complementary_systems(rng: random.Random, n_sentences=60, max_len=8, n_systems=3):

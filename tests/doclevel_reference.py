@@ -1,7 +1,7 @@
 """The document layer as it was before it ran on flat arrays: one span, one
 token and one character at a time. Kept as the oracle of the array core."""
 
-from qestack.corpus import Tag, TargetTags, _read_lines
+from qestack.corpus import Tag, _read_lines
 from qestack.doclevel import Annotation, Severity, Span
 from qestack.errors import ParseError, RangeError, SpanOutOfBounds
 
@@ -54,29 +54,32 @@ def reference_annotations_to_tags(doc, annotations):
                 gap_end = borders[2 * gap + 1]
                 if span.start == gap_start and span.end == gap_end:
                     gap_tags[gap] = Tag.BAD
-        result.append(TargetTags(word_tags=tuple(word_tags), gap_tags=tuple(gap_tags)))
+        row = [None] * (2 * n + 1)
+        row[0::2], row[1::2] = gap_tags, word_tags
+        result.append(row)
     return result
 
 
 def reference_tags_to_annotations(doc, tags, default_severity=Severity.MAJOR):
     if len(tags) != len(doc.sentences):
-        raise RangeError("one TargetTags per sentence required")
+        raise RangeError("one tag row per sentence required")
     annotations = []
     for sent_idx, (sentence_tags, offsets) in enumerate(zip(tags, doc.token_offsets)):
         n = len(offsets)
-        if len(sentence_tags.word_tags) != n:
-            raise RangeError(f"sentence {sent_idx}: {len(sentence_tags.word_tags)} word tags for {n} tokens")
+        word_tags, gap_tags = sentence_tags[1::2], sentence_tags[0::2]
+        if len(word_tags) != n:
+            raise RangeError(f"sentence {sent_idx}: {len(word_tags)} word tags for {n} tokens")
         spans = []
         run_start = None
         for t in range(n + 1):
-            bad = t < n and bool(sentence_tags.word_tags[t])
+            bad = t < n and bool(word_tags[t])
             if bad and run_start is None:
                 run_start = t
             elif not bad and run_start is not None:
                 spans.append(Span(sent_idx, offsets[run_start][0], offsets[t - 1][1]))
                 run_start = None
         borders = [0] + [off for pair in offsets for off in pair] + [len(doc.sentences[sent_idx])]
-        for gap, tag in enumerate(sentence_tags.gap_tags):
+        for gap, tag in enumerate(gap_tags):
             if bool(tag):
                 spans.append(Span(sent_idx, borders[2 * gap], borders[2 * gap + 1]))
         for span in sorted(spans):

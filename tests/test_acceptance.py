@@ -121,11 +121,11 @@ def test_criterion_02_edit_labeling(criterion):
         assert hter(align_edit(sent("a b"), sent("x y z")), 3) == 1.0
 
         tags = tags_from_edits(align_edit(sent("a b c"), sent("a c")), 3)
-        assert tags.word_tags == (OK, BAD, OK)
-        assert tags.gap_tags == (OK, OK, OK, OK)
+        assert tags[1::2] == (OK, BAD, OK)
+        assert tags[0::2] == (OK, OK, OK, OK)
         tags = tags_from_edits(align_edit(sent("a c"), sent("a b c")), 2)
-        assert tags.word_tags == (OK, OK)
-        assert tags.gap_tags == (OK, BAD, OK)
+        assert tags[1::2] == (OK, OK)
+        assert tags[0::2] == (OK, BAD, OK)
         assert time.perf_counter() - start < 10.0
 
 
@@ -336,16 +336,16 @@ def test_criterion_11_end_to_end_smoke(criterion, tmp_path):
         gold_corpus = load_corpus(mt=str(mt_path), tags=f"{labels}.tags", hter=f"{labels}.hter")
         noisy_path = tmp_path / "noisy.probs"
         with open(noisy_path, "w") as handle:
-            for entry in gold_corpus:
+            for tags in gold_corpus.tags:
                 row = [
                     min(1.0, max(0.0, (0.8 if t is BAD else 0.2) + rng.uniform(-0.3, 0.3)))
-                    for t in entry.target_tags.word_tags
+                    for t in tags[1::2]
                 ]
                 handle.write(" ".join(repr(p) for p in row) + "\n")
         scores_path = tmp_path / "noisy.scores"
         with open(scores_path, "w") as handle:
-            for entry in gold_corpus:
-                handle.write(f"{min(1.0, max(0.0, entry.hter + rng.uniform(-0.2, 0.2)))!r}\n")
+            for value in gold_corpus.hter.tolist():
+                handle.write(f"{min(1.0, max(0.0, value + rng.uniform(-0.2, 0.2)))!r}\n")
 
         manifest = tmp_path / "manifest.tsv"
         manifest.write_text(

@@ -1,12 +1,15 @@
 """The benchmark's span hooks (``qebench/spans.py``) wrap library functions by
-module and name; a rename under ``src/`` must fail here, not silently drop a
-layer from ``--trace 1``."""
+module and name, and its scripts import names from ``qestack``; a rename or
+deletion under ``src/`` must fail here, not silently drop a layer from
+``--trace 1`` or break a benchmark script."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "qebench" / "spans.py"
+QEBENCH = Path(__file__).resolve().parents[1] / "qebench"
+SPANS_PATH = QEBENCH / "spans.py"
 
 
 def load_spans():
@@ -35,3 +38,23 @@ def test_instrument_installs_and_restores_the_wrappers():
     for (m, f), original in originals.items():
         assert getattr(modules[m], f) is original, f"{m}.{f}"
     assert "open" not in vars(modules["corpus"])
+
+
+def qestack_imports(path: Path) -> list[tuple[str, str]]:
+    """The ``(module, name)`` of every ``from qestack... import name`` in a file."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "qestack"
+        for alias in node.names
+    ]
+
+
+def test_every_name_the_benchmark_imports_from_qestack_exists():
+    imports = {path.name: qestack_imports(path) for path in sorted(QEBENCH.glob("*.py"))}
+    assert imports["probe_check.py"], "probe_check.py imports nothing from qestack"
+    for file_name, pairs in imports.items():
+        for module_name, name in pairs:
+            namespace = {}
+            exec(f"from {module_name} import {name}", namespace)
+            assert name in namespace, f"{file_name}: from {module_name} import {name}"

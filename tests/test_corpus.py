@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,15 +9,12 @@ from hypothesis import strategies as st
 from qestack import corpus as corpus_module
 from qestack.config import load_config_file
 from qestack.corpus import (
-    Entry,
     PredictionSet,
     Ragged,
     Sentence,
-    SourceTags,
     Stream,
     Tag,
     TaggedCorpus,
-    TargetTags,
     _parse_float,
     _read_lines,
     check_lengths,
@@ -43,7 +39,7 @@ from qestack.ensemble import load_ridge_model, load_weights
 from qestack.errors import InvalidInput, LengthMismatch, ParseError, RangeError
 from qestack.linearqe import load_model
 
-from conftest import random_corpus, reference_read_tag_rows
+from conftest import alignment_sets, assert_same_corpus, interleave, random_corpus, reference_read_tag_rows
 
 OK, BAD = False, True
 
@@ -57,8 +53,8 @@ def test_interleaved_tags_split_into_word_and_gap_streams(tmp_path):
     mt = write(tmp_path / "x.mt", "ein Haus\n")
     tags = write(tmp_path / "x.tags", "OK OK OK BAD OK\n")
     corpus = load_corpus(mt=mt, tags=tags)
-    assert corpus[0].target_tags.word_tags == (OK, BAD)
-    assert corpus[0].target_tags.gap_tags == (OK, OK, OK)
+    assert corpus.tags[0][1::2] == [OK, BAD]
+    assert corpus.tags[0][0::2] == [OK, OK, OK]
 
 
 def test_tag_line_with_wrong_entry_count_raises(tmp_path):
@@ -103,7 +99,7 @@ def test_alignment_parsing_and_range_check(tmp_path):
     src = write(tmp_path / "x.src", "u v w\n")
     align = write(tmp_path / "x.align", "0-0 2-1\n")
     corpus = load_corpus(mt=mt, src=src, align=align)
-    assert corpus[0].alignments == frozenset({(0, 0), (2, 1)})
+    assert alignment_sets(corpus.alignments) == [frozenset({(0, 0), (2, 1)})]
 
     bad = write(tmp_path / "y.align", "0-0 3-1\n")
     with pytest.raises(ParseError):
@@ -156,18 +152,28 @@ def test_tag_file_maps_to_degenerate_probabilities(tmp_path):
 
 
 def test_write_tags_examples(tmp_path):
-    target = TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, OK))
     path = tmp_path / "out.tags"
-    write_tags([target], path)
+    write_tags([interleave((OK, BAD), (OK, OK, OK))], path)
     assert path.read_text() == "OK OK OK BAD OK\n"
-    write_tags([SourceTags((BAD, OK))], path)
+    write_tags([(BAD, OK)], path)
     assert path.read_text() == "BAD OK\n"
 
 
-def test_target_tags_read_as_their_interleaved_line():
-    target = TargetTags(word_tags=(BAD, OK), gap_tags=(OK, BAD, BAD))
-    assert len(target) == 5 and list(target) == [OK, BAD, BAD, OK, BAD]
-    assert list(SourceTags((BAD, OK))) == [BAD, OK]
+def test_write_tags_refuses_an_empty_row_the_reader_rejects(tmp_path):
+    # once, [[BAD], []] was written as "BAD\n\n", which read_tag_lines rejects at line 2
+    path = tmp_path / "out.tags"
+    with pytest.raises(InvalidInput, match="empty tag row"):
+        write_tags([[BAD], []], path)
+    assert not path.exists()
+
+
+def test_write_scores_refuses_a_value_the_reader_rejects(tmp_path):
+    # once, NaN was written as "nan", which read_score_lines rejects as not finite
+    path = tmp_path / "out.scores"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError, match=rf"out.scores:2: score {value!r} is not finite"):
+            write_scores([0.5, value], path)
+        assert not path.exists()
 
 
 def test_write_tags_writes_the_same_bytes_from_every_form_of_tags(tmp_path):
@@ -175,8 +181,7 @@ def test_write_tags_writes_the_same_bytes_from_every_form_of_tags(tmp_path):
     forms = {
         "bool rows": rows,
         "Tag rows": [[Tag.BAD if bad else Tag.OK for bad in row] for row in rows],
-        "TargetTags": [TargetTags(word_tags=tuple(row[1::2]), gap_tags=tuple(row[0::2])) for row in rows],
-        "SourceTags": [SourceTags(tuple(row)) for row in rows],
+        "bool tuples": [tuple(row) for row in rows],
         "Ragged": Ragged.from_rows(rows, dtype=bool),
     }
     written = {}
@@ -221,13 +226,13 @@ def test_round_trip_identity_on_random_corpora(tmp_path):
     for case in range(1000):
         corpus = random_corpus(rng, rng.randint(1, 4))
         base = tmp_path / f"c{case % 8}"
-        write_sentences([e.mt for e in corpus], f"{base}.mt")
-        write_sentences([e.src for e in corpus], f"{base}.src")
-        write_sentences([e.pe for e in corpus], f"{base}.pe")
-        write_tags([e.target_tags for e in corpus], f"{base}.tags")
-        write_tags([e.source_tags for e in corpus], f"{base}.source_tags")
-        write_scores([e.hter for e in corpus], f"{base}.hter")
-        write_alignments([e.alignments for e in corpus], f"{base}.align")
+        write_sentences(corpus.mt, f"{base}.mt")
+        write_sentences(corpus.src, f"{base}.src")
+        write_sentences(corpus.pe, f"{base}.pe")
+        write_tags(corpus.tags, f"{base}.tags")
+        write_tags(corpus.source_tags, f"{base}.source_tags")
+        write_scores(corpus.hter, f"{base}.hter")
+        write_alignments(alignment_sets(corpus.alignments), f"{base}.align")
         reloaded = load_corpus(
             mt=f"{base}.mt",
             src=f"{base}.src",
@@ -237,7 +242,7 @@ def test_round_trip_identity_on_random_corpora(tmp_path):
             hter=f"{base}.hter",
             align=f"{base}.align",
         )
-        assert reloaded == corpus
+        assert_same_corpus(reloaded, corpus)
 
 
 def test_prob_and_score_round_trip(tmp_path, rng):
@@ -269,7 +274,7 @@ def test_read_sentences_splits_on_every_unicode_whitespace(tmp_path):
 
 def test_prediction_set_requires_consistent_construction():
     with pytest.raises(LengthMismatch):
-        TargetTags(word_tags=(OK,), gap_tags=(OK,))
+        TaggedCorpus.from_rows([Sentence(("a",))], tags=[(OK, OK)])
     ps = PredictionSet(system_id="s", word_probs=((0.5,),))
     assert len(ps) == 1
 
@@ -642,7 +647,7 @@ def test_load_corpus_names_the_first_alignment_out_of_range(tmp_path, data):
         assert str(exc) == want
     else:
         assert want is None
-        assert [e.alignments for e in corpus] == [frozenset(line) for line in lines]
+        assert alignment_sets(corpus.alignments) == [frozenset(line) for line in lines]
 
 
 @settings(max_examples=300, deadline=None)
@@ -682,7 +687,7 @@ def test_a_loaded_corpus_holds_its_alignments_as_one_read_only_pair_table(tmp_pa
     pairs, offsets = corpus.alignments
     assert pairs.tolist() == [[0, 0], [0, 1], [1, 2], [0, 0]] and offsets.tolist() == [0, 3, 4]
     assert not pairs.flags.writeable
-    first, second = (e.alignments for e in corpus)
+    first, second = alignment_sets(corpus.alignments)
     assert first == frozenset({(1, 2), (0, 0), (0, 1)}) and second == frozenset({(0, 0)})
 
 
@@ -694,25 +699,25 @@ def test_alignment_offsets_are_read_only_however_the_table_is_built(tmp_path):
     src = write(tmp_path / "x.src", "u v\nw\n")
     align = write(tmp_path / "x.align", "1-2 0-0\n0-0\n")
     corpus = load_corpus(mt=mt, src=src, align=align)
-    built = TaggedCorpus.from_entries([Entry(mt=Sentence(("a",)), src=Sentence(("u",)), alignments={(0, 0)})])
+    built = TaggedCorpus.from_rows([Sentence(("a",))], src=[Sentence(("u",))], alignments=[{(0, 0)}])
     for pairs, offsets in (read_alignment_lines(align), corpus.alignments, built.alignments):
         assert not pairs.flags.writeable and not offsets.flags.writeable
         with pytest.raises(ValueError):
             offsets[1] = 0
 
 
-# --- a corpus of entries built in code --------------------------------------------
+# --- a corpus of rows built in code ----------------------------------------------
 
 
-_OPTIONAL_FIELDS = [f.name for f in fields(Entry) if f.name != "mt"]
+_OPTIONAL_COLUMNS = ("src", "pe", "tags", "source_tags", "hter", "alignments")
 
 
 @st.composite
-def _corpus_entries(draw):
-    """The 0 to 6 entries of one corpus, each holding the same optional
-    fields; alignments (which need a source sentence) are sets or lists,
-    some repeating a pair."""
-    held = draw(st.sets(st.sampled_from(_OPTIONAL_FIELDS)))
+def _corpus_rows(draw):
+    """The 0 to 6 rows of each column of one corpus, every optional column
+    held or not; alignments (which need source sentences) are sets or
+    lists, some repeating a pair."""
+    held = draw(st.sets(st.sampled_from(_OPTIONAL_COLUMNS)))
     if "alignments" in held:
         held.add("src")
 
@@ -722,42 +727,49 @@ def _corpus_entries(draw):
     def bools(n):
         return tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
 
-    entries = []
+    columns = {name: [] for name in ("mt", *held)}
     for _ in range(draw(st.integers(0, 6))):
         mt, src = sentence("m"), sentence("s")
+        pairs = draw(st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=8))
         row = {
+            "mt": mt,
             "src": src,
             "pe": sentence("p"),
-            "target_tags": TargetTags(word_tags=bools(len(mt)), gap_tags=bools(len(mt) + 1)),
-            "source_tags": SourceTags(bools(len(src))),
+            "tags": interleave(bools(len(mt)), bools(len(mt) + 1)),
+            "source_tags": bools(len(src)),
             "hter": draw(st.floats(0.0, 1.0)),
+            "alignments": draw(st.sampled_from([frozenset(pairs), pairs, pairs + pairs[:3]])),
         }
-        pairs = draw(st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=8))
-        row["alignments"] = draw(st.sampled_from([frozenset(pairs), pairs, pairs + pairs[:3]]))
-        entries.append(Entry(mt=mt, **{name: row[name] for name in held}))
-    return entries
+        for name, rows in columns.items():
+            rows.append(row[name])
+    return columns
 
 
 @settings(max_examples=300, deadline=None)
-@given(entries=_corpus_entries())
-def test_a_corpus_from_entries_gives_its_entries_back(entries):
-    corpus = TaggedCorpus.from_entries(entries)
-    want = [e if e.alignments is None else replace(e, alignments=frozenset(e.alignments)) for e in entries]
-    assert list(corpus) == want and len(corpus) == len(entries)
-    assert [corpus[i] for i in range(-len(entries), 0)] == want
-    assert corpus == TaggedCorpus.from_entries(want)
-    for name in _OPTIONAL_FIELDS if entries else ():
-        column = "tags" if name == "target_tags" else name
-        assert (getattr(corpus, column) is None) == (getattr(entries[0], name) is None)
+@given(columns=_corpus_rows())
+def test_a_corpus_from_rows_holds_its_rows_as_columns(columns):
+    corpus = TaggedCorpus.from_rows(**columns)
+    assert len(corpus) == len(columns["mt"]) and corpus.mt == tuple(columns["mt"])
+    for name in _OPTIONAL_COLUMNS:
+        assert (getattr(corpus, name) is None) == (name not in columns)
+    for name in ("src", "pe"):
+        if name in columns:
+            assert getattr(corpus, name) == tuple(columns[name])
+    for name in ("tags", "source_tags"):
+        if name in columns:
+            assert getattr(corpus, name).rows() == [list(row) for row in columns[name]]
+    if corpus.hter is not None:
+        assert corpus.hter.tolist() == columns["hter"]
+        assert corpus.hter.dtype == np.float64 and not corpus.hter.flags.writeable
     if corpus.alignments is not None:
         # a repeated pair is held once, in sorted order
         pairs, offsets = corpus.alignments
-        assert offsets[-1] == sum(len(set(e.alignments)) for e in entries)
+        assert offsets[-1] == sum(len(set(line)) for line in columns["alignments"])
         assert [pairs[lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])] == [
-            sorted(map(list, set(e.alignments))) for e in entries
+            sorted(map(list, set(line))) for line in columns["alignments"]
         ]
-    if corpus.hter is not None:
-        assert corpus.hter.dtype == np.float64 and not corpus.hter.flags.writeable
+        as_sets = {**columns, "alignments": list(map(frozenset, columns["alignments"]))}
+        assert_same_corpus(corpus, TaggedCorpus.from_rows(**as_sets))
 
 
 def test_the_columns_of_a_corpus_hold_one_segment_count():
@@ -766,45 +778,50 @@ def test_the_columns_of_a_corpus_hold_one_segment_count():
     assert len(TaggedCorpus(mt=mt, hter=np.array([0.1, 0.2]), alignments=(no_pairs, np.zeros(3)))) == 2
     with pytest.raises(LengthMismatch, match=r"^columns of \[1, 3\] segments beside 2 MT sentences$"):
         TaggedCorpus(mt=mt, src=mt[:1], hter=np.array([0.1, 0.2]), alignments=(no_pairs, np.zeros(4)))
+    with pytest.raises(LengthMismatch, match=r"^columns of \[3\] segments beside 2 MT sentences$"):
+        TaggedCorpus.from_rows(mt, tags=[(OK, OK, OK)] * 3)
 
 
-@pytest.mark.parametrize("name", _OPTIONAL_FIELDS)
-def test_a_field_some_entries_lack_is_an_error_naming_the_first_of_them(name):
-    full = Entry(
-        mt=Sentence(("a", "b")),
-        src=Sentence(("x", "y", "z")),
-        pe=Sentence(("a",)),
-        target_tags=TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, BAD)),
-        source_tags=SourceTags((OK, BAD, OK)),
-        hter=0.5,
-        alignments={(0, 0), (2, 1)},
-    )
-    lacking = replace(full, **{name: None})
-    with pytest.raises(InvalidInput, match=f"^entry 2 has no {name}, which other entries have$"):
-        TaggedCorpus.from_entries([full, lacking, full, lacking])
-    if name != "src":
-        assert TaggedCorpus.from_entries([lacking, lacking])[1] == lacking
+def _full_columns(n=4) -> dict:
+    """``n`` rows of every column: a 2-word MT sentence, a 3-word source."""
+    return {
+        "mt": [Sentence(("a", "b"))] * n,
+        "src": [Sentence(("x", "y", "z"))] * n,
+        "pe": [Sentence(("a",))] * n,
+        "tags": [interleave((OK, BAD), (OK, OK, BAD))] * n,
+        "source_tags": [(OK, BAD, OK)] * n,
+        "hter": [0.5] * n,
+        "alignments": [{(0, 0), (2, 1)}] * n,
+    }
+
+
+@pytest.mark.parametrize("name", ["mt", "src", "pe", "tags", "source_tags", "hter"])
+def test_a_none_row_is_an_error_naming_its_entry(name):
+    columns = _full_columns()
+    columns[name] = [columns[name][0], None, columns[name][0], None]
+    with pytest.raises(InvalidInput, match=f"^entry 2 has no {name}$"):
+        TaggedCorpus.from_rows(**columns)
+    if name != "mt":
+        columns.pop(name)
+        if name == "src":
+            columns.pop("alignments")
+        assert getattr(TaggedCorpus.from_rows(**columns), name) is None
 
 
 @pytest.mark.parametrize(
-    "field_, value, message",
+    "name, row, message",
     [
-        ("target_tags", TargetTags(word_tags=(OK, BAD, OK), gap_tags=(OK,) * 4), "entry 2: 7 target tags, expected 5"),
-        ("target_tags", TargetTags(word_tags=(OK,), gap_tags=(OK, BAD)), "entry 2: 3 target tags, expected 5"),
-        ("source_tags", SourceTags((OK, BAD)), "entry 2: 2 source tags, expected 3"),
-        ("source_tags", SourceTags((OK,) * 4), "entry 2: 4 source tags, expected 3"),
+        ("tags", interleave((OK, BAD, OK), (OK,) * 4), "entry 2: 7 target tags, expected 5"),
+        ("tags", interleave((OK,), (OK, BAD)), "entry 2: 3 target tags, expected 5"),
+        ("source_tags", (OK, BAD), "entry 2: 2 source tags, expected 3"),
+        ("source_tags", (OK,) * 4, "entry 2: 4 source tags, expected 3"),
     ],
 )
-def test_tags_of_another_length_than_their_sentence_are_an_error_naming_the_entry(field_, value, message):
-    good = Entry(
-        mt=Sentence(("a", "b")),
-        src=Sentence(("x", "y", "z")),
-        target_tags=TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, BAD)),
-        source_tags=SourceTags((OK, BAD, OK)),
-    )
-    bad = replace(good, **{field_: value})
+def test_tags_of_another_length_than_their_sentence_are_an_error_naming_the_entry(name, row, message):
+    columns = {key: _full_columns()[key] for key in ("mt", "src", "tags", "source_tags")}
+    columns[name] = [columns[name][0], row, columns[name][0], row]
     with pytest.raises(LengthMismatch) as caught:
-        TaggedCorpus.from_entries([good, bad, good, bad])
+        TaggedCorpus.from_rows(**columns)
     assert str(caught.value) == message
 
 
@@ -818,12 +835,12 @@ def test_tags_of_another_length_than_their_sentence_are_an_error_naming_the_entr
     ],
 )
 def test_a_pair_outside_its_entry_is_a_range_error_naming_it(pair, message):
-    good = Entry(mt=Sentence(("a", "b")), src=Sentence(("x", "y", "z")), alignments={(0, 0)})
+    mt, src = [Sentence(("a", "b"))] * 3, [Sentence(("x", "y", "z"))] * 3
     with pytest.raises(RangeError) as caught:
-        TaggedCorpus.from_entries([good, *(replace(good, alignments=[(1, 1), pair, pair]),) * 2])
+        TaggedCorpus.from_rows(mt, src=src, alignments=[{(0, 0)}, *([(1, 1), pair, pair],) * 2])
     assert str(caught.value) == message
     with pytest.raises(InvalidInput, match="^alignments need source sentences$"):
-        TaggedCorpus.from_entries([replace(good, src=None)])
+        TaggedCorpus.from_rows(mt[:1], alignments=[{(0, 0)}])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from qestack.corpus import TargetTags
 from qestack.doclevel import (
     Annotation,
     AnnotationStats,
@@ -24,7 +23,7 @@ from qestack.doclevel import (
 )
 from qestack.errors import ParseError, SpanOutOfBounds
 
-from conftest import random_token
+from conftest import interleave, random_token
 
 OK, BAD = False, True
 MINOR, MAJOR, CRITICAL = Severity.MINOR, Severity.MAJOR, Severity.CRITICAL
@@ -108,7 +107,7 @@ def doc_tags(doc, word_rows, gap_rows=None):
     out = []
     for i, words in enumerate(word_rows):
         gaps = gap_rows[i] if gap_rows else (OK,) * (len(words) + 1)
-        out.append(TargetTags(word_tags=tuple(words), gap_tags=tuple(gaps)))
+        out.append(interleave(words, gaps))
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qestack.corpus import Ragged, Tag, TargetTags, write_alignments, write_probs
+from qestack.corpus import Ragged, Tag, write_alignments, write_probs
 from qestack.doclevel import (
     Annotation,
     AnnotationTable,
@@ -32,6 +32,7 @@ from doclevel_reference import (
     reference_tags_to_annotations,
     reference_tokenize_with_offsets,
 )
+from conftest import interleave
 
 # Unicode whitespace (ideographic space, the \x1c-\x1f separators, NEL, NBSP,
 # line and paragraph separators) next to ordinary and non-ASCII letters
@@ -106,7 +107,7 @@ def test_tags_to_annotations_matches_reference(data, doc, severity):
         n = len(offsets)
         words = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         gaps = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
-        tags.append(TargetTags(tuple(words), tuple(gaps)))
+        tags.append(interleave(words, gaps))
     expected = reference_tags_to_annotations(doc, tags, severity)
     assert tags_to_annotations(doc, tags, severity) == expected
     rows = Ragged.from_rows(tags, dtype=bool)
@@ -117,13 +118,10 @@ def test_tags_to_annotations_matches_reference(data, doc, severity):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), doc=documents)
 def test_tags_of_the_wrong_shape_raise_as_before(data, doc):
-    tags = [
-        TargetTags(word_tags=(True,) * len(offsets), gap_tags=(False,) * (len(offsets) + 1))
-        for offsets in doc.token_offsets
-    ]
+    tags = [interleave((True,) * len(offsets), (False,) * (len(offsets) + 1)) for offsets in doc.token_offsets]
     i = data.draw(st.integers(0, len(tags) - 1))
     n = data.draw(st.integers(0, 4))
-    tags[i] = TargetTags(word_tags=(False,) * n, gap_tags=(False,) * (n + 1))
+    tags[i] = (False,) * (2 * n + 1)
     if data.draw(st.booleans()):
         tags.pop()
     assert outcome(tags_to_annotations, doc, tags) == outcome(reference_tags_to_annotations, doc, tags)
@@ -286,14 +284,14 @@ def test_annotation_table_reads_as_its_list(tmp_path):
 
 
 def test_annotations_to_tags_gives_interleaved_rows_equal_to_their_target_tags():
-    tags = [TargetTags((True,), (False, True)), TargetTags((), (True,))]
+    tags = [interleave((True,), (False, True)), interleave((), (True,))]
     doc = Document.from_sentences(["ab", " "])
     rows = annotations_to_tags(doc, [Annotation(Severity.MAJOR, (Span(0, 0, 1), Span(0, 2, 2), Span(1, 0, 1)))])
     assert rows.values.tolist() == [False, True, True, True] and rows.offsets.tolist() == [0, 3, 4]
     assert rows == tags and rows.rows() == [list(t) for t in tags] and rows[1] == list(tags[1])
     # Tag objects are still read as BAD indicators
-    assert rows == [TargetTags((Tag.BAD,), (Tag.OK, Tag.BAD)), TargetTags((), (Tag.BAD,))]
-    assert rows != [TargetTags((False,), (False, True)), TargetTags((), (True,))]
+    assert rows == [interleave((Tag.BAD,), (Tag.OK, Tag.BAD)), interleave((), (Tag.BAD,))]
+    assert rows != [interleave((False,), (False, True)), interleave((), (True,))]
 
 
 # --- document features ---------------------------------------------------------------
@@ -317,7 +315,7 @@ ROUNDING_ROWS = [
 @settings(max_examples=300, deadline=None)
 @given(row=st.one_of(st.sampled_from(ROUNDING_ROWS), st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30)))
 def test_mean_sentence_mqm_adds_left_to_right(row):
-    tags = [TargetTags(word_tags=(False,), gap_tags=(False, False))] * len(row)
+    tags = [(False, False, False)] * len(row)
     mean = doc_mqm_features(tags, row)[0]
     assert mean == left_to_right_mean(row) and math.copysign(1.0, mean) == math.copysign(1.0, left_to_right_mean(row))
 
@@ -326,14 +324,14 @@ def test_mean_sentence_mqm_adds_left_to_right(row):
 @given(data=st.data(), sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5))
 def test_bad_fractions_are_integer_counts(data, sizes):
     tags = [
-        TargetTags(
-            tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
-            tuple(data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))),
+        interleave(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1)),
         )
         for n in sizes
     ]
-    bad_words = sum(tag for t in tags for tag in t.word_tags)
-    bad_gaps = sum(tag for t in tags for tag in t.gap_tags)
+    bad_words = sum(tag for t in tags for tag in t[1::2])
+    bad_gaps = sum(tag for t in tags for tag in t[0::2])
     n_words = sum(sizes)
     n_gaps = n_words + len(sizes)
     expected = [

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qestack import labeler
-from qestack.corpus import Entry, Sentence, SourceTags, TaggedCorpus, TargetTags
-from qestack.errors import InconsistentScript, InvalidInput, MissingStream, RangeError
+from qestack.corpus import Sentence, TaggedCorpus
+from qestack.errors import InconsistentScript, InvalidInput, LengthMismatch, MissingStream, RangeError
 from qestack.labeler import (
     EditKind,
     EditStep,
@@ -20,7 +19,7 @@ from qestack.labeler import (
     tags_from_edits,
 )
 
-from conftest import random_corpus, random_sentence
+from conftest import assert_same_corpus, interleave, random_corpus, random_sentence
 
 OK, BAD = False, True
 
@@ -151,25 +150,25 @@ def test_alignment_script_equals_the_min_based_oracle(pair):
 def test_all_match_means_all_ok():
     script = align_edit(sent("a b"), sent("a b"))
     tags = tags_from_edits(script, 2)
-    assert tags.word_tags == (OK, OK)
-    assert tags.gap_tags == (OK, OK, OK)
+    assert tags[1::2] == (OK, OK)
+    assert tags[0::2] == (OK, OK, OK)
 
 
 def test_deleted_word_is_bad():
     tags = tags_from_edits(align_edit(sent("a b c"), sent("a c")), 3)
-    assert tags.word_tags == (OK, BAD, OK)
-    assert tags.gap_tags == (OK, OK, OK, OK)
+    assert tags[1::2] == (OK, BAD, OK)
+    assert tags[0::2] == (OK, OK, OK, OK)
 
 
 def test_insertion_marks_enclosing_gap():
     tags = tags_from_edits(align_edit(sent("a c"), sent("a b c")), 2)
-    assert tags.word_tags == (OK, OK)
-    assert tags.gap_tags == (OK, BAD, OK)
+    assert tags[1::2] == (OK, OK)
+    assert tags[0::2] == (OK, BAD, OK)
 
 
 def test_insertion_before_first_token_marks_gap_zero():
     tags = tags_from_edits(align_edit(sent("b"), sent("a b")), 1)
-    assert tags.gap_tags == (BAD, OK)
+    assert tags == (BAD, OK, OK)
 
 
 def test_inconsistent_script_is_rejected():
@@ -186,12 +185,12 @@ def test_tag_counts_and_edit_cost_bound():
         pe = random_sentence(rng, 1, 9, alphabet="abc")
         script = align_edit(mt, pe)
         tags = tags_from_edits(script, len(mt))
-        assert len(tags.word_tags) == len(mt)
-        assert len(tags.gap_tags) == len(mt) + 1
-        bad = sum(t is BAD for t in tags.word_tags) + sum(t is BAD for t in tags.gap_tags)
+        assert len(tags[1::2]) == len(mt)
+        assert len(tags[0::2]) == len(mt) + 1
+        bad = sum(t is BAD for t in tags)
         assert bad <= edit_cost(script)
         gaps_hit = [s.pe_index for s in script if s.kind is EditKind.INS_INTO_MT_GAP]
-        if len(gaps_hit) == sum(t is BAD for t in tags.gap_tags):
+        if len(gaps_hit) == sum(t is BAD for t in tags[0::2]):
             assert bad == edit_cost(script)
 
 
@@ -222,58 +221,65 @@ def test_hter_is_clamped_to_one():
 
 
 def test_all_ok_target_gives_all_ok_source():
-    tags = TargetTags(word_tags=(OK, OK), gap_tags=(OK, OK, OK))
-    assert source_tags_from_target(tags, {(0, 0), (1, 1)}, 2).tags == (OK, OK)
+    tags = interleave((OK, OK), (OK, OK, OK))
+    assert source_tags_from_target(tags, {(0, 0), (1, 1)}, 2) == (OK, OK)
 
 
 def test_bad_word_projects_through_alignment():
-    tags = TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, OK))
-    assert source_tags_from_target(tags, {(0, 0), (1, 1)}, 2).tags == (OK, BAD)
+    tags = interleave((OK, BAD), (OK, OK, OK))
+    assert source_tags_from_target(tags, {(0, 0), (1, 1)}, 2) == (OK, BAD)
 
 
 def test_bad_gap_implicates_source_between_flanking_alignments():
-    tags = TargetTags(word_tags=(OK, OK), gap_tags=(OK, BAD, OK))
+    tags = interleave((OK, OK), (OK, BAD, OK))
     result = source_tags_from_target(tags, {(0, 0), (2, 1)}, 3)
-    assert result.tags == (OK, BAD, OK)
+    assert result == (OK, BAD, OK)
 
 
 def test_bad_edge_gap_implicates_nothing():
-    tags = TargetTags(word_tags=(OK,), gap_tags=(BAD, BAD))
-    assert source_tags_from_target(tags, {(0, 0)}, 2).tags == (OK, OK)
+    tags = interleave((OK,), (BAD, BAD))
+    assert source_tags_from_target(tags, {(0, 0)}, 2) == (OK, OK)
 
 
 def test_unaligned_source_stays_ok():
-    tags = TargetTags(word_tags=(BAD,), gap_tags=(OK, OK))
-    assert source_tags_from_target(tags, set(), 2).tags == (OK, OK)
+    tags = interleave((BAD,), (OK, OK))
+    assert source_tags_from_target(tags, set(), 2) == (OK, OK)
 
 
 def test_out_of_range_alignment_raises():
-    tags = TargetTags(word_tags=(OK,), gap_tags=(OK, OK))
+    tags = interleave((OK,), (OK, OK))
     with pytest.raises(RangeError):
         source_tags_from_target(tags, {(5, 0)}, 2)
 
 
+def test_target_tags_of_even_length_are_a_length_mismatch():
+    with pytest.raises(LengthMismatch, match="^interleaved target tags must be 2N\\+1, got 2$"):
+        source_tags_from_target((OK, OK), {(0, 0)}, 2)
+
+
 def reference_source_tags(target_tags, alignments, src_len):
     """``source_tags_from_target`` as it was: a dict of each MT word's
-    aligned source indices, walked word by word and gap by gap."""
-    n_mt = len(target_tags.word_tags)
+    aligned source indices, walked word by word and gap by gap, over one
+    row of interleaved target tags."""
+    word_tags, gap_tags = target_tags[1::2], target_tags[0::2]
+    n_mt = len(word_tags)
     by_mt = {}
     for s_idx, m_idx in alignments or ():
         if s_idx >= src_len or s_idx < 0 or m_idx >= n_mt or m_idx < 0:
             raise RangeError(f"alignment {s_idx}-{m_idx} out of range ({src_len}/{n_mt})")
         by_mt.setdefault(m_idx, []).append(s_idx)
     tags = [False] * src_len
-    for m_idx, bad in enumerate(target_tags.word_tags):
+    for m_idx, bad in enumerate(word_tags):
         if bad:
             for s_idx in by_mt.get(m_idx, ()):
                 tags[s_idx] = True
-    for gap_idx, bad in enumerate(target_tags.gap_tags):
+    for gap_idx, bad in enumerate(gap_tags):
         left, right = by_mt.get(gap_idx - 1), by_mt.get(gap_idx)
         if not bad or gap_idx == 0 or gap_idx == n_mt or not left or not right:
             continue
         for s_idx in range(max(left) + 1, min(right)):
             tags[s_idx] = True
-    return SourceTags(tuple(tags))
+    return tuple(tags)
 
 
 @st.composite
@@ -294,9 +300,9 @@ def alignments(draw, src_len, mt_len, spill=0):
 @given(data=st.data())
 def test_source_projection_equals_the_dict_of_lists_reference(data):
     src_len, mt_len = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 12))
-    tags = TargetTags(
-        word_tags=tuple(data.draw(st.lists(st.booleans(), min_size=mt_len, max_size=mt_len))),
-        gap_tags=tuple(data.draw(st.lists(st.booleans(), min_size=mt_len + 1, max_size=mt_len + 1))),
+    tags = interleave(
+        data.draw(st.lists(st.booleans(), min_size=mt_len, max_size=mt_len)),
+        data.draw(st.lists(st.booleans(), min_size=mt_len + 1, max_size=mt_len + 1)),
     )
     pairs = data.draw(alignments(src_len, mt_len, spill=data.draw(st.sampled_from([0, 0, 2]))))
     try:
@@ -314,42 +320,49 @@ def test_source_projection_equals_the_dict_of_lists_reference(data):
 def test_label_corpus_fills_tags_hter_and_source(rng):
     corpus = random_corpus(rng, 30)
     labeled = label_corpus(corpus)
-    for original, entry in zip(corpus, labeled):
-        assert entry.mt == original.mt
-        assert 0.0 <= entry.hter <= 1.0
-        assert len(entry.target_tags.word_tags) == len(entry.mt)
-        assert entry.source_tags is not None
-        assert len(entry.source_tags.tags) == len(entry.src)
+    assert labeled.mt == corpus.mt
+    assert ((0.0 <= labeled.hter) & (labeled.hter <= 1.0)).all()
+    assert [len(row[1::2]) for row in labeled.tags] == list(map(len, labeled.mt))
+    assert labeled.source_tags is not None
+    assert list(map(len, labeled.source_tags)) == list(map(len, labeled.src))
 
 
-def reference_label(entry: Entry) -> Entry:
-    """One entry labeled through the reference DP, cell by cell."""
-    script = min_align_edit(entry.mt, entry.pe)
-    target = tags_from_edits(script, len(entry.mt))
-    source = alignments = None
-    if entry.src is not None and entry.alignments is not None:
-        source = reference_source_tags(target, entry.alignments, len(entry.src))
-        alignments = frozenset(entry.alignments)
-    return replace(
-        entry, target_tags=target, source_tags=source, hter=hter(script, len(entry.pe)), alignments=alignments
-    )
+def reference_label(columns: dict) -> dict:
+    """The columns labeled through the reference DP, cell by cell, one entry
+    at a time."""
+    labeled = {**columns, "tags": [], "hter": []}
+    aligned = columns.get("src") is not None and columns.get("alignments") is not None
+    if aligned:
+        labeled["source_tags"] = []
+        labeled["alignments"] = list(map(frozenset, columns["alignments"]))
+    for i, (mt, pe) in enumerate(zip(columns["mt"], columns["pe"])):
+        script = min_align_edit(mt, pe)
+        target = tags_from_edits(script, len(mt))
+        labeled["tags"].append(target)
+        labeled["hter"].append(hter(script, len(pe)))
+        if aligned:
+            source = reference_source_tags(target, columns["alignments"][i], len(columns["src"][i]))
+            labeled["source_tags"].append(source)
+    return labeled
 
 
-def assert_labeled_like_the_reference(corpus: TaggedCorpus):
-    labeled = label_corpus(corpus)
-    assert len(labeled) == len(corpus)
-    for got, entry in zip(labeled, corpus):
-        want = reference_label(entry)
-        assert got.target_tags == want.target_tags
-        assert got.source_tags == want.source_tags
-        assert got.hter.hex() == want.hter.hex()
-        assert got == want
+def assert_labeled_like_the_reference(columns: dict):
+    labeled = label_corpus(TaggedCorpus.from_rows(**columns))
+    want = reference_label(columns)
+    assert len(labeled) == len(columns["mt"])
+    assert labeled.tags.rows() == [list(row) for row in want["tags"]]
+    if "source_tags" in want:
+        assert labeled.source_tags.rows() == [list(row) for row in want["source_tags"]]
+    else:
+        assert labeled.source_tags is None
+    assert [value.hex() for value in labeled.hter.tolist()] == [value.hex() for value in want["hter"]]
+    assert_same_corpus(labeled, TaggedCorpus.from_rows(**want))
 
 
 @st.composite
-def labelable_entries(draw):
-    """The 1 to 25 entries of one corpus: every one with a source sentence
-    and alignments, every one with a source sentence only, or none with
+def labelable_columns(draw):
+    """The 1 to 25 rows of one corpus: every one with a source sentence and
+    alignments, every one with a source sentence only, or none with
     either."""
     alphabet = draw(st.sampled_from(["ab", "abc", "abcdefgh"]))
     length = st.integers(1, 40)
@@ -358,16 +371,23 @@ def labelable_entries(draw):
     def tokens(n):
         return Sentence(tuple(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))))
 
-    entries = []
+    names = {
+        "no source": ("mt", "pe"),
+        "source only": ("mt", "pe", "src"),
+        "aligned": ("mt", "pe", "src", "alignments"),
+    }
+    columns = {name: [] for name in names[kind]}
     for _ in range(draw(st.integers(1, 25))):
         mt, pe = tokens(draw(length)), tokens(draw(length))
+        columns["mt"].append(mt)
+        columns["pe"].append(pe)
         if kind == "no source":
-            entries.append(Entry(mt=mt, pe=pe))
             continue
         src = tokens(draw(length))
-        links = draw(alignments(len(src), len(mt))) if kind == "aligned" else None
-        entries.append(Entry(mt=mt, pe=pe, src=src, alignments=links))
-    return entries
+        columns["src"].append(src)
+        if kind == "aligned":
+            columns["alignments"].append(draw(alignments(len(src), len(mt))))
+    return columns
 
 
 # (cell budget, longest sentence of an int16 table): the real ones; a budget
@@ -382,25 +402,25 @@ _BLOCKINGS = [
 
 @pytest.mark.parametrize("budget,int16_length", _BLOCKINGS)
 @settings(max_examples=60, deadline=None)
-@given(entries=labelable_entries())
-def test_block_labeling_equals_the_reference_per_entry(budget, int16_length, entries):
+@given(columns=labelable_columns())
+def test_block_labeling_equals_the_reference_per_entry(budget, int16_length, columns):
     with mock.patch.object(labeler, "_CELL_BUDGET", budget), mock.patch.object(
         labeler, "_INT16_LENGTH", int16_length
     ):
-        assert_labeled_like_the_reference(TaggedCorpus.from_entries(entries))
+        assert_labeled_like_the_reference(columns)
 
 
 def test_a_pair_larger_than_the_cell_budget_is_a_block_of_its_own():
     rng = random.Random(14)
-    corpus = TaggedCorpus.from_entries(
-        Entry(mt=random_sentence(rng, n, n, alphabet="abcd"), pe=random_sentence(rng, m, m, alphabet="abcd"))
-        for n, m in ((4, 6), (300, 320), (3, 2), (12, 9))
-    )
+    columns = {"mt": [], "pe": []}
+    for n, m in ((4, 6), (300, 320), (3, 2), (12, 9)):
+        columns["mt"].append(random_sentence(rng, n, n, alphabet="abcd"))
+        columns["pe"].append(random_sentence(rng, m, m, alphabet="abcd"))
     with mock.patch.object(labeler, "_CELL_BUDGET", 1 << 16):
         assert 301 * 321 > labeler._CELL_BUDGET
-        lengths = [(len(e.mt), len(e.pe)) for e in corpus]
+        lengths = [(len(mt), len(pe)) for mt, pe in zip(columns["mt"], columns["pe"])]
         assert [1] in list(labeler._blocks(sorted(range(4), key=lengths.__getitem__), lengths))
-        assert_labeled_like_the_reference(corpus)
+        assert_labeled_like_the_reference(columns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -420,19 +440,22 @@ def test_blocks_cut_the_sorted_pairs_within_the_cell_budget(lengths, budget):
 
 def _corpus_with(bad_alignment_at: int | None = None, no_post_edit_at=()) -> TaggedCorpus:
     rng = random.Random(15)
-    entries = []
+    columns = {"mt": [], "src": [], "pe": [], "alignments": []}
     for k in range(7):
         mt, src = random_sentence(rng, 2, 6), random_sentence(rng, 2, 6)
-        links = frozenset({(len(src) + 3, 0)} if k == bad_alignment_at else {(0, 0)})
-        pe = None if k in no_post_edit_at else random_sentence(rng, 2, 6)
-        entries.append(Entry(mt=mt, src=src, pe=pe, alignments=links))
-    return TaggedCorpus.from_entries(entries)
+        columns["mt"].append(mt)
+        columns["src"].append(src)
+        columns["alignments"].append(frozenset({(len(src) + 3, 0)} if k == bad_alignment_at else {(0, 0)}))
+        columns["pe"].append(None if k in no_post_edit_at else random_sentence(rng, 2, 6))
+    if len(no_post_edit_at) == 7:
+        del columns["pe"]
+    return TaggedCorpus.from_rows(**columns)
 
 
 def test_label_corpus_raises_the_error_of_the_first_entry_in_file_order():
-    # a corpus is checked when it is built: post-edits for some entries only,
-    # then alignments out of range, each named by its first entry
-    with pytest.raises(InvalidInput, match="^entry 6 has no pe, which other entries have$"):
+    # a corpus is checked when it is built: a missing post-edit, then
+    # alignments out of range, each named by its first entry
+    with pytest.raises(InvalidInput, match="^entry 6 has no pe$"):
         _corpus_with(bad_alignment_at=2, no_post_edit_at=(5,))
     with pytest.raises(RangeError, match=r"^entry 3: alignment \d+-0 out of range"):
         _corpus_with(bad_alignment_at=2)

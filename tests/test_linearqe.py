@@ -3,22 +3,13 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qestack.corpus import (
-    PredictionSet,
-    Sentence,
-    SourceTags,
-    Stream,
-    TaggedCorpus,
-    TargetTags,
-    Entry,
-)
+from qestack.corpus import PredictionSet, Sentence, Stream, TaggedCorpus
 from qestack.ensemble import fold_bounds
 from qestack.errors import EmptyInput, LengthMismatch, MissingStream, ParseError, QEStackError, RangeError
 from qestack.labeler import hter, label_corpus
@@ -40,7 +31,7 @@ from qestack.linearqe import (
     viterbi,
 )
 
-from conftest import random_token
+from conftest import interleave, random_token
 
 OK, BAD = False, True
 
@@ -924,15 +915,19 @@ def test_a_later_line_of_a_model_key_overrides_an_earlier_one(tmp_path):
 # --- corpus to instances ----------------------------------------------------
 
 
+def tiny_columns(n=1, alignments=frozenset({(0, 0), (1, 1), (2, 1)})) -> dict:
+    """``n`` rows of one aligned, tagged segment."""
+    return {
+        "mt": [Sentence(("das", "haus"))] * n,
+        "src": [Sentence(("the", "house", "!"))] * n,
+        "tags": [interleave((OK, BAD), (OK, OK, BAD))] * n,
+        "source_tags": [(OK, BAD, OK)] * n,
+        "alignments": [alignments] * n,
+    }
+
+
 def build_tiny_corpus():
-    entry = Entry(
-        mt=Sentence(("das", "haus")),
-        src=Sentence(("the", "house", "!")),
-        target_tags=TargetTags(word_tags=(OK, BAD), gap_tags=(OK, OK, BAD)),
-        source_tags=SourceTags((OK, BAD, OK)),
-        alignments=frozenset({(0, 0), (1, 1), (2, 1)}),
-    )
-    return TaggedCorpus.from_entries((entry,))
+    return TaggedCorpus.from_rows(**tiny_columns())
 
 
 def test_word_instances_carry_aligned_source_words():
@@ -966,7 +961,7 @@ def test_aligned_words_equal_the_dict_of_lists_reference(pairs, n, indices):
     if pairs is not None:
         pairs = frozenset(pair for pair in pairs if pair[key_index] < n)
     src, mt = (keys, other) if key_index == 0 else (other, keys)
-    corpus = TaggedCorpus.from_entries([Entry(mt=Sentence(mt), src=Sentence(src), alignments=pairs)])
+    corpus = TaggedCorpus.from_rows([Sentence(mt)], src=[Sentence(src)], alignments=None if pairs is None else [pairs])
     aligned = build_instances(corpus, Stream.SOURCE if key_index == 0 else Stream.WORDS)[0].aligned
     want = [] if pairs is None else reference_aligned_words(other, pairs, key_index, other_index, n)
     assert list(aligned) == want
@@ -977,46 +972,48 @@ def test_aligned_words_equal_the_dict_of_lists_reference(pairs, n, indices):
 def test_an_alignment_outside_a_built_entry_is_a_range_error_naming_it(pair, stream):
     # once, (-1, 0) aligned MT word 0 to the last source word and (3, 0) raised a bare IndexError
     # the corpus is range-checked once, when it is built
-    good = build_tiny_corpus()[0]
-    bad = replace(good, alignments=frozenset({(0, 0), pair}))
+    columns = tiny_columns(3)
+    columns["alignments"][1:] = [frozenset({(0, 0), pair})] * 2
     with pytest.raises(RangeError, match=rf"^entry 2: alignment {pair[0]}-{pair[1]} out of range \(3/2\)$"):
-        build_instances(TaggedCorpus.from_entries((good, bad, bad)), stream)
+        build_instances(TaggedCorpus.from_rows(**columns), stream)
 
 
 @st.composite
-def aligned_entries(draw, stream):
-    """The 1 to 8 entries of one corpus: every one with a source sentence
-    and alignments, every one with a source sentence only, or (on the words
+def aligned_columns(draw, stream):
+    """The 1 to 8 rows of one corpus: every one with a source sentence and
+    alignments, every one with a source sentence only, or (on the words
     stream) none with either; the pairs lie within the sentences, and some
     positions have none."""
     kinds = ["aligned", "aligned", "aligned", "source only"] + (["no source"] if stream is Stream.WORDS else [])
     kind = draw(st.sampled_from(kinds))
-    entries = []
+    names = {"no source": ("mt",), "source only": ("mt", "src"), "aligned": ("mt", "src", "alignments")}
+    columns = {name: [] for name in names[kind]}
     for _ in range(draw(st.integers(1, 8))):
         mt = Sentence(tuple(f"m{i}" for i in range(draw(st.integers(1, 6)))))
+        columns["mt"].append(mt)
         if kind == "no source":
-            entries.append(Entry(mt=mt))
             continue
         src = Sentence(tuple(f"s{i}" for i in range(draw(st.integers(1, 6)))))
+        columns["src"].append(src)
         links = st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(mt) - 1)), max_size=12)
-        alignments = draw(links.map(frozenset) | links) if kind == "aligned" else None
-        entries.append(Entry(mt=mt, src=src, alignments=alignments))
-    return entries
+        if kind == "aligned":
+            columns["alignments"].append(draw(links.map(frozenset) | links))
+    return columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), stream=st.sampled_from([Stream.WORDS, Stream.SOURCE]))
 def test_corpus_aligned_words_equal_the_per_entry_reference(data, stream):
-    entries = data.draw(aligned_entries(stream))
-    got = [inst.aligned for inst in build_instances(TaggedCorpus.from_entries(entries), stream)]
+    columns = data.draw(aligned_columns(stream))
+    got = [inst.aligned for inst in build_instances(TaggedCorpus.from_rows(**columns), stream)]
     key_index = 1 if stream is Stream.WORDS else 0
+    if "alignments" not in columns:
+        assert got == [()] * len(columns["mt"])
+        return
     want = []
-    for e in entries:
-        if e.src is None or e.alignments is None:
-            want.append(())
-            continue
-        keys, others = (e.mt, e.src) if stream is Stream.WORDS else (e.src, e.mt)
-        want.append(tuple(reference_aligned_words(others.tokens, set(e.alignments), key_index, 1 - key_index, len(keys))))
+    for mt, src, pairs in zip(columns["mt"], columns["src"], columns["alignments"]):
+        keys, others = (mt, src) if stream is Stream.WORDS else (src, mt)
+        want.append(tuple(reference_aligned_words(others.tokens, set(pairs), key_index, 1 - key_index, len(keys))))
     assert got == want
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from qestack.cli import main
 
-from conftest import random_corpus, random_token
+from conftest import alignment_sets, random_corpus, random_token
 
 DIGESTS = Path(__file__).with_name("pipeline_digests.sha256")
 
@@ -39,18 +39,18 @@ def post_edit(rng: random.Random, tokens) -> list[str]:
 def write_corpus(directory: Path) -> dict[str, str]:
     rng = random.Random(16)
     corpus = random_corpus(rng, 200)
-    post_edits = [" ".join(post_edit(rng, e.mt.tokens)) for e in corpus]
+    post_edits = [" ".join(post_edit(rng, s.tokens)) for s in corpus.mt]
     align_lines = []
-    for entry in corpus:
-        pairs = sorted(entry.alignments)
+    for pairs in alignment_sets(corpus.alignments):
+        pairs = sorted(pairs)
         pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
         rng.shuffle(pairs)
         fields = [f"{i}-{j}" for i, j in pairs]
         align_lines.append("".join(rng.choice((" ", "  ", "\t")) + f for f in fields).lstrip())
     texts = {
-        "mt": [e.mt.text for e in corpus],
+        "mt": [s.text for s in corpus.mt],
         "pe": post_edits,
-        "src": [e.src.text for e in corpus],
+        "src": [s.text for s in corpus.src],
         "align": align_lines,
     }
     paths = {}
