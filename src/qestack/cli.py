@@ -121,7 +121,7 @@ def _training_options(values):
 
 
 def _linear_corpus(args):
-    """Instances of the chosen stream, with gold labelings unless predicting."""
+    """The instance table of the chosen stream, with gold labelings unless predicting."""
     need_gold = args.subcommand != "predict"
     stream = Stream(args.stream)
     kwargs = {"mt": args.mt, "src": args.src, "align": args.align}
@@ -159,13 +159,13 @@ def _cmd_linear_decode(args):
     instances, golds = _linear_corpus(args)
     if args.subcommand == "predict":
         model = linearqe.load_model(args.model)
-        tags_rows, probs_rows = linearqe.predict(instances, model, values["gamma"])
+        tags, probs = linearqe.predict(instances, model, values["gamma"])
     else:
-        tags_rows, probs_rows = linearqe.jackknife(
+        tags, probs = linearqe.jackknife(
             instances, golds, values["k"], **_training_options(values), gamma=values["gamma"], jobs=args.jobs
         )
-    corpus.write_tags(tags_rows, f"{args.out_prefix}.tags")
-    corpus.write_probs(probs_rows, f"{args.out_prefix}.probs")
+    corpus.write_tags(tags, f"{args.out_prefix}.tags")
+    corpus.write_probs(probs, f"{args.out_prefix}.probs")
     _snapshot(f"{args.out_prefix}.run.cfg", f"linear {args.subcommand}", values, {"stream": args.stream})
     return 0
 

@@ -831,10 +831,17 @@ def write_tags(rows, path):
 
 
 def write_probs(rows, path):
-    for row in rows:
-        if not row:
-            raise InvalidInput("cannot serialize an empty probability row")
-    _write_lines(path, [" ".join(repr(float(p)) for p in row) for row in rows])
+    """One line of P(BAD) per row of float rows or a Ragged; a value outside
+    [0, 1] (or NaN) is a RangeError naming the line it would take."""
+    probs = Ragged.from_rows(rows)
+    if (np.diff(probs.offsets) == 0).any():
+        raise InvalidInput("cannot serialize an empty probability row")
+    outside = np.flatnonzero(~((probs.values >= 0.0) & (probs.values <= 1.0)))
+    if outside.size:
+        line = int(np.searchsorted(probs.offsets, outside[0], side="right"))
+        raise RangeError(f"probability {float(probs.values[outside[0]])} outside [0, 1]", file=str(path), line=line)
+    flat, bounds = probs.values.tolist(), probs.offsets.tolist()
+    _write_lines(path, (" ".join(map(repr, flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def write_scores(values, path):

@@ -129,12 +129,12 @@ def combine_word(
     preds: Sequence[PredictionSet], w: WeightVector, stream: Stream | None = None
 ) -> Ragged:
     """Normalized convex combination of per-token probabilities, one row per
-    sentence."""
+    sentence, at most 1.0 (the normalized weights may sum to just above 1)."""
     stream = stream or w.stream
     if len(w.weights) != len(preds):
         raise LengthMismatch(f"{len(w.weights)} weights for {len(preds)} systems")
     flat = _combine(np.array(w.weights, dtype=float), _stacked_matrix(preds, stream))
-    return Ragged(flat, preds[0].stream(stream).offsets)
+    return Ragged(np.minimum(flat, 1.0), preds[0].stream(stream).offsets)
 
 
 # ---------------------------------------------------------------------------

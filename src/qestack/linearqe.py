@@ -11,18 +11,20 @@ programming over the two labels; weights are learned with max-loss MIRA and
 averaged over all post-update vectors.
 
 Feature strings are hashed to 64-bit keys (FNV-1a); collisions are tolerated,
-they merely share a weight. A call compiles its instances in blocks of 64
-sentences: the block's templates become rows of int ids, one row per slot,
-and the distinct templates of the block are hashed in one numpy pass, as
-their OK and BAD keys; no feature string is built. Prediction gathers the
-weights of those keys and sums them slot row by slot row, a key the model
-lacks adding 0.0, into one score array over the corpus, which is then
-decoded in one pass: the sentences sorted by length, longest first, each
-position's forward and backward step runs over all the sentences that reach
-it at once. Training interns the keys of its corpus into dense ids, so
-colliding strings share one id, and trains on weight lists indexed by id;
-models and their files keep the keys. ``feature_strings`` builds the strings
-position by position and is the reference the compile is tested against.
+they merely share a weight. A call compiles an ``InstanceTable``, columns
+flat over the positions, in blocks of 64 sentences: the block's templates
+become rows of int ids, one row per slot, and the distinct templates of the
+block are hashed in one numpy pass, as their OK and BAD keys; no feature
+string is built. Prediction gathers the weights of those keys and sums them
+slot row by slot row, a key the model lacks adding 0.0, into one score array
+over the corpus, which is then decoded in one pass into a bool and a float64
+``Ragged``: the sentences sorted by length, longest first, each position's
+forward and backward step runs over all the sentences that reach it at once.
+Training interns the keys of its corpus into dense ids, so colliding strings
+share one id, and trains on weight lists indexed by id; models and their
+files keep the keys. ``feature_strings`` builds the strings of one
+``SequenceInstance`` position by position and is the reference the compile
+is tested against.
 Gap and source streams are trained as independent sequence models over their
 own position sequences.
 """
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, pairwise
 from math import exp
 from operator import methodcaller
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,12 +53,14 @@ from .corpus import (
     _parse_float,
     _read_lines,
     _write_lines,
+    stream_lengths,
 )
 from .ensemble import fold_bounds
-from .errors import EmptyInput, LengthMismatch, MissingStream, ParseError, RangeError
+from .errors import EmptyInput, InvalidInput, LengthMismatch, MissingStream, ParseError, RangeError
 
 __all__ = [
     "SequenceInstance",
+    "InstanceTable",
     "LinearModel",
     "extract_features",
     "feature_strings",
@@ -124,6 +128,59 @@ class SequenceInstance:
         return len(self.tokens)
 
 
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceTable:
+    """The tagging problems of one stream as columns, every sentence with the
+    same extra columns and stacked systems: the ``tokens`` of all positions,
+    sentence i holding ``offsets[i]:offsets[i + 1]``; the aligned ``words``,
+    position p holding ``word_offsets[p]:word_offsets[p + 1]`` (none is
+    ``a=<none>``); each ``extra`` column, and each ``stacked`` system's id
+    with its float64 P(BAD), at all positions. ``len()`` counts the
+    sentences, and iterating yields each one's tokens."""
+
+    tokens: list[str]
+    offsets: np.ndarray  # int64, one more than the sentences
+    words: list[str]
+    word_offsets: np.ndarray  # int64, one more than the positions
+    extra: tuple[list[str], ...] = ()
+    stacked: tuple[tuple[str, np.ndarray], ...] = ()
+
+    @classmethod
+    def of(cls, instances) -> "InstanceTable":
+        """A table as it is; SequenceInstance rows converted once. Rows that
+        differ in their number of extra columns or in their stacked system
+        ids are an InvalidInput."""
+        if isinstance(instances, InstanceTable):
+            return instances
+        instances = list(instances)
+        shapes = {(len(inst.extra), tuple(system_id for system_id, _ in inst.stacked)) for inst in instances}
+        if len(shapes) > 1:
+            raise InvalidInput("instances differ in their number of extra columns or in their stacked systems")
+        columns, systems = shapes.pop() if shapes else (0, ())
+        words = [ws for inst in instances for ws in inst.aligned or ((),) * len(inst)]
+        return cls(
+            list(chain.from_iterable(inst.tokens for inst in instances)),
+            _offsets(_lengths(instances)),
+            list(chain.from_iterable(words)),
+            _offsets(_lengths(words)),
+            tuple(list(chain.from_iterable(inst.extra[c] for inst in instances)) for c in range(columns)),
+            tuple(
+                (system_id, np.fromiter(chain.from_iterable(inst.stacked[c][1] for inst in instances), np.float64))
+                for c, system_id in enumerate(systems)
+            ),
+        )
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __iter__(self):
+        return (self.tokens[lo:hi] for lo, hi in pairwise(self.offsets.tolist()))
+
+
 @dataclass
 class LinearModel:
     """Feature weights by 64-bit key (training maps its dense ids back to the
@@ -176,17 +233,18 @@ def extract_features(inst: SequenceInstance, i: int, label: bool, prev: bool | N
 # ---------------------------------------------------------------------------
 # Compiled form: unigram keys are position/label-local and never change while
 # the weights do, so each call of ``predict``, ``mira_train``, ``jackknife``,
-# ``viterbi`` or ``score_sequence`` compiles its instances once, in blocks of
-# ``_BLOCK`` sentences. A block's templates are int ids in one row per slot,
-# in slot order, with a column per position; the distinct templates of each
-# row are hashed in one numpy FNV-1a pass per block, as their OK and BAD keys,
-# folded on from each role's state. Prediction gathers the weights of those
-# keys and adds them slot row by slot row into the block's columns of one
-# score array over the corpus; training and the single-instance functions
-# intern the keys into dense ids and keep each position's (OK ids, BAD ids).
+# ``viterbi`` or ``score_sequence`` compiles its table once, in blocks of
+# ``_BLOCK`` sentences, each a slice of every column. A block's templates are
+# int ids in one row per slot, in slot order, with a column per position; the
+# distinct templates of each row are hashed in one numpy FNV-1a pass per
+# block, as their OK and BAD keys, folded on from each role's state.
+# Prediction gathers the weights of those keys and adds them slot row by slot
+# row into the block's columns of one score array over the corpus; training
+# and the single-instance functions intern the keys into dense ids and keep
+# each position's (OK ids, BAD ids).
 # Every score is a left-to-right sum in slot order from +0.0; such a sum is
-# never -0.0, so the 0.0 that a key the model lacks or a padded slot adds is
-# a no-op and every path is bit-identical to summing each key of
+# never -0.0, so the 0.0 that a key the model lacks or a padded aligned-word
+# slot adds is a no-op and every path is bit-identical to summing each key of
 # ``extract_features``.
 # ---------------------------------------------------------------------------
 
@@ -251,12 +309,11 @@ def _template_keys(templates: np.ndarray, vocab: _Vocabulary) -> np.ndarray:
     return keys
 
 
-def _template_ids(block: list[SequenceInstance], vocab: _Vocabulary) -> list[np.ndarray]:
-    """The templates of a block of instances as ids ``role id << 32 | value
-    id``, with the role and the value numbered by ``vocab`` (which grows): a
-    row per slot in slot order, holding each position of the block. -1 pads
-    the slots a position lacks, the aligned words beyond its own and the
-    extra columns and stacked systems only other instances have."""
+def _template_ids(table: InstanceTable, start: int, end: int, vocab: _Vocabulary) -> list[np.ndarray]:
+    """The templates of sentences ``start:end`` of ``table`` as ids ``role id
+    << 32 | value id``, with the role and the value numbered by ``vocab``
+    (which grows): a row per slot in slot order, holding each position of the
+    block. -1 pads the aligned-word slots beyond a position's own words."""
 
     def role(name: str) -> int:
         return vocab[name] << 32
@@ -264,59 +321,47 @@ def _template_ids(block: list[SequenceInstance], vocab: _Vocabulary) -> list[np.
     def ids(strings) -> np.ndarray:
         return np.fromiter(map(vocab.__getitem__, strings), np.int64)
 
-    lengths = [len(inst) for inst in block]
-    total = sum(lengths)
-    ends = np.cumsum(lengths)
-
-    def padded(have: list[bool], templates: np.ndarray) -> np.ndarray:
-        row = np.full(total, -1, np.int64)
-        row[np.repeat(have, lengths)] = templates
-        return row
-
+    bounds = table.offsets[start:end + 1]
+    lo, hi = bounds[0], bounds[-1]
+    total = hi - lo
     rows = [np.full(total, role("b") | vocab[""], np.int64)]
-    tokens = ids(chain.from_iterable(inst.tokens for inst in block))
+    tokens = ids(table.tokens[lo:hi])
     rows.append(role("w0=") | tokens)
     left, right = np.roll(tokens, 1), np.roll(tokens, -1)
-    left[ends - lengths] = vocab[_LEFT_SENTINEL]
-    right[ends - 1] = vocab[_RIGHT_SENTINEL]
+    left[bounds[:-1] - lo] = vocab[_LEFT_SENTINEL]
+    right[bounds[1:] - lo - 1] = vocab[_RIGHT_SENTINEL]
     rows += [role("w-1=") | left, role("w+1=") | right]
-    words = [ws or (_NO_ALIGNMENT,) for inst in block for ws in inst.aligned or ((),) * len(inst)]
-    counts = np.fromiter(map(len, words), np.int64, total)
+    at = table.word_offsets[lo:hi + 1]
+    counts = np.diff(at)
     position = np.repeat(np.arange(total), counts)
-    slot = np.arange(position.size) - (np.cumsum(counts) - counts)[position]
-    aligned = role("a=") | ids(chain.from_iterable(words))
-    for k in range(counts.max()):
-        row = np.full(total, -1, np.int64)
+    slot = np.arange(position.size) - (at[:-1] - at[0])[position]
+    aligned = role("a=") | ids(table.words[at[0]:at[-1]])
+    for k in range(counts.max(initial=1)):
+        row = np.full(total, role("a=") | vocab[_NO_ALIGNMENT] if k == 0 else -1, np.int64)
         row[position[slot == k]] = aligned[slot == k]
         rows.append(row)
-    for c in range(max(len(inst.extra) for inst in block)):
-        have = [c < len(inst.extra) for inst in block]
-        values = ids(chain.from_iterable(inst.extra[c] for inst, h in zip(block, have) if h))
-        rows.append(padded(have, role(f"x{c}=") | values))
-    for c in range(max(len(inst.stacked) for inst in block)):
-        have = [c < len(inst.stacked) for inst in block]
-        systems = [inst.stacked[c] for inst, h in zip(block, have) if h]
-        probs = np.fromiter(chain.from_iterable(p for _, p in systems), np.float64)
+    rows += [role(f"x{c}=") | ids(column[lo:hi]) for c, column in enumerate(table.extra)]
+    for system_id, values in table.stacked:
+        probs = values[lo:hi]
         # _prob_bin's min(int(_BINS * p), _BINS - 1), where int64 holds it
         scaled = np.minimum(_BINS * probs, _BINS - 1)
         if not (np.isfinite(probs) & (scaled >= -(2.0**63))).all():
             raise RangeError("a stacked probability is not finite or too far below 0 to bin")
         bins, which = np.unique(scaled.astype(np.int64), return_inverse=True)
-        roles = np.repeat([role(f"s:{system_id}:b") for system_id, _ in systems], [len(p) for _, p in systems])
-        rows.append(padded(have, roles | ids(map(str, bins.tolist()))[which]))
+        rows.append(role(f"s:{system_id}:b") | ids(map(str, bins.tolist()))[which])
     return rows
 
 
-def _compile(instances: Iterable[SequenceInstance]):
-    """Yields each block of up to ``_BLOCK`` instances with, for each slot
-    of each of its positions, the index of its template among the block's
-    distinct templates (shaped as ``_template_ids``, -1 for a padded slot),
-    and those templates' OK and BAD keys, shape (2, distinct). The blocks
-    share one vocabulary."""
+def _compile(table: InstanceTable):
+    """Yields the sentence range of each block of up to ``_BLOCK`` sentences
+    with, for each slot of each of its positions, the index of its template
+    among the block's distinct templates (shaped as ``_template_ids``, -1 for
+    a padded slot), and those templates' OK and BAD keys, shape (2,
+    distinct). The blocks share one vocabulary."""
     vocab = _Vocabulary()
-    it = iter(instances)
-    while block := list(islice(it, _BLOCK)):
-        yield (block, *_distinct_templates(_template_ids(block, vocab), vocab))
+    for start in range(0, len(table), _BLOCK):
+        end = min(start + _BLOCK, len(table))
+        yield (start, end, *_distinct_templates(_template_ids(table, start, end, vocab), vocab))
 
 
 def _distinct_templates(rows: list[np.ndarray], vocab: _Vocabulary) -> tuple[list[np.ndarray], np.ndarray]:
@@ -337,17 +382,9 @@ def _distinct_templates(rows: list[np.ndarray], vocab: _Vocabulary) -> tuple[lis
     return which, _template_keys(np.concatenate(distinct), vocab)
 
 
-def _bounds(block: list[SequenceInstance]) -> Iterator[tuple[int, int]]:
-    """Each instance's start and end among the positions of its block."""
-    start = 0
-    for inst in block:
-        yield start, start + len(inst)
-        start += len(inst)
-
-
-def _corpus_scores(instances: Iterable[SequenceInstance], weights, total: int) -> np.ndarray:
-    """The (OK, BAD) unigram scores, shape (2, total), of every position of
-    ``instances`` in corpus order under ``weights`` by key; a key the weights
+def _corpus_scores(table: InstanceTable, weights) -> np.ndarray:
+    """The (OK, BAD) unigram scores, shape (2, positions), of every position
+    of ``table`` in corpus order under ``weights`` by key; a key the weights
     lack weighs 0.0. Keys are searched as int64, which numpy searches faster
     than uint64. The compile's arrays are freed when it returns."""
     weights = {key: value for key, value in weights.items() if 0 <= key <= _MASK64}  # no other key is a hash
@@ -355,12 +392,10 @@ def _corpus_scores(instances: Iterable[SequenceInstance], weights, total: int) -
     order = np.argsort(keys)
     keys = keys[order]
     values = np.fromiter(weights.values(), np.float64, len(weights))[order]
-    scores = np.zeros((2, total))
-    start = 0
-    for block, which, block_keys in _compile(instances):
-        end = start + sum(map(len, block))
-        _block_scores(scores[:, start:end], which, block_keys.view(np.int64), keys, values)
-        start = end
+    bounds = table.offsets.tolist()
+    scores = np.zeros((2, bounds[-1]))
+    for start, end, which, block_keys in _compile(table):
+        _block_scores(scores[:, bounds[start]:bounds[end]], which, block_keys.view(np.int64), keys, values)
     return scores
 
 
@@ -377,23 +412,24 @@ def _block_scores(out: np.ndarray, which, block_keys, keys, values) -> None:
         out += found[:, row]
 
 
-def _compile_slots(instances: Iterable[SequenceInstance], index: dict[int, int]) -> list[list]:
-    """Each instance's per-position (OK slots, BAD slots) in slot order: the
+def _compile_slots(table: InstanceTable, index: dict[int, int]) -> list[list]:
+    """Each sentence's per-position (OK slots, BAD slots) in slot order: the
     dense ids of its keys in ``index``, where a new key takes the next id and
     colliding templates share one."""
     compiled = []
-    for block, which, keys in _compile(instances):
+    for start, end, which, keys in _compile(table):
         # the slots hold the int objects of ``index``, not a copy of each
         ok_ids, bad_ids = ([index.setdefault(key, len(index)) for key in row] for row in keys.tolist())
-        by_position = np.array(which, np.int64).reshape(len(which), sum(map(len, block))).T
+        by_position = np.array(which, np.int64).T
         real = by_position >= 0
         templates = by_position[real].tolist()
         ok, bad = list(map(ok_ids.__getitem__, templates)), list(map(bad_ids.__getitem__, templates))
-        slots, start = [], 0
-        for end in np.cumsum(real.sum(1)).tolist():
-            slots.append((tuple(ok[start:end]), tuple(bad[start:end])))
-            start = end
-        compiled += (slots[start:end] for start, end in _bounds(block))
+        slots, lo = [], 0
+        for hi in np.cumsum(real.sum(1)).tolist():
+            slots.append((tuple(ok[lo:hi]), tuple(bad[lo:hi])))
+            lo = hi
+        bounds = (table.offsets[start:end + 1] - table.offsets[start]).tolist()
+        compiled += (slots[lo:hi] for lo, hi in pairwise(bounds))
     return compiled
 
 
@@ -500,24 +536,23 @@ def _path_score(slots, t, w, path) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _decode(scores: np.ndarray, lengths: np.ndarray, t: np.ndarray, gamma: float):
-    """Viterbi tags and max-marginal P(BAD) rows of every sentence, given
-    the unigram scores of all positions, shape (2, positions), in corpus
-    order, each sentence's length and its transition scores, shape
-    (3, 2, sentences), indexed [prev][cur] as ``_forward``'s ``t``. The
-    decode permutes ``scores`` in place."""
+def _decode(scores: np.ndarray, lengths: np.ndarray, t: np.ndarray, gamma: float) -> tuple[Ragged, Ragged]:
+    """Viterbi tags and max-marginal P(BAD) of every sentence, as a bool and
+    a float64 ``Ragged``, given the unigram scores of all positions, shape
+    (2, positions), in corpus order, each sentence's length and its
+    transition scores, shape (3, 2, sentences), indexed [prev][cur] as
+    ``_forward``'s ``t``. The decode permutes ``scores`` in place."""
     tags, x = _max_marginals(scores, lengths, t, gamma)
-    ends = np.cumsum(lengths)
-    bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
-    return [tags[s:e].tolist() for s, e in bounds], [list(map(_logistic, x[s:e].tolist())) for s, e in bounds]
+    offsets = _offsets(lengths)
+    return Ragged(tags, offsets), Ragged(np.fromiter(map(_logistic, x.tolist()), np.float64, x.size), offsets)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # Python's float arithmetic warns of neither
 def _max_marginals(scores, lengths, t, gamma) -> tuple[np.ndarray, np.ndarray]:
     """``_decode``'s passes: the Viterbi labels of all positions, and their
     max-marginal margins (BAD minus OK) times ``-gamma``, in corpus order.
-    A function of its own, so that its arrays are freed before the rows are
-    built."""
+    A function of its own, so that its arrays are freed before the
+    probabilities are taken."""
     order = np.argsort(-lengths, kind="stable")
     (t00, t01), (t10, t11), (t20, t21) = t[:, :, order]
     starts = (np.cumsum(lengths) - lengths)[order]
@@ -578,7 +613,7 @@ def _compile_one(inst: SequenceInstance, model: LinearModel):
     slot's key and the transition scores."""
     w = _model_weights(model)
     index: dict[int, int] = {}
-    (slots,) = _compile_slots([inst], index)
+    (slots,) = _compile_slots(InstanceTable.of([inst]), index)
     return slots, [w[key] for key in index], _transition_scores(_bigram_slots(), w)
 
 
@@ -605,15 +640,15 @@ def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[
 
 
 def mira_train(
-    instances: Sequence[SequenceInstance],
-    golds: Sequence[Sequence[bool]],
+    instances: InstanceTable | Sequence[SequenceInstance],
+    golds: Ragged | Sequence[Sequence[bool]],
     *,
     epochs: int = 5,
     C: float = 1.0,
     seed: int = 1,
     on_update: Callable[[float], None] | None = None,
 ) -> LinearModel:
-    """Train with max-loss MIRA.
+    """Train with max-loss MIRA (a list of instances is converted once).
 
     Per example the loss-augmented Viterbi prediction yhat is decoded; when
     ``score(yhat) + hamming(yhat, gold) > score(gold)`` the weights move by
@@ -628,21 +663,22 @@ def mira_train(
 
 
 def _compile_training(instances, golds, epochs, C):
-    """Checks the training arguments and compiles every instance once,
+    """Checks the training arguments and compiles every sentence once,
     interning its keys into one new dense index; returns the index, the
-    compiled instances, the transition slots and the gold paths."""
+    compiled sentences, the transition slots and the gold paths."""
     if epochs < 1:
         raise RangeError("epochs must be >= 1")
     if C <= 0:
         raise RangeError("C must be positive")
-    if len(instances) != len(golds):
+    table, golds = InstanceTable.of(instances), Ragged.from_rows(golds, dtype=bool)
+    if len(table) != len(golds):
         raise LengthMismatch("instances and gold labelings differ in count")
-    for inst, gold in zip(instances, golds):
-        if len(inst) != len(gold):
-            raise LengthMismatch("gold labeling length must match its instance")
+    if not np.array_equal(golds.offsets, table.offsets):
+        raise LengthMismatch("gold labeling length must match its instance")
     index: dict[int, int] = {}
-    compiled = _compile_slots(instances, index)
-    return index, compiled, _bigram_slots(index), [_int_path(gold) for gold in golds]
+    compiled = _compile_slots(table, index)
+    path = golds.values.view(np.uint8).tolist()
+    return index, compiled, _bigram_slots(index), [path[lo:hi] for lo, hi in pairwise(golds.offsets.tolist())]
 
 
 def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, on_update=None) -> list[float]:
@@ -710,15 +746,15 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, on_update=Non
 
 
 def predict(
-    instances: Sequence[SequenceInstance], model: LinearModel, gamma: float = 1.0
-) -> tuple[list[list[bool]], list[list[float]]]:
-    """Viterbi tags and P(BAD) for every instance (as ``viterbi`` and
-    ``predict_probs`` give them), each instance compiled once."""
+    instances: InstanceTable | Sequence[SequenceInstance], model: LinearModel, gamma: float = 1.0
+) -> tuple[Ragged, Ragged]:
+    """Viterbi tags and P(BAD) for every sentence (as ``viterbi`` and
+    ``predict_probs`` give them), as a bool and a float64 ``Ragged``, each
+    sentence compiled once; a list of instances is converted once."""
+    table = InstanceTable.of(instances)
     w = _model_weights(model)
-    lengths = np.fromiter(map(len, instances), np.int64, len(instances))
-    scores = _corpus_scores(instances, w, int(lengths.sum()))
-    t = np.array(_transition_scores(_bigram_slots(), w))
-    return _decode(scores, lengths, np.repeat(t[:, :, None], lengths.size, axis=2), gamma)
+    t = np.repeat(np.array(_transition_scores(_bigram_slots(), w))[:, :, None], len(table), axis=2)
+    return _decode(_corpus_scores(table, w), np.diff(table.offsets), t, gamma)
 
 
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
@@ -749,8 +785,8 @@ def _worker_fold(bounds):
 
 
 def jackknife(
-    instances: Sequence[SequenceInstance],
-    golds: Sequence[Sequence[bool]],
+    instances: InstanceTable | Sequence[SequenceInstance],
+    golds: Ragged | Sequence[Sequence[bool]],
     k: int,
     *,
     epochs: int = 5,
@@ -758,14 +794,15 @@ def jackknife(
     seed: int = 1,
     gamma: float = 1.0,
     jobs: int = 1,
-) -> tuple[list[list[bool]], list[list[float]]]:
-    """Out-of-fold predictions for every instance: fold i is predicted, as by
+) -> tuple[Ragged, Ragged]:
+    """Out-of-fold predictions for every sentence: fold i is predicted, as by
     ``predict``, with the model ``mira_train`` fits with the same options on
     the other k-1 contiguous folds. The corpus is compiled once and each fold
     trains on index ranges of it; with ``jobs > 1`` every worker process
     receives it once. The folds return their held-out scores and the corpus
     is decoded once, each sentence under its fold's transition scores. The
-    result covers each instance exactly once, in corpus order."""
+    result, a bool and a float64 ``Ragged``, covers each sentence exactly
+    once, in corpus order."""
     bounds = fold_bounds(len(instances), k)
     index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C)
     fold = functools.partial(_jackknife_fold, compiled, paths, bigram_slots, len(index), epochs=epochs, C=C, seed=seed)
@@ -776,9 +813,8 @@ def jackknife(
     else:
         results = [fold(lo, hi) for lo, hi in bounds]
     scores, t = zip(*results)
-    lengths = np.fromiter(map(len, compiled), np.int64, len(compiled))
     t = np.repeat(np.array(t).transpose(1, 2, 0), [hi - lo for lo, hi in bounds], axis=2)
-    return _decode(np.concatenate(scores, axis=1), lengths, t, gamma)
+    return _decode(np.concatenate(scores, axis=1), _lengths(compiled), t, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -830,44 +866,29 @@ def load_model(path) -> LinearModel:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_word_rows(other_rows, pairs, offsets, key_index, other_index, key_lengths) -> list[tuple[str, ...]]:
-    """Each position's aligned other-side words, in the order of their
-    indices, for every line of an alignment table at once: line i has
-    ``key_lengths[i]`` positions and the other-side tokens ``other_rows[i]``,
-    and its pairs lie within both. Returns the positions' words, flat over
-    the lines, from one lexsort of the (position, other index) pairs."""
+def _aligned_words(corpus: TaggedCorpus, stream: Stream) -> tuple[list[str], np.ndarray]:
+    """The aligned words of every WORDS (source words per MT token) or SOURCE
+    (MT words per source token) position, flat, each position's in index
+    order, and each position's count, from one lexsort of the pairs."""
+    pairs, offsets = corpus.alignments
+    keys, others, key_index = (corpus.mt, corpus.src, 1) if stream is Stream.WORDS else (corpus.src, corpus.mt, 0)
+    key_lengths, other_lengths = _lengths(keys), _lengths(others)
     per_line = np.diff(offsets)
-    other_lengths = _lengths(other_rows)
     key = np.repeat(np.cumsum(key_lengths) - key_lengths, per_line) + pairs[:, key_index]
-    other = np.repeat(np.cumsum(other_lengths) - other_lengths, per_line) + pairs[:, other_index]
-    order = np.lexsort((other, key))
-    tokens = list(chain.from_iterable(other_rows))
-    words = list(map(tokens.__getitem__, other[order].tolist()))
-    counts = np.bincount(key, minlength=int(key_lengths.sum()))
-    ends = np.cumsum(counts)
-    # Each position's tuple is picked from one pool: (), then every word
-    # alone (most positions hold one), then the runs of two words or more.
-    runs = np.flatnonzero(counts > 1)
-    run_slices = map(slice, (ends - counts)[runs].tolist(), ends[runs].tolist())
-    pool = [(), *zip(words), *map(tuple, map(words.__getitem__, run_slices))]
-    pick = np.where(counts == 1, ends, 0)
-    pick[runs] = len(words) + 1 + np.arange(runs.size)
-    return list(map(pool.__getitem__, pick.tolist()))
+    other = np.repeat(np.cumsum(other_lengths) - other_lengths, per_line) + pairs[:, 1 - key_index]
+    tokens = list(chain.from_iterable(sentence.tokens for sentence in others))
+    words = list(map(tokens.__getitem__, other[np.lexsort((other, key))].tolist()))
+    return words, np.bincount(key, minlength=int(key_lengths.sum()))
 
 
-def _entry_aligned_words(corpus: TaggedCorpus, stream: Stream) -> list[tuple[tuple[str, ...], ...]]:
-    """Per entry, the aligned words of each position of the WORDS stream
-    (source words per MT token) or the SOURCE stream (MT words per source
-    token); () for every entry of a corpus without alignments."""
-    if corpus.alignments is None:
-        return [()] * len(corpus)
-    mt = [sentence.tokens for sentence in corpus.mt]
-    src = [sentence.tokens for sentence in corpus.src]
-    keys, others, key_index = (mt, src, 1) if stream is Stream.WORDS else (src, mt, 0)
-    key_lengths = _lengths(keys)
-    words = _aligned_word_rows(others, *corpus.alignments, key_index, 1 - key_index, key_lengths)
-    bounds = [0, *np.cumsum(key_lengths).tolist()]
-    return [tuple(words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+def _check_stream(got: np.ndarray, want: np.ndarray, what: str):
+    """A LengthMismatch unless ``what``'s sentence lengths ``got`` are ``want``."""
+    if got.size != want.size:
+        raise LengthMismatch(f"{what} has {got.size} sentences, expected {want.size}")
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = int(bad[0])
+        raise LengthMismatch(f"entry {i + 1}: {what} has {got[i]} positions, expected {want[i]}")
 
 
 def build_instances(
@@ -876,47 +897,42 @@ def build_instances(
     *,
     predictions: Sequence[PredictionSet] = (),
     extra_columns: Sequence[Sequence[Sequence[str]]] = (),
-) -> list[SequenceInstance]:
-    """Turn corpus entries into tagging instances for one stream.
+) -> InstanceTable:
+    """Turn a corpus into the instance table of one stream.
 
     WORDS tags the MT tokens with aligned source words as context; GAPS tags
     the N+1 gap positions, each represented by its flanking MT words; SOURCE
     tags the source tokens with aligned MT words as context. ``extra_columns``
     supplies one annotation column per element, each a per-sentence list of
     per-position strings. Stacked probabilities are taken from the matching
-    stream of each prediction set that provides it.
+    stream of each prediction set that provides it. A stacked stream or an
+    extra column whose sentences or lengths differ from the stream's is a
+    LengthMismatch.
     """
-    stacked_rows = [
-        (pred.system_id, pred.stream(stream).rows())
-        for pred in predictions
-        if pred.stream(stream) is not None
-    ]
     if stream is Stream.SOURCE and corpus.src is None:
         raise MissingStream("source stream needs source sentences")
-    if stream is Stream.WORDS:
-        token_rows = [sentence.tokens for sentence in corpus.mt]
-    elif stream is Stream.GAPS:
-        token_rows = [
-            tuple(
-                f"{mt[i - 1] if i > 0 else _LEFT_SENTINEL}|{mt[i] if i < len(mt) else _RIGHT_SENTINEL}"
-                for i in range(len(mt) + 1)
-            )
-            for mt in (sentence.tokens for sentence in corpus.mt)
-        ]
-    elif stream is Stream.SOURCE:
-        token_rows = [sentence.tokens for sentence in corpus.src]
-    else:
+    if stream not in (Stream.WORDS, Stream.GAPS, Stream.SOURCE):
         raise MissingStream(f"unknown stream {stream!r}")
-    aligned_rows = [()] * len(corpus) if stream is Stream.GAPS else _entry_aligned_words(corpus, stream)
-    return [
-        SequenceInstance(
-            tokens=tokens,
-            aligned=aligned,
-            extra=tuple(tuple(column[idx]) for column in extra_columns),
-            stacked=tuple((system_id, tuple(rows[idx])) for system_id, rows in stacked_rows),
-        )
-        for idx, (tokens, aligned) in enumerate(zip(token_rows, aligned_rows))
-    ]
+    lengths = stream_lengths(corpus, stream)
+    if stream is Stream.GAPS:
+        left = chain.from_iterable(chain((_LEFT_SENTINEL,), sentence.tokens) for sentence in corpus.mt)
+        right = chain.from_iterable(chain(sentence.tokens, (_RIGHT_SENTINEL,)) for sentence in corpus.mt)
+        tokens = list(map("{}|{}".format, left, right))
+    else:
+        tokens = list(chain.from_iterable(s.tokens for s in (corpus.mt if stream is Stream.WORDS else corpus.src)))
+    words, counts = [], np.zeros(lengths.sum(), np.int64)
+    if stream is not Stream.GAPS and corpus.alignments is not None:
+        words, counts = _aligned_words(corpus, stream)
+    stacked = []
+    for pred in predictions:
+        probs = pred.stream(stream)
+        if probs is not None:
+            _check_stream(np.diff(probs.offsets), lengths, f"system {pred.system_id!r}")
+            stacked.append((pred.system_id, probs.values))
+    for column in extra_columns:
+        _check_stream(_lengths(column), lengths, "extra column")
+    extra = tuple(list(chain.from_iterable(column)) for column in extra_columns)
+    return InstanceTable(tokens, _offsets(lengths), words, _offsets(counts), extra, tuple(stacked))
 
 
 def gold_tags(corpus: TaggedCorpus, stream: Stream) -> Ragged:

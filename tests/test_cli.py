@@ -459,6 +459,50 @@ def test_linear_train_and_predict_with_stacked_systems_keep_their_bytes(tmp_path
     )
 
 
+def stream_files(tmp_path, rng, paths):
+    """A manifest of one system with a words, a gaps and a source stream,
+    and one extra column per stream, over the corpus of ``paths``."""
+    mt, src = ([len(line.split()) for line in text_lines(paths[side])] for side in ("mt", "src"))
+    fields, extra = [], {}
+    for stream, counts in (("words", mt), ("gaps", [n + 1 for n in mt]), ("source", src)):
+        probs = "".join(" ".join(repr(round(rng.random(), 4)) for _ in range(n)) + "\n" for n in counts)
+        fields.append(f"{stream}={Path(write(tmp_path / f'sys.{stream}', probs)).name}")
+        column = "".join(" ".join(rng.choice("PQ") for _ in range(n)) + "\n" for n in counts)
+        extra[stream] = write(tmp_path / f"{stream}.extra", column)
+    return write(tmp_path / "streams.tsv", "sys\t" + "\t".join(fields) + "\n"), extra
+
+
+@pytest.mark.parametrize("stream", ["words", "gaps", "source"])
+def test_linear_commands_build_no_sequence_instance(tmp_path, capsys, monkeypatch, stream):
+    # the linear commands read and write columns: the corpus becomes one
+    # instance table, and the tags and probabilities are written from Raggeds
+    import qestack.linearqe as linearqe
+
+    built = []
+    post_init = linearqe.SequenceInstance.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(linearqe.SequenceInstance, "__post_init__", counting_post_init)
+    rng = random.Random(41)
+    paths = label_files(tmp_path, capsys, rng, n=16)
+    manifest, extra = stream_files(tmp_path, rng, paths)
+    gold = ["--source-tags", paths["source_tags"]] if stream == "source" else ["--tags", paths["tags"]]
+    common = ["--mt", paths["mt"], "--src", paths["src"], "--align", paths["align"], "--stream", stream]
+    common += ["--stacked", manifest, "--extra", extra[stream]]
+    model, out, jk = tmp_path / "m", tmp_path / "p", tmp_path / "jk"
+    assert run(capsys, "linear", "train", *common, *gold, "--epochs", "2", "--model", model)[0] == 0
+    assert run(capsys, "linear", "predict", *common, "--model", model, "--out-prefix", out)[0] == 0
+    assert run(capsys, "linear", "jackknife", *common, *gold, "--epochs", "2", "--k", "3", "--out-prefix", jk)[0] == 0
+    assert built == []
+    want = [len(line.split()) for line in text_lines(extra[stream])]
+    for prefix in (out, jk):
+        assert [len(row) for row in read_prob_lines(f"{prefix}.probs")] == want
+        assert [len(line.split()) for line in text_lines(f"{prefix}.tags")] == want
+
+
 def test_linear_train_is_deterministic(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=14)
     models = []
@@ -589,6 +633,22 @@ def test_ensemble_word_fit_apply_kfold(tmp_path, capsys, rng):
     )
     assert code == 0
     assert "kfold_f1_mult=" in out
+
+
+def test_ensemble_word_apply_keeps_a_combination_of_ones_in_the_unit_interval(tmp_path, capsys):
+    # once, normalized weights that sum to just above 1 made apply write
+    # 1.0000000000000002 where every system says 1.0, a line evaluate rejects
+    mt = write(tmp_path / "c.mt", "a b\n")
+    lines = []
+    for s, row in enumerate(("1.0 0.5", "1.0 0.25", "1.0 0.125")):
+        write(tmp_path / f"sys{s}.probs", row + "\n")
+        lines.append(f"sys{s}\twords=sys{s}.probs")
+    manifest = write(tmp_path / "manifest.tsv", "".join(line + "\n" for line in lines))
+    weights = write(tmp_path / "weights.tsv", "sys0\t0.7\nsys1\t0.2\nsys2\t0.1\n")
+    combined = tmp_path / "combined.probs"
+    argv = ["ensemble-word", "apply", "--manifest", manifest, "--mt", mt, "--weights", weights, "--out", combined]
+    assert run(capsys, *argv)[0] == 0
+    assert read_prob_lines(combined)[0][0] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,35 @@ def test_prob_and_score_round_trip(tmp_path, rng):
     assert read_score_lines(tmp_path / "s.scores") == scores
 
 
+@pytest.mark.parametrize(
+    "rows, line, value",
+    [
+        ([[0.5, math.nan], [1.5], [math.inf]], 1, "nan"),
+        ([[0.5], [0.25, 1.5]], 2, "1.5"),
+        ([[0.5], [0.0], [1.0, -math.inf]], 3, "-inf"),
+        ([[1.0], [-1e-300]], 2, "-1e-300"),
+    ],
+)
+def test_write_probs_refuses_what_read_prob_lines_rejects(tmp_path, rows, line, value):
+    # once, write_probs wrote nan, inf and 1.5, which read_prob_lines then rejected
+    path = tmp_path / "p.probs"
+    for probs in (rows, Ragged.from_rows(rows)):
+        with pytest.raises(RangeError) as caught:
+            write_probs(probs, path)
+        assert str(caught.value) == f"{path}:{line}: probability {value} outside [0, 1]"
+        assert not path.exists()
+
+
+def test_write_probs_writes_a_ragged_as_its_rows(tmp_path, rng):
+    rows = [[rng.random() for _ in range(rng.randint(1, 6))] for _ in range(20)] + [[0.0, -0.0, 1.0]]
+    write_probs(rows, tmp_path / "rows.probs")
+    write_probs(Ragged.from_rows(rows), tmp_path / "ragged.probs")
+    assert (tmp_path / "rows.probs").read_bytes() == (tmp_path / "ragged.probs").read_bytes()
+    assert read_prob_lines(tmp_path / "ragged.probs") == rows
+    with pytest.raises(InvalidInput):
+        write_probs(Ragged.from_rows([[0.5], []]), tmp_path / "empty.probs")
+
+
 def test_sentence_rejects_whitespace_token():
     with pytest.raises(ParseError):
         Sentence(("a b",))

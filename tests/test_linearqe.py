@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from qestack.corpus import PredictionSet, Sentence, Stream, TaggedCorpus
 from qestack.ensemble import fold_bounds
-from qestack.errors import EmptyInput, LengthMismatch, MissingStream, ParseError, QEStackError, RangeError
+from qestack.errors import EmptyInput, InvalidInput, LengthMismatch, MissingStream, ParseError, QEStackError, RangeError
 from qestack.labeler import hter, label_corpus
 from qestack.linearqe import (
+    InstanceTable,
     LinearModel,
     SequenceInstance,
     build_instances,
@@ -391,9 +392,9 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
     builds = []
     template_ids = linearqe._template_ids
 
-    def counting_template_ids(block, *args):
-        builds.extend(block)
-        return template_ids(block, *args)
+    def counting_template_ids(table, start, end, *args):
+        builds.extend(range(start, end))
+        return template_ids(table, start, end, *args)
 
     monkeypatch.setattr(linearqe, "_template_ids", counting_template_ids)
     instances, golds = noisy_data(random.Random(17), 12)
@@ -557,7 +558,7 @@ def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path, monke
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "41b056f7df44a462f3897c7da611bdf3dac904144f8dc8742c712e91fa8844b2"
     )
-    assert hashlib.sha256(repr(probs).encode()).hexdigest() == (
+    assert hashlib.sha256(repr(probs.rows()).encode()).hexdigest() == (
         "b3f8c5e184c32cb22bcae3f12b3145b02152a9a2bc2fe338105cc2575a1fc17a"
     )
 
@@ -670,22 +671,28 @@ def test_template_keys_continue_each_role_with_each_conjunct(templates):
 
 
 def mixed_data(rng, n_sentences):
-    """Instances of every shape the compile pads: no, empty and multi-word
-    alignments, and a varying number of extra columns and of stacked
-    systems, under varying system ids."""
+    """Instances of one shape, drawn per call (0 to 2 extra columns and 0 to
+    2 stacked systems under drawn ids, a repeated id included), with every
+    alignment the compile pads: no, empty and multi-word alignments."""
+    columns = rng.randint(0, 2)
+    systems = [rng.choice(("s0", "s1", "𝔰")) for _ in range(rng.randint(0, 2))]
     instances = []
     for _ in range(n_sentences):
         tokens = [random_token(rng, "ab𝔠") for _ in range(rng.randint(1, 4))]
         aligned = () if rng.random() < 0.3 else tuple(
             tuple(random_token(rng, "xy") for _ in range(rng.randint(0, 3))) for _ in tokens
         )
-        extra = tuple(tuple(rng.choice(("P", "Q", "", "é\x00")) for _ in tokens) for _ in range(rng.randint(0, 2)))
+        extra = tuple(tuple(rng.choice(("P", "Q", "", "é\x00")) for _ in tokens) for _ in range(columns))
         stacked = tuple(
-            (rng.choice(("s0", "s1", "𝔰")), tuple(rng.choice((rng.random(), 0.0, 1.0)) for _ in tokens))
-            for _ in range(rng.randint(0, 2))
+            (system_id, tuple(rng.choice((rng.random(), 0.0, 1.0)) for _ in tokens)) for system_id in systems
         )
         instances.append(make_instance(tokens, aligned=aligned, extra=extra, stacked=stacked))
     return instances
+
+
+# calls of mixed_data per test, each of its own shape; at each test's seed
+# the 8 shapes include no extra column, no stacked system, and 2 of each
+SHAPES = 8
 
 
 @pytest.mark.parametrize("block", [3, 64])
@@ -695,35 +702,38 @@ def test_compiled_slots_hold_the_keys_of_extract_features_in_order(monkeypatch, 
     import qestack.linearqe as linearqe
 
     monkeypatch.setattr(linearqe, "_BLOCK", block)
-    instances = mixed_data(random.Random(23), 70)
-    index = {}
-    compiled = linearqe._compile_slots(instances, index)
-    keys = list(index)
-    assert len(compiled) == len(instances)
-    for inst, slots in zip(instances, compiled):
-        assert len(slots) == len(inst)
-        for i, (ok, bad) in enumerate(slots):
-            # every key but the last, the bigram
-            assert [keys[j] for j in ok] == extract_features(inst, i, OK, None)[:-1]
-            assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None)[:-1]
+    rng = random.Random(23)
+    for _ in range(SHAPES):
+        instances = mixed_data(rng, 70)
+        index = {}
+        compiled = linearqe._compile_slots(InstanceTable.of(instances), index)
+        keys = list(index)
+        assert len(compiled) == len(instances)
+        for inst, slots in zip(instances, compiled):
+            assert len(slots) == len(inst)
+            for i, (ok, bad) in enumerate(slots):
+                # every key but the last, the bigram
+                assert [keys[j] for j in ok] == extract_features(inst, i, OK, None)[:-1]
+                assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None)[:-1]
 
 
 @pytest.mark.parametrize("block", [3, 64])
 def test_block_compiles_predict_and_train_as_one_instance_at_a_time(monkeypatch, block):
     import qestack.linearqe as linearqe
 
-    monkeypatch.setattr(linearqe, "_BLOCK", block)
     rng = random.Random(24)
-    instances = mixed_data(rng, 70)
-    golds = [[rng.random() < 0.3 for _ in inst.tokens] for inst in instances]
-    model = partial_model(rng, instances)
-    tags, probs = predict(instances, model, gamma=0.7)
-    for inst, row_tags, row_probs in zip(instances, tags, probs):
-        assert row_tags == viterbi(inst, model)[0]
-        assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, 0.7)]
-    trained = mira_train(instances, golds, epochs=2)
-    monkeypatch.setattr(linearqe, "_BLOCK", 1)
-    assert trained.weights == mira_train(instances, golds, epochs=2).weights
+    for _ in range(SHAPES):
+        monkeypatch.setattr(linearqe, "_BLOCK", block)
+        instances = mixed_data(rng, 70)
+        golds = [[rng.random() < 0.3 for _ in inst.tokens] for inst in instances]
+        model = partial_model(rng, instances)
+        tags, probs = predict(instances, model, gamma=0.7)
+        for inst, row_tags, row_probs in zip(instances, tags, probs):
+            assert row_tags == viterbi(inst, model)[0]
+            assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, 0.7)]
+        trained = mira_train(instances, golds, epochs=2)
+        monkeypatch.setattr(linearqe, "_BLOCK", 1)
+        assert trained.weights == mira_train(instances, golds, epochs=2).weights
 
 
 def test_jackknife_rejects_too_few_sentences():
@@ -823,13 +833,17 @@ def test_predict_equals_the_per_sentence_decode_at_any_block_size(monkeypatch, b
 
     monkeypatch.setattr(linearqe, "_BLOCK", block)
     rng = random.Random(27)
-    instances = mixed_data(rng, 70) + [make_instance(["a"])]
-    model = partial_model(rng, instances)
-    bigrams = {fnv1a64(feature_strings(instances[0], 0, OK, prev)[-1]) for prev in (None, OK, BAD)}
-    model.weights.update(dict.fromkeys(bigrams, -0.0))  # -0.0 transition scores
-    for gamma in (0.7, 1000.0):
-        want = list(zip(*(per_sentence_predict(inst, model, gamma) for inst in instances)))
-        assert_rows_equal_bit_for_bit(predict(instances, model, gamma), (list(want[0]), list(want[1])))
+    for _ in range(SHAPES):
+        instances = mixed_data(rng, 70)
+        first = instances[0]
+        stacked = tuple((system_id, (0.5,)) for system_id, _ in first.stacked)
+        instances.append(make_instance(["a"], extra=(("P",),) * len(first.extra), stacked=stacked))
+        model = partial_model(rng, instances)
+        bigrams = {fnv1a64(feature_strings(instances[0], 0, OK, prev)[-1]) for prev in (None, OK, BAD)}
+        model.weights.update(dict.fromkeys(bigrams, -0.0))  # -0.0 transition scores
+        for gamma in (0.7, 1000.0):
+            want = list(zip(*(per_sentence_predict(inst, model, gamma) for inst in instances)))
+            assert_rows_equal_bit_for_bit(predict(instances, model, gamma), (list(want[0]), list(want[1])))
 
 
 def test_predict_of_no_instances_is_empty():
@@ -930,11 +944,17 @@ def build_tiny_corpus():
     return TaggedCorpus.from_rows(**tiny_columns())
 
 
+def position_words(table):
+    """Each position's aligned words in ``table``, as a tuple."""
+    bounds = table.word_offsets.tolist()
+    return [tuple(table.words[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def test_word_instances_carry_aligned_source_words():
     corpus = build_tiny_corpus()
-    inst = build_instances(corpus, Stream.WORDS)[0]
-    assert inst.tokens == ("das", "haus")
-    assert inst.aligned == (("the",), ("house", "!"))
+    table = build_instances(corpus, Stream.WORDS)
+    assert list(table) == [["das", "haus"]]
+    assert position_words(table) == [("the",), ("house", "!")]
     assert gold_tags(corpus, Stream.WORDS) == [[OK, BAD]]
 
 
@@ -962,9 +982,9 @@ def test_aligned_words_equal_the_dict_of_lists_reference(pairs, n, indices):
         pairs = frozenset(pair for pair in pairs if pair[key_index] < n)
     src, mt = (keys, other) if key_index == 0 else (other, keys)
     corpus = TaggedCorpus.from_rows([Sentence(mt)], src=[Sentence(src)], alignments=None if pairs is None else [pairs])
-    aligned = build_instances(corpus, Stream.SOURCE if key_index == 0 else Stream.WORDS)[0].aligned
-    want = [] if pairs is None else reference_aligned_words(other, pairs, key_index, other_index, n)
-    assert list(aligned) == want
+    aligned = position_words(build_instances(corpus, Stream.SOURCE if key_index == 0 else Stream.WORDS))
+    want = [()] * n if pairs is None else reference_aligned_words(other, pairs, key_index, other_index, n)
+    assert aligned == want
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 2), (0, -1)], ids=["negative-source", "source-past-end", "mt-past-end", "negative-mt"])
@@ -1005,30 +1025,32 @@ def aligned_columns(draw, stream):
 @given(data=st.data(), stream=st.sampled_from([Stream.WORDS, Stream.SOURCE]))
 def test_corpus_aligned_words_equal_the_per_entry_reference(data, stream):
     columns = data.draw(aligned_columns(stream))
-    got = [inst.aligned for inst in build_instances(TaggedCorpus.from_rows(**columns), stream)]
+    table = build_instances(TaggedCorpus.from_rows(**columns), stream)
+    got = position_words(table)
     key_index = 1 if stream is Stream.WORDS else 0
     if "alignments" not in columns:
-        assert got == [()] * len(columns["mt"])
+        assert got == [()] * len(table.tokens)
         return
     want = []
     for mt, src, pairs in zip(columns["mt"], columns["src"], columns["alignments"]):
         keys, others = (mt, src) if stream is Stream.WORDS else (src, mt)
-        want.append(tuple(reference_aligned_words(others.tokens, set(pairs), key_index, 1 - key_index, len(keys))))
+        want += reference_aligned_words(others.tokens, set(pairs), key_index, 1 - key_index, len(keys))
     assert got == want
 
 
 def test_gap_instances_use_flanking_words():
     corpus = build_tiny_corpus()
-    inst = build_instances(corpus, Stream.GAPS)[0]
-    assert inst.tokens == ("<s>|das", "das|haus", "haus|</s>")
+    table = build_instances(corpus, Stream.GAPS)
+    assert list(table) == [["<s>|das", "das|haus", "haus|</s>"]]
+    assert position_words(table) == [()] * 3
     assert gold_tags(corpus, Stream.GAPS) == [[OK, OK, BAD]]
 
 
 def test_source_instances_reverse_the_alignment():
     corpus = build_tiny_corpus()
-    inst = build_instances(corpus, Stream.SOURCE)[0]
-    assert inst.tokens == ("the", "house", "!")
-    assert inst.aligned == (("das",), ("haus",), ("haus",))
+    table = build_instances(corpus, Stream.SOURCE)
+    assert list(table) == [["the", "house", "!"]]
+    assert position_words(table) == [("das",), ("haus",), ("haus",)]
     assert gold_tags(corpus, Stream.SOURCE) == [[OK, BAD, OK]]
 
 
@@ -1039,13 +1061,30 @@ def test_stacked_probs_follow_the_requested_stream():
         word_probs=((0.1, 0.9),),
         gap_probs=((0.2, 0.3, 0.4),),
     )
-    word_inst = build_instances(corpus, Stream.WORDS, predictions=[preds])[0]
-    assert word_inst.stacked == (("s1", (0.1, 0.9)),)
-    gap_inst = build_instances(corpus, Stream.GAPS, predictions=[preds])[0]
-    assert gap_inst.stacked == (("s1", (0.2, 0.3, 0.4)),)
+    def stacked(stream):
+        table = build_instances(corpus, stream, predictions=[preds])
+        return [(system_id, values.tolist()) for system_id, values in table.stacked]
+
+    assert stacked(Stream.WORDS) == [("s1", [0.1, 0.9])]
+    assert stacked(Stream.GAPS) == [("s1", [0.2, 0.3, 0.4])]
     # systems without the stream are skipped rather than imputed
-    source_inst = build_instances(corpus, Stream.SOURCE, predictions=[preds])[0]
-    assert source_inst.stacked == ()
+    assert stacked(Stream.SOURCE) == []
+
+
+@pytest.mark.parametrize("rows", [[[0.1, 0.2]], [[0.1, 0.2], [0.3], [0.5]], [[0.1, 0.2], [0.3]]])
+def test_stacked_streams_and_extra_columns_must_match_the_corpus(rows):
+    # once, fewer sentences than the corpus raised a bare IndexError and
+    # more were cut to the corpus
+    corpus = TaggedCorpus.from_rows(**tiny_columns(2))
+    lengths = [len(row) for row in rows]
+    with pytest.raises(LengthMismatch, match="system 's1'"):
+        build_instances(corpus, Stream.WORDS, predictions=[PredictionSet("s1", rows)])
+    with pytest.raises(LengthMismatch, match="extra column"):
+        build_instances(corpus, Stream.WORDS, extra_columns=[[("X",) * n for n in lengths]])
+    table = build_instances(
+        corpus, Stream.WORDS, predictions=[PredictionSet("s1", [[0.1, 0.2]] * 2)], extra_columns=[[("X", "Y")] * 2]
+    )
+    assert (len(table), table.extra, table.stacked[0][1].tolist()) == (2, (["X", "Y"] * 2,), [0.1, 0.2] * 2)
 
 
 # --- misuse ---------------------------------------------------------------------
@@ -1054,6 +1093,7 @@ def test_stacked_probs_follow_the_requested_stream():
 def _misuse_cases():
     bare = TaggedCorpus(mt=(Sentence(("a", "b")),))
     two = make_instance(["a", "b"])
+    under_ids = [make_instance(["a"], stacked=((system_id, (0.5,)),)) for system_id in "st"]
     return {
         "instance without tokens": (EmptyInput, lambda: make_instance([])),
         "aligned words per position": (LengthMismatch, lambda: make_instance(["a", "b"], aligned=(("x",),))),
@@ -1067,6 +1107,10 @@ def _misuse_cases():
         "unknown stream": (MissingStream, lambda: build_instances(bare, "words")),
         "gold without source tags": (MissingStream, lambda: gold_tags(bare, Stream.SOURCE)),
         "gold without target tags": (MissingStream, lambda: gold_tags(bare, Stream.WORDS)),
+        "instances of mixed shapes": (
+            InvalidInput, lambda: InstanceTable.of([two, make_instance(["a"], extra=(("x",),))]),
+        ),
+        "instances under other system ids": (InvalidInput, lambda: predict(under_ids, LinearModel({}))),
         "stacked probability not finite": (
             RangeError, lambda: predict([make_instance(["a"], stacked=(("s", (math.nan,)),))], LinearModel({})),
         ),
