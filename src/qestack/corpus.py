@@ -273,13 +273,19 @@ def _lengths(rows) -> np.ndarray:
     return np.fromiter(map(len, rows), np.int64, len(rows))
 
 
+def _first_mismatch(got: np.ndarray, want) -> int | None:
+    """The first row i whose length ``got[i]`` is not ``want[i]`` (as many of
+    each), or None."""
+    bad = np.flatnonzero(got != want)
+    return int(bad[0]) if bad.size else None
+
+
 def _check_tag_rows(tags: Ragged, want: np.ndarray, side: str):
     """Row i of ``tags`` holds ``want[i]`` tags, or a LengthMismatch names the
     first entry whose row does not."""
     got = np.diff(tags.offsets)
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        i = int(bad[0])
+    i = _first_mismatch(got, want)
+    if i is not None:
         raise LengthMismatch(f"entry {i + 1}: {got[i]} {side} tags, expected {want[i]}")
 
 
@@ -627,11 +633,11 @@ def check_lengths(rows, lengths, path, what: str):
     entries (any number where that is None)."""
     if len(rows) != len(lengths):
         raise LengthMismatch(f"{what} has {len(rows)} lines, expected {len(lengths)}", file=str(path))
-    if (
-        isinstance(rows, Ragged)
-        and None not in lengths
-        and np.array_equal(np.diff(rows.offsets), lengths)
-    ):
+    if isinstance(rows, Ragged) and None not in lengths:
+        got = np.diff(rows.offsets)
+        i = _first_mismatch(got, lengths)
+        if i is not None:
+            raise LengthMismatch(f"{what}: expected {lengths[i]} entries, got {got[i]}", file=str(path), line=i + 1)
         return
     for i, (row, n) in enumerate(zip(rows, lengths), 1):
         if n is not None and len(row) != n:

@@ -20,9 +20,12 @@ slot row by slot row, a key the model lacks adding 0.0, into one score array
 over the corpus, which is then decoded in one pass into a bool and a float64
 ``Ragged``: the sentences sorted by length, longest first, each position's
 forward and backward step runs over all the sentences that reach it at once.
-Training interns the keys of its corpus into dense ids, so colliding strings
-share one id, and trains on weight lists indexed by id; models and their
-files keep the keys. ``feature_strings`` builds the strings of one
+Training interns its corpus's templates into dense ids and, since from zero
+weights every MIRA update moves a template's OK weight by the negation of its
+BAD weight's move, trains one weight per template, the BAD key's, and writes
+both keys back; a corpus whose keys collide so that this pairing fails trains
+one weight per key, colliding strings sharing one. Models and their files
+keep the keys. ``feature_strings`` builds the strings of one
 ``SequenceInstance`` position by position and is the reference the compile
 is tested against.
 Gap and source streams are trained as independent sequence models over their
@@ -37,9 +40,9 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise
-from math import exp
+from math import exp, isfinite
 from operator import methodcaller
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .corpus import (
     Stream,
     TaggedCorpus,
     _cut_interleaved,
+    _first_mismatch,
     _lengths,
     _parse_float,
     _read_lines,
@@ -240,8 +244,10 @@ def extract_features(inst: SequenceInstance, i: int, label: bool, prev: bool | N
 # block, as their OK and BAD keys, folded on from each role's state.
 # Prediction gathers the weights of those keys and adds them slot row by slot
 # row into the block's columns of one score array over the corpus; training
-# and the single-instance functions intern the keys into dense ids and keep
-# each position's (OK ids, BAD ids).
+# and the single-instance functions intern each template's (OK key, BAD key)
+# into a dense template id and keep each position's template ids, which
+# ``_keyed_slots`` turns into (OK ids, BAD ids) of the keys where a weight per
+# key is needed.
 # Every score is a left-to-right sum in slot order from +0.0; such a sum is
 # never -0.0, so the 0.0 that a key the model lacks or a padded aligned-word
 # slot adds is a no-op and every path is bit-identical to summing each key of
@@ -412,34 +418,43 @@ def _block_scores(out: np.ndarray, which, block_keys, keys, values) -> None:
         out += found[:, row]
 
 
-def _compile_slots(table: InstanceTable, index: dict[int, int]) -> list[list]:
-    """Each sentence's per-position (OK slots, BAD slots) in slot order: the
-    dense ids of its keys in ``index``, where a new key takes the next id and
-    colliding templates share one."""
+def _compile_slots(table: InstanceTable) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, int]]]:
+    """Each sentence's per-position template ids in slot order, and the (OK
+    key, BAD key) of each template id: the ids number the distinct pairs of
+    keys in order of first sight, so templates whose keys both collide share
+    one."""
+    pairs: dict[tuple[int, int], int] = {}
     compiled = []
     for start, end, which, keys in _compile(table):
-        # the slots hold the int objects of ``index``, not a copy of each
-        ok_ids, bad_ids = ([index.setdefault(key, len(index)) for key in row] for row in keys.tolist())
+        # the slots hold the int objects of ``pairs``, not a copy of each
+        ids = [pairs.setdefault(pair, len(pairs)) for pair in zip(*keys.tolist())]
         by_position = np.array(which, np.int64).T
         real = by_position >= 0
-        templates = by_position[real].tolist()
-        ok, bad = list(map(ok_ids.__getitem__, templates)), list(map(bad_ids.__getitem__, templates))
+        templates = list(map(ids.__getitem__, by_position[real].tolist()))
         slots, lo = [], 0
         for hi in np.cumsum(real.sum(1)).tolist():
-            slots.append((tuple(ok[lo:hi]), tuple(bad[lo:hi])))
+            slots.append(tuple(templates[lo:hi]))
             lo = hi
         bounds = (table.offsets[start:end + 1] - table.offsets[start]).tolist()
         compiled += (slots[lo:hi] for lo, hi in pairwise(bounds))
-    return compiled
+    return compiled, list(pairs)
 
 
-def _bigram_slots(index=None):
-    """Transition slots indexed [prev][cur]; prev 0 is the start sentinel.
-    With an ``index`` a slot is the key's dense id, without it is the key."""
-    keys = [[fnv1a64(_bigram_string(p, label)) for label in (False, True)] for p in (None, False, True)]
-    if index is None:
-        return tuple(tuple(row) for row in keys)
-    return tuple(tuple(index.setdefault(key, len(index)) for key in row) for row in keys)
+def _keyed_slots(compiled, pairs, index: dict[int, int]) -> list[list]:
+    """Each position's (OK ids, BAD ids) in slot order, from its template ids
+    and their ``pairs`` of keys: the dense ids of the keys in ``index``,
+    where a new key takes the next id and colliding keys share one."""
+    ok_ids = [index.setdefault(ok, len(index)) for ok, _ in pairs]
+    bad_ids = [index.setdefault(bad, len(index)) for _, bad in pairs]
+    return [
+        [(tuple(map(ok_ids.__getitem__, ids)), tuple(map(bad_ids.__getitem__, ids))) for ids in sentence]
+        for sentence in compiled
+    ]
+
+
+def _bigram_keys():
+    """Transition keys indexed [prev][cur]; prev 0 is the start sentinel."""
+    return tuple(tuple(fnv1a64(_bigram_string(p, label)) for label in (False, True)) for p in (None, False, True))
 
 
 class _Weights(dict):
@@ -465,7 +480,7 @@ def _int_path(tags) -> list[int]:
 
 
 def _unigram_scores(slots, w, cost=None):
-    """Per-position (OK, BAD) scores of one compiled instance; with a
+    """Per-position (OK, BAD) scores of one instance's keyed slots; with a
     ``cost`` path the label that differs from it gains 1.0
     (Hamming-augmented)."""
     scores = []
@@ -613,8 +628,8 @@ def _compile_one(inst: SequenceInstance, model: LinearModel):
     slot's key and the transition scores."""
     w = _model_weights(model)
     index: dict[int, int] = {}
-    (slots,) = _compile_slots(InstanceTable.of([inst]), index)
-    return slots, [w[key] for key in index], _transition_scores(_bigram_slots(), w)
+    (slots,) = _keyed_slots(*_compile_slots(InstanceTable.of([inst])), index)
+    return slots, [w[key] for key in index], _transition_scores(_bigram_keys(), w)
 
 
 def viterbi(
@@ -657,33 +672,158 @@ def mira_train(
     and skipped. The returned model averages all post-update weight
     vectors; data order is reshuffled every epoch from ``seed``.
     """
-    index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C)
-    w = _mira(compiled, paths, bigram_slots, len(index), epochs=epochs, C=C, seed=seed, on_update=on_update)
-    return LinearModel(weights=_Weights((key, w[j]) for key, j in index.items() if w[j] != 0.0))
+    training = _compile_training(instances, golds, epochs, C)
+    return LinearModel(training.weights(_mira(training, epochs=epochs, C=C, seed=seed, on_update=on_update)))
 
 
-def _compile_training(instances, golds, epochs, C):
-    """Checks the training arguments and compiles every sentence once,
-    interning its keys into one new dense index; returns the index, the
-    compiled sentences, the transition slots and the gold paths."""
+# ---------------------------------------------------------------------------
+# A unigram feature is a label-free template conjoined with OK or BAD, and an
+# update moves each template of a position where gold and prediction differ
+# by +count under the gold label and -count under the other. So from zero
+# weights every update keeps w[OK key] == -w[BAD key], bit for bit: IEEE
+# negation is exact and round-to-nearest symmetric, and only the sign of a
+# zero can differ, which no sum from +0.0 shows. Training therefore keeps one
+# weight per template, its BAD key's: a position's OK score is 0.0 minus its
+# BAD score, the delta is one signed count per template and ||delta phi||^2
+# is twice their squares plus the bigram terms. That holds only while every
+# template has keys of its own, which a 64-bit collision can break; such a
+# corpus trains one weight per key, on (OK ids, BAD ids) per position.
+# ---------------------------------------------------------------------------
+
+
+class _Form(NamedTuple):
+    """The steps of ``_mira`` that read a position's slots: the (OK, BAD)
+    unigram scores (as ``_unigram_scores``), the score of a label path (as
+    ``_path_score``) and the unigram delta of the moved positions, returned
+    with the part of ||delta phi||^2 that its own squares leave out."""
+
+    unigram_scores: Callable
+    path_score: Callable
+    delta: Callable
+
+
+def _keyed_delta(slots, gold, pred, moved):
+    """phi(gold) - phi(pred) over the unigrams of the ``moved`` positions, as
+    one count per dense id."""
+    delta: dict[int, int] = {}
+    for i in moved:
+        position = slots[i]
+        for j in position[gold[i]]:
+            delta[j] = delta.get(j, 0) + 1
+        for j in position[pred[i]]:
+            delta[j] = delta.get(j, 0) - 1
+    return delta, 0
+
+
+def _paired_unigram_scores(slots, w, cost=None):
+    """``_unigram_scores`` over template ids: the BAD score sums their
+    weights and the OK score is 0.0 minus it."""
+    scores = []
+    for i, ids in enumerate(slots):
+        s1 = 0.0
+        for j in ids:
+            s1 += w[j]
+        s0 = 0.0 - s1
+        if cost is not None:
+            s0, s1 = (s0 + 1.0, s1) if cost[i] else (s0, s1 + 1.0)
+        scores.append((s0, s1))
+    return scores
+
+
+def _paired_path_score(slots, t, w, path) -> float:
+    """``_path_score`` over template ids: a template's weight is added under
+    BAD and subtracted under OK."""
+    total = 0.0
+    prev = 0
+    for ids, label in zip(slots, path):
+        if label:
+            for j in ids:
+                total += w[j]
+        else:
+            for j in ids:
+                total -= w[j]
+        total += t[prev][label]
+        prev = label + 1
+    return total
+
+
+def _paired_delta(slots, gold, pred, moved):
+    """phi(gold) - phi(pred) over the unigrams of the ``moved`` positions, as
+    one signed count per template id, +1 where gold is BAD and -1 where it is
+    OK (the count of the template's BAD key; its OK key's is the negation,
+    whose squares are added here)."""
+    delta: dict[int, int] = {}
+    for i in moved:
+        d = 1 if gold[i] else -1
+        for j in slots[i]:
+            delta[j] = delta.get(j, 0) + d
+    return delta, sum(count * count for count in delta.values())
+
+
+_KEYED = _Form(_unigram_scores, _path_score, _keyed_delta)
+_PAIRED = _Form(_paired_unigram_scores, _paired_path_score, _paired_delta)
+
+
+@dataclass(frozen=True, eq=False)
+class _Training:
+    """A training corpus compiled once: each sentence's slots, in ``form``,
+    and gold path (0 OK, 1 BAD), the transition slots and the key of every
+    dense id. In the paired form the template ids come first, and
+    ``ok_keys`` holds each one's OK key; in the keyed form it is empty."""
+
+    form: _Form
+    slots: list
+    paths: list
+    bigram_slots: tuple
+    keys: list[int]
+    ok_keys: list[int]
+
+    def weights(self, w: list[float]) -> _Weights:
+        """The weights by key of the averaged weights ``w`` by dense id, each
+        OK key taking the negation of its template's BAD weight; zeros are
+        left out."""
+        weights = _Weights((key, value) for key, value in zip(self.keys, w) if value != 0.0)
+        weights.update((key, -value) for key, value in zip(self.ok_keys, w) if value != 0.0)
+        return weights
+
+
+def _compile_training(instances, golds, epochs, C) -> _Training:
+    """Checks the training arguments and compiles every sentence once. The
+    paired form needs every unigram key to be one template's only OK or BAD
+    key and no bigram key to be a unigram key; otherwise the keys are
+    interned one id each, as the keyed form."""
     if epochs < 1:
         raise RangeError("epochs must be >= 1")
-    if C <= 0:
+    if not C > 0:
         raise RangeError("C must be positive")
     table, golds = InstanceTable.of(instances), Ragged.from_rows(golds, dtype=bool)
     if len(table) != len(golds):
         raise LengthMismatch("instances and gold labelings differ in count")
     if not np.array_equal(golds.offsets, table.offsets):
         raise LengthMismatch("gold labeling length must match its instance")
-    index: dict[int, int] = {}
-    compiled = _compile_slots(table, index)
+    compiled, pairs = _compile_slots(table)
     path = golds.values.view(np.uint8).tolist()
-    return index, compiled, _bigram_slots(index), [path[lo:hi] for lo, hi in pairwise(golds.offsets.tolist())]
+    paths = [path[lo:hi] for lo, hi in pairwise(golds.offsets.tolist())]
+    ok_keys, bad_keys = [ok for ok, _ in pairs], [bad for _, bad in pairs]
+    unigrams = {*ok_keys, *bad_keys}
+    bigram_keys = _bigram_keys()
+    if len(unigrams) == 2 * len(pairs) and unigrams.isdisjoint(chain.from_iterable(bigram_keys)):
+        form, index = _PAIRED, dict(zip(bad_keys, range(len(pairs))))
+    else:
+        form, index, ok_keys = _KEYED, {}, []
+        compiled = _keyed_slots(compiled, pairs, index)
+    # a transition slot is the dense id of its key, a new key taking the next id
+    bigram_slots = tuple(tuple(index.setdefault(key, len(index)) for key in row) for row in bigram_keys)
+    return _Training(form, compiled, paths, bigram_slots, list(index), ok_keys)
 
 
-def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, on_update=None) -> list[float]:
-    """The MIRA loop of ``mira_train`` over compiled instances and their gold
-    paths; returns the averaged weight of every dense id."""
+def _mira(training: _Training, lo=0, hi=0, *, epochs, C, seed, on_update=None) -> list[float]:
+    """The MIRA loop of ``mira_train`` over the sentences of ``training``
+    but ``[lo, hi)``; returns the averaged weight of every dense id."""
+    compiled, paths = training.slots[:lo] + training.slots[hi:], training.paths[:lo] + training.paths[hi:]
+    unigram_scores, path_score, unigram_delta = training.form
+    bigram_slots = training.bigram_slots
+    size = len(training.keys)
     w = [0.0] * size
     acc = [0.0] * size
     last = [0] * size
@@ -698,23 +838,17 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, on_update=Non
             comp = compiled[idx]
             gold = paths[idx]
             t = _transition_scores(bigram_slots, w)
-            _, pred, augmented = _forward(_unigram_scores(comp, w, gold), t)
+            _, pred, augmented = _forward(unigram_scores(comp, w, gold), t)
             if pred == gold:
                 continue
-            violation = augmented - _path_score(comp, t, w, gold)
+            violation = augmented - path_score(comp, t, w, gold)
             if violation <= 0.0:
                 continue
 
             # phi(gold) - phi(pred): unigrams differ only where the labels
             # do, transitions only there and one position after
-            delta: dict[int, int] = {}
             moved = [i for i, g in enumerate(gold) if g != pred[i]]
-            for i in moved:
-                slots = comp[i]
-                for j in slots[gold[i]]:
-                    delta[j] = delta.get(j, 0) + 1
-                for j in slots[pred[i]]:
-                    delta[j] = delta.get(j, 0) - 1
+            delta, sq_norm = unigram_delta(comp, gold, pred, moved)
             for i in {i for m in moved for i in (m, m + 1) if i < len(comp)}:
                 j_g = bigram_slots[gold[i - 1] + 1 if i else 0][gold[i]]
                 j_p = bigram_slots[pred[i - 1] + 1 if i else 0][pred[i]]
@@ -722,7 +856,7 @@ def _mira(compiled, paths, bigram_slots, size, *, epochs, C, seed, on_update=Non
                     delta[j_g] = delta.get(j_g, 0) + 1
                     delta[j_p] = delta.get(j_p, 0) - 1
 
-            sq_norm = sum(count * count for count in delta.values())
+            sq_norm += sum(count * count for count in delta.values())
             if sq_norm == 0:
                 continue  # degenerate update (feature collision), skip
             tau = min(C, violation / sq_norm)
@@ -750,11 +884,18 @@ def predict(
 ) -> tuple[Ragged, Ragged]:
     """Viterbi tags and P(BAD) for every sentence (as ``viterbi`` and
     ``predict_probs`` give them), as a bool and a float64 ``Ragged``, each
-    sentence compiled once; a list of instances is converted once."""
+    sentence compiled once; a list of instances is converted once. A
+    ``gamma`` that is not finite is a RangeError."""
+    _check_gamma(gamma)
     table = InstanceTable.of(instances)
     w = _model_weights(model)
-    t = np.repeat(np.array(_transition_scores(_bigram_slots(), w))[:, :, None], len(table), axis=2)
+    t = np.repeat(np.array(_transition_scores(_bigram_keys(), w))[:, :, None], len(table), axis=2)
     return _decode(_corpus_scores(table, w), np.diff(table.offsets), t, gamma)
+
+
+def _check_gamma(gamma: float):
+    if not isfinite(gamma):
+        raise RangeError("gamma must be finite")
 
 
 def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
@@ -763,13 +904,14 @@ def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0
     return predict([inst], model, gamma)[1][0]
 
 
-def _jackknife_fold(compiled, paths, bigram_slots, size, lo, hi, **options):
+def _jackknife_fold(training: _Training, lo, hi, **options):
     """Trains on every fold but ``[lo, hi)``; returns the unigram scores of
     the held-out positions, shape (2, positions), and the transition
     scores."""
-    w = _mira(compiled[:lo] + compiled[hi:], paths[:lo] + paths[hi:], bigram_slots, size, **options)
-    scores = np.array(list(chain.from_iterable(_unigram_scores(slots, w) for slots in compiled[lo:hi])))
-    return scores.T, _transition_scores(bigram_slots, w)
+    w = _mira(training, lo, hi, **options)
+    unigram_scores = training.form.unigram_scores
+    scores = np.array(list(chain.from_iterable(unigram_scores(slots, w) for slots in training.slots[lo:hi])))
+    return scores.T, _transition_scores(training.bigram_slots, w)
 
 
 _WORKER_FOLD = None  # a worker process's fold function, set once by the pool initializer
@@ -803,9 +945,10 @@ def jackknife(
     is decoded once, each sentence under its fold's transition scores. The
     result, a bool and a float64 ``Ragged``, covers each sentence exactly
     once, in corpus order."""
+    _check_gamma(gamma)
     bounds = fold_bounds(len(instances), k)
-    index, compiled, bigram_slots, paths = _compile_training(instances, golds, epochs, C)
-    fold = functools.partial(_jackknife_fold, compiled, paths, bigram_slots, len(index), epochs=epochs, C=C, seed=seed)
+    training = _compile_training(instances, golds, epochs, C)
+    fold = functools.partial(_jackknife_fold, training, epochs=epochs, C=C, seed=seed)
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe in a process with threads
         with ProcessPoolExecutor(jobs, mp_context=spawn, initializer=_init_worker, initargs=(fold,)) as pool:
@@ -814,7 +957,7 @@ def jackknife(
         results = [fold(lo, hi) for lo, hi in bounds]
     scores, t = zip(*results)
     t = np.repeat(np.array(t).transpose(1, 2, 0), [hi - lo for lo, hi in bounds], axis=2)
-    return _decode(np.concatenate(scores, axis=1), _lengths(compiled), t, gamma)
+    return _decode(np.concatenate(scores, axis=1), _lengths(training.slots), t, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +966,13 @@ def jackknife(
 
 
 def save_model(model: LinearModel, path):
-    """Plain-text model: one ``featurekey<TAB>weight`` line, sorted by key."""
-    _write_lines(path, (f"{key}\t{model.weights[key]!r}" for key in sorted(model.weights)))
+    """Plain-text model: one ``featurekey<TAB>weight`` line, sorted by key. A
+    weight that is not finite is a RangeError, and nothing is written."""
+    keys = sorted(model.weights)
+    if not all(map(isfinite, model.weights.values())):
+        key = next(key for key in keys if not isfinite(model.weights[key]))
+        raise RangeError(f"model weight {model.weights[key]!r} of key {key} is not finite")
+    _write_lines(path, (f"{key}\t{model.weights[key]!r}" for key in keys))
 
 
 # load_model reads this many lines a column at a time; one block's strings
@@ -835,7 +983,7 @@ _MODEL_BLOCK = 1024
 def load_model(path) -> LinearModel:
     """The weights ``save_model`` writes, read a block of lines at a time and
     a column at a time; only a file that fails that read is walked line by
-    line, to name its first bad line."""
+    line, to name its first bad line. A weight must be finite."""
     lines = _read_lines(path)
     weights = _Weights()
     for start in range(0, len(lines), _MODEL_BLOCK):
@@ -846,9 +994,12 @@ def load_model(path) -> LinearModel:
         if max(ints) > _MASK64:
             break
         try:
-            weights.update(zip(ints, map(float, values)))
+            floats = list(map(float, values))
         except ValueError:
             break
+        if not all(map(isfinite, floats)):
+            break
+        weights.update(zip(ints, floats))
     else:
         return LinearModel(weights=weights)
     for i, line in enumerate(lines, 1):
@@ -857,7 +1008,9 @@ def load_model(path) -> LinearModel:
             raise ParseError("malformed model line", file=str(path), line=i)
         if int(key) > _MASK64:
             raise ParseError("model key beyond 64 bits", file=str(path), line=i)
-        _parse_float(value, file=str(path), line=i)
+        weight = _parse_float(value, file=str(path), line=i)
+        if not isfinite(weight):
+            raise ParseError(f"model weight {weight!r} is not finite", file=str(path), line=i)
     raise AssertionError(f"{path} holds no malformed line")
 
 
@@ -885,9 +1038,8 @@ def _check_stream(got: np.ndarray, want: np.ndarray, what: str):
     """A LengthMismatch unless ``what``'s sentence lengths ``got`` are ``want``."""
     if got.size != want.size:
         raise LengthMismatch(f"{what} has {got.size} sentences, expected {want.size}")
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        i = int(bad[0])
+    i = _first_mismatch(got, want)
+    if i is not None:
         raise LengthMismatch(f"entry {i + 1}: {what} has {got[i]} positions, expected {want[i]}")
 
 

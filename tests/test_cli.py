@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qestack import linearqe
 from qestack.cli import main
 from qestack.config import _parse_bool, _parse_floats, _parse_optional_float
 from qestack.corpus import load_corpus, read_prob_lines, read_score_lines
@@ -366,6 +368,43 @@ def test_zero_epochs_is_one_error_line(tmp_path, capsys, rng):
         "--model", tmp_path / "m", "--epochs", "0",
     )
     assert_one_error_line(code, err, "epochs")
+
+
+@pytest.mark.parametrize(
+    "command, option, value, fragment",
+    [
+        ("train", "--C", "nan", "C must be positive"),
+        ("jackknife", "--C", "nan", "C must be positive"),
+        ("predict", "--gamma", "nan", "gamma must be finite"),
+        ("jackknife", "--gamma", "inf", "gamma must be finite"),
+    ],
+)
+def test_a_linear_option_that_is_not_a_number_in_range_is_one_error_line(
+    tmp_path, capsys, rng, command, option, value, fragment
+):
+    paths = label_files(tmp_path, capsys, rng, n=6)
+    common = ["--mt", paths["mt"], "--tags", paths["tags"], "--epochs", "1"]
+    model = tmp_path / "m.model"
+    assert run(capsys, "linear", "train", *common, "--model", model)[0] == 0
+    outputs = {"train": ["--model", tmp_path / "m2.model"], "predict": ["--model", model, "--out-prefix", tmp_path / "p"]}
+    argv = ["linear", command, *common, *outputs.get(command, ["--out-prefix", tmp_path / "p", "--k", "2"])]
+    code, _, err = run(capsys, *argv, option, value)
+    assert_one_error_line(code, err, fragment)
+    assert not (tmp_path / "m2.model").exists() and not (tmp_path / "p.probs").exists()
+
+
+def test_a_model_weight_that_is_not_finite_is_one_error_line(tmp_path, capsys, rng, monkeypatch):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    model = write(tmp_path / "m.model", "12\t0.5\n13\tnan\n")
+    code, _, err = run(
+        capsys, "linear", "predict", "--mt", paths["mt"], "--model", model, "--out-prefix", tmp_path / "p",
+    )
+    assert_one_error_line(code, err, f"{model}:2: model weight nan is not finite")
+    monkeypatch.setattr(linearqe, "mira_train", lambda *args, **kwargs: linearqe.LinearModel({12: math.inf}))
+    model = tmp_path / "inf.model"
+    code, _, err = run(capsys, "linear", "train", "--mt", paths["mt"], "--tags", paths["tags"], "--model", model)
+    assert_one_error_line(code, err, "model weight inf of key 12 is not finite")
+    assert not model.exists()
 
 
 def test_threshold_outside_the_unit_interval_is_one_error_line(tmp_path, capsys):

@@ -398,9 +398,10 @@ def test_check_lengths_on_a_ragged_stream_reports_the_first_wrong_line(tmp_path)
     for lengths in ([2, 2, 1], [1, 2, 1], [2, 1, 2], [1, 1, 1]):
         with pytest.raises(LengthMismatch) as want:
             check_lengths(rows, lengths, "p.probs", "word stream")
-        with pytest.raises(LengthMismatch) as got:
-            check_lengths(Ragged.from_rows(rows), lengths, "p.probs", "word stream")
-        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+        for given in (lengths, np.array(lengths)):
+            with pytest.raises(LengthMismatch) as got:
+                check_lengths(Ragged.from_rows(rows), given, "p.probs", "word stream")
+            assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
     with pytest.raises(LengthMismatch, match="has 3 lines, expected 2"):
         check_lengths(Ragged.from_rows(rows), [2, 1], "p.probs", "word stream")
 

@@ -544,6 +544,54 @@ def test_colliding_feature_strings_share_one_weight(monkeypatch):
     assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest))
 
 
+# forced single collisions: the first key of a pair is made the second, so
+# the pairing of each template's OK and BAD keys fails and training falls
+# back to one weight per key
+SINGLE_COLLISIONS = {
+    "an-ok-key-is-a-bad-key": ("b∧OK", "w-1=<s>∧BAD"),
+    "a-unigram-key-is-a-bigram-key": ("w+1=</s>∧BAD", "g=<start>∧OK"),
+}
+
+
+@pytest.mark.parametrize("C", [0.5, math.inf])
+@pytest.mark.parametrize("collision", [None, *SINGLE_COLLISIONS])
+def test_both_training_forms_equal_the_reference_mira(monkeypatch, collision, C):
+    import qestack.linearqe as linearqe
+
+    if collision is not None:
+        source, target = map(fnv1a64, SINGLE_COLLISIONS[collision])
+        full_hash, template_keys = linearqe.fnv1a64, linearqe._template_keys
+
+        def colliding_keys(*args):
+            keys = template_keys(*args)
+            keys[keys == np.uint64(source)] = target
+            return keys
+
+        monkeypatch.setattr(linearqe, "fnv1a64", lambda text: target if full_hash(text) == source else full_hash(text))
+        monkeypatch.setattr(linearqe, "_template_keys", colliding_keys)
+    instances, golds = noisy_data(random.Random(19), 12)
+    options = {"epochs": 3, "C": C, "seed": 5}
+    form = linearqe._compile_training(instances, golds, options["epochs"], C).form
+    assert form is (linearqe._PAIRED if collision is None else linearqe._KEYED)
+    assert mira_train(instances, golds, **options).weights == reference_mira(instances, golds, **options)
+
+    tags, probs = jackknife(instances, golds, 3, **options)
+    for lo, hi in fold_bounds(len(instances), 3):
+        rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
+        assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest))
+
+
+def test_noisy_corpora_train_one_weight_per_template():
+    # a silent fall back to one weight per key would keep every output but
+    # lose the speed of the paired form
+    import qestack.linearqe as linearqe
+
+    rng = random.Random(29)
+    for n_sentences in (1, 20, 200):
+        instances, golds = noisy_data(rng, n_sentences)
+        assert linearqe._compile_training(instances, golds, 1, 1.0).form is linearqe._PAIRED
+
+
 def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path, monkeypatch):
     import qestack.linearqe as linearqe
 
@@ -705,16 +753,14 @@ def test_compiled_slots_hold_the_keys_of_extract_features_in_order(monkeypatch, 
     rng = random.Random(23)
     for _ in range(SHAPES):
         instances = mixed_data(rng, 70)
-        index = {}
-        compiled = linearqe._compile_slots(InstanceTable.of(instances), index)
-        keys = list(index)
+        compiled, pairs = linearqe._compile_slots(InstanceTable.of(instances))
         assert len(compiled) == len(instances)
         for inst, slots in zip(instances, compiled):
             assert len(slots) == len(inst)
-            for i, (ok, bad) in enumerate(slots):
+            for i, ids in enumerate(slots):
                 # every key but the last, the bigram
-                assert [keys[j] for j in ok] == extract_features(inst, i, OK, None)[:-1]
-                assert [keys[j] for j in bad] == extract_features(inst, i, BAD, None)[:-1]
+                assert [pairs[j][0] for j in ids] == extract_features(inst, i, OK, None)[:-1]
+                assert [pairs[j][1] for j in ids] == extract_features(inst, i, BAD, None)[:-1]
 
 
 @pytest.mark.parametrize("block", [3, 64])
@@ -900,6 +946,8 @@ def test_model_keys_beyond_64_bits_are_a_parse_error(tmp_path):
         (["1\t0.5", f"{2**64}\t0.5", "3\tx"], 2, "model key beyond 64 bits"),
         (["1\t0.5", "-2\t0.5"], 2, "malformed model line"),
         (["1\t0.5\t0.5"], 1, "malformed number '0.5\\t0.5'"),
+        (["1\t0.5", "2\tnan", "3\tx"], 2, "model weight nan is not finite"),
+        (["1\t-inf", "2\t0.5"], 1, "model weight -inf is not finite"),
     ],
 )
 def test_a_bad_model_file_names_its_first_bad_line(tmp_path, lines, line, message):
@@ -908,6 +956,14 @@ def test_a_bad_model_file_names_its_first_bad_line(tmp_path, lines, line, messag
     with pytest.raises(ParseError) as caught:
         load_model(path)
     assert str(caught.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_model_weight_that_is_not_finite_is_not_saved(tmp_path, value):
+    path = tmp_path / "model.txt"
+    with pytest.raises(RangeError, match=f"model weight {value!r} of key 7 is not finite"):
+        save_model(LinearModel({3: 0.5, 7: value}), path)
+    assert not path.exists()
 
 
 def test_a_later_line_of_a_model_key_overrides_an_earlier_one(tmp_path):
@@ -1103,6 +1159,9 @@ def _misuse_cases():
         ),
         "gold labelings per instance": (LengthMismatch, lambda: mira_train([two, two], [[OK, BAD]])),
         "gold labeling length": (LengthMismatch, lambda: mira_train([two], [[OK]])),
+        "C not a number": (RangeError, lambda: mira_train([two], [[OK, BAD]], C=math.nan)),
+        "gamma not finite in predict": (RangeError, lambda: predict([two], LinearModel({}), gamma=math.nan)),
+        "gamma not finite in jackknife": (RangeError, lambda: jackknife([two, two], [[OK, BAD]] * 2, 2, gamma=math.inf)),
         "source stream without source": (MissingStream, lambda: build_instances(bare, Stream.SOURCE)),
         "unknown stream": (MissingStream, lambda: build_instances(bare, "words")),
         "gold without source tags": (MissingStream, lambda: gold_tags(bare, Stream.SOURCE)),
