@@ -364,7 +364,7 @@ def _cmd_doc_features(args):
 
 def _cmd_doc_fit(args):
     values = _doc_values(args)
-    features = doclevel.read_doc_table(args.features, n_columns=4)
+    features = doclevel.read_doc_table(args.features, n_columns=len(doclevel.DOC_FEATURES))
     gold = doclevel.read_doc_table(args.gold, n_columns=1)
     missing = set(features) ^ set(gold)
     if missing:
@@ -379,8 +379,10 @@ def _cmd_doc_fit(args):
 
 
 def _cmd_doc_apply(args):
-    features = doclevel.read_doc_table(args.features, n_columns=4)
+    features = doclevel.read_doc_table(args.features, n_columns=len(doclevel.DOC_FEATURES))
     model = ensemble.load_ridge_model(args.model)
+    if model.feature_names != list(doclevel.DOC_FEATURES):
+        raise QEStackError(f"{args.model}: the model's features are not {', '.join(doclevel.DOC_FEATURES)}")
     predictions = {doc_id: [doclevel.predict_doc_mqm(model, row)] for doc_id, row in features.items()}
     doclevel.write_doc_table(predictions, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc apply", {}, {"model": args.model})

@@ -488,6 +488,51 @@ def _raise_first_prob_error(lines, path):
     raise AssertionError(f"{path} holds no invalid probability")
 
 
+_TABLE_BLOCK = 1024  # lines split at once: one block's strings are all the read holds besides the table
+
+
+def _read_table(path, n: int, keys=list) -> tuple[list, list[list[float]]]:
+    """The keys and the ``n`` value columns of a file of
+    ``name<TAB>v1<TAB>...<TAB>vn`` lines: each line holds a non-empty name
+    and ``n`` finite values, read by ``float()``, and no key repeats.
+    ``keys`` maps a sequence of names to their keys, raising ValueError for a
+    name the caller refuses. Blocks of lines are read a column at a time; a
+    file that fails that read is walked line by line to name its first bad
+    line."""
+    lines = _read_lines(path)
+    table_keys, columns = [], [[] for _ in range(n)]
+    for start in range(0, len(lines), _TABLE_BLOCK):
+        rows = list(map(operator.methodcaller("split", "\t"), lines[start:start + _TABLE_BLOCK]))
+        names, *fields = zip(*rows)
+        try:
+            block_keys = keys(names)
+            values = [list(map(float, column)) for column in fields]
+        except ValueError:
+            break
+        if set(map(len, rows)) != {n + 1} or not all(names) or not all(map(isfinite, chain(*values))):
+            break
+        table_keys += block_keys
+        for column, block in zip(columns, values):
+            column += block
+    else:
+        if len(set(table_keys)) == len(table_keys):
+            return table_keys, columns
+    seen = set()
+    for i, line in enumerate(lines, 1):
+        name, *fields = line.split("\t")
+        if not name or len(fields) != n:
+            raise ParseError(f"expected a non-empty name and {n} tab-separated value(s)", file=str(path), line=i)
+        try:
+            [key] = keys((name,))
+        except ValueError as exc:
+            raise ParseError(str(exc), file=str(path), line=i) from None
+        check_finite([_parse_float(field, file=str(path), line=i) for field in fields], "value", file=path, line=i)
+        if key in seen:
+            raise ParseError(f"duplicate name {name!r}", file=str(path), line=i)
+        seen.add(key)
+    raise AssertionError(f"{path} holds no bad line")
+
+
 # An index of at most this many digits fits in int64.
 _INDEX_DIGITS = 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -856,6 +901,18 @@ def write_scores(values, path):
     values = list(map(float, values))
     check_finite(values, "score", file=path)
     _write_lines(path, map(repr, values))
+
+
+def _write_table(path, names, *columns):
+    """One ``name<TAB>v1<TAB>...<TAB>vn`` line per name, its values one from
+    each column written by ``repr(float(v))``, which reads back bit for bit;
+    a value that is not finite is a RangeError naming its line, and nothing
+    is written."""
+    columns = [list(map(float, column)) for column in columns]
+    if not all(map(isfinite, chain(*columns))):
+        for line, row in enumerate(zip(*columns), 1):
+            check_finite(row, "value", file=path, line=line)
+    _write_lines(path, map("\t".join, zip(names, *(map(repr, column) for column in columns))))
 
 
 def write_alignments(alignment_sets, path):

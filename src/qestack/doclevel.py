@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Ragged, _freeze_arrays, _parse_float, _read_lines, _write_lines, check_finite
+from .corpus import Ragged, _cut_interleaved, _freeze_arrays, _read_lines, _read_table, _write_lines, _write_table
 from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 from .metrics import _class_f1_array
@@ -49,6 +49,7 @@ __all__ = [
     "read_doc_table",
     "write_doc_table",
     "DEFAULT_SEVERITY_WEIGHTS",
+    "DOC_FEATURES",
 ]
 
 
@@ -73,6 +74,10 @@ DEFAULT_SEVERITY_WEIGHTS: dict[Severity, float] = {
     Severity.MAJOR: 5.0,
     Severity.CRITICAL: 10.0,
 }
+
+# the document regression's features, in the order of doc_mqm_features; a
+# document model holds one coefficient for each, under these names
+DOC_FEATURES = ("mean_sentence_mqm", "bad_word_frac", "bad_gap_frac", "bad_all_frac")
 
 
 @dataclass(frozen=True, order=True)
@@ -333,12 +338,9 @@ def doc_mqm_features(tags: Sequence[Sequence[bool]], sentence_mqms: Sequence[flo
     if not tags or len(tags) != len(sentence_mqms):
         raise RangeError("need one predicted MQM per sentence")
     bad = Ragged.from_rows(tags, dtype=bool)
-    marked = np.flatnonzero(bad.values)
-    row_starts = bad.offsets[np.searchsorted(bad.offsets, marked, "right") - 1]
-    bad_words = int(np.count_nonzero((marked - row_starts) % 2))  # a tag line starts with a gap
-    bad_gaps = marked.size - bad_words
-    n_words = (int(bad.offsets[-1]) - len(bad)) // 2
-    n_gaps = n_words + len(bad)
+    words, gaps = (_cut_interleaved(bad, stream).values for stream in ("words", "gaps"))
+    bad_words, bad_gaps = int(np.count_nonzero(words)), int(np.count_nonzero(gaps))
+    n_words, n_gaps = words.size, gaps.size
     return [
         float(np.cumsum([0.0, *sentence_mqms])[-1]) / len(sentence_mqms),
         bad_words / n_words if n_words else 0.0,
@@ -352,12 +354,7 @@ def fit_doc_mqm(features, gold_mqms, lam: float = 0.0) -> RidgeModel:
     features = [list(row) for row in features]
     if len(features) < 5:
         raise RangeError("need at least 5 documents to fit")
-    return ridge_fit(
-        features,
-        list(gold_mqms),
-        lam,
-        feature_names=["mean_sentence_mqm", "bad_word_frac", "bad_gap_frac", "bad_all_frac"],
-    )
+    return ridge_fit(features, list(gold_mqms), lam, feature_names=DOC_FEATURES)
 
 
 def predict_doc_mqm(model: RidgeModel, features) -> float:
@@ -539,17 +536,9 @@ def read_document_manifest(path) -> dict[str, Document]:
 def read_doc_table(path, n_columns: int) -> dict[str, list[float]]:
     """A document feature or MQM table: ``doc_id<TAB>value...`` per line with
     ``n_columns`` finite values."""
-    table = {}
-    for i, line in enumerate(_read_lines(path), 1):
-        doc_id, *values = line.split("\t")
-        if len(values) != n_columns:
-            raise ParseError(f"expected doc_id and {n_columns} values", file=str(path), line=i)
-        if doc_id in table:
-            raise ParseError(f"duplicate document id {doc_id!r}", file=str(path), line=i)
-        table[doc_id] = [_parse_float(v, file=str(path), line=i) for v in values]
-        check_finite(table[doc_id], "value", file=path, line=i)
-    return table
+    doc_ids, columns = _read_table(path, n_columns)
+    return dict(zip(doc_ids, map(list, zip(*columns))))
 
 
 def write_doc_table(table: Mapping[str, Sequence[float]], path):
-    _write_lines(path, (doc_id + "".join(f"\t{float(v)!r}" for v in row) for doc_id, row in table.items()))
+    _write_table(path, table, *zip(*table.values(), strict=True))

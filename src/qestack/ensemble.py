@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Ragged, Stream, _parse_float, _read_lines, _write_lines
+from .corpus import PredictionSet, Ragged, Stream, _read_table, _write_table
 from .errors import (
     DegenerateInput,
     EmptyInput,
@@ -91,7 +91,8 @@ class RidgeModel:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        return X @ self.coefficients + self.intercept
+        with np.errstate(over="ignore", invalid="ignore"):  # a prediction that is not finite is the caller's to refuse
+            return X @ self.coefficients + self.intercept
 
 
 class WordEnsembleFit(NamedTuple):
@@ -604,52 +605,30 @@ def ridge_cv(
 def save_weights(system_ids: Sequence[str], w: WeightVector, path):
     if len(system_ids) != len(w.weights):
         raise LengthMismatch("one system id per weight required")
-    _write_lines(path, (f"{system_id}\t{weight!r}" for system_id, weight in zip(system_ids, w.weights)))
+    _write_table(path, system_ids, w.weights)
 
 
 def load_weights(path, stream: Stream) -> tuple[list[str], WeightVector]:
-    ids = []
-    weights = []
-    for i, line in enumerate(_read_lines(path), 1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("malformed weights line", file=str(path), line=i)
-        weight = _parse_float(fields[1], file=str(path), line=i)
-        _check_weight(weight, file=str(path), line=i)
-        ids.append(fields[0])
-        weights.append(weight)
+    ids, [weights] = _read_table(path, 1)
+    for line, weight in enumerate(weights, 1):
+        _check_weight(weight, file=str(path), line=line)
     return ids, WeightVector(weights=tuple(weights), stream=stream)
 
 
 def save_ridge_model(model: RidgeModel, path):
-    lines = [f"intercept\t{model.intercept!r}", f"lambda\t{model.lam!r}"]
-    lines += [f"coef:{name}\t{float(coef)!r}" for name, coef in zip(model.feature_names, model.coefficients)]
-    _write_lines(path, lines)
+    names = ["intercept", "lambda", *(f"coef:{name}" for name in model.feature_names)]
+    _write_table(path, names, [model.intercept, model.lam, *model.coefficients])
 
 
 def load_ridge_model(path) -> RidgeModel:
-    intercept = lam = None
-    names: list[str] = []
-    coefs: list[float] = []
-    for i, line in enumerate(_read_lines(path), 1):
-        key, sep, value = line.partition("\t")
-        if not sep:
-            raise ParseError("malformed model line", file=str(path), line=i)
-        number = _parse_float(value, file=str(path), line=i)
-        if key == "intercept":
-            intercept = number
-        elif key == "lambda":
-            lam = number
-        elif key.startswith("coef:"):
-            names.append(key[len("coef:"):])
-            coefs.append(number)
-        else:
-            raise ParseError(f"unknown model field {key!r}", file=str(path), line=i)
-    if intercept is None or lam is None:
+    """The ``intercept``, ``lambda`` and ``coef:NAME`` lines ``save_ridge_model`` writes."""
+    names, [values] = _read_table(path, 1)
+    for line, name in enumerate(names, 1):
+        if name not in ("intercept", "lambda") and not name.startswith("coef:"):
+            raise ParseError(f"unknown model field {name!r}", file=str(path), line=line)
+    fields = dict(zip(names, values))
+    if "intercept" not in fields or "lambda" not in fields:
         raise ParseError("missing intercept or lambda", file=str(path))
-    return RidgeModel(
-        coefficients=np.array(coefs, dtype=float),
-        intercept=intercept,
-        lam=lam,
-        feature_names=names,
-    )
+    intercept, lam = fields.pop("intercept"), fields.pop("lambda")
+    coefficients = np.array(list(fields.values()), dtype=float)
+    return RidgeModel(coefficients, intercept, lam, [name[len("coef:"):] for name in fields])

@@ -41,7 +41,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise
 from math import exp, isfinite
-from operator import methodcaller
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,13 +53,12 @@ from .corpus import (
     _cut_interleaved,
     _first_mismatch,
     _lengths,
-    _parse_float,
-    _read_lines,
-    _write_lines,
+    _read_table,
+    _write_table,
     stream_lengths,
 )
 from .ensemble import fold_bounds
-from .errors import EmptyInput, InvalidInput, LengthMismatch, MissingStream, ParseError, RangeError
+from .errors import EmptyInput, InvalidInput, LengthMismatch, MissingStream, RangeError
 
 __all__ = [
     "SequenceInstance",
@@ -966,52 +964,26 @@ def jackknife(
 
 
 def save_model(model: LinearModel, path):
-    """Plain-text model: one ``featurekey<TAB>weight`` line, sorted by key. A
-    weight that is not finite is a RangeError, and nothing is written."""
+    """Plain-text model: one ``featurekey<TAB>weight`` line, sorted by key, each
+    weight finite (else a RangeError naming its line, and nothing written)."""
     keys = sorted(model.weights)
-    if not all(map(isfinite, model.weights.values())):
-        key = next(key for key in keys if not isfinite(model.weights[key]))
-        raise RangeError(f"model weight {model.weights[key]!r} of key {key} is not finite")
-    _write_lines(path, (f"{key}\t{model.weights[key]!r}" for key in keys))
+    _write_table(path, map(str, keys), map(model.weights.__getitem__, keys))
 
 
-# load_model reads this many lines a column at a time; one block's strings
-# are all the read holds at once besides the lines and the weights
-_MODEL_BLOCK = 1024
+def _model_keys(names) -> list[int]:
+    """Each model line's key: a decimal integer of at most 64 bits."""
+    if not all(map(str.isdecimal, names)):
+        raise ValueError("model key is not a decimal integer")
+    keys = list(map(int, names))
+    if max(keys) > _MASK64:
+        raise ValueError("model key beyond 64 bits")
+    return keys
 
 
 def load_model(path) -> LinearModel:
-    """The weights ``save_model`` writes, read a block of lines at a time and
-    a column at a time; only a file that fails that read is walked line by
-    line, to name its first bad line. A weight must be finite."""
-    lines = _read_lines(path)
-    weights = _Weights()
-    for start in range(0, len(lines), _MODEL_BLOCK):
-        keys, seps, values = zip(*map(methodcaller("partition", "\t"), lines[start:start + _MODEL_BLOCK]))
-        if not all(seps) or not all(map(str.isdecimal, keys)):
-            break
-        ints = list(map(int, keys))
-        if max(ints) > _MASK64:
-            break
-        try:
-            floats = list(map(float, values))
-        except ValueError:
-            break
-        if not all(map(isfinite, floats)):
-            break
-        weights.update(zip(ints, floats))
-    else:
-        return LinearModel(weights=weights)
-    for i, line in enumerate(lines, 1):
-        key, sep, value = line.partition("\t")
-        if not sep or not key.isdecimal():
-            raise ParseError("malformed model line", file=str(path), line=i)
-        if int(key) > _MASK64:
-            raise ParseError("model key beyond 64 bits", file=str(path), line=i)
-        weight = _parse_float(value, file=str(path), line=i)
-        if not isfinite(weight):
-            raise ParseError(f"model weight {weight!r} is not finite", file=str(path), line=i)
-    raise AssertionError(f"{path} holds no malformed line")
+    """The weights ``save_model`` writes; no key may repeat, as an int."""
+    keys, [weights] = _read_table(path, 1, _model_keys)
+    return LinearModel(weights=_Weights(zip(keys, weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -208,3 +208,28 @@ def fold_specialist_systems(rng: random.Random, n_sentences=60, max_len=7, k=10,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# --- name<TAB>value tables: the linear model, weights, ridge models, doc tables ---
+
+TABLE_DEFECTS = ("value not finite", "wrong value count", "empty name", "repeated name")
+
+
+def table_defect(text, defect):
+    """A table of at least two lines with ``defect`` made on its first line,
+    the line its reader must name and the message it must give. A repeated
+    name is the first line's again on the second."""
+    lines = text.splitlines()
+    name, *values = lines[0].split("\t")
+    line, message = 1, f"expected a non-empty name and {len(values)} tab-separated value(s)"
+    if defect == "value not finite":
+        lines[0] = "\t".join([name, "nan", *values[1:]])
+        message = "value nan is not finite"
+    elif defect == "wrong value count":
+        lines[0] += "\t0.5"
+    elif defect == "empty name":
+        lines[0] = "\t".join(["", *values])
+    else:
+        lines.insert(1, lines[0])
+        line, message = 2, f"duplicate name {name!r}"
+    return "".join(f"{row}\n" for row in lines), line, message

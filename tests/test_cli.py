@@ -14,10 +14,11 @@ from qestack import linearqe
 from qestack.cli import main
 from qestack.config import _parse_bool, _parse_floats, _parse_optional_float
 from qestack.corpus import load_corpus, read_prob_lines, read_score_lines
+from qestack.doclevel import DOC_FEATURES
 from qestack.errors import InvalidInput
 from qestack.labeler import label_corpus
 
-from conftest import random_corpus, random_sentence
+from conftest import TABLE_DEFECTS, random_corpus, random_sentence, table_defect
 
 OK, BAD = False, True
 
@@ -399,11 +400,13 @@ def test_a_model_weight_that_is_not_finite_is_one_error_line(tmp_path, capsys, r
     code, _, err = run(
         capsys, "linear", "predict", "--mt", paths["mt"], "--model", model, "--out-prefix", tmp_path / "p",
     )
-    assert_one_error_line(code, err, f"{model}:2: model weight nan is not finite")
+    assert_one_error_line(code, err)
+    assert err == f"error: {model}:2: value nan is not finite\n"
     monkeypatch.setattr(linearqe, "mira_train", lambda *args, **kwargs: linearqe.LinearModel({12: math.inf}))
     model = tmp_path / "inf.model"
     code, _, err = run(capsys, "linear", "train", "--mt", paths["mt"], "--tags", paths["tags"], "--model", model)
-    assert_one_error_line(code, err, "model weight inf of key 12 is not finite")
+    assert_one_error_line(code, err)
+    assert err == f"error: {model}:1: value inf is not finite\n"
     assert not model.exists()
 
 
@@ -692,7 +695,11 @@ def test_ensemble_word_apply_keeps_a_combination_of_ones_in_the_unit_interval(tm
 
 @pytest.mark.parametrize(
     "line, fragment",
-    [("sys0\t1.5", "weight 1.5 outside [0, 1]"), ("sys0\tabc", "malformed"), ("sys0", "malformed")],
+    [
+        ("sys0\t1.5", "weight 1.5 outside [0, 1]"),
+        ("sys0\tabc", "malformed number 'abc'"),
+        ("sys0", "expected a non-empty name and 1 tab-separated value(s)"),
+    ],
 )
 def test_bad_weights_line_names_file_and_line(tmp_path, capsys, rng, line, fragment):
     paths = label_files(tmp_path, capsys, rng, n=4)
@@ -702,7 +709,8 @@ def test_bad_weights_line_names_file_and_line(tmp_path, capsys, rng, line, fragm
         capsys, "ensemble-word", "apply", "--manifest", manifest, "--mt", paths["mt"],
         "--weights", weights, "--out", tmp_path / "out.probs",
     )
-    assert_one_error_line(code, err, f"{weights}:2:", fragment)
+    assert_one_error_line(code, err)
+    assert err == f"error: {weights}:2: {fragment}\n"
 
 
 def test_ensemble_word_fit_on_a_probability_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, rng):
@@ -827,9 +835,7 @@ def test_a_score_or_doc_table_value_that_is_not_finite_is_one_error_line(tmp_pat
             gold = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\t60.0\n")
             argv = ["doc", "fit", "--features", bad, "--gold", gold, "--out", tmp_path / "doc.model"]
         else:
-            model = write(
-                tmp_path / "r.model", "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4))
-            )
+            model = write(tmp_path / "r.model", _TABLES["doc_model"])
             argv = ["doc", "apply", "--features", bad, "--model", model, "--out", tmp_path / "pred.mqm"]
         line = 2
     code, out, err = run(capsys, *argv)
@@ -855,10 +861,7 @@ def test_ridge_model_with_an_unparsable_lambda_is_one_error_line(tmp_path, capsy
 def test_unparsable_doc_table_value_is_one_error_line(tmp_path, capsys, command):
     if command == "apply":
         table = write(tmp_path / "f.tsv", "doc0\t0.1\tx\t0.3\t0.4\n")
-        model = write(
-            tmp_path / "r.model",
-            "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4)),
-        )
+        model = write(tmp_path / "r.model", _TABLES["doc_model"])
         argv = ["doc", "apply", "--features", table, "--model", model, "--out", tmp_path / "out"]
     else:
         table = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\tabc\n")
@@ -877,10 +880,7 @@ def test_a_duplicate_document_id_in_a_doc_table_is_one_error_line(tmp_path, caps
         mqm = write(tmp_path / "gold.mqm", "".join(f"doc{i}\t{10.0 * i}\n" for i in range(6)))
         argv = ["doc", "fit", "--features", table, "--gold", mqm, "--out", tmp_path / "r.model"]
     elif command == "apply":
-        model = write(
-            tmp_path / "r.model",
-            "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:f{j}\t0.1\n" for j in range(4)),
-        )
+        model = write(tmp_path / "r.model", _TABLES["doc_model"])
         argv = ["doc", "apply", "--features", table, "--model", model, "--out", tmp_path / "out"]
     else:
         table = write(tmp_path / "gold.mqm", "doc0\t50.0\ndoc1\t60.0\ndoc0\t70.0\n")
@@ -889,7 +889,8 @@ def test_a_duplicate_document_id_in_a_doc_table_is_one_error_line(tmp_path, caps
     code, _, err = run(capsys, *argv)
     line = 3 if command == "eval" else 4
     doc_id = "doc0" if command == "eval" else "doc1"
-    assert_one_error_line(code, err, f"{table}:{line}: duplicate document id '{doc_id}'")
+    assert_one_error_line(code, err)
+    assert err == f"error: {table}:{line}: duplicate name '{doc_id}'\n"
 
 
 @pytest.mark.parametrize("command", [["linear", "train"], ["ensemble-sent", "fit"]], ids="-".join)
@@ -1033,6 +1034,102 @@ def test_doc_mqm_features_fit_apply_eval(tmp_path, capsys, rng):
     assert out.startswith("mqm_pearson=")
 
 
+# --- name<TAB>value tables ------------------------------------------------------------
+
+# a valid table of each kind, for the three sentences of table_files' MT and its two systems
+_TABLES = {
+    "model": "12\t0.5\n13\t-0.25\n",
+    "weights": "sys0\t0.5\nsys1\t0.25\n",
+    "sent_model": "intercept\t0.5\nlambda\t1.0\n"
+    + "".join(f"coef:sys{s}:{name}\t0.1\n" for s in range(2) for name in ("score", "words_mean")),
+    "doc_model": "intercept\t0.5\nlambda\t0.0\n" + "".join(f"coef:{name}\t0.1\n" for name in DOC_FEATURES),
+    "features": "".join(
+        f"doc{d}\t{50.0 + 3 * d}\t0.{d}\t0.{(3 * d) % 7}\t0.{(5 * d) % 8}\n" for d in range(6)
+    ),
+    "mqm": "".join(f"doc{d}\t{10.0 * d}\n" for d in range(6)),
+}
+
+# each command option that reads a table -> (the table's kind, the command, {table} naming the table)
+_TABLE_READERS = {
+    "linear predict --model": ("model", "linear predict --mt {mt} --model {table} --out-prefix {out}"),
+    "ensemble-word apply --weights": (
+        "weights", "ensemble-word apply --manifest {manifest} --mt {mt} --weights {table} --out {out}"
+    ),
+    "ensemble-sent apply --model": (
+        "sent_model", "ensemble-sent apply --manifest {manifest} --mt {mt} --model {table} --out {out}"
+    ),
+    "doc apply --model": ("doc_model", "doc apply --features {features} --model {table} --out {out}"),
+    "doc apply --features": ("features", "doc apply --features {table} --model {doc_model} --out {out}"),
+    "doc fit --features": ("features", "doc fit --features {table} --gold {mqm} --out {out}"),
+    "doc fit --gold": ("mqm", "doc fit --features {features} --gold {table} --out {out}"),
+    "doc eval --gold-mqm": ("mqm", "doc eval --gold-mqm {table} --pred-mqm {mqm}"),
+    "doc eval --pred-mqm": ("mqm", "doc eval --gold-mqm {mqm} --pred-mqm {table}"),
+}
+
+
+def table_files(tmp_path):
+    """A three-sentence MT file, a two-system manifest on it and a valid
+    table of each kind, by name."""
+    files = {"mt": write(tmp_path / "c.mt", "a b\nc d e\nf\n")}
+    files["manifest"] = prediction_files(tmp_path, random.Random(3), files["mt"], n_systems=2)
+    for kind, text in _TABLES.items():
+        files[kind] = write(tmp_path / f"{kind}.tsv", text)
+    return files
+
+
+def table_command(reader, files, table, out):
+    """The argv that runs ``reader`` on ``table``, writing to ``out``."""
+    return [token.format(**files, table=table, out=out) for token in _TABLE_READERS[reader][1].split()]
+
+
+@pytest.mark.parametrize("defect", [None, *TABLE_DEFECTS])
+@pytest.mark.parametrize("reader", list(_TABLE_READERS))
+def test_a_bad_table_line_is_one_error_line_and_no_output(tmp_path, capsys, reader, defect):
+    # once, a nan intercept scored every sentence 0.0 and every document nan,
+    # and a repeated model key or intercept was read with its last line winning
+    files = table_files(tmp_path)
+    kind = _TABLE_READERS[reader][0]
+    table = files[kind]
+    if defect is not None:
+        text, line, message = table_defect(_TABLES[kind], defect)
+        table = write(tmp_path / "bad.tsv", text)
+    before = set(tmp_path.iterdir())
+    code, _, err = run(capsys, *table_command(reader, files, table, tmp_path / "out"))
+    if defect is None:
+        assert (code, err) == (0, "")
+    else:
+        assert_one_error_line(code, err)
+        assert err == f"error: {table}:{line}: {message}\n"
+        assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("coefficients", [4, 5])
+def test_doc_apply_with_a_model_that_is_not_a_document_model_is_one_error_line(tmp_path, capsys, coefficients):
+    # once, a 5-coefficient sentence model ended in a traceback, and a
+    # 4-coefficient one scored the documents on features it was not fitted on
+    files = table_files(tmp_path)
+    coefs = "".join(f"coef:f{j}\t0.1\n" for j in range(coefficients))
+    model = write(tmp_path / "sent.model", "intercept\t0.5\nlambda\t1.0\n" + coefs)
+    out = tmp_path / "pred.mqm"
+    code, _, err = run(capsys, "doc", "apply", "--features", files["features"], "--model", model, "--out", out)
+    assert_one_error_line(code, err)
+    assert err == f"error: {model}: the model's features are not {', '.join(DOC_FEATURES)}\n"
+    assert not out.exists()
+
+
+def test_doc_apply_refuses_a_prediction_that_is_not_finite(tmp_path, capsys):
+    files = table_files(tmp_path)
+    model = write(
+        tmp_path / "huge.model",
+        "intercept\t1e308\nlambda\t0.0\n" + "".join(f"coef:{name}\t1e308\n" for name in DOC_FEATURES),
+    )
+    out = tmp_path / "pred.mqm"
+    code, _, err = run(capsys, "doc", "apply", "--features", files["features"], "--model", model, "--out", out)
+    assert_one_error_line(code, err)
+    assert err == f"error: {out}:1: value inf is not finite\n"
+    assert not out.exists()
+
+
 # --- fuzzed tag inputs ---------------------------------------------------------------
 
 # tokens a fuzzed tag line may gain: tags, near-tags and numbers
@@ -1041,11 +1138,12 @@ _EDITS = ("replace", "drop", "add", "drop line", "repeat line", "swap", "empty l
 
 
 @st.composite
-def _fuzzed(draw, text):
+def _fuzzed(draw, text, sep=None, tokens=_FUZZ_TOKENS):
     """``text`` after up to three edits (a token replaced, dropped or added,
     a line dropped, repeated, swapped with another or emptied), and
-    sometimes cut short."""
-    lines = [line.split() for line in text.splitlines()]
+    sometimes cut short. Tokens are split at ``sep`` (whitespace if None)
+    and drawn from ``tokens``."""
+    lines = [line.split(sep) for line in text.splitlines()]
     for _ in range(draw(st.integers(0, 3))):
         if not lines:
             break
@@ -1053,11 +1151,11 @@ def _fuzzed(draw, text):
         row = lines[i]
         edit = draw(st.sampled_from(_EDITS))
         if edit == "replace" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(_FUZZ_TOKENS)
+            row[draw(st.integers(0, len(row) - 1))] = draw(tokens)
         elif edit == "drop" and row:
             del row[draw(st.integers(0, len(row) - 1))]
         elif edit == "add":
-            row.insert(draw(st.integers(0, len(row))), draw(_FUZZ_TOKENS))
+            row.insert(draw(st.integers(0, len(row))), draw(tokens))
         elif edit == "drop line":
             del lines[i]
         elif edit == "repeat line":
@@ -1067,7 +1165,7 @@ def _fuzzed(draw, text):
             lines[i], lines[j] = lines[j], lines[i]
         elif edit == "empty line":
             lines[i] = []
-    out = "".join(" ".join(row) + "\n" for row in lines)
+    out = "".join((sep or " ").join(row) + "\n" for row in lines)
     if draw(st.integers(0, 9)) == 0:
         out = out[: draw(st.integers(0, len(out)))]
     return out
@@ -1134,6 +1232,28 @@ def test_fuzzed_tag_inputs_end_in_an_exit_code_and_at_most_one_error_line(tmp_pa
             *(["--out", tmp_path / "w.tsv"] if command == "fit" else ["--k", "3"]),
         ]
     code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], err
+    else:
+        assert err == ""
+
+
+# fields a fuzzed table line may gain: values, names of every table kind, and
+# values that are not finite or not numbers
+_TABLE_TOKENS = st.sampled_from(["0.5", "-2.5", "nan", "-inf", "1e999", "x", "", "12", "012", "sys0", "intercept",
+                                 "coef:sys0:score", "coef:bad_gap_frac", "doc0"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), reader=st.sampled_from(list(_TABLE_READERS)))
+def test_fuzzed_table_inputs_end_in_an_exit_code_and_at_most_one_error_line(tmp_path, capsys, data, reader):
+    files = table_files(tmp_path)
+    kind = _TABLE_READERS[reader][0]
+    table = write(tmp_path / "fuzzed.tsv", data.draw(_fuzzed(_TABLES[kind], "\t", _TABLE_TOKENS), label=kind))
+    code, _, err = run(capsys, *table_command(reader, files, table, tmp_path / "out"))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code:

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,12 +35,20 @@ from qestack.corpus import (
     write_sentences,
     write_tags,
 )
-from qestack.doclevel import read_annotations, read_doc_table, read_document_manifest
-from qestack.ensemble import load_ridge_model, load_weights
+from qestack.doclevel import read_annotations, read_doc_table, read_document_manifest, write_doc_table
+from qestack.ensemble import RidgeModel, load_ridge_model, load_weights, save_ridge_model, save_weights
 from qestack.errors import InvalidInput, LengthMismatch, ParseError, RangeError
-from qestack.linearqe import load_model
+from qestack.linearqe import LinearModel, load_model, save_model
 
-from conftest import alignment_sets, assert_same_corpus, interleave, random_corpus, reference_read_tag_rows
+from conftest import (
+    TABLE_DEFECTS,
+    alignment_sets,
+    assert_same_corpus,
+    interleave,
+    random_corpus,
+    reference_read_tag_rows,
+    table_defect,
+)
 
 OK, BAD = False, True
 
@@ -349,6 +358,117 @@ def test_every_loader_names_file_and_line_of_an_empty_or_garbled_line(tmp_path, 
     with pytest.raises(ParseError) as caught:
         load()
     assert (caught.value.file, caught.value.line) == (path, 2)
+
+
+# --- name<TAB>value tables ---------------------------------------------------------
+
+
+def _model_table(path):
+    weights = load_model(path).weights
+    return list(map(str, weights)), [list(weights.values())]
+
+
+def _weights_table(path):
+    ids, weights = load_weights(path, Stream.WORDS)
+    return ids, [list(weights.weights)]
+
+
+def _ridge_table(path):
+    model = load_ridge_model(path)
+    names = ["intercept", "lambda", *(f"coef:{name}" for name in model.feature_names)]
+    return names, [[model.intercept, model.lam, *model.coefficients.tolist()]]
+
+
+def _doc_table(n):
+    def read(path):
+        table = read_doc_table(path, n)
+        return list(table), list(map(list, zip(*table.values())))
+
+    return read
+
+
+# kind -> (names, value columns, a writer of both to a path, a reader of both from a path)
+TABLES = {
+    "linear model": (
+        ["3", "12", str(2**64 - 1)],
+        [[0.1, -0.0, -2.5e-300]],
+        lambda names, columns, path: save_model(LinearModel(dict(zip(map(int, names), columns[0]))), path),
+        _model_table,
+    ),
+    "weights": (
+        ["sys0", "sys 1", "sys2"],
+        [[1 / 3, 0.0, 1.0]],
+        # a WeightVector refuses a value outside [0, 1] itself; this reaches the writer
+        lambda names, columns, path: save_weights(names, SimpleNamespace(weights=tuple(columns[0])), path),
+        _weights_table,
+    ),
+    "ridge model": (
+        ["intercept", "lambda", "coef:a", "coef:sys0:words_mean"],
+        [[-0.1, 10.0, 5e-324, 1e300]],
+        lambda names, columns, path: save_ridge_model(
+            RidgeModel(np.array(columns[0][2:]), columns[0][0], columns[0][1], [n[5:] for n in names[2:]]), path
+        ),
+        _ridge_table,
+    ),
+    "doc features": (
+        ["doc0", "doc1"],
+        [[50.0, -12.5], [0.0, 1 / 7], [1.0, 0.5], [0.25, -0.0]],
+        lambda names, columns, path: write_doc_table(dict(zip(names, zip(*columns))), path),
+        _doc_table(4),
+    ),
+    "MQM table": (
+        ["doc0", "doc 1", "doc2"],
+        [[50.0, -12.5, 1 / 7]],
+        lambda names, columns, path: write_doc_table(dict(zip(names, zip(*columns))), path),
+        _doc_table(1),
+    ),
+}
+
+
+def _bits(columns):
+    return [[float(value).hex() for value in column] for column in columns]
+
+
+@pytest.mark.parametrize("kind", list(TABLES))
+def test_a_table_reads_back_the_names_and_float_bits_it_was_written_with(tmp_path, kind):
+    names, columns, save, load = TABLES[kind]
+    path = tmp_path / "table.tsv"
+    save(names, columns, path)
+    got_names, got_columns = load(path)
+    assert got_names == names and _bits(got_columns) == _bits(columns)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", list(TABLES))
+def test_a_table_writer_refuses_a_value_that_is_not_finite_naming_its_line(tmp_path, kind, value):
+    names, columns, save, _ = TABLES[kind]
+    columns = [list(column) for column in columns]
+    columns[-1][1] = value
+    path = tmp_path / "table.tsv"
+    with pytest.raises(RangeError) as caught:
+        save(names, columns, path)
+    assert str(caught.value) == f"{path}:2: value {value!r} is not finite"
+    assert not path.exists()
+
+
+def test_a_doc_table_with_rows_of_other_lengths_is_not_written(tmp_path):
+    path = tmp_path / "table.tsv"
+    with pytest.raises(ValueError):
+        write_doc_table({"doc0": [1.0, 2.0], "doc1": [3.0]}, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("defect", TABLE_DEFECTS)
+@pytest.mark.parametrize("kind", list(TABLES))
+def test_a_table_reader_names_the_file_and_line_of_a_bad_line(tmp_path, kind, defect):
+    names, columns, save, load = TABLES[kind]
+    path = tmp_path / "table.tsv"
+    save(names, columns, path)
+    text, line, message = table_defect(path.read_text(encoding="utf-8"), defect)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises((ParseError, RangeError)) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}:{line}: {message}"
 
 
 # --- prediction streams as flat arrays ---------------------------------------------

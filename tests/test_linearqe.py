@@ -942,18 +942,21 @@ def test_model_keys_beyond_64_bits_are_a_parse_error(tmp_path):
     "lines, line, message",
     [
         (["1\t0.5", "2\tx", "3 0.5", f"{2**64}\t0.5"], 2, "malformed number 'x'"),
-        (["1\t0.5", "2\t0.5", "3 0.5", "4\tx"], 3, "malformed model line"),
+        (["1\t0.5", "2\t0.5", "3 0.5", "4\tx"], 3, "expected a non-empty name and 1 tab-separated value(s)"),
         (["1\t0.5", f"{2**64}\t0.5", "3\tx"], 2, "model key beyond 64 bits"),
-        (["1\t0.5", "-2\t0.5"], 2, "malformed model line"),
-        (["1\t0.5\t0.5"], 1, "malformed number '0.5\\t0.5'"),
-        (["1\t0.5", "2\tnan", "3\tx"], 2, "model weight nan is not finite"),
-        (["1\t-inf", "2\t0.5"], 1, "model weight -inf is not finite"),
+        (["1\t0.5", "-2\t0.5"], 2, "model key is not a decimal integer"),
+        (["1\t0.5\t0.5"], 1, "expected a non-empty name and 1 tab-separated value(s)"),
+        (["1\t0.5\t"], 1, "expected a non-empty name and 1 tab-separated value(s)"),
+        (["1\t0.5", "\t0.5", "3\tx"], 2, "expected a non-empty name and 1 tab-separated value(s)"),
+        (["1\t0.5", "2\tnan", "3\tx"], 2, "value nan is not finite"),
+        (["1\t-inf", "2\t0.5"], 1, "value -inf is not finite"),
+        (["1\t0.5", "2\t0.5", "01\t0.5", "3\tx"], 3, "duplicate name '01'"),
     ],
 )
 def test_a_bad_model_file_names_its_first_bad_line(tmp_path, lines, line, message):
     path = tmp_path / "model.txt"
     path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
-    with pytest.raises(ParseError) as caught:
+    with pytest.raises((ParseError, RangeError)) as caught:
         load_model(path)
     assert str(caught.value) == f"{path}:{line}: {message}"
 
@@ -961,21 +964,27 @@ def test_a_bad_model_file_names_its_first_bad_line(tmp_path, lines, line, messag
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_a_model_weight_that_is_not_finite_is_not_saved(tmp_path, value):
     path = tmp_path / "model.txt"
-    with pytest.raises(RangeError, match=f"model weight {value!r} of key 7 is not finite"):
+    with pytest.raises(RangeError) as caught:
         save_model(LinearModel({3: 0.5, 7: value}), path)
+    assert str(caught.value) == f"{path}:2: value {value!r} is not finite"
     assert not path.exists()
 
 
-def test_a_later_line_of_a_model_key_overrides_an_earlier_one(tmp_path):
+def test_a_repeated_model_key_names_its_second_line(tmp_path):
+    # once, the last line of a key silently won
     path = tmp_path / "model.txt"
     path.write_text("7\t0.5\n3\t-1e-3\n7\t2.0\n", encoding="utf-8")
-    assert load_model(path).weights == {7: 2.0, 3: -1e-3}
+    with pytest.raises(ParseError, match="model.txt:3: duplicate name '7'"):
+        load_model(path)
     path.write_text("", encoding="utf-8")
     assert load_model(path).weights == {}
-    # a file of several blocks of lines, overriding a key of the first in the last
-    lines = [f"{key}\t{key / 7!r}" for key in range(2500)] + ["5\t9.5"]
+    # a file of several blocks of lines, repeating a key of the first in the last
+    lines = [f"{key}\t{key / 7!r}" for key in range(2500)]
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-    assert load_model(path).weights == {**{key: key / 7 for key in range(2500)}, 5: 9.5}
+    assert load_model(path).weights == {key: key / 7 for key in range(2500)}
+    path.write_text("".join(f"{line}\n" for line in [*lines, "5\t9.5"]), encoding="utf-8")
+    with pytest.raises(ParseError, match="model.txt:2501: duplicate name '5'"):
+        load_model(path)
     lines[1700] = "1700\tx"
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     with pytest.raises(ParseError, match="model.txt:1701: malformed number 'x'"):
