@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, corpus, doclevel, ensemble, labeler, linearqe, metrics
 from .config import load_config_file, resolve_config, write_snapshot
 from .corpus import Stream
@@ -58,12 +60,12 @@ def _cmd_evaluate(args):
     if args.stream == "sentence":
         gold = corpus.read_score_lines(args.gold)
         pred = corpus.read_score_lines(args.pred)
-        corpus.check_lengths(pred, [None] * len(gold), args.pred, "prediction")
+        corpus.check_lengths(pred, len(gold), "prediction", file=args.pred)
         _emit([("pearson", f"{metrics.pearson(gold, pred):.6f}")], args.format)
         return 0
 
     gold = corpus.read_tag_stream(args.gold, args.stream)
-    gold_lengths = [len(row) for row in gold]
+    gold_lengths = np.diff(gold.offsets)
     # a prediction file holds either tags (the stream's own, or interleaved
     # and sliced like the gold) or per-stream probabilities
     if corpus.is_tag_file(args.pred):
@@ -72,7 +74,7 @@ def _cmd_evaluate(args):
     else:
         pred = corpus.read_prob_lines(args.pred)
         pred_bad = metrics.threshold(pred.values, values["threshold"])
-    corpus.check_lengths(pred, gold_lengths, args.pred, "prediction")
+    corpus.check_lengths(pred, gold_lengths, "prediction", file=args.pred)
     scores = metrics.f1_mult(gold.values, pred_bad)
     pairs = [
         ("f1_ok", f"{scores.f1_ok:.6f}"),
@@ -137,7 +139,7 @@ def _linear_corpus(args):
     extra = []
     for path in args.extra or ():
         extra.append([sentence.tokens for sentence in corpus.read_sentences(path)])
-        corpus.check_lengths(extra[-1], corpus.stream_lengths(loaded, stream), path, "extra column")
+        corpus.check_lengths(extra[-1], corpus.stream_lengths(loaded, stream), "extra column", file=path)
     instances = linearqe.build_instances(loaded, stream, predictions=predictions, extra_columns=extra)
     golds = linearqe.gold_tags(loaded, stream) if need_gold else None
     return instances, golds
@@ -191,7 +193,7 @@ def _ensemble_inputs(args, need_gold):
     if need_gold:
         golds = corpus.read_tag_stream(args.gold, stream.value)
         lengths = corpus.stream_lengths(loaded, stream)
-        corpus.check_lengths(golds, [None] * len(loaded) if lengths is None else lengths, args.gold, "gold")
+        corpus.check_lengths(golds, len(loaded) if lengths is None else lengths, "gold", file=args.gold)
     return stream, loaded, preds, golds
 
 
@@ -269,7 +271,9 @@ def _cmd_ensemble_sent_apply(args):
     X, names = ensemble.sentence_features(preds)
     if names != model.feature_names:
         raise QEStackError("manifest features do not match the fitted model")
-    predictions = [min(1.0, max(0.0, float(v))) for v in model.predict(X)]
+    raw = model.predict(X).tolist()
+    corpus.check_finite(raw, "score", file=args.out)
+    predictions = [min(1.0, max(0.0, v)) for v in raw]
     corpus.write_scores(predictions, args.out)
     _snapshot(f"{args.out}.run.cfg", "ensemble-sent apply", {}, {"model": args.model})
     return 0
@@ -304,7 +308,7 @@ def _severity_weights(values):
 def _doc_tag_rows(tags_dir, doc_id, doc):
     path = os.path.join(tags_dir, f"{doc_id}.tags")
     tags = corpus.read_tag_stream(path, "target")
-    corpus.check_lengths(tags, doc.tag_lengths(), path, f"document {doc_id} tags")
+    corpus.check_lengths(tags, doc.tag_lengths(), f"document {doc_id} tags", file=path)
     return tags
 
 
@@ -355,7 +359,7 @@ def _cmd_doc_features(args):
         tags = _doc_tag_rows(args.tags_dir, doc_id, doc)
         mqm_path = os.path.join(args.sent_mqm_dir, f"{doc_id}.mqm")
         mqms = corpus.read_score_lines(mqm_path)
-        corpus.check_lengths(mqms, [None] * len(doc), mqm_path, f"document {doc_id} sentence MQMs")
+        corpus.check_lengths(mqms, len(doc), f"document {doc_id} sentence MQMs", file=mqm_path)
         table[doc_id] = doclevel.doc_mqm_features(tags, mqms)
     doclevel.write_doc_table(table, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc features", values)

@@ -259,9 +259,9 @@ class TaggedCorpus:
                 lengths = f"{src_lengths[i]}/{mt_lengths[i]}"
                 raise RangeError(f"entry {i + 1}: alignment {s_idx}-{m_idx} out of range ({lengths})")
         if tags is not None:
-            _check_tag_rows(corpus.tags, 2 * mt_lengths + 1, "target")
+            check_lengths(corpus.tags, 2 * mt_lengths + 1, "target tags")
         if source_tags is not None and src is not None:
-            _check_tag_rows(corpus.source_tags, src_lengths, "source")
+            check_lengths(corpus.source_tags, src_lengths, "source tags")
         return corpus
 
     def __len__(self) -> int:
@@ -273,27 +273,13 @@ def _lengths(rows) -> np.ndarray:
     return np.fromiter(map(len, rows), np.int64, len(rows))
 
 
-def _first_mismatch(got: np.ndarray, want) -> int | None:
-    """The first row i whose length ``got[i]`` is not ``want[i]`` (as many of
-    each), or None."""
-    bad = np.flatnonzero(got != want)
-    return int(bad[0]) if bad.size else None
-
-
-def _check_tag_rows(tags: Ragged, want: np.ndarray, side: str):
-    """Row i of ``tags`` holds ``want[i]`` tags, or a LengthMismatch names the
-    first entry whose row does not."""
-    got = np.diff(tags.offsets)
-    i = _first_mismatch(got, want)
-    if i is not None:
-        raise LengthMismatch(f"entry {i + 1}: {got[i]} {side} tags, expected {want[i]}")
-
-
 @dataclass(frozen=True)
 class PredictionSet:
     """Per-system predictions: P(BAD) per MT word, optionally per gap and per
     source token, and optionally one score per sentence. The token streams
-    are :class:`Ragged`; rows given in any other form are converted once."""
+    are :class:`Ragged`; rows given in any other form are converted once.
+    Every stream and the scores hold one row per sentence of the words, or a
+    LengthMismatch names the first that does not."""
 
     system_id: str
     word_probs: Ragged
@@ -306,6 +292,10 @@ class PredictionSet:
             rows = getattr(self, name)
             if rows is not None:
                 object.__setattr__(self, name, Ragged.from_rows(rows))
+        for name in ("gap_probs", "source_probs", "sentence_scores"):
+            rows = getattr(self, name)
+            if rows is not None:
+                check_lengths(rows, len(self.word_probs), f"system {self.system_id!r} {name}")
 
     def __len__(self) -> int:
         return len(self.word_probs)
@@ -672,21 +662,28 @@ def _check_counts(counts: dict[str, int]):
         raise LengthMismatch(f"files disagree on segment count: {detail}")
 
 
-def check_lengths(rows, lengths, path, what: str):
-    """The length rule of every per-line file: ``rows`` (one per line of
-    ``path``) are as many as ``lengths``, and row i holds ``lengths[i]``
-    entries (any number where that is None)."""
-    if len(rows) != len(lengths):
-        raise LengthMismatch(f"{what} has {len(rows)} lines, expected {len(lengths)}", file=str(path))
-    if isinstance(rows, Ragged) and None not in lengths:
-        got = np.diff(rows.offsets)
-        i = _first_mismatch(got, lengths)
-        if i is not None:
-            raise LengthMismatch(f"{what}: expected {lengths[i]} entries, got {got[i]}", file=str(path), line=i + 1)
+def check_lengths(rows, want, what: str, *, file=None):
+    """The length rule of every per-row stream: ``rows`` (a :class:`Ragged`
+    or any rows) are as many as ``want`` and row i holds ``want[i]`` entries,
+    ``want`` being the counts per row (an int64 array or a list), or an int
+    when only the number of rows is fixed. The error is a LengthMismatch
+    naming ``file`` and the line, the rows being its lines, or without a file
+    the entry (``entry i: ...``), 1-based."""
+    file = None if file is None else str(file)
+    counted = isinstance(want, (int, np.integer))
+    n = want if counted else len(want)
+    if len(rows) != n:
+        raise LengthMismatch(f"{what} has {len(rows)} {'rows' if file is None else 'lines'}, expected {n}", file=file)
+    if counted:
         return
-    for i, (row, n) in enumerate(zip(rows, lengths), 1):
-        if n is not None and len(row) != n:
-            raise LengthMismatch(f"{what}: expected {n} entries, got {len(row)}", file=str(path), line=i)
+    got = np.diff(rows.offsets) if isinstance(rows, Ragged) else _lengths(rows)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = int(bad[0])
+        message = f"{what}: expected {want[i]} entries, got {got[i]}"
+        if file is None:
+            raise LengthMismatch(f"entry {i + 1}: {message}")
+        raise LengthMismatch(message, file=file, line=i + 1)
 
 
 def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> np.ndarray | None:
@@ -746,9 +743,9 @@ def load_corpus(*, mt, src=None, pe=None, tags=None, source_tags=None, hter=None
         raise ParseError(f"{what} supplied without a source file")
 
     if tags is not None:
-        check_lengths(rows["tags"], 2 * mt_lengths + 1, tags, "target tags")
+        check_lengths(rows["tags"], 2 * mt_lengths + 1, "target tags", file=tags)
     if source_tags is not None:
-        check_lengths(rows["source_tags"], src_lengths, source_tags, "source tags")
+        check_lengths(rows["source_tags"], src_lengths, "source tags", file=source_tags)
     for i, value in enumerate(rows.get("hter", ()), 1):
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"HTER {value} outside [0, 1]", file=str(hter), line=i)
@@ -787,7 +784,7 @@ def _load_stream(path, lengths, name) -> Ragged:
     rows = _tags_as_probs(path)
     if rows is None:
         rows = read_prob_lines(path)
-    check_lengths(rows, lengths, path, f"{name} stream")
+    check_lengths(rows, lengths, f"{name} stream", file=path)
     return rows
 
 
@@ -818,7 +815,7 @@ def load_predictions(
     sentence_scores = None
     if sentences is not None:
         values = read_score_lines(sentences)
-        check_lengths(values, [None] * len(corpus), sentences, "sentence stream")
+        check_lengths(values, len(corpus), "sentence stream", file=sentences)
         sentence_scores = tuple(values)
 
     return PredictionSet(

@@ -22,7 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Ragged, _cut_interleaved, _freeze_arrays, _read_lines, _read_table, _write_lines, _write_table
+from .corpus import (
+    Ragged, _cut_interleaved, _freeze_arrays, _read_lines, _read_table, _write_lines, _write_table, check_lengths
+)
 from .errors import InvalidInput, ParseError, RangeError, SpanOutOfBounds
 from .ensemble import RidgeModel, ridge_fit
 from .metrics import _class_f1_array
@@ -280,15 +282,11 @@ def tags_to_annotations(
 
     Each maximal run of contiguous BAD tokens becomes one single-span
     annotation; each BAD gap becomes its own annotation over the gap borders,
-    with no merge attempted. All annotations get ``default_severity``.
+    with no merge attempted. All annotations get ``default_severity``. Rows
+    of another count or length are a LengthMismatch naming the entry.
     """
-    if len(tags) != len(doc.sentences):
-        raise RangeError("one tag row per sentence required")
     bad = Ragged.from_rows(tags, dtype=bool)
-    words, tokens = np.diff(bad.offsets) // 2, np.diff(doc.offsets) // 2 - 1
-    wrong = np.flatnonzero(words != tokens)
-    if wrong.size:
-        raise RangeError(f"sentence {wrong[0]}: {words[wrong[0]]} word tags for {tokens[wrong[0]]} tokens")
+    check_lengths(bad, doc.tag_lengths(), "tags")
     # entry p of sentence i's tag line is interval p + i of the document's borders
     marked = np.flatnonzero(bad.values)
     marked += np.searchsorted(bad.offsets, marked, "right") - 1
@@ -338,6 +336,8 @@ def doc_mqm_features(tags: Sequence[Sequence[bool]], sentence_mqms: Sequence[flo
     if not tags or len(tags) != len(sentence_mqms):
         raise RangeError("need one predicted MQM per sentence")
     bad = Ragged.from_rows(tags, dtype=bool)
+    # 2N+1 entries: an even row is one short of the odd count above it
+    check_lengths(bad, np.diff(bad.offsets) | 1, "tags")
     words, gaps = (_cut_interleaved(bad, stream).values for stream in ("words", "gaps"))
     bad_words, bad_gaps = int(np.count_nonzero(words)), int(np.count_nonzero(gaps))
     n_words, n_gaps = words.size, gaps.size

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PredictionSet, Ragged, Stream, _read_table, _write_table
+from .corpus import PredictionSet, Ragged, Stream, _read_table, _write_table, check_lengths
 from .errors import (
     DegenerateInput,
     EmptyInput,
@@ -107,13 +107,26 @@ class WordEnsembleFit(NamedTuple):
 
 
 def _stacked_matrix(preds: Sequence[PredictionSet], stream: Stream) -> np.ndarray:
-    """One row per system, one column per token of the stream."""
+    """One row per system, one column per token of the stream; every
+    system's rows hold as many tokens as the first system's."""
     if not preds:
         raise MissingStream("no systems to ensemble")
     for pred in preds:
         if pred.stream(stream) is None:
             raise MissingStream(f"system {pred.system_id!r} provides no {stream.value} stream")
+    lengths = np.diff(preds[0].stream(stream).offsets)
+    for pred in preds[1:]:
+        check_lengths(pred.stream(stream), lengths, f"system {pred.system_id!r} {stream.value} stream")
     return np.vstack([pred.stream(stream).values for pred in preds])
+
+
+def _stacked_with_gold(preds: Sequence[PredictionSet], gold, stream: Stream) -> tuple[np.ndarray, Ragged]:
+    """The stacked matrix of ``preds`` and ``gold`` as a bool Ragged, its
+    rows holding as many tags as the systems' rows."""
+    matrix = _stacked_matrix(preds, stream)
+    gold = Ragged.from_rows(gold, dtype=bool)
+    check_lengths(gold, np.diff(preds[0].stream(stream).offsets), "gold")
+    return matrix, gold
 
 
 def _combine(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -373,10 +386,6 @@ def _fit(
     """:func:`fit_word_ensemble` on a stacked matrix and its flat gold:
     returns the weights, the threshold and the dev F1-MULT."""
     _check_threshold(threshold)
-    if gold_bad.size != matrix.shape[1]:
-        raise LengthMismatch(
-            f"gold holds {gold_bad.size} tags but predictions hold {matrix.shape[1]}"
-        )
     if not gold_bad.size:
         raise EmptyInput("cannot score zero tags")
     n = matrix.shape[0]
@@ -435,9 +444,10 @@ def fit_word_ensemble(
     extra coordinate; otherwise it stays fixed. Each line search is exact
     (:func:`_line_sweep`).
     """
+    matrix, gold = _stacked_with_gold(dev_preds, dev_gold, stream)
     weights, fitted_threshold, f1 = _fit(
-        _stacked_matrix(dev_preds, stream),
-        Ragged.from_rows(dev_gold, dtype=bool).values,
+        matrix,
+        gold.values,
         threshold=threshold,
         optimize_threshold=optimize_threshold,
         tol=tol,
@@ -462,11 +472,7 @@ def kfold_estimate(
     over the concatenation of all held-out predictions. The systems are
     stacked once; each fold fits on the columns of the other folds."""
     bounds = fold_bounds(len(dev_gold), k)
-    matrix = _stacked_matrix(dev_preds, stream)
-    dev_gold = Ragged.from_rows(dev_gold, dtype=bool)
-    for pred in dev_preds:
-        if not np.array_equal(pred.stream(stream).offsets, dev_gold.offsets):
-            raise LengthMismatch(f"system {pred.system_id!r} and the gold differ in sentence lengths")
+    matrix, dev_gold = _stacked_with_gold(dev_preds, dev_gold, stream)
     gold = dev_gold.values
     pred_bad = []
     for lo, hi in bounds:
@@ -492,10 +498,8 @@ def sentence_features(preds: Sequence[PredictionSet]) -> tuple[np.ndarray, list[
     imputed per sentence."""
     if not preds:
         raise MissingStream("no systems given")
-    n = len(preds[0])
-    for p in preds:
-        if len(p) != n:
-            raise LengthMismatch(f"system {p.system_id!r} holds {len(p)} sentences, expected {n}")
+    for p in preds[1:]:
+        check_lengths(p.word_probs, len(preds[0]), f"system {p.system_id!r} word_probs")
 
     columns: list[np.ndarray] = []
     names: list[str] = []
@@ -531,7 +535,9 @@ def ridge_fit(
     *,
     feature_names: Sequence[str] | None = None,
 ) -> RidgeModel:
-    """Solve the penalized normal equations with an unpenalized intercept."""
+    """Solve the penalized normal equations with an unpenalized intercept.
+    Equations or a solution that are not finite (features or targets too
+    large, or not finite themselves) are a RangeError."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -545,12 +551,19 @@ def ridge_fit(
     design = np.hstack([X, np.ones((X.shape[0], 1))])
     penalty = lam * np.eye(design.shape[1])
     penalty[-1, -1] = 0.0
-    try:
-        beta = np.linalg.solve(design.T @ design + penalty, design.T @ y)
-    except np.linalg.LinAlgError:
-        raise SingularSystem(
-            "normal equations are singular; add regularization or drop collinear features"
-        ) from None
+    overflow = RangeError("normal equations are not finite; rescale the features or the targets")
+    with np.errstate(all="ignore"):  # refused below instead of warned about
+        gram, moment = design.T @ design + penalty, design.T @ y
+        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+            raise overflow
+        try:
+            beta = np.linalg.solve(gram, moment)
+        except np.linalg.LinAlgError:
+            raise SingularSystem(
+                "normal equations are singular; add regularization or drop collinear features"
+            ) from None
+    if not np.isfinite(beta).all():
+        raise overflow
 
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(n_features)]
     if len(names) != n_features:
@@ -573,6 +586,9 @@ def ridge_cv(
         raise DegenerateInput("lambda grid is empty")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    # each row is held out once, so one that is not finite leaves no error finite
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DegenerateInput("no lambda gives a finite cross-validation error")
     n = X.shape[0]
     order = list(range(n))
     random.Random(seed).shuffle(order)
@@ -587,7 +603,8 @@ def ridge_cv(
             rest = order[:lo] + order[hi:]
             model = ridge_fit(X[rest], y[rest], lam)
             residual = model.predict(X[held]) - y[held]
-            squared += float(residual @ residual)
+            with np.errstate(over="ignore"):  # an error that is not finite is refused below
+                squared += float(residual @ residual)
         mse = squared / n
         if mse <= best_mse:
             best_mse = mse

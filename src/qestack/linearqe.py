@@ -51,10 +51,10 @@ from .corpus import (
     Stream,
     TaggedCorpus,
     _cut_interleaved,
-    _first_mismatch,
     _lengths,
     _read_table,
     _write_table,
+    check_lengths,
     stream_lengths,
 )
 from .ensemble import fold_bounds
@@ -795,10 +795,7 @@ def _compile_training(instances, golds, epochs, C) -> _Training:
     if not C > 0:
         raise RangeError("C must be positive")
     table, golds = InstanceTable.of(instances), Ragged.from_rows(golds, dtype=bool)
-    if len(table) != len(golds):
-        raise LengthMismatch("instances and gold labelings differ in count")
-    if not np.array_equal(golds.offsets, table.offsets):
-        raise LengthMismatch("gold labeling length must match its instance")
+    check_lengths(golds, np.diff(table.offsets), "gold labeling")
     compiled, pairs = _compile_slots(table)
     path = golds.values.view(np.uint8).tolist()
     paths = [path[lo:hi] for lo, hi in pairwise(golds.offsets.tolist())]
@@ -1006,15 +1003,6 @@ def _aligned_words(corpus: TaggedCorpus, stream: Stream) -> tuple[list[str], np.
     return words, np.bincount(key, minlength=int(key_lengths.sum()))
 
 
-def _check_stream(got: np.ndarray, want: np.ndarray, what: str):
-    """A LengthMismatch unless ``what``'s sentence lengths ``got`` are ``want``."""
-    if got.size != want.size:
-        raise LengthMismatch(f"{what} has {got.size} sentences, expected {want.size}")
-    i = _first_mismatch(got, want)
-    if i is not None:
-        raise LengthMismatch(f"entry {i + 1}: {what} has {got[i]} positions, expected {want[i]}")
-
-
 def build_instances(
     corpus: TaggedCorpus,
     stream: Stream,
@@ -1051,10 +1039,10 @@ def build_instances(
     for pred in predictions:
         probs = pred.stream(stream)
         if probs is not None:
-            _check_stream(np.diff(probs.offsets), lengths, f"system {pred.system_id!r}")
+            check_lengths(probs, lengths, f"system {pred.system_id!r} {stream.value} stream")
             stacked.append((pred.system_id, probs.values))
     for column in extra_columns:
-        _check_stream(_lengths(column), lengths, "extra column")
+        check_lengths(column, lengths, "extra column")
     extra = tuple(list(chain.from_iterable(column)) for column in extra_columns)
     return InstanceTable(tokens, _offsets(lengths), words, _offsets(counts), extra, tuple(stacked))
 

@@ -3,7 +3,7 @@ token and one character at a time. Kept as the oracle of the array core."""
 
 from qestack.corpus import Tag, _read_lines
 from qestack.doclevel import Annotation, Severity, Span
-from qestack.errors import ParseError, RangeError, SpanOutOfBounds
+from qestack.errors import LengthMismatch, ParseError, SpanOutOfBounds
 
 
 def reference_tokenize_with_offsets(sentence):
@@ -62,13 +62,15 @@ def reference_annotations_to_tags(doc, annotations):
 
 def reference_tags_to_annotations(doc, tags, default_severity=Severity.MAJOR):
     if len(tags) != len(doc.sentences):
-        raise RangeError("one tag row per sentence required")
+        raise LengthMismatch(f"tags has {len(tags)} rows, expected {len(doc.sentences)}")
+    for sent_idx, (sentence_tags, offsets) in enumerate(zip(tags, doc.token_offsets)):
+        if len(sentence_tags) != 2 * len(offsets) + 1:
+            message = f"tags: expected {2 * len(offsets) + 1} entries, got {len(sentence_tags)}"
+            raise LengthMismatch(f"entry {sent_idx + 1}: {message}")
     annotations = []
     for sent_idx, (sentence_tags, offsets) in enumerate(zip(tags, doc.token_offsets)):
         n = len(offsets)
         word_tags, gap_tags = sentence_tags[1::2], sentence_tags[0::2]
-        if len(word_tags) != n:
-            raise RangeError(f"sentence {sent_idx}: {len(word_tags)} word tags for {n} tokens")
         spans = []
         run_start = None
         for t in range(n + 1):

@@ -800,6 +800,41 @@ def test_a_sentence_score_that_is_not_finite_is_one_error_line(tmp_path, capsys,
     assert_one_error_line(code, err, f"{scores}:3: ", "not finite")
 
 
+def one_system_files(tmp_path, mt_path, prob, score):
+    """A one-system manifest whose every word probability is ``prob`` and
+    every sentence score ``score``."""
+    lines = text_lines(mt_path)
+    write(tmp_path / "one.probs", "".join(" ".join([repr(prob)] * len(line.split())) + "\n" for line in lines))
+    write(tmp_path / "one.scores", f"{score!r}\n" * len(lines))
+    return write(tmp_path / "one.tsv", "sys0\twords=one.probs\tsentences=one.scores\n")
+
+
+def test_sentence_scores_whose_normal_equations_overflow_are_one_error_line(tmp_path, capsys, rng):
+    # once, the fit warned of an overflow in matmul and wrote a model with a -0.0 coefficient
+    paths = label_files(tmp_path, capsys, rng, n=20)
+    manifest = one_system_files(tmp_path, paths["mt"], 0.5, 1e300)
+    model = tmp_path / "sent.model"
+    code, _, err = run(
+        capsys, "ensemble-sent", "fit",
+        "--manifest", manifest, "--mt", paths["mt"], "--gold-scores", paths["hter"], "--out", model,
+    )
+    assert_one_error_line(code, err, "normal equations are not finite")
+    assert not model.exists()
+
+
+def test_a_sentence_prediction_that_is_not_finite_is_one_error_line(tmp_path, capsys, rng):
+    # once, every such prediction was clipped and written as 1.0 with exit 0
+    paths = label_files(tmp_path, capsys, rng, n=6)
+    manifest = one_system_files(tmp_path, paths["mt"], 1.0, 1.0)
+    model = write(
+        tmp_path / "sent.model", "intercept\t0.0\nlambda\t1.0\ncoef:sys0:score\t1e308\ncoef:sys0:words_mean\t1e308\n"
+    )
+    out = tmp_path / "sent.scores"
+    code, _, err = run(capsys, "ensemble-sent", "apply", "--manifest", manifest, "--mt", paths["mt"], "--model", model, "--out", out)
+    assert_one_error_line(code, err, f"{out}:1: score inf is not finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("reader", ["evaluate gold", "evaluate pred", "doc features", "doc fit", "doc apply", "doc eval"])
 def test_a_score_or_doc_table_value_that_is_not_finite_is_one_error_line(tmp_path, capsys, rng, reader, value):

@@ -514,16 +514,23 @@ def test_prediction_set_turns_rows_into_ragged_streams_once():
 
 def test_check_lengths_on_a_ragged_stream_reports_the_first_wrong_line(tmp_path):
     rows = [[0.1, 0.2], [0.3], [0.4]]
-    check_lengths(Ragged.from_rows(rows), [2, 1, 1], "p.probs", "word stream")
-    for lengths in ([2, 2, 1], [1, 2, 1], [2, 1, 2], [1, 1, 1]):
-        with pytest.raises(LengthMismatch) as want:
-            check_lengths(rows, lengths, "p.probs", "word stream")
-        for given in (lengths, np.array(lengths)):
-            with pytest.raises(LengthMismatch) as got:
-                check_lengths(Ragged.from_rows(rows), given, "p.probs", "word stream")
-            assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
-    with pytest.raises(LengthMismatch, match="has 3 lines, expected 2"):
-        check_lengths(Ragged.from_rows(rows), [2, 1], "p.probs", "word stream")
+    check_lengths(Ragged.from_rows(rows), [2, 1, 1], "word stream", file="p.probs")
+    check_lengths(rows, 3, "word stream")  # an int fixes only the number of rows
+    for lengths, line, want, got in (([2, 2, 1], 2, 2, 1), ([1, 2, 1], 1, 1, 2), ([2, 1, 2], 3, 2, 1), ([1, 1, 1], 1, 1, 2)):
+        message = f"word stream: expected {want} entries, got {got}"
+        for given_rows in (rows, Ragged.from_rows(rows)):
+            for given in (lengths, np.array(lengths)):
+                with pytest.raises(LengthMismatch) as caught:
+                    check_lengths(given_rows, given, "word stream", file="p.probs")
+                assert (str(caught.value), caught.value.line) == (f"p.probs:{line}: {message}", line)
+                with pytest.raises(LengthMismatch) as caught:
+                    check_lengths(given_rows, given, "word stream")
+                assert (str(caught.value), caught.value.file) == (f"entry {line}: {message}", None)
+    for want in ([2, 1], 2):
+        with pytest.raises(LengthMismatch, match="^p.probs: word stream has 3 lines, expected 2$"):
+            check_lengths(Ragged.from_rows(rows), want, "word stream", file="p.probs")
+        with pytest.raises(LengthMismatch, match="^word stream has 3 rows, expected 2$"):
+            check_lengths(rows, want, "word stream")
 
 
 def reference_read_prob_lines(path) -> list[list[float]]:
@@ -961,10 +968,10 @@ def test_a_none_row_is_an_error_naming_its_entry(name):
 @pytest.mark.parametrize(
     "name, row, message",
     [
-        ("tags", interleave((OK, BAD, OK), (OK,) * 4), "entry 2: 7 target tags, expected 5"),
-        ("tags", interleave((OK,), (OK, BAD)), "entry 2: 3 target tags, expected 5"),
-        ("source_tags", (OK, BAD), "entry 2: 2 source tags, expected 3"),
-        ("source_tags", (OK,) * 4, "entry 2: 4 source tags, expected 3"),
+        ("tags", interleave((OK, BAD, OK), (OK,) * 4), "entry 2: target tags: expected 5 entries, got 7"),
+        ("tags", interleave((OK,), (OK, BAD)), "entry 2: target tags: expected 5 entries, got 3"),
+        ("source_tags", (OK, BAD), "entry 2: source tags: expected 3 entries, got 2"),
+        ("source_tags", (OK,) * 4, "entry 2: source tags: expected 3 entries, got 4"),
     ],
 )
 def test_tags_of_another_length_than_their_sentence_are_an_error_naming_the_entry(name, row, message):

@@ -21,7 +21,7 @@ from qestack.doclevel import (
     tokenize_with_offsets,
     write_annotations,
 )
-from qestack.errors import ParseError, SpanOutOfBounds
+from qestack.errors import LengthMismatch, ParseError, SpanOutOfBounds
 
 from conftest import interleave, random_token
 
@@ -132,6 +132,19 @@ def test_bad_gap_becomes_a_border_annotation():
     assert [a.spans for a in annotations] == [(Span(0, 2, 3),)]
 
 
+def test_a_tag_row_of_another_length_than_its_sentence_is_an_error_naming_the_entry():
+    # once, a 2N-entry row was read as N words and shifted every later span:
+    # this one gave Span(1, 2, 3), the space, for the BAD "gh"
+    doc = Document.from_sentences(["ab cd", "ef gh"])
+    rows = [[OK, BAD, OK, OK], [OK, OK, OK, BAD, OK]]
+    with pytest.raises(LengthMismatch, match="^entry 1: tags: expected 5 entries, got 4$"):
+        tags_to_annotations(doc, rows)
+    with pytest.raises(LengthMismatch, match="^tags has 1 rows, expected 2$"):
+        tags_to_annotations(doc, rows[1:])
+    rows[0].append(OK)
+    assert [a.spans for a in tags_to_annotations(doc, rows)] == [(Span(0, 0, 2),), (Span(1, 3, 5),)]
+
+
 def test_multi_span_input_round_trips_into_two_annotations():
     doc = Document.from_sentences(["les bandes sont parfaits ici"])
     original = [ann(MINOR, (0, 4, 10), (0, 16, 24))]
@@ -226,6 +239,14 @@ def test_feature_vector_examples():
     assert feats[1] == pytest.approx(0.2)
     assert feats[2] == 0.0
     assert feats[3] == pytest.approx(2 / 21)
+
+
+def test_features_of_a_tag_row_of_even_length_are_an_error_naming_the_entry():
+    # once, [[BAD, BAD]] gave [1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(LengthMismatch, match="^entry 1: tags: expected 3 entries, got 2$"):
+        doc_mqm_features([[BAD, BAD]], [1.0])
+    with pytest.raises(LengthMismatch, match="^entry 2: tags: expected 1 entries, got 0$"):
+        doc_mqm_features([[OK, BAD, OK], []], [1.0, 2.0])
 
 
 def test_doc_regression_fits_exact_linear_data():

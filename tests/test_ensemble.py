@@ -635,10 +635,50 @@ def test_kfold_rejects_a_gold_row_of_another_length():
     # same token total, but one token moved from sentence 3 to sentence 4
     gold = [row[:] for row in gold]
     gold[4].append(gold[3].pop())
-    with pytest.raises(LengthMismatch, match="sys0"):
+    want = len(preds[0].word_probs[3])
+    with pytest.raises(LengthMismatch, match=f"^entry 4: gold: expected {want} entries, got {want - 1}$"):
         kfold_estimate(preds, gold, 3, Stream.WORDS)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="^gold has 11 rows, expected 12$"):
         kfold_estimate(preds, gold[:-1], 3, Stream.WORDS)
+
+
+def test_systems_of_another_length_are_an_error_naming_the_system():
+    # once, the three entry points raised numpy's bare ValueError from np.vstack
+    preds, gold = complementary_systems(random.Random(36), n_sentences=6)
+    rows = preds[1].word_probs.rows()
+    n = len(rows[2])
+    longer, shorter = system("longer", rows[:2] + [rows[2] + [0.5]] + rows[3:]), system("shorter", rows[:-1])
+    for odd, message in (
+        (longer, f"^entry 3: system 'longer' words stream: expected {n} entries, got {n + 1}$"),
+        (shorter, "^system 'shorter' words stream has 5 rows, expected 6$"),
+    ):
+        systems = [preds[0], odd]
+        for call in (
+            lambda: fit_word_ensemble(systems, gold, Stream.WORDS),
+            lambda: combine_word(systems, WeightVector((0.5, 0.5), Stream.WORDS)),
+            lambda: kfold_estimate(systems, gold, 2, Stream.WORDS),
+        ):
+            with pytest.raises(LengthMismatch, match=message):
+                call()
+
+
+def test_a_stream_or_scores_of_another_sentence_count_is_an_error_naming_the_system():
+    # once, sentence_features raised numpy's bare ValueError from np.column_stack
+    rows = [[0.1, 0.2], [0.3]]
+    with pytest.raises(LengthMismatch, match="^system 'a' sentence_scores has 1 rows, expected 2$"):
+        sentence_features([system("a", rows, sentence_scores=(0.5,))])
+    with pytest.raises(LengthMismatch, match="^system 'a' gap_probs has 3 rows, expected 2$"):
+        sentence_features([system("a", rows, gap_probs=[[0.1, 0.2, 0.3], [0.4, 0.5], [0.6]])])
+    with pytest.raises(LengthMismatch, match="^system 'b' word_probs has 1 rows, expected 2$"):
+        sentence_features([system("a", rows), system("b", rows[:1])])
+
+
+def test_normal_equations_that_overflow_are_a_range_error():
+    # once, numpy warned of an overflow in matmul and a model came back
+    X = [[1e300], [2e300], [3e300]]
+    for fit in (lambda: ridge_fit(X, [0.1, 0.2, 0.3], 0.0), lambda: ridge_cv(X * 2, [0.1, 0.2, 0.3] * 2, [1.0], k=2)):
+        with pytest.raises(RangeError, match="^normal equations are not finite"):
+            fit()
 
 
 # --- misuse -------------------------------------------------------------------

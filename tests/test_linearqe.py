@@ -1152,6 +1152,24 @@ def test_stacked_streams_and_extra_columns_must_match_the_corpus(rows):
     assert (len(table), table.extra, table.stacked[0][1].tolist()) == (2, (["X", "Y"] * 2,), [0.1, 0.2] * 2)
 
 
+def test_rows_of_another_length_are_an_error_naming_the_entry():
+    corpus = TaggedCorpus.from_rows(**tiny_columns(2))
+    cases = [
+        (lambda: build_instances(corpus, Stream.WORDS, predictions=[PredictionSet("s1", [[0.1, 0.2], [0.3]])]),
+         "entry 2: system 's1' words stream: expected 2 entries, got 1"),
+        (lambda: build_instances(corpus, Stream.GAPS, predictions=[PredictionSet("s1", [[0.1]], gap_probs=[[0.1]])]),
+         "system 's1' gaps stream has 1 rows, expected 2"),
+        (lambda: build_instances(corpus, Stream.WORDS, extra_columns=[[("X", "Y"), ("X",)]]),
+         "entry 2: extra column: expected 2 entries, got 1"),
+        (lambda: mira_train([make_instance(["a", "b"])] * 2, [[OK, BAD]]), "gold labeling has 1 rows, expected 2"),
+        (lambda: mira_train([make_instance(["a", "b"])], [[OK]]), "entry 1: gold labeling: expected 2 entries, got 1"),
+    ]
+    for call, message in cases:
+        with pytest.raises(LengthMismatch) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 # --- misuse ---------------------------------------------------------------------
 
 
