@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, corpus, doclevel, ensemble, labeler, linearqe, metrics
 from .config import load_config_file, resolve_config, write_snapshot
 from .corpus import Stream
-from .errors import QEStackError
+from .errors import QEStackError, SpanOutOfBounds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,14 +312,40 @@ def _doc_tag_rows(tags_dir, doc_id, doc):
     return tags
 
 
+def _doc_annotations(path, docs):
+    """``path``'s annotations of each document in ``docs``, an empty table for
+    a document the file does not list; documents the file lists and ``docs``
+    does not are ignored. A span outside its document is an error naming the
+    file, the span's line and the document."""
+    annotations = doclevel.read_annotations(path)
+    empty = doclevel.AnnotationTable.from_rows((), ())
+    tables = {doc_id: annotations.get(doc_id, empty) for doc_id in docs}
+    for doc_id, doc in docs.items():
+        table = tables[doc_id]
+        bad = doclevel.first_outside_span(doc, table)
+        if bad is None:
+            continue
+        s, a, b = table.spans[bad].tolist()
+        if s >= len(doc):
+            message = f"document {doc_id}: span sentence {s} outside its {len(doc)} sentences"
+        else:
+            message = f"document {doc_id}: span {a}-{b} outside sentence {s} of length {len(doc.sentences[s])}"
+        # the span's annotation is the document's k-th line in the file
+        k = int(np.searchsorted(table.offsets, bad, "right")) - 1
+        with open(path, encoding="utf-8") as handle:
+            lines = [i for i, line in enumerate(handle.read().splitlines(), 1) if line.split("\t")[0] == doc_id]
+        raise SpanOutOfBounds(message, file=str(path), line=lines[k])
+    return tables
+
+
 def _cmd_doc_tags(args):
     values = _doc_values(args)
     docs = doclevel.read_document_manifest(args.docs)
-    annotations = doclevel.read_annotations(args.annotations)
+    annotations = _doc_annotations(args.annotations, docs)
+    tags = {doc_id: doclevel.annotations_to_tags(doc, annotations[doc_id]) for doc_id, doc in docs.items()}
     os.makedirs(args.out_dir, exist_ok=True)
-    for doc_id, doc in docs.items():
-        tags = doclevel.annotations_to_tags(doc, annotations.get(doc_id, []))
-        corpus.write_tags(tags, os.path.join(args.out_dir, f"{doc_id}.tags"))
+    for doc_id, rows in tags.items():
+        corpus.write_tags(rows, os.path.join(args.out_dir, f"{doc_id}.tags"))
     _snapshot(os.path.join(args.out_dir, "run.cfg"), "doc tags", values)
     return 0
 
@@ -340,11 +366,11 @@ def _cmd_doc_spans(args):
 def _cmd_doc_mqm(args):
     values = _doc_values(args)
     docs = doclevel.read_document_manifest(args.docs)
-    annotations = doclevel.read_annotations(args.annotations)
+    annotations = _doc_annotations(args.annotations, docs)
     weights = _severity_weights(values)
     table = {}
     for doc_id, doc in docs.items():
-        counts = doclevel.annotation_stats(annotations.get(doc_id, [])).severity_counts
+        counts = doclevel.annotation_stats(annotations[doc_id]).severity_counts
         table[doc_id] = [doclevel.mqm_closed_form(counts, doc.n_words(), weights, floor=values["floor"])]
     doclevel.write_doc_table(table, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc mqm", values)
@@ -397,14 +423,9 @@ def _cmd_doc_eval(args):
     pairs = []
     if args.gold_annotations and args.pred_annotations:
         docs = doclevel.read_document_manifest(args.docs)
-        gold = doclevel.read_annotations(args.gold_annotations)
-        pred = doclevel.read_annotations(args.pred_annotations)
-        doc_ids = list(docs)
-        score = doclevel.annotation_f1(
-            [gold.get(d, []) for d in doc_ids],
-            [pred.get(d, []) for d in doc_ids],
-            [docs[d] for d in doc_ids],
-        )
+        gold = _doc_annotations(args.gold_annotations, docs)
+        pred = _doc_annotations(args.pred_annotations, docs)
+        score = doclevel.annotation_f1(list(gold.values()), list(pred.values()), list(docs.values()))
         pairs.append(("f1_ann", f"{score:.6f}"))
     if args.gold_mqm and args.pred_mqm:
         gold = doclevel.read_doc_table(args.gold_mqm, n_columns=1)

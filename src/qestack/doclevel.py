@@ -31,8 +31,6 @@ from .metrics import _class_f1_array
 
 __all__ = [
     "Severity",
-    "Span",
-    "Annotation",
     "Document",
     "AnnotationTable",
     "AnnotationStats",
@@ -45,6 +43,7 @@ __all__ = [
     "predict_doc_mqm",
     "annotation_f1",
     "annotation_stats",
+    "first_outside_span",
     "read_annotations",
     "write_annotations",
     "read_document_manifest",
@@ -80,44 +79,6 @@ DEFAULT_SEVERITY_WEIGHTS: dict[Severity, float] = {
 # the document regression's features, in the order of doc_mqm_features; a
 # document model holds one coefficient for each, under these names
 DOC_FEATURES = ("mean_sentence_mqm", "bad_word_frac", "bad_gap_frac", "bad_all_frac")
-
-
-@dataclass(frozen=True, order=True)
-class Span:
-    """A contiguous character block: 0-based, end-exclusive offsets within one
-    sentence. ``start == end`` is allowed only for gap-anchored spans."""
-
-    sent_idx: int
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.sent_idx < 0 or self.start < 0 or self.end < self.start:
-            raise SpanOutOfBounds(f"malformed span {self.sent_idx}:{self.start}-{self.end}")
-
-
-@dataclass(frozen=True)
-class Annotation:
-    severity: Severity
-    spans: tuple[Span, ...]
-
-    def __post_init__(self):
-        if not self.spans:
-            raise InvalidInput("annotation needs at least one span")
-        ordered = sorted(self.spans)
-        if list(ordered) != list(self.spans):
-            object.__setattr__(self, "spans", tuple(ordered))
-        for left, right in zip(self.spans, self.spans[1:]):
-            if left.sent_idx == right.sent_idx and right.start < left.end:
-                raise InvalidInput("spans within one annotation may not overlap")
-
-    @property
-    def multi_span(self) -> bool:
-        return len(self.spans) > 1
-
-    @property
-    def cross_sentence(self) -> bool:
-        return len({s.sent_idx for s in self.spans}) > 1
 
 
 def tokenize_with_offsets(sentence: str) -> list[tuple[int, int]]:
@@ -186,10 +147,15 @@ class Document:
         )
 
 
+def _overlap(spans) -> bool:
+    """Whether two of one annotation's sorted ``(sentence, start, end)``
+    spans overlap."""
+    return any(a[0] == b[0] and b[1] < a[2] for a, b in zip(spans, spans[1:]))
+
+
 @dataclass(frozen=True, eq=False)
-class AnnotationTable(Sequence):
-    """One document's annotations as flat int arrays. It reads as, and
-    equals, the list of :class:`Annotation` it holds."""
+class AnnotationTable:
+    """One document's annotations as flat int arrays."""
 
     severity: np.ndarray  # int8 index into Severity, one per annotation
     offsets: np.ndarray  # int64: annotation a holds spans[offsets[a]:offsets[a + 1]]
@@ -199,54 +165,58 @@ class AnnotationTable(Sequence):
         _freeze_arrays(self)
 
     @classmethod
-    def of(cls, annotations) -> "AnnotationTable":
-        """A table as it is; Annotation objects converted once."""
-        if isinstance(annotations, AnnotationTable):
-            return annotations
-        annotations = list(annotations)
-        counts = np.fromiter((len(a.spans) for a in annotations), np.int64, len(annotations))
-        spans = [(s.sent_idx, s.start, s.end) for a in annotations for s in a.spans]
+    def from_rows(cls, severities, span_rows) -> "AnnotationTable":
+        """One :class:`Severity` and one list of ``(sentence, start, end)``
+        spans per annotation; each annotation's spans are sorted. An
+        annotation without spans or with overlapping spans is an
+        InvalidInput, a negative value or an end before its start a
+        SpanOutOfBounds; either names the annotation, 1-based."""
+        severities, span_rows = list(severities), [sorted(map(tuple, row)) for row in span_rows]
+        check_lengths(span_rows, len(severities), "span rows")
+        for i, spans in enumerate(span_rows, 1):
+            if not spans:
+                raise InvalidInput(f"annotation {i}: needs at least one span")
+            for s, a, b in spans:
+                if min(s, a, b) < 0 or b < a:
+                    raise SpanOutOfBounds(f"annotation {i}: malformed span {s}:{a}-{b}")
+            if _overlap(spans):
+                raise InvalidInput(f"annotation {i}: spans within one annotation may not overlap")
+        counts = np.fromiter(map(len, span_rows), np.int64, len(span_rows))
         return cls(
-            np.fromiter((_SEVERITIES.index(a.severity) for a in annotations), np.int8, len(annotations)),
+            np.fromiter(map(_SEVERITIES.index, severities), np.int8, len(severities)),
             np.concatenate(([0], np.cumsum(counts))),
-            np.array(spans, dtype=np.int64).reshape(-1, 3),
+            np.array([span for spans in span_rows for span in spans], np.int64).reshape(-1, 3),
         )
 
     def __len__(self) -> int:
         return self.severity.size
 
-    def __getitem__(self, index):
-        return self._annotations[index]
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    @cached_property
-    def _annotations(self) -> list[Annotation]:
-        spans = [Span(*row) for row in self.spans.tolist()]
-        bounds = self.offsets.tolist()
-        return [
-            Annotation(_SEVERITIES[code], tuple(spans[lo:hi]))
-            for code, lo, hi in zip(self.severity.tolist(), bounds, bounds[1:])
-        ]
+def first_outside_span(doc: Document, table: AnnotationTable) -> int | None:
+    """The row of the first span, in table order, that lies outside the
+    document: past its last sentence, or ending past its sentence's end."""
+    sent, end = table.spans[:, 0], table.spans[:, 2]
+    first = doc.borders[doc.offsets[:-1]]
+    lengths = np.append(doc.borders[doc.offsets[1:] - 1] - first, -1)  # -1 past the last sentence
+    outside = np.flatnonzero(end > lengths[np.minimum(sent, len(doc.sentences))])
+    return int(outside[0]) if outside.size else None
 
 
 def _place(doc: Document, table: AnnotationTable) -> tuple[np.ndarray, np.ndarray]:
     """The document-global start and end of every span; the first span, in
     table order, that lies outside the document raises."""
-    sent, start, end = table.spans.T
-    first = doc.borders[doc.offsets[:-1]]
-    lengths = np.append(doc.borders[doc.offsets[1:] - 1] - first, -1)  # -1 past the last sentence
-    outside = np.flatnonzero(end > lengths[np.minimum(sent, len(doc.sentences))])
-    if outside.size:
-        s, a, b = table.spans[outside[0]].tolist()
+    bad = first_outside_span(doc, table)
+    if bad is not None:
+        s, a, b = table.spans[bad].tolist()
         if s >= len(doc.sentences):
             raise SpanOutOfBounds(f"span sentence {s} outside document")
-        raise SpanOutOfBounds(f"span {a}-{b} outside sentence of length {lengths[s]}")
+        raise SpanOutOfBounds(f"span {a}-{b} outside sentence of length {len(doc.sentences[s])}")
+    sent, start, end = table.spans.T
+    first = doc.borders[doc.offsets[:-1]]
     return first[sent] + start, first[sent] + end
 
 
-def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> Ragged:
+def annotations_to_tags(doc: Document, table: AnnotationTable) -> Ragged:
     """Project spans onto token and gap tags: one row of interleaved BAD
     indicators (2N+1, gap 0 first) per sentence.
 
@@ -255,7 +225,7 @@ def annotations_to_tags(doc: Document, annotations: Sequence[Annotation]) -> Rag
     token i-1 and the start of token i, with the sentence start and end
     standing in at the first and last gap.
     """
-    starts, ends = _place(doc, AnnotationTable.of(annotations))
+    starts, ends = _place(doc, table)
     borders = doc.borders
     bad = np.zeros(max(borders.size - 1, 0), bool)  # per interval between consecutive borders
     # the odd intervals are the tokens, and the separators between sentences, which no span reaches;
@@ -366,11 +336,11 @@ def predict_doc_mqm(model: RidgeModel, features) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _units(doc: Document, annotations) -> np.ndarray:
+def _units(doc: Document, table: AnnotationTable) -> np.ndarray:
     """One flag per unit that spans can cover: each character of the
     document, by its document-global offset, then each offset again as the
     border unit that a zero-width span covers."""
-    starts, ends = _place(doc, AnnotationTable.of(annotations))
+    starts, ends = _place(doc, table)
     size = int(doc.borders[-1]) if doc.borders.size else 0
     wide = ends > starts
     depth = np.bincount(starts[wide], minlength=size + 1) - np.bincount(ends[wide], minlength=size + 1)
@@ -381,8 +351,8 @@ def _units(doc: Document, annotations) -> np.ndarray:
 
 
 def annotation_f1(
-    gold: Sequence[Sequence[Annotation]],
-    pred: Sequence[Sequence[Annotation]],
+    gold: Sequence[AnnotationTable],
+    pred: Sequence[AnnotationTable],
     docs: Sequence[Document],
 ) -> float:
     """Micro-averaged character-level F1 of the BAD class over a corpus of
@@ -411,8 +381,7 @@ class AnnotationStats:
         return {s: 100.0 * self.severity_counts.get(s, 0) / self.total for s in Severity}
 
 
-def annotation_stats(annotations: Sequence[Annotation]) -> AnnotationStats:
-    table = AnnotationTable.of(annotations)
+def annotation_stats(table: AnnotationTable) -> AnnotationStats:
     first, last = table.offsets[:-1], table.offsets[1:] - 1
     return AnnotationStats(
         total=len(table),
@@ -427,20 +396,17 @@ def annotation_stats(annotations: Sequence[Annotation]) -> AnnotationStats:
 # ---------------------------------------------------------------------------
 
 
-def _format_table(doc_id: str, table: AnnotationTable) -> list[str]:
-    spans = list(map("{}:{}-{}".format, *table.spans.T.tolist()))
-    bounds = table.offsets.tolist()
-    names = list(_CODES)
-    return [
-        f"{doc_id}\t{names[code]}\t{','.join(spans[lo:hi])}"
-        for code, lo, hi in zip(table.severity.tolist(), bounds, bounds[1:])
-    ]
-
-
-def write_annotations(by_doc: Mapping[str, Sequence[Annotation]], path):
+def write_annotations(by_doc: Mapping[str, AnnotationTable], path):
     """One annotation per line: ``doc_id<TAB>severity<TAB>sent:start-end[,...]``."""
-    tables = ((doc_id, AnnotationTable.of(anns)) for doc_id, anns in by_doc.items())
-    _write_lines(path, (line for doc_id, table in tables for line in _format_table(doc_id, table)))
+    lines = []
+    for doc_id, table in by_doc.items():
+        spans = list(map("{}:{}-{}".format, *table.spans.T.tolist()))
+        bounds = table.offsets.tolist()
+        lines += (
+            f"{doc_id}\t{_SEVERITIES[code].value}\t{','.join(spans[lo:hi])}"
+            for code, lo, hi in zip(table.severity.tolist(), bounds, bounds[1:])
+        )
+    _write_lines(path, lines)
 
 
 _NUMBER = "[0-9]{1,18}"
@@ -459,20 +425,21 @@ def _parse_annotation_line(line: str, path, i: int) -> str:
     severity = Severity.parse(severity_text, file=str(path), line=i)
     spans = []
     for part in span_text.split(","):
+        sent, _, rest = part.partition(":")
+        start, _, end = rest.partition("-")
         try:
-            sent, _, rest = part.partition(":")
-            start, _, end = rest.partition("-")
-            values = (int(sent), int(start), int(end))
-            if max(values) >= 10**18:  # beyond the written form's 18 digits
-                raise ValueError(part)
-            spans.append(Span(*values))
-        except (ValueError, SpanOutOfBounds):
-            raise ParseError(f"malformed span {part!r}", file=str(path), line=i) from None
-    try:
-        annotation = Annotation(severity=severity, spans=tuple(spans))
-        return _format_table(doc_id, AnnotationTable.of([annotation]))[0]
-    except ValueError as exc:
-        raise ParseError(str(exc), file=str(path), line=i) from None
+            span = (int(sent), int(start), int(end))
+            # not negative, not reversed, and within the written form's 18 digits
+            valid = 0 <= min(span) and max(span) < 10**18 and span[1] <= span[2]
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ParseError(f"malformed span {part!r}", file=str(path), line=i)
+        spans.append(span)
+    spans.sort()
+    if _overlap(spans):
+        raise ParseError("spans within one annotation may not overlap", file=str(path), line=i)
+    return f"{doc_id}\t{severity.value}\t{','.join('{}:{}-{}'.format(*span) for span in spans)}"
 
 
 def read_annotations(path) -> dict[str, AnnotationTable]:

@@ -66,8 +66,8 @@ class InvalidInput(QEStackError, ValueError):
     row for a file format that forbids empty lines."""
 
 
-class SpanOutOfBounds(QEStackError):
-    """An annotation span points outside its sentence."""
+class SpanOutOfBounds(LocatedError):
+    """An annotation span is malformed or points outside its sentence."""
 
 
 def _located(message, file, line):

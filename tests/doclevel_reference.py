@@ -1,9 +1,23 @@
 """The document layer as it was before it ran on flat arrays: one span, one
-token and one character at a time. Kept as the oracle of the array core."""
+token and one character at a time. Kept as the oracle of the array core.
+
+An annotation here is a ``(severity, spans)`` pair, its spans a sorted tuple
+of ``(sentence, start, end)`` tuples; ``annotation_rows`` gives a table in
+this form."""
 
 from qestack.corpus import Tag, _read_lines
-from qestack.doclevel import Annotation, Severity, Span
+from qestack.doclevel import Severity
 from qestack.errors import LengthMismatch, ParseError, SpanOutOfBounds
+
+
+def annotation_rows(table):
+    """An AnnotationTable as a list of ``(severity, spans)`` pairs."""
+    spans = list(map(tuple, table.spans.tolist()))
+    bounds = table.offsets.tolist()
+    return [
+        (list(Severity)[code], tuple(spans[lo:hi]))
+        for code, lo, hi in zip(table.severity.tolist(), bounds, bounds[1:])
+    ]
 
 
 def reference_tokenize_with_offsets(sentence):
@@ -22,21 +36,22 @@ def reference_tokenize_with_offsets(sentence):
 
 
 def _check_span(doc, span):
-    if span.sent_idx >= len(doc.sentences):
-        raise SpanOutOfBounds(f"span sentence {span.sent_idx} outside document")
-    if span.end > len(doc.sentences[span.sent_idx]):
+    sent_idx, start, end = span
+    if sent_idx >= len(doc.sentences):
+        raise SpanOutOfBounds(f"span sentence {sent_idx} outside document")
+    if end > len(doc.sentences[sent_idx]):
         raise SpanOutOfBounds(
-            f"span {span.start}-{span.end} outside sentence of length "
-            f"{len(doc.sentences[span.sent_idx])}"
+            f"span {start}-{end} outside sentence of length "
+            f"{len(doc.sentences[sent_idx])}"
         )
 
 
 def reference_annotations_to_tags(doc, annotations):
     spans_by_sentence = {}
-    for ann in annotations:
-        for span in ann.spans:
+    for _, spans in annotations:
+        for span in spans:
             _check_span(doc, span)
-            spans_by_sentence.setdefault(span.sent_idx, []).append(span)
+            spans_by_sentence.setdefault(span[0], []).append(span)
 
     result = []
     for sent_idx, offsets in enumerate(doc.token_offsets):
@@ -45,14 +60,14 @@ def reference_annotations_to_tags(doc, annotations):
         word_tags = [Tag.OK] * n
         gap_tags = [Tag.OK] * (n + 1)
         borders = [0] + [off for pair in offsets for off in pair] + [len(doc.sentences[sent_idx])]
-        for span in spans:
+        for _, start, end in spans:
             for t, (tok_start, tok_end) in enumerate(offsets):
-                if span.start < tok_end and tok_start < span.end:
+                if start < tok_end and tok_start < end:
                     word_tags[t] = Tag.BAD
             for gap in range(n + 1):
                 gap_start = borders[2 * gap]
                 gap_end = borders[2 * gap + 1]
-                if span.start == gap_start and span.end == gap_end:
+                if start == gap_start and end == gap_end:
                     gap_tags[gap] = Tag.BAD
         row = [None] * (2 * n + 1)
         row[0::2], row[1::2] = gap_tags, word_tags
@@ -78,26 +93,27 @@ def reference_tags_to_annotations(doc, tags, default_severity=Severity.MAJOR):
             if bad and run_start is None:
                 run_start = t
             elif not bad and run_start is not None:
-                spans.append(Span(sent_idx, offsets[run_start][0], offsets[t - 1][1]))
+                spans.append((sent_idx, offsets[run_start][0], offsets[t - 1][1]))
                 run_start = None
         borders = [0] + [off for pair in offsets for off in pair] + [len(doc.sentences[sent_idx])]
         for gap, tag in enumerate(gap_tags):
             if bool(tag):
-                spans.append(Span(sent_idx, borders[2 * gap], borders[2 * gap + 1]))
+                spans.append((sent_idx, borders[2 * gap], borders[2 * gap + 1]))
         for span in sorted(spans):
-            annotations.append(Annotation(severity=default_severity, spans=(span,)))
+            annotations.append((default_severity, (span,)))
     return annotations
 
 
 def _covered_units(doc, annotations):
     units = set()
-    for ann in annotations:
-        for span in ann.spans:
+    for _, spans in annotations:
+        for span in spans:
             _check_span(doc, span)
-            if span.start == span.end:
-                units.add((span.sent_idx, "border", span.start))
+            sent_idx, start, end = span
+            if start == end:
+                units.add((sent_idx, "border", start))
             else:
-                units.update((span.sent_idx, "char", c) for c in range(span.start, span.end))
+                units.update((sent_idx, "char", c) for c in range(start, end))
     return units
 
 
@@ -131,11 +147,15 @@ def reference_read_annotations(path):
             try:
                 sent, _, rest = part.partition(":")
                 start, _, end = rest.partition("-")
-                spans.append(Span(int(sent), int(start), int(end)))
-            except (ValueError, SpanOutOfBounds):
+                span = (int(sent), int(start), int(end))
+            except ValueError:
                 raise ParseError(f"malformed span {part!r}", file=str(path), line=i) from None
-        try:
-            by_doc.setdefault(doc_id, []).append(Annotation(severity=severity, spans=tuple(spans)))
-        except ValueError as exc:
-            raise ParseError(str(exc), file=str(path), line=i) from None
+            if span[0] < 0 or span[1] < 0 or span[2] < span[1]:
+                raise ParseError(f"malformed span {part!r}", file=str(path), line=i)
+            spans.append(span)
+        spans.sort()
+        for left, right in zip(spans, spans[1:]):
+            if left[0] == right[0] and right[1] < left[2]:
+                raise ParseError("spans within one annotation may not overlap", file=str(path), line=i)
+        by_doc.setdefault(doc_id, []).append((severity, tuple(spans)))
     return by_doc

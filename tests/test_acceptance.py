@@ -18,10 +18,10 @@ import pytest
 from qestack.cli import main
 from qestack.corpus import PredictionSet, Stream, load_corpus
 from qestack.doclevel import (
-    Annotation,
+    AnnotationStats,
+    AnnotationTable,
     Document,
     Severity,
-    Span,
     annotation_stats,
     annotations_to_tags,
     mqm_closed_form,
@@ -39,6 +39,7 @@ from qestack.linearqe import mira_train, viterbi
 from qestack.metrics import f1_mult, mcc, pearson, threshold
 
 from conftest import complementary_systems, fold_specialist_systems, random_sentence, random_token
+from doclevel_reference import annotation_rows
 from test_doclevel import random_doc_with_clean_annotations
 from test_ensemble import ridge_oracle, simplex_grid_best
 from test_labeler import levenshtein
@@ -239,11 +240,11 @@ def test_criterion_08_document_round_trip(criterion):
         for _ in range(500):
             doc, annotations = random_doc_with_clean_annotations(rng)
             recovered = tags_to_annotations(doc, annotations_to_tags(doc, annotations))
-            assert [a.spans for a in recovered] == [a.spans for a in annotations]
-            assert all(a.severity is Severity.MAJOR for a in recovered)
+            # the same spans, annotation by annotation, each recovered one MAJOR
+            assert annotation_rows(recovered) == [(Severity.MAJOR, spans) for _, spans in annotation_rows(annotations)]
 
         doc = Document.from_sentences(["les bandes sont parfaits ici"])
-        multi = [Annotation(severity=Severity.MINOR, spans=(Span(0, 4, 10), Span(0, 16, 24)))]
+        multi = AnnotationTable.from_rows([Severity.MINOR], [[(0, 4, 10), (0, 16, 24)]])
         recovered = tags_to_annotations(doc, annotations_to_tags(doc, multi))
         assert len(recovered) == 2
 
@@ -288,7 +289,14 @@ def test_criterion_10_dataset_statistics(criterion):
         assert len(en_ru) == 15089
 
         by_doc = read_annotations(os.path.join(root, "annotations.tsv"))
-        stats = annotation_stats([a for anns in by_doc.values() for a in anns])
+        # the corpus's statistics are the sums of each document's
+        per_doc = [annotation_stats(table) for table in by_doc.values()]
+        stats = AnnotationStats(
+            total=sum(s.total for s in per_doc),
+            multi_span=sum(s.multi_span for s in per_doc),
+            cross_sentence=sum(s.cross_sentence for s in per_doc),
+            severity_counts={sev: sum(s.severity_counts[sev] for s in per_doc) for sev in Severity},
+        )
         assert stats.total == 36242
         assert stats.multi_span == 4170
         assert stats.cross_sentence == 149

@@ -1069,6 +1069,61 @@ def test_doc_mqm_features_fit_apply_eval(tmp_path, capsys, rng):
     assert out.startswith("mqm_pearson=")
 
 
+def span_files(tmp_path, annotations):
+    """A manifest of d1 (two sentences) and d2 (one of five characters), and
+    ``annotations`` as the annotation file."""
+    write(tmp_path / "d1.txt", "ab cd\nef gh ij\n")
+    write(tmp_path / "d2.txt", "x y z\n")
+    manifest = write(tmp_path / "docs.tsv", "d1\td1.txt\nd2\td2.txt\n")
+    return manifest, write(tmp_path / "gold.anns", annotations)
+
+
+# d3 is not in the manifest, so its span past its sentences is not checked
+_BAD_SPAN = "d1\tmajor\t0:0-2\nd3\tminor\t9:0-1\nd2\tmajor\t0:0-1\nd2\tminor\t0:2-3,0:4-999\n"
+
+
+def test_doc_tags_that_fails_writes_no_tags_and_no_config(tmp_path, capsys):
+    # once, d1.tags was written before d2's bad span was found
+    manifest, annotations = span_files(tmp_path, _BAD_SPAN)
+    out_dir = tmp_path / "tags"
+    out_dir.mkdir()
+    (out_dir / "d1.tags").write_bytes(b"stale tags\n")
+    (out_dir / "run.cfg").write_bytes(b"stale config\n")
+    code, _, err = run(capsys, "doc", "tags", "--docs", manifest, "--annotations", annotations, "--out-dir", out_dir)
+    assert_one_error_line(code, err)
+    assert sorted(p.name for p in out_dir.iterdir()) == ["d1.tags", "run.cfg"]
+    assert (out_dir / "d1.tags").read_bytes() == b"stale tags\n"
+    assert (out_dir / "run.cfg").read_bytes() == b"stale config\n"
+
+
+_SPAN_COMMANDS = {
+    "doc tags": "doc tags --docs {manifest} --annotations {anns} --out-dir {out}",
+    "doc mqm": "doc mqm --docs {manifest} --annotations {anns} --out {out}",
+    "doc eval --gold-annotations": "doc eval --docs {manifest} --gold-annotations {anns} --pred-annotations {good}",
+    "doc eval --pred-annotations": "doc eval --docs {manifest} --gold-annotations {good} --pred-annotations {anns}",
+}
+
+
+@pytest.mark.parametrize("annotations,message", [
+    (_BAD_SPAN, "4: document d2: span 4-999 outside sentence 0 of length 5"),
+    ("d2\tmajor\t0:0-1\nd1\tmajor\t0:0-1,5:0-1\n", "2: document d1: span sentence 5 outside its 2 sentences"),
+], ids=["past its sentence", "past its document"])
+@pytest.mark.parametrize("command", list(_SPAN_COMMANDS))
+def test_a_span_outside_its_document_is_an_error_naming_file_line_and_document(
+    tmp_path, capsys, command, annotations, message
+):
+    # once, doc tags and doc eval named no file, line or document, and doc mqm
+    # counted the span of a sentence that does not exist with exit 0
+    manifest, anns = span_files(tmp_path, annotations)
+    good = write(tmp_path / "good.anns", "d1\tmajor\t0:0-2\n")
+    out = tmp_path / "out"
+    argv = _SPAN_COMMANDS[command].format(manifest=manifest, anns=anns, good=good, out=out).split()
+    code, _, err = run(capsys, *argv)
+    assert_one_error_line(code, err)
+    assert err == f"error: {anns}:{message}\n"
+    assert not out.exists()
+
+
 # --- name<TAB>value tables ------------------------------------------------------------
 
 # a valid table of each kind, for the three sentences of table_files' MT and its two systems
@@ -1289,6 +1344,39 @@ def test_fuzzed_table_inputs_end_in_an_exit_code_and_at_most_one_error_line(tmp_
     kind = _TABLE_READERS[reader][0]
     table = write(tmp_path / "fuzzed.tsv", data.draw(_fuzzed(_TABLES[kind], "\t", _TABLE_TOKENS), label=kind))
     code, _, err = run(capsys, *table_command(reader, files, table, tmp_path / "out"))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], err
+    else:
+        assert err == ""
+
+
+# fields a fuzzed annotation or manifest line may gain: near-severities,
+# lenient and malformed spans, and document ids and paths
+_DOC_TOKENS = st.sampled_from(["MAJOR", "major", "0:+6-8", "0:5-2", "-1:0-1", "0:0-1,0:0-2", "", "1000000000000000000",
+                               "0:0-1000000000000000000", "1:3-5", "2:0-1", "d1", "d2", "d1.txt", "missing.txt"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["tags", "mqm", "eval"]))
+def test_fuzzed_annotation_and_manifest_inputs_end_in_an_exit_code_and_at_most_one_error_line(
+    tmp_path, capsys, data, command
+):
+    manifest, annotations = span_files(tmp_path, "d1\tmajor\t0:0-2,1:3-5\nd2\tminor\t0:1-2\nd1\tcritical\t1:2-3\n")
+    fuzzed = data.draw(st.sampled_from([("gold.anns",), ("docs.tsv",), ("docs.tsv", "gold.anns")]), label="fuzzed")
+    for name in fuzzed:
+        path = tmp_path / name
+        path.write_text(data.draw(_fuzzed(path.read_text(encoding="utf-8"), "\t", _DOC_TOKENS), label=name),
+                        encoding="utf-8")
+    inputs = ["--docs", manifest]
+    if command == "eval":
+        argv = ["doc", "eval", *inputs, "--gold-annotations", annotations, "--pred-annotations", annotations]
+    else:
+        out = ["--out-dir", tmp_path / "tags"] if command == "tags" else ["--out", tmp_path / "out.mqm"]
+        argv = ["doc", command, *inputs, "--annotations", annotations, *out]
+    code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code:

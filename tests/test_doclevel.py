@@ -3,11 +3,10 @@ import random
 import pytest
 
 from qestack.doclevel import (
-    Annotation,
     AnnotationStats,
+    AnnotationTable,
     Document,
     Severity,
-    Span,
     annotation_f1,
     annotation_stats,
     annotations_to_tags,
@@ -24,13 +23,23 @@ from qestack.doclevel import (
 from qestack.errors import LengthMismatch, ParseError, SpanOutOfBounds
 
 from conftest import interleave, random_token
+from doclevel_reference import annotation_rows
 
 OK, BAD = False, True
 MINOR, MAJOR, CRITICAL = Severity.MINOR, Severity.MAJOR, Severity.CRITICAL
 
 
 def ann(severity, *spans):
-    return Annotation(severity=severity, spans=tuple(Span(*s) for s in spans))
+    """A table of one annotation."""
+    return AnnotationTable.from_rows([severity], [spans])
+
+
+def anns(*annotations):
+    """A table of the ``(severity, spans)`` pairs given."""
+    return AnnotationTable.from_rows([a[0] for a in annotations], [a[1:] for a in annotations])
+
+
+NONE = anns()
 
 
 # --- tokenization -------------------------------------------------------------
@@ -57,20 +66,20 @@ def test_tokenize_with_offsets(text, expected):
 
 def test_span_covering_a_token_marks_it_bad():
     doc = Document.from_sentences(["aa bb cc dd"])
-    tags = annotations_to_tags(doc, [ann(MAJOR, (0, 6, 8))])
+    tags = annotations_to_tags(doc, ann(MAJOR, (0, 6, 8)))
     assert tuple(tags[0][1::2]) == (OK, OK, BAD, OK)
     assert set(tags[0][0::2]) == {OK}
 
 
 def test_partial_character_overlap_marks_the_whole_token():
     doc = Document.from_sentences(["aa bb cc"])
-    tags = annotations_to_tags(doc, [ann(MINOR, (0, 4, 5))])
+    tags = annotations_to_tags(doc, ann(MINOR, (0, 4, 5)))
     assert tuple(tags[0][1::2]) == (OK, BAD, OK)
 
 
 def test_span_matching_gap_borders_marks_the_gap_only():
     doc = Document.from_sentences(["ab cd"])
-    tags = annotations_to_tags(doc, [ann(MAJOR, (0, 2, 3))])
+    tags = annotations_to_tags(doc, ann(MAJOR, (0, 2, 3)))
     assert tuple(tags[0][1::2]) == (OK, OK)
     assert tuple(tags[0][0::2]) == (OK, BAD, OK)
 
@@ -78,16 +87,16 @@ def test_span_matching_gap_borders_marks_the_gap_only():
 def test_edge_gaps_use_sentence_borders():
     doc = Document.from_sentences([" ab cd "])
     # sentence start .. first token start
-    tags = annotations_to_tags(doc, [ann(MAJOR, (0, 0, 1))])
+    tags = annotations_to_tags(doc, ann(MAJOR, (0, 0, 1)))
     assert tuple(tags[0][0::2]) == (BAD, OK, OK)
     # last token end .. sentence end
-    tags = annotations_to_tags(doc, [ann(MAJOR, (0, 6, 7))])
+    tags = annotations_to_tags(doc, ann(MAJOR, (0, 6, 7)))
     assert tuple(tags[0][0::2]) == (OK, OK, BAD)
 
 
 def test_multi_span_annotation_marks_every_span():
     doc = Document.from_sentences(["aa bb cc", "dd ee"])
-    tags = annotations_to_tags(doc, [ann(MINOR, (0, 0, 2), (1, 3, 5))])
+    tags = annotations_to_tags(doc, ann(MINOR, (0, 0, 2), (1, 3, 5)))
     assert tuple(tags[0][1::2]) == (BAD, OK, OK)
     assert tuple(tags[1][1::2]) == (OK, BAD)
 
@@ -95,9 +104,9 @@ def test_multi_span_annotation_marks_every_span():
 def test_span_outside_sentence_raises():
     doc = Document.from_sentences(["ab"])
     with pytest.raises(SpanOutOfBounds):
-        annotations_to_tags(doc, [ann(MAJOR, (0, 0, 3))])
+        annotations_to_tags(doc, ann(MAJOR, (0, 0, 3)))
     with pytest.raises(SpanOutOfBounds):
-        annotations_to_tags(doc, [ann(MAJOR, (1, 0, 1))])
+        annotations_to_tags(doc, ann(MAJOR, (1, 0, 1)))
 
 
 # --- tags -> annotations --------------------------------------------------------
@@ -114,27 +123,25 @@ def doc_tags(doc, word_rows, gap_rows=None):
 def test_contiguous_bad_tokens_merge_into_one_annotation():
     doc = Document.from_sentences(["aa bb cc dd"])
     annotations = tags_to_annotations(doc, doc_tags(doc, [(OK, BAD, BAD, OK)]))
-    assert len(annotations) == 1
-    assert annotations[0].spans == (Span(0, 3, 8),)
-    assert annotations[0].severity is MAJOR
+    assert annotation_rows(annotations) == [(MAJOR, ((0, 3, 8),))]
 
 
 def test_non_contiguous_bad_tokens_stay_separate():
     doc = Document.from_sentences(["aa bb cc dd"])
     annotations = tags_to_annotations(doc, doc_tags(doc, [(OK, BAD, OK, BAD)]))
-    assert [a.spans for a in annotations] == [(Span(0, 3, 5),), (Span(0, 9, 11),)]
+    assert annotations.spans.tolist() == [[0, 3, 5], [0, 9, 11]] and annotations.offsets.tolist() == [0, 1, 2]
 
 
 def test_bad_gap_becomes_a_border_annotation():
     doc = Document.from_sentences(["ab cd"])
     tags = doc_tags(doc, [(OK, OK)], [(OK, BAD, OK)])
     annotations = tags_to_annotations(doc, tags)
-    assert [a.spans for a in annotations] == [(Span(0, 2, 3),)]
+    assert annotations.spans.tolist() == [[0, 2, 3]] and annotations.offsets.tolist() == [0, 1]
 
 
 def test_a_tag_row_of_another_length_than_its_sentence_is_an_error_naming_the_entry():
     # once, a 2N-entry row was read as N words and shifted every later span:
-    # this one gave Span(1, 2, 3), the space, for the BAD "gh"
+    # this one gave the span 1:2-3, the space, for the BAD "gh"
     doc = Document.from_sentences(["ab cd", "ef gh"])
     rows = [[OK, BAD, OK, OK], [OK, OK, OK, BAD, OK]]
     with pytest.raises(LengthMismatch, match="^entry 1: tags: expected 5 entries, got 4$"):
@@ -142,22 +149,19 @@ def test_a_tag_row_of_another_length_than_its_sentence_is_an_error_naming_the_en
     with pytest.raises(LengthMismatch, match="^tags has 1 rows, expected 2$"):
         tags_to_annotations(doc, rows[1:])
     rows[0].append(OK)
-    assert [a.spans for a in tags_to_annotations(doc, rows)] == [(Span(0, 0, 2),), (Span(1, 3, 5),)]
+    assert annotation_rows(tags_to_annotations(doc, rows)) == [(MAJOR, ((0, 0, 2),)), (MAJOR, ((1, 3, 5),))]
 
 
 def test_multi_span_input_round_trips_into_two_annotations():
     doc = Document.from_sentences(["les bandes sont parfaits ici"])
-    original = [ann(MINOR, (0, 4, 10), (0, 16, 24))]
+    original = ann(MINOR, (0, 4, 10), (0, 16, 24))
     recovered = tags_to_annotations(doc, annotations_to_tags(doc, original))
-    assert len(recovered) == 2
-    assert recovered[0].spans == (Span(0, 4, 10),)
-    assert recovered[1].spans == (Span(0, 16, 24),)
-    assert all(a.severity is MAJOR for a in recovered)
+    assert annotation_rows(recovered) == [(MAJOR, ((0, 4, 10),)), (MAJOR, ((0, 16, 24),))]
 
 
 def random_doc_with_clean_annotations(rng):
-    """Token-aligned single-span annotations separated by at least one OK
-    token, plus optional gap annotations."""
+    """A table of token-aligned single-span annotations separated by at
+    least one OK token, plus optional gap annotations, in span order."""
     sentences = []
     for _ in range(rng.randint(1, 4)):
         sentences.append(" ".join(random_token(rng) for _ in range(rng.randint(1, 9))))
@@ -170,20 +174,16 @@ def random_doc_with_clean_annotations(rng):
             if rng.random() < 0.3:
                 run = min(n - t, rng.randint(1, 3))
                 severity = rng.choice(list(Severity))
-                annotations.append(
-                    Annotation(severity=severity, spans=(Span(sent_idx, offsets[t][0], offsets[t + run - 1][1]),))
-                )
+                annotations.append((severity, (sent_idx, offsets[t][0], offsets[t + run - 1][1])))
                 t += run + 1  # leave one OK token between runs
             else:
                 t += 1
         borders = [0] + [o for pair in offsets for o in pair] + [len(sentences[sent_idx])]
         for gap in range(n + 1):
             if rng.random() < 0.1:
-                annotations.append(
-                    Annotation(severity=MAJOR, spans=(Span(sent_idx, borders[2 * gap], borders[2 * gap + 1]),))
-                )
-    annotations.sort(key=lambda a: a.spans[0])
-    return doc, annotations
+                annotations.append((MAJOR, (sent_idx, borders[2 * gap], borders[2 * gap + 1])))
+    annotations.sort(key=lambda a: a[1])
+    return doc, anns(*annotations)
 
 
 def test_round_trip_identity_for_clean_annotations():
@@ -191,8 +191,8 @@ def test_round_trip_identity_for_clean_annotations():
     for _ in range(200):
         doc, annotations = random_doc_with_clean_annotations(rng)
         recovered = tags_to_annotations(doc, annotations_to_tags(doc, annotations))
-        assert [a.spans for a in recovered] == [a.spans for a in annotations]
-        assert all(a.severity is MAJOR for a in recovered)
+        # the same spans, annotation by annotation, each recovered one MAJOR
+        assert annotation_rows(recovered) == [(MAJOR, spans) for _, spans in annotation_rows(annotations)]
 
 
 # --- MQM ------------------------------------------------------------------------
@@ -279,23 +279,23 @@ def test_doc_regression_needs_five_documents():
 
 def test_annotation_f1_identity_and_empty():
     doc = Document.from_sentences(["aa bb cc"])
-    gold = [ann(MAJOR, (0, 0, 2))]
+    gold = ann(MAJOR, (0, 0, 2))
     assert annotation_f1([gold], [gold], [doc]) == 1.0
-    assert annotation_f1([gold], [[]], [doc]) == 0.0
-    assert annotation_f1([[]], [[]], [doc]) == 1.0
+    assert annotation_f1([gold], [NONE], [doc]) == 0.0
+    assert annotation_f1([NONE], [NONE], [doc]) == 1.0
 
 
 def test_annotation_f1_hand_worked_overlap():
     doc = Document.from_sentences(["0123456789"])
-    gold = [ann(MAJOR, (0, 0, 4))]
-    pred = [ann(MAJOR, (0, 2, 6))]
+    gold = ann(MAJOR, (0, 0, 4))
+    pred = ann(MAJOR, (0, 2, 6))
     assert annotation_f1([gold], [pred], [doc]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_annotation_f1_swapping_swaps_precision_and_recall():
     doc = Document.from_sentences(["0123456789"])
-    gold = [ann(MAJOR, (0, 0, 6))]
-    pred = [ann(MAJOR, (0, 4, 8))]
+    gold = ann(MAJOR, (0, 0, 6))
+    pred = ann(MAJOR, (0, 4, 8))
     assert annotation_f1([gold], [pred], [doc]) == pytest.approx(
         annotation_f1([pred], [gold], [doc]), abs=1e-12
     )
@@ -303,17 +303,17 @@ def test_annotation_f1_swapping_swaps_precision_and_recall():
 
 def test_zero_width_spans_count_as_single_border_units():
     doc = Document.from_sentences(["ab"])
-    gold = [ann(MAJOR, (0, 0, 0))]
-    pred_match = [ann(MAJOR, (0, 0, 0))]
-    pred_miss = [ann(MAJOR, (0, 2, 2))]
+    gold = ann(MAJOR, (0, 0, 0))
+    pred_match = ann(MAJOR, (0, 0, 0))
+    pred_miss = ann(MAJOR, (0, 2, 2))
     assert annotation_f1([gold], [pred_match], [doc]) == 1.0
     assert annotation_f1([gold], [pred_miss], [doc]) == 0.0
 
 
 def test_severity_does_not_affect_annotation_f1():
     doc = Document.from_sentences(["abcd efgh"])
-    gold = [ann(CRITICAL, (0, 0, 4))]
-    pred = [ann(MINOR, (0, 0, 4))]
+    gold = ann(CRITICAL, (0, 0, 4))
+    pred = ann(MINOR, (0, 0, 4))
     assert annotation_f1([gold], [pred], [doc]) == 1.0
 
 
@@ -321,18 +321,18 @@ def test_severity_does_not_affect_annotation_f1():
 
 
 def test_stats_on_empty_corpus():
-    stats = annotation_stats([])
+    stats = annotation_stats(NONE)
     assert stats == AnnotationStats(0, 0, 0, {s: 0 for s in Severity})
     assert stats.severity_percentages() == {s: 0.0 for s in Severity}
 
 
 def test_stats_counts_multi_span_and_cross_sentence():
-    annotations = [
-        ann(MAJOR, (0, 0, 2)),
-        ann(MINOR, (0, 0, 2), (0, 4, 6)),
-        ann(CRITICAL, (0, 0, 2), (1, 0, 2)),
-        ann(MAJOR, (2, 0, 1)),
-    ]
+    annotations = anns(
+        (MAJOR, (0, 0, 2)),
+        (MINOR, (0, 0, 2), (0, 4, 6)),
+        (CRITICAL, (0, 0, 2), (1, 0, 2)),
+        (MAJOR, (2, 0, 1)),
+    )
     stats = annotation_stats(annotations)
     assert stats.total == 4
     assert stats.multi_span == 2
@@ -346,12 +346,14 @@ def test_stats_counts_multi_span_and_cross_sentence():
 
 def test_annotation_file_round_trip(tmp_path):
     by_doc = {
-        "doc1": [ann(MAJOR, (0, 0, 4)), ann(MINOR, (0, 6, 8), (1, 0, 2))],
-        "doc2": [ann(CRITICAL, (3, 2, 2))],
+        "doc1": anns((MAJOR, (0, 0, 4)), (MINOR, (0, 6, 8), (1, 0, 2))),
+        "doc2": ann(CRITICAL, (3, 2, 2)),
     }
     path = tmp_path / "anns.tsv"
     write_annotations(by_doc, path)
-    assert read_annotations(path) == by_doc
+    read = read_annotations(path)
+    assert list(read) == ["doc1", "doc2"]
+    assert [annotation_rows(read[d]) for d in read] == [annotation_rows(by_doc[d]) for d in by_doc]
     first = path.read_text().splitlines()[0]
     assert first == "doc1\tmajor\t0:0-4"
 

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from qestack.corpus import Ragged, Tag, write_alignments, write_probs
 from qestack.doclevel import (
-    Annotation,
     AnnotationTable,
     Document,
     Severity,
-    Span,
     annotation_f1,
     annotation_stats,
     annotations_to_tags,
@@ -23,9 +21,10 @@ from qestack.doclevel import (
     tokenize_with_offsets,
     write_annotations,
 )
-from qestack.errors import InvalidInput, ParseError, QEStackError, SpanOutOfBounds
+from qestack.errors import InvalidInput, LengthMismatch, ParseError, QEStackError, SpanOutOfBounds
 
 from doclevel_reference import (
+    annotation_rows,
     reference_annotation_f1,
     reference_annotations_to_tags,
     reference_read_annotations,
@@ -52,11 +51,11 @@ def outcome(fn, *args):
 
 @st.composite
 def annotations(draw, doc, in_bounds=None):
-    """Zero-width, multi-span and cross-sentence annotations; unless
-    ``in_bounds``, some spans point past their sentence or document."""
+    """A table of zero-width, multi-span and cross-sentence annotations;
+    unless ``in_bounds``, some spans point past their sentence or document."""
     if in_bounds is None:
         in_bounds = draw(st.booleans())
-    out = []
+    severities, span_rows = [], []
     for _ in range(draw(st.integers(0, 6))):
         spans = []
         for _ in range(draw(st.integers(1, 3))):
@@ -67,12 +66,15 @@ def annotations(draw, doc, in_bounds=None):
             start = draw(st.one_of(st.integers(0, limit), st.sampled_from(borders)))
             end = draw(st.one_of(st.integers(start, max(start, limit)), st.sampled_from(borders)))
             if end >= start:
-                spans.append(Span(sent, start, end))
+                spans.append((sent, start, end))
+        severity = draw(st.sampled_from(Severity))
         try:
-            out.append(Annotation(draw(st.sampled_from(Severity)), tuple(spans)))
+            AnnotationTable.from_rows([severity], [spans])
         except ValueError:  # no spans, or overlapping ones
-            pass
-    return out
+            continue
+        severities.append(severity)
+        span_rows.append(spans)
+    return AnnotationTable.from_rows(severities, span_rows)
 
 
 @settings(max_examples=400, deadline=None)
@@ -94,9 +96,7 @@ def test_document_token_offsets_match_reference(texts):
 @given(data=st.data(), doc=documents)
 def test_annotations_to_tags_matches_reference(data, doc):
     anns = data.draw(annotations(doc))
-    expected = outcome(reference_annotations_to_tags, doc, anns)
-    assert outcome(annotations_to_tags, doc, anns) == expected
-    assert outcome(annotations_to_tags, doc, AnnotationTable.of(anns)) == expected
+    assert outcome(annotations_to_tags, doc, anns) == outcome(reference_annotations_to_tags, doc, annotation_rows(anns))
 
 
 @settings(max_examples=400, deadline=None)
@@ -109,10 +109,10 @@ def test_tags_to_annotations_matches_reference(data, doc, severity):
         gaps = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
         tags.append(interleave(words, gaps))
     expected = reference_tags_to_annotations(doc, tags, severity)
-    assert tags_to_annotations(doc, tags, severity) == expected
+    assert annotation_rows(tags_to_annotations(doc, tags, severity)) == expected
     rows = Ragged.from_rows(tags, dtype=bool)
     assert rows == tags
-    assert list(tags_to_annotations(doc, rows, severity)) == expected
+    assert annotation_rows(tags_to_annotations(doc, rows, severity)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,7 +124,8 @@ def test_tags_of_the_wrong_shape_raise_as_before(data, doc):
     tags[i] = (False,) * data.draw(st.integers(0, 9))
     if data.draw(st.booleans()):
         tags.pop()
-    assert outcome(tags_to_annotations, doc, tags) == outcome(reference_tags_to_annotations, doc, tags)
+    rows = outcome(lambda *args: annotation_rows(tags_to_annotations(*args)), doc, tags)
+    assert rows == outcome(reference_tags_to_annotations, doc, tags)
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,7 +134,8 @@ def test_annotation_f1_matches_reference(data, docs):
     in_bounds = data.draw(st.booleans())
     gold = [data.draw(annotations(doc, in_bounds)) for doc in docs]
     pred = [data.draw(annotations(doc, in_bounds)) for doc in docs]
-    assert outcome(annotation_f1, gold, pred, docs) == outcome(reference_annotation_f1, gold, pred, docs)
+    expected = outcome(reference_annotation_f1, list(map(annotation_rows, gold)), list(map(annotation_rows, pred)), docs)
+    assert outcome(annotation_f1, gold, pred, docs) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,7 +143,8 @@ def test_annotation_f1_matches_reference(data, docs):
 def test_round_trip_through_tags_matches_reference(data, doc):
     anns = data.draw(annotations(doc, in_bounds=True))
     tags = annotations_to_tags(doc, anns)
-    assert tags_to_annotations(doc, tags) == reference_tags_to_annotations(doc, reference_annotations_to_tags(doc, anns))
+    expected = reference_tags_to_annotations(doc, reference_annotations_to_tags(doc, annotation_rows(anns)))
+    assert annotation_rows(tags_to_annotations(doc, tags)) == expected
 
 
 # --- annotation files -------------------------------------------------------------
@@ -202,6 +205,10 @@ def read_outcome(reader, path):
         return type(exc), getattr(exc, "file", None), getattr(exc, "line", None), str(exc)
 
 
+def read_annotation_rows(path):
+    return {doc_id: annotation_rows(table) for doc_id, table in read_annotations(path).items()}
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_read_annotations_matches_reference(tmp_path, data):
@@ -221,7 +228,7 @@ def test_read_annotations_matches_reference(tmp_path, data):
             except ValueError:  # a line an earlier change left without its fields or numbers
                 pass
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    assert read_outcome(read_annotations, path) == read_outcome(reference_read_annotations, path)
+    assert read_outcome(read_annotation_rows, path) == read_outcome(reference_read_annotations, path)
 
 
 def test_read_annotations_reports_the_first_bad_line(tmp_path):
@@ -250,43 +257,58 @@ def test_lenient_lines_read_as_their_written_form(tmp_path):
     lines = ["d0\tMAJOR\t0:+6-8, 2:0-1,0:١-2", "d0\tminor\t0:0000000000000000001-00000000000000000002"]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     table = read_annotations(path)["d0"]
-    assert table == [
-        Annotation(Severity.MAJOR, (Span(0, 1, 2), Span(0, 6, 8), Span(2, 0, 1))),
-        Annotation(Severity.MINOR, (Span(0, 1, 2),)),
+    assert annotation_rows(table) == [
+        (Severity.MAJOR, ((0, 1, 2), (0, 6, 8), (2, 0, 1))),
+        (Severity.MINOR, ((0, 1, 2),)),
     ]
     assert table.spans.tolist() == [[0, 1, 2], [0, 6, 8], [2, 0, 1], [0, 1, 2]]
 
 
-# --- tables read as lists -----------------------------------------------------------
+# --- tables built from rows ----------------------------------------------------------
 
 
-def test_annotation_table_reads_as_its_list(tmp_path):
-    anns = [
-        Annotation(Severity.MINOR, (Span(1, 4, 6), Span(0, 0, 2))),
-        Annotation(Severity.CRITICAL, (Span(2, 3, 3),)),
-    ]
-    table = AnnotationTable.of(anns)
-    assert len(table) == 2 and table == anns and anns == table and list(table) == anns
-    assert table[0].spans == (Span(0, 0, 2), Span(1, 4, 6)) and table[-1] == anns[-1]
-    assert table[:1] == anns[:1] and table != anns[:1]
+def test_annotation_table_from_rows_sorts_each_annotation_and_reads_back(tmp_path):
+    table = AnnotationTable.from_rows([Severity.MINOR, Severity.CRITICAL], [[(1, 4, 6), (0, 0, 2)], [(2, 3, 3)]])
+    assert len(table) == 2
     assert table.severity.tolist() == [0, 2] and table.offsets.tolist() == [0, 2, 3]
-    assert AnnotationTable.of(table) is table
+    assert table.spans.tolist() == [[0, 0, 2], [1, 4, 6], [2, 3, 3]]
+    assert annotation_rows(table) == [
+        (Severity.MINOR, ((0, 0, 2), (1, 4, 6))),
+        (Severity.CRITICAL, ((2, 3, 3),)),
+    ]
+    empty = AnnotationTable.from_rows([], [])
+    assert len(empty) == 0 and empty.offsets.tolist() == [0] and empty.spans.shape == (0, 3)
     doc = Document.from_sentences(["ab cd"])
     for array in (table.severity, table.offsets, table.spans, doc.borders, doc.offsets):
-        with pytest.raises(ValueError):  # read-only, so cached annotations and offsets stay true
+        with pytest.raises(ValueError):  # read-only, so cached offsets stay true
             array[0] = 1
     stats = annotation_stats(table)
     assert (stats.total, stats.multi_span, stats.cross_sentence) == (2, 1, 1)
-    assert stats == annotation_stats(anns)
     path = tmp_path / "anns.tsv"
-    write_annotations({"d": table}, path)
-    assert read_annotations(path) == {"d": anns}
+    write_annotations({"d": table, "e": empty}, path)
+    assert path.read_text(encoding="utf-8") == "d\tminor\t0:0-2,1:4-6\nd\tcritical\t2:3-3\n"
+    assert read_annotation_rows(path) == {"d": annotation_rows(table)}
+
+
+@pytest.mark.parametrize("severities,rows,error,message", [
+    ([Severity.MAJOR, Severity.MINOR], [[(0, 0, 1)], []], InvalidInput, "annotation 2: needs at least one span"),
+    ([Severity.MAJOR], [[(0, 4, 6), (0, 0, 5)]], InvalidInput,
+     "annotation 1: spans within one annotation may not overlap"),
+    ([Severity.MAJOR] * 2, [[(0, 0, 1)], [(0, 2, 3), (-1, 0, 1)]], SpanOutOfBounds, "annotation 2: malformed span -1:0-1"),
+    ([Severity.MAJOR], [[(0, 5, 2)]], SpanOutOfBounds, "annotation 1: malformed span 0:5-2"),
+    ([Severity.MAJOR], [[(0, -1, 2)]], SpanOutOfBounds, "annotation 1: malformed span 0:-1-2"),
+    ([Severity.MAJOR], [[(0, 0, 1)], [(0, 2, 3)]], LengthMismatch, "span rows has 2 rows, expected 1"),
+])
+def test_annotation_table_from_rows_names_the_bad_annotation(severities, rows, error, message):
+    with pytest.raises(error) as caught:
+        AnnotationTable.from_rows(severities, rows)
+    assert str(caught.value) == message
 
 
 def test_annotations_to_tags_gives_interleaved_rows_equal_to_their_target_tags():
     tags = [interleave((True,), (False, True)), interleave((), (True,))]
     doc = Document.from_sentences(["ab", " "])
-    rows = annotations_to_tags(doc, [Annotation(Severity.MAJOR, (Span(0, 0, 1), Span(0, 2, 2), Span(1, 0, 1)))])
+    rows = annotations_to_tags(doc, AnnotationTable.from_rows([Severity.MAJOR], [[(0, 0, 1), (0, 2, 2), (1, 0, 1)]]))
     assert rows.values.tolist() == [False, True, True, True] and rows.offsets.tolist() == [0, 3, 4]
     assert rows == tags and rows.rows() == [list(t) for t in tags] and rows[1] == list(tags[1])
     # Tag objects are still read as BAD indicators
@@ -349,10 +371,11 @@ def test_bad_fractions_are_integer_counts(data, sizes):
 
 def test_value_errors_follow_the_error_contract(tmp_path):
     doc = Document.from_sentences(["ab"])
+    empty = AnnotationTable.from_rows([], [])
     for call in (
-        lambda: Annotation(Severity.MAJOR, ()),
-        lambda: Annotation(Severity.MAJOR, (Span(0, 0, 4), Span(0, 2, 6))),
-        lambda: annotation_f1([[]], [], [doc]),
+        lambda: AnnotationTable.from_rows([Severity.MAJOR], [[]]),
+        lambda: AnnotationTable.from_rows([Severity.MAJOR], [[(0, 0, 4), (0, 2, 6)]]),
+        lambda: annotation_f1([empty], [], [doc]),
         lambda: write_probs([[0.5], []], tmp_path / "p.probs"),
         lambda: write_alignments([{(0, 0)}, set()], tmp_path / "a.align"),
     ):
@@ -360,4 +383,4 @@ def test_value_errors_follow_the_error_contract(tmp_path):
             call()
         assert isinstance(caught.value, QEStackError) and isinstance(caught.value, ValueError)
     with pytest.raises(SpanOutOfBounds):
-        annotation_f1([[Annotation(Severity.MAJOR, (Span(0, 0, 3),))]], [[]], [doc])
+        annotation_f1([AnnotationTable.from_rows([Severity.MAJOR], [[(0, 0, 3)]])], [empty], [doc])

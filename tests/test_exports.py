@@ -1,9 +1,13 @@
-"""Every name a ``qestack`` module lists in ``__all__``, and every public name
-of the package itself, resolves: a deleted class left in an ``__all__``
-fails here rather than at a user's ``import *``."""
+"""Every name a ``qestack`` module lists in ``__all__``, every public name
+of the package itself, and every name README's library quick reference
+imports resolves: a deleted class left in an ``__all__`` or in README fails
+here rather than at a user's import."""
 
 import importlib
 import pkgutil
+import re
+
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +35,25 @@ def test_every_listed_name_resolves(module_name):
         pytest.fail(f"from {module_name} import *: {exc}")
     missing = [name for name in names if not hasattr(module, name) or name not in namespace]
     assert not missing, f"{module_name} lists {missing}"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_reference_imports():
+    """The ``from qestack... import ...`` lines of README's library quick
+    reference."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick reference", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^from (qestack\S*) import (.+)$", section, re.M)
+
+
+def test_the_quick_reference_has_imports():
+    assert len(quick_reference_imports()) >= 5
+
+
+@pytest.mark.parametrize("module_name,names", quick_reference_imports())
+def test_every_name_the_readme_quick_reference_imports_resolves(module_name, names):
+    module = importlib.import_module(module_name)
+    missing = [name.strip() for name in names.split(",") if not hasattr(module, name.strip())]
+    assert not missing, f"README imports {missing} from {module_name}"
