@@ -61,7 +61,7 @@ def _cmd_evaluate(args):
         gold = corpus.read_score_lines(args.gold)
         pred = corpus.read_score_lines(args.pred)
         corpus.check_lengths(pred, len(gold), "prediction", file=args.pred)
-        _emit([("pearson", f"{metrics.pearson(gold, pred):.6f}")], args.format)
+        _emit([("pearson", f"{metrics.pearson(gold, pred, files=(args.gold, args.pred)):.6f}")], args.format)
         return 0
 
     gold = corpus.read_tag_stream(args.gold, args.stream)
@@ -420,20 +420,26 @@ def _cmd_doc_apply(args):
 
 
 def _cmd_doc_eval(args):
+    for kind in ("annotations", "mqm"):
+        given = [side for side in ("gold", "pred") if getattr(args, f"{side}_{kind}") is not None]
+        if len(given) == 1:
+            raise QEStackError(f"--{given[0]}-{kind} needs --{'pred' if given == ['gold'] else 'gold'}-{kind}")
+    if args.gold_annotations is not None and args.docs is None:
+        raise QEStackError("--gold-annotations and --pred-annotations need --docs")
     pairs = []
-    if args.gold_annotations and args.pred_annotations:
+    if args.gold_annotations is not None:
         docs = doclevel.read_document_manifest(args.docs)
         gold = _doc_annotations(args.gold_annotations, docs)
         pred = _doc_annotations(args.pred_annotations, docs)
         score = doclevel.annotation_f1(list(gold.values()), list(pred.values()), list(docs.values()))
         pairs.append(("f1_ann", f"{score:.6f}"))
-    if args.gold_mqm and args.pred_mqm:
+    if args.gold_mqm is not None:
         gold = doclevel.read_doc_table(args.gold_mqm, n_columns=1)
         pred = doclevel.read_doc_table(args.pred_mqm, n_columns=1)
         if set(gold) != set(pred):
             raise QEStackError("gold and predicted MQM tables list different documents")
-        doc_ids = sorted(gold)
-        score = metrics.pearson([gold[d][0] for d in doc_ids], [pred[d][0] for d in doc_ids])
+        x, y = ([table[d][0] for d in sorted(gold)] for table in (gold, pred))
+        score = metrics.pearson(x, y, files=(args.gold_mqm, args.pred_mqm))
         pairs.append(("mqm_pearson", f"{score:.6f}"))
     if not pairs:
         raise QEStackError("nothing to evaluate: pass annotation files and/or MQM tables")

@@ -626,9 +626,12 @@ def save_weights(system_ids: Sequence[str], w: WeightVector, path):
 
 
 def load_weights(path, stream: Stream) -> tuple[list[str], WeightVector]:
+    """The ids and weights ``save_weights`` writes: each in [0, 1], not all 0."""
     ids, [weights] = _read_table(path, 1)
     for line, weight in enumerate(weights, 1):
         _check_weight(weight, file=str(path), line=line)
+    if not any(weights):
+        raise ZeroWeights("ensemble weights sum to zero", file=str(path))
     return ids, WeightVector(weights=tuple(weights), stream=stream)
 
 

@@ -36,7 +36,7 @@ class EmptyInput(QEStackError):
     """A metric was asked to score zero tags, or a tagger to tag zero tokens."""
 
 
-class DegenerateInput(QEStackError):
+class DegenerateInput(LocatedError):
     """Correlation of a constant or too-short vector is undefined."""
 
 
@@ -48,7 +48,7 @@ class MissingStream(QEStackError):
     """An input lacks a stream a step needs (system stream, source, gold tags, post-edit)."""
 
 
-class ZeroWeights(QEStackError):
+class ZeroWeights(LocatedError):
     """An ensemble weight vector sums to zero and cannot be normalized."""
 
 

@@ -1,10 +1,10 @@
 """Feature-based first-order sequential word-level QE model.
 
-The tagger scores a label sequence y over an instance as
+The tagger scores a label sequence y over a sentence as
 ``sum_i w . phi(x, i, y_i, y_{i-1})`` with unigram templates (current/left/
 right token, aligned other-side words, extra annotation columns, binned
 stacked probabilities, bias) conjoined with the current label, plus a single
-bigram indicator over the label pair. The template set is fixed: an instance
+bigram indicator over the label pair. The template set is fixed: a table
 without extra columns or stacked systems has none of their templates, and a
 position without aligned words has ``a=<none>``. Decoding is exact dynamic
 programming over the two labels; weights are learned with max-loss MIRA and
@@ -25,9 +25,11 @@ weights every MIRA update moves a template's OK weight by the negation of its
 BAD weight's move, trains one weight per template, the BAD key's, and writes
 both keys back; a corpus whose keys collide so that this pairing fails trains
 one weight per key, colliding strings sharing one. Models and their files
-keep the keys. ``feature_strings`` builds the strings of one
-``SequenceInstance`` position by position and is the reference the compile
-is tested against.
+keep the keys. ``feature_strings`` builds the strings of one position of a
+table and is the reference the compile is tested against. Code builds a
+table with ``InstanceTable.from_rows``, the CLI with ``build_instances``;
+``viterbi``, ``score_sequence`` and ``predict_probs`` take a table of one
+sentence.
 Gap and source streams are trained as independent sequence models over their
 own position sequences.
 """
@@ -58,10 +60,9 @@ from .corpus import (
     stream_lengths,
 )
 from .ensemble import fold_bounds
-from .errors import EmptyInput, InvalidInput, LengthMismatch, MissingStream, RangeError
+from .errors import EmptyInput, InvalidInput, MissingStream, RangeError
 
 __all__ = [
-    "SequenceInstance",
     "InstanceTable",
     "LinearModel",
     "extract_features",
@@ -99,37 +100,6 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class SequenceInstance:
-    """One tagging problem: the stream's tokens plus per-position context.
-
-    ``aligned`` holds the other-side words aligned to each position, ``extra``
-    holds optional annotation columns (columns first, positions second) and
-    ``stacked`` holds per-system P(BAD) values used as stacked features.
-    """
-
-    tokens: tuple[str, ...]
-    aligned: tuple[tuple[str, ...], ...] = ()
-    extra: tuple[tuple[str, ...], ...] = ()
-    stacked: tuple[tuple[str, tuple[float, ...]], ...] = ()
-
-    def __post_init__(self):
-        n = len(self.tokens)
-        if n == 0:
-            raise EmptyInput("instance needs at least one token")
-        if self.aligned and len(self.aligned) != n:
-            raise LengthMismatch("aligned words must cover every position")
-        for column in self.extra:
-            if len(column) != n:
-                raise LengthMismatch("extra column length must match the token count")
-        for _, probs in self.stacked:
-            if len(probs) != n:
-                raise LengthMismatch("stacked probabilities must cover every position")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def _offsets(lengths: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
@@ -152,28 +122,34 @@ class InstanceTable:
     stacked: tuple[tuple[str, np.ndarray], ...] = ()
 
     @classmethod
-    def of(cls, instances) -> "InstanceTable":
-        """A table as it is; SequenceInstance rows converted once. Rows that
-        differ in their number of extra columns or in their stacked system
-        ids are an InvalidInput."""
-        if isinstance(instances, InstanceTable):
-            return instances
-        instances = list(instances)
-        shapes = {(len(inst.extra), tuple(system_id for system_id, _ in inst.stacked)) for inst in instances}
-        if len(shapes) > 1:
-            raise InvalidInput("instances differ in their number of extra columns or in their stacked systems")
-        columns, systems = shapes.pop() if shapes else (0, ())
-        words = [ws for inst in instances for ws in inst.aligned or ((),) * len(inst)]
+    def from_rows(cls, tokens, *, aligned=None, extra=(), stacked=()) -> "InstanceTable":
+        """The table of one row per sentence in each column: tokens, each
+        position's aligned words (None: none), each ``extra`` column's
+        strings and each ``stacked`` system's ``(system id, P(BAD) rows)``.
+        An empty sentence is an EmptyInput, and a row of another length than
+        its sentence a LengthMismatch, naming the entry."""
+        tokens = [list(row) for row in tokens]
+        lengths = _lengths(tokens)
+        if not lengths.all():
+            raise EmptyInput(f"entry {np.argmin(lengths) + 1}: a sentence needs at least one token")
+        positions = [()] * int(lengths.sum())
+        if aligned is not None:
+            aligned = list(aligned)
+            check_lengths(aligned, lengths, "aligned words")
+            positions = list(chain.from_iterable(aligned))
+        extra = [list(column) for column in extra]
+        for column in extra:
+            check_lengths(column, lengths, "extra column")
+        stacked = [(system_id, Ragged.from_rows(rows)) for system_id, rows in stacked]
+        for system_id, rows in stacked:
+            check_lengths(rows, lengths, f"system {system_id!r} stacked probabilities")
         return cls(
-            list(chain.from_iterable(inst.tokens for inst in instances)),
-            _offsets(_lengths(instances)),
-            list(chain.from_iterable(words)),
-            _offsets(_lengths(words)),
-            tuple(list(chain.from_iterable(inst.extra[c] for inst in instances)) for c in range(columns)),
-            tuple(
-                (system_id, np.fromiter(chain.from_iterable(inst.stacked[c][1] for inst in instances), np.float64))
-                for c, system_id in enumerate(systems)
-            ),
+            list(chain.from_iterable(tokens)),
+            _offsets(lengths),
+            list(chain.from_iterable(positions)),
+            _offsets(_lengths(positions)),
+            tuple(list(chain.from_iterable(column)) for column in extra),
+            tuple((system_id, rows.values) for system_id, rows in stacked),
         )
 
     def __len__(self) -> int:
@@ -195,31 +171,34 @@ def _prob_bin(p: float) -> int:
     return min(int(_BINS * p), _BINS - 1)
 
 
-def feature_strings(inst: SequenceInstance, i: int, label: bool, prev: bool | None) -> list[str]:
-    """Human-readable feature names for position ``i`` with ``label`` and the
-    previous label ``prev`` (BAD is true; None means sequence start): each
-    label-free template conjoined with the label, then the bigram."""
+def feature_strings(table: InstanceTable, p: int, label: bool, prev: bool | None) -> list[str]:
+    """Human-readable feature names for position ``p`` of ``table`` (counted
+    over all its sentences) with ``label`` and the previous label ``prev``
+    (BAD is true; None means sequence start): each label-free template
+    conjoined with the label, then the bigram."""
     return [
-        *(f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(inst, i)),
+        *(f"{role}{value}∧{_LABELS[label]}" for role, value in _templates(table, p)),
         _bigram_string(prev, label),
     ]
 
 
-def _templates(inst: SequenceInstance, i: int) -> list[tuple[str, object]]:
-    """Position ``i``'s label-free unigram templates as ``(role, value)``
+def _templates(table: InstanceTable, p: int) -> list[tuple[str, object]]:
+    """Position ``p``'s label-free unigram templates as ``(role, value)``
     pairs, in slot order; the template is ``f"{role}{value}"``. This is the
     one-position reference of ``_template_ids``, which builds the same
-    templates for a block of instances at once."""
-    tokens = inst.tokens
-    words = (inst.aligned[i] if inst.aligned else ()) or (_NO_ALIGNMENT,)
+    templates for a block of sentences at once."""
+    tokens, p = table.tokens, range(len(table.tokens))[p]
+    sentence = int(np.searchsorted(table.offsets, p, "right")) - 1
+    lo, hi = table.offsets[sentence:sentence + 2].tolist()
+    words = table.words[table.word_offsets[p]:table.word_offsets[p + 1]] or (_NO_ALIGNMENT,)
     return [
         ("b", ""),
-        ("w0=", tokens[i]),
-        ("w-1=", tokens[i - 1] if i > 0 else _LEFT_SENTINEL),
-        ("w+1=", tokens[i + 1] if i + 1 < len(tokens) else _RIGHT_SENTINEL),
+        ("w0=", tokens[p]),
+        ("w-1=", tokens[p - 1] if p > lo else _LEFT_SENTINEL),
+        ("w+1=", tokens[p + 1] if p + 1 < hi else _RIGHT_SENTINEL),
         *(("a=", word) for word in words),
-        *((f"x{c}=", column[i]) for c, column in enumerate(inst.extra)),
-        *((f"s:{system_id}:b", _prob_bin(probs[i])) for system_id, probs in inst.stacked),
+        *((f"x{c}=", column[p]) for c, column in enumerate(table.extra)),
+        *((f"s:{system_id}:b", _prob_bin(probs[p])) for system_id, probs in table.stacked),
     ]
 
 
@@ -227,9 +206,9 @@ def _bigram_string(prev: bool | None, label: bool) -> str:
     return f"g={_START if prev is None else _LABELS[prev]}∧{_LABELS[label]}"
 
 
-def extract_features(inst: SequenceInstance, i: int, label: bool, prev: bool | None) -> list[int]:
+def extract_features(table: InstanceTable, p: int, label: bool, prev: bool | None) -> list[int]:
     """Hashed sparse feature vector (a multiset of 64-bit keys)."""
-    return [fnv1a64(s) for s in feature_strings(inst, i, label, prev)]
+    return [fnv1a64(s) for s in feature_strings(table, p, label, prev)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +221,7 @@ def extract_features(inst: SequenceInstance, i: int, label: bool, prev: bool | N
 # block, as their OK and BAD keys, folded on from each role's state.
 # Prediction gathers the weights of those keys and adds them slot row by slot
 # row into the block's columns of one score array over the corpus; training
-# and the single-instance functions intern each template's (OK key, BAD key)
+# and the one-sentence functions intern each template's (OK key, BAD key)
 # into a dense template id and keep each position's template ids, which
 # ``_keyed_slots`` turns into (OK ids, BAD ids) of the keys where a weight per
 # key is needed.
@@ -478,7 +457,7 @@ def _int_path(tags) -> list[int]:
 
 
 def _unigram_scores(slots, w, cost=None):
-    """Per-position (OK, BAD) scores of one instance's keyed slots; with a
+    """Per-position (OK, BAD) scores of one sentence's keyed slots; with a
     ``cost`` path the label that differs from it gains 1.0
     (Hamming-augmented)."""
     scores = []
@@ -621,29 +600,36 @@ def _logistic(x: float) -> float:
         return exp(-x)
 
 
-def _compile_one(inst: SequenceInstance, model: LinearModel):
-    """One instance compiled against a model: its slots, the weight of each
-    slot's key and the transition scores."""
+def _one_sentence(table: InstanceTable) -> InstanceTable:
+    if len(table) != 1:
+        raise InvalidInput(f"expected a table of one sentence, got {len(table)} sentences")
+    return table
+
+
+def _compile_one(table: InstanceTable, model: LinearModel):
+    """A one-sentence table compiled against a model: its slots, the weight
+    of each slot's key and the transition scores."""
     w = _model_weights(model)
     index: dict[int, int] = {}
-    (slots,) = _keyed_slots(*_compile_slots(InstanceTable.of([inst])), index)
+    (slots,) = _keyed_slots(*_compile_slots(_one_sentence(table)), index)
     return slots, [w[key] for key in index], _transition_scores(_bigram_keys(), w)
 
 
 def viterbi(
-    inst: SequenceInstance, model: LinearModel, cost_gold: Sequence[bool] | None = None
+    table: InstanceTable, model: LinearModel, cost_gold: Sequence[bool] | None = None
 ) -> tuple[list[bool], float]:
-    """Exact argmax tag sequence (BAD is true) and its score. With
-    ``cost_gold`` the score is Hamming-augmented (loss-augmented decoding).
-    Ties break toward OK."""
-    slots, w, t = _compile_one(inst, model)
+    """Exact argmax tag sequence (BAD is true) and its score of a table of
+    one sentence. With ``cost_gold`` the score is Hamming-augmented
+    (loss-augmented decoding). Ties break toward OK."""
+    slots, w, t = _compile_one(table, model)
     _, path, score = _forward(_unigram_scores(slots, w, cost_gold), t)
     return list(map(bool, path)), score
 
 
-def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[bool]) -> float:
-    """Model score of one labeling (no loss augmentation)."""
-    slots, w, t = _compile_one(inst, model)
+def score_sequence(table: InstanceTable, model: LinearModel, labels: Sequence[bool]) -> float:
+    """Model score of one labeling of a table of one sentence (no loss
+    augmentation)."""
+    slots, w, t = _compile_one(table, model)
     return _path_score(slots, t, w, _int_path(labels))
 
 
@@ -653,7 +639,7 @@ def score_sequence(inst: SequenceInstance, model: LinearModel, labels: Sequence[
 
 
 def mira_train(
-    instances: InstanceTable | Sequence[SequenceInstance],
+    table: InstanceTable,
     golds: Ragged | Sequence[Sequence[bool]],
     *,
     epochs: int = 5,
@@ -661,7 +647,8 @@ def mira_train(
     seed: int = 1,
     on_update: Callable[[float], None] | None = None,
 ) -> LinearModel:
-    """Train with max-loss MIRA (a list of instances is converted once).
+    """Train with max-loss MIRA on the sentences of ``table`` and their gold
+    labelings (a Ragged, or rows converted once).
 
     Per example the loss-augmented Viterbi prediction yhat is decoded; when
     ``score(yhat) + hamming(yhat, gold) > score(gold)`` the weights move by
@@ -670,7 +657,7 @@ def mira_train(
     and skipped. The returned model averages all post-update weight
     vectors; data order is reshuffled every epoch from ``seed``.
     """
-    training = _compile_training(instances, golds, epochs, C)
+    training = _compile_training(table, golds, epochs, C)
     return LinearModel(training.weights(_mira(training, epochs=epochs, C=C, seed=seed, on_update=on_update)))
 
 
@@ -785,7 +772,7 @@ class _Training:
         return weights
 
 
-def _compile_training(instances, golds, epochs, C) -> _Training:
+def _compile_training(table: InstanceTable, golds, epochs, C) -> _Training:
     """Checks the training arguments and compiles every sentence once. The
     paired form needs every unigram key to be one template's only OK or BAD
     key and no bigram key to be a unigram key; otherwise the keys are
@@ -794,7 +781,7 @@ def _compile_training(instances, golds, epochs, C) -> _Training:
         raise RangeError("epochs must be >= 1")
     if not C > 0:
         raise RangeError("C must be positive")
-    table, golds = InstanceTable.of(instances), Ragged.from_rows(golds, dtype=bool)
+    golds = Ragged.from_rows(golds, dtype=bool)
     check_lengths(golds, np.diff(table.offsets), "gold labeling")
     compiled, pairs = _compile_slots(table)
     path = golds.values.view(np.uint8).tolist()
@@ -874,15 +861,12 @@ def _mira(training: _Training, lo=0, hi=0, *, epochs, C, seed, on_update=None) -
 # ---------------------------------------------------------------------------
 
 
-def predict(
-    instances: InstanceTable | Sequence[SequenceInstance], model: LinearModel, gamma: float = 1.0
-) -> tuple[Ragged, Ragged]:
+def predict(table: InstanceTable, model: LinearModel, gamma: float = 1.0) -> tuple[Ragged, Ragged]:
     """Viterbi tags and P(BAD) for every sentence (as ``viterbi`` and
     ``predict_probs`` give them), as a bool and a float64 ``Ragged``, each
-    sentence compiled once; a list of instances is converted once. A
-    ``gamma`` that is not finite is a RangeError."""
+    sentence compiled once. A ``gamma`` that is not finite is a
+    RangeError."""
     _check_gamma(gamma)
-    table = InstanceTable.of(instances)
     w = _model_weights(model)
     t = np.repeat(np.array(_transition_scores(_bigram_keys(), w))[:, :, None], len(table), axis=2)
     return _decode(_corpus_scores(table, w), np.diff(table.offsets), t, gamma)
@@ -893,10 +877,11 @@ def _check_gamma(gamma: float):
         raise RangeError("gamma must be finite")
 
 
-def predict_probs(inst: SequenceInstance, model: LinearModel, gamma: float = 1.0) -> list[float]:
-    """P(BAD) per position from max-marginal margins through a logistic link:
-    ``p_i = logistic(gamma * (maxscore(y_i=BAD) - maxscore(y_i=OK)))``."""
-    return predict([inst], model, gamma)[1][0]
+def predict_probs(table: InstanceTable, model: LinearModel, gamma: float = 1.0) -> list[float]:
+    """P(BAD) per position of a table of one sentence, from max-marginal
+    margins through a logistic link: ``p_i = logistic(gamma *
+    (maxscore(y_i=BAD) - maxscore(y_i=OK)))``."""
+    return predict(_one_sentence(table), model, gamma)[1][0]
 
 
 def _jackknife_fold(training: _Training, lo, hi, **options):
@@ -922,7 +907,7 @@ def _worker_fold(bounds):
 
 
 def jackknife(
-    instances: InstanceTable | Sequence[SequenceInstance],
+    table: InstanceTable,
     golds: Ragged | Sequence[Sequence[bool]],
     k: int,
     *,
@@ -941,8 +926,8 @@ def jackknife(
     result, a bool and a float64 ``Ragged``, covers each sentence exactly
     once, in corpus order."""
     _check_gamma(gamma)
-    bounds = fold_bounds(len(instances), k)
-    training = _compile_training(instances, golds, epochs, C)
+    bounds = fold_bounds(len(table), k)
+    training = _compile_training(table, golds, epochs, C)
     fold = functools.partial(_jackknife_fold, training, epochs=epochs, C=C, seed=seed)
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe in a process with threads

@@ -113,12 +113,17 @@ def mcc(gold, pred) -> float:
     return (t.tp * t.tn - t.fp * t.fn) / math.sqrt(denom_sq)
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation."""
+def pearson(x: Sequence[float], y: Sequence[float], *, files=(None, None)) -> float:
+    """Sample Pearson correlation; a constant ``x`` or ``y`` (tested by its
+    range: a mean that rounds hides it from the variance) is a
+    DegenerateInput naming its entry of ``files``."""
     if len(x) != len(y):
         raise DegenerateInput(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise DegenerateInput("need at least two points")
+    for values, file in zip((x, y), files):
+        if min(values) == max(values):
+            raise DegenerateInput("correlation with a constant vector is undefined", file=file)
     n = len(x)
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
@@ -126,7 +131,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     dy = [v - mean_y for v in y]
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
-    if var_x == 0.0 or var_y == 0.0:
-        raise DegenerateInput("correlation with a constant vector is undefined")
+    if var_x * var_y == 0.0:
+        raise DegenerateInput("the variances underflow")
     cov = math.fsum(a * b for a, b in zip(dx, dy))
     return cov / math.sqrt(var_x * var_y)

@@ -43,7 +43,7 @@ from doclevel_reference import annotation_rows
 from test_doclevel import random_doc_with_clean_annotations
 from test_ensemble import ridge_oracle, simplex_grid_best
 from test_labeler import levenshtein
-from test_linearqe import brute_force, random_instance, random_model, separable_data
+from test_linearqe import brute_force, make_instance, random_instance, random_model, separable_data, table
 from test_metrics import oracle_f1, oracle_mcc, oracle_pearson, random_tag_pair
 
 OK, BAD = False, True
@@ -132,15 +132,13 @@ def test_criterion_02_edit_labeling(criterion):
 
 def test_criterion_03_viterbi_exactness(criterion):
     with criterion(3, "Viterbi equals exhaustive enumeration over 2^N labelings (1e-9)"):
-        from qestack.linearqe import SequenceInstance
-
         rng = random.Random(103)
         for case in range(200):
             # spread lengths over 1..12, pinning every 10th case to the N=12 bound
             n = 12 if case % 10 == 0 else rng.randint(1, 12)
-            inst = SequenceInstance(tokens=tuple(random_token(rng, "abcdef") for _ in range(n)))
+            inst = make_instance([random_token(rng, "abcdef") for _ in range(n)])
             model = random_model(rng, inst)
-            gold = [rng.choice((OK, BAD)) for _ in range(len(inst))] if case % 3 == 0 else None
+            gold = [rng.choice((OK, BAD)) for _ in range(len(inst.tokens))] if case % 3 == 0 else None
             seq, score = viterbi(inst, model, cost_gold=gold)
             bf_seq, bf_score = brute_force(inst, model, cost_gold=gold)
             assert abs(score - bf_score) < 1e-9
@@ -153,7 +151,7 @@ def test_criterion_04_mira_learning(criterion):
         ok_vocab = [f"g{i}" for i in range(30)]
         bad_vocab = [f"b{i}" for i in range(30)]
         instances, golds = separable_data(rng, 500, ok_vocab, bad_vocab, min_len=3, max_len=12)
-        model = mira_train(instances, golds, epochs=10, C=1.0, seed=7)
+        model = mira_train(table(instances), golds, epochs=10, C=1.0, seed=7)
         correct = total = 0
         for inst, gold in zip(instances, golds):
             pred, _ = viterbi(inst, model)
@@ -161,7 +159,7 @@ def test_criterion_04_mira_learning(criterion):
             total += len(gold)
         assert correct == total
 
-        rerun = mira_train(instances, golds, epochs=10, C=1.0, seed=7)
+        rerun = mira_train(table(instances), golds, epochs=10, C=1.0, seed=7)
         assert rerun.weights == model.weights
 
 

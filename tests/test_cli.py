@@ -515,19 +515,20 @@ def stream_files(tmp_path, rng, paths):
 
 
 @pytest.mark.parametrize("stream", ["words", "gaps", "source"])
-def test_linear_commands_build_no_sequence_instance(tmp_path, capsys, monkeypatch, stream):
-    # the linear commands read and write columns: the corpus becomes one
-    # instance table, and the tags and probabilities are written from Raggeds
+def test_linear_commands_build_no_table_from_rows(tmp_path, capsys, monkeypatch, stream):
+    # the linear commands read and write columns: build_instances makes the
+    # corpus one instance table without a row per sentence, and the tags and
+    # probabilities are written from Raggeds
     import qestack.linearqe as linearqe
 
     built = []
-    post_init = linearqe.SequenceInstance.__post_init__
+    from_rows = linearqe.InstanceTable.from_rows
 
-    def counting_post_init(self):
-        built.append(self)
-        post_init(self)
+    def counting_from_rows(*args, **kwargs):
+        built.append(args)
+        return from_rows(*args, **kwargs)
 
-    monkeypatch.setattr(linearqe.SequenceInstance, "__post_init__", counting_post_init)
+    monkeypatch.setattr(linearqe.InstanceTable, "from_rows", counting_from_rows)
     rng = random.Random(41)
     paths = label_files(tmp_path, capsys, rng, n=16)
     manifest, extra = stream_files(tmp_path, rng, paths)
@@ -1121,6 +1122,91 @@ def test_a_span_outside_its_document_is_an_error_naming_file_line_and_document(
     code, _, err = run(capsys, *argv)
     assert_one_error_line(code, err)
     assert err == f"error: {anns}:{message}\n"
+    assert not out.exists()
+
+
+_DOC_EVAL_FLAGS = ("--docs", "--gold-annotations", "--pred-annotations", "--gold-mqm", "--pred-mqm")
+
+
+def doc_eval_files(tmp_path):
+    """A valid file for each flag of ``doc eval``, by flag."""
+    manifest, anns = span_files(tmp_path, "d1\tmajor\t0:0-2\nd2\tminor\t0:2-3\n")
+    pred = write(tmp_path / "pred.anns", "d1\tmajor\t0:0-2\n")
+    gold_mqm = write(tmp_path / "gold.mqm", "d1\t10.0\nd2\t20.0\nd3\t5.0\n")
+    pred_mqm = write(tmp_path / "pred.mqm", "d1\t12.0\nd2\t15.0\nd3\t9.0\n")
+    return dict(zip(_DOC_EVAL_FLAGS, (manifest, anns, pred, gold_mqm, pred_mqm)))
+
+
+@pytest.mark.parametrize("subset", range(32), ids=lambda subset: "+".join(
+    flag[2:] for k, flag in enumerate(_DOC_EVAL_FLAGS) if subset >> k & 1
+) or "none")
+def test_doc_eval_with_any_subset_of_its_flags_is_a_result_or_one_error_line(tmp_path, capsys, subset):
+    # once, annotation files without --docs ended in a traceback, and a
+    # half-given pair was skipped without a word
+    files = doc_eval_files(tmp_path)
+    given = {flag for k, flag in enumerate(_DOC_EVAL_FLAGS) if subset >> k & 1}
+    code, out, err = run(capsys, "doc", "eval", *(arg for flag in _DOC_EVAL_FLAGS if flag in given for arg in (flag, files[flag])))
+    assert code in (0, 1) and "Traceback" not in err
+    annotations = {"--gold-annotations", "--pred-annotations"} & given
+    mqm = {"--gold-mqm", "--pred-mqm"} & given
+    ok = len(annotations) != 1 and len(mqm) != 1 and (annotations or mqm) and (not annotations or "--docs" in given)
+    if ok:
+        assert code == 0 and err == ""
+        printed = [line.split()[0] for line in out.splitlines()]
+        assert printed == ["f1_ann"] * bool(annotations) + ["mqm_pearson"] * bool(mqm)
+    else:
+        assert_one_error_line(code, err)
+        assert out == ""
+
+
+@pytest.mark.parametrize("given,missing", [
+    ("--gold-annotations", "--pred-annotations"), ("--pred-annotations", "--gold-annotations"),
+    ("--gold-mqm", "--pred-mqm"), ("--pred-mqm", "--gold-mqm"),
+])
+def test_doc_eval_with_half_a_pair_names_the_missing_flag(tmp_path, capsys, given, missing):
+    files = doc_eval_files(tmp_path)
+    pairs = ("--gold-annotations", "--pred-annotations", "--gold-mqm", "--pred-mqm")
+    argv = ["doc", "eval", "--docs", files["--docs"], *(a for f in pairs if f != missing for a in (f, files[f]))]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {given} needs {missing}\n")
+
+
+def test_doc_eval_of_annotation_files_without_docs_is_one_error_line(tmp_path, capsys):
+    files = doc_eval_files(tmp_path)
+    argv = ["doc", "eval", "--gold-annotations", files["--gold-annotations"], "--pred-annotations", files["--pred-annotations"]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: --gold-annotations and --pred-annotations need --docs\n")
+
+
+@pytest.mark.parametrize("constant", ["gold", "pred"])
+@pytest.mark.parametrize("command", ["evaluate", "doc eval"])
+def test_a_constant_score_file_is_an_error_naming_it(tmp_path, capsys, command, constant):
+    # 0.1 three times has a mean that rounds, so its variance was not 0.0
+    # and evaluate printed "pearson  0.000000" with exit 0
+    values = {"gold": ["0.1"] * 3, "pred": ["0.0", repr(1 / 3), repr(2 / 3)]}
+    if constant == "pred":
+        values = {"gold": values["pred"], "pred": values["gold"]}
+    if command == "evaluate":
+        paths = {side: write(tmp_path / f"{side}.hter", "".join(f"{v}\n" for v in values[side])) for side in values}
+        argv = ["evaluate", "--stream", "sentence", "--gold", paths["gold"], "--pred", paths["pred"]]
+    else:
+        paths = {
+            side: write(tmp_path / f"{side}.mqm", "".join(f"doc{d}\t{v}\n" for d, v in enumerate(values[side])))
+            for side in values
+        }
+        argv = ["doc", "eval", "--gold-mqm", paths["gold"], "--pred-mqm", paths["pred"]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {paths[constant]}: correlation with a constant vector is undefined\n")
+
+
+def test_ensemble_word_apply_with_weights_that_sum_to_zero_names_the_weights_file(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    manifest = prediction_files(tmp_path, rng, paths["mt"], n_systems=2)
+    weights = write(tmp_path / "w.tsv", "sys0\t0.0\nsys1\t-0.0\n")
+    out = tmp_path / "out.probs"
+    argv = ["ensemble-word", "apply", "--manifest", manifest, "--mt", paths["mt"], "--weights", weights, "--out", out]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (1, "", f"error: {weights}: ensemble weights sum to zero\n")
     assert not out.exists()
 
 

@@ -47,6 +47,9 @@ TEXT_CASES = (
         ["--seed", "x", "evaluate", "--gold", "g", "--pred", "p"],
         ["evaluate", "--seed", "x", "--gold", "g", "--pred", "p"],
         ["linear", "train", "--seed", "1.5", "--mt", "m", "--model", "x"],
+        ["doc", "eval", "--gold-annotations", "g", "--pred-annotations", "p"],
+        ["doc", "eval", "--docs", "d", "--gold-annotations", "g", "--gold-mqm", "m", "--pred-mqm", "q"],
+        ["doc", "eval", "--pred-mqm", "q"],
     ]
 )
 

@@ -864,6 +864,15 @@ def test_weight_file_round_trip(tmp_path):
     assert loaded == w
 
 
+def test_weights_that_sum_to_zero_are_not_loaded(tmp_path):
+    # once, the error came only when the weights were applied, naming no file
+    path = tmp_path / "weights.tsv"
+    save_weights(["a", "b"], WeightVector((0.0, 0.0), Stream.WORDS), path)
+    with pytest.raises(ZeroWeights) as caught:
+        load_weights(path, Stream.WORDS)
+    assert (str(caught.value), caught.value.file) == (f"{path}: ensemble weights sum to zero", str(path))
+
+
 @pytest.mark.parametrize("text, line", [
     ("intercept 0.5\nlambda\t1.0\n", 1),  # no tab
     ("intercept\t0.5\nslope\t1.0\n", 2),  # unknown field

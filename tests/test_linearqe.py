@@ -16,7 +16,6 @@ from qestack.labeler import hter, label_corpus
 from qestack.linearqe import (
     InstanceTable,
     LinearModel,
-    SequenceInstance,
     build_instances,
     extract_features,
     feature_strings,
@@ -37,8 +36,30 @@ from conftest import interleave, random_token
 OK, BAD = False, True
 
 
-def make_instance(tokens, **kwargs):
-    return SequenceInstance(tokens=tuple(tokens), **kwargs)
+def make_instance(tokens, *, aligned=None, extra=(), stacked=()):
+    """One sentence as a table: its tokens, each position's aligned words,
+    each extra column's strings and each stacked system's ``(system id,
+    P(BAD) per position)``."""
+    return InstanceTable.from_rows(
+        [tokens],
+        aligned=None if aligned is None else [aligned],
+        extra=[[column] for column in extra],
+        stacked=[(system_id, [probs]) for system_id, probs in stacked],
+    )
+
+
+def table(instances):
+    """One table of the sentences of one-sentence tables, each with the
+    extra columns and stacked systems of the first."""
+    shape = instances[0] if instances else InstanceTable.from_rows([])
+    return InstanceTable.from_rows(
+        [inst.tokens for inst in instances],
+        aligned=[position_words(inst) for inst in instances],
+        extra=[[inst.extra[c] for inst in instances] for c in range(len(shape.extra))],
+        stacked=[
+            (system_id, [inst.stacked[c][1] for inst in instances]) for c, (system_id, _) in enumerate(shape.stacked)
+        ],
+    )
 
 
 def brute_force(inst, model, cost_gold=None):
@@ -47,12 +68,12 @@ def brute_force(inst, model, cost_gold=None):
     position's keys are hashed once per label pair, not once per labeling."""
     weights = {
         (i, label, prev): [model.weights.get(key, 0.0) for key in extract_features(inst, i, label, prev)]
-        for i in range(len(inst))
+        for i in range(len(inst.tokens))
         for label in (OK, BAD)
         for prev in (None, OK, BAD)
     }
     best_seq, best_score = None, None
-    for combo in itertools.product((OK, BAD), repeat=len(inst)):
+    for combo in itertools.product((OK, BAD), repeat=len(inst.tokens)):
         score = 0.0
         prev = None
         for i, label in enumerate(combo):
@@ -68,7 +89,7 @@ def brute_force(inst, model, cost_gold=None):
 
 def random_model(rng, inst):
     weights = {}
-    for i in range(len(inst)):
+    for i in range(len(inst.tokens)):
         for label in (OK, BAD):
             for prev in (None, OK, BAD):
                 for key in extract_features(inst, i, label, prev):
@@ -175,7 +196,7 @@ def test_viterbi_matches_exhaustive_enumeration():
     for _ in range(60):
         inst = random_instance(rng, max_len=7)
         model = random_model(rng, inst)
-        gold = [rng.choice((OK, BAD)) for _ in range(len(inst))] if rng.random() < 0.5 else None
+        gold = [rng.choice((OK, BAD)) for _ in range(len(inst.tokens))] if rng.random() < 0.5 else None
         seq, score = viterbi(inst, model, cost_gold=gold)
         bf_seq, bf_score = brute_force(inst, model, cost_gold=gold)
         assert abs(score - bf_score) < 1e-9
@@ -214,8 +235,8 @@ def test_no_updates_once_the_loss_augmented_decode_returns_gold():
     # after convergence yhat == gold (zero loss), so extra epochs change nothing
     inst = make_instance(["a", "b"])
     short, long = [], []
-    mira_train([inst], [[OK, BAD]], epochs=20, C=1.0, seed=1, on_update=short.append)
-    model = mira_train([inst], [[OK, BAD]], epochs=60, C=1.0, seed=1, on_update=long.append)
+    mira_train(inst, [[OK, BAD]], epochs=20, C=1.0, seed=1, on_update=short.append)
+    model = mira_train(inst, [[OK, BAD]], epochs=60, C=1.0, seed=1, on_update=long.append)
     assert len(long) == len(short)
     assert viterbi(inst, model)[0] == [OK, BAD]
 
@@ -225,7 +246,7 @@ def test_mira_separates_a_toy_vocabulary():
     ok_vocab = [f"g{i}" for i in range(12)]
     bad_vocab = [f"b{i}" for i in range(12)]
     instances, golds = separable_data(rng, 60, ok_vocab, bad_vocab)
-    model = mira_train(instances, golds, epochs=10, C=1.0, seed=7)
+    model = mira_train(table(instances), golds, epochs=10, C=1.0, seed=7)
     correct = total = 0
     for inst, gold in zip(instances, golds):
         pred, _ = viterbi(inst, model)
@@ -239,7 +260,7 @@ def test_tau_never_exceeds_aggressiveness():
     instances, golds = separable_data(rng, 40, ["x"], ["y"])
     for c in (0.02, 0.5):
         taus = []
-        mira_train(instances, golds, epochs=3, C=c, seed=1, on_update=taus.append)
+        mira_train(table(instances), golds, epochs=3, C=c, seed=1, on_update=taus.append)
         assert taus, "training this data must trigger updates"
         assert max(taus) <= c + 1e-15
 
@@ -247,10 +268,10 @@ def test_tau_never_exceeds_aggressiveness():
 def test_training_is_bit_reproducible_under_a_fixed_seed():
     rng = random.Random(6)
     instances, golds = separable_data(rng, 30, ["u", "v"], ["w", "z"])
-    first = mira_train(instances, golds, epochs=4, C=0.7, seed=42)
-    second = mira_train(instances, golds, epochs=4, C=0.7, seed=42)
+    first = mira_train(table(instances), golds, epochs=4, C=0.7, seed=42)
+    second = mira_train(table(instances), golds, epochs=4, C=0.7, seed=42)
     assert first.weights == second.weights
-    different = mira_train(instances, golds, epochs=4, C=0.7, seed=43)
+    different = mira_train(table(instances), golds, epochs=4, C=0.7, seed=43)
     assert different.weights != first.weights
 
 
@@ -270,7 +291,7 @@ def test_stacked_features_of_a_perfect_system_dominate():
 
     train_insts, train_golds = batch(80)
     dev_insts, dev_golds = batch(40)
-    model = mira_train(train_insts, train_golds, epochs=5, C=1.0, seed=3)
+    model = mira_train(table(train_insts), train_golds, epochs=5, C=1.0, seed=3)
 
     from qestack.metrics import f1_mult
 
@@ -289,9 +310,9 @@ def test_zero_weights_give_half_probabilities():
     assert predict_probs(inst, LinearModel(weights={})) == [0.5, 0.5]
     # every tie goes to OK, in sentences of mixed lengths decoded together
     instances = [make_instance(["a"] * n) for n in (3, 1, 5, 1, 2)]
-    tags, probs = predict(instances, LinearModel(weights={}))
-    assert tags == [[OK] * len(inst) for inst in instances]
-    assert probs == [[0.5] * len(inst) for inst in instances]
+    tags, probs = predict(table(instances), LinearModel(weights={}))
+    assert tags == [[OK] * len(inst.tokens) for inst in instances]
+    assert probs == [[0.5] * len(inst.tokens) for inst in instances]
 
 
 def test_raising_bad_bias_never_lowers_probabilities():
@@ -336,19 +357,19 @@ def test_jackknife_covers_every_sentence_exactly_once():
     rng = random.Random(12)
     instances, golds = separable_data(rng, 23, ["m"], ["n"])
 
-    tags, probs = jackknife(instances, golds, 5, epochs=2, C=1.0, seed=1)
+    tags, probs = jackknife(table(instances), golds, 5, epochs=2, C=1.0, seed=1)
     assert len(tags) == len(instances)
     assert len(probs) == len(instances)
     for inst, tag_row, prob_row in zip(instances, tags, probs):
-        assert len(tag_row) == len(inst)
-        assert len(prob_row) == len(inst)
+        assert len(tag_row) == len(inst.tokens)
+        assert len(prob_row) == len(inst.tokens)
 
 
 def test_leave_one_out_is_allowed():
     rng = random.Random(13)
     instances, golds = separable_data(rng, 6, ["m"], ["n"])
 
-    tags, _ = jackknife(instances, golds, len(instances), epochs=1, C=1.0, seed=1)
+    tags, _ = jackknife(table(instances), golds, len(instances), epochs=1, C=1.0, seed=1)
     assert len(tags) == len(instances)
 
 
@@ -373,11 +394,11 @@ def test_jackknife_folds_equal_predict_with_mira_train_on_the_rest():
     rng = random.Random(16)
     instances, golds = noisy_data(rng, 20)
     options = {"epochs": 3, "C": 0.5, "seed": 7}
-    tags, probs = jackknife(instances, golds, 3, gamma=0.7, **options)
+    tags, probs = jackknife(table(instances), golds, 3, gamma=0.7, **options)
     bounds = fold_bounds(len(instances), 3)
     for lo, hi in bounds:
-        model = mira_train(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
-        fold_tags, fold_probs = predict(instances[lo:hi], model, gamma=0.7)
+        model = mira_train(table(instances[:lo] + instances[hi:]), golds[:lo] + golds[hi:], **options)
+        fold_tags, fold_probs = predict(table(instances[lo:hi]), model, gamma=0.7)
         assert tags[lo:hi] == fold_tags
         assert probs[lo:hi] == fold_probs
         for inst, row_tags, row_probs in zip(instances[lo:hi], fold_tags, fold_probs):
@@ -398,6 +419,7 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
 
     monkeypatch.setattr(linearqe, "_template_ids", counting_template_ids)
     instances, golds = noisy_data(random.Random(17), 12)
+    instances = table(instances)
     jackknife(instances, golds, 4, epochs=2)
     assert len(builds) == len(instances)
     model = mira_train(instances, golds, epochs=1)
@@ -431,7 +453,7 @@ def reference_mira(instances, golds, *, epochs, C, seed):
                 continue
             delta = Counter()
             prev_g = prev_p = None
-            for i in range(len(inst)):
+            for i in range(len(inst.tokens)):
                 delta.update(extract_features(inst, i, gold[i], prev_g))
                 delta.subtract(extract_features(inst, i, pred[i], prev_p))
                 prev_g, prev_p = gold[i], pred[i]
@@ -471,7 +493,7 @@ def reference_forward(inst, w, cost_gold=None):
         for label in labels
     ]]
     back = []
-    for i in range(1, len(inst)):
+    for i in range(1, len(inst.tokens)):
         row, pointers = [], []
         for label in labels:
             ok, bad = (delta[-1][p] + reference_transition(inst, w, prev, label) for p, prev in enumerate(labels))
@@ -511,7 +533,7 @@ def reference_probs(inst, w, gamma):
     forward pass and a backward max pass."""
     labels = (OK, BAD)
     delta, _ = reference_forward(inst, w)
-    n = len(inst)
+    n = len(inst.tokens)
     bwd = [[0.0, 0.0] for _ in range(n)]
     for i in range(n - 2, -1, -1):
         for p, prev in enumerate(labels):
@@ -534,14 +556,14 @@ def test_colliding_feature_strings_share_one_weight(monkeypatch):
     monkeypatch.setattr(linearqe, "_template_keys", lambda *args: template_keys(*args) % np.uint64(8))
     instances, golds = noisy_data(random.Random(19), 12)
     options = {"epochs": 3, "C": 0.5, "seed": 5}
-    model = mira_train(instances, golds, **options)
+    model = mira_train(table(instances), golds, **options)
     assert model.weights == reference_mira(instances, golds, **options)
-    assert predict(instances, model)[0] == [reference_viterbi(inst, model.weights)[0] for inst in instances]
+    assert predict(table(instances), model)[0] == [reference_viterbi(inst, model.weights)[0] for inst in instances]
 
-    tags, probs = jackknife(instances, golds, 3, **options)
+    tags, probs = jackknife(table(instances), golds, 3, **options)
     lo, hi = fold_bounds(len(instances), 3)[1]
     rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
-    assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest))
+    assert (tags[lo:hi], probs[lo:hi]) == predict(table(instances[lo:hi]), LinearModel(rest))
 
 
 # forced single collisions: the first key of a pair is made the second, so
@@ -571,14 +593,14 @@ def test_both_training_forms_equal_the_reference_mira(monkeypatch, collision, C)
         monkeypatch.setattr(linearqe, "_template_keys", colliding_keys)
     instances, golds = noisy_data(random.Random(19), 12)
     options = {"epochs": 3, "C": C, "seed": 5}
-    form = linearqe._compile_training(instances, golds, options["epochs"], C).form
+    form = linearqe._compile_training(table(instances), golds, options["epochs"], C).form
     assert form is (linearqe._PAIRED if collision is None else linearqe._KEYED)
-    assert mira_train(instances, golds, **options).weights == reference_mira(instances, golds, **options)
+    assert mira_train(table(instances), golds, **options).weights == reference_mira(instances, golds, **options)
 
-    tags, probs = jackknife(instances, golds, 3, **options)
+    tags, probs = jackknife(table(instances), golds, 3, **options)
     for lo, hi in fold_bounds(len(instances), 3):
         rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
-        assert (tags[lo:hi], probs[lo:hi]) == predict(instances[lo:hi], LinearModel(rest))
+        assert (tags[lo:hi], probs[lo:hi]) == predict(table(instances[lo:hi]), LinearModel(rest))
 
 
 def test_noisy_corpora_train_one_weight_per_template():
@@ -589,7 +611,7 @@ def test_noisy_corpora_train_one_weight_per_template():
     rng = random.Random(29)
     for n_sentences in (1, 20, 200):
         instances, golds = noisy_data(rng, n_sentences)
-        assert linearqe._compile_training(instances, golds, 1, 1.0).form is linearqe._PAIRED
+        assert linearqe._compile_training(table(instances), golds, 1, 1.0).form is linearqe._PAIRED
 
 
 def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path, monkeypatch):
@@ -598,6 +620,7 @@ def test_model_file_and_jackknife_probabilities_keep_their_bytes(tmp_path, monke
     # the pins were written when the bin count was an option, here 4
     monkeypatch.setattr(linearqe, "_BINS", 4)
     instances, golds = noisy_data(random.Random(18), 30)
+    instances = table(instances)
     options = {"epochs": 3, "C": 0.5, "seed": 7}
     path = tmp_path / "m.model"
     save_model(mira_train(instances, golds, **options), path)
@@ -632,7 +655,7 @@ def partial_model(rng, instances):
     keys = sorted({
         key
         for inst in instances
-        for i in range(len(inst))
+        for i in range(len(inst.tokens))
         for label in (OK, BAD)
         for prev in (None, OK, BAD)
         for key in extract_features(inst, i, label, prev)
@@ -649,7 +672,7 @@ def test_predict_equals_the_reference_bit_for_bit():
     instances = rich_data(rng, 4)
     for _ in range(32):
         model = partial_model(rng, instances)
-        tags, probs = predict(instances, model, gamma=0.7)
+        tags, probs = predict(table(instances), model, gamma=0.7)
         for inst, row_tags, row_probs in zip(instances, tags, probs):
             ref_tags, ref_score = reference_viterbi(inst, model.weights)
             assert row_tags == ref_tags
@@ -675,11 +698,11 @@ def test_compiles_hash_no_feature_string_but_the_bigrams(monkeypatch):
     bigrams = sorted(
         feature_strings(instances[0], 0, label, prev)[-1] for label in (OK, BAD) for prev in (None, OK, BAD)
     )
-    model = mira_train(instances, golds, epochs=2)
+    model = mira_train(table(instances), golds, epochs=2)
     assert sorted(hashed) == bigrams
     calls = (
-        lambda: predict(instances, model),
-        lambda: jackknife(instances, golds, 4, epochs=2),
+        lambda: predict(table(instances), model),
+        lambda: jackknife(table(instances), golds, 4, epochs=2),
         lambda: viterbi(instances[0], model),
         lambda: score_sequence(instances[0], model, golds[0]),
     )
@@ -727,7 +750,7 @@ def mixed_data(rng, n_sentences):
     instances = []
     for _ in range(n_sentences):
         tokens = [random_token(rng, "ab𝔠") for _ in range(rng.randint(1, 4))]
-        aligned = () if rng.random() < 0.3 else tuple(
+        aligned = None if rng.random() < 0.3 else tuple(
             tuple(random_token(rng, "xy") for _ in range(rng.randint(0, 3))) for _ in tokens
         )
         extra = tuple(tuple(rng.choice(("P", "Q", "", "é\x00")) for _ in tokens) for _ in range(columns))
@@ -753,10 +776,10 @@ def test_compiled_slots_hold_the_keys_of_extract_features_in_order(monkeypatch, 
     rng = random.Random(23)
     for _ in range(SHAPES):
         instances = mixed_data(rng, 70)
-        compiled, pairs = linearqe._compile_slots(InstanceTable.of(instances))
+        compiled, pairs = linearqe._compile_slots(table(instances))
         assert len(compiled) == len(instances)
         for inst, slots in zip(instances, compiled):
-            assert len(slots) == len(inst)
+            assert len(slots) == len(inst.tokens)
             for i, ids in enumerate(slots):
                 # every key but the last, the bigram
                 assert [pairs[j][0] for j in ids] == extract_features(inst, i, OK, None)[:-1]
@@ -773,25 +796,25 @@ def test_block_compiles_predict_and_train_as_one_instance_at_a_time(monkeypatch,
         instances = mixed_data(rng, 70)
         golds = [[rng.random() < 0.3 for _ in inst.tokens] for inst in instances]
         model = partial_model(rng, instances)
-        tags, probs = predict(instances, model, gamma=0.7)
+        tags, probs = predict(table(instances), model, gamma=0.7)
         for inst, row_tags, row_probs in zip(instances, tags, probs):
             assert row_tags == viterbi(inst, model)[0]
             assert [p.hex() for p in row_probs] == [p.hex() for p in reference_probs(inst, model.weights, 0.7)]
-        trained = mira_train(instances, golds, epochs=2)
+        trained = mira_train(table(instances), golds, epochs=2)
         monkeypatch.setattr(linearqe, "_BLOCK", 1)
-        assert trained.weights == mira_train(instances, golds, epochs=2).weights
+        assert trained.weights == mira_train(table(instances), golds, epochs=2).weights
 
 
 def test_jackknife_rejects_too_few_sentences():
     with pytest.raises(ValueError):
-        jackknife([make_instance(["a"])], [[OK]], 2)
+        jackknife(make_instance(["a"]), [[OK]], 2)
 
 
 def test_parallel_jackknife_matches_sequential_output():
     rng = random.Random(15)
     instances, golds = separable_data(rng, 18, ["a", "b"], ["c", "d"])
-    sequential = jackknife(instances, golds, 3, epochs=2, C=1.0, seed=3, jobs=1)
-    parallel = jackknife(instances, golds, 3, epochs=2, C=1.0, seed=3, jobs=2)
+    sequential = jackknife(table(instances), golds, 3, epochs=2, C=1.0, seed=3, jobs=1)
+    parallel = jackknife(table(instances), golds, 3, epochs=2, C=1.0, seed=3, jobs=2)
     assert parallel == sequential
 
 
@@ -889,21 +912,21 @@ def test_predict_equals_the_per_sentence_decode_at_any_block_size(monkeypatch, b
         model.weights.update(dict.fromkeys(bigrams, -0.0))  # -0.0 transition scores
         for gamma in (0.7, 1000.0):
             want = list(zip(*(per_sentence_predict(inst, model, gamma) for inst in instances)))
-            assert_rows_equal_bit_for_bit(predict(instances, model, gamma), (list(want[0]), list(want[1])))
+            assert_rows_equal_bit_for_bit(predict(table(instances), model, gamma), (list(want[0]), list(want[1])))
 
 
 def test_predict_of_no_instances_is_empty():
-    assert predict([], LinearModel(weights={fnv1a64("b∧BAD"): 1.0})) == ([], [])
+    assert predict(table([]), LinearModel(weights={fnv1a64("b∧BAD"): 1.0})) == ([], [])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_jackknife_decodes_each_fold_as_the_per_sentence_decode(jobs):
     instances, golds = noisy_data(random.Random(28), 14)
     options = {"epochs": 2, "C": 0.5, "seed": 3}
-    tags, probs = jackknife(instances, golds, 3, gamma=0.7, jobs=jobs, **options)
-    assert min(map(len, instances)) == 1
+    tags, probs = jackknife(table(instances), golds, 3, gamma=0.7, jobs=jobs, **options)
+    assert min(len(inst.tokens) for inst in instances) == 1
     for lo, hi in fold_bounds(len(instances), 3):
-        model = mira_train(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
+        model = mira_train(table(instances[:lo] + instances[hi:]), golds[:lo] + golds[hi:], **options)
         want = list(zip(*(per_sentence_predict(inst, model, 0.7) for inst in instances[lo:hi])))
         assert_rows_equal_bit_for_bit((tags[lo:hi], probs[lo:hi]), (list(want[0]), list(want[1])))
 
@@ -931,11 +954,11 @@ def test_model_keys_beyond_64_bits_are_a_parse_error(tmp_path):
         load_model(path)
     assert (caught.value.file, caught.value.line) == (str(path), 2)
     path.write_text(f"{2**64 - 1}\t0.5\n", encoding="utf-8")
-    assert predict([make_instance(["a"])], load_model(path)) == ([[OK]], [[0.5]])
+    assert predict(make_instance(["a"]), load_model(path)) == ([[OK]], [[0.5]])
     # a model built in code may hold them; they weigh nothing
     bias = fnv1a64("b∧BAD")
     outside = LinearModel({-1: 2.0, 2**64: 2.0, bias: 1.0})
-    assert predict([make_instance(["a"])], outside) == predict([make_instance(["a"])], LinearModel({bias: 1.0}))
+    assert predict(make_instance(["a"]), outside) == predict(make_instance(["a"]), LinearModel({bias: 1.0}))
 
 
 @pytest.mark.parametrize(
@@ -1161,13 +1184,60 @@ def test_rows_of_another_length_are_an_error_naming_the_entry():
          "system 's1' gaps stream has 1 rows, expected 2"),
         (lambda: build_instances(corpus, Stream.WORDS, extra_columns=[[("X", "Y"), ("X",)]]),
          "entry 2: extra column: expected 2 entries, got 1"),
-        (lambda: mira_train([make_instance(["a", "b"])] * 2, [[OK, BAD]]), "gold labeling has 1 rows, expected 2"),
-        (lambda: mira_train([make_instance(["a", "b"])], [[OK]]), "entry 1: gold labeling: expected 2 entries, got 1"),
+        (lambda: mira_train(table([make_instance(["a", "b"])] * 2), [[OK, BAD]]), "gold labeling has 1 rows, expected 2"),
+        (lambda: mira_train(make_instance(["a", "b"]), [[OK]]), "entry 1: gold labeling: expected 2 entries, got 1"),
     ]
     for call, message in cases:
         with pytest.raises(LengthMismatch) as caught:
             call()
         assert str(caught.value) == message
+
+
+def test_from_rows_names_the_entry_of_a_bad_row():
+    cases = [
+        (lambda: InstanceTable.from_rows([["a"], ["b", "c"]], aligned=[[()], [("x",)]]),
+         "entry 2: aligned words: expected 2 entries, got 1"),
+        (lambda: InstanceTable.from_rows([["a"], ["b"]], extra=[[["x"]]]), "extra column has 1 rows, expected 2"),
+        (lambda: InstanceTable.from_rows([["a"]], stacked=[("s", [[0.5, 0.5]])]),
+         "entry 1: system 's' stacked probabilities: expected 1 entries, got 2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(LengthMismatch) as caught:
+            call()
+        assert str(caught.value) == message
+    with pytest.raises(EmptyInput, match="^entry 2: a sentence needs at least one token$"):
+        InstanceTable.from_rows([["a"], [], ["b"]])
+
+
+def test_feature_strings_of_a_table_count_positions_over_its_sentences():
+    # the sentinels of w-1 and w+1 fall at each sentence's own ends
+    rng = random.Random(30)
+    for _ in range(SHAPES):
+        instances = mixed_data(rng, 6)
+        joined = table(instances)
+        p = 0
+        for inst in instances:
+            for i in range(len(inst.tokens)):
+                for label, prev in ((OK, None), (BAD, OK)):
+                    assert feature_strings(joined, p, label, prev) == feature_strings(inst, i, label, prev)
+                p += 1
+
+
+def test_a_built_table_of_one_sentence_decodes_as_predict():
+    corpus = build_tiny_corpus()
+    model = partial_model(random.Random(31), [build_instances(corpus, Stream.WORDS)])
+    for stream in (Stream.WORDS, Stream.GAPS, Stream.SOURCE):
+        one = build_instances(corpus, stream)
+        tags, probs = predict(one, model, gamma=0.7)
+        assert viterbi(one, model)[0] == tags[0]
+        assert predict_probs(one, model, gamma=0.7) == probs[0]
+
+
+def test_the_one_sentence_functions_name_the_sentence_count():
+    pair = build_instances(TaggedCorpus.from_rows(**tiny_columns(2)), Stream.WORDS)
+    for call in (viterbi, predict_probs, lambda t, m: score_sequence(t, m, [OK] * 4)):
+        with pytest.raises(InvalidInput, match="^expected a table of one sentence, got 2 sentences$"):
+            call(pair, LinearModel({}))
 
 
 # --- misuse ---------------------------------------------------------------------
@@ -1176,29 +1246,31 @@ def test_rows_of_another_length_are_an_error_naming_the_entry():
 def _misuse_cases():
     bare = TaggedCorpus(mt=(Sentence(("a", "b")),))
     two = make_instance(["a", "b"])
-    under_ids = [make_instance(["a"], stacked=((system_id, (0.5,)),)) for system_id in "st"]
+    pair = table([two, two])
     return {
-        "instance without tokens": (EmptyInput, lambda: make_instance([])),
+        "instance without tokens": (EmptyInput, lambda: InstanceTable.from_rows([["a"], []])),
         "aligned words per position": (LengthMismatch, lambda: make_instance(["a", "b"], aligned=(("x",),))),
         "extra column per position": (LengthMismatch, lambda: make_instance(["a", "b"], extra=(("x",),))),
         "stacked probabilities per position": (
             LengthMismatch, lambda: make_instance(["a", "b"], stacked=(("s", (0.5,)),)),
         ),
-        "gold labelings per instance": (LengthMismatch, lambda: mira_train([two, two], [[OK, BAD]])),
-        "gold labeling length": (LengthMismatch, lambda: mira_train([two], [[OK]])),
-        "C not a number": (RangeError, lambda: mira_train([two], [[OK, BAD]], C=math.nan)),
-        "gamma not finite in predict": (RangeError, lambda: predict([two], LinearModel({}), gamma=math.nan)),
-        "gamma not finite in jackknife": (RangeError, lambda: jackknife([two, two], [[OK, BAD]] * 2, 2, gamma=math.inf)),
+        "extra column of another sentence count": (
+            LengthMismatch, lambda: InstanceTable.from_rows([["a"], ["b"]], extra=[[["x"]]]),
+        ),
+        "viterbi of two sentences": (InvalidInput, lambda: viterbi(pair, LinearModel({}))),
+        "score_sequence of two sentences": (InvalidInput, lambda: score_sequence(pair, LinearModel({}), [OK] * 4)),
+        "predict_probs of no sentence": (InvalidInput, lambda: predict_probs(table([]), LinearModel({}))),
+        "gold labelings per instance": (LengthMismatch, lambda: mira_train(pair, [[OK, BAD]])),
+        "gold labeling length": (LengthMismatch, lambda: mira_train(two, [[OK]])),
+        "C not a number": (RangeError, lambda: mira_train(two, [[OK, BAD]], C=math.nan)),
+        "gamma not finite in predict": (RangeError, lambda: predict(two, LinearModel({}), gamma=math.nan)),
+        "gamma not finite in jackknife": (RangeError, lambda: jackknife(pair, [[OK, BAD]] * 2, 2, gamma=math.inf)),
         "source stream without source": (MissingStream, lambda: build_instances(bare, Stream.SOURCE)),
         "unknown stream": (MissingStream, lambda: build_instances(bare, "words")),
         "gold without source tags": (MissingStream, lambda: gold_tags(bare, Stream.SOURCE)),
         "gold without target tags": (MissingStream, lambda: gold_tags(bare, Stream.WORDS)),
-        "instances of mixed shapes": (
-            InvalidInput, lambda: InstanceTable.of([two, make_instance(["a"], extra=(("x",),))]),
-        ),
-        "instances under other system ids": (InvalidInput, lambda: predict(under_ids, LinearModel({}))),
         "stacked probability not finite": (
-            RangeError, lambda: predict([make_instance(["a"], stacked=(("s", (math.nan,)),))], LinearModel({})),
+            RangeError, lambda: predict(make_instance(["a"], stacked=(("s", (math.nan,)),)), LinearModel({})),
         ),
         "hter of an empty post-edit": (RangeError, lambda: hter([], 0)),
         "label without a post-edit": (MissingStream, lambda: label_corpus(bare)),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qestack.corpus import Tag
@@ -119,6 +119,25 @@ def test_degenerate_inputs_raise():
         pearson([1.0], [2.0])
     with pytest.raises(DegenerateInput):
         pearson([1.0, 1.0], [1.0, 2.0])
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 9))
+@example(0.1, 3)
+@example(0.123456789, 5)
+def test_pearson_refuses_every_constant_vector(value, n):
+    # once, a constant whose mean rounds had a variance above 0.0: [0.1] * 3
+    # correlated 0.0 with anything, and [0.123456789] * 5 gave -3.9e-17
+    other = [k / n for k in range(n)]
+    for x, y, file in (([value] * n, other, "x.hter"), (other, [value] * n, "y.hter")):
+        with pytest.raises(DegenerateInput) as caught:
+            pearson(x, y, files=("x.hter", "y.hter"))
+        assert str(caught.value) == f"{file}: correlation with a constant vector is undefined"
+
+
+def test_pearson_of_variances_that_underflow_is_degenerate():
+    # once, the product of two subnormal variances divided by zero
+    with pytest.raises(DegenerateInput, match="^the variances underflow$"):
+        pearson([0.0, 1e-160], [0.0, 1e-160])
 
 
 def test_contingency_table_totals():
