@@ -4,6 +4,9 @@ Every subcommand is a thin adapter over the library; no metric or
 optimization logic lives here. Exit codes: 0 success, 1 validation/usage
 error, 2 I/O error. All randomized steps consume one root seed and every
 file-producing run writes an effective-config snapshot next to its outputs.
+
+A --config file sets the keys of a command, a flag of the same name overrides
+one, and a command without keys refuses every key.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import __version__, corpus, doclevel, ensemble, labeler, linearqe, metrics
 from .config import load_config_file, resolve_config, write_snapshot
 from .corpus import Stream
-from .errors import QEStackError, SpanOutOfBounds
+from .errors import InvalidInput, QEStackError, SpanOutOfBounds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,10 +42,6 @@ def _emit(pairs, fmt):
             print(f"{key:<{width}}  {value}")
 
 
-def _load_file_config(args):
-    return load_config_file(args.config) if args.config else {}
-
-
 def _snapshot(path, command, values, extra=None):
     merged = dict(values)
     if extra:
@@ -53,10 +52,7 @@ def _snapshot(path, command, values, extra=None):
 _EVAL_STREAMS = ("target", "words", "gaps", "source", "sentence")
 
 
-def _cmd_evaluate(args):
-    values = resolve_config(
-        {"threshold": ("float", 0.5)}, _load_file_config(args), {"threshold": args.threshold}
-    )
+def _cmd_evaluate(args, values):
     if args.stream == "sentence":
         gold = corpus.read_score_lines(args.gold)
         pred = corpus.read_score_lines(args.pred)
@@ -86,8 +82,7 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _cmd_make_labels(args):
-    values = resolve_config({}, _load_file_config(args))
+def _cmd_make_labels(args, values):
     loaded = corpus.load_corpus(mt=args.mt, pe=args.pe, src=args.src, align=args.align)
     labeled = labeler.label_corpus(loaded)
     prefix = args.out_prefix
@@ -111,15 +106,9 @@ _LINEAR_SCHEMA = {
 }
 
 
-def _linear_values(args):
-    # --k and --gamma exist only on the subcommands that use them
-    overrides = {key: getattr(args, key, None) for key in ("epochs", "C", "k", "gamma")}
-    return {**resolve_config(_LINEAR_SCHEMA, _load_file_config(args), overrides), "seed": args.seed}
-
-
-def _training_options(values):
+def _training_options(args, values):
     """The keyword arguments ``mira_train`` and ``jackknife`` share."""
-    return {key: values[key] for key in ("epochs", "C", "seed")}
+    return {"epochs": values["epochs"], "C": values["C"], "seed": args.seed}
 
 
 def _linear_corpus(args):
@@ -145,30 +134,29 @@ def _linear_corpus(args):
     return instances, golds
 
 
-def _cmd_linear_train(args):
-    values = _linear_values(args)
+def _cmd_linear_train(args, values):
     instances, golds = _linear_corpus(args)
-    model = linearqe.mira_train(instances, golds, **_training_options(values))
+    model = linearqe.mira_train(instances, golds, **_training_options(args, values))
     linearqe.save_model(model, args.model)
-    _snapshot(f"{args.model}.run.cfg", "linear train", values, {"stream": args.stream})
+    _snapshot(f"{args.model}.run.cfg", "linear train", values, {"stream": args.stream, "seed": args.seed})
     return 0
 
 
-def _cmd_linear_decode(args):
+def _cmd_linear_decode(args, values):
     """``linear predict`` decodes with a saved model, ``linear jackknife`` with
     models trained on the other folds; both write word-only tags and P(BAD)."""
-    values = _linear_values(args)
     instances, golds = _linear_corpus(args)
     if args.subcommand == "predict":
         model = linearqe.load_model(args.model)
         tags, probs = linearqe.predict(instances, model, values["gamma"])
     else:
         tags, probs = linearqe.jackknife(
-            instances, golds, values["k"], **_training_options(values), gamma=values["gamma"], jobs=args.jobs
+            instances, golds, values["k"], **_training_options(args, values), gamma=values["gamma"], jobs=args.jobs
         )
     corpus.write_tags(tags, f"{args.out_prefix}.tags")
     corpus.write_probs(probs, f"{args.out_prefix}.probs")
-    _snapshot(f"{args.out_prefix}.run.cfg", f"linear {args.subcommand}", values, {"stream": args.stream})
+    extra = {"stream": args.stream, "seed": args.seed}
+    _snapshot(f"{args.out_prefix}.run.cfg", f"linear {args.subcommand}", values, extra)
     return 0
 
 
@@ -202,10 +190,7 @@ def _word_fit_options(values):
     return {key: values[key] for key in ("threshold", "optimize_threshold", "tol", "max_cycles")}
 
 
-def _cmd_ensemble_word_fit(args):
-    values = resolve_config(
-        _ENSEMBLE_WORD_SCHEMA, _load_file_config(args), {"threshold": args.threshold}
-    )
+def _cmd_ensemble_word_fit(args, values):
     stream, _, preds, golds = _ensemble_inputs(args, need_gold=True)
     fit = ensemble.fit_word_ensemble(preds, golds, stream, **_word_fit_options(values))
     ensemble.save_weights([p.system_id for p in preds], fit.weights, args.out)
@@ -219,21 +204,20 @@ def _cmd_ensemble_word_fit(args):
     return 0
 
 
-def _cmd_ensemble_word_apply(args):
+def _cmd_ensemble_word_apply(args, values):
     stream, _, preds, _ = _ensemble_inputs(args, need_gold=False)
     ids, weights = ensemble.load_weights(args.weights, stream)
-    if ids != [p.system_id for p in preds]:
-        raise QEStackError("weights file lists different systems than the manifest")
+    systems = [p.system_id for p in preds]
+    if ids != systems:
+        message = f"lists systems {', '.join(ids)}, not {', '.join(systems)} of {args.manifest}"
+        raise InvalidInput(message, file=args.weights)
     combined = ensemble.combine_word(preds, weights, stream)
     corpus.write_probs(combined, args.out)
-    _snapshot(f"{args.out}.run.cfg", "ensemble-word apply", {}, {"stream": args.stream, "weights": args.weights})
+    _snapshot(f"{args.out}.run.cfg", "ensemble-word apply", values, {"stream": args.stream, "weights": args.weights})
     return 0
 
 
-def _cmd_ensemble_word_kfold(args):
-    values = resolve_config(
-        _ENSEMBLE_WORD_SCHEMA, _load_file_config(args), {"threshold": args.threshold, "k": args.k}
-    )
+def _cmd_ensemble_word_kfold(args, values):
     stream, _, preds, golds = _ensemble_inputs(args, need_gold=True)
     estimate = ensemble.kfold_estimate(preds, golds, values["k"], stream, **_word_fit_options(values))
     _emit([("kfold_f1_mult", f"{estimate:.6f}"), ("k", values["k"])], args.format)
@@ -250,32 +234,31 @@ _ENSEMBLE_SENT_SCHEMA = {
 }
 
 
-def _cmd_ensemble_sent_fit(args):
-    values = {**resolve_config(_ENSEMBLE_SENT_SCHEMA, _load_file_config(args), {}), "seed": args.seed}
+def _cmd_ensemble_sent_fit(args, values):
     loaded = corpus.load_corpus(mt=args.mt, src=args.src, hter=args.gold_scores)
     preds = corpus.read_manifest(args.manifest, loaded)
     X, names = ensemble.sentence_features(preds)
     lam, model = ensemble.ridge_cv(
-        X, loaded.hter, values["lambda_grid"], values["cv_k"], values["seed"], feature_names=names
+        X, loaded.hter, values["lambda_grid"], values["cv_k"], args.seed, feature_names=names
     )
     ensemble.save_ridge_model(model, args.out)
-    _snapshot(f"{args.out}.run.cfg", "ensemble-sent fit", values, {"chosen_lambda": lam})
+    _snapshot(f"{args.out}.run.cfg", "ensemble-sent fit", values, {"chosen_lambda": lam, "seed": args.seed})
     _emit([("chosen_lambda", lam)], args.format)
     return 0
 
 
-def _cmd_ensemble_sent_apply(args):
+def _cmd_ensemble_sent_apply(args, values):
     loaded = corpus.load_corpus(mt=args.mt, src=args.src)
     preds = corpus.read_manifest(args.manifest, loaded)
     model = ensemble.load_ridge_model(args.model)
     X, names = ensemble.sentence_features(preds)
     if names != model.feature_names:
-        raise QEStackError("manifest features do not match the fitted model")
+        raise InvalidInput(f"the model's features differ from those of the manifest {args.manifest}", file=args.model)
     raw = model.predict(X).tolist()
     corpus.check_finite(raw, "score", file=args.out)
     predictions = [min(1.0, max(0.0, v)) for v in raw]
     corpus.write_scores(predictions, args.out)
-    _snapshot(f"{args.out}.run.cfg", "ensemble-sent apply", {}, {"model": args.model})
+    _snapshot(f"{args.out}.run.cfg", "ensemble-sent apply", values, {"model": args.model})
     return 0
 
 
@@ -291,10 +274,6 @@ _DOC_SCHEMA = {
     "floor": ("optfloat", None),
     "lambda": ("float", 0.0),
 }
-
-
-def _doc_values(args):
-    return resolve_config(_DOC_SCHEMA, _load_file_config(args), {})
 
 
 def _severity_weights(values):
@@ -338,8 +317,7 @@ def _doc_annotations(path, docs):
     return tables
 
 
-def _cmd_doc_tags(args):
-    values = _doc_values(args)
+def _cmd_doc_tags(args, values):
     docs = doclevel.read_document_manifest(args.docs)
     annotations = _doc_annotations(args.annotations, docs)
     tags = {doc_id: doclevel.annotations_to_tags(doc, annotations[doc_id]) for doc_id, doc in docs.items()}
@@ -350,8 +328,7 @@ def _cmd_doc_tags(args):
     return 0
 
 
-def _cmd_doc_spans(args):
-    values = _doc_values(args)
+def _cmd_doc_spans(args, values):
     docs = doclevel.read_document_manifest(args.docs)
     severity = doclevel.Severity.parse(values["severity"])
     by_doc = {}
@@ -363,8 +340,7 @@ def _cmd_doc_spans(args):
     return 0
 
 
-def _cmd_doc_mqm(args):
-    values = _doc_values(args)
+def _cmd_doc_mqm(args, values):
     docs = doclevel.read_document_manifest(args.docs)
     annotations = _doc_annotations(args.annotations, docs)
     weights = _severity_weights(values)
@@ -377,8 +353,7 @@ def _cmd_doc_mqm(args):
     return 0
 
 
-def _cmd_doc_features(args):
-    values = _doc_values(args)
+def _cmd_doc_features(args, values):
     docs = doclevel.read_document_manifest(args.docs)
     table = {}
     for doc_id, doc in docs.items():
@@ -392,13 +367,19 @@ def _cmd_doc_features(args):
     return 0
 
 
-def _cmd_doc_fit(args):
-    values = _doc_values(args)
+def _same_documents(path_a, table_a, path_b, table_b):
+    """Two doc tables of one document set; the first that lacks a document
+    of the other is an InvalidInput naming it and the documents."""
+    for path, table, other_path, other in ((path_a, table_a, path_b, table_b), (path_b, table_b, path_a, table_a)):
+        missing = set(other) - set(table)
+        if missing:
+            raise InvalidInput(f"lacks documents {', '.join(sorted(missing))} of {other_path}", file=path)
+
+
+def _cmd_doc_fit(args, values):
     features = doclevel.read_doc_table(args.features, n_columns=len(doclevel.DOC_FEATURES))
     gold = doclevel.read_doc_table(args.gold, n_columns=1)
-    missing = set(features) ^ set(gold)
-    if missing:
-        raise QEStackError(f"documents missing from features or gold: {', '.join(sorted(missing))}")
+    _same_documents(args.features, features, args.gold, gold)
     doc_ids = list(features)
     model = doclevel.fit_doc_mqm(
         [features[d] for d in doc_ids], [gold[d][0] for d in doc_ids], lam=values["lambda"]
@@ -408,18 +389,18 @@ def _cmd_doc_fit(args):
     return 0
 
 
-def _cmd_doc_apply(args):
+def _cmd_doc_apply(args, values):
     features = doclevel.read_doc_table(args.features, n_columns=len(doclevel.DOC_FEATURES))
     model = ensemble.load_ridge_model(args.model)
     if model.feature_names != list(doclevel.DOC_FEATURES):
-        raise QEStackError(f"{args.model}: the model's features are not {', '.join(doclevel.DOC_FEATURES)}")
+        raise InvalidInput(f"the model's features are not {', '.join(doclevel.DOC_FEATURES)}", file=args.model)
     predictions = {doc_id: [doclevel.predict_doc_mqm(model, row)] for doc_id, row in features.items()}
     doclevel.write_doc_table(predictions, args.out)
-    _snapshot(f"{args.out}.run.cfg", "doc apply", {}, {"model": args.model})
+    _snapshot(f"{args.out}.run.cfg", "doc apply", values, {"model": args.model})
     return 0
 
 
-def _cmd_doc_eval(args):
+def _cmd_doc_eval(args, values):
     for kind in ("annotations", "mqm"):
         given = [side for side in ("gold", "pred") if getattr(args, f"{side}_{kind}") is not None]
         if len(given) == 1:
@@ -436,8 +417,7 @@ def _cmd_doc_eval(args):
     if args.gold_mqm is not None:
         gold = doclevel.read_doc_table(args.gold_mqm, n_columns=1)
         pred = doclevel.read_doc_table(args.pred_mqm, n_columns=1)
-        if set(gold) != set(pred):
-            raise QEStackError("gold and predicted MQM tables list different documents")
+        _same_documents(args.gold_mqm, gold, args.pred_mqm, pred)
         x, y = ([table[d][0] for d in sorted(gold)] for table in (gold, pred))
         score = metrics.pearson(x, y, files=(args.gold_mqm, args.pred_mqm))
         pairs.append(("mqm_pearson", f"{score:.6f}"))
@@ -481,43 +461,47 @@ def _required(*flags):
     return tuple((flag, _REQUIRED) for flag in flags)
 
 
-# command path -> (help, handler, options in usage order); a group has no
-# handler and comes before its leaves
+# command path -> (help, handler, options in usage order, config schema); a
+# group has no handler and no schema and comes before its leaves
 _COMMANDS = {
     ("evaluate",): ("score predictions against gold tags or scores", _cmd_evaluate, (
         *_required("--gold", "--pred"), ("--threshold", _FLOAT),
         ("--stream", {"choices": _EVAL_STREAMS, "default": "target"}),
-    )),
+    ), {"threshold": ("float", 0.5)}),
     ("make-labels",): ("derive tags, source tags and HTER from post-edits", _cmd_make_labels, (
         *_required("--mt", "--pe"), ("--src", {}), ("--align", {}), *_required("--out-prefix"),
-    )),
-    ("linear",): ("linear sequential QE model", None, ()),
-    ("linear", "train"): (None, _cmd_linear_train, (*_LINEAR, *_required("--model"))),
-    ("linear", "predict"): (None, _cmd_linear_decode, (*_LINEAR, *_required("--model"), *_DECODE)),
-    ("linear", "jackknife"): (None, _cmd_linear_decode, (*_LINEAR, ("--k", _INT), *_DECODE)),
-    ("ensemble-word",): ("convex-combination word-level ensembling", None, ()),
+    ), {}),
+    ("linear",): ("linear sequential QE model", None, (), None),
+    ("linear", "train"): (None, _cmd_linear_train, (*_LINEAR, *_required("--model")), _LINEAR_SCHEMA),
+    ("linear", "predict"): (None, _cmd_linear_decode, (*_LINEAR, *_required("--model"), *_DECODE), _LINEAR_SCHEMA),
+    ("linear", "jackknife"): (None, _cmd_linear_decode, (*_LINEAR, ("--k", _INT), *_DECODE), _LINEAR_SCHEMA),
+    ("ensemble-word",): ("convex-combination word-level ensembling", None, (), None),
     ("ensemble-word", "fit"): (None, _cmd_ensemble_word_fit, (
         *_SYSTEMS, *_required("--gold"), ("--stream", _STREAM), ("--threshold", _FLOAT), *_required("--out"),
-    )),
+    ), _ENSEMBLE_WORD_SCHEMA),
     ("ensemble-word", "apply"): (None, _cmd_ensemble_word_apply, (
         *_SYSTEMS, *_required("--weights"), ("--stream", _STREAM), *_required("--out"),
-    )),
+    ), {}),
     ("ensemble-word", "kfold"): (None, _cmd_ensemble_word_kfold, (
         *_SYSTEMS, *_required("--gold"), ("--stream", _STREAM), ("--threshold", _FLOAT), ("--k", _INT),
-    )),
-    ("ensemble-sent",): ("sentence-level ridge stacking", None, ()),
-    ("ensemble-sent", "fit"): (None, _cmd_ensemble_sent_fit, (*_SYSTEMS, *_required("--gold-scores", "--out"))),
-    ("ensemble-sent", "apply"): (None, _cmd_ensemble_sent_apply, (*_SYSTEMS, *_required("--model", "--out"))),
-    ("doc",): ("document-level pipeline", None, ()),
-    ("doc", "tags"): (None, _cmd_doc_tags, _required("--docs", "--annotations", "--out-dir")),
-    ("doc", "spans"): (None, _cmd_doc_spans, _required("--docs", "--tags-dir", "--out")),
-    ("doc", "mqm"): (None, _cmd_doc_mqm, _required("--docs", "--annotations", "--out")),
-    ("doc", "features"): (None, _cmd_doc_features, _required("--docs", "--tags-dir", "--sent-mqm-dir", "--out")),
-    ("doc", "fit"): (None, _cmd_doc_fit, _required("--features", "--gold", "--out")),
-    ("doc", "apply"): (None, _cmd_doc_apply, _required("--features", "--model", "--out")),
+    ), _ENSEMBLE_WORD_SCHEMA),
+    ("ensemble-sent",): ("sentence-level ridge stacking", None, (), None),
+    ("ensemble-sent", "fit"): (
+        None, _cmd_ensemble_sent_fit, (*_SYSTEMS, *_required("--gold-scores", "--out")), _ENSEMBLE_SENT_SCHEMA
+    ),
+    ("ensemble-sent", "apply"): (None, _cmd_ensemble_sent_apply, (*_SYSTEMS, *_required("--model", "--out")), {}),
+    ("doc",): ("document-level pipeline", None, (), None),
+    ("doc", "tags"): (None, _cmd_doc_tags, _required("--docs", "--annotations", "--out-dir"), _DOC_SCHEMA),
+    ("doc", "spans"): (None, _cmd_doc_spans, _required("--docs", "--tags-dir", "--out"), _DOC_SCHEMA),
+    ("doc", "mqm"): (None, _cmd_doc_mqm, _required("--docs", "--annotations", "--out"), _DOC_SCHEMA),
+    ("doc", "features"): (
+        None, _cmd_doc_features, _required("--docs", "--tags-dir", "--sent-mqm-dir", "--out"), _DOC_SCHEMA
+    ),
+    ("doc", "fit"): (None, _cmd_doc_fit, _required("--features", "--gold", "--out"), _DOC_SCHEMA),
+    ("doc", "apply"): (None, _cmd_doc_apply, _required("--features", "--model", "--out"), {}),
     ("doc", "eval"): (None, _cmd_doc_eval, tuple(
         (flag, {}) for flag in ("--docs", "--gold-annotations", "--pred-annotations", "--gold-mqm", "--pred-mqm")
-    )),
+    ), {}),
 }
 
 
@@ -530,7 +514,7 @@ class _Commands(argparse._SubParsersAction):
     def __init__(self, option_strings, *, path=(), **kwargs):
         super().__init__(option_strings, **kwargs)
         self._path = path
-        for key, (help_text, _, _) in _COMMANDS.items():
+        for key, (help_text, *_) in _COMMANDS.items():
             if key[:-1] == path:
                 # what add_parser registers, without the parser
                 self._name_parser_map[key[-1]] = None
@@ -540,7 +524,7 @@ class _Commands(argparse._SubParsersAction):
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]
         path = (*self._path, name)
-        _, handler, options = _COMMANDS[path]
+        _, handler, options, _ = _COMMANDS[path]
         chosen = self._name_parser_map[name] = self._parser_class(prog=f"{self._prog_prefix} {name}")
         for flag, kwargs in _GLOBAL_FLAGS:
             chosen.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
@@ -561,7 +545,11 @@ def main(argv=None) -> int:
             parser.add_argument(flag, **kwargs)
         parser.add_subparsers(dest="command", required=True, action=_Commands)
         args = parser.parse_args(argv)
-        return args.handler(args)
+        *_, schema = _COMMANDS[(args.command, args.subcommand) if "subcommand" in args else (args.command,)]
+        file_values = load_config_file(args.config) if args.config else {}
+        # a flag named like a key overrides it; a command may lack the flag
+        values = resolve_config(schema, file_values, {key: getattr(args, key, None) for key in schema})
+        return args.handler(args, values)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -77,16 +77,14 @@ def load_config_file(path) -> dict[str, str]:
 
 def resolve_config(
     schema: Mapping[str, tuple[str, object]],
-    file_values: Mapping[str, str] | None,
-    overrides: Mapping[str, object] | None = None,
+    file_values: Mapping[str, str],
+    overrides: Mapping[str, object],
 ) -> dict[str, object]:
     """Merge defaults, config-file values and flag overrides (in that order).
 
     ``schema`` maps key -> (kind, default); ``file_values`` are raw strings;
     ``overrides`` are already-typed flag values, skipped when None.
     """
-    file_values = file_values or {}
-    overrides = overrides or {}
     unknown = set(file_values) - set(schema)
     if unknown:
         raise QEStackError(f"unknown config keys: {', '.join(sorted(unknown))}")

@@ -60,10 +60,11 @@ class FoldError(QEStackError, ValueError):
     """Items cannot be split into the requested contiguous folds."""
 
 
-class InvalidInput(QEStackError, ValueError):
+class InvalidInput(LocatedError, ValueError):
     """A value cannot be used as given: an annotation without spans or with
-    overlapping spans, inputs that must be parallel and are not, or an empty
-    row for a file format that forbids empty lines."""
+    overlapping spans, inputs that must be parallel and are not (files too:
+    weights and a manifest of other systems, doc tables of other documents),
+    or an empty row for a file format that forbids empty lines."""
 
 
 class SpanOutOfBounds(LocatedError):

@@ -116,7 +116,11 @@ def mcc(gold, pred) -> float:
 def pearson(x: Sequence[float], y: Sequence[float], *, files=(None, None)) -> float:
     """Sample Pearson correlation; a constant ``x`` or ``y`` (tested by its
     range: a mean that rounds hides it from the variance) is a
-    DegenerateInput naming its entry of ``files``."""
+    DegenerateInput naming its entry of ``files``.
+
+    Each vector is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1): the correlation keeps its bits while no entry
+    leaves the normal range, and no sum or product can overflow or underflow."""
     if len(x) != len(y):
         raise DegenerateInput(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
@@ -125,13 +129,17 @@ def pearson(x: Sequence[float], y: Sequence[float], *, files=(None, None)) -> fl
         if min(values) == max(values):
             raise DegenerateInput("correlation with a constant vector is undefined", file=file)
     n = len(x)
+    x, y = _unit_scaled(x), _unit_scaled(y)
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     dx = [v - mean_x for v in x]
     dy = [v - mean_y for v in y]
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
-    if var_x * var_y == 0.0:
-        raise DegenerateInput("the variances underflow")
     cov = math.fsum(a * b for a, b in zip(dx, dy))
     return cov / math.sqrt(var_x * var_y)
+
+
+def _unit_scaled(values: Sequence[float]) -> list[float]:
+    _, exponent = math.frexp(max(map(abs, values)))
+    return [math.ldexp(v, -exponent) for v in values]

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qestack import linearqe
+from qestack import cli, linearqe
 from qestack.cli import main
 from qestack.config import _parse_bool, _parse_floats, _parse_optional_float
 from qestack.corpus import load_corpus, read_prob_lines, read_score_lines
 from qestack.doclevel import DOC_FEATURES
 from qestack.errors import InvalidInput
 from qestack.labeler import label_corpus
+from qestack.metrics import pearson
 
 from conftest import TABLE_DEFECTS, random_corpus, random_sentence, table_defect
 
@@ -1197,6 +1198,88 @@ def test_a_constant_score_file_is_an_error_naming_it(tmp_path, capsys, command, 
         argv = ["doc", "eval", "--gold-mqm", paths["gold"], "--pred-mqm", paths["pred"]]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {paths[constant]}: correlation with a constant vector is undefined\n")
+
+
+@pytest.mark.parametrize("scale", ["e200", "e308"])
+@pytest.mark.parametrize("command", ["evaluate", "doc eval"])
+def test_the_pearson_of_large_finite_scores_is_their_correlation(tmp_path, capsys, command, scale):
+    # once, fsum met -inf + inf (1e200) or overflowed (1e308) and the run
+    # ended in a traceback
+    values = {"gold": ["0", "1" + scale, "1.7" + scale], "pred": ["0", "1.5" + scale, "1" + scale]}
+    if command == "evaluate":
+        paths = {side: write(tmp_path / f"{side}.hter", "".join(f"{v}\n" for v in values[side])) for side in values}
+        argv = ["evaluate", "--stream", "sentence", "--gold", paths["gold"], "--pred", paths["pred"]]
+    else:
+        paths = {
+            side: write(tmp_path / f"{side}.mqm", "".join(f"doc{d}\t{v}\n" for d, v in enumerate(values[side])))
+            for side in values
+        }
+        argv = ["doc", "eval", "--gold-mqm", paths["gold"], "--pred-mqm", paths["pred"]]
+    key = "pearson" if command == "evaluate" else "mqm_pearson"
+    expected = f"{key}={pearson([0.0, 1.0, 1.7], [0.0, 1.5, 1.0]):.6f}\n"
+    assert run(capsys, "--format", "kv", *argv) == (0, expected, "")
+
+
+def test_ensemble_word_apply_with_weights_of_other_systems_names_the_weights_file(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=4)
+    manifest = prediction_files(tmp_path, rng, paths["mt"], n_systems=2)
+    weights = write(tmp_path / "w.tsv", "sys0\t0.5\nsys9\t0.5\n")
+    argv = ["--manifest", manifest, "--mt", paths["mt"], "--weights", weights, "--out", tmp_path / "c.probs"]
+    code, out, err = run(capsys, "ensemble-word", "apply", *argv)
+    assert (code, out, err) == (1, "", f"error: {weights}: lists systems sys0, sys9, not sys0, sys1 of {manifest}\n")
+
+
+def test_ensemble_sent_apply_on_other_features_than_the_model_names_the_model(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=12)
+    manifest = prediction_files(tmp_path, rng, paths["mt"])
+    model = tmp_path / "sent.model"
+    argv = ["--manifest", manifest, "--mt", paths["mt"], "--gold-scores", paths["hter"], "--out", model]
+    assert run(capsys, "ensemble-sent", "fit", *argv)[0] == 0
+    fewer = write(tmp_path / "fewer.tsv", "".join(line + "\n" for line in text_lines(manifest)[:2]))
+    argv = ["--manifest", fewer, "--mt", paths["mt"], "--model", model, "--out", tmp_path / "sent.scores"]
+    code, out, err = run(capsys, "ensemble-sent", "apply", *argv)
+    assert (code, out, err) == (1, "", f"error: {model}: the model's features differ from those of the manifest {fewer}\n")
+
+
+@pytest.mark.parametrize("lacking", [0, 1])
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_doc_tables_of_other_documents_name_the_table_that_lacks_some(tmp_path, capsys, command, lacking):
+    # once, the error named neither table nor which one lacked the documents
+    if command == "fit":
+        rows = ("".join(f"doc{d}\t{50 + d}.0\t0.{d}\t0.2\t0.15\n" for d in range(7)),
+                "".join(f"doc{d}\t{55 + 2 * d}.0\n" for d in range(7)))
+        flags = ("--features", "--gold")
+    else:
+        rows = ("".join(f"doc{d}\t{10 * d}.0\n" for d in range(7)), "".join(f"doc{d}\t{d * d}.0\n" for d in range(7)))
+        flags = ("--gold-mqm", "--pred-mqm")
+    # the lacking table drops doc3 and doc5
+    tables = [
+        write(tmp_path / f"t{side}.tsv", "".join(row + "\n" for row in text.splitlines() if side != lacking or row[3] not in "35"))
+        for side, text in enumerate(rows)
+    ]
+    argv = ["doc", command, *(arg for flag, table in zip(flags, tables) for arg in (flag, table))]
+    if command == "fit":
+        argv += ["--out", tmp_path / "doc.model"]
+    code, out, err = run(capsys, *argv)
+    message = f"{tables[lacking]}: lacks documents doc3, doc5 of {tables[1 - lacking]}"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def _leaf_argv(path):
+    """A leaf of the command table with a dummy value for each required flag."""
+    _, _, options, _ = cli._COMMANDS[path]
+    return [*path, *(arg for flag, kwargs in options if kwargs.get("required") for arg in (flag, "x"))]
+
+
+@pytest.mark.parametrize("path", [path for path, row in cli._COMMANDS.items() if row[1] is not None], ids=" ".join)
+def test_every_command_reads_its_config_file(tmp_path, capsys, path):
+    # once, the apply commands and doc eval never opened --config
+    missing = tmp_path / "none.cfg"
+    code, out, err = run(capsys, "--config", missing, *_leaf_argv(path))
+    assert (code, out) == (2, "") and err.startswith("I/O error: ") and str(missing) in err
+    assert err.count("\n") == 1
+    bogus = write(tmp_path / "bogus.cfg", "bogus=1\n")
+    assert run(capsys, "--config", bogus, *_leaf_argv(path)) == (1, "", "error: unknown config keys: bogus\n")
 
 
 def test_ensemble_word_apply_with_weights_that_sum_to_zero_names_the_weights_file(tmp_path, capsys, rng):

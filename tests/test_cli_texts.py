@@ -50,6 +50,7 @@ TEXT_CASES = (
         ["doc", "eval", "--gold-annotations", "g", "--pred-annotations", "p"],
         ["doc", "eval", "--docs", "d", "--gold-annotations", "g", "--gold-mqm", "m", "--pred-mqm", "q"],
         ["doc", "eval", "--pred-mqm", "q"],
+        ["--config", "no-such.cfg", "doc", "eval"],
     ]
 )
 

@@ -134,10 +134,42 @@ def test_pearson_refuses_every_constant_vector(value, n):
         assert str(caught.value) == f"{file}: correlation with a constant vector is undefined"
 
 
-def test_pearson_of_variances_that_underflow_is_degenerate():
-    # once, the product of two subnormal variances divided by zero
-    with pytest.raises(DegenerateInput, match="^the variances underflow$"):
-        pearson([0.0, 1e-160], [0.0, 1e-160])
+def test_pearson_of_values_whose_variances_underflow_is_their_correlation():
+    # once, the product of two subnormal variances divided by zero, and then
+    # was refused; both vectors are now scaled to unit magnitude first
+    assert pearson([0.0, 1e-160], [0.0, 1e-160]) == 1.0
+    assert pearson([0.0, 5e-324, 1e-323], [1.0, 2.0, 4.0]) == pearson([0.0, 1.0, 2.0], [1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e307, 1e308])
+def test_pearson_of_large_finite_values_is_their_correlation(scale):
+    # once, fsum met -inf + inf (a ValueError) at 1e200 and squares
+    # overflowed (an OverflowError) at 1e308
+    x, y = [0.0, 1.0, 1.7], [0.0, 1.5, 1.0]
+    r = pearson(x, y)
+    assert pearson([v * scale for v in x], [v * scale for v in y]) == pytest.approx(r, abs=1e-15)
+    assert pearson([0.0, 1e200, 3e200], [0.0, 2e200, 1e200]) == pytest.approx(pearson([0, 1, 3], [0, 2, 1]), abs=1e-15)
+
+
+_NORMAL = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+
+@given(
+    st.lists(_NORMAL, min_size=2, max_size=30),
+    st.lists(_NORMAL, min_size=2, max_size=30),
+    st.integers(-600, 600),
+)
+@example([0.0, 1.0, 3.0], [0.0, 2.0, 1.0], 664)
+@settings(max_examples=200, deadline=None)
+def test_pearson_is_blind_to_a_power_of_two_scale(x, y, k):
+    # every entry stays in the normal range at either scale, so the scaled
+    # vector is exact and the correlation keeps its bits
+    n = min(len(x), len(y))
+    x, y = x[:n], y[:n]
+    if len(set(x)) < 2 or len(set(y)) < 2:
+        return
+    assert pearson([math.ldexp(v, k) for v in x], y) == pearson(x, y)
+    assert pearson(x, [math.ldexp(v, k) for v in y]) == pearson(x, y)
 
 
 def test_contingency_table_totals():
