@@ -12,6 +12,7 @@ one, and a command without keys refuses every key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__, corpus, doclevel, ensemble, labeler, linearqe, metrics
 from .config import load_config_file, resolve_config, write_snapshot
 from .corpus import Stream
-from .errors import InvalidInput, QEStackError, SpanOutOfBounds
+from .errors import DegenerateInput, InvalidInput, QEStackError, SingularSystem, SpanOutOfBounds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +41,16 @@ def _emit(pairs, fmt):
         width = max(len(key) for key, _ in pairs)
         for key, value in pairs:
             print(f"{key:<{width}}  {value}")
+
+
+@contextlib.contextmanager
+def _ridge_data(path):
+    """A ridge fit on data read from ``path``: normal equations it leaves
+    singular, or no lambda it leaves usable, are errors naming ``path``."""
+    try:
+        yield
+    except (SingularSystem, DegenerateInput) as exc:
+        raise type(exc)(str(exc), file=path) from None
 
 
 def _snapshot(path, command, values, extra=None):
@@ -238,9 +249,10 @@ def _cmd_ensemble_sent_fit(args, values):
     loaded = corpus.load_corpus(mt=args.mt, src=args.src, hter=args.gold_scores)
     preds = corpus.read_manifest(args.manifest, loaded)
     X, names = ensemble.sentence_features(preds)
-    lam, model = ensemble.ridge_cv(
-        X, loaded.hter, values["lambda_grid"], values["cv_k"], args.seed, feature_names=names
-    )
+    with _ridge_data(args.manifest):
+        lam, model = ensemble.ridge_cv(
+            X, loaded.hter, values["lambda_grid"], values["cv_k"], args.seed, feature_names=names
+        )
     ensemble.save_ridge_model(model, args.out)
     _snapshot(f"{args.out}.run.cfg", "ensemble-sent fit", values, {"chosen_lambda": lam, "seed": args.seed})
     _emit([("chosen_lambda", lam)], args.format)
@@ -381,9 +393,10 @@ def _cmd_doc_fit(args, values):
     gold = doclevel.read_doc_table(args.gold, n_columns=1)
     _same_documents(args.features, features, args.gold, gold)
     doc_ids = list(features)
-    model = doclevel.fit_doc_mqm(
-        [features[d] for d in doc_ids], [gold[d][0] for d in doc_ids], lam=values["lambda"]
-    )
+    with _ridge_data(args.features):
+        model = doclevel.fit_doc_mqm(
+            [features[d] for d in doc_ids], [gold[d][0] for d in doc_ids], lam=values["lambda"]
+        )
     ensemble.save_ridge_model(model, args.out)
     _snapshot(f"{args.out}.run.cfg", "doc fit", values)
     return 0

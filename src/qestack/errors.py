@@ -52,7 +52,7 @@ class ZeroWeights(LocatedError):
     """An ensemble weight vector sums to zero and cannot be normalized."""
 
 
-class SingularSystem(QEStackError):
+class SingularSystem(LocatedError):
     """The unregularized normal equations are singular."""
 
 

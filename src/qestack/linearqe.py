@@ -668,85 +668,101 @@ def mira_train(
 # weights every update keeps w[OK key] == -w[BAD key], bit for bit: IEEE
 # negation is exact and round-to-nearest symmetric, and only the sign of a
 # zero can differ, which no sum from +0.0 shows. Training therefore keeps one
-# weight per template, its BAD key's: a position's OK score is 0.0 minus its
-# BAD score, the delta is one signed count per template and ||delta phi||^2
-# is twice their squares plus the bigram terms. That holds only while every
-# template has keys of its own, which a 64-bit collision can break; such a
-# corpus trains one weight per key, on (OK ids, BAD ids) per position.
+# weight per template, its BAD key's: a position's slots are ((), template
+# ids), its OK score is 0.0 minus its BAD score, and ||delta phi||^2 counts
+# each template's square twice. That holds only while every template has keys
+# of its own, which a 64-bit collision can break; such a corpus trains one
+# weight per key, on (OK ids, BAD ids) per position.
+# Each MIRA visit is one call of its form's ``step``: the paired step walks
+# the positions once, summing each position's BAD score and the gold path's
+# score in one inner loop and running the forward recurrence as it goes; the
+# keyed step composes ``_forward`` with ``_path_score``. Either adds every
+# weight in the order of ``_unigram_scores``, ``_forward`` and
+# ``_path_score``, so the bits are theirs. The delta is then +1 for each id of
+# a moved position's gold side and -1 for each of its predicted side, in both
+# forms.
 # ---------------------------------------------------------------------------
 
 
 class _Form(NamedTuple):
-    """The steps of ``_mira`` that read a position's slots: the (OK, BAD)
-    unigram scores (as ``_unigram_scores``), the score of a label path (as
-    ``_path_score``) and the unigram delta of the moved positions, returned
-    with the part of ||delta phi||^2 that its own squares leave out."""
+    """The steps that read a position's slots: ``step(slots, gold, w, t)``
+    decodes under the Hamming cost of ``gold`` and returns the predicted
+    path, its augmented score and the score of ``gold`` (as ``_forward``
+    over ``_unigram_scores`` and ``_path_score``); ``unigram_scores(slots,
+    w)`` gives the (OK, BAD) scores without cost."""
 
+    step: Callable
     unigram_scores: Callable
-    path_score: Callable
-    delta: Callable
 
 
-def _keyed_delta(slots, gold, pred, moved):
-    """phi(gold) - phi(pred) over the unigrams of the ``moved`` positions, as
-    one count per dense id."""
-    delta: dict[int, int] = {}
-    for i in moved:
-        position = slots[i]
-        for j in position[gold[i]]:
-            delta[j] = delta.get(j, 0) + 1
-        for j in position[pred[i]]:
-            delta[j] = delta.get(j, 0) - 1
-    return delta, 0
+def _keyed_step(slots, gold, w, t):
+    _, pred, augmented = _forward(_unigram_scores(slots, w, gold), t)
+    return pred, augmented, _path_score(slots, t, w, gold)
 
 
-def _paired_unigram_scores(slots, w, cost=None):
+def _paired_unigram_scores(slots, w):
     """``_unigram_scores`` over template ids: the BAD score sums their
     weights and the OK score is 0.0 minus it."""
     scores = []
-    for i, ids in enumerate(slots):
+    for _, ids in slots:
         s1 = 0.0
         for j in ids:
             s1 += w[j]
-        s0 = 0.0 - s1
-        if cost is not None:
-            s0, s1 = (s0 + 1.0, s1) if cost[i] else (s0, s1 + 1.0)
-        scores.append((s0, s1))
+        scores.append((0.0 - s1, s1))
     return scores
 
 
-def _paired_path_score(slots, t, w, path) -> float:
-    """``_path_score`` over template ids: a template's weight is added under
-    BAD and subtracted under OK."""
-    total = 0.0
-    prev = 0
-    for ids, label in zip(slots, path):
-        if label:
+def _paired_step(slots, gold, w, t):
+    """``_keyed_step`` over template ids in one walk: each position's BAD
+    score and the gold score, where a template's weight is added under BAD
+    and subtracted under OK, are summed in one loop, and the forward step of
+    ``_forward`` follows with the position's Hamming-augmented scores."""
+    (t00, t01), (t10, t11), (t20, t21) = t
+    back0, back1 = [0], [0]
+    total, before, d0, d1 = 0.0, t[0], None, None
+    for (_, ids), g in zip(slots, gold):
+        s1 = 0.0
+        if g:
             for j in ids:
-                total += w[j]
+                x = w[j]
+                s1 += x
+                total += x
+            u0, u1 = 0.0 - s1 + 1.0, s1
         else:
             for j in ids:
-                total -= w[j]
-        total += t[prev][label]
-        prev = label + 1
-    return total
+                x = w[j]
+                s1 += x
+                total -= x
+            u0, u1 = 0.0 - s1, s1 + 1.0
+        total += before[g]
+        before = t[g + 1]
+        if d0 is None:
+            d0, d1 = u0 + t00, u1 + t01
+            continue
+        ok0, bad0, ok1, bad1 = d0 + t10, d1 + t20, d0 + t11, d1 + t21
+        if bad0 > ok0:
+            d0 = u0 + bad0
+            back0.append(1)
+        else:
+            d0 = u0 + ok0
+            back0.append(0)
+        if bad1 > ok1:
+            d1 = u1 + bad1
+            back1.append(1)
+        else:
+            d1 = u1 + ok1
+            back1.append(0)
+
+    label = 0 if d0 >= d1 else 1
+    augmented = d1 if label else d0
+    path = [label] * len(back0)
+    for i in range(len(back0) - 1, 0, -1):
+        label = path[i - 1] = (back1 if label else back0)[i]
+    return path, augmented, total
 
 
-def _paired_delta(slots, gold, pred, moved):
-    """phi(gold) - phi(pred) over the unigrams of the ``moved`` positions, as
-    one signed count per template id, +1 where gold is BAD and -1 where it is
-    OK (the count of the template's BAD key; its OK key's is the negation,
-    whose squares are added here)."""
-    delta: dict[int, int] = {}
-    for i in moved:
-        d = 1 if gold[i] else -1
-        for j in slots[i]:
-            delta[j] = delta.get(j, 0) + d
-    return delta, sum(count * count for count in delta.values())
-
-
-_KEYED = _Form(_unigram_scores, _path_score, _keyed_delta)
-_PAIRED = _Form(_paired_unigram_scores, _paired_path_score, _paired_delta)
+_KEYED = _Form(_keyed_step, _unigram_scores)
+_PAIRED = _Form(_paired_step, _paired_unigram_scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -791,6 +807,7 @@ def _compile_training(table: InstanceTable, golds, epochs, C) -> _Training:
     bigram_keys = _bigram_keys()
     if len(unigrams) == 2 * len(pairs) and unigrams.isdisjoint(chain.from_iterable(bigram_keys)):
         form, index = _PAIRED, dict(zip(bad_keys, range(len(pairs))))
+        compiled = [[((), ids) for ids in sentence] for sentence in compiled]
     else:
         form, index, ok_keys = _KEYED, {}, []
         compiled = _keyed_slots(compiled, pairs, index)
@@ -803,8 +820,10 @@ def _mira(training: _Training, lo=0, hi=0, *, epochs, C, seed, on_update=None) -
     """The MIRA loop of ``mira_train`` over the sentences of ``training``
     but ``[lo, hi)``; returns the averaged weight of every dense id."""
     compiled, paths = training.slots[:lo] + training.slots[hi:], training.paths[:lo] + training.paths[hi:]
-    unigram_scores, path_score, unigram_delta = training.form
+    walk = training.form.step
     bigram_slots = training.bigram_slots
+    (b00, b01), (b10, b11), (b20, b21) = bigram_slots
+    paired = len(training.ok_keys)  # the ids below it are templates, whose OK key counts too
     size = len(training.keys)
     w = [0.0] * size
     acc = [0.0] * size
@@ -819,26 +838,33 @@ def _mira(training: _Training, lo=0, hi=0, *, epochs, C, seed, on_update=None) -
             step += 1
             comp = compiled[idx]
             gold = paths[idx]
-            t = _transition_scores(bigram_slots, w)
-            _, pred, augmented = _forward(unigram_scores(comp, w, gold), t)
+            t = ((w[b00], w[b01]), (w[b10], w[b11]), (w[b20], w[b21]))
+            pred, augmented, gold_score = walk(comp, gold, w, t)
             if pred == gold:
                 continue
-            violation = augmented - path_score(comp, t, w, gold)
+            violation = augmented - gold_score
             if violation <= 0.0:
                 continue
 
             # phi(gold) - phi(pred): unigrams differ only where the labels
             # do, transitions only there and one position after
-            moved = [i for i, g in enumerate(gold) if g != pred[i]]
-            delta, sq_norm = unigram_delta(comp, gold, pred, moved)
-            for i in {i for m in moved for i in (m, m + 1) if i < len(comp)}:
-                j_g = bigram_slots[gold[i - 1] + 1 if i else 0][gold[i]]
-                j_p = bigram_slots[pred[i - 1] + 1 if i else 0][pred[i]]
+            delta: dict[int, int] = {}
+            before_g = before_p = bigram_slots[0]
+            for position, g, p in zip(comp, gold, pred):
+                j_g, j_p = before_g[g], before_p[p]
                 if j_g != j_p:
                     delta[j_g] = delta.get(j_g, 0) + 1
                     delta[j_p] = delta.get(j_p, 0) - 1
+                if g != p:
+                    for j in position[g]:
+                        delta[j] = delta.get(j, 0) + 1
+                    for j in position[p]:
+                        delta[j] = delta.get(j, 0) - 1
+                before_g, before_p = bigram_slots[g + 1], bigram_slots[p + 1]
 
-            sq_norm += sum(count * count for count in delta.values())
+            sq_norm = 0
+            for j, count in delta.items():
+                sq_norm += 2 * count * count if j < paired else count * count
             if sq_norm == 0:
                 continue  # degenerate update (feature collision), skip
             tau = min(C, violation / sq_norm)

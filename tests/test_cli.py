@@ -15,7 +15,7 @@ from qestack.cli import main
 from qestack.config import _parse_bool, _parse_floats, _parse_optional_float
 from qestack.corpus import load_corpus, read_prob_lines, read_score_lines
 from qestack.doclevel import DOC_FEATURES
-from qestack.errors import InvalidInput
+from qestack.errors import DegenerateInput, InvalidInput
 from qestack.labeler import label_corpus
 from qestack.metrics import pearson
 
@@ -976,6 +976,47 @@ def test_doc_fit_on_fewer_than_five_documents_is_one_error_line(tmp_path, capsys
     gold = write(tmp_path / "gold.mqm", "doc0\t55.0\ndoc1\t65.0\n")
     code, _, err = run(capsys, "doc", "fit", "--features", features, "--gold", gold, "--out", tmp_path / "doc.model")
     assert_one_error_line(code, err, "need at least 5 documents to fit")
+
+
+SINGULAR = "normal equations are singular; add regularization or drop collinear features"
+
+
+def test_doc_fit_on_collinear_features_names_the_features_file(tmp_path, capsys):
+    # four equal feature columns leave the unregularized normal equations singular
+    features = write(tmp_path / "f.tsv", "".join(f"doc{d}\t0.{d}\t0.{d}\t0.{d}\t0.{d}\n" for d in range(6)))
+    gold = write(tmp_path / "gold.mqm", "".join(f"doc{d}\t{55 + 2 * d}.0\n" for d in range(6)))
+    code, _, err = run(capsys, "doc", "fit", "--features", features, "--gold", gold, "--out", tmp_path / "doc.model")
+    assert (code, err) == (1, f"error: {features}: {SINGULAR}\n")
+    assert not (tmp_path / "doc.model").exists()
+
+
+def test_ensemble_sent_fit_on_one_system_listed_twice_names_the_manifest(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    streams = text_lines(prediction_files(tmp_path, rng, paths["mt"]))[0].split("\t", 1)[1]
+    manifest = write(tmp_path / "twice.tsv", f"a\t{streams}\nb\t{streams}\n")
+    config = write(tmp_path / "run.cfg", "lambda_grid=0\n")
+    code, _, err = run(
+        capsys, "--config", config, "ensemble-sent", "fit", "--manifest", manifest, "--mt", paths["mt"],
+        "--gold-scores", paths["hter"], "--out", tmp_path / "sent.model",
+    )
+    assert (code, err) == (1, f"error: {manifest}: {SINGULAR}\n")
+    assert not (tmp_path / "sent.model").exists()
+
+
+def test_ridge_cv_errors_of_the_data_name_the_manifest(tmp_path, capsys, rng, monkeypatch):
+    # no data the CLI reads makes every cross-validation error infinite, so
+    # the ridge CV is made to fail as it does on such data
+    def no_finite_error(*args, **kwargs):
+        raise DegenerateInput("no lambda gives a finite cross-validation error")
+
+    monkeypatch.setattr(cli.ensemble, "ridge_cv", no_finite_error)
+    paths = label_files(tmp_path, capsys, rng, n=10)
+    manifest = prediction_files(tmp_path, rng, paths["mt"])
+    code, _, err = run(
+        capsys, "ensemble-sent", "fit", "--manifest", manifest, "--mt", paths["mt"],
+        "--gold-scores", paths["hter"], "--out", tmp_path / "sent.model",
+    )
+    assert (code, err) == (1, f"error: {manifest}: no lambda gives a finite cross-validation error\n")
 
 
 # --- doc pipeline ---------------------------------------------------------------------

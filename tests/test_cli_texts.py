@@ -5,7 +5,8 @@ in ``TEXT_CASES`` at 80 columns, and ``vars(namespace)`` (the handler by its
 name) of each argv in ``NAMESPACE_CASES``. argparse words its texts slightly
 differently from one Python minor version to the next, so the bytes are
 compared only on the version the table was written with; the exit codes and
-the namespaces are compared on every version.
+the namespaces are compared on every version. Each text case runs in a
+directory that holds the input files of ``FILES``.
 
 Regenerate the table after an intended change with
 ``PYTHONPATH=src python tests/test_cli_texts.py``.
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 from pathlib import Path
 
@@ -51,8 +53,24 @@ TEXT_CASES = (
         ["doc", "eval", "--docs", "d", "--gold-annotations", "g", "--gold-mqm", "m", "--pred-mqm", "q"],
         ["doc", "eval", "--pred-mqm", "q"],
         ["--config", "no-such.cfg", "doc", "eval"],
+        ["doc", "fit", "--features", "collinear.features", "--gold", "gold.mqm", "--out", "doc.model"],
+        ["--config", "zero.cfg", "ensemble-sent", "fit", "--manifest", "twice.tsv", "--mt", "s.mt",
+         "--gold-scores", "s.hter", "--out", "sent.model"],
     ]
 )
+
+# the inputs of the text cases that reach a handler: four equal document
+# features, and one system listed twice in a manifest, each with a ridge
+# penalty of 0, leave the normal equations singular
+FILES = {
+    "collinear.features": "".join(f"doc{d}\t0.{d}\t0.{d}\t0.{d}\t0.{d}\n" for d in range(6)),
+    "gold.mqm": "".join(f"doc{d}\t{55 + 2 * d}.0\n" for d in range(6)),
+    "s.mt": "a b\nc d e\nf\ng h\ni j k\nl\n",
+    "p.probs": "0.1 0.2\n0.3 0.4 0.5\n0.6\n0.7 0.8\n0.9 0.1 0.2\n0.3\n",
+    "twice.tsv": "x\twords=p.probs\ny\twords=p.probs\n",
+    "s.hter": "0.1\n0.2\n0.4\n0.3\n0.5\n0.6\n",
+    "zero.cfg": "lambda_grid=0\n",
+}
 
 NAMESPACE_CASES = [
     ["evaluate", "--gold", "g", "--pred", "p"],
@@ -119,9 +137,16 @@ def table():
     return json.loads(TABLE.read_text(encoding="utf-8"))
 
 
+def write_files(directory):
+    for name, text in FILES.items():
+        Path(directory, name).write_text(text, encoding="utf-8")
+
+
 @pytest.fixture
-def columns(monkeypatch):
+def columns(monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
+    write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
 
 
 def test_the_table_lists_every_case(table):
@@ -167,7 +192,11 @@ def _regenerate():
     for argv in NAMESPACE_CASES:
         with pytest.MonkeyPatch.context() as patch:
             namespaces.append(parse_namespace(argv, patch.setattr))
-    data = {"python": _version(), "texts": [run_text(argv) for argv in TEXT_CASES], "namespaces": namespaces}
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        write_files(directory)
+        texts = [run_text(argv) for argv in TEXT_CASES]
+    data = {"python": _version(), "texts": texts, "namespaces": namespaces}
     TABLE.write_text(json.dumps(data, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 

@@ -428,9 +428,10 @@ def test_predict_and_jackknife_compile_each_instance_once(monkeypatch):
     assert len(builds) == len(instances)
 
 
-def reference_mira(instances, golds, *, epochs, C, seed):
+def reference_mira(instances, golds, *, epochs, C, seed, on_update=None):
     """Averaged max-loss MIRA on a dict keyed by the hashed keys of
-    ``extract_features``, adding weights in the order ``mira_train`` does."""
+    ``extract_features``, adding weights in the order ``mira_train`` does;
+    ``on_update`` is called with each update's tau, as by ``mira_train``."""
     w, acc, last = {}, {}, {}
     rng = random.Random(seed)
     order = list(range(len(instances)))
@@ -461,6 +462,8 @@ def reference_mira(instances, golds, *, epochs, C, seed):
             if sq_norm == 0:
                 continue
             tau = min(C, violation / sq_norm)
+            if on_update is not None:
+                on_update(tau)
             for key, count in delta.items():
                 if count:
                     acc[key] = acc.get(key, 0.0) + w.get(key, 0.0) * (step - 1 - last.get(key, 0))
@@ -595,12 +598,76 @@ def test_both_training_forms_equal_the_reference_mira(monkeypatch, collision, C)
     options = {"epochs": 3, "C": C, "seed": 5}
     form = linearqe._compile_training(table(instances), golds, options["epochs"], C).form
     assert form is (linearqe._PAIRED if collision is None else linearqe._KEYED)
-    assert mira_train(table(instances), golds, **options).weights == reference_mira(instances, golds, **options)
+    taus, reference_taus = [], []
+    model = mira_train(table(instances), golds, **options, on_update=taus.append)
+    assert model.weights == reference_mira(instances, golds, **options, on_update=reference_taus.append)
+    # the update sizes pin ||delta phi||^2 on their own, bit for bit
+    assert taus and [tau.hex() for tau in taus] == [tau.hex() for tau in reference_taus]
 
     tags, probs = jackknife(table(instances), golds, 3, **options)
     for lo, hi in fold_bounds(len(instances), 3):
         rest = reference_mira(instances[:lo] + instances[hi:], golds[:lo] + golds[hi:], **options)
         assert (tags[lo:hi], probs[lo:hi]) == predict(table(instances[lo:hi]), LinearModel(rest))
+
+
+def reference_paired_unigram_scores(slots, w, cost=None):
+    """The (OK, BAD) scores of positions given as template ids, summed as
+    the paired form summed them before its one-walk step: the BAD score sums
+    their weights and the OK score is 0.0 minus it, then the label that
+    differs from ``cost`` gains 1.0."""
+    scores = []
+    for i, ids in enumerate(slots):
+        s1 = 0.0
+        for j in ids:
+            s1 += w[j]
+        s0 = 0.0 - s1
+        if cost is not None:
+            s0, s1 = (s0 + 1.0, s1) if cost[i] else (s0, s1 + 1.0)
+        scores.append((s0, s1))
+    return scores
+
+
+def reference_paired_path_score(slots, t, w, path) -> float:
+    """A label path's score over template ids: a template's weight is added
+    under BAD and subtracted under OK, each position's transition after."""
+    total = 0.0
+    prev = 0
+    for ids, label in zip(slots, path):
+        if label:
+            for j in ids:
+                total += w[j]
+        else:
+            for j in ids:
+                total -= w[j]
+        total += t[prev][label]
+        prev = label + 1
+    return total
+
+
+# ties, signed zeros and sums that overflow to inf (and inf - inf, NaN)
+PAIRED_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_subnormal=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_paired_step_is_the_forward_pass_and_the_gold_score(data):
+    import qestack.linearqe as linearqe
+
+    n_templates = data.draw(st.integers(1, 6))
+    ids = st.lists(st.integers(0, n_templates - 1), max_size=5).map(tuple)
+    slots = data.draw(st.lists(ids, min_size=1, max_size=8))
+    gold = data.draw(st.lists(st.integers(0, 1), min_size=len(slots), max_size=len(slots)))
+    w = data.draw(st.lists(PAIRED_WEIGHTS, min_size=n_templates, max_size=n_templates))
+    t = tuple(tuple(data.draw(st.lists(PAIRED_WEIGHTS, min_size=2, max_size=2))) for _ in range(3))
+
+    pred, augmented, gold_score = linearqe._PAIRED.step([((), position) for position in slots], gold, w, t)
+    _, want, want_augmented = linearqe._forward(reference_paired_unigram_scores(slots, w, gold), t)
+    assert pred == want
+    assert augmented.hex() == want_augmented.hex()
+    assert gold_score.hex() == reference_paired_path_score(slots, t, w, gold).hex()
 
 
 def test_noisy_corpora_train_one_weight_per_template():
