@@ -16,6 +16,14 @@ lines anywhere):
   Each line is read with its pairs deduplicated and sorted, into one int64
   pair array on per-line offsets (:func:`read_alignment_lines`).
 
+Probability, score, tag and alignment files are read in one numpy pass over
+their bytes when every field has its common form: ``digits.digits`` of at
+most 15 ASCII digits (the integer of the digits divided by a power of ten
+once, bit for bit what ``float()`` reads), exactly ``OK`` or ``BAD``, or
+``digits-digits``, between spaces and tabs on lines that are not blank
+(:func:`_split_fields`). Any other file goes through its line reader, which
+gives the same values and names the first bad line.
+
 A :class:`TaggedCorpus` holds these files as columns on one segment count:
 ``corpus.mt`` and ``corpus.src`` are tuples of sentences, ``corpus.tags``
 and ``corpus.source_tags`` bool :class:`Ragged` rows, ``corpus.hter`` a
@@ -308,18 +316,23 @@ class PredictionSet:
 
 
 # ---------------------------------------------------------------------------
-# Low-level line readers. Every artifact of the toolkit is read through
-# _read_lines and written through _write_lines, and its numbers are parsed by
+# Low-level line readers. Every artifact of the toolkit is opened by
+# _read_bytes and written through _write_lines. A file that no byte-level
+# fast path below takes is read by _read_lines, and its numbers are parsed by
 # _parse_float. Empty lines are invalid everywhere: degenerate segments must
 # be filtered upstream, so we fail fast instead of guessing.
 # ---------------------------------------------------------------------------
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _utf8_error(path) -> ParseError:
     """The error for a file that does not decode as UTF-8, naming the line
     (as ``splitlines`` counts them) of its first invalid byte."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = _read_bytes(path)
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -330,10 +343,11 @@ def _utf8_error(path) -> ParseError:
     return ParseError("not UTF-8", file=str(path))  # the file changed since the failed read
 
 
-def _read_lines(path) -> list[str]:
+def _read_lines(path, data: bytes | None = None) -> list[str]:
+    """A file's lines as ``str.splitlines`` gives them, none of them blank;
+    ``data`` is the file's bytes when a reader has them already."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        lines = (_read_bytes(path) if data is None else data).decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
     for i, line in enumerate(lines, 1):
@@ -349,9 +363,9 @@ def read_sentences(path) -> list[Sentence]:
     return [trusted(tuple(line.split())) for line in _read_lines(path)]
 
 
-def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
+def _read_fields(path, data: bytes) -> tuple[list[str], list[str], np.ndarray]:
     """A file's lines, their fields in one flat list, and each line's int64 offset into it."""
-    lines = _read_lines(path)
+    lines = _read_lines(path, data)
     fields = []
     offsets = [0]
     for line in lines:
@@ -360,9 +374,122 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
     return lines, fields, np.array(offsets, dtype=np.int64)
 
 
+# ---------------------------------------------------------------------------
+# Byte-level fast paths. A probability, score, tag or alignment file in its
+# common form is read in one numpy pass over its bytes; each fast path returns
+# None for any other file, which its line reader then reads, so every value,
+# offset and error is the line reader's.
+# ---------------------------------------------------------------------------
+
+
+def _file_bytes(data: bytes) -> np.ndarray:
+    """A file's bytes as uint8, ending in a newline (which changes neither
+    the lines of a file that is not empty nor their fields)."""
+    return np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8)
+
+
+def _count_digits(buf: np.ndarray) -> int:
+    return np.count_nonzero(buf >= 48) - np.count_nonzero(buf > 57)
+
+
+def _split_fields(buf: np.ndarray, mark: int | None = None):
+    """The fields of ``buf`` (:func:`_file_bytes`), its runs of bytes between
+    spaces, tabs and newlines: each field's start and end (one past it) as
+    int64 positions, each line's int64 offset into the fields, and the
+    positions of the byte ``mark``. None when a line is blank or a byte below
+    33 is none of the three, the other ASCII controls being line breaks or
+    whitespace to ``str.splitlines`` and ``str.split``; for a file of ASCII
+    bytes that passes, the fields are the ``str.split()`` of its
+    ``str.splitlines()``."""
+    special = buf <= 32
+    if mark is not None:
+        special |= buf == mark
+    # positions picked by take and flatnonzero: a boolean index over
+    # alternating blanks and marks runs several times slower
+    at = np.flatnonzero(special)
+    kind = buf.take(at)
+    marks = None
+    if mark is not None:
+        marked = kind == mark
+        marks = at.take(np.flatnonzero(marked))
+        blanks = np.flatnonzero(~marked)
+        at, kind = at.take(blanks), kind.take(blanks)
+    if not ((kind == 32) | (kind == 10) | (kind == 9)).all():
+        return None
+    # a field runs from the byte after a blank (or the file's first byte) up to the next blank
+    before = np.concatenate(([-1], at[:-1]))
+    field = np.flatnonzero(at - before > 1)
+    starts, ends = before.take(field) + 1, at.take(field)
+    offsets = np.zeros(np.count_nonzero(kind == 10) + 1, np.int64)
+    offsets[1:] = np.searchsorted(ends, at.take(np.flatnonzero(kind == 10)), side="right")
+    if (offsets[1:] == offsets[:-1]).any():
+        return None
+    return starts, ends, offsets, marks
+
+
+# Up to 15 decimal digits make an integer below 2**53, and 10**k is a float
+# for k < 15: the quotient of the two is one correctly rounded division,
+# which is what float() gives for the decimal (Clinger's fast path).
+_DECIMAL_DIGITS = 15
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(_DECIMAL_DIGITS)])
+
+
+def _parse_decimals(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The float64 values of a file's fields and its lines' offsets into
+    them, bit for bit as ``float()`` reads each field, when every field is
+    ``digits.digits`` of at most 15 ASCII digits; else None."""
+    # a first field longer than that turns down repr() output (17 digits)
+    # without a pass over the file: bytes.split breaks at every blank the
+    # fields do, so its first word lies within the first field
+    head = data[:_DECIMAL_DIGITS + 2].split(None, 1)
+    if head and len(head[0]) > _DECIMAL_DIGITS + 1:
+        return None
+    buf = _file_bytes(data)
+    dots = np.count_nonzero(buf == 46)
+    digits = buf.size - dots - np.count_nonzero(buf <= 32)
+    # one dot per field, so more digits than 15 a dot rule some field out
+    if digits > _DECIMAL_DIGITS * dots or _count_digits(buf) != digits:
+        return None
+    split = _split_fields(buf, 46)
+    if split is None:
+        return None
+    starts, ends, offsets, dots_at = split
+    # as many dots as fields and dot k inside field k: one dot to a field
+    if dots_at.size != starts.size:
+        return None
+    whole, fraction = dots_at - starts, ends - dots_at - 1
+    if not ((whole > 0) & (fraction > 0) & (whole + fraction <= _DECIMAL_DIGITS)).all():
+        return None
+    return np.fromstring(data.translate(None, b"."), np.int64, sep=" ") / _POWERS_OF_TEN[fraction], offsets
+
+
+def _parse_tags(data: bytes) -> Ragged | None:
+    """A file's fields as BAD indicators on its lines' offsets when every
+    field is exactly OK or BAD; else None."""
+    buf = _file_bytes(data)
+    # the bytes of OK and BAD fields: two to an O, three to a B
+    if buf.size - np.count_nonzero(buf <= 32) != 2 * np.count_nonzero(buf == 79) + 3 * np.count_nonzero(buf == 66):
+        return None
+    split = _split_fields(buf)
+    if split is None:
+        return None
+    starts, ends, offsets, _ = split
+    first, second, last = buf[starts], buf[starts + 1], buf[ends - 1]
+    bad = first == 66
+    length = ends - starts
+    ok = (first == 79) & (length == 2) & (second == 75)
+    if not (ok | (bad & (length == 3) & (second == 65) & (last == 68))).all():
+        return None
+    return Ragged(bad, offsets)
+
+
 def read_tag_lines(path) -> Ragged:
-    """Every line's tags as read, BAD being true."""
-    return read_tag_stream(path, "source")
+    """Every line's tags as read, BAD being true. The first field that is
+    not OK or BAD, in file order, is a ParseError. A file of OK and BAD
+    fields alone is read in one pass over its bytes."""
+    data = _read_bytes(path)
+    tags = _parse_tags(data)
+    return _read_tags_by_line(path, data) if tags is None else tags
 
 
 def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
@@ -370,17 +497,8 @@ def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
     ``target`` and ``source`` lines are taken as read; a ``target`` line must
     be interleaved (2N+1). A ``words`` or ``gaps`` line is taken as read when
     its length is already ``lengths[i]``, else it must be interleaved and
-    keeps only that stream's tags. The first field that is not OK or BAD,
-    in file order, is a ParseError."""
-    values, offsets = [], [0]
-    for line in _read_lines(path):
-        try:
-            values += map({"OK": False, "BAD": True}.__getitem__, line.split())
-        except KeyError as exc:
-            message = f"invalid tag {exc.args[0]!r} (expected OK or BAD)"
-            raise ParseError(message, file=str(path), line=len(offsets)) from None
-        offsets.append(len(values))
-    tags = Ragged(np.array(values, dtype=bool), np.array(offsets, dtype=np.int64))
+    keeps only that stream's tags. The tags are read by :func:`read_tag_lines`."""
+    tags = read_tag_lines(path)
     if stream not in ("target", "words", "gaps"):
         return tags
     counts = np.diff(tags.offsets)
@@ -394,6 +512,19 @@ def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
         message = f"interleaved tag line must hold 2N+1 entries, got {counts[wrong[0]]}"
         raise LengthMismatch(message, file=str(path), line=int(wrong[0]) + 1)
     return tags if stream == "target" else _cut_interleaved(tags, stream, cut)
+
+
+def _read_tags_by_line(path, data: bytes) -> Ragged:
+    """The line reader of tag files: each line split and its fields looked up."""
+    values, offsets = [], [0]
+    for line in _read_lines(path, data):
+        try:
+            values += map({"OK": False, "BAD": True}.__getitem__, line.split())
+        except KeyError as exc:
+            message = f"invalid tag {exc.args[0]!r} (expected OK or BAD)"
+            raise ParseError(message, file=str(path), line=len(offsets)) from None
+        offsets.append(len(values))
+    return Ragged(np.array(values, dtype=bool), np.array(offsets, dtype=np.int64))
 
 
 def _cut_interleaved(tags: Ragged, stream: str, cut=None) -> Ragged:
@@ -432,8 +563,20 @@ def check_finite(values, what: str, *, file, line: int | None = None):
 
 
 def read_score_lines(path) -> list[float]:
-    """One finite float per line; only a file one ``map(float, ...)`` fails on is walked."""
-    lines, fields, _ = _read_fields(path)
+    """One finite float per line. A file of decimals (:func:`_parse_decimals`)
+    is read in one pass over its bytes, any other by its line reader."""
+    data = _read_bytes(path)
+    parsed = _parse_decimals(data)
+    # no line is blank, so as many values as lines means one on each
+    if parsed is not None and parsed[0].size == parsed[1].size - 1:
+        return parsed[0].tolist()
+    return _read_scores_by_line(path, data)
+
+
+def _read_scores_by_line(path, data: bytes) -> list[float]:
+    """The line reader of score files: only a file one ``map(float, ...)``
+    fails on is walked line by line."""
+    lines, fields, _ = _read_fields(path, data)
     # no line is blank, so as many fields as lines means one on each
     if len(fields) == len(lines):
         try:
@@ -454,9 +597,20 @@ def read_score_lines(path) -> list[float]:
 
 
 def read_prob_lines(path) -> Ragged:
-    """Every line's probabilities, parsed by ``float()`` and range-checked
-    in one pass over the whole file."""
-    lines, fields, offsets = _read_fields(path)
+    """Every line's probabilities, each in [0, 1]. A file of decimals
+    (:func:`_parse_decimals`) is read in one pass over its bytes, any other
+    by its line reader."""
+    data = _read_bytes(path)
+    parsed = _parse_decimals(data)
+    if parsed is not None and (parsed[0] <= 1.0).all():
+        return Ragged(*parsed)
+    return _read_probs_by_line(path, data)
+
+
+def _read_probs_by_line(path, data: bytes) -> Ragged:
+    """The line reader of probability files: every field parsed by
+    ``float()`` and range-checked in one pass over the whole file."""
+    lines, fields, offsets = _read_fields(path, data)
     try:
         values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
     except ValueError:
@@ -536,16 +690,17 @@ def read_alignment_lines(path) -> tuple[np.ndarray, np.ndarray]:
     other goes field by field, where the first field that is not two runs of
     ASCII digits joined by ``-`` is a ParseError, and an index beyond int64
     reads as int64's maximum (out of range of every sentence)."""
-    lines = _read_lines(path)
-    pairs = _parse_alignment_bytes(lines)
-    if pairs is not None:
-        counts = np.fromiter(map(operator.methodcaller("count", "-"), lines), np.int64, len(lines))
-    else:
-        rows = [_alignment_pairs(line, path, i) for i, line in enumerate(lines, 1)]
-        counts = _lengths(rows)
-        flat = [min(index, _INT64_MAX) for row in rows for pair in row for index in pair]
-        pairs = np.array(flat, np.int64).reshape(-1, 2)
-    return _sorted_distinct(pairs, counts)
+    data = _read_bytes(path)
+    parsed = _parse_alignment_bytes(data)
+    return _sorted_distinct(*(_read_alignments_by_line(path, data) if parsed is None else parsed))
+
+
+def _read_alignments_by_line(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The line reader of alignment files: the pairs in file order, as by
+    :func:`_parse_alignment_bytes`, read field by field."""
+    rows = [_alignment_pairs(line, path, i) for i, line in enumerate(_read_lines(path, data), 1)]
+    flat = [min(index, _INT64_MAX) for row in rows for pair in row for index in pair]
+    return np.array(flat, np.int64).reshape(-1, 2), _lengths(rows)
 
 
 def _alignment_pairs(line: str, path, i: int) -> list[tuple[int, int]]:
@@ -560,29 +715,28 @@ def _alignment_pairs(line: str, path, i: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _parse_alignment_bytes(lines: list[str]) -> np.ndarray | None:
-    """The pairs of ``lines``, in file order, as a (pairs, 2) int64 array,
-    when the lines hold only ``digits-digits`` fields of at most
-    ``_INDEX_DIGITS`` ASCII digits between spaces and tabs; else None."""
-    text = "\n".join(lines) + "\n"
-    data = np.frombuffer(text.encode(), np.uint8)
-    blank = (data == 32) | (data == 9) | (data == 10)
-    hyphens = np.flatnonzero(data == 45)
+def _parse_alignment_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pairs of a file, in file order, as a (pairs, 2) int64 array, and
+    each line's number of pairs, when its fields are all ``digits-digits``
+    of at most ``_INDEX_DIGITS`` ASCII digits a side; else None."""
+    buf = _file_bytes(data)
+    hyphens = np.count_nonzero(buf == 45)
     # every byte a digit, a hyphen or a blank (a non-ASCII character's bytes are none of these)
-    if np.count_nonzero(data - np.uint8(48) < 10) + hyphens.size + np.count_nonzero(blank) != data.size:
+    if _count_digits(buf) + hyphens + np.count_nonzero(buf <= 32) != buf.size:
         return None
-    # fields run from a byte after a blank to the next blank (the text ends
-    # in one); with as many hyphens as fields, hyphen k falling inside field
-    # k with digits on both sides makes every field digits-digits
-    inside = ~blank
-    starts = np.flatnonzero(inside & np.concatenate(([True], blank[:-1])))
-    ends = np.flatnonzero(blank & np.concatenate(([False], inside[:-1])))
-    if hyphens.size != starts.size:
+    split = _split_fields(buf, 45)
+    if split is None:
         return None
-    left, right = hyphens - starts, ends - hyphens - 1
+    # with as many hyphens as fields, hyphen k falling inside field k with
+    # digits on both sides makes every field digits-digits
+    starts, ends, offsets, hyphens_at = split
+    if hyphens_at.size != starts.size:
+        return None
+    left, right = hyphens_at - starts, ends - hyphens_at - 1
     if not ((left - 1 < _INDEX_DIGITS) & (right - 1 < _INDEX_DIGITS) & (left > 0) & (right > 0)).all():
         return None
-    return np.fromstring(text.replace("-", " "), np.int64, sep=" ").reshape(-1, 2)
+    pairs = np.fromstring(data.translate(bytes.maketrans(b"-", b" ")), np.int64, sep=" ").reshape(-1, 2)
+    return pairs, np.diff(offsets)
 
 
 def _packed_key(pairs: np.ndarray, line: np.ndarray, n_lines: int) -> np.ndarray | None:

@@ -37,9 +37,7 @@ own position sequences.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise
 from math import exp, isfinite
@@ -956,6 +954,10 @@ def jackknife(
     training = _compile_training(table, golds, epochs, C)
     fold = functools.partial(_jackknife_fold, training, epochs=epochs, C=C, seed=seed)
     if jobs > 1:
+        # imported here: they cost about 8 ms of every CLI start, and one job needs neither
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe in a process with threads
         with ProcessPoolExecutor(jobs, mp_context=spawn, initializer=_init_worker, initargs=(fold,)) as pool:
             results = list(pool.map(_worker_fold, bounds))

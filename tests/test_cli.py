@@ -1541,6 +1541,82 @@ def test_fuzzed_tag_inputs_end_in_an_exit_code_and_at_most_one_error_line(tmp_pa
         assert err == ""
 
 
+def score_fuzz_files(tmp_path):
+    """Twelve sentences with source, post-edit and a word alignment, gold
+    HTER, and a two-system manifest of word probabilities and sentence
+    scores, written with six decimals (the byte-level fast path) and by
+    ``repr`` (the line readers)."""
+    rng = random.Random(43)
+    mt = [rng.randint(1, 4) for _ in range(12)]
+    src = [rng.randint(1, 4) for _ in range(12)]
+
+    def text(lengths, word):
+        return "".join(" ".join([word] * n) + "\n" for n in lengths)
+
+    def values(lengths, form):
+        return "".join(" ".join(form(rng.random()) for _ in range(n)) + "\n" for n in lengths)
+
+    six, long = "{:.6f}".format, repr
+    align = "".join(" ".join(f"{i}-{rng.randrange(m)}" for i in range(s)) + "\n" for s, m in zip(src, mt))
+    files = {
+        "mt": write(tmp_path / "f.mt", text(mt, "w")),
+        "pe": write(tmp_path / "f.pe", text(mt, "v")),
+        "src": write(tmp_path / "f.src", text(src, "s")),
+        "align": write(tmp_path / "f.align", align),
+        "gold": write(tmp_path / "gold.hter", values([1] * 12, six)),
+    }
+    manifest = []
+    for s, form in enumerate((six, long)):
+        words = write(tmp_path / f"sys{s}.probs", values(mt, form))
+        files[f"sys{s} scores"] = write(tmp_path / f"sys{s}.scores", values([1] * 12, form))
+        manifest.append(f"sys{s}\twords={words}\tsentences={files[f'sys{s} scores']}\n")
+    files["manifest"] = write(tmp_path / "systems.tsv", "".join(manifest))
+    return files
+
+
+# tokens a fuzzed score or alignment line may gain: numbers of every
+# spelling, pairs and near-pairs
+_SCORE_TOKENS = st.sampled_from(["0.5", "0.250000", "1e-05", "-0.5", "12.5", "nan", "inf", "1e999", ".5", "1.", "x",
+                                 "0.123456789012345678", "１", "0-1", "OK"])
+_PAIR_TOKENS = st.sampled_from(["0-0", "1-2", "00-01", "3-", "-3", "0:0", "1--2", "99999999999999999999-0", "١-0",
+                                "0.5", "OK"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["evaluate", "fit", "make-labels"]))
+def test_fuzzed_score_and_alignment_inputs_end_in_an_exit_code_and_at_most_one_error_line(
+    tmp_path, capsys, data, command
+):
+    files = score_fuzz_files(tmp_path)
+
+    def fuzzed(name, tokens):
+        with open(files[name], encoding="utf-8") as handle:
+            return write(Path(files[name]), data.draw(_fuzzed(handle.read(), tokens=tokens), label=name))
+
+    if command == "make-labels":
+        argv = ["make-labels", "--mt", files["mt"], "--pe", files["pe"], "--src", files["src"],
+                "--align", fuzzed("align", _PAIR_TOKENS), "--out-prefix", tmp_path / "labels"]
+    else:
+        names = data.draw(st.sampled_from([("gold",), ("sys0 scores",), ("sys1 scores",), ("gold", "sys1 scores")]),
+                          label="fuzzed")
+        for name in names:
+            fuzzed(name, _SCORE_TOKENS)
+        if command == "evaluate":
+            pred = files[data.draw(st.sampled_from(["sys0 scores", "sys1 scores"]), label="pred")]
+            argv = ["evaluate", "--gold", files["gold"], "--pred", pred, "--stream", "sentence"]
+        else:
+            argv = ["ensemble-sent", "fit", "--manifest", files["manifest"], "--mt", files["mt"],
+                    "--gold-scores", files["gold"], "--out", tmp_path / "sent.model"]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], err
+    else:
+        assert err == ""
+
+
 # fields a fuzzed table line may gain: values, names of every table kind, and
 # values that are not finite or not numbers
 _TABLE_TOKENS = st.sampled_from(["0.5", "-2.5", "nan", "-inf", "1e999", "x", "", "12", "012", "sys0", "intercept",

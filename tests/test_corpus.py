@@ -863,6 +863,162 @@ def test_alignment_offsets_are_read_only_however_the_table_is_built(tmp_path):
             offsets[1] = 0
 
 
+# --- the byte-level fast paths against their line readers ---------------------------
+
+# decimals the fast path takes: probability-shaped ones, and 2 to 15 digits
+# with the dot inside, leading zeros and all
+_DECIMALS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=8).map(lambda digits: "0." + digits),
+    st.text("0123456789", min_size=2, max_size=15).flatmap(
+        lambda digits: st.integers(1, len(digits) - 1).map(lambda k: f"{digits[:k]}.{digits[k:]}")
+    ),
+)
+# decimals it must leave to the line reader among them: 1 to 18 digits with
+# the dot anywhere (".5" and "1." too) or none, and 16 or 17 digits above
+# 2**53, where about one in four divided as an integer is a bit off float()
+_ODD_DECIMALS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=17).map(lambda digits: "0." + digits),
+    st.text("0123456789", min_size=1, max_size=18).flatmap(
+        lambda digits: st.integers(0, len(digits)).map(lambda k: f"{digits[:k]}.{digits[k:]}")
+    ),
+    st.text("0123456789", min_size=1, max_size=18),
+    st.integers(2**53, 10**17 - 1).map(str).flatmap(
+        lambda digits: st.integers(1, len(digits) - 1).map(lambda k: f"{digits[:k]}.{digits[k:]}")
+    ),
+)
+# fields each fast path must leave to its line reader
+_NEAR = {
+    "decimals": [".", "1.", ".5", "1e-05", "-0.5", "nan", "inf", "+0.5", "0.5.5", "１", "０.５", "\ufeff0.5", "0,5", "OK",
+                 "0-1", "0.1234567890123456", "9.820121096174655", "7.8318316499468541", "1.5"],
+    "tags": ["O", "OKK", "OA", "BAD,", "BA", "BAK", "BKD", "KO", "ok", "OKBAD", "ＯＫ", "\ufeffOK", "0.5"],
+    "pairs": ["0-", "-1", "1--2", "1-2-3", "0.5", "١-0", "1-²", "OK", "00-00", "99999999999999999999-1"],
+}
+_BLANKS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t "])
+_DEFECTS = ("near field", "near field", "near field", "two near fields", "separator", "line end", "blank line",
+            "byte order mark", "no final newline")
+
+
+@st.composite
+def _byte_files(draw, fields, near):
+    """Lines of 1 to 5 ``fields`` between spaces and tabs, and often one
+    defect: a ``near`` field or two, a blank that only ``str.split`` takes,
+    CRLF or CR line ends, a whitespace-only or empty line, a byte order
+    mark, or no final newline; sometimes no line at all."""
+    rows = draw(st.lists(st.lists(fields, min_size=1, max_size=5), min_size=0, max_size=5))
+    defect = draw(st.sampled_from((None,) * 4 + _DEFECTS)) if rows else None
+    for _ in range({"near field": 1, "two near fields": 2}.get(defect, 0)):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(near)
+    lines = [draw(st.sampled_from(["", "", " ", "\t"])) + row[0] for row in rows]
+    for i, row in enumerate(rows):
+        for field_ in row[1:]:
+            lines[i] += draw(_BLANKS) + field_
+        lines[i] += draw(st.sampled_from(["", "", " ", "\t"]))
+    if defect == "separator":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += draw(st.sampled_from(["\xa0", "\x1f", "\x0c", "\u2003"])) + draw(fields)
+    if defect == "blank line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t \t"])))
+    end = draw(st.sampled_from(["\r\n", "\r"])) if defect == "line end" else "\n"
+    text = end.join(lines) + ("" if defect == "no final newline" else end)
+    return "\ufeff" + text if defect == "byte order mark" else text
+
+
+_PAIRS = st.builds("{}-{}".format, st.sampled_from(["0", "3", "07", "12", "999999999999999999"]), st.integers(0, 20))
+
+# (fields of the files a fast path takes, near fields, the reader, its line reader)
+_FAST_PATHS = {
+    "probs": (_DECIMALS, "decimals", read_prob_lines, corpus_module._read_probs_by_line),
+    "scores": (_DECIMALS, "decimals", read_score_lines, corpus_module._read_scores_by_line),
+    "tags": (st.sampled_from(["OK", "BAD"]), "tags", read_tag_lines, corpus_module._read_tags_by_line),
+    "alignments": (
+        _PAIRS,
+        "pairs",
+        read_alignment_lines,
+        lambda path, data: corpus_module._sorted_distinct(*corpus_module._read_alignments_by_line(path, data)),
+    ),
+}
+
+
+def _bits_outcome(read):
+    """Every array of a read as a list, floats by their int64 bits, or the
+    class and message of its error."""
+    try:
+        got = read()
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc)
+    if isinstance(got, Ragged):
+        got = got.values, got.offsets
+    elif isinstance(got, list):
+        got = (np.array(got, np.float64),)
+    return [array.view(np.int64).tolist() if array.dtype == np.float64 else array.tolist() for array in got]
+
+
+@pytest.mark.parametrize("kind", list(_FAST_PATHS))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_each_fast_path_reads_as_its_line_reader(tmp_path, kind, data):
+    fields, near, read, read_by_line = _FAST_PATHS[kind]
+    path = tmp_path / f"fuzz.{kind}"
+    near_fields = st.sampled_from(_NEAR[near]) | (_ODD_DECIMALS if near == "decimals" else st.nothing())
+    path.write_bytes(data.draw(_byte_files(fields, near_fields)).encode("utf-8"))
+    assert _bits_outcome(lambda: read(str(path))) == _bits_outcome(lambda: read_by_line(str(path), path.read_bytes()))
+
+
+@pytest.mark.parametrize(
+    "kind, near", [(kind, near) for kind, spec in _FAST_PATHS.items() for near in _NEAR[spec[1]]], ids=ascii
+)
+def test_each_near_field_reads_as_the_line_reader(tmp_path, kind, near):
+    _, _, read, read_by_line = _FAST_PATHS[kind]
+    common = {"decimals": "0.25", "tags": "OK", "pairs": "0-0"}[_FAST_PATHS[kind][1]]
+    for text in (f"{common}\n{near}\n", f"{common} {near} {common}\n{common}\n"):
+        path = tmp_path / f"near.{kind}"
+        path.write_bytes(text.encode("utf-8"))
+        assert _bits_outcome(lambda: read(str(path))) == _bits_outcome(lambda: read_by_line(str(path), path.read_bytes()))
+
+
+def test_common_files_never_reach_the_line_reader(tmp_path, monkeypatch, rng):
+    # the benchmark's %.6f probabilities and scores, tags and alignments as the toolkit writes them
+    rows = [[rng.random() for _ in range(rng.randint(1, 9))] for _ in range(40)]
+    probs = write(tmp_path / "p.probs", "".join(" ".join(f"{p:.6f}" for p in row) + "\n" for row in rows))
+    scores = write(tmp_path / "s.hter", "".join(f"{row[0] * 100:.6f}\n" for row in rows))
+    tags = tmp_path / "t.tags"
+    write_tags([[p >= 0.5 for p in row] for row in rows], tags)
+    align = tmp_path / "a.align"
+    write_alignments([{(i, j) for i in range(len(row)) for j in range(i + 1)} for row in rows], align)
+    repr_probs = tmp_path / "repr.probs"
+    write_probs([[0.1 + 0.2, 1 / 3]], repr_probs)
+    want = {
+        "probs": [[float(f"{p:.6f}") for p in row] for row in rows],
+        "scores": [float(f"{row[0] * 100:.6f}") for row in rows],
+        "tags": [[p >= 0.5 for p in row] for row in rows],
+    }
+
+    def refuse(path, data=None):
+        raise AssertionError(f"{path} reached the line reader")
+
+    monkeypatch.setattr(corpus_module, "_read_lines", refuse)
+    assert read_prob_lines(probs).rows() == want["probs"]
+    assert read_score_lines(scores) == want["scores"]
+    assert read_tag_lines(tags).rows() == want["tags"]
+    pairs, offsets = read_alignment_lines(align)
+    assert pairs.tolist() == [[i, j] for row in rows for i in range(len(row)) for j in range(i + 1)]
+    assert offsets.tolist() == np.cumsum([0] + [len(row) * (len(row) + 1) // 2 for row in rows]).tolist()
+    # 17 significant digits leave the file to the line reader, as its float() reads them
+    with pytest.raises(AssertionError, match="reached the line reader"):
+        read_prob_lines(repr_probs)
+
+
+def test_every_tag_stream_is_read_by_read_tag_lines(tmp_path, monkeypatch):
+    # qebench/spans.py times and sizes corpus reads by wrapping reader names, read_tag_lines among them
+    path = write(tmp_path / "t.tags", "OK BAD OK\n")
+    read = []
+    monkeypatch.setattr(corpus_module, "read_tag_lines", lambda p, inner=read_tag_lines: read.append(p) or inner(p))
+    for stream in ("source", "target", "words", "gaps"):
+        read_tag_stream(path, stream)
+    assert read == [path] * 4
+
+
 # --- a corpus of rows built in code ----------------------------------------------
 
 
