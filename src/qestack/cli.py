@@ -109,12 +109,9 @@ def _cmd_make_labels(args, values):
 # linear train | predict | jackknife
 # ---------------------------------------------------------------------------
 
-_LINEAR_SCHEMA = {
-    "epochs": ("int", 5),
-    "C": ("float", 1.0),
-    "gamma": ("float", 1.0),
-    "k": ("int", 10),
-}
+_TRAIN_SCHEMA = {"epochs": ("int", 5), "C": ("float", 1.0)}
+_PREDICT_SCHEMA = {"gamma": ("float", 1.0)}
+_JACKKNIFE_SCHEMA = {**_TRAIN_SCHEMA, **_PREDICT_SCHEMA, "k": ("int", 10)}
 
 
 def _training_options(args, values):
@@ -138,7 +135,7 @@ def _linear_corpus(args):
     predictions = corpus.read_manifest(args.stacked, loaded) if args.stacked else ()
     extra = []
     for path in args.extra or ():
-        extra.append([sentence.tokens for sentence in corpus.read_sentences(path)])
+        extra.append(corpus.read_sentences(path))
         corpus.check_lengths(extra[-1], corpus.stream_lengths(loaded, stream), "extra column", file=path)
     instances = linearqe.build_instances(loaded, stream, predictions=predictions, extra_columns=extra)
     golds = linearqe.gold_tags(loaded, stream) if need_gold else None
@@ -175,13 +172,13 @@ def _cmd_linear_decode(args, values):
 # ensemble-word fit | apply | kfold
 # ---------------------------------------------------------------------------
 
-_ENSEMBLE_WORD_SCHEMA = {
+_WORD_FIT_SCHEMA = {
     "threshold": ("float", 0.5),
     "optimize_threshold": ("bool", False),
     "tol": ("float", 1e-6),
     "max_cycles": ("int", 20),
-    "k": ("int", 10),
 }
+_WORD_KFOLD_SCHEMA = {**_WORD_FIT_SCHEMA, "k": ("int", 10)}
 
 
 def _ensemble_inputs(args, need_gold):
@@ -198,7 +195,7 @@ def _ensemble_inputs(args, need_gold):
 
 def _word_fit_options(values):
     """The keyword arguments ``fit_word_ensemble`` and ``kfold_estimate`` share."""
-    return {key: values[key] for key in ("threshold", "optimize_threshold", "tol", "max_cycles")}
+    return {key: values[key] for key in _WORD_FIT_SCHEMA}
 
 
 def _cmd_ensemble_word_fit(args, values):
@@ -278,13 +275,11 @@ def _cmd_ensemble_sent_apply(args, values):
 # doc tags | spans | mqm | features | fit | apply | eval
 # ---------------------------------------------------------------------------
 
-_DOC_SCHEMA = {
-    "severity": ("str", "major"),
+_MQM_SCHEMA = {
     "minor_weight": ("float", 1.0),
     "major_weight": ("float", 5.0),
     "critical_weight": ("float", 10.0),
     "floor": ("optfloat", None),
-    "lambda": ("float", 0.0),
 }
 
 
@@ -460,18 +455,23 @@ _FLOAT = {"type": float}
 _INT = {"type": int}
 _STREAM = {"choices": ("words", "gaps", "source"), "default": "words"}
 _SYSTEMS = (("--manifest", _REQUIRED), ("--mt", _REQUIRED), ("--src", {}))
-_LINEAR = (
-    ("--mt", _REQUIRED), ("--src", {}), ("--align", {}), ("--tags", {}), ("--source-tags", {}),
-    ("--stream", _STREAM),
-    ("--stacked", {"help": "manifest of stacked prediction features"}),
-    ("--extra", {"action": "append", "help": "extra annotation column file (repeatable)"}),
-    ("--epochs", _INT), ("--C", _FLOAT),
-)
 _DECODE = (("--out-prefix", _REQUIRED), ("--gamma", _FLOAT))
 
 
 def _required(*flags):
     return tuple((flag, _REQUIRED) for flag in flags)
+
+
+def _linear(training, *rest):
+    """The options of a linear command; training takes gold tags and the MIRA options."""
+    gold = (("--tags", {}), ("--source-tags", {})) if training else ()
+    mira = (("--epochs", _INT), ("--C", _FLOAT)) if training else ()
+    return (
+        ("--mt", _REQUIRED), ("--src", {}), ("--align", {}), *gold, ("--stream", _STREAM),
+        ("--stacked", {"help": "manifest of stacked prediction features"}),
+        ("--extra", {"action": "append", "help": "extra annotation column file (repeatable)"}),
+        *mira, *rest,
+    )
 
 
 # command path -> (help, handler, options in usage order, config schema); a
@@ -485,32 +485,34 @@ _COMMANDS = {
         *_required("--mt", "--pe"), ("--src", {}), ("--align", {}), *_required("--out-prefix"),
     ), {}),
     ("linear",): ("linear sequential QE model", None, (), None),
-    ("linear", "train"): (None, _cmd_linear_train, (*_LINEAR, *_required("--model")), _LINEAR_SCHEMA),
-    ("linear", "predict"): (None, _cmd_linear_decode, (*_LINEAR, *_required("--model"), *_DECODE), _LINEAR_SCHEMA),
-    ("linear", "jackknife"): (None, _cmd_linear_decode, (*_LINEAR, ("--k", _INT), *_DECODE), _LINEAR_SCHEMA),
+    ("linear", "train"): (None, _cmd_linear_train, _linear(True, *_required("--model")), _TRAIN_SCHEMA),
+    ("linear", "predict"): (
+        None, _cmd_linear_decode, _linear(False, *_required("--model"), *_DECODE), _PREDICT_SCHEMA
+    ),
+    ("linear", "jackknife"): (None, _cmd_linear_decode, _linear(True, ("--k", _INT), *_DECODE), _JACKKNIFE_SCHEMA),
     ("ensemble-word",): ("convex-combination word-level ensembling", None, (), None),
     ("ensemble-word", "fit"): (None, _cmd_ensemble_word_fit, (
         *_SYSTEMS, *_required("--gold"), ("--stream", _STREAM), ("--threshold", _FLOAT), *_required("--out"),
-    ), _ENSEMBLE_WORD_SCHEMA),
+    ), _WORD_FIT_SCHEMA),
     ("ensemble-word", "apply"): (None, _cmd_ensemble_word_apply, (
         *_SYSTEMS, *_required("--weights"), ("--stream", _STREAM), *_required("--out"),
     ), {}),
     ("ensemble-word", "kfold"): (None, _cmd_ensemble_word_kfold, (
         *_SYSTEMS, *_required("--gold"), ("--stream", _STREAM), ("--threshold", _FLOAT), ("--k", _INT),
-    ), _ENSEMBLE_WORD_SCHEMA),
+    ), _WORD_KFOLD_SCHEMA),
     ("ensemble-sent",): ("sentence-level ridge stacking", None, (), None),
     ("ensemble-sent", "fit"): (
         None, _cmd_ensemble_sent_fit, (*_SYSTEMS, *_required("--gold-scores", "--out")), _ENSEMBLE_SENT_SCHEMA
     ),
     ("ensemble-sent", "apply"): (None, _cmd_ensemble_sent_apply, (*_SYSTEMS, *_required("--model", "--out")), {}),
     ("doc",): ("document-level pipeline", None, (), None),
-    ("doc", "tags"): (None, _cmd_doc_tags, _required("--docs", "--annotations", "--out-dir"), _DOC_SCHEMA),
-    ("doc", "spans"): (None, _cmd_doc_spans, _required("--docs", "--tags-dir", "--out"), _DOC_SCHEMA),
-    ("doc", "mqm"): (None, _cmd_doc_mqm, _required("--docs", "--annotations", "--out"), _DOC_SCHEMA),
-    ("doc", "features"): (
-        None, _cmd_doc_features, _required("--docs", "--tags-dir", "--sent-mqm-dir", "--out"), _DOC_SCHEMA
+    ("doc", "tags"): (None, _cmd_doc_tags, _required("--docs", "--annotations", "--out-dir"), {}),
+    ("doc", "spans"): (
+        None, _cmd_doc_spans, _required("--docs", "--tags-dir", "--out"), {"severity": ("str", "major")}
     ),
-    ("doc", "fit"): (None, _cmd_doc_fit, _required("--features", "--gold", "--out"), _DOC_SCHEMA),
+    ("doc", "mqm"): (None, _cmd_doc_mqm, _required("--docs", "--annotations", "--out"), _MQM_SCHEMA),
+    ("doc", "features"): (None, _cmd_doc_features, _required("--docs", "--tags-dir", "--sent-mqm-dir", "--out"), {}),
+    ("doc", "fit"): (None, _cmd_doc_fit, _required("--features", "--gold", "--out"), {"lambda": ("float", 0.0)}),
     ("doc", "apply"): (None, _cmd_doc_apply, _required("--features", "--model", "--out"), {}),
     ("doc", "eval"): (None, _cmd_doc_eval, tuple(
         (flag, {}) for flag in ("--docs", "--gold-annotations", "--pred-annotations", "--gold-mqm", "--pred-mqm")

@@ -25,10 +25,12 @@ once, bit for bit what ``float()`` reads), exactly ``OK`` or ``BAD``, or
 gives the same values and names the first bad line.
 
 A :class:`TaggedCorpus` holds these files as columns on one segment count:
-``corpus.mt`` and ``corpus.src`` are tuples of sentences, ``corpus.tags``
-and ``corpus.source_tags`` bool :class:`Ragged` rows, ``corpus.hter`` a
-float64 array and ``corpus.alignments`` the file's pair array and offsets.
-Code builds one from rows per column with :meth:`TaggedCorpus.from_rows`.
+``corpus.mt``, ``corpus.src`` and ``corpus.pe`` are token columns (a
+:class:`Ragged` of ``str`` tokens, one row per sentence, each line's
+``str.split()``), ``corpus.tags`` and ``corpus.source_tags`` bool
+:class:`Ragged` rows, ``corpus.hter`` a float64 array and
+``corpus.alignments`` the file's pair array and offsets. Code builds one from
+rows per column with :meth:`TaggedCorpus.from_rows`.
 
 A tag is a ``bool``, BAD being true, from the labeler to the writers.
 :class:`Tag` names the two values in files; ``Tag`` rows are still read as
@@ -48,7 +50,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import InvalidInput, LengthMismatch, ParseError, RangeError
+from .errors import EmptyInput, InvalidInput, LengthMismatch, ParseError, RangeError
 
 __all__ = [
     "Tag",
@@ -112,23 +114,11 @@ class Sentence:
             if not tok or tok.split() != [tok]:
                 raise ParseError(f"token {tok!r} is empty or contains whitespace")
 
-    @classmethod
-    def _trusted(cls, tokens: tuple[str, ...]) -> "Sentence":
-        """A sentence built without ``__post_init__``'s checks, for tokens
-        known to pass them: the ``str.split()`` of a line that is not blank."""
-        sentence = object.__new__(cls)
-        object.__setattr__(sentence, "tokens", tokens)
-        return sentence
-
     def __len__(self) -> int:
         return len(self.tokens)
 
     def __iter__(self):
         return iter(self.tokens)
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
 
 
 def _freeze_arrays(obj):
@@ -144,12 +134,13 @@ def _freeze_arrays(obj):
 
 @dataclass(frozen=True, eq=False)
 class Ragged:
-    """Rows of float64 probabilities or bool BAD indicators, stored flat: row
-    ``i`` is ``values[offsets[i]:offsets[i + 1]]``. It reads as a sequence of
-    rows (lists of Python values) and equals any rows that hold the same
-    values in its dtype."""
+    """Rows of float64 probabilities, bool BAD indicators or ``str`` tokens
+    (an object array: a token column), stored flat: row ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]``. It reads as a sequence of rows
+    (lists of Python values) and equals any rows that hold the same values in
+    its dtype."""
 
-    values: np.ndarray  # float64 or bool, every row's entries in order
+    values: np.ndarray  # float64, bool or object, every row's entries in order
     offsets: np.ndarray  # int64, len(rows) + 1 entries, offsets[0] == 0
 
     def __post_init__(self):
@@ -198,7 +189,8 @@ class TaggedCorpus:
     """Aligned segments as columns on one segment count. ``mt`` is required;
     every other column is held for every segment or is None.
 
-    * ``mt``, ``src``, ``pe``: tuples of :class:`Sentence`;
+    * ``mt``, ``src``, ``pe``: token columns, each a :class:`Ragged` of
+      ``str`` tokens with one non-empty row per sentence;
     * ``tags``: the interleaved target tags, 2N+1 per N-token MT sentence,
       as a bool :class:`Ragged`;
     * ``source_tags``: one tag per source token, a bool :class:`Ragged`;
@@ -209,9 +201,9 @@ class TaggedCorpus:
 
     :meth:`from_rows` builds a corpus in code."""
 
-    mt: tuple[Sentence, ...]
-    src: tuple[Sentence, ...] | None = None
-    pe: tuple[Sentence, ...] | None = None
+    mt: Ragged
+    src: Ragged | None = None
+    pe: Ragged | None = None
     tags: Ragged | None = None
     source_tags: Ragged | None = None
     hter: np.ndarray | None = None
@@ -230,15 +222,16 @@ class TaggedCorpus:
     @classmethod
     def from_rows(cls, mt, *, src=None, pe=None, tags=None, source_tags=None, hter=None, alignments=None):
         """The corpus of columns built in code, one row per segment in each
-        column given: sentences, rows of BAD indicators, HTER values and
-        alignments (any collection of ``(src, mt)`` pairs, or None for none).
-        A None row (other than an alignment's) is an InvalidInput naming its
-        entry. Target tags must be 2N+1 (interleaved) on an N-token MT
-        sentence and source tags one per source token, or a LengthMismatch
-        names the first entry that breaks the rule. Each entry's pairs are
-        sorted and a repeated pair kept once; alignments need source
-        sentences, a pair outside its entry's sentences is a RangeError
-        naming the entry, and so is an index beyond int64."""
+        column given: token rows (sequences of ``str``, a :class:`Sentence`
+        among them), rows of BAD indicators, HTER values and alignments (any
+        collection of ``(src, mt)`` pairs, or None for none). A None row (other
+        than an alignment's) or a token row :func:`_token_rows` refuses is an
+        InvalidInput naming its entry. Target tags must be 2N+1 (interleaved)
+        on an N-token MT sentence and source tags one per source token, or a
+        LengthMismatch names the first entry that breaks the rule. Each
+        entry's pairs are sorted and a repeated pair kept once; alignments
+        need source sentences, a pair outside its entry's sentences is a
+        RangeError naming the entry, and so is an index beyond int64."""
         given = {"mt": mt, "src": src, "pe": pe, "tags": tags, "source_tags": source_tags, "hter": hter}
         columns = {}
         for name, rows in given.items():
@@ -252,14 +245,16 @@ class TaggedCorpus:
             if src is None:
                 raise InvalidInput("alignments need source sentences")
             alignments = columns["alignments"] = alignment_table(alignments)
-        for name in ("tags", "source_tags"):
-            if name in columns:
-                columns[name] = Ragged.from_rows(columns[name], dtype=bool)
+        for name, rows in columns.items():
+            if name in ("mt", "src", "pe"):
+                columns[name] = _token_rows(rows, name)
+            elif name in ("tags", "source_tags"):
+                columns[name] = Ragged.from_rows(rows, dtype=bool)
         if hter is not None:
             columns["hter"] = np.array(columns["hter"], np.float64)
         corpus = cls(**columns)
-        mt_lengths = _lengths(corpus.mt)
-        src_lengths = None if src is None else _lengths(corpus.src)
+        mt_lengths = np.diff(corpus.mt.offsets)
+        src_lengths = None if src is None else np.diff(corpus.src.offsets)
         if alignments is not None:
             bad = first_out_of_range(*alignments, src_lengths, mt_lengths)
             if bad is not None:
@@ -279,6 +274,25 @@ class TaggedCorpus:
 def _lengths(rows) -> np.ndarray:
     """The length of each row, as int64."""
     return np.fromiter(map(len, rows), np.int64, len(rows))
+
+
+def _token_rows(rows, name: str) -> Ragged:
+    """Rows of tokens as a token column, an object :class:`Ragged` of
+    ``str``. The first entry that is a ``str`` (which would read as its
+    characters) or empty, or that holds a token that is not a ``str`` or is
+    empty or holds whitespace, is an InvalidInput naming the entry."""
+    rows = list(rows)
+    for i, row in enumerate(rows, 1):
+        if isinstance(row, str):
+            raise InvalidInput(f"entry {i}: {name} row is a str, not a sequence of tokens")
+        if len(row) == 0:
+            raise InvalidInput(f"entry {i}: {name} row has no tokens")
+        for token in row:
+            if not isinstance(token, str):
+                raise InvalidInput(f"entry {i}: {name} token {token!r} is not a str")
+            if token.split() != [token]:
+                raise InvalidInput(f"entry {i}: {name} token {token!r} is empty or holds whitespace")
+    return Ragged.from_rows(rows, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -356,11 +370,12 @@ def _read_lines(path, data: bytes | None = None) -> list[str]:
     return lines
 
 
-def read_sentences(path) -> list[Sentence]:
-    """One sentence per line. ``_read_lines`` rejects blank lines, so each
-    line splits into at least one token, none empty or holding whitespace."""
-    trusted = Sentence._trusted
-    return [trusted(tuple(line.split())) for line in _read_lines(path)]
+def read_sentences(path) -> Ragged:
+    """A token column: each line's ``str.split()`` as one row of ``str``
+    tokens. ``_read_lines`` rejects blank lines, so each line splits into at
+    least one token, none empty or holding whitespace."""
+    _, tokens, offsets = _read_fields(path, _read_bytes(path))
+    return Ragged(np.fromiter(tokens, object, len(tokens)), offsets)
 
 
 def _read_fields(path, data: bytes) -> tuple[list[str], list[str], np.ndarray]:
@@ -845,8 +860,8 @@ def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> np.ndarray | None:
     words of an N-token MT sentence, N+1 for its gaps, one per source token
     for the source (None for a corpus without source sentences)."""
     if stream is Stream.SOURCE:
-        return None if corpus.src is None else _lengths(corpus.src)
-    return _lengths(corpus.mt) + (stream is Stream.GAPS)
+        return None if corpus.src is None else np.diff(corpus.src.offsets)
+    return np.diff(corpus.mt.offsets) + (stream is Stream.GAPS)
 
 
 def _check_alignment_range(path, pairs, offsets, src_lengths, mt_lengths):
@@ -887,11 +902,13 @@ def load_corpus(*, mt, src=None, pe=None, tags=None, source_tags=None, hter=None
         if path is not None:
             columns[name] = (path, reader)
     rows = {name: reader(path) for name, (path, reader) in columns.items()}
+    if not len(rows["mt"]):
+        raise EmptyInput("no sentences", file=str(mt))
     # the alignments are a (pairs, offsets) table: one offset per line, and one more
     sizes = {name: len(values[1]) - 1 if name == "alignments" else len(values) for name, values in rows.items()}
     _check_counts({str(columns[name][0]): n for name, n in sizes.items()})
-    mt_lengths = _lengths(rows["mt"])
-    src_lengths = _lengths(rows["src"]) if src is not None else None
+    mt_lengths = np.diff(rows["mt"].offsets)
+    src_lengths = np.diff(rows["src"].offsets) if src is not None else None
     if src is None and (source_tags is not None or align is not None):
         what = "source tags" if source_tags is not None else "alignments"
         raise ParseError(f"{what} supplied without a source file")
@@ -905,9 +922,8 @@ def load_corpus(*, mt, src=None, pe=None, tags=None, source_tags=None, hter=None
             raise RangeError(f"HTER {value} outside [0, 1]", file=str(hter), line=i)
     if align is not None:
         _check_alignment_range(align, *rows["alignments"], src_lengths, mt_lengths)
-    for name, convert in (("mt", tuple), ("src", tuple), ("pe", tuple), ("hter", np.array)):
-        if name in rows:
-            rows[name] = convert(rows[name])
+    if hter is not None:
+        rows["hter"] = np.array(rows["hter"])
     return TaggedCorpus(**rows)
 
 
@@ -1076,5 +1092,7 @@ def write_alignments(alignment_sets, path):
     _write_lines(path, (" ".join(fields[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))
 
 
-def write_sentences(sentences, path):
-    _write_lines(path, [s.text for s in sentences])
+def write_sentences(rows, path):
+    """One line per token row; a row :func:`_token_rows` refuses is an
+    InvalidInput naming its entry, and nothing is written."""
+    _write_lines(path, map(" ".join, _token_rows(rows, "sentence").rows()))

@@ -32,8 +32,9 @@ class RangeError(LocatedError, ValueError):
     """A numeric value lies outside its allowed interval."""
 
 
-class EmptyInput(QEStackError):
-    """A metric was asked to score zero tags, or a tagger to tag zero tokens."""
+class EmptyInput(LocatedError):
+    """A metric was asked to score zero tags, a tagger to tag zero tokens, or
+    a corpus was read from an MT file with no lines."""
 
 
 class DegenerateInput(LocatedError):

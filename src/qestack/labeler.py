@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from itertools import chain, count
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from .corpus import (
     Sentence,
     TaggedCorpus,
     _cut_interleaved,
-    _lengths,
     alignment_table,
     first_out_of_range,
 )
@@ -175,12 +174,13 @@ def _blocks(order: list[int], lengths: list[tuple[int, int]]):
         yield block
 
 
-def _interned(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token rows as flat int32 ids (equal tokens, equal ids), row starts
-    and row lengths."""
-    lengths = _lengths(rows)
+def _interned(*columns: Ragged) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat tokens of token columns, one column after another, as int32
+    ids (equal tokens, equal ids), and the starts and lengths of their rows."""
+    tokens = np.concatenate([column.values for column in columns]).tolist()
+    lengths = np.concatenate([np.diff(column.offsets) for column in columns])
     vocab: dict[str, int] = {}
-    ids = np.fromiter(map(vocab.setdefault, chain.from_iterable(rows), count()), np.int32, int(lengths.sum()))
+    ids = np.fromiter(map(vocab.setdefault, tokens, count()), np.int32, len(tokens))
     return ids, np.cumsum(lengths) - lengths, lengths
 
 
@@ -191,12 +191,12 @@ def _padded(ids: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _align_pairs(mt_rows, pe_rows) -> tuple[Ragged, np.ndarray]:
+def _align_pairs(mt: Ragged, pe: Ragged) -> tuple[Ragged, np.ndarray]:
     """The interleaved tags (2N+1 per N-token MT row) and the edit count of
-    each (MT, PE) token row pair, in input order, through length-sorted
-    blocks of ``_edit_block``."""
-    ids, starts, lengths = _interned([*mt_rows, *pe_rows])
-    size = len(mt_rows)
+    each (MT, PE) pair of token column rows, in input order, through
+    length-sorted blocks of ``_edit_block``."""
+    ids, starts, lengths = _interned(mt, pe)
+    size = len(mt)
     n, m, mt_starts, pe_starts = lengths[:size], lengths[size:], starts[:size], starts[size:]
     pairs = list(zip(n.tolist(), m.tolist()))
     order = sorted(range(size), key=pairs.__getitem__)
@@ -223,7 +223,7 @@ def _align_pairs(mt_rows, pe_rows) -> tuple[Ragged, np.ndarray]:
 
 def align_edit(mt: Sentence, pe: Sentence) -> list[EditStep]:
     """Minimum-cost edit script turning ``mt`` into ``pe`` (sub=del=ins=1)."""
-    ids, starts, lengths = _interned([mt.tokens, pe.tokens])
+    ids, starts, lengths = _interned(Ragged.from_rows([mt, pe], dtype=object))
     *_, backtrace = _edit_block(
         _padded(ids, starts[:1], len(mt)), _padded(ids, starts[1:], len(pe)), lengths[:1], lengths[1:]
     )
@@ -340,11 +340,10 @@ def label_corpus(corpus: TaggedCorpus) -> TaggedCorpus:
     blocks and their source tags projected all at once."""
     if corpus.pe is None:
         raise MissingStream("cannot label an entry without a post-edit")
-    tags, edits = _align_pairs([s.tokens for s in corpus.mt], [s.tokens for s in corpus.pe])
-    hter = np.clip(edits / _lengths(corpus.pe), 0.0, 1.0)
+    tags, edits = _align_pairs(corpus.mt, corpus.pe)
+    hter = np.clip(edits / np.diff(corpus.pe.offsets), 0.0, 1.0)
     source_tags = None
     if corpus.src is not None and corpus.alignments is not None:
-        src_lengths = _lengths(corpus.src)
-        offsets = np.concatenate(([0], np.cumsum(src_lengths)))
-        source_tags = Ragged(_project(tags, src_lengths, *corpus.alignments), offsets)
+        offsets = corpus.src.offsets
+        source_tags = Ragged(_project(tags, np.diff(offsets), *corpus.alignments), offsets)
     return replace(corpus, tags=tags, source_tags=source_tags, hter=hter)

@@ -1007,13 +1007,11 @@ def _aligned_words(corpus: TaggedCorpus, stream: Stream) -> tuple[list[str], np.
     order, and each position's count, from one lexsort of the pairs."""
     pairs, offsets = corpus.alignments
     keys, others, key_index = (corpus.mt, corpus.src, 1) if stream is Stream.WORDS else (corpus.src, corpus.mt, 0)
-    key_lengths, other_lengths = _lengths(keys), _lengths(others)
     per_line = np.diff(offsets)
-    key = np.repeat(np.cumsum(key_lengths) - key_lengths, per_line) + pairs[:, key_index]
-    other = np.repeat(np.cumsum(other_lengths) - other_lengths, per_line) + pairs[:, 1 - key_index]
-    tokens = list(chain.from_iterable(sentence.tokens for sentence in others))
-    words = list(map(tokens.__getitem__, other[np.lexsort((other, key))].tolist()))
-    return words, np.bincount(key, minlength=int(key_lengths.sum()))
+    key = np.repeat(keys.offsets[:-1], per_line) + pairs[:, key_index]
+    other = np.repeat(others.offsets[:-1], per_line) + pairs[:, 1 - key_index]
+    words = others.values[other[np.lexsort((other, key))]].tolist()
+    return words, np.bincount(key, minlength=int(keys.offsets[-1]))
 
 
 def build_instances(
@@ -1028,11 +1026,11 @@ def build_instances(
     WORDS tags the MT tokens with aligned source words as context; GAPS tags
     the N+1 gap positions, each represented by its flanking MT words; SOURCE
     tags the source tokens with aligned MT words as context. ``extra_columns``
-    supplies one annotation column per element, each a per-sentence list of
-    per-position strings. Stacked probabilities are taken from the matching
-    stream of each prediction set that provides it. A stacked stream or an
-    extra column whose sentences or lengths differ from the stream's is a
-    LengthMismatch.
+    supplies one annotation column per element, each a token column (as
+    ``read_sentences`` gives) or per-sentence rows of per-position strings.
+    Stacked probabilities are taken from the matching stream of each
+    prediction set that provides it. A stacked stream or an extra column
+    whose sentences or lengths differ from the stream's is a LengthMismatch.
     """
     if stream is Stream.SOURCE and corpus.src is None:
         raise MissingStream("source stream needs source sentences")
@@ -1040,11 +1038,13 @@ def build_instances(
         raise MissingStream(f"unknown stream {stream!r}")
     lengths = stream_lengths(corpus, stream)
     if stream is Stream.GAPS:
-        left = chain.from_iterable(chain((_LEFT_SENTINEL,), sentence.tokens) for sentence in corpus.mt)
-        right = chain.from_iterable(chain(sentence.tokens, (_RIGHT_SENTINEL,)) for sentence in corpus.mt)
+        # gap i of a sentence lies between its tokens i - 1 and i, the sentinels at its ends
+        mt = corpus.mt
+        left = np.insert(mt.values, mt.offsets[:-1], _LEFT_SENTINEL).tolist()
+        right = np.insert(mt.values, mt.offsets[1:], _RIGHT_SENTINEL).tolist()
         tokens = list(map("{}|{}".format, left, right))
     else:
-        tokens = list(chain.from_iterable(s.tokens for s in (corpus.mt if stream is Stream.WORDS else corpus.src)))
+        tokens = (corpus.mt if stream is Stream.WORDS else corpus.src).values.tolist()
     words, counts = [], np.zeros(lengths.sum(), np.int64)
     if stream is not Stream.GAPS and corpus.alignments is not None:
         words, counts = _aligned_words(corpus, stream)
@@ -1056,7 +1056,7 @@ def build_instances(
             stacked.append((pred.system_id, probs.values))
     for column in extra_columns:
         check_lengths(column, lengths, "extra column")
-    extra = tuple(list(chain.from_iterable(column)) for column in extra_columns)
+    extra = tuple(Ragged.from_rows(column, dtype=object).values.tolist() for column in extra_columns)
     return InstanceTable(tokens, _offsets(lengths), words, _offsets(counts), extra, tuple(stacked))
 
 

@@ -134,7 +134,7 @@ def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
 def corpus_files(tmp_path, rng, n=12):
     corpus = random_corpus(rng, n)
     paths = {
-        name: write(tmp_path / f"c.{name}", "".join(s.text + "\n" for s in getattr(corpus, name)))
+        name: write(tmp_path / f"c.{name}", "".join(" ".join(row) + "\n" for row in getattr(corpus, name)))
         for name in ("mt", "pe", "src")
     }
     pairs, offsets = corpus.alignments
@@ -385,11 +385,16 @@ def test_a_linear_option_that_is_not_a_number_in_range_is_one_error_line(
     tmp_path, capsys, rng, command, option, value, fragment
 ):
     paths = label_files(tmp_path, capsys, rng, n=6)
-    common = ["--mt", paths["mt"], "--tags", paths["tags"], "--epochs", "1"]
+    gold = ["--tags", paths["tags"], "--epochs", "1"]
     model = tmp_path / "m.model"
-    assert run(capsys, "linear", "train", *common, "--model", model)[0] == 0
-    outputs = {"train": ["--model", tmp_path / "m2.model"], "predict": ["--model", model, "--out-prefix", tmp_path / "p"]}
-    argv = ["linear", command, *common, *outputs.get(command, ["--out-prefix", tmp_path / "p", "--k", "2"])]
+    assert run(capsys, "linear", "train", "--mt", paths["mt"], *gold, "--model", model)[0] == 0
+    # linear predict takes no gold tags and no training options
+    outputs = {
+        "train": [*gold, "--model", tmp_path / "m2.model"],
+        "predict": ["--model", model, "--out-prefix", tmp_path / "p"],
+        "jackknife": [*gold, "--out-prefix", tmp_path / "p", "--k", "2"],
+    }
+    argv = ["linear", command, "--mt", paths["mt"], *outputs[command]]
     code, _, err = run(capsys, *argv, option, value)
     assert_one_error_line(code, err, fragment)
     assert not (tmp_path / "m2.model").exists() and not (tmp_path / "p.probs").exists()
@@ -563,7 +568,7 @@ def test_linear_train_is_deterministic(tmp_path, capsys, rng):
 
 def test_config_file_sets_training_options(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=10)
-    config = write(tmp_path / "run.cfg", "epochs=1\nC=0.5\ngamma=2.0\n# comment\n")
+    config = write(tmp_path / "run.cfg", "epochs=1\nC=0.5\n# comment\n")
     model = tmp_path / "m.model"
     code, _, _ = run(
         capsys, "--config", config, "linear", "train",
@@ -573,7 +578,7 @@ def test_config_file_sets_training_options(tmp_path, capsys, rng):
     snapshot = (tmp_path / "m.model.run.cfg").read_text()
     assert "epochs=1" in snapshot
     assert "C=0.5" in snapshot
-    assert "gamma=2.0" in snapshot
+    assert "gamma=" not in snapshot and "k=" not in snapshot
     assert not [line for line in snapshot.splitlines() if line.startswith(("use_", "bins", "average"))]
 
 
@@ -1323,6 +1328,60 @@ def test_every_command_reads_its_config_file(tmp_path, capsys, path):
     assert run(capsys, "--config", bogus, *_leaf_argv(path)) == (1, "", "error: unknown config keys: bogus\n")
 
 
+_WORD_FIT_KEYS = {"threshold", "optimize_threshold", "tol", "max_cycles"}
+_MQM_KEYS = {"minor_weight", "major_weight", "critical_weight", "floor"}
+# the keys each handler reads; once, linear predict took and recorded epochs, C and k
+_COMMAND_KEYS = {
+    ("linear", "train"): {"epochs", "C"},
+    ("linear", "predict"): {"gamma"},
+    ("linear", "jackknife"): {"epochs", "C", "gamma", "k"},
+    ("ensemble-word", "fit"): _WORD_FIT_KEYS,
+    ("ensemble-word", "kfold"): _WORD_FIT_KEYS | {"k"},
+    ("doc", "tags"): set(),
+    ("doc", "spans"): {"severity"},
+    ("doc", "mqm"): _MQM_KEYS,
+    ("doc", "features"): set(),
+    ("doc", "fit"): {"lambda"},
+}
+
+
+@pytest.mark.parametrize("path", list(_COMMAND_KEYS), ids=" ".join)
+def test_each_command_takes_only_the_config_keys_it_reads(tmp_path, capsys, path):
+    assert set(cli._COMMANDS[path][3]) == _COMMAND_KEYS[path]
+    others = set().union(*_COMMAND_KEYS.values()) - _COMMAND_KEYS[path]
+    for key in sorted(others):
+        config = write(tmp_path / "other.cfg", f"{key}=1\n")
+        assert run(capsys, "--config", config, *_leaf_argv(path)) == (1, "", f"error: unknown config keys: {key}\n")
+
+
+@pytest.mark.parametrize("flag", ["--epochs", "--C", "--tags", "--source-tags"])
+def test_linear_predict_takes_no_training_flag(capsys, flag):
+    code, out, err = run(capsys, *_leaf_argv(("linear", "predict")), flag, "9")
+    assert (code, out) == (1, "") and err.endswith(f"error: unrecognized arguments: {flag} 9\n")
+
+
+def test_linear_predict_records_only_gamma_in_its_snapshot(tmp_path, capsys, rng):
+    paths = label_files(tmp_path, capsys, rng, n=6)
+    model = tmp_path / "m.model"
+    assert run(capsys, "linear", "train", "--mt", paths["mt"], "--tags", paths["tags"], "--model", model)[0] == 0
+    config = write(tmp_path / "run.cfg", "gamma=2\n")
+    out = tmp_path / "p"
+    code, _, _ = run(capsys, "--config", config, "linear", "predict", "--mt", paths["mt"], "--model", model,
+                     "--out-prefix", out)
+    assert code == 0
+    keys = [line.split("=")[0] for line in text_lines(f"{out}.run.cfg")[1:]]
+    assert keys == ["command", "version", "gamma", "seed", "stream"]
+
+
+def test_an_empty_mt_file_is_an_error_naming_it(tmp_path, capsys):
+    # once, linear train on empty files wrote an empty model, which predict
+    # then applied as P(BAD) = 0.5 everywhere
+    mt, tags = write(tmp_path / "e.mt", ""), write(tmp_path / "e.tags", "")
+    code, out, err = run(capsys, "linear", "train", "--mt", mt, "--tags", tags, "--model", tmp_path / "m")
+    assert (code, out, err) == (1, "", f"error: {mt}: no sentences\n")
+    assert not (tmp_path / "m").exists()
+
+
 def test_ensemble_word_apply_with_weights_that_sum_to_zero_names_the_weights_file(tmp_path, capsys, rng):
     paths = label_files(tmp_path, capsys, rng, n=4)
     manifest = prediction_files(tmp_path, rng, paths["mt"], n_systems=2)
@@ -1607,6 +1666,66 @@ def test_fuzzed_score_and_alignment_inputs_end_in_an_exit_code_and_at_most_one_e
         else:
             argv = ["ensemble-sent", "fit", "--manifest", files["manifest"], "--mt", files["mt"],
                     "--gold-scores", files["gold"], "--out", tmp_path / "sent.model"]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], err
+    else:
+        assert err == ""
+
+
+def text_fuzz_files(tmp_path):
+    """Eight sentences with source, post-edit, a word alignment, gold target
+    tags and one extra column over the MT words."""
+    rng = random.Random(47)
+    mt = [rng.randint(1, 4) for _ in range(8)]
+    src = [rng.randint(1, 4) for _ in range(8)]
+
+    def lines(lengths, token):
+        return "".join(" ".join(token(i) for i in range(n)) + "\n" for n in lengths)
+
+    align = "".join(" ".join(f"{i}-{rng.randrange(m)}" for i in range(s)) + "\n" for s, m in zip(src, mt))
+    return {
+        "mt": write(tmp_path / "f.mt", lines(mt, "w{}".format)),
+        "pe": write(tmp_path / "f.pe", lines(mt, "v{}".format)),
+        "src": write(tmp_path / "f.src", lines(src, "s{}".format)),
+        "align": write(tmp_path / "f.align", align),
+        "tags": write(tmp_path / "f.tags", lines([2 * n + 1 for n in mt], lambda _: rng.choice(["OK", "BAD"]))),
+        "extra": write(tmp_path / "f.extra", lines(mt, lambda _: rng.choice(["N", "V"]))),
+    }
+
+
+# tokens a fuzzed sentence line may gain: line breaks of str.splitlines (CRLF
+# and form feed), whitespace of str.split (space, no-break and ideographic
+# space), NUL, and lone surrogates, which are written as bytes that are not
+# UTF-8
+_TEXT_TOKENS = st.sampled_from(["w", "a\r\nb", "\r\n", "x\x0cy", " ", "a\xa0b", "\u3000", "\x00", "n\x00", "",
+                                "\udcff", "b\udcc3"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["make-labels", "linear train"]))
+def test_fuzzed_text_inputs_end_in_an_exit_code_and_at_most_one_error_line(tmp_path, capsys, data, command):
+    files = text_fuzz_files(tmp_path)
+
+    def fuzzed(name):
+        with open(files[name], encoding="utf-8") as handle:
+            text = data.draw(_fuzzed(handle.read(), tokens=_TEXT_TOKENS), label=name)
+        path = tmp_path / f"fuzzed.{name}"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        return path
+
+    if command == "make-labels":
+        names = data.draw(st.sampled_from([("mt",), ("src",), ("pe",), ("mt", "pe"), ("mt", "src", "pe")]),
+                          label="fuzzed")
+        text = {name: fuzzed(name) if name in names else files[name] for name in ("mt", "src", "pe")}
+        argv = ["make-labels", "--mt", text["mt"], "--pe", text["pe"], "--src", text["src"], "--align", files["align"],
+                "--out-prefix", tmp_path / "labels"]
+    else:
+        argv = ["linear", "train", "--mt", files["mt"], "--tags", files["tags"], "--extra", fuzzed("extra"),
+                "--epochs", "1", "--model", tmp_path / "m.model"]
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -37,7 +37,7 @@ from qestack.corpus import (
 )
 from qestack.doclevel import read_annotations, read_doc_table, read_document_manifest, write_doc_table
 from qestack.ensemble import RidgeModel, load_ridge_model, load_weights, save_ridge_model, save_weights
-from qestack.errors import InvalidInput, LengthMismatch, ParseError, RangeError
+from qestack.errors import EmptyInput, InvalidInput, LengthMismatch, ParseError, RangeError
 from qestack.linearqe import LinearModel, load_model, save_model
 
 from conftest import (
@@ -307,7 +307,8 @@ def test_read_sentences_splits_on_every_unicode_whitespace(tmp_path):
     path = write(tmp_path / "s.mt", "a\u3000b\x1fc\xa0 d\n\u2003e\t\n")
     sentences = read_sentences(path)
     assert sentences == [Sentence(("a", "b", "c", "d")), Sentence(("e",))]
-    assert [hash(s) for s in sentences] == [hash(Sentence(s.tokens)) for s in sentences]
+    assert sentences.values.dtype == object
+    assert sentences.rows() == [["a", "b", "c", "d"], ["e"]]
 
 
 def test_prediction_set_requires_consistent_construction():
@@ -1119,6 +1120,63 @@ def test_a_none_row_is_an_error_naming_its_entry(name):
         if name == "src":
             columns.pop("alignments")
         assert getattr(TaggedCorpus.from_rows(**columns), name) is None
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("ab", "row is a str, not a sequence of tokens"),
+        ((), "row has no tokens"),
+        (("a", ""), "token '' is empty or holds whitespace"),
+        (("a", "b\xa0c"), "token 'b\\xa0c' is empty or holds whitespace"),
+        (("a", 1), "token 1 is not a str"),
+    ],
+    ids=["str row", "empty row", "empty token", "whitespace", "not a str"],
+)
+def test_a_bad_token_row_is_an_error_naming_the_first(tmp_path, row, problem):
+    # rows after the first bad one are bad too, in other ways
+    rows = [("x", "y"), row, (), "cd", ("a b",)]
+    for name in ("mt", "src", "pe"):
+        columns = {name: rows} if name == "mt" else {"mt": [("x",)] * len(rows), name: rows}
+        with pytest.raises(InvalidInput) as caught:
+            TaggedCorpus.from_rows(**columns)
+        assert str(caught.value) == f"entry 2: {name} {problem}"
+    path = tmp_path / "s.mt"
+    with pytest.raises(InvalidInput) as caught:
+        write_sentences(rows, path)
+    assert str(caught.value) == f"entry 2: sentence {problem}"
+    assert not path.exists()
+
+
+def test_a_corpus_holds_plain_token_rows_and_sentences_as_one_token_column():
+    plain = TaggedCorpus.from_rows([["das", "haus"], ("ja",)], src=[["the", "house"], ["yes"]], pe=[["das"], ["ja"]])
+    wrapped = TaggedCorpus.from_rows(
+        [Sentence(("das", "haus")), Sentence(("ja",))], src=[Sentence(("the", "house")), Sentence(("yes",))]
+    )
+    for column in (plain.mt, plain.src, plain.pe, wrapped.mt):
+        assert isinstance(column, Ragged) and column.values.dtype == object
+    assert plain.mt == wrapped.mt == [["das", "haus"], ["ja"]]
+    assert plain.src.rows() == [["the", "house"], ["yes"]]
+    assert plain.mt.offsets.tolist() == [0, 2, 3]
+    assert TaggedCorpus.from_rows(plain.mt).mt == plain.mt
+    assert len(TaggedCorpus.from_rows([])) == 0
+
+
+def test_read_sentences_gives_the_token_column_write_sentences_writes(tmp_path):
+    path = write(tmp_path / "s.mt", "a b\tc\n d \n")
+    column = read_sentences(path)
+    assert isinstance(column, Ragged) and column.values.dtype == object
+    assert column.rows() == [["a", "b", "c"], ["d"]]
+    write_sentences(column, tmp_path / "t.mt")
+    assert (tmp_path / "t.mt").read_text(encoding="utf-8") == "a b c\nd\n"
+
+
+def test_load_corpus_refuses_an_mt_file_with_no_lines(tmp_path):
+    mt = write(tmp_path / "e.mt", "")
+    for columns in ({}, {"pe": write(tmp_path / "e.pe", "")}, {"src": write(tmp_path / "e.src", "x\n")}):
+        with pytest.raises(EmptyInput) as caught:
+            load_corpus(mt=mt, **columns)
+        assert str(caught.value) == f"{mt}: no sentences"
 
 
 @pytest.mark.parametrize(

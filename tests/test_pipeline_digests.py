@@ -39,7 +39,7 @@ def post_edit(rng: random.Random, tokens) -> list[str]:
 def write_corpus(directory: Path) -> dict[str, str]:
     rng = random.Random(16)
     corpus = random_corpus(rng, 200)
-    post_edits = [" ".join(post_edit(rng, s.tokens)) for s in corpus.mt]
+    post_edits = [" ".join(post_edit(rng, row)) for row in corpus.mt]
     align_lines = []
     for pairs in alignment_sets(corpus.alignments):
         pairs = sorted(pairs)
@@ -48,9 +48,9 @@ def write_corpus(directory: Path) -> dict[str, str]:
         fields = [f"{i}-{j}" for i, j in pairs]
         align_lines.append("".join(rng.choice((" ", "  ", "\t")) + f for f in fields).lstrip())
     texts = {
-        "mt": [s.text for s in corpus.mt],
+        "mt": [" ".join(row) for row in corpus.mt],
         "pe": post_edits,
-        "src": [s.text for s in corpus.src],
+        "src": [" ".join(row) for row in corpus.src],
         "align": align_lines,
     }
     paths = {}
