@@ -16,13 +16,15 @@ lines anywhere):
   Each line is read with its pairs deduplicated and sorted, into one int64
   pair array on per-line offsets (:func:`read_alignment_lines`).
 
-Probability, score, tag and alignment files are read in one numpy pass over
-their bytes when every field has its common form: ``digits.digits`` of at
-most 15 ASCII digits (the integer of the digits divided by a power of ten
-once, bit for bit what ``float()`` reads), exactly ``OK`` or ``BAD``, or
-``digits-digits``, between spaces and tabs on lines that are not blank
-(:func:`_split_fields`). Any other file goes through its line reader, which
-gives the same values and names the first bad line.
+Probability, score, tag and alignment files (*token files*) hold ASCII
+fields between spaces and tabs, on lines that end in ``\\n`` or ``\\r\\n``. A
+field is what ``float()`` reads, exactly ``OK`` or ``BAD``, or
+``digits-digits`` with at most 18 digits a side. Each is read in one numpy
+pass over its bytes (:func:`_split_fields`); a file of ``digits.digits``
+numbers of at most 15 digits is parsed as integers divided once by a power
+of ten, bit for bit what ``float()`` reads, and any other number file by
+``float()`` over its fields. A file the pass refuses goes to
+:func:`_raise_first_error`, which names its first bad line.
 
 A :class:`TaggedCorpus` holds these files as columns on one segment count:
 ``corpus.mt``, ``corpus.src`` and ``corpus.pe`` are token columns (a
@@ -103,16 +105,13 @@ class Stream(enum.Enum):
 
 @dataclass(frozen=True)
 class Sentence:
-    """A tokenized sentence; tokens are non-empty and whitespace-free."""
+    """A tokenized sentence; a row :func:`_check_token_row` refuses is an
+    InvalidInput."""
 
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.tokens:
-            raise ParseError("empty sentence")
-        for tok in self.tokens:
-            if not tok or tok.split() != [tok]:
-                raise ParseError(f"token {tok!r} is empty or contains whitespace")
+        _check_token_row(self.tokens, "sentence")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -276,22 +275,29 @@ def _lengths(rows) -> np.ndarray:
     return np.fromiter(map(len, rows), np.int64, len(rows))
 
 
+def _check_token_row(row, what: str):
+    """The token rule: a row that is a ``str`` (which would read as its
+    characters) or empty, or that holds a token that is not a ``str`` or is
+    empty or holds whitespace, is an InvalidInput whose message starts with
+    ``what``."""
+    if isinstance(row, str):
+        raise InvalidInput(f"{what} row is a str, not a sequence of tokens")
+    if len(row) == 0:
+        raise InvalidInput(f"{what} row has no tokens")
+    for token in row:
+        if not isinstance(token, str):
+            raise InvalidInput(f"{what} token {token!r} is not a str")
+        if token.split() != [token]:
+            raise InvalidInput(f"{what} token {token!r} is empty or holds whitespace")
+
+
 def _token_rows(rows, name: str) -> Ragged:
     """Rows of tokens as a token column, an object :class:`Ragged` of
-    ``str``. The first entry that is a ``str`` (which would read as its
-    characters) or empty, or that holds a token that is not a ``str`` or is
-    empty or holds whitespace, is an InvalidInput naming the entry."""
+    ``str``; the first row :func:`_check_token_row` refuses is an
+    InvalidInput naming its entry."""
     rows = list(rows)
     for i, row in enumerate(rows, 1):
-        if isinstance(row, str):
-            raise InvalidInput(f"entry {i}: {name} row is a str, not a sequence of tokens")
-        if len(row) == 0:
-            raise InvalidInput(f"entry {i}: {name} row has no tokens")
-        for token in row:
-            if not isinstance(token, str):
-                raise InvalidInput(f"entry {i}: {name} token {token!r} is not a str")
-            if token.split() != [token]:
-                raise InvalidInput(f"entry {i}: {name} token {token!r} is empty or holds whitespace")
+        _check_token_row(row, f"entry {i}: {name}")
     return Ragged.from_rows(rows, dtype=object)
 
 
@@ -330,11 +336,12 @@ class PredictionSet:
 
 
 # ---------------------------------------------------------------------------
-# Low-level line readers. Every artifact of the toolkit is opened by
-# _read_bytes and written through _write_lines. A file that no byte-level
-# fast path below takes is read by _read_lines, and its numbers are parsed by
-# _parse_float. Empty lines are invalid everywhere: degenerate segments must
-# be filtered upstream, so we fail fast instead of guessing.
+# Line readers of sentence files and tables. Every artifact of the toolkit is
+# opened by _read_bytes and written through _write_lines. Sentence files and
+# tables are read by _read_lines, which splits them as str.splitlines does,
+# and a table's numbers are parsed by _parse_float. Empty lines are invalid
+# everywhere: degenerate segments must be filtered upstream, so we fail fast
+# instead of guessing.
 # ---------------------------------------------------------------------------
 
 
@@ -357,11 +364,10 @@ def _utf8_error(path) -> ParseError:
     return ParseError("not UTF-8", file=str(path))  # the file changed since the failed read
 
 
-def _read_lines(path, data: bytes | None = None) -> list[str]:
-    """A file's lines as ``str.splitlines`` gives them, none of them blank;
-    ``data`` is the file's bytes when a reader has them already."""
+def _read_lines(path) -> list[str]:
+    """A file's lines as ``str.splitlines`` gives them, none of them blank."""
     try:
-        lines = (_read_bytes(path) if data is None else data).decode("utf-8").splitlines()
+        lines = _read_bytes(path).decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
     for i, line in enumerate(lines, 1):
@@ -374,196 +380,23 @@ def read_sentences(path) -> Ragged:
     """A token column: each line's ``str.split()`` as one row of ``str``
     tokens. ``_read_lines`` rejects blank lines, so each line splits into at
     least one token, none empty or holding whitespace."""
-    _, tokens, offsets = _read_fields(path, _read_bytes(path))
-    return Ragged(np.fromiter(tokens, object, len(tokens)), offsets)
+    tokens, offsets = [], [0]
+    for line in _read_lines(path):
+        tokens += line.split()
+        offsets.append(len(tokens))
+    return Ragged(np.fromiter(tokens, object, len(tokens)), np.array(offsets, dtype=np.int64))
 
 
-def _read_fields(path, data: bytes) -> tuple[list[str], list[str], np.ndarray]:
-    """A file's lines, their fields in one flat list, and each line's int64 offset into it."""
-    lines = _read_lines(path, data)
-    fields = []
-    offsets = [0]
-    for line in lines:
-        fields += line.split()
-        offsets.append(len(fields))
-    return lines, fields, np.array(offsets, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Byte-level fast paths. A probability, score, tag or alignment file in its
-# common form is read in one numpy pass over its bytes; each fast path returns
-# None for any other file, which its line reader then reads, so every value,
-# offset and error is the line reader's.
-# ---------------------------------------------------------------------------
-
-
-def _file_bytes(data: bytes) -> np.ndarray:
-    """A file's bytes as uint8, ending in a newline (which changes neither
-    the lines of a file that is not empty nor their fields)."""
-    return np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8)
-
-
-def _count_digits(buf: np.ndarray) -> int:
-    return np.count_nonzero(buf >= 48) - np.count_nonzero(buf > 57)
-
-
-def _split_fields(buf: np.ndarray, mark: int | None = None):
-    """The fields of ``buf`` (:func:`_file_bytes`), its runs of bytes between
-    spaces, tabs and newlines: each field's start and end (one past it) as
-    int64 positions, each line's int64 offset into the fields, and the
-    positions of the byte ``mark``. None when a line is blank or a byte below
-    33 is none of the three, the other ASCII controls being line breaks or
-    whitespace to ``str.splitlines`` and ``str.split``; for a file of ASCII
-    bytes that passes, the fields are the ``str.split()`` of its
-    ``str.splitlines()``."""
-    special = buf <= 32
-    if mark is not None:
-        special |= buf == mark
-    # positions picked by take and flatnonzero: a boolean index over
-    # alternating blanks and marks runs several times slower
-    at = np.flatnonzero(special)
-    kind = buf.take(at)
-    marks = None
-    if mark is not None:
-        marked = kind == mark
-        marks = at.take(np.flatnonzero(marked))
-        blanks = np.flatnonzero(~marked)
-        at, kind = at.take(blanks), kind.take(blanks)
-    if not ((kind == 32) | (kind == 10) | (kind == 9)).all():
-        return None
-    # a field runs from the byte after a blank (or the file's first byte) up to the next blank
-    before = np.concatenate(([-1], at[:-1]))
-    field = np.flatnonzero(at - before > 1)
-    starts, ends = before.take(field) + 1, at.take(field)
-    offsets = np.zeros(np.count_nonzero(kind == 10) + 1, np.int64)
-    offsets[1:] = np.searchsorted(ends, at.take(np.flatnonzero(kind == 10)), side="right")
-    if (offsets[1:] == offsets[:-1]).any():
-        return None
-    return starts, ends, offsets, marks
-
-
-# Up to 15 decimal digits make an integer below 2**53, and 10**k is a float
-# for k < 15: the quotient of the two is one correctly rounded division,
-# which is what float() gives for the decimal (Clinger's fast path).
-_DECIMAL_DIGITS = 15
-_POWERS_OF_TEN = np.array([float(10**k) for k in range(_DECIMAL_DIGITS)])
-
-
-def _parse_decimals(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The float64 values of a file's fields and its lines' offsets into
-    them, bit for bit as ``float()`` reads each field, when every field is
-    ``digits.digits`` of at most 15 ASCII digits; else None."""
-    # a first field longer than that turns down repr() output (17 digits)
-    # without a pass over the file: bytes.split breaks at every blank the
-    # fields do, so its first word lies within the first field
-    head = data[:_DECIMAL_DIGITS + 2].split(None, 1)
-    if head and len(head[0]) > _DECIMAL_DIGITS + 1:
-        return None
-    buf = _file_bytes(data)
-    dots = np.count_nonzero(buf == 46)
-    digits = buf.size - dots - np.count_nonzero(buf <= 32)
-    # one dot per field, so more digits than 15 a dot rule some field out
-    if digits > _DECIMAL_DIGITS * dots or _count_digits(buf) != digits:
-        return None
-    split = _split_fields(buf, 46)
-    if split is None:
-        return None
-    starts, ends, offsets, dots_at = split
-    # as many dots as fields and dot k inside field k: one dot to a field
-    if dots_at.size != starts.size:
-        return None
-    whole, fraction = dots_at - starts, ends - dots_at - 1
-    if not ((whole > 0) & (fraction > 0) & (whole + fraction <= _DECIMAL_DIGITS)).all():
-        return None
-    return np.fromstring(data.translate(None, b"."), np.int64, sep=" ") / _POWERS_OF_TEN[fraction], offsets
-
-
-def _parse_tags(data: bytes) -> Ragged | None:
-    """A file's fields as BAD indicators on its lines' offsets when every
-    field is exactly OK or BAD; else None."""
-    buf = _file_bytes(data)
-    # the bytes of OK and BAD fields: two to an O, three to a B
-    if buf.size - np.count_nonzero(buf <= 32) != 2 * np.count_nonzero(buf == 79) + 3 * np.count_nonzero(buf == 66):
-        return None
-    split = _split_fields(buf)
-    if split is None:
-        return None
-    starts, ends, offsets, _ = split
-    first, second, last = buf[starts], buf[starts + 1], buf[ends - 1]
-    bad = first == 66
-    length = ends - starts
-    ok = (first == 79) & (length == 2) & (second == 75)
-    if not (ok | (bad & (length == 3) & (second == 65) & (last == 68))).all():
-        return None
-    return Ragged(bad, offsets)
-
-
-def read_tag_lines(path) -> Ragged:
-    """Every line's tags as read, BAD being true. The first field that is
-    not OK or BAD, in file order, is a ParseError. A file of OK and BAD
-    fields alone is read in one pass over its bytes."""
-    data = _read_bytes(path)
-    tags = _parse_tags(data)
-    return _read_tags_by_line(path, data) if tags is None else tags
-
-
-def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
-    """One stream of a tag file as bool BAD indicators on per-line offsets.
-    ``target`` and ``source`` lines are taken as read; a ``target`` line must
-    be interleaved (2N+1). A ``words`` or ``gaps`` line is taken as read when
-    its length is already ``lengths[i]``, else it must be interleaved and
-    keeps only that stream's tags. The tags are read by :func:`read_tag_lines`."""
-    tags = read_tag_lines(path)
-    if stream not in ("target", "words", "gaps"):
-        return tags
-    counts = np.diff(tags.offsets)
-    # the lines to cut: every line of the target, else those not yet at their length
-    cut = np.ones(counts.size, bool)
-    if stream != "target":
-        known = min(len(lengths), counts.size)
-        cut[:known] = counts[:known] != np.asarray(lengths[:known], dtype=np.int64)
-    wrong = np.flatnonzero(cut & ((counts < 3) | (counts % 2 == 0)))
-    if wrong.size:
-        message = f"interleaved tag line must hold 2N+1 entries, got {counts[wrong[0]]}"
-        raise LengthMismatch(message, file=str(path), line=int(wrong[0]) + 1)
-    return tags if stream == "target" else _cut_interleaved(tags, stream, cut)
-
-
-def _read_tags_by_line(path, data: bytes) -> Ragged:
-    """The line reader of tag files: each line split and its fields looked up."""
-    values, offsets = [], [0]
-    for line in _read_lines(path, data):
-        try:
-            values += map({"OK": False, "BAD": True}.__getitem__, line.split())
-        except KeyError as exc:
-            message = f"invalid tag {exc.args[0]!r} (expected OK or BAD)"
-            raise ParseError(message, file=str(path), line=len(offsets)) from None
-        offsets.append(len(values))
-    return Ragged(np.array(values, dtype=bool), np.array(offsets, dtype=np.int64))
-
-
-def _cut_interleaved(tags: Ragged, stream: str, cut=None) -> Ragged:
-    """The ``words`` (odd positions) or ``gaps`` (even positions) of
-    interleaved 2N+1 rows of tags; a row where ``cut`` is false is kept
-    whole."""
-    counts = np.diff(tags.offsets)
-    if cut is None:
-        cut = np.ones(counts.size, bool)
-    # an entry's position in its row is odd when its index and its row's
-    # start differ in parity (bool masks: no int array per entry)
-    odd = np.zeros(tags.values.size, bool)
-    odd[1::2] = True
-    odd ^= np.repeat(tags.offsets[:-1] % 2 == 1, counts)
-    keep = ~np.repeat(cut, counts) | (odd == (stream == "words"))
-    kept = np.where(cut, counts // 2 + (stream == "gaps"), counts)
-    return Ragged(tags.values[keep], np.concatenate(([0], np.cumsum(kept))))
-
-
-def _parse_float(text, *, file, line) -> float:
+def _parse_float(text, *, file, line, ascii_only=False) -> float:
+    """``float(text)``; a text ``float()`` refuses, or with ``ascii_only`` one
+    that is not printable ASCII (``float()`` reads ``１`` and strips
+    ``\\x0c``), is a ParseError."""
     try:
-        return float(text)
+        if not ascii_only or (text.isascii() and text.isprintable()):
+            return float(text)
     except ValueError:
-        raise ParseError(f"malformed number {text!r}", file=file, line=line) from None
+        pass
+    raise ParseError(f"malformed number {text!r}", file=file, line=line)
 
 
 def check_finite(values, what: str, *, file, line: int | None = None):
@@ -575,76 +408,6 @@ def check_finite(values, what: str, *, file, line: int | None = None):
         raise RangeError(
             f"{what} {values[first]!r} is not finite", file=str(file), line=first + 1 if line is None else line
         )
-
-
-def read_score_lines(path) -> list[float]:
-    """One finite float per line. A file of decimals (:func:`_parse_decimals`)
-    is read in one pass over its bytes, any other by its line reader."""
-    data = _read_bytes(path)
-    parsed = _parse_decimals(data)
-    # no line is blank, so as many values as lines means one on each
-    if parsed is not None and parsed[0].size == parsed[1].size - 1:
-        return parsed[0].tolist()
-    return _read_scores_by_line(path, data)
-
-
-def _read_scores_by_line(path, data: bytes) -> list[float]:
-    """The line reader of score files: only a file one ``map(float, ...)``
-    fails on is walked line by line."""
-    lines, fields, _ = _read_fields(path, data)
-    # no line is blank, so as many fields as lines means one on each
-    if len(fields) == len(lines):
-        try:
-            values = list(map(float, fields))
-        except ValueError:
-            pass
-        else:
-            check_finite(values, "score", file=path)
-            return values
-    out = []
-    for i, line in enumerate(lines, 1):
-        fields = line.split()
-        if len(fields) != 1:
-            raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
-        out.append(_parse_float(fields[0], file=str(path), line=i))
-        check_finite(out[-1:], "score", file=path, line=i)
-    return out
-
-
-def read_prob_lines(path) -> Ragged:
-    """Every line's probabilities, each in [0, 1]. A file of decimals
-    (:func:`_parse_decimals`) is read in one pass over its bytes, any other
-    by its line reader."""
-    data = _read_bytes(path)
-    parsed = _parse_decimals(data)
-    if parsed is not None and (parsed[0] <= 1.0).all():
-        return Ragged(*parsed)
-    return _read_probs_by_line(path, data)
-
-
-def _read_probs_by_line(path, data: bytes) -> Ragged:
-    """The line reader of probability files: every field parsed by
-    ``float()`` and range-checked in one pass over the whole file."""
-    lines, fields, offsets = _read_fields(path, data)
-    try:
-        values = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
-    except ValueError:
-        _raise_first_prob_error(lines, path)
-    # NaN fails both comparisons
-    if not ((values >= 0.0) & (values <= 1.0)).all():
-        _raise_first_prob_error(lines, path)
-    return Ragged(values, offsets)
-
-
-def _raise_first_prob_error(lines, path):
-    """Raise the error of the first field, in file order, that is not a
-    number or lies outside [0, 1]."""
-    for i, line in enumerate(lines, 1):
-        for f in line.split():
-            value = _parse_float(f, file=str(path), line=i)
-            if not 0.0 <= value <= 1.0:
-                raise RangeError(f"probability {value} outside [0, 1]", file=str(path), line=i)
-    raise AssertionError(f"{path} holds no invalid probability")
 
 
 _TABLE_BLOCK = 1024  # lines split at once: one block's strings are all the read holds besides the table
@@ -692,66 +455,274 @@ def _read_table(path, n: int, keys=list) -> tuple[list, list[list[float]]]:
     raise AssertionError(f"{path} holds no bad line")
 
 
+# ---------------------------------------------------------------------------
+# Token files: probability, score, tag and alignment files. Each kind is read
+# in one numpy pass over its bytes, which takes exactly the files of the rule
+# in the module docstring. A file the pass refuses goes to _raise_first_error,
+# the only code that walks a token file's lines, which raises the error of
+# its first bad line.
+# ---------------------------------------------------------------------------
+
+
+def _token_bytes(path) -> tuple[bytes, np.ndarray]:
+    """A token file's bytes with each ``\\r\\n`` made ``\\n``, and those
+    bytes as uint8, ending in a newline unless there are none (which changes
+    neither the lines of the file nor their fields)."""
+    data = _read_bytes(path)
+    if b"\r" in data:  # a search several times faster than a replace that finds nothing
+        data = data.replace(b"\r\n", b"\n")
+    return data, np.frombuffer(data if data.endswith(b"\n") or not data else data + b"\n", np.uint8)
+
+
+def _count_digits(buf: np.ndarray) -> int:
+    return np.count_nonzero(buf >= 48) - np.count_nonzero(buf > 57)
+
+
+def _split_fields(buf: np.ndarray):
+    """The fields of ``buf`` (:func:`_token_bytes`), its runs of bytes between
+    spaces, tabs and newlines: each field's start and end (one past it) as
+    int64 positions, and each line's int64 offset into the fields. None when
+    a line is blank or a byte below 33 is none of the three (a lone ``\\r``,
+    ``\\x0c`` or NUL); for a file that passes, the fields are those of
+    ``bytes.split()``."""
+    # positions picked by flatnonzero and take: a boolean index runs several times slower
+    at = np.flatnonzero(buf <= 32)
+    kind = buf.take(at)
+    if not ((kind == 32) | (kind == 10) | (kind == 9)).all():
+        return None
+    # a field runs from the byte after a blank (or the file's first byte) up to the next blank
+    before = np.concatenate(([-1], at[:-1]))
+    field = np.flatnonzero(at - before > 1)
+    starts, ends = before.take(field) + 1, at.take(field)
+    offsets = np.zeros(np.count_nonzero(kind == 10) + 1, np.int64)
+    offsets[1:] = np.searchsorted(ends, at.take(np.flatnonzero(kind == 10)), side="right")
+    if (offsets[1:] == offsets[:-1]).any():
+        return None
+    return starts, ends, offsets
+
+
+# Up to 15 decimal digits make an integer below 2**53, and 10**k is a float
+# for k < 15: the quotient of the two is one correctly rounded division,
+# which is what float() gives for the decimal (Clinger's fast path).
+_DECIMAL_DIGITS = 15
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(_DECIMAL_DIGITS)])
+
+
+def _parse_numbers(data: bytes, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The float64 values of a number file's fields, bit for bit as
+    ``float()`` reads each, and its lines' offsets into them; None when the
+    file breaks the rule or ``float()`` refuses a field."""
+    split = _split_fields(buf)
+    if split is None:
+        return None
+    starts, ends, offsets = split
+    values = _decimal_values(data, buf, starts, ends)
+    if values is None:
+        # the split has shown that bytes.split breaks the file where its fields end
+        try:
+            values = np.fromiter(map(float, data.split()), np.float64, starts.size)
+        except ValueError:
+            return None
+    return values, offsets
+
+
+def _decimal_values(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The values of fields that are all ``digits.digits`` of at most 15
+    digits, each integer of digits divided once by a power of ten; else None."""
+    if not (ends - starts <= _DECIMAL_DIGITS + 1).all():
+        return None
+    dots = np.flatnonzero(buf == 46)
+    if dots.size != starts.size:
+        return None
+    # dot k inside field k and every other byte a digit or a blank: one dot
+    # to a field, with digits on each side
+    whole, fraction = dots - starts, ends - dots - 1
+    if not ((whole > 0) & (fraction > 0)).all() or (
+        _count_digits(buf) + dots.size + np.count_nonzero(buf <= 32) != buf.size
+    ):
+        return None
+    return np.fromstring(data.translate(None, b"."), np.int64, sep=" ") / _POWERS_OF_TEN[fraction]
+
+
+def _parse_tags(buf: np.ndarray) -> Ragged | None:
+    """A file's fields as BAD indicators on its lines' offsets when every
+    field is exactly OK or BAD; else None."""
+    # the bytes of OK and BAD fields: two to an O, three to a B
+    if buf.size - np.count_nonzero(buf <= 32) != 2 * np.count_nonzero(buf == 79) + 3 * np.count_nonzero(buf == 66):
+        return None
+    split = _split_fields(buf)
+    if split is None:
+        return None
+    starts, ends, offsets = split
+    first, second, last = buf[starts], buf[starts + 1], buf[ends - 1]
+    bad = first == 66
+    length = ends - starts
+    ok = (first == 79) & (length == 2) & (second == 75)
+    if not (ok | (bad & (length == 3) & (second == 65) & (last == 68))).all():
+        return None
+    return Ragged(bad, offsets)
+
+
 # An index of at most this many digits fits in int64.
 _INDEX_DIGITS = 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def read_alignment_lines(path) -> tuple[np.ndarray, np.ndarray]:
-    """Every line's ``i-j`` pairs as one (pairs, 2) int64 array of (source,
-    MT) indices, each line's pairs sorted and distinct, and the lines' int64
-    offsets into it. A file of ``digits-digits`` fields of at most 18 ASCII
-    digits between spaces and tabs is parsed in one pass over its bytes; any
-    other goes field by field, where the first field that is not two runs of
-    ASCII digits joined by ``-`` is a ParseError, and an index beyond int64
-    reads as int64's maximum (out of range of every sentence)."""
-    data = _read_bytes(path)
-    parsed = _parse_alignment_bytes(data)
-    return _sorted_distinct(*(_read_alignments_by_line(path, data) if parsed is None else parsed))
-
-
-def _read_alignments_by_line(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The line reader of alignment files: the pairs in file order, as by
-    :func:`_parse_alignment_bytes`, read field by field."""
-    rows = [_alignment_pairs(line, path, i) for i, line in enumerate(_read_lines(path, data), 1)]
-    flat = [min(index, _INT64_MAX) for row in rows for pair in row for index in pair]
-    return np.array(flat, np.int64).reshape(-1, 2), _lengths(rows)
-
-
-def _alignment_pairs(line: str, path, i: int) -> list[tuple[int, int]]:
-    """The pairs of line ``i``, field by field, as exact ints."""
-    pairs = []
-    for field_ in line.split():
-        left, sep, right = field_.partition("-")
-        # ASCII digits only: str.isdigit also takes '²' and '١'
-        if not sep or not field_.isascii() or not left.isdigit() or not right.isdigit():
-            raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
-        pairs.append((int(left), int(right)))
-    return pairs
-
-
-def _parse_alignment_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_alignment_bytes(data: bytes, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The pairs of a file, in file order, as a (pairs, 2) int64 array, and
     each line's number of pairs, when its fields are all ``digits-digits``
     of at most ``_INDEX_DIGITS`` ASCII digits a side; else None."""
-    buf = _file_bytes(data)
-    hyphens = np.count_nonzero(buf == 45)
+    hyphens = np.flatnonzero(buf == 45)
     # every byte a digit, a hyphen or a blank (a non-ASCII character's bytes are none of these)
-    if _count_digits(buf) + hyphens + np.count_nonzero(buf <= 32) != buf.size:
+    if _count_digits(buf) + hyphens.size + np.count_nonzero(buf <= 32) != buf.size:
         return None
-    split = _split_fields(buf, 45)
+    split = _split_fields(buf)
     if split is None:
         return None
     # with as many hyphens as fields, hyphen k falling inside field k with
     # digits on both sides makes every field digits-digits
-    starts, ends, offsets, hyphens_at = split
-    if hyphens_at.size != starts.size:
+    starts, ends, offsets = split
+    if hyphens.size != starts.size:
         return None
-    left, right = hyphens_at - starts, ends - hyphens_at - 1
+    left, right = hyphens - starts, ends - hyphens - 1
     if not ((left - 1 < _INDEX_DIGITS) & (right - 1 < _INDEX_DIGITS) & (left > 0) & (right > 0)).all():
         return None
     pairs = np.fromstring(data.translate(bytes.maketrans(b"-", b" ")), np.int64, sep=" ").reshape(-1, 2)
     return pairs, np.diff(offsets)
+
+
+def _raise_first_error(path, data: bytes, check_fields):
+    """Raise the error of the first bad line of a token file its byte pass
+    refused (``data`` as :func:`_token_bytes` gives it): a byte that is not
+    UTF-8; else an empty line (Unicode whitespace alone is empty too); else,
+    in file order, the first error of ``check_fields(fields, path, i)`` on
+    the fields of line ``i``, its runs between spaces and tabs."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or of an empty file
+    for i, line in enumerate(lines, 1):
+        if not line.strip():
+            raise ParseError("empty line", file=str(path), line=i)
+    for i, line in enumerate(lines, 1):
+        check_fields([field_ for field_ in line.replace("\t", " ").split(" ") if field_], path, i)
+    raise AssertionError(f"{path} holds no bad line")
+
+
+# The field checks of _raise_first_error, one per kind: each raises the error
+# of the first bad field of line i.
+
+
+def _prob_fields(fields, path, i):
+    for field_ in fields:
+        value = _parse_float(field_, file=str(path), line=i, ascii_only=True)
+        if not 0.0 <= value <= 1.0:
+            raise RangeError(f"probability {value} outside [0, 1]", file=str(path), line=i)
+
+
+def _score_fields(fields, path, i):
+    if len(fields) != 1:
+        raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
+    check_finite([_parse_float(fields[0], file=str(path), line=i, ascii_only=True)], "score", file=path, line=i)
+
+
+def _tag_fields(fields, path, i):
+    for field_ in fields:
+        if field_ not in ("OK", "BAD"):
+            raise ParseError(f"invalid tag {field_!r} (expected OK or BAD)", file=str(path), line=i)
+
+
+def _alignment_fields(fields, path, i):
+    for field_ in fields:
+        left, sep, right = field_.partition("-")
+        # ASCII digits only: str.isdigit also takes '²' and '١'
+        digits = field_.isascii() and left.isdigit() and right.isdigit()
+        if not (sep and digits and max(len(left), len(right)) <= _INDEX_DIGITS):
+            raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
+
+
+def read_tag_lines(path) -> Ragged:
+    """Every line's tags as read, BAD being true. The first field that is
+    not OK or BAD, in file order, is a ParseError."""
+    data, buf = _token_bytes(path)
+    tags = _parse_tags(buf)
+    if tags is None:
+        _raise_first_error(path, data, _tag_fields)
+    return tags
+
+
+def read_tag_stream(path, stream: str, lengths=()) -> Ragged:
+    """One stream of a tag file as bool BAD indicators on per-line offsets.
+    ``target`` and ``source`` lines are taken as read; a ``target`` line must
+    be interleaved (2N+1). A ``words`` or ``gaps`` line is taken as read when
+    its length is already ``lengths[i]``, else it must be interleaved and
+    keeps only that stream's tags. The tags are read by :func:`read_tag_lines`."""
+    tags = read_tag_lines(path)
+    if stream not in ("target", "words", "gaps"):
+        return tags
+    counts = np.diff(tags.offsets)
+    # the lines to cut: every line of the target, else those not yet at their length
+    cut = np.ones(counts.size, bool)
+    if stream != "target":
+        known = min(len(lengths), counts.size)
+        cut[:known] = counts[:known] != np.asarray(lengths[:known], dtype=np.int64)
+    wrong = np.flatnonzero(cut & ((counts < 3) | (counts % 2 == 0)))
+    if wrong.size:
+        message = f"interleaved tag line must hold 2N+1 entries, got {counts[wrong[0]]}"
+        raise LengthMismatch(message, file=str(path), line=int(wrong[0]) + 1)
+    return tags if stream == "target" else _cut_interleaved(tags, stream, cut)
+
+
+def _cut_interleaved(tags: Ragged, stream: str, cut=None) -> Ragged:
+    """The ``words`` (odd positions) or ``gaps`` (even positions) of
+    interleaved 2N+1 rows of tags; a row where ``cut`` is false is kept
+    whole."""
+    counts = np.diff(tags.offsets)
+    if cut is None:
+        cut = np.ones(counts.size, bool)
+    # an entry's position in its row is odd when its index and its row's
+    # start differ in parity (bool masks: no int array per entry)
+    odd = np.zeros(tags.values.size, bool)
+    odd[1::2] = True
+    odd ^= np.repeat(tags.offsets[:-1] % 2 == 1, counts)
+    keep = ~np.repeat(cut, counts) | (odd == (stream == "words"))
+    kept = np.where(cut, counts // 2 + (stream == "gaps"), counts)
+    return Ragged(tags.values[keep], np.concatenate(([0], np.cumsum(kept))))
+
+
+def read_score_lines(path) -> list[float]:
+    """One finite float per line."""
+    data, buf = _token_bytes(path)
+    parsed = _parse_numbers(data, buf)
+    # no line is blank, so as many values as lines means one on each
+    if parsed is None or parsed[0].size != parsed[1].size - 1 or not np.isfinite(parsed[0]).all():
+        _raise_first_error(path, data, _score_fields)
+    return parsed[0].tolist()
+
+
+def read_prob_lines(path) -> Ragged:
+    """Every line's probabilities, each in [0, 1]."""
+    data, buf = _token_bytes(path)
+    parsed = _parse_numbers(data, buf)
+    # NaN fails both comparisons
+    if parsed is None or not ((parsed[0] >= 0.0) & (parsed[0] <= 1.0)).all():
+        _raise_first_error(path, data, _prob_fields)
+    return Ragged(*parsed)
+
+
+def read_alignment_lines(path) -> tuple[np.ndarray, np.ndarray]:
+    """Every line's ``i-j`` pairs as one (pairs, 2) int64 array of (source,
+    MT) indices, each line's pairs sorted and distinct, and the lines' int64
+    offsets into it. The first field that is not ``digits-digits`` with at
+    most 18 ASCII digits a side is a ParseError."""
+    data, buf = _token_bytes(path)
+    parsed = _parse_alignment_bytes(data, buf)
+    if parsed is None:
+        _raise_first_error(path, data, _alignment_fields)
+    return _sorted_distinct(*parsed)
 
 
 def _packed_key(pairs: np.ndarray, line: np.ndarray, n_lines: int) -> np.ndarray | None:
@@ -866,19 +837,12 @@ def stream_lengths(corpus: TaggedCorpus, stream: Stream) -> np.ndarray | None:
 
 def _check_alignment_range(path, pairs, offsets, src_lengths, mt_lengths):
     """A ParseError naming the first line of ``path`` with a pair outside its
-    sentences, and the first such pair in sorted order. The line is read
-    again field by field, so that an index beyond int64 is named as written."""
+    sentences, and the first such pair in sorted order."""
     bad = first_out_of_range(pairs, offsets, src_lengths, mt_lengths)
-    if bad is None:
-        return
-    i = bad[0]
-    n_src, n_mt = int(src_lengths[i]), int(mt_lengths[i])
-    for s_idx, m_idx in sorted(_alignment_pairs(_read_lines(path)[i], path, i + 1)):
-        if s_idx >= n_src or m_idx >= n_mt:
-            raise ParseError(
-                f"alignment {s_idx}-{m_idx} out of range for lengths {n_src}/{n_mt}", file=str(path), line=i + 1
-            )
-    raise AssertionError(f"{path}:{i + 1} holds no alignment out of range")
+    if bad is not None:
+        i, s_idx, m_idx = bad
+        lengths = f"{src_lengths[i]}/{mt_lengths[i]}"
+        raise ParseError(f"alignment {s_idx}-{m_idx} out of range for lengths {lengths}", file=str(path), line=i + 1)
 
 
 def load_corpus(*, mt, src=None, pe=None, tags=None, source_tags=None, hter=None, align=None) -> TaggedCorpus:
@@ -942,16 +906,19 @@ def is_tag_file(path) -> bool:
     return bool(head) and all(t in ("OK", "BAD") for t in head)
 
 
-def _tags_as_probs(path) -> Ragged | None:
+def _tags_as_probs(path, stream: Stream, lengths) -> Ragged | None:
     """Tag-only systems enter the ensemble as degenerate probabilities
-    (OK -> 0, BAD -> 1). Returns None when the file is not a tag file."""
+    (OK -> 0, BAD -> 1), the tags of ``stream`` read as
+    :func:`read_tag_stream` reads them. Returns None when the file is not a
+    tag file."""
     if is_tag_file(path):
-        return Ragged.from_rows(read_tag_stream(path, "source"))
+        return Ragged.from_rows(read_tag_stream(path, stream.value, lengths))
     return None
 
 
-def _load_stream(path, lengths, name) -> Ragged:
-    rows = _tags_as_probs(path)
+def _load_stream(path, corpus: TaggedCorpus, stream: Stream, name: str) -> Ragged:
+    lengths = stream_lengths(corpus, stream)
+    rows = _tags_as_probs(path, stream, lengths)
     if rows is None:
         rows = read_prob_lines(path)
     check_lengths(rows, lengths, f"{name} stream", file=path)
@@ -970,17 +937,17 @@ def load_predictions(
     """Load one system's predictions, validating every stream against the
     corpus. ``words`` is required; tag files are accepted anywhere a
     probability file is and map OK/BAD to 0/1."""
-    word_probs = _load_stream(words, stream_lengths(corpus, Stream.WORDS), "word")
+    word_probs = _load_stream(words, corpus, Stream.WORDS, "word")
 
     gap_probs = None
     if gaps is not None:
-        gap_probs = _load_stream(gaps, stream_lengths(corpus, Stream.GAPS), "gap")
+        gap_probs = _load_stream(gaps, corpus, Stream.GAPS, "gap")
 
     source_probs = None
     if source is not None:
         if corpus.src is None:
             raise LengthMismatch("corpus entry 1 has no source sentence", file=str(source))
-        source_probs = _load_stream(source, stream_lengths(corpus, Stream.SOURCE), "source")
+        source_probs = _load_stream(source, corpus, Stream.SOURCE, "source")
 
     sentence_scores = None
     if sentences is not None:
@@ -1017,6 +984,8 @@ def read_manifest(path, corpus: TaggedCorpus) -> list[PredictionSet]:
             key, sep, value = field_.partition("=")
             if not sep or key not in ("words", "gaps", "source", "sentences"):
                 raise ParseError(f"invalid manifest field {field_!r}", file=str(path), line=i)
+            if key in streams:
+                raise ParseError(f"system {system_id!r} lists its {key} stream twice", file=str(path), line=i)
             streams[key] = os.path.join(base, value)
         if "words" not in streams:
             raise ParseError(f"system {system_id!r} lists no words stream", file=str(path), line=i)

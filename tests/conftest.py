@@ -1,12 +1,14 @@
 import os
 import random
+import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from qestack.corpus import Sentence, TaggedCorpus, Tag, _read_lines
+from qestack.corpus import Sentence, TaggedCorpus, Tag
 from qestack.errors import LengthMismatch, ParseError
 
 # CI (which GitHub Actions sets) runs the property tests on a fixed example
@@ -28,11 +30,35 @@ def reference_parse_tag(text, *, file=None, line=None):
     raise ParseError(f"invalid tag {text!r} (expected OK or BAD)", file=file, line=line)
 
 
+def reference_token_lines(path):
+    """The fields of each line of a probability, score, tag or alignment
+    file, read as text under the token-file rule: a byte that is not UTF-8,
+    then an empty line (Unicode whitespace alone included), is a ParseError
+    naming its line; a line ends in \\n or \\r\\n, and its fields are its runs
+    between spaces and tabs."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line as str.splitlines counts them, as for every other file
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        message = f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
+        raise ParseError(message, file=str(path), line=line) from None
+    lines = re.split("\r?\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    for i, line in enumerate(lines, 1):
+        if not line.strip():
+            raise ParseError("empty line", file=str(path), line=i)
+    return [re.findall("[^ \t]+", line) for line in lines]
+
+
 def reference_read_tag_lines(path):
-    """``corpus.read_tag_lines`` as it was: one ``Tag.parse`` per field."""
+    """``corpus.read_tag_lines`` with the Tag reader it replaced: one
+    ``Tag.parse`` per field of :func:`reference_token_lines`."""
     return [
-        [reference_parse_tag(t, file=str(path), line=i) for t in line.split()]
-        for i, line in enumerate(_read_lines(path), 1)
+        [reference_parse_tag(t, file=str(path), line=i) for t in fields]
+        for i, fields in enumerate(reference_token_lines(path), 1)
     ]
 
 

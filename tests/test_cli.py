@@ -188,7 +188,8 @@ _ALIGNMENT_ERRORS = {
     # str.isdigit takes both, int() the Arabic-Indic one
     "arabic-indic-one": ("١-0", "invalid alignment pair '١-0'"),
     "superscript-two": ("1-²", "invalid alignment pair '1-²'"),
-    "beyond-int64": ("0-0 99999999999999999999-1", "alignment 99999999999999999999-1 out of range for lengths 2/2"),
+    # an index holds at most 18 digits, so every index read fits in int64
+    "beyond-int64": ("0-0 99999999999999999999-1", "invalid alignment pair '99999999999999999999-1'"),
 }
 
 
@@ -718,6 +719,21 @@ def test_bad_weights_line_names_file_and_line(tmp_path, capsys, rng, line, fragm
     )
     assert_one_error_line(code, err)
     assert err == f"error: {weights}:2: {fragment}\n"
+
+
+def test_a_manifest_tag_file_is_read_as_evaluate_reads_it(tmp_path, capsys, rng):
+    # make-labels' 2N+1 tags as a system's words: evaluate scored them, and
+    # ensemble-word fit once refused them as N-entry word lines
+    paths = label_files(tmp_path, capsys, rng, n=2)
+    tags = paths["tags"]
+    code, _, err = run(capsys, "evaluate", "--stream", "words", "--gold", tags, "--pred", tags)
+    assert (code, err) == (0, "")
+    manifest = write(tmp_path / "manifest.tsv", f"sys0\twords={Path(tags).name}\n")
+    code, _, err = run(
+        capsys, "ensemble-word", "fit", "--manifest", manifest, "--mt", paths["mt"],
+        "--gold", tags, "--out", tmp_path / "w.tsv",
+    )
+    assert (code, err) == (0, "")
 
 
 def test_ensemble_word_fit_on_a_probability_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, rng):

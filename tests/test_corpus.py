@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +17,6 @@ from qestack.corpus import (
     Stream,
     Tag,
     TaggedCorpus,
-    _parse_float,
-    _read_lines,
     check_lengths,
     is_tag_file,
     load_corpus,
@@ -46,7 +45,9 @@ from conftest import (
     assert_same_corpus,
     interleave,
     random_corpus,
+    reference_read_tag_lines,
     reference_read_tag_rows,
+    reference_token_lines,
     table_defect,
 )
 
@@ -230,6 +231,33 @@ def test_manifest_rejects_duplicates_and_unknown_streams(tmp_path):
         read_manifest(unknown, corpus)
 
 
+def test_a_repeated_stream_field_in_a_manifest_line_names_the_line(tmp_path):
+    # the second words= once silently replaced the first
+    corpus = load_corpus(mt=write(tmp_path / "x.mt", "a\n"))
+    write(tmp_path / "a.probs", "0.1\n")
+    write(tmp_path / "b.probs", "0.9\n")
+    manifest = write(tmp_path / "m.tsv", "s0\twords=a.probs\ns1\twords=a.probs\twords=b.probs\n")
+    with pytest.raises(ParseError) as caught:
+        read_manifest(manifest, corpus)
+    assert str(caught.value) == f"{manifest}:2: system 's1' lists its words stream twice"
+
+
+def test_a_manifest_tag_file_reads_as_evaluate_reads_it(tmp_path):
+    # make-labels' interleaved 2N+1 tags as the words and gaps of a system,
+    # and a words-only tag file, each cut as read_tag_stream cuts them
+    corpus = load_corpus(mt=write(tmp_path / "x.mt", "ein Haus\nja\n"))
+    labels = write(tmp_path / "lab.tags", "OK BAD OK OK BAD\nBAD OK OK\n")
+    words = write(tmp_path / "w.tags", "BAD OK\nBAD\n")
+    manifest = write(tmp_path / "m.tsv", "s0\twords=lab.tags\tgaps=lab.tags\ns1\twords=w.tags\n")
+    first, second = read_manifest(manifest, corpus)
+    assert first.word_probs == [[1.0, 0.0], [0.0]]
+    assert first.gap_probs == [[0.0, 0.0, 1.0], [1.0, 0.0]]
+    assert second.word_probs == [[1.0, 0.0], [1.0]]
+    for system, path, stream in ((first, labels, "words"), (first, labels, "gaps"), (second, words, "words")):
+        lengths = corpus_module.stream_lengths(corpus, Stream(stream))
+        assert system.stream(Stream(stream)) == Ragged.from_rows(read_tag_stream(path, stream, lengths))
+
+
 def test_round_trip_identity_on_random_corpora(tmp_path):
     rng = random.Random(7)
     for case in range(1000):
@@ -295,11 +323,19 @@ def test_write_probs_writes_a_ragged_as_its_rows(tmp_path, rng):
         write_probs(Ragged.from_rows([[0.5], []]), tmp_path / "empty.probs")
 
 
-def test_sentence_rejects_whitespace_token():
-    with pytest.raises(ParseError):
-        Sentence(("a b",))
-    with pytest.raises(ParseError):
-        Sentence(())
+def test_sentence_checks_its_tokens_by_the_token_row_rule(tmp_path):
+    # the rule of TaggedCorpus.from_rows and write_sentences, with the same InvalidInput
+    for row, problem in (
+        (("a b",), "token 'a b' is empty or holds whitespace"),
+        (("a", ""), "token '' is empty or holds whitespace"),
+        ((), "row has no tokens"),
+        ("ab", "row is a str, not a sequence of tokens"),
+        (("a", 1), "token 1 is not a str"),
+    ):
+        with pytest.raises(InvalidInput, match=f"^sentence {re.escape(problem)}$"):
+            Sentence(row)
+        with pytest.raises(InvalidInput, match=f"^entry 1: sentence {re.escape(problem)}$"):
+            write_sentences([row], tmp_path / "s.mt")
 
 
 def test_read_sentences_splits_on_every_unicode_whitespace(tmp_path):
@@ -534,14 +570,25 @@ def test_check_lengths_on_a_ragged_stream_reports_the_first_wrong_line(tmp_path)
             check_lengths(rows, want, "word stream")
 
 
+def reference_float(text, *, file, line) -> float:
+    """``float()`` of a field of printable ASCII; any other field, or one
+    ``float()`` refuses, is a malformed number."""
+    try:
+        if re.fullmatch("[!-~]+", text):
+            return float(text)
+    except ValueError:
+        pass
+    raise ParseError(f"malformed number {text!r}", file=file, line=line)
+
+
 def reference_read_prob_lines(path) -> list[list[float]]:
-    """``read_prob_lines`` as it was before it returned a :class:`Ragged`:
-    one ``_parse_float`` call and one range check per field."""
+    """``read_prob_lines`` field by field: one ``reference_float`` call and
+    one range check per field."""
     out = []
-    for i, line in enumerate(_read_lines(path), 1):
+    for i, fields in enumerate(reference_token_lines(path), 1):
         row = []
-        for f in line.split():
-            value = _parse_float(f, file=str(path), line=i)
+        for f in fields:
+            value = reference_float(f, file=str(path), line=i)
             if not 0.0 <= value <= 1.0:
                 raise RangeError(f"probability {value} outside [0, 1]", file=str(path), line=i)
             row.append(value)
@@ -550,15 +597,14 @@ def reference_read_prob_lines(path) -> list[list[float]]:
 
 
 def reference_read_score_lines(path) -> list[float]:
-    """``read_score_lines`` as it was before it converted the file in one
-    pass: one ``split()`` and one ``_parse_float`` call per line, and a
-    value that is not finite a RangeError."""
+    """``read_score_lines`` line by line: one ``reference_float`` call per
+    line, a line of more or fewer fields a ParseError and a value that is
+    not finite a RangeError."""
     out = []
-    for i, line in enumerate(_read_lines(path), 1):
-        fields = line.split()
+    for i, fields in enumerate(reference_token_lines(path), 1):
         if len(fields) != 1:
             raise ParseError(f"expected one value per line, got {len(fields)}", file=str(path), line=i)
-        out.append(_parse_float(fields[0], file=str(path), line=i))
+        out.append(reference_float(fields[0], file=str(path), line=i))
         if not math.isfinite(out[-1]):
             raise RangeError(f"score {out[-1]!r} is not finite", file=str(path), line=i)
     return out
@@ -705,15 +751,15 @@ def test_read_tag_stream_equals_the_tag_object_reader(tmp_path, data, stream):
 
 
 def reference_read_alignment_lines(path):
-    """``read_alignment_lines`` as it was: one frozenset of exact int pairs
-    per line, field by field."""
+    """``read_alignment_lines`` field by field: one frozenset of exact int
+    pairs per line, each index at most 18 ASCII digits."""
     out = []
-    for i, line in enumerate(_read_lines(path), 1):
+    for i, fields in enumerate(reference_token_lines(path), 1):
         pairs = set()
-        for field_ in line.split():
-            left, sep, right = field_.partition("-")
-            if not sep or not field_.isascii() or not left.isdigit() or not right.isdigit():
+        for field_ in fields:
+            if not re.fullmatch("[0-9]{1,18}-[0-9]{1,18}", field_):
                 raise ParseError(f"invalid alignment pair {field_!r}", file=str(path), line=i)
+            left, _, right = field_.partition("-")
             pairs.add((int(left), int(right)))
         out.append(frozenset(pairs))
     return out
@@ -765,8 +811,7 @@ def _alignment_files(draw):
 
 
 def _alignment_outcome(read, path):
-    """Each line's pairs as a set, with every index beyond int64 read as its
-    maximum, or the class, message and place of the error."""
+    """Each line's pairs as a set, or the class, message and place of the error."""
     try:
         lines = read(path)
     except Exception as exc:  # noqa: BLE001 -- the error is the outcome
@@ -777,7 +822,7 @@ def _alignment_outcome(read, path):
         bounds = offsets.tolist()
         lines = [list(map(tuple, pairs[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])]
         assert all(line == sorted(set(line)) for line in lines)
-    return [frozenset((min(i, _INT64_MAX), min(j, _INT64_MAX)) for i, j in line) for line in lines]
+    return [frozenset(line) for line in lines]
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -792,7 +837,8 @@ def test_read_alignment_lines_equals_the_per_field_reader(tmp_path, text):
 @given(data=st.data())
 def test_load_corpus_names_the_first_alignment_out_of_range(tmp_path, data):
     lengths = data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=6))
-    index = st.one_of(st.integers(0, 7), st.just(10**20))
+    # the largest index an alignment file may hold: 18 digits
+    index = st.one_of(st.integers(0, 7), st.just(10**18 - 1))
     lines = [data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6)) for _ in lengths]
     paths = {name: tmp_path / f"c.{name}" for name in ("src", "mt", "align")}
     for name, side in (("src", 0), ("mt", 1)):
@@ -864,19 +910,19 @@ def test_alignment_offsets_are_read_only_however_the_table_is_built(tmp_path):
             offsets[1] = 0
 
 
-# --- the byte-level fast paths against their line readers ---------------------------
+# --- token files against their per-field references --------------------------------
 
-# decimals the fast path takes: probability-shaped ones, and 2 to 15 digits
-# with the dot inside, leading zeros and all
+# decimals the integer route takes: probability-shaped ones, and 2 to 15
+# digits with the dot inside, leading zeros and all
 _DECIMALS = st.one_of(
     st.text("0123456789", min_size=1, max_size=8).map(lambda digits: "0." + digits),
     st.text("0123456789", min_size=2, max_size=15).flatmap(
         lambda digits: st.integers(1, len(digits) - 1).map(lambda k: f"{digits[:k]}.{digits[k:]}")
     ),
 )
-# decimals it must leave to the line reader among them: 1 to 18 digits with
-# the dot anywhere (".5" and "1." too) or none, and 16 or 17 digits above
-# 2**53, where about one in four divided as an integer is a bit off float()
+# decimals it must leave to float() among them: 1 to 18 digits with the dot
+# anywhere (".5" and "1." too) or none, and 16 or 17 digits above 2**53,
+# where about one in four divided as an integer is a bit off float()
 _ODD_DECIMALS = st.one_of(
     st.text("0123456789", min_size=1, max_size=17).map(lambda digits: "0." + digits),
     st.text("0123456789", min_size=1, max_size=18).flatmap(
@@ -887,7 +933,8 @@ _ODD_DECIMALS = st.one_of(
         lambda digits: st.integers(1, len(digits) - 1).map(lambda k: f"{digits[:k]}.{digits[k:]}")
     ),
 )
-# fields each fast path must leave to its line reader
+# fields off each kind's common form: other float() spellings (repr of 16
+# and 17 digits among them) and fields the rule refuses
 _NEAR = {
     "decimals": [".", "1.", ".5", "1e-05", "-0.5", "nan", "inf", "+0.5", "0.5.5", "１", "０.５", "\ufeff0.5", "0,5", "OK",
                  "0-1", "0.1234567890123456", "9.820121096174655", "7.8318316499468541", "1.5"],
@@ -927,18 +974,30 @@ def _byte_files(draw, fields, near):
 
 _PAIRS = st.builds("{}-{}".format, st.sampled_from(["0", "3", "07", "12", "999999999999999999"]), st.integers(0, 20))
 
-# (fields of the files a fast path takes, near fields, the reader, its line reader)
-_FAST_PATHS = {
-    "probs": (_DECIMALS, "decimals", read_prob_lines, corpus_module._read_probs_by_line),
-    "scores": (_DECIMALS, "decimals", read_score_lines, corpus_module._read_scores_by_line),
-    "tags": (st.sampled_from(["OK", "BAD"]), "tags", read_tag_lines, corpus_module._read_tags_by_line),
+# (common fields, near fields, the reader, its per-field reference)
+_TOKEN_KINDS = {
+    "probs": (_DECIMALS, "decimals", read_prob_lines, lambda path: Ragged.from_rows(reference_read_prob_lines(path))),
+    "scores": (_DECIMALS, "decimals", read_score_lines, reference_read_score_lines),
+    "tags": (
+        st.sampled_from(["OK", "BAD"]),
+        "tags",
+        read_tag_lines,
+        lambda path: Ragged.from_rows(reference_read_tag_lines(path), dtype=bool),
+    ),
     "alignments": (
         _PAIRS,
         "pairs",
         read_alignment_lines,
-        lambda path, data: corpus_module._sorted_distinct(*corpus_module._read_alignments_by_line(path, data)),
+        lambda path: _pair_table(map(sorted, reference_read_alignment_lines(path))),
     ),
 }
+
+
+def _pair_table(lines):
+    """Lines of (source, MT) pairs as a (pairs, 2) int64 array and int64 offsets."""
+    lines = list(lines)
+    pairs = np.array([pair for line in lines for pair in line], np.int64).reshape(-1, 2)
+    return pairs, np.cumsum([0] + [len(line) for line in lines], dtype=np.int64)
 
 
 def _bits_outcome(read):
@@ -955,59 +1014,63 @@ def _bits_outcome(read):
     return [array.view(np.int64).tolist() if array.dtype == np.float64 else array.tolist() for array in got]
 
 
-@pytest.mark.parametrize("kind", list(_FAST_PATHS))
+# repr output of doubles in [0, 1] (16 and 17 significant digits, 1e-05 style below 1e-4) and %.17g
+_REPR_FIELDS = st.one_of(st.floats(0.0, 1.0).map(repr), st.floats(0.0, 1.0).map("{:.17g}".format))
+
+
+@pytest.mark.parametrize("kind", list(_TOKEN_KINDS))
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_each_fast_path_reads_as_its_line_reader(tmp_path, kind, data):
-    fields, near, read, read_by_line = _FAST_PATHS[kind]
+def test_every_token_file_reads_as_its_per_field_reference(tmp_path, kind, data):
+    fields, near, read, reference = _TOKEN_KINDS[kind]
+    if near == "decimals":
+        fields = fields | _REPR_FIELDS
+    near_fields = st.sampled_from(_NEAR[near]) | (_ODD_DECIMALS | _REPR_FIELDS if near == "decimals" else st.nothing())
     path = tmp_path / f"fuzz.{kind}"
-    near_fields = st.sampled_from(_NEAR[near]) | (_ODD_DECIMALS if near == "decimals" else st.nothing())
     path.write_bytes(data.draw(_byte_files(fields, near_fields)).encode("utf-8"))
-    assert _bits_outcome(lambda: read(str(path))) == _bits_outcome(lambda: read_by_line(str(path), path.read_bytes()))
+    assert _bits_outcome(lambda: read(str(path))) == _bits_outcome(lambda: reference(str(path)))
 
 
-@pytest.mark.parametrize(
-    "kind, near", [(kind, near) for kind, spec in _FAST_PATHS.items() for near in _NEAR[spec[1]]], ids=ascii
-)
-def test_each_near_field_reads_as_the_line_reader(tmp_path, kind, near):
-    _, _, read, read_by_line = _FAST_PATHS[kind]
-    common = {"decimals": "0.25", "tags": "OK", "pairs": "0-0"}[_FAST_PATHS[kind][1]]
-    for text in (f"{common}\n{near}\n", f"{common} {near} {common}\n{common}\n"):
-        path = tmp_path / f"near.{kind}"
-        path.write_bytes(text.encode("utf-8"))
-        assert _bits_outcome(lambda: read(str(path))) == _bits_outcome(lambda: read_by_line(str(path), path.read_bytes()))
+@pytest.mark.parametrize("kind", list(_TOKEN_KINDS))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_crlf_token_file_reads_as_its_lf_twin(tmp_path, kind, data):
+    fields, near, read, _ = _TOKEN_KINDS[kind]
+    # without CR, which a drawn file may hold as a line end of its own
+    text = data.draw(_byte_files(fields, st.sampled_from(_NEAR[near]))).replace("\r", "")
+    path = tmp_path / f"twin.{kind}"
+    outcomes = []
+    for twin in (text, text.replace("\n", "\r\n")):
+        path.write_bytes(twin.encode("utf-8"))
+        outcomes.append(_bits_outcome(lambda: read(str(path))))
+    assert outcomes[0] == outcomes[1]
 
 
-def test_common_files_never_reach_the_line_reader(tmp_path, monkeypatch, rng):
-    # the benchmark's %.6f probabilities and scores, tags and alignments as the toolkit writes them
-    rows = [[rng.random() for _ in range(rng.randint(1, 9))] for _ in range(40)]
-    probs = write(tmp_path / "p.probs", "".join(" ".join(f"{p:.6f}" for p in row) + "\n" for row in rows))
-    scores = write(tmp_path / "s.hter", "".join(f"{row[0] * 100:.6f}\n" for row in rows))
-    tags = tmp_path / "t.tags"
-    write_tags([[p >= 0.5 for p in row] for row in rows], tags)
-    align = tmp_path / "a.align"
-    write_alignments([{(i, j) for i in range(len(row)) for j in range(i + 1)} for row in rows], align)
-    repr_probs = tmp_path / "repr.probs"
-    write_probs([[0.1 + 0.2, 1 / 3]], repr_probs)
-    want = {
-        "probs": [[float(f"{p:.6f}") for p in row] for row in rows],
-        "scores": [float(f"{row[0] * 100:.6f}") for row in rows],
-        "tags": [[p >= 0.5 for p in row] for row in rows],
-    }
+@pytest.mark.parametrize("kind", list(_TOKEN_KINDS))
+def test_an_empty_token_file_reads_as_no_lines(tmp_path, kind):
+    path = tmp_path / f"empty.{kind}"
+    path.write_bytes(b"")
+    got = _bits_outcome(lambda: _TOKEN_KINDS[kind][2](str(path)))
+    assert got == _bits_outcome(lambda: _TOKEN_KINDS[kind][3](str(path)))
+    assert got[-1] == ([] if kind == "scores" else [0])
 
-    def refuse(path, data=None):
-        raise AssertionError(f"{path} reached the line reader")
 
-    monkeypatch.setattr(corpus_module, "_read_lines", refuse)
-    assert read_prob_lines(probs).rows() == want["probs"]
-    assert read_score_lines(scores) == want["scores"]
-    assert read_tag_lines(tags).rows() == want["tags"]
-    pairs, offsets = read_alignment_lines(align)
-    assert pairs.tolist() == [[i, j] for row in rows for i in range(len(row)) for j in range(i + 1)]
-    assert offsets.tolist() == np.cumsum([0] + [len(row) * (len(row) + 1) // 2 for row in rows]).tolist()
-    # 17 significant digits leave the file to the line reader, as its float() reads them
-    with pytest.raises(AssertionError, match="reached the line reader"):
-        read_prob_lines(repr_probs)
+# spellings that str.split, str.splitlines or float() took and the token-file
+# rule refuses: a fullwidth field, Unicode and control separators, a lone CR
+_FULLWIDTH = {"probs": "\uff11", "scores": "\uff11", "tags": "\uff2f\uff2b", "alignments": "\uff11-0"}
+_REMOVED_SEPARATORS = ["\xa0", "\u2003", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r"]
+
+
+@pytest.mark.parametrize("kind", list(_TOKEN_KINDS))
+@pytest.mark.parametrize("spelling", ["fullwidth", *_REMOVED_SEPARATORS], ids=ascii)
+def test_each_removed_spelling_is_a_parse_error_naming_the_file_and_line(tmp_path, kind, spelling):
+    common = {"probs": "0.25", "scores": "0.25", "tags": "OK", "alignments": "0-0"}[kind]
+    line = _FULLWIDTH[kind] if spelling == "fullwidth" else f"{common}{spelling}{common}"
+    path = tmp_path / f"removed.{kind}"
+    path.write_bytes(f"{common}\n{line}\n{common}\n".encode("utf-8"))
+    with pytest.raises(ParseError) as caught:
+        _TOKEN_KINDS[kind][2](str(path))
+    assert (caught.value.file, caught.value.line) == (str(path), 2)
 
 
 def test_every_tag_stream_is_read_by_read_tag_lines(tmp_path, monkeypatch):
