@@ -1055,6 +1055,45 @@ def test_an_empty_token_file_reads_as_no_lines(tmp_path, kind):
     assert got[-1] == ([] if kind == "scores" else [0])
 
 
+@pytest.mark.parametrize(
+    "kind, near", [(kind, near) for kind, spec in _TOKEN_KINDS.items() for near in _NEAR[spec[1]]], ids=ascii
+)
+def test_each_near_field_reads_as_its_per_field_reference(tmp_path, kind, near):
+    _, _, read, reference = _TOKEN_KINDS[kind]
+    common = {"decimals": "0.25", "tags": "OK", "pairs": "0-0"}[_TOKEN_KINDS[kind][1]]
+    for text in (f"{common}\n{near}\n", f"{common} {near} {common}\n{common}\n"):
+        path = tmp_path / f"near.{kind}"
+        path.write_bytes(text.encode("utf-8"))
+        assert _bits_outcome(lambda: read(str(path))) == _bits_outcome(lambda: reference(str(path)))
+
+
+def test_common_files_never_reach_the_error_locator(tmp_path, monkeypatch, rng):
+    # the benchmark's %.6f probabilities and scores, repr probabilities, and
+    # tags and alignments as the toolkit writes them
+    rows = [[rng.random() for _ in range(rng.randint(1, 9))] for _ in range(40)]
+    probs = write(tmp_path / "p.probs", "".join(" ".join(f"{p:.6f}" for p in row) + "\n" for row in rows))
+    scores = write(tmp_path / "s.hter", "".join(f"{row[0] * 100:.6f}\n" for row in rows))
+    tags = tmp_path / "t.tags"
+    write_tags([[p >= 0.5 for p in row] for row in rows], tags)
+    align = tmp_path / "a.align"
+    write_alignments([{(i, j) for i in range(len(row)) for j in range(i + 1)} for row in rows], align)
+    repr_probs = tmp_path / "repr.probs"
+    write_probs(rows, repr_probs)
+
+    def refuse(path, data, check_fields):
+        raise AssertionError(f"{path} reached the error locator")
+
+    monkeypatch.setattr(corpus_module, "_raise_first_error", refuse)
+    assert read_prob_lines(probs).rows() == [[float(f"{p:.6f}") for p in row] for row in rows]
+    assert read_score_lines(scores) == [float(f"{row[0] * 100:.6f}") for row in rows]
+    assert read_tag_lines(tags).rows() == [[p >= 0.5 for p in row] for row in rows]
+    pairs, offsets = read_alignment_lines(align)
+    assert pairs.tolist() == [[i, j] for row in rows for i in range(len(row)) for j in range(i + 1)]
+    assert offsets.tolist() == np.cumsum([0] + [len(row) * (len(row) + 1) // 2 for row in rows]).tolist()
+    # 16 and 17 significant digits take the float() route, and read back bit for bit
+    assert read_prob_lines(repr_probs).rows() == rows
+
+
 # spellings that str.split, str.splitlines or float() took and the token-file
 # rule refuses: a fullwidth field, Unicode and control separators, a lone CR
 _FULLWIDTH = {"probs": "\uff11", "scores": "\uff11", "tags": "\uff2f\uff2b", "alignments": "\uff11-0"}
